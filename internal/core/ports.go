@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fastnet/internal/anr"
@@ -101,4 +103,36 @@ func (pm *PortMap) RouteLinks(path []NodeID) ([]anr.ID, error) {
 		links = append(links, id)
 	}
 	return links, nil
+}
+
+// RoutePairs computes the min-hop link route (RouteLinks of the BFS tree
+// path) for every ordered (src, dst) pair: routes[i] belongs to pairs[i] and
+// is nil when dst is unreachable from src. Pairs are grouped by source so
+// each distinct source pays one BFS, into a single reused tree and path
+// buffer — a batch over k sources holds one tree live, not k. Routes are
+// exactly those of a per-pair g.BFSTree(src).PathFromRoot(dst).
+func (pm *PortMap) RoutePairs(g *graph.Graph, pairs [][2]NodeID) ([][]anr.ID, error) {
+	order := make([]int32, len(pairs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(pairs[a][0], pairs[b][0]) })
+	routes := make([][]anr.ID, len(pairs))
+	tree := &graph.Tree{Root: graph.None}
+	var path []NodeID
+	for _, i := range order {
+		src, dst := pairs[i][0], pairs[i][1]
+		if tree.Root != src {
+			g.BFSTreeInto(tree, src)
+		}
+		if path = tree.PathFromRootInto(path[:0], dst); path == nil {
+			continue
+		}
+		links, err := pm.RouteLinks(path)
+		if err != nil {
+			return nil, err
+		}
+		routes[i] = links
+	}
+	return routes, nil
 }

@@ -7,8 +7,8 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
-	"fastnet/internal/graph"
 	"fastnet/internal/gosim"
+	"fastnet/internal/graph"
 	"fastnet/internal/sim"
 )
 

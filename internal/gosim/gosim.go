@@ -80,18 +80,18 @@ type Network struct {
 	quiesceMu sync.Mutex
 	quiesceC  *sync.Cond
 
-	hops        atomic.Int64
-	deliveries  atomic.Int64
-	copies      atomic.Int64
-	injections  atomic.Int64
-	linkEvents  atomic.Int64
-	sends       atomic.Int64
-	packets     atomic.Int64
-	drops       atomic.Int64
-	dmaxViol    atomic.Int64
-	headerBits  atomic.Int64
-	maxHdrHops  atomic.Int64
-	filtered    atomic.Int64
+	hops         atomic.Int64
+	deliveries   atomic.Int64
+	copies       atomic.Int64
+	injections   atomic.Int64
+	linkEvents   atomic.Int64
+	sends        atomic.Int64
+	packets      atomic.Int64
+	drops        atomic.Int64
+	dmaxViol     atomic.Int64
+	headerBits   atomic.Int64
+	maxHdrHops   atomic.Int64
+	filtered     atomic.Int64
 	faultDrops   atomic.Int64
 	faultDups    atomic.Int64
 	faultCorr    atomic.Int64
@@ -99,10 +99,10 @@ type Network struct {
 	faultReorder atomic.Int64
 	faultSlow    atomic.Int64
 	stallTicks   atomic.Int64
-	perNode    []atomic.Int64
-	actSeq     atomic.Int64
-	msgSeq     atomic.Int64
-	stopped    atomic.Bool
+	perNode      []atomic.Int64
+	actSeq       atomic.Int64
+	msgSeq       atomic.Int64
+	stopped      atomic.Bool
 }
 
 type item struct {

@@ -38,7 +38,7 @@ func (t *Tree) Children() [][]NodeID {
 	ch := make([][]NodeID, n)
 	off := 0
 	for u, c := range counts {
-		ch[u] = backing[off:off:off+int(c)]
+		ch[u] = backing[off : off : off+int(c)]
 		off += int(c)
 	}
 	for u, p := range t.Parent {

@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fastnet/internal/core"
@@ -126,6 +127,38 @@ type Config struct {
 	// EventBudget overrides the runtime's runaway guard
 	// (default max(64*Calls, 10M)).
 	EventBudget int64
+}
+
+// ConfigError reports a Config field no run can honour, so sweep and probe
+// drivers can tell a bad scenario from a simulation failure with errors.As.
+type ConfigError struct {
+	Field  string
+	Value  float64
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("load: %s = %g: %s", e.Field, e.Value, e.Reason)
+}
+
+// validate rejects what the samplers would turn into a garbage ledger; NaN and
+// infinities compare false against every bound, so they are tested by name.
+func (cfg *Config) validate() error {
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"Rate", cfg.Rate}, {"Zipf", cfg.Zipf}, {"BurstFactor", cfg.BurstFactor}, {"BurstOn", cfg.BurstOn}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return &ConfigError{f.field, f.v, "must be finite"}
+		}
+	}
+	if cfg.Rate <= 0 {
+		return &ConfigError{"Rate", cfg.Rate, "must be > 0"}
+	}
+	if cfg.Calls < 0 {
+		return &ConfigError{"Calls", float64(cfg.Calls), "must be >= 0"}
+	}
+	return nil
 }
 
 func (cfg *Config) holding() core.Time {
@@ -258,11 +291,8 @@ func (p *olProto) Deliver(env core.Env, pkt core.Packet) {
 // Run executes one open-loop run over g. Extra sim options are appended
 // after the engine's own (so tests can attach trace sinks or shards).
 func Run(g *graph.Graph, cfg Config, opts ...sim.Option) (*Stats, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("load: Rate must be > 0, have %g", cfg.Rate)
-	}
-	if cfg.Calls < 0 {
-		return nil, fmt.Errorf("load: Calls must be >= 0, have %d", cfg.Calls)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	e := &engine{cfg: cfg, timeout: cfg.timeout(), reuse: cfg.Faults.Dup == 0}
 	budget := cfg.EventBudget
@@ -284,7 +314,8 @@ func Run(g *graph.Graph, cfg Config, opts ...sim.Option) (*Stats, error) {
 		simOpts = append(simOpts, sim.WithMsgFaults(cfg.Faults))
 	}
 	simOpts = append(simOpts, opts...)
-	e.net = sim.New(g, func(core.NodeID) core.Protocol { return &olProto{e} }, simOpts...)
+	proto := &olProto{e}
+	e.net = sim.New(g, func(core.NodeID) core.Protocol { return proto }, simOpts...)
 	var err error
 	e.pairs, err = NewPairTable(g, e.net.PortMap(), cfg.Pairs, cfg.Zipf, cfg.Seed^0x9a1f)
 	if err != nil {

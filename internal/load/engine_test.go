@@ -1,6 +1,9 @@
 package load
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"fastnet/internal/core"
@@ -176,13 +179,77 @@ func TestEngineZeroCalls(t *testing.T) {
 	}
 }
 
-// TestEngineRejectsBadConfig: rate must be positive.
+// TestEngineRejectsBadConfig: values no sampler can honour come back as a
+// typed *ConfigError naming the field — NaN and the infinities included,
+// which slip through plain `<= 0` guards because they compare false.
 func TestEngineRejectsBadConfig(t *testing.T) {
 	g := graph.Ring(8)
-	if _, err := Run(g, Config{Seed: 1, Calls: 10, Rate: 0}); err == nil {
-		t.Fatal("Rate=0 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Rate", Config{Calls: 10, Rate: 0}},
+		{"Rate", Config{Calls: 10, Rate: -1}},
+		{"Rate", Config{Calls: 10, Rate: nan}},
+		{"Rate", Config{Calls: 10, Rate: inf}},
+		{"Rate", Config{Calls: 10, Rate: -inf}},
+		{"Calls", Config{Calls: -1, Rate: 1}},
+		{"Zipf", Config{Calls: 10, Rate: 1, Zipf: nan}},
+		{"Zipf", Config{Calls: 10, Rate: 1, Zipf: inf}},
+		{"Zipf", Config{Calls: 10, Rate: 1, Zipf: -inf}},
+		{"BurstFactor", Config{Calls: 10, Rate: 1, BurstFactor: nan}},
+		{"BurstFactor", Config{Calls: 10, Rate: 1, BurstFactor: inf}},
+		{"BurstOn", Config{Calls: 10, Rate: 1, BurstFactor: 4, BurstOn: nan}},
+		{"BurstOn", Config{Calls: 10, Rate: 1, BurstFactor: 4, BurstOn: -inf}},
+	} {
+		s, err := Run(g, tc.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%+v: got stats %v, err %v; want a *ConfigError", tc.cfg, s, err)
+		}
+		if ce.Field != tc.field || ce.Reason == "" {
+			t.Fatalf("%+v: error %q names field %q, want %q", tc.cfg, err, ce.Field, tc.field)
+		}
 	}
-	if _, err := Run(g, Config{Seed: 1, Calls: -1, Rate: 1}); err == nil {
-		t.Fatal("Calls=-1 accepted")
+}
+
+// TestOpenLoopAllocsPerCall pins the load plane's marginal allocation cost:
+// the heap objects 50k further calls add to a run (set-up — network, pair
+// table, first pool chunks — cancels in the difference) stay at or below 0.1
+// per call on both admission paths. What remains is amortised growth: hop
+// arena chunks (one per 512 reverse-route hops), event-record and call-record
+// chunks, wheel slot slices reaching their high-water mark.
+func TestOpenLoopAllocsPerCall(t *testing.T) {
+	g := graph.GNP(256, 6.0/256, 3)
+	mallocs := func(cfg Config) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Run(g, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLedger(t, s)
+		return after.Mallocs - before.Mallocs
+	}
+	const base, extra = 20_000, 50_000
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"batch-256", Config{Seed: 1, Rate: 2, Holding: 256}},
+		{"batch-1", Config{Seed: 1, Rate: 2, Holding: 256, Zipf: 1.2, NCUCap: 64,
+			Capacity: core.Capacity{NCUQueue: 64, LinkRate: 2, LinkBurst: 8}}},
+	} {
+		short, long := tc.cfg, tc.cfg
+		short.Calls, long.Calls = base, base+extra
+		a, b := mallocs(short), mallocs(long)
+		perCall := (float64(b) - float64(a)) / extra
+		t.Logf("%s: %d allocs at %d calls, %d at %d: %.4f allocs/call", tc.name, a, base, b, base+extra, perCall)
+		if perCall > 0.1 {
+			t.Errorf("%s: %.3f allocs per call, want <= 0.1", tc.name, perCall)
+		}
 	}
 }

@@ -19,13 +19,12 @@ const DefaultPairs = 4096
 type pairEntry struct {
 	src, dst core.NodeID
 	hdr      anr.Header
-	hops     int32
 }
 
 // PairTable is the Zipf-skewed endpoint popularity table: a fixed set of
 // distinct (src,dst) pairs, pair i carrying weight 1/(i+1)^skew (uniform at
 // skew 0), sampled in O(1) with the alias method. Routes are shortest paths
-// precomputed at build time from per-source BFS trees.
+// precomputed at build time by core.PortMap.RoutePairs.
 type PairTable struct {
 	entries []pairEntry
 	alias   aliasTable
@@ -49,34 +48,17 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 	if count > maxPairs {
 		count = maxPairs
 	}
+	// Draw the pairs first — reachability, which decides how many draws the
+	// rng sequence takes, is a component-label comparison — and route the
+	// whole batch afterwards, one BFS per distinct source.
+	comp := make([]int32, n)
+	for c, nodes := range g.Components() {
+		for _, u := range nodes {
+			comp[u] = int32(c)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
-	trees := make(map[core.NodeID]*graph.Tree)
-	tree := func(src core.NodeID) *graph.Tree {
-		t, ok := trees[src]
-		if !ok {
-			t = g.BFSTree(src)
-			trees[src] = t
-		}
-		return t
-	}
-	t := &PairTable{entries: make([]pairEntry, 0, count)}
-	appendPair := func(src, dst core.NodeID) error {
-		path := tree(src).PathFromRoot(dst)
-		if path == nil {
-			return nil // unreachable: skip the pair
-		}
-		links, err := pm.RouteLinks(path)
-		if err != nil {
-			return err
-		}
-		hdr := anr.Direct(links)
-		hops := hdr.HopCount()
-		if hops > t.maxHops {
-			t.maxHops = hops
-		}
-		t.entries = append(t.entries, pairEntry{src: src, dst: dst, hdr: hdr, hops: int32(hops)})
-		return nil
-	}
+	var chosen [][2]core.NodeID
 	if count >= maxPairs/2 || maxPairs <= 4*count {
 		// Dense request: enumerate every ordered pair, shuffle for the
 		// popularity ranking, keep the first count connected ones.
@@ -90,17 +72,17 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 		}
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		for _, p := range all {
-			if len(t.entries) == count {
+			if len(chosen) == count {
 				break
 			}
-			if err := appendPair(p[0], p[1]); err != nil {
-				return nil, err
+			if comp[p[0]] == comp[p[1]] {
+				chosen = append(chosen, p)
 			}
 		}
 	} else {
 		// Sparse request: rejection-sample distinct pairs.
 		seen := make(map[int64]struct{}, count)
-		for attempts := 0; len(t.entries) < count && attempts < 64*count+1024; attempts++ {
+		for attempts := 0; len(chosen) < count && attempts < 64*count+1024; attempts++ {
 			src := core.NodeID(rng.Intn(n))
 			dst := core.NodeID(rng.Intn(n))
 			if src == dst {
@@ -111,21 +93,26 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 				continue
 			}
 			seen[key] = struct{}{}
-			if err := appendPair(src, dst); err != nil {
-				return nil, err
+			if comp[src] == comp[dst] {
+				chosen = append(chosen, [2]core.NodeID{src, dst})
 			}
 		}
+	}
+	routes, err := pm.RoutePairs(g, chosen)
+	if err != nil {
+		return nil, err
+	}
+	t := &PairTable{entries: make([]pairEntry, len(chosen))}
+	for i, p := range chosen {
+		t.entries[i] = pairEntry{src: p[0], dst: p[1], hdr: anr.Direct(routes[i])}
+		t.maxHops = max(t.maxHops, len(routes[i]))
 	}
 	if len(t.entries) == 0 {
 		return nil, fmt.Errorf("load: no connected (src,dst) pair found")
 	}
 	weights := make([]float64, len(t.entries))
 	for i := range weights {
-		if skew <= 0 {
-			weights[i] = 1
-		} else {
-			weights[i] = math.Pow(float64(i+1), -skew)
-		}
+		weights[i] = math.Pow(float64(i+1), -max(skew, 0)) // uniform at skew <= 0
 	}
 	t.alias = newAlias(weights)
 	return t, nil

@@ -1,6 +1,8 @@
 package load
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"fastnet/internal/core"
@@ -66,3 +68,28 @@ func TestProbeUnsustainableFloor(t *testing.T) {
 }
 
 func faultsAllDrop() (f core.MsgFaults) { f.Drop = 0.9; return }
+
+// TestProbeSurfacesConfigError: a bracket or template the engine rejects
+// comes back from the probe as the engine's typed *ConfigError (NaN brackets
+// pass the probe's own ordering check, since NaN compares false).
+func TestProbeSurfacesConfigError(t *testing.T) {
+	g := graph.Ring(12)
+	ok := Config{Seed: 3, Calls: 200, Holding: 50}
+	badZipf := ok
+	badZipf.Zipf = math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		pc    ProbeConfig
+	}{
+		{"Rate", ProbeConfig{Template: ok, MinRate: math.NaN(), MaxRate: 1}},
+		{"Rate", ProbeConfig{Template: ok, MinRate: 0.01, MaxRate: math.Inf(1)}},
+		{"Zipf", ProbeConfig{Template: badZipf, MinRate: 0.01, MaxRate: 1}},
+	} {
+		res, err := MaxSustainableRate(g, tc.pc)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Fatalf("bracket [%g, %g]: got result %v, err %v; want a *ConfigError on %s",
+				tc.pc.MinRate, tc.pc.MaxRate, res, err, tc.field)
+		}
+	}
+}

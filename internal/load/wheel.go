@@ -11,27 +11,32 @@ import (
 //
 //   - fine: 256 one-tick slots covering (cur, cur+256);
 //   - coarse: 256 slots of 256 ticks covering up to the horizon;
-//   - over: everything at distance >= wheelHorizon, re-bucketed lazily.
+//   - over: everything at distance >= wheelHorizon, re-bucketed as soon as
+//     the hand comes within the horizon of its earliest entry.
 //
 // The insert horizon is wheelSpan - wheelSlots rather than wheelSpan: the
 // one-block margin guarantees every coarse slot holds entries of a single
 // 256-tick block (two blocks one wheel-turn apart can never be pending in
 // one slot at once), so a cascade moves a whole slot without filtering.
 //
-// next() is a pure peek (cached, invalidated by pops): the clock hand cur
-// only advances inside popUntil, and never past the entry being popped or
-// the caller's deadline. That asymmetry is load-bearing — the engine peeks
-// every loop iteration while new deadlines keep arriving behind the earliest
-// pending one, and an eagerly advanced hand would clamp them into the past.
+// next() is a pure peek (cached, invalidated by pops) costing two bitmap
+// scans: every occupied coarse slot carries the minimum of its entries in
+// coarseMin (lowered by add, dead once locate cascades the slot), so the
+// peek never walks entries. The clock hand cur only advances inside
+// popUntil, and never past the entry being popped or the caller's deadline.
+// That asymmetry is load-bearing — the engine peeks every loop iteration
+// while new deadlines keep arriving behind the earliest pending one, and an
+// eagerly advanced hand would clamp them into the past.
 //
 // Ordering argument (see docs/PERF.md): all fine-resident entries lie in
 // (cur, cur+256), where each slot index corresponds to exactly one absolute
 // time, so a bitmap scan in slot order from cur+1 through the end of cur's
 // block visits times in increasing order; entries of later blocks are either
 // in fine slots below the scan window or still coarse/overflow-resident, and
-// locate() advances cur block-by-block (cascading each block's coarse slot
-// first), so no entry is ever visited late. Hence popUntil drains in
-// nondecreasing time order.
+// locate() advances cur block-by-block (first pulling in any overflow the
+// hand is within the horizon of, then cascading the block's coarse slot), so
+// no entry is ever visited late. Hence popUntil drains in nondecreasing time
+// order.
 const (
 	wheelBits    = 8
 	wheelSlots   = 1 << wheelBits          // 256 fine slots, 1 tick each
@@ -50,17 +55,18 @@ type wheelEntry struct {
 }
 
 type wheel struct {
-	cur     core.Time // all pending entries have t > cur
-	pending int
-	fine    [wheelSlots][]wheelEntry
-	coarse  [wheelSlots][]wheelEntry
-	fineBm  [wheelSlots / 64]uint64
-	corseBm [wheelSlots / 64]uint64
-	over    []wheelEntry
-	overMin core.Time    // min overflow entry time, -1 when empty
-	spare   []wheelEntry // reused batch buffer for popUntil
-	peekT   core.Time    // cached earliest pending time
-	peekOK  bool         // peekT valid
+	cur       core.Time // all pending entries have t > cur
+	pending   int
+	fine      [wheelSlots][]wheelEntry
+	coarse    [wheelSlots][]wheelEntry
+	fineBm    wheelBitmap
+	corseBm   wheelBitmap
+	coarseMin [wheelSlots]core.Time // earliest entry per coarse slot; valid while its bit is set
+	over      []wheelEntry
+	overMin   core.Time    // min overflow entry time, -1 when empty
+	spare     []wheelEntry // reused batch buffer for popUntil
+	peekT     core.Time    // cached earliest pending time
+	peekOK    bool         // peekT valid
 }
 
 func newWheel(start core.Time) *wheel {
@@ -79,11 +85,14 @@ func (w *wheel) add(t core.Time, idx int32, gen uint32) {
 	case d < wheelSlots:
 		s := int(t & wheelMask)
 		w.fine[s] = append(w.fine[s], wheelEntry{t, idx, gen})
-		w.fineBm[s>>6] |= 1 << (s & 63)
+		w.fineBm.set(s)
 	case d < wheelHorizon:
 		s := int((t >> wheelBits) & wheelMask)
+		if !w.corseBm.has(s) || t < w.coarseMin[s] {
+			w.coarseMin[s] = t
+		}
 		w.coarse[s] = append(w.coarse[s], wheelEntry{t, idx, gen})
-		w.corseBm[s>>6] |= 1 << (s & 63)
+		w.corseBm.set(s)
 	default:
 		w.over = append(w.over, wheelEntry{t, idx, gen})
 		if w.overMin < 0 || t < w.overMin {
@@ -109,54 +118,47 @@ func (w *wheel) next() core.Time {
 	return w.peekT
 }
 
-// peekCompute scans the three tiers for the earliest pending time.
-func (w *wheel) peekCompute() core.Time {
-	best := core.Time(-1)
-	// Fine tier: entries lie in (cur, cur+256); slots above cur's offset
-	// belong to cur's block, slots below it to the next block. Scan in that
-	// (= time) order and take the first hit.
-	base := w.cur &^ wheelMask
-	lo := int(w.cur & wheelMask)
-	for wi := lo >> 6; wi < wheelSlots/64 && best < 0; wi++ {
-		word := w.fineBm[wi]
-		if wi == lo>>6 {
-			word &= ^uint64(0) << uint(lo&63) << 1
+// wheelBitmap is the slot-occupancy bitmap of one wheel level.
+type wheelBitmap [wheelSlots / 64]uint64
+
+func (b *wheelBitmap) set(s int)      { b[s>>6] |= 1 << (s & 63) }
+func (b *wheelBitmap) clear(s int)    { b[s>>6] &^= 1 << (s & 63) }
+func (b *wheelBitmap) has(s int) bool { return b[s>>6]&(1<<(s&63)) != 0 }
+
+// after returns how many slots past from (1..wheelSlots, wrapping, so
+// wheelSlots means from itself) the nearest occupied slot lies, or -1 on an
+// empty bitmap: at most five word probes.
+func (b *wheelBitmap) after(from int) int {
+	for k := 1; k <= wheelSlots; {
+		s := (from + k) & (wheelSlots - 1)
+		if word := b[s>>6] >> (s & 63); word != 0 {
+			return k + bits.TrailingZeros64(word)
 		}
-		if word != 0 {
-			best = base + core.Time(wi<<6+bits.TrailingZeros64(word))
+		k += 64 - s&63
+	}
+	return -1
+}
+
+// peekCompute finds the earliest pending time from the two occupancy bitmaps
+// and the overflow minimum, without touching an entry.
+func (w *wheel) peekCompute() core.Time {
+	best := w.overMin
+	consider := func(t core.Time) {
+		if best < 0 || t < best {
+			best = t
 		}
 	}
-	if best < 0 {
-		for wi := 0; wi <= lo>>6 && best < 0; wi++ {
-			word := w.fineBm[wi]
-			if wi == lo>>6 {
-				word &= 1<<uint(lo&63) - 1
-			}
-			if word != 0 {
-				best = base + wheelSlots + core.Time(wi<<6+bits.TrailingZeros64(word))
-			}
-		}
+	// Fine tier: entries lie in (cur, cur+256), one absolute time per slot, so
+	// slot distance from cur's slot is time distance from cur.
+	if k := w.fineBm.after(int(w.cur & wheelMask)); k > 0 {
+		consider(w.cur + core.Time(k))
 	}
 	// Coarse tier: blocks are disjoint increasing time ranges in wrap order
-	// from cur's block, so the first occupied slot holds the coarse minimum.
+	// from cur's own block (still coarse-resident when popUntil parked the
+	// hand inside it), so the first occupied slot holds the coarse minimum.
 	cs := int((w.cur >> wheelBits) & wheelMask)
-	for k := 0; k < wheelSlots; k++ {
-		j := (cs + k) & int(wheelMask)
-		if w.corseBm[j>>6]&(1<<(j&63)) != 0 {
-			m := core.Time(-1)
-			for _, e := range w.coarse[j] {
-				if m < 0 || e.t < m {
-					m = e.t
-				}
-			}
-			if m >= 0 && (best < 0 || m < best) {
-				best = m
-			}
-			break
-		}
-	}
-	if w.overMin >= 0 && (best < 0 || w.overMin < best) {
-		best = w.overMin
+	if k := w.corseBm.after(cs - 1); k > 0 {
+		consider(w.coarseMin[(cs-1+k)&(wheelSlots-1)])
 	}
 	return best
 }
@@ -168,84 +170,58 @@ func (w *wheel) peekCompute() core.Time {
 // minimum entry, hence cur stays strictly below every pending time.
 func (w *wheel) locate() core.Time {
 	for {
+		// Overflow entries the hand has come within the horizon of re-enter
+		// the wheel levels before any scan, so the levels always hold every
+		// entry earlier than the overflow's minimum.
+		if w.overMin >= 0 && w.overMin-w.cur < wheelHorizon {
+			w.rebucketOver()
+		}
 		start := w.cur + 1
 		base := start &^ wheelMask
 		// Cascade the coarse slot of start's block: afterwards every entry
 		// in (cur, base+256) is fine-resident.
 		cs := int((base >> wheelBits) & wheelMask)
-		if w.corseBm[cs>>6]&(1<<(cs&63)) != 0 {
-			w.corseBm[cs>>6] &^= 1 << (cs & 63)
+		if w.corseBm.has(cs) {
+			w.corseBm.clear(cs)
 			slot := w.coarse[cs]
 			for _, e := range slot {
 				s := int(e.t & wheelMask)
 				w.fine[s] = append(w.fine[s], e)
-				w.fineBm[s>>6] |= 1 << (s & 63)
+				w.fineBm.set(s)
 			}
 			w.coarse[cs] = slot[:0]
 		}
-		// Scan this block's remaining fine slots in index (= time) order.
+		// The nearest occupied fine slot at or after start's: inside this
+		// block it is the answer (slot order = time order).
 		lo := int(start & wheelMask)
-		for wi := lo >> 6; wi < wheelSlots/64; wi++ {
-			word := w.fineBm[wi]
-			if wi == lo>>6 {
-				word &= ^uint64(0) << (lo & 63)
-			}
-			if word != 0 {
-				s := wi<<6 + bits.TrailingZeros64(word)
-				return base + core.Time(s)
-			}
+		k := w.fineBm.after(lo - 1)
+		if s := lo - 1 + k; k > 0 && s < wheelSlots {
+			return base + core.Time(s)
 		}
 		// Nothing left in this block: jump cur to just before the earliest
 		// block that still holds work. Fine entries below the scan window
-		// belong to the immediately following block; coarse blocks are found
-		// by a wrap-order bitmap scan.
+		// belong to the immediately following block; coarse slot cs+c (wrap)
+		// holds block base + c*256, unique within the horizon.
 		jump := core.Time(-1)
-		if w.anyFine() {
+		if k > 0 {
 			jump = base + wheelSlots
 		}
-		if nc := w.nextCoarseBlock(base); nc >= 0 && (jump < 0 || nc < jump) {
-			jump = nc
+		if c := w.corseBm.after(cs); c > 0 && (jump < 0 || base+core.Time(c)<<wheelBits < jump) {
+			jump = base + core.Time(c)<<wheelBits
 		}
 		if jump >= 0 {
 			w.cur = jump - 1
 			continue
 		}
-		// Only the overflow holds entries: pull it back into the wheel.
-		w.rebucketOver()
-	}
-}
-
-func (w *wheel) anyFine() bool {
-	for _, word := range w.fineBm {
-		if word != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// nextCoarseBlock returns the start time of the earliest occupied coarse
-// block strictly after base, or -1. Slot cs+k (wrap) holds block
-// base + k*256 — unique within the horizon.
-func (w *wheel) nextCoarseBlock(base core.Time) core.Time {
-	cs := int((base >> wheelBits) & wheelMask)
-	for k := 1; k <= wheelSlots; k++ {
-		j := (cs + k) & int(wheelMask)
-		if w.corseBm[j>>6]&(1<<(j&63)) != 0 {
-			return base + core.Time(k)<<wheelBits
-		}
-	}
-	return -1
-}
-
-// rebucketOver advances cur to just before the earliest overflow entry and
-// re-adds the overflow, pulling near entries into the wheel levels. Called
-// only when both wheel levels are empty, so the jump skips no work; each
-// pass moves at least the minimum entry out of the overflow.
-func (w *wheel) rebucketOver() {
-	if w.overMin-1 > w.cur {
+		// Only the overflow holds entries: jump to just before the earliest
+		// (skipping no work) and let the next pass pull it into the levels.
 		w.cur = w.overMin - 1
 	}
+}
+
+// rebucketOver re-adds the overflow against the current hand, pulling the
+// entries now inside the horizon — at least the minimum — into the levels.
+func (w *wheel) rebucketOver() {
 	old := w.over
 	w.over = nil
 	w.overMin = -1
@@ -272,7 +248,7 @@ func (w *wheel) popUntil(deadline core.Time, fn func(wheelEntry)) {
 		// per slot within the (cur, cur+256) window).
 		batch := w.fine[s]
 		w.fine[s] = w.spare[:0]
-		w.fineBm[s>>6] &^= 1 << (s & 63)
+		w.fineBm.clear(s)
 		w.pending -= len(batch)
 		w.cur = t
 		w.peekOK = false

@@ -134,3 +134,137 @@ func TestWheelPastClamp(t *testing.T) {
 		t.Fatalf("past entry popped as %v, want [101]", got)
 	}
 }
+
+// TestWheelModel drives random add / next / popUntil / drainAll sequences
+// against a sorted-slice oracle. The distance mix keeps all three tiers
+// populated, so the run covers adds behind the current earliest, peeks served
+// by a coarse slot's stored minimum (before and after that slot's neighbours
+// cascade, and with the hand parked inside the slot's own block), and the
+// overflow re-bucket.
+func TestWheelModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := newWheel(core.Time(rng.Intn(1000)))
+		var oracle []wheelEntry // pending, unsorted
+		next := func() core.Time {
+			m := core.Time(-1)
+			for _, e := range oracle {
+				if m < 0 || e.t < m {
+					m = e.t
+				}
+			}
+			return m
+		}
+		byTimeIdx := func(es []wheelEntry) {
+			sort.Slice(es, func(i, j int) bool {
+				if es[i].t != es[j].t {
+					return es[i].t < es[j].t
+				}
+				return es[i].idx < es[j].idx
+			})
+		}
+		// pop removes and returns the oracle's entries with t <= deadline.
+		pop := func(deadline core.Time) []wheelEntry {
+			var due, rest []wheelEntry
+			for _, e := range oracle {
+				if e.t <= deadline {
+					due = append(due, e)
+				} else {
+					rest = append(rest, e)
+				}
+			}
+			oracle = rest
+			return due
+		}
+		// check: the wheel popped exactly the oracle's entries, in
+		// nondecreasing time order (order within one tick is the wheel's own:
+		// entries that waited in a coarser tier follow direct fine adds).
+		check := func(step int, got, want []wheelEntry) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: popped %d entries, oracle %d", seed, step, len(got), len(want))
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i].t < got[i-1].t {
+					t.Fatalf("seed %d step %d: pop order violated at %d: %d after %d", seed, step, i, got[i].t, got[i-1].t)
+				}
+			}
+			byTimeIdx(got)
+			byTimeIdx(want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d pop %d: got %+v, oracle %+v", seed, step, i, got[i], want[i])
+				}
+			}
+		}
+		id := int32(0)
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				var d core.Time
+				switch rng.Intn(4) {
+				case 0:
+					d = 1 + core.Time(rng.Intn(wheelSlots))
+				case 1:
+					d = core.Time(rng.Intn(4 * wheelSlots))
+				case 2:
+					d = core.Time(rng.Intn(wheelHorizon + wheelSlots))
+				default:
+					d = wheelHorizon - 2 + core.Time(rng.Intn(3*wheelSpan))
+				}
+				at := w.cur + d // d == 0 exercises the clamp to cur+1
+				w.add(at, id, uint32(step))
+				if at <= w.cur {
+					at = w.cur + 1
+				}
+				oracle = append(oracle, wheelEntry{at, id, uint32(step)})
+				id++
+			case op < 9:
+				var deadline core.Time
+				switch rng.Intn(3) {
+				case 0:
+					deadline = w.cur + core.Time(rng.Intn(2*wheelSlots))
+				case 1:
+					deadline = w.cur + core.Time(rng.Intn(wheelSpan))
+				default:
+					if deadline = next(); deadline < 0 {
+						deadline = w.cur
+					}
+				}
+				var got []wheelEntry
+				w.popUntil(deadline, func(e wheelEntry) { got = append(got, e) })
+				check(step, got, pop(deadline))
+				if w.cur < deadline {
+					t.Fatalf("seed %d step %d: hand at %d after popUntil(%d)", seed, step, w.cur, deadline)
+				}
+			default:
+				if rng.Intn(40) == 0 {
+					var got []wheelEntry
+					w.drainAll(func(e wheelEntry) { got = append(got, e) })
+					check(step, got, pop(1<<62))
+				}
+			}
+			if got, want := w.next(), next(); got != want {
+				t.Fatalf("seed %d step %d: next()=%d, oracle %d (cur=%d)", seed, step, got, want, w.cur)
+			}
+			if w.pending != len(oracle) {
+				t.Fatalf("seed %d step %d: pending=%d, oracle %d", seed, step, w.pending, len(oracle))
+			}
+		}
+	}
+}
+
+// TestWheelOverflowOvertaken: an overflow entry the hand has since come
+// close to must pop before a later fine entry added after the hand moved
+// (it used to stay parked in the overflow while the fine scan answered, and
+// popUntil spun on the slot the peek named).
+func TestWheelOverflowOvertaken(t *testing.T) {
+	w := newWheel(0)
+	w.add(70_000, 1, 0) // beyond the horizon: overflow
+	w.popUntil(69_990, func(wheelEntry) { t.Fatal("nothing is due yet") })
+	w.add(70_003, 2, 0) // fine, behind the overflow entry
+	got := drainTimes(w)
+	if len(got) != 2 || got[0] != 70_000 || got[1] != 70_003 {
+		t.Fatalf("popped %v, want [70000 70003]", got)
+	}
+}

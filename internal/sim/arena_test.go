@@ -1,0 +1,128 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+
+	"fastnet/internal/anr"
+	"fastnet/internal/core"
+	"fastnet/internal/graph"
+)
+
+// reverseKeeper sends a train of packets down its route on "go" and, at the
+// receiving end, keeps every Reverse it is handed — appending to each one on
+// arrival, the way a protocol that extends a captured route would.
+type reverseKeeper struct {
+	route anr.Header
+	train int
+	kept  []anr.Header
+	caps  []int
+}
+
+func (p *reverseKeeper) Init(core.Env)                 {}
+func (p *reverseKeeper) LinkEvent(core.Env, core.Port) {}
+
+func (p *reverseKeeper) Deliver(env core.Env, pkt core.Packet) {
+	if pkt.Payload == "go" {
+		for i := 0; i < p.train; i++ {
+			if err := env.Send(p.route, i); err != nil {
+				panic(err)
+			}
+		}
+	}
+	p.kept = append(p.kept, pkt.Reverse)
+	p.caps = append(p.caps, cap(pkt.Reverse))
+	_ = append(pkt.Reverse, anr.Hop{Link: 999}, anr.Hop{Link: 999})
+}
+
+// TestReverseArenaTails: reverse-route buffers carved from the hop arena sit
+// back to back in one chunk, so every Reverse a protocol sees — full buffers
+// at the destination, shorter tails at selective-copy stops, the shared
+// injection header, and long routes that bypass the arena — must have
+// cap == len, and an append through one must never show up in another
+// packet's route.
+func TestReverseArenaTails(t *testing.T) {
+	for _, n := range []int{6, hopChunk/8 + 8} { // arena-carved and own-allocation routes
+		g := graph.Path(n)
+		links := make([]anr.ID, n-1)
+		links[0] = 1 // node 0's only link; interior nodes forward on their second
+		for i := 1; i < n-1; i++ {
+			links[i] = 2
+		}
+		protos := make([]*reverseKeeper, n)
+		net := New(g, func(id core.NodeID) core.Protocol {
+			protos[id] = &reverseKeeper{}
+			return protos[id]
+		}, WithDelays(1, 1), WithDmax(n))
+		protos[0].route, protos[0].train = anr.CopyPath(links), 5
+		net.Inject(0, 0, "go")
+		net.Inject(0, 0, "again")
+		if _, err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for u, p := range protos {
+			want := make(anr.Header, 0, u+1) // u hops back toward node 0, then the NCU
+			for i := 0; i < u; i++ {
+				want = append(want, anr.Hop{Link: 1})
+			}
+			want = append(want, anr.Hop{Link: anr.NCU})
+			wantKept := protos[0].train
+			if u == 0 {
+				wantKept = 2 // the two injections
+			}
+			if len(p.kept) != wantKept {
+				t.Fatalf("n=%d node %d: kept %d reverses, want %d", n, u, len(p.kept), wantKept)
+			}
+			for i, rev := range p.kept {
+				if p.caps[i] != len(rev) {
+					t.Errorf("n=%d node %d packet %d: Reverse has len %d cap %d", n, u, i, len(rev), p.caps[i])
+				}
+				if !slices.Equal(rev, want) {
+					t.Errorf("n=%d node %d packet %d: Reverse %v, want %v (stomped by a neighbour's append?)", n, u, i, rev, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGlobalSchedStatsRunUntilOnly: a driver that only ever calls RunUntil
+// (the open-loop engine, epoch scripts) no longer publishes to the process-
+// wide aggregate per call; reading SchedStats must, exactly — classic and
+// sharded networks alike — so `fastnet exp -v` totals stay the sum of the
+// per-network counters.
+func TestGlobalSchedStatsRunUntilOnly(t *testing.T) {
+	TakeGlobalSchedStats()
+	var want SchedStats
+	for _, shards := range []int{0, 2} {
+		g := graph.Ring(24)
+		net := New(g, func(id core.NodeID) core.Protocol {
+			return &pingProto{id: id, route: anr.Direct([]anr.ID{1, 1, 1})}
+		}, WithDelays(2, 1), WithShards(shards))
+		if shards > 1 && net.Shards() < 2 {
+			t.Fatalf("WithShards(%d) ran on %d shard", shards, net.Shards())
+		}
+		for step := core.Time(0); step < 40; step++ {
+			net.Inject(step, core.NodeID(step%24), "go")
+			if _, err := net.RunUntil(step + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := net.RunUntil(1000); err != nil {
+			t.Fatal(err)
+		}
+		first := net.SchedStats()
+		if again := net.SchedStats(); again != first {
+			t.Fatalf("second read changed the counters: %+v vs %+v", again, first)
+		}
+		if first.Events == 0 {
+			t.Fatal("scenario dispatched no events")
+		}
+		want.add(first)
+	}
+	if got := TakeGlobalSchedStats(); got != want {
+		t.Fatalf("global aggregate %+v, sum of per-network SchedStats %+v", got, want)
+	}
+	if rest := TakeGlobalSchedStats(); rest != (SchedStats{}) {
+		t.Fatalf("counters published twice: %+v left after the take", rest)
+	}
+}

@@ -340,7 +340,7 @@ func FuzzHopBatch(f *testing.F) {
 		run := func(extra ...sim.Option) string {
 			buf := trace.NewSerial(0)
 			net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
-				append([]sim.Option{sim.WithDelays(core.Time(c%12), 1 + core.Time(p%4)),
+				append([]sim.Option{sim.WithDelays(core.Time(c%12), 1+core.Time(p%4)),
 					sim.WithSeed(seed), sim.WithTrace(buf), sim.WithMsgFaults(faults),
 					sim.WithShards(int(shards % 5))}, extra...)...)
 			recs := topology.RecordsForGraph(g, net.PortMap(), nil)

@@ -306,7 +306,6 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		if ch.now > fac.now {
 			fac.now = ch.now
 		}
-		ch.flushGlobalStats()
 	}
 	if deadline >= 0 && fac.now < deadline {
 		fac.now = deadline
@@ -330,7 +329,7 @@ func (grp *shardGroup) metrics() core.Metrics {
 func (grp *shardGroup) schedStats() SchedStats {
 	var s SchedStats
 	for _, ch := range grp.children {
-		s.add(ch.SchedStats())
+		s.add(ch.schedStats())
 	}
 	return s
 }

@@ -37,11 +37,12 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"fastnet/internal/anr"
@@ -221,6 +222,7 @@ type Network struct {
 	ringPending int       // total entries across ring slots
 	freeBatch   *hopBatch // free list of (link, instant) hop-batch slabs
 	free        *rec      // free list of event payload records
+	hops        hopArena  // reverse-route buffers of the packets this core launches
 	seq         uint64
 	now         core.Time
 	nodes       []node
@@ -457,11 +459,19 @@ func (s *SchedStats) add(o SchedStats) {
 }
 
 // SchedStats returns this network's cumulative scheduler counters
-// (aggregated across shards).
+// (aggregated across shards). Reading them also publishes the network's
+// not-yet-flushed share to the process-wide aggregate, so a driver that only
+// ever calls RunUntil is still counted by TakeGlobalSchedStats.
 func (net *Network) SchedStats() SchedStats {
+	net.flushGlobalStats()
 	if net.group != nil {
 		return net.group.schedStats()
 	}
+	return net.schedStats()
+}
+
+// schedStats is this event core's own counters, without the flush.
+func (net *Network) schedStats() SchedStats {
 	s := net.stats
 	s.Events = net.eventCount
 	return s
@@ -469,7 +479,9 @@ func (net *Network) SchedStats() SchedStats {
 
 // globalStats aggregates scheduler counters across every Network in the
 // process, so stacks that construct networks internally (experiments, soak
-// campaigns) can still be observed; each run() flushes its delta on return.
+// campaigns) can still be observed. A network adds its delta when Run
+// returns and when its SchedStats are read — not per RunUntil, which epoch
+// and open-loop drivers call once per arrival.
 var globalStats struct {
 	events, heapPushes, lanePushes, ringPushes, batchedHops, ringOverflows, fusedHops atomic.Int64
 	heapPeak, ringPeak                                                                atomic.Int64
@@ -502,10 +514,16 @@ func peakMax(p *atomic.Int64, v int64) {
 	}
 }
 
-// flushGlobalStats adds this network's not-yet-flushed counter delta to the
-// process-wide aggregate.
+// flushGlobalStats adds this network's (every shard's, on a facade)
+// not-yet-flushed counter delta to the process-wide aggregate.
 func (net *Network) flushGlobalStats() {
-	cur := net.SchedStats()
+	if net.group != nil {
+		for _, ch := range net.group.children {
+			ch.flushGlobalStats()
+		}
+		return
+	}
+	cur := net.schedStats()
 	globalStats.events.Add(cur.Events - net.flushed.Events)
 	globalStats.heapPushes.Add(cur.HeapPushes - net.flushed.HeapPushes)
 	globalStats.lanePushes.Add(cur.LanePushes - net.flushed.LanePushes)
@@ -743,6 +761,7 @@ func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
 // Run drains the event queue and returns the finish time (the time of the
 // last NCU activation).
 func (net *Network) Run() (core.Time, error) {
+	defer net.flushGlobalStats()
 	return net.runTop(-1)
 }
 
@@ -760,14 +779,14 @@ func (net *Network) runTop(deadline core.Time) (core.Time, error) {
 	if net.group != nil {
 		return net.group.run(deadline)
 	}
-	t, err := net.run(deadline)
+	t, err := net.runCore(deadline)
 	if net.userSink != nil {
 		flushShardTrace([]*Network{net}, net.userSink)
 	}
 	return t, err
 }
 
-// run drains events in strict (t, seq) order from three tiers: the heap's
+// runCore drains events in strict (t, seq) order from three tiers: the heap's
 // residue at the current instant (scheduled before the clock reached it, so
 // — in classic mode — with the smallest sequence numbers), then the
 // same-time FIFO lane (pushes that arrived while now == t, in push — i.e.
@@ -782,13 +801,6 @@ func (net *Network) runTop(deadline core.Time) (core.Time, error) {
 // residue at t key by key — reproducing exactly the order a single heap
 // would pop. The dispatch order is total and identical to a single (t, seq)
 // priority queue's.
-func (net *Network) run(deadline core.Time) (core.Time, error) {
-	defer net.flushGlobalStats()
-	return net.runCore(deadline)
-}
-
-// runCore is the event loop proper; shard workers call it once per window
-// (the per-run bookkeeping of run would be waste there).
 func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 	defer func() { net.curOrigin = -1 }()
 	if deadline >= 0 && deadline < net.now {
@@ -888,6 +900,11 @@ func (net *Network) flushLanes() {
 	clear(net.ringBits)
 }
 
+// localRev is the Reverse of every injected activation: the one-hop "deliver
+// to my own NCU" route, shared and never written (cap == len, so an append
+// copies it like any other Reverse).
+var localRev = anr.Local()
+
 // dispatch consumes one popped event. Union fields are copied out and the
 // record returned to the free list before any protocol code runs, so the
 // callback's own scheduling reuses it immediately.
@@ -962,7 +979,7 @@ func (net *Network) dispatch(ev eventRec) {
 		net.curOrigin = int32(nodeID)
 		net.enqueueActivation(nodeID, core.Packet{
 			Payload:   payload,
-			Reverse:   anr.Local(),
+			Reverse:   localRev,
 			ArrivedOn: anr.NCU,
 			Injected:  true,
 		}, 0, false)
@@ -1226,17 +1243,40 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 		net.metrics.MaxHeaderHops = hops
 	}
 	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: int64(net.now), Node: src, Act: act, Msg: msg})
-	// One reverse-path buffer per packet, filled back to front as the header
-	// is consumed: the reverse route after hop i is revBuf[hops-1-i:], so
-	// every delivery's Reverse is an independent tail of the same array and
-	// no per-hop allocation is needed. Tails have cap == len, so a protocol
+	// One reverse-path buffer per packet, carved from this event core's hop
+	// arena and filled back to front as the header is consumed: the reverse
+	// route after hop i is revBuf[hops-1-i:], so every delivery's Reverse is
+	// an independent tail of the same buffer and no per-hop allocation is
+	// needed. The buffer — and so every tail — has cap == len, so a protocol
 	// appending to a captured Reverse reallocates instead of stomping the
-	// buffer; duplicate packets re-write the same positions with the same
-	// route-determined values, which is idempotent.
-	revBuf := make(anr.Header, h.HopCount()+1)
+	// next packet's buffer; duplicate packets re-write the same positions
+	// with the same route-determined values, which is idempotent.
+	revBuf := net.hops.carve(h.HopCount() + 1)
 	revBuf[len(revBuf)-1] = anr.Hop{Link: anr.NCU}
 	net.stepHop(src, h, 0, revBuf, anr.NCU, payload, msg)
 	return nil
+}
+
+// hopArena hands out reverse-route buffers from pointer-free chunks, so a
+// packet launch allocates once per hopChunk hops instead of once per packet.
+// Buffers are never recycled: a chunk is garbage once every buffer carved
+// from it is, so a protocol retaining one Reverse pins at most hopChunk hops.
+// Routes longer than hopChunk/8 get an allocation of their own, which bounds
+// both that retention and the unused tail a chunk is abandoned with.
+type hopArena struct{ free []anr.Hop }
+
+const hopChunk = 512
+
+func (a *hopArena) carve(n int) anr.Header {
+	if n > hopChunk/8 {
+		return make(anr.Header, n)
+	}
+	if len(a.free) < n {
+		a.free = make([]anr.Hop, hopChunk)
+	}
+	buf := a.free[:n:n]
+	a.free = a.free[n:]
+	return buf
 }
 
 // stepHop consumes the header from position i at node cur, at the current
@@ -1698,8 +1738,7 @@ func (l *eventLane) front() eventRec { return l.evs[l.head] }
 // sortBySeq orders the pending entries by sequence key — used by shard-mode
 // slot promotion, where canonical keys, not push order, decide dispatch.
 func (l *eventLane) sortBySeq() {
-	evs := l.evs[l.head:]
-	sort.Slice(evs, func(i, j int) bool { return evs[i].seq < evs[j].seq })
+	slices.SortFunc(l.evs[l.head:], func(a, b eventRec) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 func (l *eventLane) pushBack(e eventRec) { l.evs = append(l.evs, e) }

@@ -13,8 +13,8 @@ import (
 func FuzzFaultSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0})
-	f.Add([]byte{3, 1, 0, 3, 2, 1})                // flap one edge down and up
-	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 1, 0})       // correlated cut
+	f.Add([]byte{3, 1, 0, 3, 2, 1})                   // flap one edge down and up
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 1, 0})          // correlated cut
 	f.Add([]byte{5, 1, 0, 9, 1, 0, 5, 3, 1, 9, 3, 1}) // cut then heal later
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -81,8 +81,10 @@ func validateFlows(g *graph.Graph, flows []Flow) error {
 	return nil
 }
 
-// dataMsg is one user packet. For store-and-forward it carries the
-// remaining per-hop links and an index.
+// dataMsg is one user packet. Flow is the flow's slot at its destination
+// (its rank among the flows ending there), so a destination's counters cover
+// only its own flows. For store-and-forward it carries the remaining per-hop
+// links and an index.
 type dataMsg struct {
 	Flow  int
 	Links []anr.ID // per-hop local links, hop i is consumed by node i
@@ -102,7 +104,7 @@ type sendCmd struct {
 // node is the per-node traffic protocol.
 type node struct {
 	id       core.NodeID
-	received []int // per-flow packet counts (destination side)
+	received []int // packet counts of the flows ending here, by dataMsg.Flow slot
 }
 
 var _ core.Protocol = (*node)(nil)
@@ -177,24 +179,26 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
 		return &node{id: id}
 	}, append([]sim.Option{sim.WithDelays(c, p), sim.WithDmax(g.N())}, extra...)...)
-	type route struct {
-		links []anr.ID
-	}
-	routes := make([]route, len(flows))
+	pairs := make([][2]core.NodeID, len(flows))
 	for i, f := range flows {
-		path := g.BFSTree(f.Src).PathFromRoot(f.Dst)
-		if path == nil {
+		pairs[i] = [2]core.NodeID{f.Src, f.Dst}
+	}
+	routes, err := net.PortMap().RoutePairs(g, pairs)
+	if err != nil {
+		return Result{}, err
+	}
+	slot := make([]int, len(flows)) // flow -> its counter at the destination
+	ending := make(map[core.NodeID]int, len(flows))
+	for i, f := range flows {
+		if routes[i] == nil {
 			return Result{}, fmt.Errorf("traffic: flow %d: no path %d->%d", i, f.Src, f.Dst)
 		}
-		links, err := net.PortMap().RouteLinks(path)
-		if err != nil {
-			return Result{}, err
-		}
-		routes[i] = route{links: links}
+		slot[i] = ending[f.Dst]
+		ending[f.Dst]++
 		net.Inject(0, f.Src, &sendCmd{
-			Flow:       i,
+			Flow:       slot[i],
 			Discipline: d,
-			Links:      links,
+			Links:      routes[i],
 			Packets:    f.Packets,
 		})
 	}
@@ -208,8 +212,8 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 		if !ok {
 			return Result{}, fmt.Errorf("traffic: bad protocol at %d", f.Dst)
 		}
-		if i < len(nd.received) {
-			res.Delivered += nd.received[i]
+		if slot[i] < len(nd.received) {
+			res.Delivered += nd.received[slot[i]]
 		}
 	}
 	// Transit system calls: everything delivered at non-endpoints.

@@ -2,10 +2,12 @@ package traffic
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
+	"fastnet/internal/sim"
 )
 
 func TestHardwareCostsNoTransitSyscalls(t *testing.T) {
@@ -181,5 +183,65 @@ func TestFlowValidation(t *testing.T) {
 	}
 	if _, err := Run(g, []Flow{{Src: 0, Dst: 3, Packets: 2}}, StoreAndForward, 1, 5); err != nil {
 		t.Fatalf("valid flow rejected: %v", err)
+	}
+}
+
+// TestRunRoutesMatchPerFlowBFS: the batch-routed flows must ride exactly the
+// routes of the original per-flow g.BFSTree(src).PathFromRoot(dst). At C = 0
+// each one-packet flow's walk is fused, so a hop filter sees one route's
+// transit nodes after another's, hop for hop — in activation order: a
+// source's NCU serializes its flows one P apart, so every source's first flow
+// goes (in flow order), then every second flow, and so on.
+func TestRunRoutesMatchPerFlowBFS(t *testing.T) {
+	g := graph.GNP(80, 0.06, 5)
+	if !g.Connected() {
+		t.Fatal("scenario graph must be connected")
+	}
+	flows := RandomFlows(g, 300, 1, 9) // ~4 flows per source: groups interleave in flow order
+	var want, got []core.NodeID
+	for rank, left := 0, len(flows); left > 0; rank++ {
+		seen := map[core.NodeID]int{}
+		for _, f := range flows {
+			if seen[f.Src]++; seen[f.Src] == rank+1 {
+				path := g.BFSTree(f.Src).PathFromRoot(f.Dst)
+				want = append(want, path[1:len(path)-1]...)
+				left--
+			}
+		}
+	}
+	res, err := Run(g, flows, Hardware, 0, 1, sim.WithHopFilter(func(cur core.NodeID, _ any) bool {
+		got = append(got, cur)
+		return true
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != len(flows) {
+		t.Fatalf("delivered %d of %d", res.Delivered, len(flows))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("transit nodes visited differ from the per-flow BFS routes:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestDeliveredCountsFlowsSharingDestination: counters live only at a flow's
+// destination, keyed by the flow's rank there; flows converging on one node
+// (and a node that is a destination of none) must still add up per flow.
+func TestDeliveredCountsFlowsSharingDestination(t *testing.T) {
+	g := graph.Star(6) // hub 0
+	flows := []Flow{
+		{Src: 1, Dst: 5, Packets: 3},
+		{Src: 2, Dst: 5, Packets: 5},
+		{Src: 5, Dst: 1, Packets: 7},
+		{Src: 3, Dst: 5, Packets: 11},
+	}
+	for _, d := range []Discipline{Hardware, StoreAndForward} {
+		res, err := Run(g, flows, d, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered != 3+5+7+11 {
+			t.Fatalf("%v: delivered %d, want 26", d, res.Delivered)
+		}
 	}
 }
