@@ -649,17 +649,14 @@ func (p *Protocol) announceRoutes() []announceSpec {
 	}
 	labels := paths.Labels(tree)
 	dec := paths.Decompose(tree, labels)
+	// Ordered by Start (paths.Routes) so relayAnnounce can binary-search its
+	// own paths. Every chain node is an INOUT entry, so no hop is unknown.
 	specs := make([]announceSpec, 0, len(dec.Paths))
-	for _, path := range dec.Paths {
-		spec := announceSpec{Start: path.Start()}
-		for _, v := range path.Chain() {
-			spec.Links = append(spec.Links, p.inout.entries[v].Down)
-		}
-		specs = append(specs, spec)
-	}
-	// Sorted by Start (stably, preserving the decomposition's order within
-	// each start node) so relayAnnounce can binary-search its own paths.
-	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Start < specs[j].Start })
+	_ = paths.Routes(dec, func(_, v core.NodeID) (anr.ID, bool) {
+		return p.inout.entries[v].Down, true
+	}, func(path paths.Path, links []anr.ID) {
+		specs = append(specs, announceSpec{Start: path.Start(), Links: links})
+	})
 	return specs
 }
 

@@ -152,6 +152,47 @@ func (d *Decomposition) StartingAt(u graph.NodeID) []Path {
 	return out
 }
 
+// Routes lays the decomposition out as wire routes. It calls emit once per
+// path, ordered by start node — the paths of one start keep their
+// decomposition order, as a stable sort by start would leave them, so a
+// receiver finds its own paths as one contiguous run by binary search —
+// passing the link IDs that link reports for the path's hops. The order is
+// one counting pass over the starts, and every links slice is carved from a
+// single slab with cap == len, so appending to one cannot reach the next. A
+// hop that link does not know ends the layout with an error.
+func Routes[L any](d *Decomposition, link func(from, to graph.NodeID) (L, bool), emit func(p Path, links []L)) error {
+	// next[u] = position in order of u's next path; Labels spans the node IDs.
+	next := make([]int32, len(d.Labels)+1)
+	hops := 0
+	for _, p := range d.Paths {
+		next[p.Start()+1]++
+		hops += len(p) - 1
+	}
+	for u := 1; u < len(next); u++ {
+		next[u] += next[u-1]
+	}
+	order := make([]int32, len(d.Paths))
+	for i, p := range d.Paths {
+		order[next[p.Start()]] = int32(i)
+		next[p.Start()]++
+	}
+	slab := make([]L, 0, hops)
+	for _, i := range order {
+		p := d.Paths[i]
+		lo, from := len(slab), p.Start()
+		for _, to := range p.Chain() {
+			l, ok := link(from, to)
+			if !ok {
+				return fmt.Errorf("paths: no link %d->%d", from, to)
+			}
+			slab = append(slab, l)
+			from = to
+		}
+		emit(p, slab[lo:len(slab):len(slab)])
+	}
+	return nil
+}
+
 // Rounds returns, for every path, the broadcast round in which its start
 // node can send it: 1 for paths starting at the root, otherwise one more
 // than the round of the path that delivers to the start node. The maximum

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"math/bits"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -261,5 +262,54 @@ func TestDecomposeSubtreeOfGraph(t *testing.T) {
 	_, max := d.Rounds(7)
 	if max < 1 || max > 7 {
 		t.Fatalf("rounds = %d out of plausible range", max)
+	}
+}
+
+// Routes must hand the paths out exactly as a stable sort by start node
+// would order them, each with its own hops' links in a slice nothing can
+// grow into its neighbor.
+func TestRoutesOrderAndLinks(t *testing.T) {
+	type hop struct{ from, to graph.NodeID }
+	for seed := int64(1); seed <= 20; seed++ {
+		tr := graph.RandomTree(80, seed).BFSTree(graph.NodeID(seed % 80))
+		d := Decompose(tr, Labels(tr))
+		want := append([]Path(nil), d.Paths...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Start() < want[j].Start() })
+
+		var got []Path
+		err := Routes(d, func(from, to graph.NodeID) (hop, bool) { return hop{from, to}, true },
+			func(p Path, links []hop) {
+				got = append(got, p)
+				if len(links) != len(p.Chain()) || cap(links) != len(links) {
+					t.Fatalf("seed %d: path %v got %d links (cap %d)", seed, p, len(links), cap(links))
+				}
+				for i, l := range links {
+					if l != (hop{p[i], p[i+1]}) {
+						t.Fatalf("seed %d: path %v link %d = %v", seed, p, i, l)
+					}
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d routes, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("seed %d: route %d is %v, want %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestRoutesUnknownLink(t *testing.T) {
+	tr, labels := labelsOf(graph.Path(4), 0)
+	d := Decompose(tr, labels)
+	emitted := 0
+	err := Routes(d, func(from, to graph.NodeID) (int, bool) { return 0, to != 2 },
+		func(Path, []int) { emitted++ })
+	if err == nil || emitted != 0 {
+		t.Fatalf("err = %v after %d routes, want an error naming hop 1->2 and no route", err, emitted)
 	}
 }

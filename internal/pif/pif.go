@@ -370,22 +370,15 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time) (Resul
 	dec := paths.Decompose(bfs, labels)
 
 	msg := &bcast{Root: root, Mode: mode, C: c, P: p}
-	for _, path := range dec.Paths {
-		spec := RouteSpec{Start: path.Start()}
-		prev := path.Start()
-		for _, v := range path.Chain() {
-			lid, ok := pm.Toward(prev, v)
-			if !ok {
-				return Result{}, fmt.Errorf("pif: missing link %d-%d", prev, v)
-			}
-			spec.Links = append(spec.Links, lid)
-			prev = v
-		}
-		msg.Routes = append(msg.Routes, spec)
+	// Ordered by Start (paths.Routes) so relay can binary-search its own
+	// paths.
+	msg.Routes = make([]RouteSpec, 0, len(dec.Paths))
+	err := paths.Routes(dec, pm.Toward, func(path paths.Path, links []anr.ID) {
+		msg.Routes = append(msg.Routes, RouteSpec{Start: path.Start(), Links: links})
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("pif: %w", err)
 	}
-	// Sorted by Start (stably, keeping each start's decomposition order) so
-	// relay can binary-search its own paths.
-	sort.SliceStable(msg.Routes, func(i, j int) bool { return msg.Routes[i].Start < msg.Routes[j].Start })
 	for u := 0; u < g.N(); u++ {
 		id := core.NodeID(u)
 		if id == root {

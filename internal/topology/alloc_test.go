@@ -1,0 +1,53 @@
+package topology
+
+import (
+	"testing"
+
+	"fastnet/internal/core"
+	"fastnet/internal/graph"
+	"fastnet/internal/sim"
+)
+
+// TestQuietRoundAllocs pins what a broadcast costs once the network has
+// converged. Every broadcast allocates its Msg and record slice, one header
+// per branching path (n-1 chains cover the tree) with the per-node header
+// lists around them, and the spine's packets. In full-knowledge mode the
+// Msg carries the sender's whole database on top, and that must cost O(1)
+// more objects — the stored link lists are shared, not copied once per
+// known record.
+func TestQuietRoundAllocs(t *testing.T) {
+	const n = 64
+	g := graph.GNP(n, 8.0/n, 5)
+	if !g.Connected() {
+		t.Fatal("test graph must be connected")
+	}
+	perBroadcast := func(full bool) float64 {
+		net := sim.New(g, NewMaintainer(ModeBranching, full, nil),
+			sim.WithDelays(0, 1), sim.WithDmax(DefaultDmax(ModeBranching, n)))
+		round := func() {
+			for u := 0; u < n; u++ {
+				net.Inject(net.Now(), core.NodeID(u), Trigger{})
+			}
+			if _, err := net.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; !converged(net, g, nil); r++ {
+			if r == n {
+				t.Fatalf("full=%v: no convergence within %d rounds", full, n)
+			}
+			round()
+		}
+		return testing.AllocsPerRun(5, round) / n
+	}
+	local, full := perBroadcast(false), perBroadcast(true)
+	t.Logf("allocs per broadcast in a quiet round: %.1f local-topology, %.1f full-knowledge", local, full)
+	// Measured 108.5 and 108.5 when the test was added; copying the link
+	// lists made it 172.5, one more per known record.
+	if full > 217 {
+		t.Errorf("%.1f allocs per full-knowledge broadcast, want <= 217", full)
+	}
+	if full-local > 2 {
+		t.Errorf("carrying the whole database costs %.1f more allocs per broadcast, want <= 2", full-local)
+	}
+}

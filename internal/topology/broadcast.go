@@ -106,9 +106,7 @@ func (b *Broadcast) Deliver(env core.Env, pkt core.Packet) {
 	case Trigger:
 		b.startBroadcast(env)
 	case *Msg:
-		for _, r := range m.Recs {
-			b.db.Update(r)
-		}
+		b.db.UpdateAll(m.Recs)
 		// Forward each round at most once: a fault-duplicated (or reordered
 		// stale) Msg must not re-fan-out. Rounds with no route specs (the
 		// LinkEvent adjacency bring-up) forward nothing, so they are exempt
@@ -170,33 +168,22 @@ func (b *Broadcast) computeRoutes() ([]RouteSpec, error) {
 }
 
 // routeSpecs converts a decomposition into wire route specs using the
-// database's link IDs. The result is sorted by Start (stably, so each start
-// node's paths keep the decomposition's relative order) — the contract
-// forward's binary search relies on. Sorting at the origin is free compared
-// with what it saves: unsorted, every one of the n receivers scans all
-// O(n) specs, which profiling showed dominating large broadcasts.
+// database's link IDs. The result is sorted by Start (paths.Routes's order)
+// — the contract forward's binary search relies on. Ordering at the origin
+// is free compared with what it saves: unsorted, every one of the n
+// receivers scans all O(n) specs, which profiling showed dominating large
+// broadcasts.
 func (b *Broadcast) routeSpecs(dec *paths.Decomposition) ([]RouteSpec, error) {
 	specs := make([]RouteSpec, 0, len(dec.Paths))
-	for _, p := range dec.Paths {
-		spec := RouteSpec{
-			Start: p.Start(),
-			// Aliases the decomposition's chain storage: paths are never
-			// mutated after Decompose, and Msg (which carries the specs) is
-			// immutable by contract.
-			Nodes: p.Chain(),
-		}
-		prev := p.Start()
-		for _, v := range spec.Nodes {
-			lid, ok := b.db.LinkID(prev, v)
-			if !ok {
-				return nil, fmt.Errorf("topology: no known link %d->%d", prev, v)
-			}
-			spec.Links = append(spec.Links, lid)
-			prev = v
-		}
-		specs = append(specs, spec)
+	err := paths.Routes(dec, b.db.LinkID, func(p paths.Path, links []anr.ID) {
+		// Nodes aliases the decomposition's chain storage: paths are never
+		// mutated after Decompose, and Msg (which carries the specs) is
+		// immutable by contract.
+		specs = append(specs, RouteSpec{Start: p.Start(), Nodes: p.Chain(), Links: links})
+	})
+	if err != nil {
+		return nil, fmt.Errorf("topology: %w", err)
 	}
-	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Start < specs[j].Start })
 	return specs, nil
 }
 
@@ -226,7 +213,8 @@ func (b *Broadcast) forward(env core.Env, m *Msg) {
 }
 
 // RecordsForGraph builds the true records of every node of g (seq 0, all
-// links up except those in down); used to warm-start databases.
+// links up except those in down), in ascending node order; used to
+// warm-start databases.
 func RecordsForGraph(g *graph.Graph, pm *core.PortMap, down map[graph.Edge]bool) []Record {
 	recs := make([]Record, 0, g.N())
 	for u := 0; u < g.N(); u++ {
@@ -239,6 +227,5 @@ func RecordsForGraph(g *graph.Graph, pm *core.PortMap, down map[graph.Edge]bool)
 		}
 		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Node < recs[j].Node })
 	return recs
 }

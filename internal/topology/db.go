@@ -30,18 +30,14 @@ type LinkInfo struct {
 	Load     uint32
 }
 
-// Record is a sequence-numbered snapshot of one node's local topology.
+// Record is a sequence-numbered snapshot of one node's local topology. Links
+// is immutable once the record is stored or sent: databases hand their
+// stored link lists out by reference (Record, Records) and packets in flight
+// carry them, so nobody — the database included — writes one after install.
 type Record struct {
 	Node  core.NodeID
 	Seq   uint64
 	Links []LinkInfo
-}
-
-// clone returns a deep copy of r.
-func (r Record) clone() Record {
-	c := r
-	c.Links = append([]LinkInfo(nil), r.Links...)
-	return c
 }
 
 // recordFromPorts snapshots a node's current ports as a Record. loads may
@@ -79,9 +75,7 @@ func (l *localTopo) DB() *DB { return l.db }
 
 // Preload installs records (warm start for single-broadcast experiments).
 func (l *localTopo) Preload(recs []Record) {
-	for _, r := range recs {
-		l.db.Update(r)
-	}
+	l.db.UpdateAll(recs)
 }
 
 // SetLoad records the load condition of a local link; the next broadcast
@@ -124,20 +118,21 @@ type DB struct {
 	// the direct-index slot table once the store outgrows slotThreshold.
 	// Node IDs are dense small integers, so the table is a slice, not a map:
 	// convergence workloads probe it on every record of every broadcast.
-	ents []entry
-	slot []int32 // slot[u] = entry index of node u, -1 if unknown; nil until len(ents) > slotThreshold
+	ents  []entry
+	slot  []int32 // slot[u] = entry index of node u, -1 if unknown; nil until len(ents) > slotThreshold
+	order []int32 // entry indices by ascending node; Records re-sorts it only after a node was added
 
-	// The materialized believed-topology graph, rebuilt in place (Reset +
-	// refill) when the version moves.
-	view   *graph.Graph
+	// The materialized believed-topology graph. While it is current, Update
+	// patches the edges at the changed record's node (patchView); View
+	// rebuilds it in place (Reset + refill) only from cold or when the node
+	// range changes.
+	view   *graph.Graph // nil until the first View call
 	viewAt uint64
-	viewOK bool
 
 	// Per-source route caches, all valid for cacheAt == version only:
 	// min-hop trees, load-weighted trees with their distance arrays, and
 	// finished headers (including negative results) per (src, dst) pair.
 	cacheAt   uint64
-	cacheOK   bool
 	trees     map[core.NodeID]*graph.Tree
 	loadTrees map[core.NodeID]*loadTree
 	routes    map[pairKey]routeResult
@@ -146,7 +141,7 @@ type DB struct {
 	// Scratch recycled across cache invalidations.
 	treePool  []*graph.Tree
 	ltreePool []*loadTree
-	pathBuf   []core.NodeID
+	nodeBuf   []core.NodeID // route paths, patchView's neighbor list
 }
 
 // loadTree is one cached load-weighted shortest-path tree.
@@ -271,9 +266,11 @@ func (db *DB) reindex(s int32) {
 }
 
 // Update installs rec if it is newer than the stored record for its node and
-// reports whether anything changed.
+// reports whether anything changed. The database keeps its own copy of
+// rec.Links, taken only when the links differ from the stored ones.
 func (db *DB) Update(rec Record) bool {
 	s, known := db.slotOf(rec.Node)
+	var old []LinkInfo
 	if !known {
 		s = int32(len(db.ents))
 		if db.ents == nil {
@@ -289,20 +286,131 @@ func (db *DB) Update(rec Record) bool {
 				db.setSlot(db.ents[i].rec.Node, int32(i))
 			}
 		}
-	} else if db.ents[s].rec.Seq >= rec.Seq {
+	} else if e := &db.ents[s]; e.rec.Seq >= rec.Seq {
 		return false
-	} else if linksEqual(db.ents[s].rec.Links, rec.Links) {
+	} else if linksEqual(e.rec.Links, rec.Links) {
 		// A pure sequence-number refresh leaves every derived structure
 		// valid: keep the version, and with it every cache.
-		db.ents[s].rec.Seq = rec.Seq
+		e.rec.Seq = rec.Seq
 		return true
+	} else {
+		old = e.rec.Links
 	}
-	// Reuse the stored record's link array when possible.
-	stored := db.ents[s].rec.Links[:0]
-	db.ents[s].rec = Record{Node: rec.Node, Seq: rec.Seq, Links: append(stored, rec.Links...)}
+	// A fresh copy, never an overwrite of the stored array: records handed
+	// out earlier, some still in flight, share it.
+	db.ents[s].rec = Record{Node: rec.Node, Seq: rec.Seq, Links: slices.Clone(rec.Links)}
 	db.reindex(s)
+	viewCurrent := db.view != nil && db.viewAt == db.version
 	db.version++
+	if viewCurrent {
+		db.patchView(s, old, !known)
+	}
 	return true
+}
+
+// UpdateAll applies every record of a received batch, as Update would one by
+// one. A full-knowledge broadcast repeats the sender's whole database and
+// nearly all of it is already known here, so stale records are turned away
+// against the slot table before the Update call.
+func (db *DB) UpdateAll(recs []Record) {
+	for i := range recs {
+		r := &recs[i]
+		if int(r.Node) < len(db.slot) {
+			if s := db.slot[r.Node]; s >= 0 && db.ents[s].rec.Seq >= r.Seq {
+				continue
+			}
+		}
+		db.Update(*r)
+	}
+}
+
+// patchView carries the current view over the version bump Update just made:
+// slot s's record changed from the link list old (first: it had no record).
+// An edge's presence depends on its two endpoints' records only, so just the
+// edges at that node can differ, and only toward neighbors it lists
+// differently than in old — except that before its first record, neighbors
+// may have claimed edges to it one-sidedly, which the record can now
+// contradict. Adjacency lists are sorted sets, so the patched graph equals
+// the one a rebuild would produce. When the rebuild would size the graph
+// differently the view is left stale for View to rebuild.
+func (db *DB) patchView(s int32, old []LinkInfo, first bool) {
+	u, links := db.ents[s].rec.Node, db.ents[s].rec.Links
+	top := core.NodeID(db.view.N() - 1) // largest ID any record names
+	oldTop, newTop := false, u >= top
+	for _, l := range old {
+		oldTop = oldTop || l.Neighbor == top
+	}
+	for _, l := range links {
+		if l.Neighbor > top {
+			return
+		}
+		newTop = newTop || l.Neighbor == top
+	}
+	if u > top || oldTop && !newTop {
+		return // must grow, or may shrink
+	}
+	nbrs := db.nodeBuf[:0]
+	if first {
+		nbrs = append(nbrs, db.view.Neighbors(u)...)
+	}
+	// Where a position holds the same neighbor in the same state as before,
+	// nothing changed toward that neighbor unless another position names it.
+	for i := 0; i < len(old) || i < len(links); i++ {
+		switch {
+		case i >= len(old):
+			nbrs = append(nbrs, links[i].Neighbor)
+		case i >= len(links):
+			nbrs = append(nbrs, old[i].Neighbor)
+		case old[i].Neighbor != links[i].Neighbor || old[i].Up != links[i].Up:
+			nbrs = append(nbrs, old[i].Neighbor, links[i].Neighbor)
+		}
+	}
+	for _, v := range nbrs {
+		if db.believes(u, v) {
+			db.view.MustAddEdge(u, v)
+		} else {
+			db.view.RemoveEdge(u, v)
+		}
+	}
+	db.nodeBuf = nbrs[:0]
+	db.viewAt = db.version
+}
+
+// believes is View's edge predicate for one node pair: with both records
+// known, the lower-ID endpoint lists some up link to the other and the
+// other's first link back is up; with one record known, its claim alone
+// counts.
+func (db *DB) believes(u, v core.NodeID) bool {
+	if u > v {
+		u, v = v, u
+	}
+	su, uKnown := db.slotOf(u)
+	sv, vKnown := db.slotOf(v)
+	if !uKnown || !vKnown {
+		return uKnown && db.upToward(su, v) || vKnown && db.upToward(sv, u)
+	}
+	back, found := db.firstToward(sv, u)
+	return u != v && found && back.Up && db.upToward(su, v)
+}
+
+// upToward reports whether any link of slot s's record toward v is up.
+func (db *DB) upToward(s int32, v core.NodeID) bool {
+	links := db.ents[s].rec.Links
+	if idx := db.ents[s].idx; len(idx) > 0 {
+		i := sort.Search(len(idx), func(i int) bool { return links[idx[i]].Neighbor >= v })
+		for ; i < len(idx) && links[idx[i]].Neighbor == v; i++ {
+			if links[idx[i]].Up {
+				return true
+			}
+		}
+		return false
+	}
+	for _, l := range links {
+		if l.Neighbor == v && l.Up {
+			return true
+		}
+	}
+	return false
 }
 
 // findLink returns the first link of u's record toward v (first in record
@@ -312,23 +420,30 @@ func (db *DB) findLink(u, v core.NodeID) (LinkInfo, bool, bool) {
 	if !known {
 		return LinkInfo{}, false, false
 	}
+	l, found := db.firstToward(s, v)
+	return l, found, true
+}
+
+// firstToward is findLink for a known slot.
+func (db *DB) firstToward(s int32, v core.NodeID) (LinkInfo, bool) {
 	links := db.ents[s].rec.Links
 	if idx := db.ents[s].idx; len(idx) > 0 {
 		i := sort.Search(len(idx), func(i int) bool { return links[idx[i]].Neighbor >= v })
 		if i < len(idx) && links[idx[i]].Neighbor == v {
-			return links[idx[i]], true, true
+			return links[idx[i]], true
 		}
-		return LinkInfo{}, false, true
+		return LinkInfo{}, false
 	}
 	for _, l := range links {
 		if l.Neighbor == v {
-			return l, true, true
+			return l, true
 		}
 	}
-	return LinkInfo{}, false, true
+	return LinkInfo{}, false
 }
 
-// Record returns the stored record for u.
+// Record returns the stored record for u. Its Links are shared with the
+// database and immutable.
 func (db *DB) Record(u core.NodeID) (Record, bool) {
 	s, known := db.slotOf(u)
 	if !known {
@@ -338,12 +453,22 @@ func (db *DB) Record(u core.NodeID) (Record, bool) {
 }
 
 // Records returns all stored records, one per node, in ascending node order.
+// The slice is the caller's; the records' Links are shared with the database
+// and immutable, so later Updates leave the result as it was.
 func (db *DB) Records() []Record {
-	out := make([]Record, 0, len(db.ents))
-	for i := range db.ents {
-		out = append(out, db.ents[i].rec.clone())
+	if len(db.order) != len(db.ents) {
+		db.order = db.order[:0]
+		for s := range db.ents {
+			db.order = append(db.order, int32(s))
+		}
+		slices.SortFunc(db.order, func(a, b int32) int {
+			return int(db.ents[a].rec.Node) - int(db.ents[b].rec.Node)
+		})
 	}
-	slices.SortFunc(out, func(a, b Record) int { return int(a.Node) - int(b.Node) })
+	out := make([]Record, len(db.order))
+	for i, s := range db.order {
+		out[i] = db.ents[s].rec
+	}
 	return out
 }
 
@@ -389,11 +514,11 @@ func (db *DB) routeMinHop(src, dst core.NodeID) (anr.Header, error) {
 	if int(src) >= view.N() || int(dst) >= view.N() {
 		return nil, fmt.Errorf("topology: no route %d->%d: unknown node", src, dst)
 	}
-	path := db.BFSTree(src).PathFromRootInto(db.pathBuf, dst)
+	path := db.BFSTree(src).PathFromRootInto(db.nodeBuf, dst)
 	if path == nil {
 		return nil, fmt.Errorf("topology: no route %d->%d in the believed topology", src, dst)
 	}
-	db.pathBuf = path[:0]
+	db.nodeBuf = path[:0]
 	return db.headerFor(path)
 }
 
@@ -477,15 +602,15 @@ func (db *DB) routeMinLoad(src, dst core.NodeID) (anr.Header, error) {
 	if lt.dist[dst] < 0 {
 		return nil, fmt.Errorf("topology: no route %d->%d in the believed topology", src, dst)
 	}
-	path := lt.tree.PathFromRootInto(db.pathBuf, dst)
-	db.pathBuf = path[:0]
+	path := lt.tree.PathFromRootInto(db.nodeBuf, dst)
+	db.nodeBuf = path[:0]
 	return db.headerFor(path)
 }
 
 // ensureCaches makes the per-source caches valid for the current version,
 // recycling the previous generation's trees as scratch.
 func (db *DB) ensureCaches() {
-	if db.cacheOK && db.cacheAt == db.version {
+	if db.trees != nil && db.cacheAt == db.version {
 		return
 	}
 	if db.trees == nil {
@@ -506,7 +631,6 @@ func (db *DB) ensureCaches() {
 		clear(db.loadRts)
 	}
 	db.cacheAt = db.version
-	db.cacheOK = true
 }
 
 // BFSTree returns the minimum-hop spanning tree of the believed topology
@@ -598,11 +722,13 @@ func (db *DB) RouterFromPenalized(src core.NodeID, slow func(dst core.NodeID) bo
 
 // View materializes the believed topology as a graph: the edge {u, v} is
 // present iff u's record lists v as up and v's record (if known) agrees.
-// The graph is sized to hold the largest known node ID. It is rebuilt only
-// when the version moves and is shared between calls: callers must not
-// modify it.
+// The graph is sized to hold the largest known node ID. Update keeps a
+// current view current (patchView), so the rebuild below runs only from
+// cold or after a change to the node range. The graph is shared between
+// calls and patched in place: callers must not modify or retain it across
+// Updates.
 func (db *DB) View() *graph.Graph {
-	if db.viewOK && db.viewAt == db.version {
+	if db.view != nil && db.viewAt == db.version {
 		return db.view
 	}
 	max := core.NodeID(-1)
@@ -639,7 +765,6 @@ func (db *DB) View() *graph.Graph {
 		}
 	}
 	db.viewAt = db.version
-	db.viewOK = true
 	return db.view
 }
 

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"fastnet/internal/anr"
@@ -13,12 +15,22 @@ import (
 // records, so each query is answered twice — once by the warm caches, once
 // by a cold database that cannot possibly hold stale state — and the two
 // answers must agree exactly. Any cache-invalidation bug in the routing
-// plane shows up as a divergence.
+// plane shows up as a divergence. Checks may be several mutations apart, so
+// the cached view is both patched repeatedly while current and rebuilt after
+// a patch was declined.
 type diffModel struct {
 	n      int
 	cached *DB
 	links  [][]LinkInfo // shadow: current link list per node
 	seq    []uint64
+	steps  int
+
+	// Every record installed, in order: replayed through an Update loop and
+	// through UpdateAll, which must build the same database.
+	history []Record
+	// The last check's Records() result and a deep copy taken then: stored
+	// links are immutable, so later Updates must not show through.
+	snap, snapWant []Record
 }
 
 func newDiffModel(n int) *diffModel {
@@ -33,11 +45,13 @@ func newDiffModel(n int) *diffModel {
 // install pushes node u's shadow links into the cached DB with a fresh seq.
 func (m *diffModel) install(u int) {
 	m.seq[u]++
-	m.cached.Update(Record{
+	rec := Record{
 		Node:  core.NodeID(u),
 		Seq:   m.seq[u],
 		Links: append([]LinkInfo(nil), m.links[u]...),
-	})
+	}
+	m.history = append(m.history, rec)
+	m.cached.Update(rec)
 }
 
 // fresh rebuilds an uncached DB from the shadow state.
@@ -56,28 +70,54 @@ func (m *diffModel) fresh() *DB {
 	return db
 }
 
+// addLink appends a link u→v to u's shadow record and announces it.
+func (m *diffModel) addLink(u, v int, up bool, c byte) {
+	m.links[u] = append(m.links[u], LinkInfo{
+		Local:    anr.ID(1 + u*8 + len(m.links[u])),
+		Remote:   anr.ID(1 + v*8 + int(c)%4),
+		Neighbor: core.NodeID(v),
+		Up:       up,
+		Load:     uint32(c) % 7,
+	})
+	if len(m.links[u]) > indexThreshold+1 { // long enough to cross into the indexed lookups
+		m.links[u] = m.links[u][1:]
+	}
+	m.install(u)
+}
+
 // step applies one byte-coded mutation. Neighbors are always distinct from
 // the owner: records come from real ports, which never report self-loops
-// (the view graph rejects them).
+// (the view graph rejects them). The ID range opens up as the script runs,
+// so records keep naming nodes beyond the current view, and links get
+// dropped again, so the view's node range shrinks as well as grows.
 func (m *diffModel) step(op, a, b, c byte) {
-	u := int(a) % m.n
-	v := int(b) % m.n
+	span := min(m.n, 3+m.steps/4)
+	m.steps++
+	u := int(a) % span
+	v := int(b) % span
 	if v == u {
-		v = (v + 1) % m.n
+		v = (v + 1) % span
 	}
-	switch op % 4 {
-	case 0: // append a link toward v (duplicates toward one neighbor allowed)
-		m.links[u] = append(m.links[u], LinkInfo{
-			Local:    anr.ID(1 + u*8 + len(m.links[u])),
-			Remote:   anr.ID(1 + v*8 + int(c)%4),
-			Neighbor: core.NodeID(v),
-			Up:       c%2 == 0,
-			Load:     uint32(c) % 7,
-		})
-		if len(m.links[u]) > 6 {
-			m.links[u] = m.links[u][1:]
+	switch op % 8 {
+	case 4: // name the first node beyond the view: the patch must decline and the view grow
+		top := m.cached.View().N()
+		if top >= m.n {
+			return
 		}
-		m.install(u)
+		if c%2 == 1 || top == 0 {
+			u = top // its own record arrives
+		} else {
+			u, v = u%top, top // a known-range node lists it as a neighbor
+		}
+		if v == u {
+			v = (v + 1) % m.n
+		}
+		fallthrough
+	case 0: // append a link toward v (duplicates toward one neighbor allowed)
+		m.addLink(u, v, c%2 == 0, c)
+		if c&4 != 0 { // v lists u back, as the two ends of a real link do
+			m.addLink(v, u, c&8 == 0, c)
+		}
 	case 1: // flip one of u's links
 		if len(m.links[u]) > 0 {
 			i := int(c) % len(m.links[u])
@@ -93,6 +133,34 @@ func (m *diffModel) step(op, a, b, c byte) {
 	case 3: // re-announce unchanged (seq-only refresh: must not stale anything)
 		if m.seq[u] > 0 {
 			m.install(u)
+		}
+	case 6: // drop u's newest link (c even) or any one: the view's node range may shrink
+		if len(m.links[u]) > 0 {
+			i := len(m.links[u]) - 1
+			if c%2 == 1 {
+				i = int(c) % len(m.links[u])
+			}
+			m.links[u] = slices.Delete(m.links[u], i, i+1)
+			m.install(u)
+		}
+	case 7: // re-point one of u's links at v, state and position kept
+		if len(m.links[u]) > 0 {
+			m.links[u][int(c)%len(m.links[u])].Neighbor = core.NodeID(v)
+			m.install(u)
+		}
+	case 5: // a first record that denies (c even) or omits (c odd) an edge claimed one-sidedly
+		for w := range m.links {
+			for _, l := range m.links[w] {
+				x := int(l.Neighbor)
+				if !l.Up || m.seq[x] > 0 {
+					continue
+				}
+				if c%2 == 0 {
+					m.links[x] = []LinkInfo{{Local: anr.ID(1 + x*8), Remote: l.Local, Neighbor: core.NodeID(w)}}
+				}
+				m.install(x)
+				return
+			}
 		}
 	}
 }
@@ -131,6 +199,7 @@ func (m *diffModel) check(t *testing.T) {
 	if m.cached.Len() != cold.Len() {
 		t.Fatalf("Len = %d, want %d", m.cached.Len(), cold.Len())
 	}
+	m.checkRecords(t)
 	for u := 0; u < m.n; u++ {
 		for v := 0; v < m.n; v++ {
 			src, dst := core.NodeID(u), core.NodeID(v)
@@ -152,20 +221,79 @@ func (m *diffModel) check(t *testing.T) {
 	}
 }
 
-// runDiff drives the model with the given byte script.
-func runDiff(t *testing.T, data []byte, n int) {
+// sameRecords reports whether two record lists are equal, links included.
+func sameRecords(a, b []Record) bool {
+	return slices.EqualFunc(a, b, func(x, y Record) bool {
+		return x.Node == y.Node && x.Seq == y.Seq && linksEqual(x.Links, y.Links)
+	})
+}
+
+// checkRecords verifies the record-immutability contract and the batch
+// apply: the previous Records() result still reads as it did when taken, and
+// the history replayed through UpdateAll — twice, so the second pass is all
+// stale records — builds the database the Update loop builds.
+func (m *diffModel) checkRecords(t *testing.T) {
 	t.Helper()
-	m := newDiffModel(n)
-	for i := 0; i+4 <= len(data); i += 4 {
-		m.step(data[i], data[i+1], data[i+2], data[i+3])
-		m.check(t)
+	if !sameRecords(m.snap, m.snapWant) {
+		t.Fatalf("an earlier Records() result was rewritten by later Updates:\n got %+v\nwant %+v", m.snap, m.snapWant)
+	}
+	m.snap = m.cached.Records()
+	m.snapWant = make([]Record, len(m.snap))
+	for i, r := range m.snap {
+		r.Links = slices.Clone(r.Links)
+		m.snapWant[i] = r
+	}
+
+	loop, batch := NewDB(), NewDB()
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range m.history {
+			loop.Update(r)
+		}
+		batch.UpdateAll(m.history)
+	}
+	if batch.Version() != loop.Version() || batch.Len() != loop.Len() {
+		t.Fatalf("UpdateAll: version %d, %d records; Update loop: version %d, %d records",
+			batch.Version(), batch.Len(), loop.Version(), loop.Len())
+	}
+	if got, want := batch.Records(), loop.Records(); !sameRecords(got, want) || !sameRecords(got, m.snap) {
+		t.Fatalf("UpdateAll records diverged:\n got %+v\nloop %+v\nlive %+v", got, want, m.snap)
 	}
 }
 
+// runDiff drives the model with the given byte script, comparing against
+// the cold database after every k-th mutation and after the last.
+func runDiff(t *testing.T, data []byte, n, k int) {
+	t.Helper()
+	m := newDiffModel(n)
+	steps := len(data) / 4
+	for i := 0; i < steps; i++ {
+		m.step(data[4*i], data[4*i+1], data[4*i+2], data[4*i+3])
+		if (i+1)%k == 0 || i == steps-1 {
+			m.check(t)
+		}
+	}
+}
+
+// rangeScript walks the view's node range up and back down: node 0 lists
+// node 1, then lists the unknown node 2 (neighbor growth), drops that link
+// again (the range shrinks to 2), and node 2 announces itself (node growth).
+var rangeScript = []byte{0, 0, 1, 0, 4, 0, 0, 0, 6, 0, 0, 0, 4, 0, 0, 1}
+
+// shapeScript rewrites one record's link list in place while the view holds
+// one-sided edges for it, so every kind of position change moves an edge.
+var shapeScript = append(bytes.Repeat([]byte{3, 0, 0, 0}, 8), // idle steps: the ID range opens to 0..4
+	0, 4, 1, 1, // node 4 announces itself, so the view spans 0..4 from here on
+	0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, // node 0 claims 1, 2 and 3, all unknown: three one-sided edges
+	6, 0, 0, 1, // it drops the middle link: the tail shifts down, edge 0-2 goes
+	7, 0, 2, 1, // it re-points its last link from 3 to 2: edge 0-3 goes, 0-2 returns
+)
+
 func TestRoutingPlaneDifferential(t *testing.T) {
+	runDiff(t, rangeScript, 9, 1)
+	runDiff(t, shapeScript, 9, 1)
 	// A deterministic pseudo-random script, long enough to cycle through
 	// many cache generations, seq-only refreshes and link flips.
-	data := make([]byte, 4*120)
+	data := make([]byte, 4*400)
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i+8 <= len(data); i += 8 {
 		x ^= x << 13
@@ -173,16 +301,27 @@ func TestRoutingPlaneDifferential(t *testing.T) {
 		x ^= x << 17
 		binary.LittleEndian.PutUint64(data[i:], x)
 	}
-	runDiff(t, data, 9)
+	// 9 nodes stay on the linear-scan store; 24 cross slotThreshold, so
+	// UpdateAll's early-out against the slot table runs too.
+	for _, n := range []int{9, 24} {
+		for _, k := range []int{1, 2, 3, 7} {
+			runDiff(t, data, n, k)
+		}
+	}
 }
 
 func FuzzRoutingPlane(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 2, 1, 1, 1, 1, 2, 0, 3, 1, 0, 0})
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 0, 2, 1, 0, 1, 1, 2, 0, 1, 5, 3, 0, 0, 0})
+	f.Add(rangeScript)
+	f.Add(shapeScript)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4*64 {
 			data = data[:4*64]
 		}
-		runDiff(t, data, 7)
+		if len(data) == 0 {
+			return
+		}
+		runDiff(t, data, 7, 1+int(data[0])%4)
 	})
 }

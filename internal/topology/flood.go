@@ -63,9 +63,7 @@ func (f *Flood) Deliver(env core.Env, pkt core.Packet) {
 		f.best[f.id] = f.seq
 		f.relay(env, msg, anr.NCU)
 	case *FloodMsg:
-		for _, r := range m.Recs {
-			f.db.Update(r)
-		}
+		f.db.UpdateAll(m.Recs)
 		if f.best[m.Origin] >= m.Seq {
 			return // already forwarded this broadcast
 		}

@@ -39,6 +39,20 @@ func TestDBUpdateCopies(t *testing.T) {
 	}
 }
 
+// A record taken from the database is what a local-topology broadcast puts
+// in its Msg; at C > 0 or P > 0 the packet is still in flight when the next
+// link change reaches the sender's database, and must keep saying what was
+// sent.
+func TestInFlightRecordNotRewritten(t *testing.T) {
+	db := NewDB()
+	db.Update(Record{Node: 1, Seq: 1, Links: []LinkInfo{{Local: 1, Neighbor: 2, Up: true}}})
+	sent, _ := db.Record(1)
+	db.Update(Record{Node: 1, Seq: 2, Links: []LinkInfo{{Local: 1, Neighbor: 2, Up: false}}})
+	if !sent.Links[0].Up {
+		t.Fatal("the seq-1 record in flight now carries seq 2's link state")
+	}
+}
+
 func TestDBViewTwoSided(t *testing.T) {
 	db := NewDB()
 	db.Update(Record{Node: 0, Seq: 1, Links: []LinkInfo{{Local: 1, Neighbor: 1, Up: true}}})

@@ -179,9 +179,7 @@ func (w *WalkBroadcast) Deliver(env core.Env, pkt core.Packet) {
 	case Trigger:
 		w.broadcast(env)
 	case *WalkMsg:
-		for _, r := range m.Recs {
-			w.db.Update(r)
-		}
+		w.db.UpdateAll(m.Recs)
 	}
 }
 
