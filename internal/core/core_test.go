@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,41 @@ func TestRouteLinks(t *testing.T) {
 	}
 	if _, err := pm.RouteLinks(nil); err == nil {
 		t.Fatal("RouteLinks of empty path must error")
+	}
+}
+
+// TestRoutePairs: the batch router gives every pair, in input order, the
+// route of its own g.BFSTree(src).PathFromRoot(dst) — nil for a destination
+// in another component and for an endpoint outside the graph, whatever pairs
+// share its source.
+func TestRoutePairs(t *testing.T) {
+	g := graph.GNP(40, 0.08, 4)
+	n := NodeID(g.N())
+	for len(g.Neighbors(7)) > 0 { // GNP is connected: isolate one node
+		g.RemoveEdge(7, g.Neighbors(7)[0])
+	}
+	pm := NewPortMap(g)
+	var pairs [][2]NodeID
+	for src := graph.None; src <= n; src += 3 { // None and n: out-of-range sources
+		for _, dst := range []NodeID{src, 7, n - 1, graph.None, n, 2, n - 1} {
+			pairs = append(pairs, [2]NodeID{src, dst})
+		}
+	}
+	pairs = append(pairs, [2]NodeID{7, 7}, [2]NodeID{7, 3}, [2]NodeID{2, 5}) // a source seen again out of order
+	routes, err := pm.RoutePairs(g, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		var want []anr.ID
+		if path := g.BFSTree(p[0]).PathFromRoot(p[1]); path != nil {
+			if want, err = pm.RouteLinks(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(routes[i], want) || (routes[i] == nil) != (want == nil) {
+			t.Fatalf("pair %d (%d->%d): route %v, want %v", i, p[0], p[1], routes[i], want)
+		}
 	}
 }
 

@@ -107,10 +107,11 @@ func (pm *PortMap) RouteLinks(path []NodeID) ([]anr.ID, error) {
 
 // RoutePairs computes the min-hop link route (RouteLinks of the BFS tree
 // path) for every ordered (src, dst) pair: routes[i] belongs to pairs[i] and
-// is nil when dst is unreachable from src. Pairs are grouped by source so
-// each distinct source pays one BFS, into a single reused tree and path
-// buffer — a batch over k sources holds one tree live, not k. Routes are
-// exactly those of a per-pair g.BFSTree(src).PathFromRoot(dst).
+// is nil when dst is unreachable from src or either endpoint is outside g.
+// Pairs are grouped by source and routed through one graph.Search, which
+// expands each source's BFS only as far as its destinations lie and restarts
+// at the next source in O(1). Routes are exactly those of a per-pair
+// g.BFSTree(src).PathFromRoot(dst).
 func (pm *PortMap) RoutePairs(g *graph.Graph, pairs [][2]NodeID) ([][]anr.ID, error) {
 	order := make([]int32, len(pairs))
 	for i := range order {
@@ -118,14 +119,16 @@ func (pm *PortMap) RoutePairs(g *graph.Graph, pairs [][2]NodeID) ([][]anr.ID, er
 	}
 	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(pairs[a][0], pairs[b][0]) })
 	routes := make([][]anr.ID, len(pairs))
-	tree := &graph.Tree{Root: graph.None}
+	search := graph.NewSearch(g)
+	root := graph.None
 	var path []NodeID
 	for _, i := range order {
 		src, dst := pairs[i][0], pairs[i][1]
-		if tree.Root != src {
-			g.BFSTreeInto(tree, src)
+		if src != root { // src == None is out of range: the rootless search answers nil
+			search.Restart(src)
+			root = src
 		}
-		if path = tree.PathFromRootInto(path[:0], dst); path == nil {
+		if path = search.PathTo(path[:0], dst); path == nil {
 			continue
 		}
 		links, err := pm.RouteLinks(path)

@@ -291,6 +291,18 @@ func (p *olProto) Deliver(env core.Env, pkt core.Packet) {
 // Run executes one open-loop run over g. Extra sim options are appended
 // after the engine's own (so tests can attach trace sinks or shards).
 func Run(g *graph.Graph, cfg Config, opts ...sim.Option) (*Stats, error) {
+	return run(g, cfg, nil, opts...)
+}
+
+// pairTable builds the endpoint table Run samples from. It depends on g and
+// on cfg's Pairs, Zipf and Seed only (pm is a pure function of g) and is
+// read-only once built.
+func (cfg *Config) pairTable(g *graph.Graph, pm *core.PortMap) (*PairTable, error) {
+	return NewPairTable(g, pm, cfg.Pairs, cfg.Zipf, cfg.Seed^0x9a1f)
+}
+
+// run is Run over a prebuilt cfg.pairTable; nil builds it here.
+func run(g *graph.Graph, cfg Config, pairs *PairTable, opts ...sim.Option) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -316,11 +328,13 @@ func Run(g *graph.Graph, cfg Config, opts ...sim.Option) (*Stats, error) {
 	simOpts = append(simOpts, opts...)
 	proto := &olProto{e}
 	e.net = sim.New(g, func(core.NodeID) core.Protocol { return proto }, simOpts...)
-	var err error
-	e.pairs, err = NewPairTable(g, e.net.PortMap(), cfg.Pairs, cfg.Zipf, cfg.Seed^0x9a1f)
-	if err != nil {
-		return nil, err
+	if pairs == nil {
+		var err error
+		if pairs, err = cfg.pairTable(g, e.net.PortMap()); err != nil {
+			return nil, err
+		}
 	}
+	e.pairs = pairs
 	// Dedicated streams: arrival timing, endpoint choice, holding times.
 	// Each is a pure function of the seed, so no consumer can perturb
 	// another's draws.

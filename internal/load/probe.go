@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 
+	"fastnet/internal/core"
 	"fastnet/internal/graph"
 )
 
@@ -50,10 +51,23 @@ func MaxSustainableRate(g *graph.Graph, pc ProbeConfig) (*ProbeResult, error) {
 		iters = 10
 	}
 	res := &ProbeResult{}
+	// Every step runs the same graph, Pairs, Zipf and Seed, so all share the
+	// pair table the first one builds (after its config is known valid, as
+	// in Run).
+	var pairs *PairTable
 	probe := func(rate float64) (bool, error) {
 		cfg := pc.Template
 		cfg.Rate = rate
-		s, err := Run(g, cfg)
+		if pairs == nil {
+			err := cfg.validate()
+			if err == nil {
+				pairs, err = cfg.pairTable(g, core.NewPortMap(g))
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		s, err := run(g, cfg, pairs)
 		if err != nil {
 			return false, err
 		}

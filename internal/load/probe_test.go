@@ -3,6 +3,7 @@ package load
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fastnet/internal/core"
@@ -40,6 +41,17 @@ func TestProbeFindsKnee(t *testing.T) {
 	}
 	if a.Rate != b.Rate || a.Runs != b.Runs {
 		t.Fatalf("probe not deterministic: %g/%d vs %g/%d", a.Rate, a.Runs, b.Rate, b.Runs)
+	}
+	// The steps share one pair table; the witness must be what a run that
+	// builds its own reports.
+	cfg := pc.Template
+	cfg.Rate = a.Rate
+	alone, err := Run(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.At, alone) {
+		t.Fatalf("witness at rate %g differs from a standalone run:\n got %+v\nwant %+v", a.Rate, a.At, alone)
 	}
 }
 

@@ -126,3 +126,76 @@ func TestGlobalSchedStatsRunUntilOnly(t *testing.T) {
 		t.Fatalf("counters published twice: %+v left after the take", rest)
 	}
 }
+
+// headerSender sends its routes on "go", four times each through Send and
+// four times together through Multicast.
+type headerSender struct{ routes []anr.Header }
+
+func (p *headerSender) Init(core.Env)                 {}
+func (p *headerSender) LinkEvent(core.Env, core.Port) {}
+
+func (p *headerSender) Deliver(env core.Env, pkt core.Packet) {
+	if pkt.Payload != "go" {
+		return
+	}
+	for _, h := range p.routes { // a route's sends back to back, so C >= 1 batches them
+		for i := 0; i < 4; i++ {
+			if err := env.Send(h, i); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := env.Multicast(p.routes, i); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// TestSendLeavesHeaderUntouched: a header handed to Send or Multicast is
+// read, never written — not by the fused C = 0 walk, the batched C >= 1
+// hops, a selective copy, or a duplicated packet. Protocols that send one
+// shared header many times (load's pair table, traffic's per-flow packet
+// states) depend on it.
+func TestSendLeavesHeaderUntouched(t *testing.T) {
+	g := graph.New(7) // two legs off node 0: 0-1-2-3 and 0-4-5-6
+	for _, e := range [][2]core.NodeID{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 6}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	for _, c := range []core.Time{0, 2} {
+		for _, dup := range []float64{0, 0.5} {
+			sender := &headerSender{}
+			net := New(g, func(id core.NodeID) core.Protocol {
+				if id == 0 {
+					return sender
+				}
+				return &reverseKeeper{}
+			}, WithDelays(c, 1), WithSeed(3), WithMsgFaults(core.MsgFaults{Dup: dup}))
+			plain, err := net.PortMap().RouteLinks([]core.NodeID{0, 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			copied, err := net.PortMap().RouteLinks([]core.NodeID{0, 4, 5, 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender.routes = []anr.Header{anr.Direct(plain), anr.CopyPath(copied)}
+			want := []anr.Header{sender.routes[0].Clone(), sender.routes[1].Clone()}
+			net.Inject(0, 0, "go")
+			if _, err := net.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// 8 packets per route: one delivery down the plain leg, three
+			// (two selective copies, then the terminal) down the copied one.
+			m, st := net.Metrics(), net.SchedStats()
+			if (m.FaultDups > 0) != (dup > 0) || m.Deliveries < 8*(1+3) || (c == 0 && st.FusedHops == 0) || (c > 0 && st.BatchedHops == 0) {
+				t.Fatalf("C=%d dup=%g: scenario did not take the paths it is meant to: %v; %v", c, dup, m, st)
+			}
+			for i, h := range sender.routes {
+				if !slices.Equal(h, want[i]) {
+					t.Fatalf("C=%d dup=%g: route %d is %v after sending, was %v", c, dup, i, h, want[i])
+				}
+			}
+		}
+	}
+}

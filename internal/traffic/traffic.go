@@ -81,14 +81,18 @@ func validateFlows(g *graph.Graph, flows []Flow) error {
 	return nil
 }
 
-// dataMsg is one user packet. Flow is the flow's slot at its destination
-// (its rank among the flows ending there), so a destination's counters cover
-// only its own flows. For store-and-forward it carries the remaining per-hop
-// links and an index.
+// dataMsg is one state of a user packet. Flow is the flow's slot at its
+// destination (its rank among the flows ending there), so a destination's
+// counters cover only its own flows. A hardware packet has the one state the
+// destination counts; a store-and-forward packet walks a chain with one state
+// per node it visits, each holding the one-hop header that node forwards with
+// and the state the next node receives. A flow's states are built once by its
+// source and never written afterwards, so all its packets — and any
+// duplicates the fault plane makes of them — share them.
 type dataMsg struct {
-	Flow  int
-	Links []anr.ID // per-hop local links, hop i is consumed by node i
-	Idx   int      // next hop to take (store-and-forward only)
+	Flow int
+	Hop  anr.Header // header to the next state's node; nil at the destination
+	Next *dataMsg
 }
 
 // sendCmd is injected at a flow's source: emit the flow's packets (one
@@ -116,29 +120,39 @@ func (p *node) LinkEvent(core.Env, core.Port) {}
 func (p *node) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case *sendCmd:
+		first := m.first()
 		for i := 0; i < m.Packets; i++ {
-			var err error
-			if m.Discipline == Hardware {
-				err = env.Send(anr.Direct(m.Links), &dataMsg{Flow: m.Flow})
-			} else {
-				err = env.Send(anr.Direct(m.Links[:1]), &dataMsg{Flow: m.Flow, Links: m.Links, Idx: 1})
-			}
-			if err != nil {
+			if err := env.Send(first.Hop, first.Next); err != nil {
 				panic(fmt.Sprintf("traffic: send: %v", err))
 			}
 		}
 	case *dataMsg:
-		if m.Links == nil || m.Idx >= len(m.Links) {
+		if m.Next == nil {
 			// Destination reached.
 			p.count(m.Flow)
 			return
 		}
 		// Store-and-forward relay: one software activation per hop.
-		next := &dataMsg{Flow: m.Flow, Links: m.Links, Idx: m.Idx + 1}
-		if err := env.Send(anr.Direct(m.Links[m.Idx:m.Idx+1]), next); err != nil {
+		if err := env.Send(m.Hop, m.Next); err != nil {
 			panic(fmt.Sprintf("traffic: relay: %v", err))
 		}
 	}
+}
+
+// first builds the flow's packet states and returns the source's own: its
+// header is what every packet of the flow leaves with, its Next what the
+// first receiving node is handed. Hardware is the chain of one hop, the full
+// route.
+func (m *sendCmd) first() *dataMsg {
+	if m.Discipline == Hardware {
+		return &dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links), Next: &dataMsg{Flow: m.Flow}}
+	}
+	states := make([]dataMsg, len(m.Links)+1)
+	for i := range m.Links {
+		states[i] = dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links[i : i+1]), Next: &states[i+1]}
+	}
+	states[len(m.Links)].Flow = m.Flow
+	return &states[0]
 }
 
 func (p *node) count(flow int) {
@@ -242,8 +256,12 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 }
 
 // RandomFlows generates k flows with distinct endpoints and the given
-// packet count each, deterministically per seed.
+// packet count each, deterministically per seed. A graph with fewer than two
+// nodes has no such flow and gets none.
 func RandomFlows(g *graph.Graph, k, packets int, seed int64) []Flow {
+	if g.N() < 2 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	flows := make([]Flow, 0, k)
 	for len(flows) < k {

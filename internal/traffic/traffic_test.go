@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
@@ -242,6 +244,88 @@ func TestDeliveredCountsFlowsSharingDestination(t *testing.T) {
 		}
 		if res.Delivered != 3+5+7+11 {
 			t.Fatalf("%v: delivered %d, want 26", d, res.Delivered)
+		}
+	}
+}
+
+// TestRandomFlowsTinyGraph: a graph with fewer than two nodes has no flow
+// with distinct endpoints; RandomFlows must say so at once rather than draw
+// forever (n = 1) or panic in the rng (n = 0).
+func TestRandomFlowsTinyGraph(t *testing.T) {
+	for n := 0; n <= 1; n++ {
+		done := make(chan []Flow, 1)
+		go func() { done <- RandomFlows(graph.New(n), 5, 3, 1) }()
+		select {
+		case flows := <-done:
+			if len(flows) != 0 {
+				t.Fatalf("n = %d: got flows %v", n, flows)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("n = %d: RandomFlows did not return", n)
+		}
+	}
+	if flows := RandomFlows(graph.New(2), 5, 3, 1); len(flows) != 5 {
+		t.Fatalf("n = 2: %d flows, want 5", len(flows))
+	}
+}
+
+// TestRunUnderDuplication: a flow's packets, and every duplicate the fault
+// plane makes of them, share the flow's packet states. The numbers are those
+// of the handler that allocated a fresh message per packet and per hop
+// (commit e92ea51), so sharing changed nothing a duplicate can observe.
+func TestRunUnderDuplication(t *testing.T) {
+	g := graph.GNP(60, 0.08, 3)
+	flows := RandomFlows(g, 40, 12, 11)
+	for _, tc := range []struct {
+		d                  Discipline
+		delivered, transit int
+		metrics            string
+	}{
+		{Hardware, 747, 0,
+			"hops=1587 deliveries=747 (copies=0) injections=40 linkEvents=0 sends=480 packets=480 drops=0 time=100 faults(drop=0 dup=267 corrupt=0 jitter=0)"},
+		{StoreAndForward, 746, 359,
+			"hops=1572 deliveries=1572 (copies=0) injections=40 linkEvents=0 sends=1306 packets=1306 drops=0 time=168 faults(drop=0 dup=266 corrupt=0 jitter=0)"},
+	} {
+		res, err := Run(g, flows, tc.d, 1, 2, sim.WithSeed(5), sim.WithMsgFaults(core.MsgFaults{Dup: 0.2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered != tc.delivered || res.TransitSyscalls != int64(tc.transit) || res.Metrics.String() != tc.metrics {
+			t.Errorf("%v: delivered %d, transit syscalls %d, metrics %q\nwant     %d, %d, %q",
+				tc.d, res.Delivered, res.TransitSyscalls, res.Metrics.String(), tc.delivered, tc.transit, tc.metrics)
+		}
+	}
+}
+
+// TestRelayAllocsPerPacket pins the forwarding handler's allocation cost:
+// doubling every flow's packet count (routes, headers and packet states are
+// per flow and cancel in the difference) adds at most 0.1 heap objects per
+// extra packet under both disciplines. The handler itself adds none; what
+// remains is the scheduler's chunked pools growing with the backlog.
+func TestRelayAllocsPerPacket(t *testing.T) {
+	g := graph.GNP(256, 6.0/256, 3)
+	const flows, base = 256, 45
+	mallocs := func(d Discipline, packets int) uint64 {
+		t.Helper()
+		fl := RandomFlows(g, flows, packets, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(g, fl, d, 1, 1)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered != flows*packets {
+			t.Fatalf("%v: delivered %d of %d", d, res.Delivered, flows*packets)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, d := range []Discipline{Hardware, StoreAndForward} {
+		a, b := mallocs(d, base), mallocs(d, 2*base)
+		perPacket := (float64(b) - float64(a)) / (flows * base)
+		t.Logf("%v: %d allocs at %d packets a flow, %d at %d: %.4f allocs/packet", d, a, base, b, 2*base, perPacket)
+		if perPacket > 0.1 {
+			t.Errorf("%v: %.3f allocs per extra packet, want <= 0.1", d, perPacket)
 		}
 	}
 }
