@@ -226,9 +226,8 @@ func BenchmarkGosimBroadcast1024(b *testing.B) {
 // a dense GNP flood under hardware delay c with every hop jittered up to 384
 // ticks — far past the historical 64-slot ring window — and NCU slowdowns
 // stretching the activation backlog. The auto-sized calendar ring keeps the
-// run at ~100% heap bypass; compare against the pre-batching spine with
-// sim.WithHopBatching(false) plus sim.WithRingWindow(64), which sends most
-// hops through a million-entry heap (see docs/PERF.md).
+// run at ~100% heap bypass; compare against sim.WithRingWindow(64), which
+// sends most hops through a million-entry heap (see docs/PERF.md).
 func benchJitterBroadcast(b *testing.B, c core.Time, shards int) {
 	faults := core.MsgFaults{Jitter: 1, JitterMax: 384, Slowdown: 0.1, SlowFactor: 2, SlowMax: 512}
 	n := 1024

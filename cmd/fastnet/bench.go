@@ -75,7 +75,7 @@ func runBench(args []string) error {
 	threshold := fs.Float64("threshold", 10, "ns/op regression tolerance for -compare, in percent; exceeding it exits nonzero")
 	requireAll := fs.Bool("require-all", false, "with -compare, fail when a baseline benchmark is missing from the new run")
 	from := fs.String("from", "", "compare an existing BENCH_<date>.json instead of running benchmarks (requires -compare)")
-	reference := fs.Bool("reference", false, "pin every network to the pre-batching scheduler (hop batching off, fixed 64-slot ring) to produce an unbatched baseline artifact")
+	reference := fs.Bool("reference", false, "pin every network to the historical fixed 64-slot calendar ring to produce a baseline artifact")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,16 +108,14 @@ func runBench(args []string) error {
 	}
 	var notes []string
 	if *reference {
-		// Reference mode measures the same workloads on the historical event
-		// spine: one scheduler entry per hop and the fixed 64-slot near-time
-		// window, so everything past it — jittered hops, slowed activations,
-		// C >= 1 backlogs — pays the heap. The artifact's note marks it so a
-		// baseline is never mistaken for a current measurement.
-		sim.SetDefaultHopBatching(false)
+		// Reference mode measures the same workloads with the historical
+		// fixed 64-slot near-time window, so everything past it — jittered
+		// hops, slowed activations, C >= 1 backlogs — pays the heap. The
+		// artifact's note marks it so a baseline is never mistaken for a
+		// current measurement.
 		sim.SetDefaultRingWindow(64)
-		defer sim.SetDefaultHopBatching(true)
 		defer sim.SetDefaultRingWindow(0)
-		notes = append(notes, "reference scheduler: hop batching off, fixed 64-slot ring window")
+		notes = append(notes, "reference scheduler: fixed 64-slot ring window")
 	}
 
 	// Compare-only mode: load the fresh rows from an artifact written by an

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -336,5 +338,34 @@ func TestValidateMulticast(t *testing.T) {
 	bad := []anr.Header{{}}
 	if err := ValidateMulticast(bad); err == nil {
 		t.Fatal("invalid header accepted")
+	}
+}
+
+// TestValidateMulticastWide: the check is linear in the fan-out and free of
+// allocation at the fan-outs protocols use, and names the repeated link
+// wherever it sits — also for an ID past the bitset's dense range.
+func TestValidateMulticastWide(t *testing.T) {
+	wide := make([]anr.Header, 4096)
+	for i := range wide {
+		wide[i] = anr.Direct([]anr.ID{anr.ID(i + 1)})
+	}
+	if err := ValidateMulticast(wide); err != nil {
+		t.Fatalf("4096 distinct first links rejected: %v", err)
+	}
+	for _, repeat := range []anr.ID{1777, multicastDense + 5} {
+		wide[100] = anr.Direct([]anr.ID{repeat})
+		wide[len(wide)-1] = anr.Direct([]anr.ID{repeat, 9})
+		err := ValidateMulticast(wide)
+		if want := fmt.Sprintf("(link %d used twice)", repeat); !errors.Is(err, ErrMulticastLinks) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("duplicate in the last position: err = %v, want ErrMulticastLinks %s", err, want)
+		}
+		wide[100] = anr.Direct([]anr.ID{101})
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := ValidateMulticast(wide[:16]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ValidateMulticast allocates %.1f objects at 16 routes, want 0", allocs)
 	}
 }

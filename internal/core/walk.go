@@ -81,19 +81,40 @@ type HopFilter func(at NodeID, payload any) bool
 // activation).
 var ErrMulticastLinks = errors.New("core: multicast routes must start on distinct links")
 
+// multicastDense bounds the link IDs ValidateMulticast marks in its bitset.
+// IDs are dense port numbers, far below it on any graph built here; a header
+// naming a larger one (it will fail to resolve anyway) is compared against
+// the earlier routes one by one instead of sizing the set to a made-up ID.
+const multicastDense = 1 << 16
+
 // ValidateMulticast checks the §2 multicast primitive's constraint: every
-// route must be well formed and start on a different local link.
+// route must be well formed and start on a different local link. First links
+// are marked in a bitset that lives on the stack for IDs below 256, so the
+// fan-outs protocols use cost no allocation and a wide one stays linear.
 func ValidateMulticast(hs []anr.Header) error {
-	seen := make(map[anr.ID]bool, len(hs))
-	for _, h := range hs {
+	var buf [4]uint64
+	seen := buf[:]
+	for i, h := range hs {
 		if err := h.Validate(); err != nil {
 			return err
 		}
 		first := h[0].Link
-		if seen[first] {
+		dup := false
+		if first < multicastDense {
+			w, bit := int(first>>6), uint64(1)<<(first&63)
+			if w >= len(seen) {
+				seen = append(seen, make([]uint64, w+1-len(seen))...)
+			}
+			dup = seen[w]&bit != 0
+			seen[w] |= bit
+		} else {
+			for _, prev := range hs[:i] {
+				dup = dup || prev[0].Link == first
+			}
+		}
+		if dup {
 			return fmt.Errorf("%w (link %d used twice)", ErrMulticastLinks, first)
 		}
-		seen[first] = true
 	}
 	return nil
 }

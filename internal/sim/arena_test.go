@@ -138,7 +138,7 @@ func (p *headerSender) Deliver(env core.Env, pkt core.Packet) {
 	if pkt.Payload != "go" {
 		return
 	}
-	for _, h := range p.routes { // a route's sends back to back, so C >= 1 batches them
+	for _, h := range p.routes {
 		for i := 0; i < 4; i++ {
 			if err := env.Send(h, i); err != nil {
 				panic(err)
@@ -153,7 +153,7 @@ func (p *headerSender) Deliver(env core.Env, pkt core.Packet) {
 }
 
 // TestSendLeavesHeaderUntouched: a header handed to Send or Multicast is
-// read, never written — not by the fused C = 0 walk, the batched C >= 1
+// read, never written — not by the fused C = 0 walk, the ring-bound C >= 1
 // hops, a selective copy, or a duplicated packet. Protocols that send one
 // shared header many times (load's pair table, traffic's per-flow packet
 // states) depend on it.
@@ -188,7 +188,7 @@ func TestSendLeavesHeaderUntouched(t *testing.T) {
 			// 8 packets per route: one delivery down the plain leg, three
 			// (two selective copies, then the terminal) down the copied one.
 			m, st := net.Metrics(), net.SchedStats()
-			if (m.FaultDups > 0) != (dup > 0) || m.Deliveries < 8*(1+3) || (c == 0 && st.FusedHops == 0) || (c > 0 && st.BatchedHops == 0) {
+			if (m.FaultDups > 0) != (dup > 0) || m.Deliveries < 8*(1+3) || (c == 0 && st.FusedHops == 0) || (c > 0 && st.RingPushes == 0) {
 				t.Fatalf("C=%d dup=%g: scenario did not take the paths it is meant to: %v; %v", c, dup, m, st)
 			}
 			for i, h := range sender.routes {

@@ -14,18 +14,21 @@ import (
 )
 
 // The tests in this file are the transparency evidence for the C >= 1
-// scheduler spine: (link, instant) hop batching and the auto-sized calendar
-// ring must be invisible to every observable. A batched run and an unbatched
-// run of the same scenario — across hardware delays, fault envelopes, ring
-// geometries, and shard counts — must agree on the full trace stream, the
-// per-node projections, metrics, finish time, the per-node delivery and busy
-// vectors, and even Events() (batched hop records still count as events);
-// only the SchedStats push-split may differ.
+// scheduler spine: the calendar ring's span is pure mechanism. The auto-sized
+// ring, the historical fixed 64-slot window (which sends a long-delay
+// envelope's far half through the overflow heap) and the 8192-slot cap must
+// agree — across hardware delays, fault envelopes and shard counts — on the
+// full trace stream, the per-node projections, metrics, finish time, the
+// per-node delivery and busy vectors, and Events(); only the SchedStats
+// push-split may differ. (The test names date from when ring-bound hops were
+// also batched per link and instant; with one hop path left, what they
+// compared — the production spine against the 64-slot reference — is the
+// ring-window differential.)
 
-// runPipelined is the batching-heavy scenario: branching-path broadcasts
-// over a GNP graph at hardware delay c, so route walks sharing link
-// prefixes pipeline across the network and arrive at shared links in
-// same-instant runs — exactly the traffic hop batching coalesces.
+// runPipelined is the pipelined scenario: branching-path broadcasts over a
+// GNP graph at hardware delay c, so route walks sharing link prefixes
+// pipeline across the network and arrive at shared links in same-instant
+// runs that span several chunks of one ring slot.
 func runPipelined(t testing.TB, seed int64, n int, c, p core.Time, faults core.MsgFaults, extra ...sim.Option) lossyRun {
 	t.Helper()
 	g := graph.GNP(n, 4.0/float64(n), seed)
@@ -52,13 +55,10 @@ func runPipelined(t testing.TB, seed int64, n int, c, p core.Time, faults core.M
 	}
 }
 
-// runTrains is the dense-batching scenario: every flow's packets leave the
+// runTrains is the packet-train scenario: every flow's packets leave the
 // source in one activation (the traffic engine's Hardware discipline) and
 // pipeline down one shared multi-hop route, so each link of the route sees
-// the train as a same-instant run — the exact traffic (link, instant)
-// batching coalesces. Branching broadcasts (runPipelined) exercise the
-// batch paths only at rare route coincidences; packet trains exercise them
-// densely.
+// the train as a same-instant run of hops in one ring slot.
 func runTrains(t testing.TB, faults core.MsgFaults, c core.Time, extra ...sim.Option) (traffic.Result, []trace.Event) {
 	t.Helper()
 	g := graph.GNP(96, 6.0/96, 3)
@@ -84,9 +84,13 @@ func batchFaultProfiles() map[string]core.MsgFaults {
 	}
 }
 
+// ringWindows are the fixed spans every differential holds against the
+// auto-sized ring: the historical window and the cap.
+var ringWindows = []int{64, 8192}
+
 // TestHopBatchDifferential sweeps delay geometry (C, P, exact/randomized),
-// fault envelopes, and shard counts, comparing batched vs unbatched
-// execution observable by observable.
+// fault envelopes, and shard counts, comparing the auto-sized ring against
+// the fixed windows observable by observable.
 func TestHopBatchDifferential(t *testing.T) {
 	type geom struct{ c, p core.Time }
 	geoms := []geom{{0, 1}, {1, 1}, {2, 3}, {5, 1}}
@@ -100,18 +104,16 @@ func TestHopBatchDifferential(t *testing.T) {
 						if random {
 							extra = append(extra, sim.WithRandomDelays())
 						}
-						batched := runPipelined(t, 23, 90, gm.c, gm.p, faults,
-							append([]sim.Option{sim.WithHopBatching(true)}, extra...)...)
-						unbatched := runPipelined(t, 23, 90, gm.c, gm.p, faults,
-							append([]sim.Option{sim.WithHopBatching(false)}, extra...)...)
-						if batched.sched.Events != unbatched.sched.Events {
-							t.Errorf("Events diverged: batched %d, unbatched %d",
-								batched.sched.Events, unbatched.sched.Events)
+						auto := runPipelined(t, 23, 90, gm.c, gm.p, faults, extra...)
+						for _, win := range ringWindows {
+							fixed := runPipelined(t, 23, 90, gm.c, gm.p, faults,
+								append([]sim.Option{sim.WithRingWindow(win)}, extra...)...)
+							if auto.sched.Events != fixed.sched.Events {
+								t.Errorf("Events diverged: auto-sized %d, window %d %d",
+									auto.sched.Events, win, fixed.sched.Events)
+							}
+							requireEqualRuns(t, auto, fixed)
 						}
-						if unbatched.sched.BatchedHops != 0 {
-							t.Errorf("unbatched run reported %d batched hops", unbatched.sched.BatchedHops)
-						}
-						requireEqualRuns(t, batched, unbatched)
 					})
 				}
 			}
@@ -119,17 +121,17 @@ func TestHopBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestHopBatchRingGeometry pins batching transparency across ring spans —
-// the auto-sized default, the historical 64-slot window, a tiny window that
-// forces heap overflow mid-scenario, and the cap — against the unbatched
-// auto-sized reference.
+// TestHopBatchRingGeometry pins ring-span transparency on one long-envelope
+// scenario — the auto-sized default again (run-to-run determinism), a request
+// below the minimum (4 rounds up to 64), the historical 64-slot window that
+// forces heap overflow mid-scenario, and the cap — against the auto-sized
+// reference.
 func TestHopBatchRingGeometry(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90, Slowdown: 0.1, SlowFactor: 2, SlowMax: 40}
-	ref := runPipelined(t, 31, 90, 3, 1, faults, sim.WithHopBatching(false))
+	ref := runPipelined(t, 31, 90, 3, 1, faults)
 	for _, win := range []int{0, 4, 64, 8192} {
 		t.Run(fmt.Sprintf("window%d", win), func(t *testing.T) {
-			got := runPipelined(t, 31, 90, 3, 1, faults,
-				sim.WithHopBatching(true), sim.WithRingWindow(win))
+			got := runPipelined(t, 31, 90, 3, 1, faults, sim.WithRingWindow(win))
 			if got.sched.Events != ref.sched.Events {
 				t.Errorf("Events diverged: window %d got %d, reference %d", win, got.sched.Events, ref.sched.Events)
 			}
@@ -141,61 +143,28 @@ func TestHopBatchRingGeometry(t *testing.T) {
 	}
 }
 
-// TestHopBatchStats sanity-checks the batching observability on the train
-// scenario: a C >= 1 run of same-route packet trains must coalesce a large
-// share of its hops, keep Events() and the trace identical to the unbatched
-// count, and stay on the heap-bypass fast path.
-func TestHopBatchStats(t *testing.T) {
-	faults := core.MsgFaults{Jitter: 0.15, JitterMax: 24}
-	batched, bev := runTrains(t, faults, 2, sim.WithHopBatching(true))
-	unbatched, uev := runTrains(t, faults, 2, sim.WithHopBatching(false))
-	if batched.Sched.BatchedHops < 100 {
-		t.Fatalf("train C=2 run coalesced only %d hops; scenario does not exercise batching", batched.Sched.BatchedHops)
-	}
-	if batched.Sched.Events != unbatched.Sched.Events {
-		t.Fatalf("batching changed Events: batched %d, unbatched %d", batched.Sched.Events, unbatched.Sched.Events)
-	}
-	// Every batched hop is a ring push the unbatched run paid individually.
-	if got := batched.Sched.RingPushes + batched.Sched.BatchedHops; got != unbatched.Sched.RingPushes {
-		t.Errorf("batched ring pushes (%d) + batched hops (%d) = %d, want unbatched ring pushes %d",
-			batched.Sched.RingPushes, batched.Sched.BatchedHops, got, unbatched.Sched.RingPushes)
-	}
-	if batched.Sched.RingPeak == 0 {
-		t.Error("ring peak not tracked")
-	}
-	if rate := batched.Sched.LaneHitRate(); rate < 0.95 {
-		t.Errorf("auto-sized ring lost the heap bypass: lane hit rate %.3f, want >= 0.95\nstats: %+v", rate, batched.Sched)
-	}
-	if batched.Delivered != unbatched.Delivered || batched.Metrics != unbatched.Metrics {
-		t.Errorf("observables diverged:\n  batched   %d delivered %+v\n  unbatched %d delivered %+v",
-			batched.Delivered, batched.Metrics, unbatched.Delivered, unbatched.Metrics)
-	}
-	if !slices.Equal(bev, uev) {
-		t.Errorf("trace diverged: batched %d events, unbatched %d events", len(bev), len(uev))
-	}
-}
-
 // TestHopBatchTrainDifferential sweeps the train scenario across hardware
-// delays, fault envelopes, and shard counts — the dense-batch complement of
-// TestHopBatchDifferential's broadcast sweep.
+// delays, fault envelopes, and shard counts — the dense same-instant
+// complement of TestHopBatchDifferential's broadcast sweep.
 func TestHopBatchTrainDifferential(t *testing.T) {
 	for fname, faults := range batchFaultProfiles() {
 		for _, c := range []core.Time{1, 4} {
 			for _, shards := range []int{0, 2} {
 				t.Run(fmt.Sprintf("%s/c%d/shards%d", fname, c, shards), func(t *testing.T) {
-					batched, bev := runTrains(t, faults, c, sim.WithShards(shards))
-					unbatched, uev := runTrains(t, faults, c,
-						sim.WithShards(shards), sim.WithHopBatching(false), sim.WithRingWindow(64))
-					if batched.Sched.Events != unbatched.Sched.Events {
-						t.Errorf("Events diverged: batched %d, unbatched %d",
-							batched.Sched.Events, unbatched.Sched.Events)
-					}
-					if batched.Delivered != unbatched.Delivered || batched.Metrics != unbatched.Metrics {
-						t.Errorf("observables diverged:\n  batched   %d delivered %+v\n  unbatched %d delivered %+v",
-							batched.Delivered, batched.Metrics, unbatched.Delivered, unbatched.Metrics)
-					}
-					if !slices.Equal(bev, uev) {
-						t.Errorf("trace diverged: batched %d events, unbatched %d events", len(bev), len(uev))
+					auto, aev := runTrains(t, faults, c, sim.WithShards(shards))
+					for _, win := range ringWindows {
+						fixed, fev := runTrains(t, faults, c, sim.WithShards(shards), sim.WithRingWindow(win))
+						if auto.Sched.Events != fixed.Sched.Events {
+							t.Errorf("Events diverged: auto-sized %d, window %d %d",
+								auto.Sched.Events, win, fixed.Sched.Events)
+						}
+						if auto.Delivered != fixed.Delivered || auto.Metrics != fixed.Metrics {
+							t.Errorf("observables diverged:\n  auto-sized %d delivered %+v\n  window %d %d delivered %+v",
+								auto.Delivered, auto.Metrics, win, fixed.Delivered, fixed.Metrics)
+						}
+						if !slices.Equal(aev, fev) {
+							t.Errorf("trace diverged: auto-sized %d events, window %d %d events", len(aev), win, len(fev))
+						}
 					}
 				})
 			}
@@ -285,44 +254,34 @@ func TestRingAutoSize(t *testing.T) {
 	})
 }
 
-// TestSetDefaultHopBatching verifies the package-wide defaults reach
-// networks constructed without explicit options (the hook differential
-// tests and reference benchmarks use to flip whole stacks).
-func TestSetDefaultHopBatching(t *testing.T) {
-	defer sim.SetDefaultHopBatching(true)
+// TestSetDefaultRingWindow verifies the package-wide default reaches
+// networks constructed without explicit options (the hook reference
+// benchmarks use to pin whole stacks to the historical window).
+func TestSetDefaultRingWindow(t *testing.T) {
 	defer sim.SetDefaultRingWindow(0)
-	sim.SetDefaultHopBatching(false)
 	sim.SetDefaultRingWindow(64)
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90}
-	off, offEvents := runTrains(t, faults, 2)
-	if off.Sched.BatchedHops != 0 {
-		t.Fatalf("default-off run batched %d hops", off.Sched.BatchedHops)
-	}
-	if off.Sched.RingOverflows == 0 {
+	pinned, pinnedEvents := runTrains(t, faults, 2)
+	if pinned.Sched.RingOverflows == 0 {
 		t.Fatal("64-slot default window reported no overflows under 90-tick jitter")
 	}
-	sim.SetDefaultHopBatching(true)
 	sim.SetDefaultRingWindow(0)
-	on, onEvents := runTrains(t, faults, 2)
-	if on.Sched.BatchedHops == 0 {
-		t.Fatal("default-on run batched no hops")
+	auto, autoEvents := runTrains(t, faults, 2)
+	if auto.Sched.RingOverflows != 0 {
+		t.Fatalf("auto-sized run overflowed the ring %d times", auto.Sched.RingOverflows)
 	}
-	if on.Sched.RingOverflows != 0 {
-		t.Fatalf("auto-sized run overflowed the ring %d times", on.Sched.RingOverflows)
+	if auto.Delivered != pinned.Delivered || auto.Metrics != pinned.Metrics {
+		t.Errorf("observables diverged:\n  auto-sized %d delivered %+v\n  pinned     %d delivered %+v",
+			auto.Delivered, auto.Metrics, pinned.Delivered, pinned.Metrics)
 	}
-	if on.Delivered != off.Delivered || on.Metrics != off.Metrics {
-		t.Errorf("observables diverged:\n  default-on  %d delivered %+v\n  default-off %d delivered %+v",
-			on.Delivered, on.Metrics, off.Delivered, off.Metrics)
-	}
-	if !slices.Equal(onEvents, offEvents) {
-		t.Errorf("trace diverged: default-on %d events, default-off %d events", len(onEvents), len(offEvents))
+	if !slices.Equal(autoEvents, pinnedEvents) {
+		t.Errorf("trace diverged: auto-sized %d events, pinned %d events", len(autoEvents), len(pinnedEvents))
 	}
 }
 
-// FuzzHopBatch searches for a divergence between the batched auto-sized
-// scheduler and the reference one-event-per-hop scheduler pinned to the
-// historical 64-slot window, over random graphs, delay geometry, fault
-// envelopes, and shard counts. Run as a CI fuzz smoke.
+// FuzzHopBatch searches for a divergence between the auto-sized scheduler and
+// the reference pinned to the historical 64-slot window, over random graphs,
+// delay geometry, fault envelopes, and shard counts. Run as a CI fuzz smoke.
 func FuzzHopBatch(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(10), uint8(2), uint8(1), uint8(20), uint8(24), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(80), uint8(6), uint8(8), uint8(2), uint8(10), uint8(96), uint8(15), uint8(64), uint8(4))
@@ -354,11 +313,11 @@ func FuzzHopBatch(f *testing.F) {
 			}
 			return hashRun(buf, net, finish)
 		}
-		batched := run(sim.WithHopBatching(true))
-		reference := run(sim.WithHopBatching(false), sim.WithRingWindow(64))
-		if batched != reference {
-			t.Errorf("batched %s != reference %s (nodes=%d c=%d shards=%d faults=%+v)",
-				batched, reference, nodes, c%12, shards%5, faults)
+		auto := run()
+		reference := run(sim.WithRingWindow(64))
+		if auto != reference {
+			t.Errorf("auto-sized %s != reference %s (nodes=%d c=%d shards=%d faults=%+v)",
+				auto, reference, nodes, c%12, shards%5, faults)
 		}
 	})
 }

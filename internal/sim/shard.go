@@ -192,7 +192,7 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 // normally empty between windows), the per-shard calendar ring (via the
 // occupancy bitmap's word-level scan), and the heap.
 func (net *Network) nextEventTime() core.Time {
-	if net.lane.len() > 0 || net.stage.len() > 0 {
+	if net.lane.n > 0 || net.stage.len() > 0 {
 		return net.now
 	}
 	t := core.Time(-1)
@@ -203,30 +203,6 @@ func (net *Network) nextEventTime() core.Time {
 		t = r
 	}
 	return t
-}
-
-// insertForeign adds a boundary event received at the barrier to this
-// shard's ring (in window) or heap. Its key was assigned by the sending
-// shard from the origin node's canonical counter, and shard-mode promotion
-// re-sorts ring slots by key, so neither tier nor barrier arrival order
-// decides its dispatch place — the canonical key does.
-func (net *Network) insertForeign(e eventRec) {
-	if e.t > net.now && e.t-net.now < net.ringSpan {
-		net.stats.RingPushes++
-		net.ring[e.t&net.ringMask].pushBack(e)
-		net.ringSet(e.t & net.ringMask)
-		net.ringPending++
-		if net.ringPending > net.stats.RingPeak {
-			net.stats.RingPeak = net.ringPending
-		}
-		return
-	}
-	net.stats.RingOverflows++
-	net.stats.HeapPushes++
-	net.queue.push(e)
-	if n := net.queue.len(); n > net.stats.HeapPeak {
-		net.stats.HeapPeak = n
-	}
 }
 
 // run is the synchronous-window coordinator: find the earliest pending event
@@ -278,8 +254,8 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 			}
 		}
 		// Barrier: align clocks and drain the boundary outboxes into the
-		// destination heaps. Insertion order is irrelevant — the canonical
-		// keys decide dispatch order.
+		// destination rings and heaps. Insertion order is irrelevant — the
+		// canonical keys decide dispatch order.
 		for _, ch := range grp.children {
 			if ch.now < end {
 				ch.now = end
@@ -287,9 +263,11 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		}
 		for _, src := range grp.children {
 			for dst, box := range src.outbox {
-				for _, e := range box {
-					grp.children[dst].insertForeign(e)
+				for i := range box {
+					e := &box[i]
+					*grp.children[dst].place(e.t, e.seq) = *e
 				}
+				clear(box) // the events now live in dst; drop the references
 				src.outbox[dst] = box[:0]
 			}
 		}

@@ -7,13 +7,15 @@
 // quantify over; with randomized delays a run samples an asynchronous
 // execution.
 //
-// The event core is allocation-free on the steady-state hot path: events are
-// tagged-union records (activation / link event / injection / link flip /
-// hop) drawn from a free list and ordered by a typed 4-ary min-heap on
-// (time, sequence), so scheduling one of the up-to-50M events of a run costs
-// no closure, no interface boxing, and no per-event heap allocation.
+// The event core is allocation-free on the steady-state hot path: an event
+// is one compact tagged record (activation / link event / injection / link
+// flip / hop) stored by value in the FIFO of its instant, and every FIFO
+// draws fixed-size chunks from one per-core pool, so scheduling one of the
+// up-to-50M events of a run costs no closure, no interface boxing, no
+// per-event heap allocation, and events that dispatch together sit together
+// in memory.
 //
-// Four fast paths apply the paper's own cost measure to the runtime
+// Three fast paths apply the paper's own cost measure to the runtime
 // itself. Cut-through switching executes contiguous zero-delay hardware
 // hops (C = 0, no jitter pending) in one tight loop inside a single event,
 // so simulator wall-clock scales with system-call complexity (NCU
@@ -25,24 +27,18 @@
 // construction from the configured delay envelope (hardware C, software P,
 // fault jitter/reorder/slowdown bounds), regrown if SetMsgFaults widens it
 // — absorbs near-future events (t - now < ring window), leaving the heap
-// only far-future overflow. In the C >= 1 regime, where every hardware hop
-// leaves the current instant, ring-bound hop events that traverse the same
-// link at the same instant additionally coalesce into one scheduler entry
-// carrying a contiguous slab of hop records (the paper's "packets
-// pipelined on a link" priced at one scheduler touch). All four preserve
-// the scheduler's strict (t, seq) dispatch order; cutthrough_test.go and
-// batch_test.go prove the fused/batched and reference executions produce
-// identical traces, metrics, and per-node vectors, and golden_test.go pins
-// the event stream byte for byte.
+// only far-future overflow. All three preserve the scheduler's strict
+// (t, seq) dispatch order; cutthrough_test.go and batch_test.go prove the
+// fused and reference executions, and every ring geometry, produce identical
+// traces, metrics, and per-node vectors, and golden_test.go pins the event
+// stream byte for byte.
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 
 	"fastnet/internal/anr"
@@ -67,7 +63,6 @@ type config struct {
 	faults      core.MsgFaults
 	cap         core.Capacity // finite NCU queues + link token buckets; zero = off
 	cutThrough  bool
-	hopBatch    bool
 	ringWindow  int // 0 = auto-size from the delay envelope; > 0 = fixed (power of two, no auto growth)
 	shards      int // -1 = unset (use package default); 0 = classic; >= 1 = shard mode
 }
@@ -142,38 +137,14 @@ func SetDefaultCutThrough(on bool) { cutThroughOff.Store(!on) }
 
 // WithCutThrough enables or disables cut-through switching for this
 // network. When on (the default), contiguous zero-delay hardware hops of a
-// walk execute inline inside one event; when off, every hop pays the full
-// per-event scheduler round-trip. The two modes execute hops in the same
+// walk execute inline inside one event; when off, every hop is accounted as
+// a scheduler event of its own. The two modes execute hops in the same
 // depth-first same-instant order and draw from the same rng streams at the
 // same points, so all observables — traces, metrics, per-node vectors,
 // reliable-delivery ledgers — are identical; only Events() (the number of
 // scheduler dispatches) differs. cutthrough_test.go enforces this.
 func WithCutThrough(on bool) Option {
 	return func(cf *config) { cf.cutThrough = on }
-}
-
-// hopBatchOff is the inverted package-wide default for (link, instant) hop
-// batching (inverted so the zero value means "on"). See SetDefaultHopBatching.
-var hopBatchOff atomic.Bool
-
-// SetDefaultHopBatching sets the hop-batching default applied to every
-// subsequently constructed Network (per-network WithHopBatching still wins).
-// Batching is on by default; differential tests and reference benchmarks
-// switch whole experiment or soak stacks — which construct their networks
-// internally — onto the one-event-per-hop path with it. Affects construction
-// only: existing networks keep their setting.
-func SetDefaultHopBatching(on bool) { hopBatchOff.Store(!on) }
-
-// WithHopBatching enables or disables (link, instant) hop batching for this
-// network. When on (the default), ring-bound hop events that traverse the
-// same link at the same instant coalesce into one scheduler entry carrying a
-// contiguous slab of hop records; when off, every hop is its own entry.
-// Batching preserves the scheduler's (t, seq) dispatch order exactly (see
-// docs/PERF.md for the proof), so all observables — traces, metrics,
-// per-node vectors, even Events() — are identical in both modes; only the
-// SchedStats push-split differs. batch_test.go enforces this.
-func WithHopBatching(on bool) Option {
-	return func(cf *config) { cf.hopBatch = on }
 }
 
 // defaultRingWin is the package-wide ring-window override applied at
@@ -206,8 +177,11 @@ type Network struct {
 	pm    *core.PortMap
 	cfg   config
 	queue eventHeap
-	lane  eventLane // same-time FIFO: events scheduled for now bypass the heap
-	stage eventLane // shard mode: the current instant's ring slot, promoted in key order
+	lane  eventLane  // same-time FIFO: events scheduled for now bypass the heap
+	stage eventStage // shard mode: the current instant's ring slot, promoted in key order
+	pool  chunkPool  // the chunks behind lane, stage and every ring slot
+
+	popped eventRec // the heap's minimum while it dispatches (runCore is entered once per open-loop arrival: no per-call scratch)
 
 	// Near-time calendar ring: events scheduled within ringSpan instants of
 	// now wait in the FIFO slot of their instant (slot t & ringMask) and are
@@ -220,8 +194,6 @@ type Network struct {
 	ringSpan    core.Time // len(ring), a power of two
 	ringMask    core.Time // ringSpan - 1
 	ringPending int       // total entries across ring slots
-	freeBatch   *hopBatch // free list of (link, instant) hop-batch slabs
-	free        *rec      // free list of event payload records
 	hops        hopArena  // reverse-route buffers of the packets this core launches
 	seq         uint64
 	now         core.Time
@@ -310,7 +282,6 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		sink:        trace.Discard{},
 		eventBudget: 50_000_000,
 		cutThrough:  !cutThroughOff.Load(),
-		hopBatch:    !hopBatchOff.Load(),
 		ringWindow:  int(defaultRingWin.Load()),
 		shards:      -1,
 	}
@@ -403,11 +374,10 @@ func (net *Network) Events() int64 {
 // core did and how much of it the same-time fast paths absorbed. They are
 // measurement only — no simulation result depends on them.
 type SchedStats struct {
-	Events        int64 // scheduler events dispatched (run-loop pops + unfused walk steps + batched hop records)
+	Events        int64 // scheduler events dispatched (run-loop pops + unfused walk steps)
 	HeapPushes    int64 // events that paid a heap sift
 	LanePushes    int64 // events absorbed by the same-time FIFO lane (O(1))
 	RingPushes    int64 // events absorbed by the near-time calendar ring (O(1))
-	BatchedHops   int64 // hop records appended to an open (link, instant) batch — no scheduler entry at all
 	RingOverflows int64 // future events past the ring window that silently fell back to the heap
 	FusedHops     int64 // hardware hops executed inline by cut-through, no event at all
 	HeapPeak      int   // high-water mark of the heap (pending future events)
@@ -415,10 +385,10 @@ type SchedStats struct {
 }
 
 // LaneHitRate is the fraction of scheduled events that bypassed the heap
-// (same-time lane, near-time ring, or a ride along an open hop batch).
+// (same-time lane or near-time ring).
 func (s SchedStats) LaneHitRate() float64 {
-	if total := s.HeapPushes + s.LanePushes + s.RingPushes + s.BatchedHops; total > 0 {
-		return float64(s.LanePushes+s.RingPushes+s.BatchedHops) / float64(total)
+	if total := s.HeapPushes + s.LanePushes + s.RingPushes; total > 0 {
+		return float64(s.LanePushes+s.RingPushes) / float64(total)
 	}
 	return 0
 }
@@ -435,9 +405,9 @@ func (s SchedStats) FusedHopsPerEvent() float64 {
 // String renders the counters in the one-line form the CLI surfaces
 // (`fastnet exp -v`, `fastnet soak -v`) print.
 func (s SchedStats) String() string {
-	return fmt.Sprintf("events=%d fused-hops=%d (%.2f/event) pushes(heap=%d lane=%d ring=%d batched=%d) heap-bypass=%.1f%% ring-overflows=%d peaks(heap=%d ring=%d)",
+	return fmt.Sprintf("events=%d fused-hops=%d (%.2f/event) pushes(heap=%d lane=%d ring=%d) heap-bypass=%.1f%% ring-overflows=%d peaks(heap=%d ring=%d)",
 		s.Events, s.FusedHops, s.FusedHopsPerEvent(),
-		s.HeapPushes, s.LanePushes, s.RingPushes, s.BatchedHops,
+		s.HeapPushes, s.LanePushes, s.RingPushes,
 		100*s.LaneHitRate(), s.RingOverflows, s.HeapPeak, s.RingPeak)
 }
 
@@ -447,7 +417,6 @@ func (s *SchedStats) add(o SchedStats) {
 	s.HeapPushes += o.HeapPushes
 	s.LanePushes += o.LanePushes
 	s.RingPushes += o.RingPushes
-	s.BatchedHops += o.BatchedHops
 	s.RingOverflows += o.RingOverflows
 	s.FusedHops += o.FusedHops
 	if o.HeapPeak > s.HeapPeak {
@@ -483,8 +452,8 @@ func (net *Network) schedStats() SchedStats {
 // returns and when its SchedStats are read — not per RunUntil, which epoch
 // and open-loop drivers call once per arrival.
 var globalStats struct {
-	events, heapPushes, lanePushes, ringPushes, batchedHops, ringOverflows, fusedHops atomic.Int64
-	heapPeak, ringPeak                                                                atomic.Int64
+	events, heapPushes, lanePushes, ringPushes, ringOverflows, fusedHops atomic.Int64
+	heapPeak, ringPeak                                                   atomic.Int64
 }
 
 // TakeGlobalSchedStats returns the process-wide scheduler counters
@@ -496,7 +465,6 @@ func TakeGlobalSchedStats() SchedStats {
 		HeapPushes:    globalStats.heapPushes.Swap(0),
 		LanePushes:    globalStats.lanePushes.Swap(0),
 		RingPushes:    globalStats.ringPushes.Swap(0),
-		BatchedHops:   globalStats.batchedHops.Swap(0),
 		RingOverflows: globalStats.ringOverflows.Swap(0),
 		FusedHops:     globalStats.fusedHops.Swap(0),
 		HeapPeak:      int(globalStats.heapPeak.Swap(0)),
@@ -528,7 +496,6 @@ func (net *Network) flushGlobalStats() {
 	globalStats.heapPushes.Add(cur.HeapPushes - net.flushed.HeapPushes)
 	globalStats.lanePushes.Add(cur.LanePushes - net.flushed.LanePushes)
 	globalStats.ringPushes.Add(cur.RingPushes - net.flushed.RingPushes)
-	globalStats.batchedHops.Add(cur.BatchedHops - net.flushed.BatchedHops)
 	globalStats.ringOverflows.Add(cur.RingOverflows - net.flushed.RingOverflows)
 	globalStats.fusedHops.Add(cur.FusedHops - net.flushed.FusedHops)
 	peakMax(&globalStats.heapPeak, int64(cur.HeapPeak))
@@ -556,11 +523,9 @@ func (net *Network) Protocol(u core.NodeID) core.Protocol { return net.nodes[u].
 // network the event goes to v's owning shard, keyed by the shared driver
 // ordinal so scripted events keep one global order regardless of shard count.
 func (net *Network) Inject(t core.Time, v core.NodeID, payload any) {
-	owner := net.ownerOf(v)
-	r := owner.newRec()
-	r.node = v
-	r.payload = payload
-	owner.push(t, evInject, r)
+	e := net.ownerOf(v).schedule(t)
+	e.set(evInject, v, 0, 0, 0, 0, 0)
+	e.payload = payload
 }
 
 // SetLink schedules a link state change at time t. The hardware state flips
@@ -575,14 +540,18 @@ func (net *Network) SetLink(t core.Time, u, v core.NodeID, up bool) {
 		panic(fmt.Sprintf("sim: SetLink on non-edge %d-%d", u, v))
 	}
 	ou, ov := net.ownerOf(u), net.ownerOf(v)
-	r := ou.newRec()
-	r.u, r.v, r.up = u, v, up
-	ou.push(t, evLinkFlip, r)
+	ou.scheduleFlip(t, u, v, up)
 	if ov != ou {
-		r := ov.newRec()
-		r.u, r.v, r.up = u, v, up
-		ov.push(t, evLinkFlip, r)
+		ov.scheduleFlip(t, u, v, up)
 	}
+}
+
+func (net *Network) scheduleFlip(t core.Time, u, v core.NodeID, up bool) {
+	var flags uint8
+	if up {
+		flags = flagUp
+	}
+	net.schedule(t).set(evLinkFlip, u, 0, int32(v), 0, 0, flags)
 }
 
 // LinkUp reports the current hardware state of edge {u, v}.
@@ -711,13 +680,13 @@ func (net *Network) nextRingInstant() core.Time {
 	return -1
 }
 
-// growRing widens the ring to span w, re-bucketing pending entries by their
-// stored time. Growth preserves dispatch order: every pending instant owns
-// exactly one old slot, distinct instants stay distinct modulo any larger
-// power of two, and each slot is drained FIFO — so per-instant entry order
-// (and any open batch's slot-tail position) carries over verbatim. The ring
-// never shrinks mid-run: an entry in a slot it could no longer reach from a
-// heap push would break the heap-before-ring sequence argument.
+// growRing widens the ring to span w, re-bucketing the pending slots. Every
+// pending instant owns exactly one old slot and distinct instants stay
+// distinct modulo any larger power of two, so a slot moves whole — its chunks
+// stay where they are — to the new slot of its instant, and per-instant entry
+// order carries over verbatim. The ring never shrinks mid-run: an entry in a
+// slot it could no longer reach from a heap push would break the
+// heap-before-ring sequence argument.
 func (net *Network) growRing(w int) {
 	if net.cfg.ringWindow > 0 || w <= len(net.ring) {
 		return
@@ -725,10 +694,10 @@ func (net *Network) growRing(w int) {
 	old := net.ring
 	net.initRing(w)
 	for s := range old {
-		for old[s].len() > 0 {
-			e := old[s].popFront()
-			net.ring[e.t&net.ringMask].pushBack(e)
-			net.ringSet(e.t & net.ringMask)
+		if old[s].n > 0 {
+			idx := old[s].front().t & net.ringMask
+			net.ring[idx] = old[s]
+			net.ringSet(idx)
 		}
 	}
 }
@@ -815,15 +784,20 @@ func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 		return net.metrics.FinishTime, nil
 	}
 	for {
-		var ev eventRec
+		// The event dispatches where it waits: in place at the front of the
+		// stage or lane — entries never move, and whatever the handlers
+		// schedule lands behind it — or from the copy a heap pop made.
+		var ev *eventRec
+		var from eventTier
 		switch {
 		case net.queue.len() > 0 && net.queue.evs[0].t == net.now &&
 			(net.stage.len() == 0 || net.queue.evs[0].seq < net.stage.front().seq):
-			ev = net.queue.pop()
+			net.queue.pop(&net.popped)
+			ev, from = &net.popped, tierHeap
 		case net.stage.len() > 0:
-			ev = net.stage.popFront()
-		case net.lane.len() > 0:
-			ev = net.lane.popFront()
+			ev, from = net.stage.front(), tierStage
+		case net.lane.n > 0:
+			ev, from = net.lane.front(), tierLane
 		case net.ringPending > 0 || net.queue.len() > 0:
 			// Advance the clock to the earliest pending instant across the
 			// calendar ring and the heap, then loop again: the tier cases
@@ -843,40 +817,61 @@ func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 				return net.metrics.FinishTime, nil
 			}
 			net.now = tNext
-			if net.ringPending > 0 && net.ring[tNext&net.ringMask].len() > 0 {
+			if net.ringPending > 0 && net.ring[tNext&net.ringMask].n > 0 {
 				net.promote(tNext)
 			}
 			continue
 		default:
 			return net.metrics.FinishTime, nil
 		}
+		// One dispatch site for all three tiers: the C = 0 rows, at ~100 ns
+		// an event, read 1% slower with one per tier.
 		net.eventCount++
-		if net.eventCount > net.cfg.eventBudget {
+		spent := net.eventCount > net.cfg.eventBudget
+		if !spent {
+			net.dispatch(ev)
+		}
+		switch from {
+		case tierHeap:
+			net.popped.release()
+		case tierStage:
+			net.stage.drop(&net.pool)
+		case tierLane:
+			net.lane.drop(&net.pool)
+		}
+		if spent {
+			// The event that trips the budget is consumed undispatched.
 			return net.metrics.FinishTime, fmt.Errorf("%w (%d events)", ErrEventBudget, net.eventCount)
 		}
-		net.dispatch(ev)
 	}
 }
 
-// promote moves the ring slot of instant t in front of the heap. Classic
-// mode swaps it into the same-time lane wholesale (slot FIFO order is push —
-// i.e. sequence — order, and the empty lane's backing array is reused as the
-// slot's next generation). Shard mode sorts the slot by canonical key into
-// the stage, which runCore merges with the heap's residue at t key by key;
+// eventTier names where runCore found the event it is dispatching.
+type eventTier uint8
+
+const (
+	tierHeap eventTier = iota
+	tierStage
+	tierLane
+)
+
+// promote moves the ring slot of instant t in front of the heap; the clock
+// has just reached t, so lane and stage are empty. Classic mode makes the
+// slot the same-time lane wholesale (slot FIFO order is push — i.e. sequence
+// — order). Shard mode hands it to the stage, which indexes its entries by
+// canonical key for runCore to merge with the heap's residue at t key by key;
 // same-instant creations during t still go to the lane, which drains only
 // after stage and heap — the canonical "pre-created in key order, then
 // creations in creation order" stream of the pre-ring shard scheduler.
 func (net *Network) promote(t core.Time) {
 	slot := &net.ring[t&net.ringMask]
 	net.ringBits[(t&net.ringMask)>>6] &^= 1 << (t & net.ringMask & 63)
+	net.ringPending -= slot.n
 	if net.shardMode {
-		net.stage, *slot = *slot, net.stage
-		net.ringPending -= net.stage.len()
-		net.stage.sortBySeq()
+		net.stage.load(slot)
 		return
 	}
-	net.lane, *slot = *slot, net.lane
-	net.ringPending -= net.lane.len()
+	net.lane, *slot = *slot, eventLane{}
 }
 
 // flushLanes spills pending lane, stage, and calendar-ring entries into the
@@ -885,18 +880,21 @@ func (net *Network) promote(t core.Time) {
 // stored (t, seq), so heap ordering stays correct for whenever the clock
 // catches up.
 func (net *Network) flushLanes() {
-	for net.lane.len() > 0 {
-		net.queue.push(net.lane.popFront())
-	}
 	for net.stage.len() > 0 {
-		net.queue.push(net.stage.popFront())
+		net.queue.push(net.stage.front())
+		net.stage.drop(&net.pool)
 	}
-	for s := range net.ring {
-		for net.ring[s].len() > 0 {
-			net.queue.push(net.ring[s].popFront())
-			net.ringPending--
+	spill := func(l *eventLane) {
+		for l.n > 0 {
+			net.queue.push(l.front())
+			l.drop(&net.pool)
 		}
 	}
+	spill(&net.lane)
+	for s := range net.ring {
+		spill(&net.ring[s])
+	}
+	net.ringPending = 0
 	clear(net.ringBits)
 }
 
@@ -905,37 +903,15 @@ func (net *Network) flushLanes() {
 // copies it like any other Reverse).
 var localRev = anr.Local()
 
-// dispatch consumes one popped event. Union fields are copied out and the
-// record returned to the free list before any protocol code runs, so the
-// callback's own scheduling reuses it immediately.
-func (net *Network) dispatch(ev eventRec) {
-	r := ev.rec
+// dispatch runs one event. ev is read in place and stays valid throughout:
+// the run loop drops it only after dispatch returns.
+func (net *Network) dispatch(ev *eventRec) {
 	switch ev.kind {
 	case evHop:
-		nodeID, h, i, revBuf := r.node, r.h, int(r.hopIdx), r.rev
-		arrivedOn, payload, msg := r.arrivedOn, r.payload, r.msg
-		net.freeRec(r)
-		net.curOrigin = int32(nodeID)
-		net.stepHop(nodeID, h, i, revBuf, arrivedOn, payload, msg)
-	case evHopBatch:
-		// One scheduler entry, a run of hop records over one (link, instant):
-		// step them in append order — their (t, seq) dispatch order — while
-		// streaming the store's contiguous slab. Each record counts as an
-		// event (the loop's pop counted the first), so Events() is identical
-		// to the unbatched scheduler's.
-		b := r.batch
-		net.freeRec(r)
-		net.curOrigin = int32(b.node)
-		node, arrivedOn := b.node, b.arrivedOn
-		net.eventCount += int64(len(b.recs)) - 1
-		for j := range b.recs {
-			hr := &b.recs[j]
-			net.stepHop(node, hr.h, int(hr.hopIdx), hr.rev, arrivedOn, hr.payload, hr.msg)
-		}
-		net.freeBatchSlab(b)
+		net.curOrigin = int32(ev.node)
+		net.stepHop(ev.node, ev.h, int(ev.hopIdx), ev.rev, ev.arrivedOn, ev.payload, ev.msg)
 	case evActivation:
-		nodeID, pkt, msg, isCopy := r.node, r.pkt, r.msg, r.isCopy
-		net.freeRec(r)
+		nodeID, msg := ev.node, ev.msg
 		net.curOrigin = int32(nodeID)
 		if net.pendAct != nil && net.pendAct[nodeID] > 0 {
 			net.pendAct[nodeID]--
@@ -943,13 +919,14 @@ func (net *Network) dispatch(ev eventRec) {
 		nd := &net.nodes[nodeID]
 		act := net.nextAct(nd)
 		nd.env.act = act
-		if pkt.Injected {
+		injected := ev.flags&flagInjected != 0
+		if injected {
 			net.metrics.Injections++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindInject, Time: int64(net.now), Node: nodeID, Act: act, Msg: msg})
 		} else {
 			net.metrics.Deliveries++
 			net.perNode[nodeID]++
-			if isCopy {
+			if ev.flags&flagCopy != 0 {
 				net.metrics.CopyDeliveries++
 			}
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindDeliver, Time: int64(net.now), Node: nodeID, Act: act, Msg: msg})
@@ -957,11 +934,17 @@ func (net *Network) dispatch(ev eventRec) {
 		if net.now > net.metrics.FinishTime {
 			net.metrics.FinishTime = net.now
 		}
-		nd.proto.Deliver(&nd.env, pkt)
+		nd.proto.Deliver(&nd.env, core.Packet{
+			Payload:     ev.payload,
+			Remaining:   ev.h,
+			Reverse:     ev.rev,
+			ArrivedOn:   ev.arrivedOn,
+			ForwardedOn: ev.forwardedOn,
+			Injected:    injected,
+		})
 		nd.env.act = 0
 	case evLinkEvent:
-		nodeID, port := r.node, r.port
-		net.freeRec(r)
+		nodeID := ev.node
 		net.curOrigin = int32(nodeID)
 		nd := &net.nodes[nodeID]
 		act := net.nextAct(nd)
@@ -971,21 +954,15 @@ func (net *Network) dispatch(ev eventRec) {
 			net.metrics.FinishTime = net.now
 		}
 		net.cfg.sink.Record(trace.Event{Kind: trace.KindLinkEvent, Time: int64(net.now), Node: nodeID, Act: act})
-		nd.proto.LinkEvent(&nd.env, port)
+		nd.proto.LinkEvent(&nd.env, ev.port())
 		nd.env.act = 0
 	case evInject:
-		nodeID, payload := r.node, r.payload
-		net.freeRec(r)
-		net.curOrigin = int32(nodeID)
-		net.enqueueActivation(nodeID, core.Packet{
-			Payload:   payload,
-			Reverse:   localRev,
-			ArrivedOn: anr.NCU,
-			Injected:  true,
-		}, 0, false)
+		net.curOrigin = int32(ev.node)
+		if e := net.enqueueActivation(ev.node, 0, anr.NCU, anr.NCU, flagInjected); e != nil {
+			e.payload, e.rev = ev.payload, localRev
+		}
 	case evLinkFlip:
-		u, v, up := r.u, r.v, r.up
-		net.freeRec(r)
+		u, v, up := ev.node, core.NodeID(ev.hopIdx), ev.flags&flagUp != 0
 		e := graph.Edge{U: u, V: v}.Canon()
 		net.down[e] = !up
 		for _, end := range [2]core.NodeID{u, v} {
@@ -1008,46 +985,58 @@ func (net *Network) dispatch(ev eventRec) {
 	}
 }
 
-// push schedules an event record at time t (clamped to now), assigning the
-// next sequence number. (t, seq) is the scheduler's total order. Events for
-// the current instant skip the heap entirely: they go to the same-time FIFO
-// lane, which run drains in push order — exactly their (t, seq) order,
-// since every heap entry at t == now predates every lane entry (the heap
-// can only have gained it while now < t). Events within the ring window of
-// now — nearly every schedule, since the window is sized from the delay
-// envelope — likewise skip the heap via the near-time calendar ring's
+// schedule reserves the entry of a new event at time t (clamped to now),
+// assigning the next sequence number, and returns it, keyed, for the caller
+// to fill in (see eventRec) before anything else is scheduled. (t, seq) is
+// the scheduler's total order. Events for the current instant skip the heap
+// entirely: they go to the same-time FIFO lane, which run drains in push
+// order — exactly their (t, seq) order, since every heap entry at t == now
+// predates every lane entry (the heap can only have gained it while now < t).
+func (net *Network) schedule(t core.Time) *eventRec {
+	if t < net.now {
+		t = net.now
+	}
+	seq := net.nextKey()
+	var e *eventRec
+	if t == net.now {
+		net.stats.LanePushes++
+		e = net.lane.alloc(&net.pool)
+	} else {
+		e = net.place(t, seq)
+	}
+	e.t, e.seq = t, seq
+	return e
+}
+
+// place reserves the entry of a future event keyed (t, seq), created
+// here or received from another shard at a window barrier. Events within the
+// ring window of now — nearly every schedule, since the window is sized from
+// the delay envelope — skip the heap via the near-time calendar ring's
 // per-instant FIFO slots, which run promotes when the clock reaches them; a
 // heap entry for the same instant was pushed while now <= t-window and so
 // carries a strictly smaller sequence number, which the promotion honors by
 // letting the heap drain that instant first. In shard mode the slot is
-// sorted by canonical key at promotion (see promote), so the per-instant
-// FIFO's push order never shows and per-shard rings stay exact.
-func (net *Network) push(t core.Time, kind uint8, r *rec) {
-	if t < net.now {
-		t = net.now
-	}
-	e := eventRec{t: t, seq: net.nextKey(), kind: kind, rec: r}
-	if t == net.now {
-		net.stats.LanePushes++
-		net.lane.pushBack(e)
-		return
-	}
-	if t-net.now < net.ringSpan {
+// dispatched in canonical key order (see promote), so neither the
+// per-instant FIFO's push order nor a boundary event's tier and barrier
+// arrival order ever shows, and per-shard rings stay exact.
+func (net *Network) place(t core.Time, seq uint64) *eventRec {
+	if t > net.now && t-net.now < net.ringSpan {
 		net.stats.RingPushes++
-		net.ring[t&net.ringMask].pushBack(e)
-		net.ringSet(t & net.ringMask)
+		idx := t & net.ringMask
+		net.ringSet(idx)
 		net.ringPending++
 		if net.ringPending > net.stats.RingPeak {
 			net.stats.RingPeak = net.ringPending
 		}
-		return
+		return net.ring[idx].alloc(&net.pool)
 	}
 	net.stats.RingOverflows++
 	net.stats.HeapPushes++
-	net.queue.push(e)
+	e := net.queue.alloc(t, seq)
 	if n := net.queue.len(); n > net.stats.HeapPeak {
 		net.stats.HeapPeak = n
 	}
+	return e
 }
 
 // nextKey assigns the scheduler key of a new event. Classic mode: the global
@@ -1140,7 +1129,11 @@ func (net *Network) dupRev(rev anr.Header) anr.Header {
 // that finds the backlog at the cap is dropped at the NCU boundary instead;
 // link events stay uncapped — they are the hardware's control-plane
 // notifications, not queued user work.
-func (net *Network) enqueueActivation(v core.NodeID, pkt core.Packet, msg int64, isCopy bool) {
+//
+// It returns the activation's event for the caller to attach the packet's
+// references to (payload, h as Remaining, rev as Reverse), or nil when the
+// packet was dropped.
+func (net *Network) enqueueActivation(v core.NodeID, msg int64, arrivedOn, forwardedOn anr.ID, flags uint8) *eventRec {
 	nd := &net.nodes[v]
 	start := net.now
 	if nd.busyUntil > start {
@@ -1150,7 +1143,7 @@ func (net *Network) enqueueActivation(v core.NodeID, pkt core.Packet, msg int64,
 		if int(net.pendAct[v]) >= net.cfg.cap.NCUQueue {
 			net.metrics.CapQueueDrops++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindCapQueueDrop, Time: int64(net.now), Node: v, Msg: msg})
-			return
+			return nil
 		}
 		net.pendAct[v]++
 	}
@@ -1164,12 +1157,9 @@ func (net *Network) enqueueActivation(v core.NodeID, pkt core.Packet, msg int64,
 	done := start + dur
 	nd.busyUntil = done
 	net.busy[v] += dur
-	r := net.newRec()
-	r.node = v
-	r.pkt = pkt
-	r.msg = msg
-	r.isCopy = isCopy
-	net.push(done, evActivation, r)
+	e := net.schedule(done)
+	e.set(evActivation, v, msg, 0, arrivedOn, forwardedOn, flags)
+	return e
 }
 
 func (net *Network) enqueueLinkEvent(v core.NodeID, port core.Port) {
@@ -1182,10 +1172,11 @@ func (net *Network) enqueueLinkEvent(v core.NodeID, port core.Port) {
 	done := start + dur
 	nd.busyUntil = done
 	net.busy[v] += dur
-	r := net.newRec()
-	r.node = v
-	r.port = port
-	net.push(done, evLinkEvent, r)
+	var flags uint8
+	if port.Up {
+		flags = flagUp
+	}
+	net.schedule(done).set(evLinkEvent, v, 0, int32(port.Remote), port.Local, port.RemoteID, flags)
 }
 
 func (net *Network) swDelayFor(nd *node) core.Time {
@@ -1289,8 +1280,8 @@ func (a *hopArena) carve(n int) anr.Header {
 // produced in traversal order exactly as if each hop were its own event;
 // the scheduler is re-entered only at a time advance (C > 0 or jitter), a
 // selective-copy or terminal NCU delivery, a fault or filter breaking the
-// walk, or route end. With cut-through disabled the same loop pays the full
-// event round-trip per hop (record, sequence number, lane push/pop) but
+// walk, or route end. With cut-through disabled the same loop accounts each
+// hop as the event it would be (sequence number, lane push, dispatch) but
 // keeps the identical depth-first order, making the two modes differential-
 // testable against each other.
 func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Header, arrivedOn anr.ID, payload any, msg int64) {
@@ -1298,11 +1289,9 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 		rev := revBuf[len(revBuf)-1-i:]
 		hop := h[i]
 		if hop.Link == anr.NCU {
-			net.enqueueActivation(cur, core.Packet{
-				Payload:   payload,
-				Reverse:   rev,
-				ArrivedOn: arrivedOn,
-			}, msg, false)
+			if e := net.enqueueActivation(cur, msg, arrivedOn, anr.NCU, 0); e != nil {
+				e.payload, e.rev = payload, rev
+			}
 			return
 		}
 		port, err := net.pm.Resolve(cur, hop.Link)
@@ -1317,13 +1306,9 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 			return
 		}
 		if hop.Copy {
-			net.enqueueActivation(cur, core.Packet{
-				Payload:     payload,
-				Remaining:   h[i+1:].Clone(),
-				Reverse:     rev,
-				ArrivedOn:   arrivedOn,
-				ForwardedOn: hop.Link,
-			}, msg, true)
+			if e := net.enqueueActivation(cur, msg, arrivedOn, hop.Link, flagCopy); e != nil {
+				e.payload, e.h, e.rev = payload, h[i+1:].Clone(), rev
+			}
 		}
 		if net.down[graph.Edge{U: cur, V: port.Remote}.Canon()] {
 			net.metrics.Drops++
@@ -1410,18 +1395,17 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 				cur, i, arrivedOn = port.Remote, i+1, port.RemoteID
 				continue
 			}
-			// Unfused reference path: the continuation becomes a real event
-			// — record from the pool, sequence number, same-time lane —
-			// popped back immediately so the walk stays depth-first like
-			// the fused path. Earlier lane entries keep their place; they
+			// Unfused reference path: the continuation is accounted as a
+			// real event — sequence number, same-time lane push, dispatch —
+			// but would be popped straight back off the lane's tail so the
+			// walk stays depth-first like the fused path, so it never
+			// touches the lane. Earlier lane entries keep their place; they
 			// were scheduled before this hop and run after the walk, in
 			// both modes.
-			net.pushHop(net.now, port.Remote, h, i+1, revBuf, port.RemoteID, payload, msg)
-			ev := net.lane.popBack()
+			net.nextKey()
+			net.stats.LanePushes++
 			net.eventCount++
-			r := ev.rec
-			cur, i, arrivedOn, payload = r.node, int(r.hopIdx), r.arrivedOn, r.payload
-			net.freeRec(r)
+			cur, i, arrivedOn = port.Remote, i+1, port.RemoteID
 			continue
 		}
 		net.pushHop(at, port.Remote, h, i+1, revBuf, port.RemoteID, payload, msg)
@@ -1435,93 +1419,22 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 }
 
 func (net *Network) pushHop(at core.Time, node core.NodeID, h anr.Header, i int, revBuf anr.Header, arrivedOn anr.ID, payload any, msg int64) {
+	var e *eventRec
 	if net.assign != nil && net.assign[node] != net.shardID {
 		// Boundary hop: the key is drawn here, at creation, from the origin
 		// node's canonical counter — the same position in the counter stream
-		// a single-shard run would draw it — and the record waits in the
+		// a single-shard run would draw it — and the event waits in the
 		// outbox until the window barrier hands it to the owning shard. Its
 		// arrival time is at least now + lookahead, so it lands strictly
 		// after the current window.
-		r := net.newRec()
-		r.node = node
-		r.h = h
-		r.hopIdx = int32(i)
-		r.rev = revBuf
-		r.arrivedOn = arrivedOn
-		r.payload = payload
-		r.msg = msg
-		e := eventRec{t: at, seq: net.nextKey(), kind: evHop, rec: r}
-		net.outbox[net.assign[node]] = append(net.outbox[net.assign[node]], e)
-		return
+		box := &net.outbox[net.assign[node]]
+		*box = append(*box, eventRec{t: at, seq: net.nextKey()})
+		e = &(*box)[len(*box)-1]
+	} else {
+		e = net.schedule(at)
 	}
-	if net.cfg.hopBatch && at > net.now && at-net.now < net.ringSpan {
-		// Ring-bound hop: coalesce per (link, instant). The key is drawn
-		// unconditionally — batching must not perturb the shard-mode key
-		// streams — and the record may ride along an open batch at the tail
-		// of its slot instead of becoming a scheduler entry of its own.
-		// Appending is sound only at the slot tail: the batch dispatches at
-		// its first record's (t, seq) position, and a tail run is exactly
-		// the run of entries the unbatched scheduler would pop there (any
-		// event sequenced between two members lives at another instant). In
-		// shard mode the slot is re-sorted by key at promotion, so members
-		// must additionally be key-contiguous — a contiguous key range no
-		// other event's key can sort into, which only consecutive draws of
-		// one origin node produce.
-		seq := net.nextKey()
-		slot := &net.ring[at&net.ringMask]
-		if n := len(slot.evs); n > slot.head {
-			last := &slot.evs[n-1]
-			if last.t == at {
-				switch last.kind {
-				case evHopBatch:
-					if b := last.rec.batch; b.node == node && b.arrivedOn == arrivedOn &&
-						(!net.shardMode || seq == b.lastSeq+1) {
-						b.append(h, int32(i), revBuf, payload, msg)
-						b.lastSeq = seq
-						net.stats.BatchedHops++
-						return
-					}
-				case evHop:
-					if r := last.rec; r.node == node && r.arrivedOn == arrivedOn &&
-						(!net.shardMode || seq == last.seq+1) {
-						b := net.newBatch(node, arrivedOn)
-						b.append(r.h, r.hopIdx, r.rev, r.payload, r.msg)
-						b.append(h, int32(i), revBuf, payload, msg)
-						b.lastSeq = seq
-						*r = rec{next: r.next, batch: b}
-						last.kind = evHopBatch
-						net.stats.BatchedHops++
-						return
-					}
-				}
-			}
-		}
-		r := net.newRec()
-		r.node = node
-		r.h = h
-		r.hopIdx = int32(i)
-		r.rev = revBuf
-		r.arrivedOn = arrivedOn
-		r.payload = payload
-		r.msg = msg
-		net.stats.RingPushes++
-		slot.pushBack(eventRec{t: at, seq: seq, kind: evHop, rec: r})
-		net.ringSet(at & net.ringMask)
-		net.ringPending++
-		if net.ringPending > net.stats.RingPeak {
-			net.stats.RingPeak = net.ringPending
-		}
-		return
-	}
-	r := net.newRec()
-	r.node = node
-	r.h = h
-	r.hopIdx = int32(i)
-	r.rev = revBuf
-	r.arrivedOn = arrivedOn
-	r.payload = payload
-	r.msg = msg
-	net.push(at, evHop, r)
+	e.set(evHop, node, msg, int32(i), arrivedOn, 0, 0)
+	e.payload, e.h, e.rev = payload, h, revBuf
 }
 
 // --- env: the core.Env implementation handed to protocols ---
@@ -1560,162 +1473,6 @@ func (e *env) Now() core.Time { return e.net.now }
 
 func (e *env) Rand() *rand.Rand { return e.nd.random(e.net) }
 
-// --- event core: tagged-union records + typed 4-ary min-heap ---
-
-// Event kinds of the scheduler's tagged union.
-const (
-	evActivation uint8 = iota // deliver one packet to an NCU (one system call)
-	evLinkEvent               // data-link notification activation
-	evInject                  // external injection arrives at a node
-	evLinkFlip                // scripted hardware link state change
-	evHop                     // packet arrives at a switching subsystem mid-route
-	evHopBatch                // a run of hops traversing one link at one instant
-)
-
-// hopBatch is the slab store behind one evHopBatch entry: the per-record
-// fields of a run of hops that traverse the same link at the same instant,
-// held in one contiguous array so dispatch streams through sequential
-// header/port/msg memory instead of pop-and-free cycling one pooled record
-// and one scheduler entry per hop. The shared coordinates (destination node,
-// arrival port, instant) are factored out; lastSeq is the key of the newest
-// member, which shard mode uses to enforce key-contiguity. Slabs are pooled
-// on the owning network and their capacity survives recycling.
-type hopRec struct {
-	h       anr.Header
-	rev     anr.Header
-	payload any
-	msg     int64
-	hopIdx  int32
-}
-
-type hopBatch struct {
-	node      core.NodeID
-	arrivedOn anr.ID
-	lastSeq   uint64
-
-	recs []hopRec
-
-	next *hopBatch // free-list link
-}
-
-func (b *hopBatch) append(h anr.Header, hopIdx int32, rev anr.Header, payload any, msg int64) {
-	b.recs = append(b.recs, hopRec{h: h, hopIdx: hopIdx, rev: rev, payload: payload, msg: msg})
-}
-
-func (net *Network) newBatch(node core.NodeID, arrivedOn anr.ID) *hopBatch {
-	b := net.freeBatch
-	if b != nil {
-		net.freeBatch = b.next
-		b.next = nil
-	} else {
-		b = &hopBatch{recs: make([]hopRec, 0, 8)}
-	}
-	b.node, b.arrivedOn = node, arrivedOn
-	return b
-}
-
-// freeBatchSlab drops the references a dispatched batch pinned and returns
-// the slab — truncated, capacity kept — to the free list.
-func (net *Network) freeBatchSlab(b *hopBatch) {
-	clear(b.recs)
-	b.recs = b.recs[:0]
-	b.lastSeq = 0
-	b.next = net.freeBatch
-	net.freeBatch = b
-}
-
-// rec carries the payload of one scheduled event. Records are pooled on a
-// free list: dispatch copies the fields out and recycles the record before
-// running any protocol code, so steady-state scheduling performs no heap
-// allocation. Only the fields of the active kind are meaningful.
-type rec struct {
-	node core.NodeID
-
-	// evActivation
-	pkt    core.Packet
-	msg    int64 // also evHop
-	isCopy bool
-
-	// evLinkEvent
-	port core.Port
-
-	// evInject (payload also used by evHop)
-	payload any
-
-	// evLinkFlip
-	u, v core.NodeID
-	up   bool
-
-	// evHop
-	h         anr.Header
-	hopIdx    int32
-	rev       anr.Header
-	arrivedOn anr.ID
-
-	// evHopBatch
-	batch *hopBatch
-
-	next *rec // free-list link
-}
-
-// recChunk is the free list's refill quantum. Records are carved from
-// contiguous chunks rather than allocated one by one: a heavy-jitter C >= 1
-// run keeps hundreds of thousands of records in flight, and carving them
-// individually made the allocator and the garbage collector's per-object
-// bookkeeping a measurable slice of the event loop. Chunks are never
-// returned — the free list reaches its high-water mark once and recycles
-// from then on, same as before, just in 256-record strides.
-const recChunk = 256
-
-func (net *Network) newRec() *rec {
-	if net.free == nil {
-		chunk := make([]rec, recChunk)
-		for i := range chunk[:recChunk-1] {
-			chunk[i].next = &chunk[i+1]
-		}
-		net.free = &chunk[0]
-	}
-	r := net.free
-	net.free = r.next
-	r.next = nil
-	return r
-}
-
-// freeRec zeroes the record (dropping any references it pinned) and returns
-// it to the free list.
-func (net *Network) freeRec(r *rec) {
-	*r = rec{next: net.free}
-	net.free = r
-}
-
-// eventRec is one heap element: the scheduling key (t, seq) — a strict total
-// order, since seq is unique — plus the tagged payload.
-type eventRec struct {
-	t    core.Time
-	seq  uint64
-	kind uint8
-	rec  *rec
-}
-
-func (a eventRec) before(b eventRec) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// eventLane is the same-time FIFO in front of the heap: events scheduled
-// for the current instant are appended here in sequence order and popped
-// from the front, an O(1) path that skips the heap sift entirely. The
-// unfused reference walk additionally pops its own just-pushed continuation
-// from the back (a one-element excursion that cannot touch earlier
-// entries). The head index avoids shifting; the backing array is recycled
-// whenever the lane empties.
-type eventLane struct {
-	evs  []eventRec
-	head int
-}
-
 // Bounds of the near-time calendar ring's span: events scheduled for t with
 // t - now < span wait in the FIFO slot t & (span-1) instead of the heap.
 // The span is auto-sized from the configured delay envelope (see
@@ -1729,98 +1486,3 @@ const (
 	minRingWindow = 64
 	maxRingWindow = 8192
 )
-
-func (l *eventLane) len() int { return len(l.evs) - l.head }
-
-// front returns the next entry without popping it.
-func (l *eventLane) front() eventRec { return l.evs[l.head] }
-
-// sortBySeq orders the pending entries by sequence key — used by shard-mode
-// slot promotion, where canonical keys, not push order, decide dispatch.
-func (l *eventLane) sortBySeq() {
-	slices.SortFunc(l.evs[l.head:], func(a, b eventRec) int { return cmp.Compare(a.seq, b.seq) })
-}
-
-func (l *eventLane) pushBack(e eventRec) { l.evs = append(l.evs, e) }
-
-func (l *eventLane) popFront() eventRec {
-	e := l.evs[l.head]
-	l.evs[l.head].rec = nil // drop the pool reference
-	l.head++
-	if l.head == len(l.evs) {
-		l.evs = l.evs[:0]
-		l.head = 0
-	}
-	return e
-}
-
-func (l *eventLane) popBack() eventRec {
-	e := l.evs[len(l.evs)-1]
-	l.evs[len(l.evs)-1].rec = nil
-	l.evs = l.evs[:len(l.evs)-1]
-	if l.head == len(l.evs) {
-		l.evs = l.evs[:0]
-		l.head = 0
-	}
-	return e
-}
-
-// eventHeap is a 4-ary min-heap ordered by (t, seq). Compared with the
-// binary container/heap it halves the sift-down depth and keeps children in
-// one cache line, and its typed push/pop avoid the interface boxing that
-// made every schedule/dispatch allocate. Any min-heap pops the same strict
-// (t, seq) order, so the arity is invisible to simulation results.
-type eventHeap struct {
-	evs []eventRec
-}
-
-func (q *eventHeap) len() int { return len(q.evs) }
-
-func (q *eventHeap) push(e eventRec) {
-	q.evs = append(q.evs, e)
-	i := len(q.evs) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !e.before(q.evs[parent]) {
-			break
-		}
-		q.evs[i] = q.evs[parent]
-		i = parent
-	}
-	q.evs[i] = e
-}
-
-func (q *eventHeap) pop() eventRec {
-	evs := q.evs
-	min := evs[0]
-	last := evs[len(evs)-1]
-	evs = evs[:len(evs)-1]
-	q.evs = evs
-	if len(evs) > 0 {
-		// Sift the former last element down from the root.
-		i := 0
-		for {
-			first := i<<2 + 1
-			if first >= len(evs) {
-				break
-			}
-			best := first
-			end := first + 4
-			if end > len(evs) {
-				end = len(evs)
-			}
-			for c := first + 1; c < end; c++ {
-				if evs[c].before(evs[best]) {
-					best = c
-				}
-			}
-			if !evs[best].before(last) {
-				break
-			}
-			evs[i] = evs[best]
-			i = best
-		}
-		evs[i] = last
-	}
-	return min
-}

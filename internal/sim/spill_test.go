@@ -13,15 +13,15 @@ import (
 
 // Backward-RunUntil coverage: a RunUntil whose deadline is behind the clock
 // spills the same-time lane, the shard-mode stage, and every pending
-// calendar-ring slot — including open hop batches — into the heap
-// (flushLanes), then moves the clock back. The heap's (t, seq) order must
-// reproduce the spilled entries' dispatch positions exactly once the clock
-// catches up again, so an epoch-driven run with a backward jump must be
-// observable-identical to one uninterrupted Run.
+// calendar-ring slot into the heap (flushLanes), then moves the clock back.
+// The heap's (t, seq) order must reproduce the spilled entries' dispatch
+// positions exactly once the clock catches up again, so an epoch-driven run
+// with a backward jump must be observable-identical to the same run without
+// it.
 
 // spillScenario builds the pipelined broadcast used by the spill tests:
-// C = 3 with jitter keeps hop events (and open batches) parked in the ring
-// across epoch boundaries.
+// C = 3 with jitter keeps hop events parked in the ring across epoch
+// boundaries.
 func spillScenario(t *testing.T, extra ...sim.Option) (*sim.Network, *trace.Serial) {
 	t.Helper()
 	g := graph.GNP(72, 0.07, 11)
@@ -37,19 +37,38 @@ func spillScenario(t *testing.T, extra ...sim.Option) (*sim.Network, *trace.Seri
 	return net, buf
 }
 
-func runWithBackwardJump(t *testing.T, extra ...sim.Option) lossyRun {
+// runToSpillPoint runs into the thick of the broadcast and injects one more
+// trigger at the current instant, so what a backward jump would spill is a
+// non-empty same-time lane and a ring whose fullest slot spans several
+// chunks.
+func runToSpillPoint(t *testing.T, net *sim.Network) {
 	t.Helper()
-	net, buf := spillScenario(t, extra...)
-	// Run into the thick of the broadcast, jump the clock backward (spilling
-	// lane + ring + any open batches to the heap), then drain.
 	if _, err := net.RunUntil(9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RunUntil(2); err != nil {
-		t.Fatal(err)
+	net.Inject(net.Now(), 3, topology.Trigger{})
+	if lane, slot := net.SpineShape(); lane == 0 || slot <= 2*16 {
+		t.Fatalf("at the spill point the lane holds %d events and the fullest ring slot %d; want a non-empty lane and a slot of three 16-entry chunks", lane, slot)
 	}
-	if got := net.Now(); got != 2 {
-		t.Fatalf("clock after backward RunUntil = %d, want 2", got)
+}
+
+// runWithBackwardJump stops at the spill point, jumps the clock backward
+// (spilling lane + ring to the heap), then drains; with jump false it drains
+// from the spill point directly — the reference the jump must not differ from.
+func runWithBackwardJump(t *testing.T, jump bool, extra ...sim.Option) lossyRun {
+	t.Helper()
+	net, buf := spillScenario(t, extra...)
+	runToSpillPoint(t, net)
+	if jump {
+		if _, err := net.RunUntil(2); err != nil {
+			t.Fatal(err)
+		}
+		if got := net.Now(); got != 2 {
+			t.Fatalf("clock after backward RunUntil = %d, want 2", got)
+		}
+		if lane, slot := net.SpineShape(); lane != 0 || slot != 0 {
+			t.Fatalf("after the spill the lane holds %d events and a ring slot %d; want both empty", lane, slot)
+		}
 	}
 	finish, err := net.Run()
 	if err != nil {
@@ -74,21 +93,19 @@ func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
 // scheduler, the shard-mode serial reference (whose stage and per-shard ring
 // spill through the same flushLanes), and non-default ring windows — tiny (4
 // slots, so the scenario also overflows to the heap organically) and fixed
-// historical 64 — with and without hop batching.
+// historical 64.
 func TestBackwardRunUntilSpill(t *testing.T) {
 	cases := map[string][]sim.Option{
-		"classic":         nil,
-		"classic-ring4":   {sim.WithRingWindow(4)},
-		"classic-ring64":  {sim.WithRingWindow(64)},
-		"unbatched":       {sim.WithHopBatching(false)},
-		"shard-serial":    {sim.WithShards(1)},
-		"shard-ring4":     {sim.WithShards(1), sim.WithRingWindow(4)},
-		"shard-unbatched": {sim.WithShards(1), sim.WithHopBatching(false)},
+		"classic":        nil,
+		"classic-ring4":  {sim.WithRingWindow(4)},
+		"classic-ring64": {sim.WithRingWindow(64)},
+		"shard-serial":   {sim.WithShards(1)},
+		"shard-ring4":    {sim.WithShards(1), sim.WithRingWindow(4)},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
-			jumped := runWithBackwardJump(t, opts...)
-			straight := runStraight(t, opts...)
+			jumped := runWithBackwardJump(t, true, opts...)
+			straight := runWithBackwardJump(t, false, opts...)
 			requireEqualRuns(t, jumped, straight)
 		})
 	}

@@ -51,3 +51,38 @@ func TestQuietRoundAllocs(t *testing.T) {
 		t.Errorf("carrying the whole database costs %.1f more allocs per broadcast, want <= 2", full-local)
 	}
 }
+
+// TestQuietFloodAllocs pins what flooding costs once the network has
+// converged: each broadcast allocates its message and the one-record slice
+// inside it, and nothing per forwarded copy — a relay sends the node's fixed
+// one-hop headers through one reused route list, and the C >= 1 spine keeps
+// the hops in pooled chunks.
+func TestQuietFloodAllocs(t *testing.T) {
+	const n = 64
+	g := graph.GNP(n, 8.0/n, 5)
+	if !g.Connected() {
+		t.Fatal("test graph must be connected")
+	}
+	net := sim.New(g, NewMaintainer(ModeFlood, false, nil), sim.WithDelays(8, 1))
+	round := func() {
+		for u := 0; u < n; u++ {
+			net.Inject(net.Now(), core.NodeID(u), Trigger{})
+		}
+		if _, err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if !converged(net, g, nil) {
+		t.Fatal("one flooding round did not converge the network")
+	}
+	before := net.Metrics().Deliveries
+	allocs := testing.AllocsPerRun(5, round)
+	perRound := float64(net.Metrics().Deliveries-before) / 6 // AllocsPerRun warms up with one extra run
+	t.Logf("%.0f allocs for %.0f deliveries in a quiet flooding round: %.3f per delivery", allocs, perRound, allocs/perRound)
+	// Measured 0.009 when the test was added; a header per forwarded copy
+	// and a map per relay made it 1.69.
+	if allocs/perRound > 0.1 {
+		t.Errorf("%.3f allocs per delivery, want <= 0.1", allocs/perRound)
+	}
+}

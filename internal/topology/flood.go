@@ -26,6 +26,12 @@ type Flood struct {
 	// broadcast is flooded once per node.
 	best map[core.NodeID]uint64
 
+	// hop[i] is the one-hop route over port i+1, built on the first relay and
+	// never written afterwards (Send and Multicast only read a header);
+	// routes is the list relay hands to Multicast, reused across relays.
+	hop    []anr.Header
+	routes []anr.Header
+
 	Broadcasts int
 	Forwards   int
 }
@@ -75,12 +81,20 @@ func (f *Flood) Deliver(env core.Env, pkt core.Packet) {
 
 // relay sends the message one hop over every up link except the arrival one.
 func (f *Flood) relay(env core.Env, m *FloodMsg, arrived anr.ID) {
-	var hs []anr.Header
-	for _, p := range env.Ports() {
+	ports := env.Ports()
+	if f.hop == nil {
+		f.hop = make([]anr.Header, len(ports))
+		for i, p := range ports {
+			f.hop[i] = anr.Direct([]anr.ID{p.Local})
+		}
+		f.routes = make([]anr.Header, 0, len(ports))
+	}
+	hs := f.routes[:0]
+	for i, p := range ports {
 		if p.Local == arrived || !p.Up {
 			continue
 		}
-		hs = append(hs, anr.Direct([]anr.ID{p.Local}))
+		hs = append(hs, f.hop[i])
 	}
 	if len(hs) == 0 {
 		return
