@@ -32,7 +32,7 @@ func benchSpec(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, err := spec.Run()
+		tbl, err := spec.Run(experiments.Env{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

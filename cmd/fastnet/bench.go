@@ -75,7 +75,6 @@ func runBench(args []string) error {
 	threshold := fs.Float64("threshold", 10, "ns/op regression tolerance for -compare, in percent; exceeding it exits nonzero")
 	requireAll := fs.Bool("require-all", false, "with -compare, fail when a baseline benchmark is missing from the new run")
 	from := fs.String("from", "", "compare an existing BENCH_<date>.json instead of running benchmarks (requires -compare)")
-	reference := fs.Bool("reference", false, "pin every network to the historical fixed 64-slot calendar ring to produce a baseline artifact")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -105,17 +104,6 @@ func runBench(args []string) error {
 			}
 		}
 		return nil
-	}
-	var notes []string
-	if *reference {
-		// Reference mode measures the same workloads with the historical
-		// fixed 64-slot near-time window, so everything past it — jittered
-		// hops, slowed activations, C >= 1 backlogs — pays the heap. The
-		// artifact's note marks it so a baseline is never mistaken for a
-		// current measurement.
-		sim.SetDefaultRingWindow(64)
-		defer sim.SetDefaultRingWindow(0)
-		notes = append(notes, "reference scheduler: fixed 64-slot ring window")
 	}
 
 	// Compare-only mode: load the fresh rows from an artifact written by an
@@ -171,7 +159,7 @@ func runBench(args []string) error {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := spec.Run(); err != nil {
+				if _, err := spec.Run(experiments.Env{Workers: 1}); err != nil {
 					benchErr = err
 					b.FailNow()
 				}
@@ -200,7 +188,6 @@ func runBench(args []string) error {
 		Date:       time.Now().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
 		MaxProcs:   runtime.GOMAXPROCS(0),
-		Notes:      notes,
 		Benchmarks: rows,
 	}
 	path := *outPath
@@ -424,10 +411,10 @@ func benchElection() (benchRow, error) {
 // benchJitter measures the fault-heavy C >= 1 regime the auto-sized
 // calendar ring exists for: a dense GNP flood broadcast under hardware delay
 // C where every hop is jittered up to 384 ticks — far beyond the historical
-// 64-slot window — and NCU slowdowns stretch the activation backlog. On the
-// reference spine (bench -reference) nearly every hop overflows to the heap,
-// which climbs past a million pending events; the auto-sized ring keeps the
-// same run at ~100% heap bypass. Rows at C = 2 and C = 8 plus a sharded
+// 64-slot window — and NCU slowdowns stretch the activation backlog. On a
+// ring pinned to 64 slots nearly every hop overflowed to the heap, which
+// climbed past a million pending events (docs/PERF-LOG.md); the auto-sized
+// ring keeps the same run at ~100% heap bypass. Rows at C = 2 and C = 8 plus a sharded
 // C = 8 variant; mirrored in bench_test.go. Each row reports the fastest of
 // three harness runs: these are multi-second single-iteration measurements,
 // and the minimum is the standard way to strip scheduler noise on a shared

@@ -103,6 +103,14 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
+// checkShards rejects a negative -shards at the flag boundary.
+func checkShards(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-shards %d: must be >= 0 (0 = classic serial scheduler)", n)
+	}
+	return nil
+}
+
 func runExp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
@@ -114,10 +122,12 @@ func runExp(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetWorkers(*parallel)
-	// Experiments construct their networks internally, so the shard request
-	// rides in on the package default rather than a per-network option.
-	sim.SetDefaultShards(*shards)
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be >= 0 (0 = one worker per CPU)", *parallel)
+	}
+	if err := checkShards(*shards); err != nil {
+		return err
+	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -132,15 +142,20 @@ func runExp(args []string) error {
 			ids = append(ids, s.ID)
 		}
 	}
-	if *verbose {
-		sim.TakeGlobalSchedStats() // drop counters from before this command
-	}
 	for _, id := range ids {
 		spec, ok := experiments.Lookup(id)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try 'fastnet list')", id)
 		}
-		tbl, err := spec.Run()
+		// Experiments construct their networks internally; what the flags
+		// ask of those networks rides down to them in the environment: the
+		// shard count, and a sink that collects their scheduler counters.
+		var totals sim.SchedTotals
+		opts := []sim.Option{totals.Sink()}
+		if *shards > 0 {
+			opts = append(opts, sim.WithShards(*shards))
+		}
+		tbl, err := spec.Run(experiments.Env{Workers: *parallel, Opts: opts})
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.ID, err)
 		}
@@ -152,7 +167,7 @@ func runExp(args []string) error {
 			tbl.Render(os.Stdout)
 		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "%s sched: %s\n", spec.ID, sim.TakeGlobalSchedStats())
+			fmt.Fprintf(os.Stderr, "%s sched: %s\n", spec.ID, totals.Stats())
 		}
 	}
 	return stopProf()
@@ -175,9 +190,21 @@ func runSim(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *c < 0 {
+		return fmt.Errorf("-c %d: the hardware delay must be >= 0", *c)
+	}
+	if *p < 0 {
+		return fmt.Errorf("-p %d: the software delay must be >= 0", *p)
+	}
+	if err := checkShards(*shards); err != nil {
+		return err
+	}
 	g, err := buildTopo(*topoName, *n, *gnpP, *seed)
 	if err != nil {
 		return err
+	}
+	if *root < 0 || *root >= g.N() {
+		return fmt.Errorf("-root %d: the %s topology has nodes 0..%d", *root, *topoName, g.N()-1)
 	}
 	opts := []sim.Option{sim.WithDelays(core.Time(*c), core.Time(*p)), sim.WithSeed(*seed)}
 	if *random {
@@ -328,6 +355,9 @@ func runSoak(args []string) error {
 		mode = topology.ModeFlood
 	default:
 		return fmt.Errorf("unknown mode %q (want branching-paths or flooding)", *modeName)
+	}
+	if err := checkShards(*shards); err != nil {
+		return err
 	}
 	g, err := buildTopo(*topoName, *n, *gnpP, *seed)
 	if err != nil {

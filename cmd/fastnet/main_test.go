@@ -175,20 +175,36 @@ func TestRunHelp(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	for _, args := range [][]string{
-		nil,
-		{"bogus"},
-		{"exp"},
-		{"exp", "E99"},
-		{"sim", "-topo", "nosuch"},
-		{"sim", "-proto", "nosuch"},
-		{"soak", "-topo", "nosuch"},
-		{"soak", "-mode", "nosuch"},
-		{"soak", "-runtime", "nosuch", "-n", "8", "-epochs", "1"},
-		{"soak", "-epochs", "0"},
+	for _, tc := range []struct {
+		args []string
+		want string // what the error must name
+	}{
+		{nil, "missing command"},
+		{[]string{"bogus"}, "bogus"},
+		{[]string{"exp"}, "experiment ID"},
+		{[]string{"exp", "E99"}, "E99"},
+		{[]string{"exp", "-parallel", "-5", "E10"}, "-parallel -5"},
+		{[]string{"exp", "-shards", "-3", "E10"}, "-shards -3"},
+		{[]string{"sim", "-topo", "nosuch"}, "nosuch"},
+		{[]string{"sim", "-proto", "nosuch"}, "nosuch"},
+		{[]string{"sim", "-topo", "ring", "-n", "8", "-root", "100"}, "-root 100"},
+		{[]string{"sim", "-topo", "ring", "-n", "8", "-root", "-1"}, "-root -1"},
+		{[]string{"sim", "-topo", "ring", "-n", "8", "-proto", "pif", "-root", "8"}, "-root 8"},
+		{[]string{"sim", "-c", "-3"}, "-c -3"},
+		{[]string{"sim", "-p", "-1"}, "-p -1"},
+		{[]string{"sim", "-shards", "-3"}, "-shards -3"},
+		{[]string{"soak", "-topo", "nosuch"}, "nosuch"},
+		{[]string{"soak", "-mode", "nosuch"}, "nosuch"},
+		{[]string{"soak", "-runtime", "nosuch", "-n", "8", "-epochs", "1"}, "nosuch"},
+		{[]string{"soak", "-epochs", "0"}, "Epochs"},
+		{[]string{"soak", "-shards", "-3", "-n", "8", "-epochs", "1"}, "-shards -3"},
 	} {
-		if err := run(args); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
+		err := run(tc.args)
+		if err == nil {
+			t.Fatalf("run(%v) succeeded, want error", tc.args)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) failed with %q, which does not name %q", tc.args, err, tc.want)
 		}
 	}
 }

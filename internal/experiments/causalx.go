@@ -41,7 +41,7 @@ func (f *wasteful) Deliver(env core.Env, pkt core.Packet) {
 // the messages of a redundant execution, extract the last-causal-message
 // spanning tree (Lemma A.3), and replay it as a tree-based algorithm that
 // finishes no later than the original run.
-func E13CausalTree() (*Table, error) {
+func E13CausalTree(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E13",
 		Title:   "causal-message analysis of a redundant all-to-all computation",
@@ -53,7 +53,7 @@ func E13CausalTree() (*Table, error) {
 		buf := trace.NewSerial(0)
 		net := sim.New(g, func(id core.NodeID) core.Protocol {
 			return &wasteful{id: id}
-		}, sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithTrace(buf))
+		}, env.with(sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithTrace(buf))...)
 		for u := 0; u < n; u++ {
 			net.Inject(0, core.NodeID(u), "start")
 		}
@@ -70,7 +70,7 @@ func E13CausalTree() (*Table, error) {
 			return nil, err
 		}
 		tree, _ := causal.ToAggregationTree(parents, 0)
-		res, err := globalfn.Execute(tree, p, make([]globalfn.Value, n), globalfn.Sum, true)
+		res, err := globalfn.Execute(tree, p, make([]globalfn.Value, n), globalfn.Sum, true, env.Opts...)
 		if err != nil {
 			return nil, err
 		}

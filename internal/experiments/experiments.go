@@ -11,23 +11,26 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
+
+	"fastnet/internal/sim"
 )
 
-// workers is the worker-pool width sweep experiments hand to runner.Map.
-// The default (1) is the serial reference execution; any width produces
-// byte-identical tables, because every row is an independent DES instance
-// that is a pure function of its seed and results keep input order.
-var workers atomic.Int32
+// Env is what the caller of an experiment decides for it, handed down as a
+// value to every driver the experiment calls.
+type Env struct {
+	// Workers is the worker-pool width sweep experiments hand to runner.Map
+	// (0 = one per CPU, 1 = serial). Any width produces byte-identical tables:
+	// every row is an independent DES instance that is a pure function of its
+	// seed, and results keep input order.
+	Workers int
+	// Opts are appended to the options of every sim network the experiment
+	// builds, directly or through a driver (`fastnet exp -shards`, and the
+	// totals sink behind `fastnet exp -v`).
+	Opts []sim.Option
+}
 
-func init() { workers.Store(1) }
-
-// SetWorkers sets the number of workers sweep experiments fan their
-// independent simulator runs across (0 = one per CPU, <0 or 1 = serial).
-func SetWorkers(n int) { workers.Store(int32(n)) }
-
-// Workers returns the configured sweep worker-pool width.
-func Workers() int { return int(workers.Load()) }
+// with is own followed by the caller's options.
+func (env Env) with(own ...sim.Option) []sim.Option { return append(own, env.Opts...) }
 
 // Table is one experiment's output.
 type Table struct {
@@ -110,7 +113,7 @@ func (t *Table) RenderCSV(w io.Writer) error {
 type Spec struct {
 	ID    string
 	Title string
-	Run   func() (*Table, error)
+	Run   func(Env) (*Table, error)
 }
 
 // All returns every experiment in ID order.

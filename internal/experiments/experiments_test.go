@@ -60,7 +60,7 @@ func TestRunCheapExperiments(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		tbl, err := spec.Run()
+		tbl, err := spec.Run(Env{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -82,7 +82,7 @@ func TestRunAllExperiments(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			tbl, err := spec.Run()
+			tbl, err := spec.Run(Env{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestRunAllExperiments(t *testing.T) {
 func TestExperimentAssertions(t *testing.T) {
 	// E4's content is the paper's core qualitative claim; assert it here so
 	// regressions fail loudly rather than only changing a table.
-	tbl, err := E4DeadlockExample()
+	tbl, err := E4DeadlockExample(Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestE23AdaptiveBeatsFixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E23 sweep skipped in -short mode")
 	}
-	tbl, err := E23Gray()
+	tbl, err := E23Gray(Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (p *e23Node) Deliver(env core.Env, pkt core.Packet) {
 // fixed sender is quiet while the fabric matches its constant and pays
 // steeply as slowdown grows; the adaptive sender's variance term absorbs the
 // spread and keeps spurious traffic near zero across the whole sweep.
-func E23Gray() (*Table, error) {
+func E23Gray(env Env) (*Table, error) {
 	const (
 		n     = 16
 		seeds = 10
@@ -96,7 +96,7 @@ func E23Gray() (*Table, error) {
 		srttSum  float64
 		srttN    int
 	}
-	results, err := runner.Map(Workers(), points, func(p point) (outcome, error) {
+	results, err := runner.Map(env.Workers, points, func(p point) (outcome, error) {
 		g := graph.GNP(n, 0.3, p.seed)
 		if !g.Connected() {
 			return outcome{skipped: true}, nil
@@ -114,8 +114,8 @@ func E23Gray() (*Table, error) {
 			return nd
 		}
 		net := sim.New(g, factory,
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(p.seed),
-			sim.WithMsgFaults(core.MsgFaults{Slowdown: p.rate, SlowFactor: 4, SlowMax: 8}))
+			env.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(p.seed),
+				sim.WithMsgFaults(core.MsgFaults{Slowdown: p.rate, SlowFactor: 4, SlowMax: 8}))...)
 		// The horizon leaves the last frame ample drain room even fully
 		// slowed and backed off.
 		horizon := core.Time(msgs*gap + 2000)

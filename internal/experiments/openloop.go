@@ -31,7 +31,7 @@ import (
 // trade instead of asserting it. The notes carry the max-sustainable-rate
 // knee for each capped regime, found by the bisection probe over the same
 // scenario (uncapped is sustainable at any rate by invariant I9b).
-func E24OpenLoop() (*Table, error) {
+func E24OpenLoop(env Env) (*Table, error) {
 	const (
 		n       = 256
 		seed    = 7
@@ -82,10 +82,10 @@ func E24OpenLoop() (*Table, error) {
 			points = append(points, point{ri, rate})
 		}
 	}
-	results, err := runner.Map(Workers(), points, func(p point) (*load.Stats, error) {
+	results, err := runner.Map(env.Workers, points, func(p point) (*load.Stats, error) {
 		cfg := regimes[p.regime].cfg
 		cfg.Rate = p.rate
-		s, err := load.Run(g, cfg)
+		s, err := load.Run(g, cfg, env.Opts...)
 		if err != nil {
 			return nil, fmt.Errorf("%s rate %g: %w", regimes[p.regime].name, p.rate, err)
 		}
@@ -108,7 +108,7 @@ func E24OpenLoop() (*Table, error) {
 	// >= 99% delivered. The probe reuses the row scenario with fewer calls
 	// per run — it is a search, not a measurement, and 24 extra full-size
 	// runs would dominate the experiment's cost.
-	probes, err := runner.Map(Workers(), regimes[1:], func(r struct {
+	probes, err := runner.Map(env.Workers, regimes[1:], func(r struct {
 		name string
 		cfg  load.Config
 	}) (*load.ProbeResult, error) {
@@ -116,7 +116,7 @@ func E24OpenLoop() (*Table, error) {
 		tpl.Calls = calls / 4
 		return load.MaxSustainableRate(g, load.ProbeConfig{
 			Template: tpl, MinRate: 0.05, MaxRate: 8, SuccessFrac: 0.99, Iters: 8,
-		})
+		}, env.Opts...)
 	})
 	if err != nil {
 		return nil, err

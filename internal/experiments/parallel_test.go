@@ -20,9 +20,7 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 		)
 	}
 	render := func(s Spec, workers int) string {
-		SetWorkers(workers)
-		defer SetWorkers(1)
-		tbl, err := s.Run()
+		tbl, err := s.Run(Env{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s with %d workers: %v", s.ID, workers, err)
 		}

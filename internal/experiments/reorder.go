@@ -20,7 +20,7 @@ import (
 // The interesting shape: recoveries and flood relays grow with the reorder
 // rate, while the algorithm-message bound does not move, because recovery
 // traffic is outside the tour economy the theorem prices.
-func E22Reorder() (*Table, error) {
+func E22Reorder(env Env) (*Table, error) {
 	const (
 		n     = 24
 		seeds = 25
@@ -55,7 +55,7 @@ func E22Reorder() (*Table, error) {
 		recoveries  int64
 		floodRelays int64
 	}
-	results, err := runner.Map(Workers(), points, func(p point) (outcome, error) {
+	results, err := runner.Map(env.Workers, points, func(p point) (outcome, error) {
 		g := graph.GNP(n, 0.22, p.seed)
 		if !g.Connected() {
 			return outcome{skipped: true}, nil
@@ -65,8 +65,8 @@ func E22Reorder() (*Table, error) {
 			starters[i] = core.NodeID(i)
 		}
 		res, err := election.Run(g, election.AlgoToken, starters,
-			sim.WithDelays(7, 8), sim.WithRandomDelays(), sim.WithSeed(p.seed),
-			sim.WithMsgFaults(core.MsgFaults{Reorder: p.rate, ReorderWindow: 100}))
+			env.with(sim.WithDelays(7, 8), sim.WithRandomDelays(), sim.WithSeed(p.seed),
+				sim.WithMsgFaults(core.MsgFaults{Reorder: p.rate, ReorderWindow: 100}))...)
 		if err != nil {
 			return outcome{}, fmt.Errorf("reorder=%g seed=%d: %w", p.rate, p.seed, err)
 		}

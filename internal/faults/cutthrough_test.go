@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"strings"
 	"testing"
 
 	"fastnet/internal/faults"
@@ -9,32 +10,63 @@ import (
 	"fastnet/internal/topology"
 )
 
-// TestSoakCutThroughDifferential runs the three pinned soak configs — plain
-// churn, churn with elections and leader crashes, and a lossy fabric with
-// the reliable-delivery ledger — with cut-through switching on and off, and
-// requires byte-identical result lines. The line aggregates every soak
-// observable: invariants I1–I6 (violations), convergence rounds, election
-// and call accounting, probe counts, the reliable-delivery ledger, and the
-// full metrics block — so equality here is the soak-level half of the
-// cut-through equivalence evidence (internal/sim's differential tests are
-// the event-level half). The soak builds its networks internally, which is
-// exactly what sim.SetDefaultCutThrough exists for.
+// TestSoakCutThroughDifferential is the soak-level isolation test: each of
+// the three pinned soak configs — plain churn, churn with elections and
+// leader crashes, a lossy fabric with the reliable-delivery ledger — renders
+// its result line alone, then again while a differently configured soak (two
+// event cores, another fault profile, its own option list) runs in the same
+// process, and the two lines must be byte-identical. The line aggregates
+// every soak observable — invariants I1–I6, convergence rounds, election and
+// call accounting, probe counts, the reliable-delivery ledger, the full
+// metrics block — and a soak builds dozens of networks three layers down, so
+// this is where configuration leaking between concurrent runs would show.
+// (The name dates from when the second run was the same soak with the
+// per-hop-event walk, selected through a package-wide default; the walk's
+// semantics are now checked in internal/sim against the reference engine.)
 func TestSoakCutThroughDifferential(t *testing.T) {
-	defer sim.SetDefaultCutThrough(true)
 	for name, run := range goldenSoaks() {
 		t.Run(name, func(t *testing.T) {
-			sim.SetDefaultCutThrough(true)
-			fused, err := run()
+			alone, err := run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim.SetDefaultCutThrough(false)
-			unfused, err := run()
+			stop, lines := make(chan struct{}), make(chan []string)
+			go func() {
+				var got []string
+				for running := true; running; {
+					res, err := faults.Soak(graph.GNP(24, 0.25, 5), faults.Config{
+						Seed: 11, Epochs: 2, Mode: topology.ModeFlood, Flaps: 1, Crashes: 1,
+						Shards: 2, Loss: 0.05, Jitter: 0.1, // the fabric on two cores ...
+					}, sim.WithShards(2)) // ... and the per-epoch election networks too
+					switch {
+					case err != nil:
+						got = append(got, err.Error())
+					case !res.OK():
+						got = append(got, res.Violations...)
+					default:
+						got = append(got, res.Line())
+					}
+					select {
+					case <-stop:
+						running = false
+					default:
+					}
+				}
+				lines <- got
+			}()
+			beside, err := run()
+			close(stop)
+			neighbour := <-lines
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fused != unfused {
-				t.Errorf("soak lines diverged\n  fused   %s\n  unfused %s", fused, unfused)
+			if alone != beside {
+				t.Errorf("soak line moved when another soak ran beside it\n  alone  %s\n  beside %s", alone, beside)
+			}
+			for _, line := range neighbour {
+				if line != neighbour[0] || !strings.HasPrefix(line, "epochs=2 violations=0 ") {
+					t.Fatalf("the neighbouring soak is not the same line every time: %q, then %q", neighbour[0], line)
+				}
 			}
 		})
 	}

@@ -463,6 +463,7 @@ type soakRun struct {
 	book  *probeBook
 	rel   *relBook
 	res   *Result
+	opts  []sim.Option // the caller's, appended to every DES network the run builds
 
 	pend    map[int][]Event // soak-scheduled events (leader crashes)
 	stalls  Stalls          // zero-valued unless cfg.Stall > 0
@@ -473,8 +474,11 @@ type soakRun struct {
 
 // Soak runs the invariant-checked churn loop on g and reports the result.
 // A non-nil error means the run itself broke (runtime error, event-budget
-// exhaustion); invariant violations are reported in Result.Violations.
-func Soak(g *graph.Graph, cfg Config) (*Result, error) {
+// exhaustion); invariant violations are reported in Result.Violations. Under
+// the discrete-event runtime opts are appended to the options of every
+// network the run builds — the fabric and the per-epoch election and detector
+// networks alike.
+func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("faults: Epochs must be positive")
 	}
@@ -482,7 +486,7 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 		if cfg.runtime() != "des" {
 			return nil, fmt.Errorf("faults: the open-loop mode needs the discrete-event runtime, not %q", cfg.Runtime)
 		}
-		return runOpenLoop(g, cfg)
+		return runOpenLoop(g, cfg, opts)
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = topology.ModeBranching
@@ -496,6 +500,7 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 		book:  &probeBook{echo: make(map[int64]bool)},
 		rel:   &relBook{got: make(map[uint64][]core.NodeID)},
 		res:   &Result{},
+		opts:  opts,
 		pend:  make(map[int][]Event),
 	}
 	if cfg.Adversary {
@@ -554,7 +559,7 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 		if r.wit != nil {
 			opts = append(opts, sim.WithTrace(r.wit))
 		}
-		r.h = NewSimHarness(sim.New(g, factory, opts...))
+		r.h = NewSimHarness(sim.New(g, factory, r.with(opts...)...))
 	case "gosim":
 		opts := []gosim.Option{gosim.WithSeed(cfg.Seed), gosim.WithDmax(dmax)}
 		if r.wit != nil {
@@ -571,6 +576,9 @@ func Soak(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 	return r.res, err
 }
+
+// with is own followed by the caller's options.
+func (r *soakRun) with(own ...sim.Option) []sim.Option { return append(own, r.opts...) }
 
 func (r *soakRun) node(u core.NodeID) *soakNode { return r.h.Protocol(u).(*soakNode) }
 
@@ -1069,7 +1077,7 @@ func (r *soakRun) checkElection(epoch int) (bool, error) {
 		}
 		res, err = election.RunAsync(sub, election.AlgoToken, starters, seed, timeout)
 	} else {
-		res, err = election.Run(sub, election.AlgoToken, starters, sim.WithSeed(seed))
+		res, err = election.Run(sub, election.AlgoToken, starters, r.with(sim.WithSeed(seed))...)
 	}
 	if err != nil {
 		r.violate(epoch, 2, "re-election on the largest component (%d nodes): %v", len(comp), err)
@@ -1133,8 +1141,8 @@ func (r *soakRun) checkReorderElection(epoch int) (bool, error) {
 			gosim.WithMsgFaults(profile))
 	} else {
 		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)),
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
-			sim.WithMsgFaults(profile))
+			r.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
+				sim.WithMsgFaults(profile))...)
 	}
 	if err != nil {
 		r.violate(epoch, 7, "reordered re-election on the largest component (%d nodes): %v", len(comp), err)
@@ -1266,8 +1274,8 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 		// ack service or the leader's queue grows without bound and honest
 		// slowness turns into unbounded silence.
 		net := sim.New(sub, factory,
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
-			sim.WithMsgFaults(slowOnly))
+			r.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
+				sim.WithMsgFaults(slowOnly))...)
 		if err := arm(net.PortMap()); err != nil {
 			return false, err
 		}
@@ -1335,8 +1343,8 @@ func (r *soakRun) checkGray(epoch int) (bool, error) {
 			gosim.WithMsgFaults(profile))
 	} else {
 		res, err = election.Run(sub, election.AlgoToken, allOf(len(comp)),
-			sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(eseed),
-			sim.WithMsgFaults(profile))
+			r.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(eseed),
+				sim.WithMsgFaults(profile))...)
 	}
 	if err != nil {
 		r.violate(epoch, 8, "gray re-election on the largest component (%d nodes): %v", len(comp), err)

@@ -107,8 +107,9 @@ type DissemResult struct {
 var ErrNotReached = errors.New("globalfn: dissemination did not reach every node")
 
 // Disseminate runs one-to-all dissemination of value from tree node 0 over
-// the tree with exact worst-case delays and one message per activation.
-func Disseminate(t *Tree, p Params, value Value) (DissemResult, error) {
+// the tree with exact worst-case delays and one message per activation; opts
+// are appended to the network's options.
+func Disseminate(t *Tree, p Params, value Value, opts ...sim.Option) (DissemResult, error) {
 	if t.Size == 0 {
 		return DissemResult{}, ErrEmptyTree
 	}
@@ -125,7 +126,7 @@ func Disseminate(t *Tree, p Params, value Value) (DissemResult, error) {
 		pr := &dproto{id: id, cfg: cfg}
 		protos[id] = pr
 		return pr
-	}, sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithDmax(t.Size))
+	}, append([]sim.Option{sim.WithDelays(core.Time(p.C), core.Time(p.P)), sim.WithDmax(t.Size)}, opts...)...)
 	net.Inject(0, 0, &dValue{Value: value})
 	finish, err := net.Run()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
+	"fastnet/internal/sim"
 )
 
 // ProbeConfig parameterizes the max-sustainable-rate search. Template is
@@ -37,8 +38,8 @@ type ProbeResult struct {
 // MaxSustainableRate binary-searches the offered-load knee: the highest
 // arrival rate the scenario still serves with the required delivered
 // fraction. Each probe is one deterministic engine run (same seed, so the
-// probe itself is reproducible bit for bit).
-func MaxSustainableRate(g *graph.Graph, pc ProbeConfig) (*ProbeResult, error) {
+// probe itself is reproducible bit for bit), built with opts like Run's.
+func MaxSustainableRate(g *graph.Graph, pc ProbeConfig, opts ...sim.Option) (*ProbeResult, error) {
 	if pc.MinRate <= 0 || pc.MaxRate < pc.MinRate {
 		return nil, fmt.Errorf("load: probe needs 0 < MinRate <= MaxRate, have [%g, %g]", pc.MinRate, pc.MaxRate)
 	}
@@ -67,7 +68,7 @@ func MaxSustainableRate(g *graph.Graph, pc ProbeConfig) (*ProbeResult, error) {
 				return false, err
 			}
 		}
-		s, err := run(g, cfg, pairs)
+		s, err := run(g, cfg, pairs, opts...)
 		if err != nil {
 			return false, err
 		}

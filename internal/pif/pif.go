@@ -359,8 +359,9 @@ type Result struct {
 	Metrics       core.Metrics
 }
 
-// Run executes one PIF from root over g with the given delays.
-func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time) (Result, error) {
+// Run executes one PIF from root over g with the given delays; opts are
+// appended to the network's options.
+func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts ...sim.Option) (Result, error) {
 	if !g.Connected() {
 		return Result{}, fmt.Errorf("pif: graph must be connected")
 	}
@@ -410,7 +411,7 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time) (Resul
 	done := &doneProbe{finished: -1}
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
 		return &proto{id: id, done: done}
-	}, sim.WithDelays(c, p), sim.WithDmax(2*g.N()+2))
+	}, append([]sim.Option{sim.WithDelays(c, p), sim.WithDmax(2*g.N() + 2)}, opts...)...)
 	net.Inject(0, root, msg)
 	if _, err := net.Run(); err != nil {
 		return Result{}, err

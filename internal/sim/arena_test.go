@@ -86,44 +86,52 @@ func TestReverseArenaTails(t *testing.T) {
 }
 
 // TestGlobalSchedStatsRunUntilOnly: a driver that only ever calls RunUntil
-// (the open-loop engine, epoch scripts) no longer publishes to the process-
-// wide aggregate per call; reading SchedStats must, exactly — classic and
-// sharded networks alike — so `fastnet exp -v` totals stay the sum of the
-// per-network counters.
+// (the open-loop engine, epoch scripts) adds nothing to its SchedTotals sink
+// per call; reading SchedStats must, exactly once — classic and sharded
+// networks alike — so `fastnet exp -v` totals stay the sum of the per-network
+// counters. The totals are the caller's value: a network built without the
+// sink, or with another one, never shows in them.
 func TestGlobalSchedStatsRunUntilOnly(t *testing.T) {
-	TakeGlobalSchedStats()
+	var totals, other SchedTotals
 	var want SchedStats
 	for _, shards := range []int{0, 2} {
-		g := graph.Ring(24)
-		net := New(g, func(id core.NodeID) core.Protocol {
-			return &pingProto{id: id, route: anr.Direct([]anr.ID{1, 1, 1})}
-		}, WithDelays(2, 1), WithShards(shards))
+		build := func(opts ...Option) *Network {
+			return New(graph.Ring(24), func(id core.NodeID) core.Protocol {
+				return &pingProto{id: id, route: anr.Direct([]anr.ID{1, 1, 1})}
+			}, append([]Option{WithDelays(2, 1), WithShards(shards)}, opts...)...)
+		}
+		net, bystander, loner := build(totals.Sink()), build(other.Sink()), build()
 		if shards > 1 && net.Shards() < 2 {
 			t.Fatalf("WithShards(%d) ran on %d shard", shards, net.Shards())
 		}
-		for step := core.Time(0); step < 40; step++ {
-			net.Inject(step, core.NodeID(step%24), "go")
-			if _, err := net.RunUntil(step + 1); err != nil {
+		for _, nw := range []*Network{net, bystander, loner} {
+			for step := core.Time(0); step < 40; step++ {
+				nw.Inject(step, core.NodeID(step%24), "go")
+				if _, err := nw.RunUntil(step + 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := nw.RunUntil(1000); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := net.RunUntil(1000); err != nil {
-			t.Fatal(err)
+		if got := totals.Stats(); got != want {
+			t.Fatalf("RunUntil alone reached the totals: %+v, want %+v", got, want)
 		}
 		first := net.SchedStats()
 		if again := net.SchedStats(); again != first {
 			t.Fatalf("second read changed the counters: %+v vs %+v", again, first)
 		}
-		if first.Events == 0 {
-			t.Fatal("scenario dispatched no events")
+		if first.Events == 0 || loner.SchedStats() != first {
+			t.Fatalf("scenario dispatched %d events; the same network without a sink counted %+v", first.Events, loner.SchedStats())
 		}
 		want.add(first)
+		if got := totals.Stats(); got != want {
+			t.Fatalf("totals %+v, sum of per-network SchedStats %+v (a second read must not add twice)", got, want)
+		}
 	}
-	if got := TakeGlobalSchedStats(); got != want {
-		t.Fatalf("global aggregate %+v, sum of per-network SchedStats %+v", got, want)
-	}
-	if rest := TakeGlobalSchedStats(); rest != (SchedStats{}) {
-		t.Fatalf("counters published twice: %+v left after the take", rest)
+	if got := other.Stats(); got != (SchedStats{}) {
+		t.Fatalf("a sink whose networks were never read holds %+v", got)
 	}
 }
 

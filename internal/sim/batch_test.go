@@ -14,26 +14,28 @@ import (
 )
 
 // The tests in this file are the transparency evidence for the C >= 1
-// scheduler spine: the calendar ring's span is pure mechanism. The auto-sized
-// ring, the historical fixed 64-slot window (which sends a long-delay
-// envelope's far half through the overflow heap) and the 8192-slot cap must
-// agree — across hardware delays, fault envelopes and shard counts — on the
-// full trace stream, the per-node projections, metrics, finish time, the
-// per-node delivery and busy vectors, and Events(); only the SchedStats
-// push-split may differ. (The test names date from when ring-bound hops were
-// also batched per link and instant; with one hop path left, what they
-// compared — the production spine against the 64-slot reference — is the
-// ring-window differential.)
+// scheduler spine, in two kinds of leg. Ring geometry: the calendar ring's
+// span is pure mechanism, so the auto-sized ring, a fixed 64-slot window
+// (which sends a long-delay envelope's far half through the overflow heap) and
+// the 8192-slot cap (sim.WithFixedRing, a test-only hook) must agree — across
+// hardware delays, fault envelopes and shard counts — on the full trace
+// stream, the per-node projections, metrics, finish time, the per-node
+// delivery and busy vectors, and Events(); only the SchedStats push-split may
+// differ. Reference engine: on the classic contract the whole spine — lane,
+// ring, heap, chunks, in-place dispatch — must reproduce what the naive
+// engine of reference_test.go gets from one binary heap of closures. (The
+// test names date from when ring-bound hops were also batched per link and
+// instant.)
 
 // runPipelined is the pipelined scenario: branching-path broadcasts over a
 // GNP graph at hardware delay c, so route walks sharing link prefixes
 // pipeline across the network and arrive at shared links in same-instant
 // runs that span several chunks of one ring slot.
-func runPipelined(t testing.TB, seed int64, n int, c, p core.Time, faults core.MsgFaults, extra ...sim.Option) lossyRun {
+func runPipelined(t testing.TB, mk newEngine, seed int64, n int, c, p core.Time, faults core.MsgFaults, extra ...sim.Option) lossyRun {
 	t.Helper()
 	g := graph.GNP(n, 4.0/float64(n), seed)
 	buf := trace.NewSerial(0)
-	net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
+	net := mk(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
 		append([]sim.Option{sim.WithDelays(c, p), sim.WithSeed(seed),
 			sim.WithTrace(buf), sim.WithMsgFaults(faults)}, extra...)...)
 	recs := topology.RecordsForGraph(g, net.PortMap(), nil)
@@ -45,14 +47,7 @@ func runPipelined(t testing.TB, seed int64, n int, c, p core.Time, faults core.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lossyRun{
-		events:     buf.Events(),
-		metrics:    net.Metrics(),
-		finish:     finish,
-		deliveries: net.DeliveriesPerNode(),
-		busy:       net.BusyTimePerNode(),
-		sched:      net.SchedStats(),
-	}
+	return observed(buf, net, finish)
 }
 
 // runTrains is the packet-train scenario: every flow's packets leave the
@@ -90,7 +85,8 @@ var ringWindows = []int{64, 8192}
 
 // TestHopBatchDifferential sweeps delay geometry (C, P, exact/randomized),
 // fault envelopes, and shard counts, comparing the auto-sized ring against
-// the fixed windows observable by observable.
+// the fixed windows — and, on the classic contract, against the reference
+// engine — observable by observable.
 func TestHopBatchDifferential(t *testing.T) {
 	type geom struct{ c, p core.Time }
 	geoms := []geom{{0, 1}, {1, 1}, {2, 3}, {5, 1}}
@@ -104,10 +100,13 @@ func TestHopBatchDifferential(t *testing.T) {
 						if random {
 							extra = append(extra, sim.WithRandomDelays())
 						}
-						auto := runPipelined(t, 23, 90, gm.c, gm.p, faults, extra...)
+						auto := runPipelined(t, production, 23, 90, gm.c, gm.p, faults, extra...)
+						if shards == 0 {
+							requireEqualRuns(t, auto, runPipelined(t, reference, 23, 90, gm.c, gm.p, faults, extra...))
+						}
 						for _, win := range ringWindows {
-							fixed := runPipelined(t, 23, 90, gm.c, gm.p, faults,
-								append([]sim.Option{sim.WithRingWindow(win)}, extra...)...)
+							fixed := runPipelined(t, production, 23, 90, gm.c, gm.p, faults,
+								append([]sim.Option{sim.WithFixedRing(win)}, extra...)...)
 							if auto.sched.Events != fixed.sched.Events {
 								t.Errorf("Events diverged: auto-sized %d, window %d %d",
 									auto.sched.Events, win, fixed.sched.Events)
@@ -123,15 +122,16 @@ func TestHopBatchDifferential(t *testing.T) {
 
 // TestHopBatchRingGeometry pins ring-span transparency on one long-envelope
 // scenario — the auto-sized default again (run-to-run determinism), a request
-// below the minimum (4 rounds up to 64), the historical 64-slot window that
-// forces heap overflow mid-scenario, and the cap — against the auto-sized
-// reference.
+// below the minimum (4 rounds up to 64), the 64-slot window that forces heap
+// overflow mid-scenario, and the cap — against the auto-sized run, itself
+// held to the reference engine.
 func TestHopBatchRingGeometry(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90, Slowdown: 0.1, SlowFactor: 2, SlowMax: 40}
-	ref := runPipelined(t, 31, 90, 3, 1, faults)
+	ref := runPipelined(t, production, 31, 90, 3, 1, faults)
+	requireEqualRuns(t, ref, runPipelined(t, reference, 31, 90, 3, 1, faults))
 	for _, win := range []int{0, 4, 64, 8192} {
 		t.Run(fmt.Sprintf("window%d", win), func(t *testing.T) {
-			got := runPipelined(t, 31, 90, 3, 1, faults, sim.WithRingWindow(win))
+			got := runPipelined(t, production, 31, 90, 3, 1, faults, sim.WithFixedRing(win))
 			if got.sched.Events != ref.sched.Events {
 				t.Errorf("Events diverged: window %d got %d, reference %d", win, got.sched.Events, ref.sched.Events)
 			}
@@ -153,7 +153,7 @@ func TestHopBatchTrainDifferential(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/c%d/shards%d", fname, c, shards), func(t *testing.T) {
 					auto, aev := runTrains(t, faults, c, sim.WithShards(shards))
 					for _, win := range ringWindows {
-						fixed, fev := runTrains(t, faults, c, sim.WithShards(shards), sim.WithRingWindow(win))
+						fixed, fev := runTrains(t, faults, c, sim.WithShards(shards), sim.WithFixedRing(win))
 						if auto.Sched.Events != fixed.Sched.Events {
 							t.Errorf("Events diverged: auto-sized %d, window %d %d",
 								auto.Sched.Events, win, fixed.Sched.Events)
@@ -178,7 +178,7 @@ func TestHopBatchTrainDifferential(t *testing.T) {
 func TestHeapBypassC1Regime(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 96, Slowdown: 0.1, SlowFactor: 2, SlowMax: 128}
 	for _, c := range []core.Time{2, 8} {
-		run := runPipelined(t, 13, 150, c, 1, faults)
+		run := runPipelined(t, production, 13, 150, c, 1, faults)
 		if rate := run.sched.LaneHitRate(); rate < 0.95 {
 			t.Errorf("C=%d: lane hit rate %.3f < 0.95 — the auto-sizer lost the heap bypass\nstats: %+v",
 				c, rate, run.sched)
@@ -188,7 +188,7 @@ func TestHeapBypassC1Regime(t *testing.T) {
 
 // TestRingAutoSize pins the auto-sizing rule: the span is the one-hop delay
 // envelope (C + worst fault surcharge + P) with 4x headroom, rounded to a
-// power of two in [64, 8192]; WithRingWindow overrides and freezes it; a
+// power of two in [64, 8192]; the test-only WithFixedRing overrides and freezes it; a
 // SetMsgFaults that widens the envelope grows the ring, one that narrows it
 // does not shrink.
 func TestRingAutoSize(t *testing.T) {
@@ -206,8 +206,8 @@ func TestRingAutoSize(t *testing.T) {
 		{"jitter", []sim.Option{sim.WithDelays(2, 1), sim.WithMsgFaults(core.MsgFaults{Jitter: 0.1, JitterMax: 96})}, 512},
 		{"slowdown", []sim.Option{sim.WithDelays(8, 1), sim.WithMsgFaults(core.MsgFaults{Slowdown: 0.1, SlowFactor: 2, SlowMax: 128})}, 1024},
 		{"huge-envelope-capped", []sim.Option{sim.WithDelays(4000, 1)}, 8192},
-		{"fixed", []sim.Option{sim.WithDelays(30, 1), sim.WithRingWindow(64)}, 64},
-		{"fixed-rounds-up", []sim.Option{sim.WithRingWindow(100)}, 128},
+		{"fixed", []sim.Option{sim.WithDelays(30, 1), sim.WithFixedRing(64)}, 64},
+		{"fixed-rounds-up", []sim.Option{sim.WithFixedRing(100)}, 128},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,7 +231,7 @@ func TestRingAutoSize(t *testing.T) {
 		}
 	})
 	t.Run("fixed-ignores-setmsgfaults", func(t *testing.T) {
-		net := build(sim.WithRingWindow(64))
+		net := build(sim.WithFixedRing(64))
 		net.SetMsgFaults(core.MsgFaults{Jitter: 0.1, JitterMax: 1000})
 		if got := net.RingWindow(); got != 64 {
 			t.Errorf("fixed window grew to %d on SetMsgFaults", got)
@@ -254,34 +254,56 @@ func TestRingAutoSize(t *testing.T) {
 	})
 }
 
-// TestSetDefaultRingWindow verifies the package-wide default reaches
-// networks constructed without explicit options (the hook reference
-// benchmarks use to pin whole stacks to the historical window).
+// TestSetDefaultRingWindow: the ring's span is decided per network, from that
+// network's own delay envelope — nothing process-wide pins it. A driver given
+// the test-only fixed window overflows its 64 slots under 90-tick jitter; the
+// same driver with no such option, run at the same time on another goroutine,
+// auto-sizes and never overflows; and the two agree on every observable. (The
+// name dates from the package-wide default that `fastnet bench -reference`
+// used to pin every network in the process.)
 func TestSetDefaultRingWindow(t *testing.T) {
-	defer sim.SetDefaultRingWindow(0)
-	sim.SetDefaultRingWindow(64)
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90}
-	pinned, pinnedEvents := runTrains(t, faults, 2)
-	if pinned.Sched.RingOverflows == 0 {
-		t.Fatal("64-slot default window reported no overflows under 90-tick jitter")
+	type out struct {
+		res traffic.Result
+		evs []trace.Event
+		err error
 	}
-	sim.SetDefaultRingWindow(0)
-	auto, autoEvents := runTrains(t, faults, 2)
-	if auto.Sched.RingOverflows != 0 {
-		t.Fatalf("auto-sized run overflowed the ring %d times", auto.Sched.RingOverflows)
+	g := graph.GNP(96, 6.0/96, 3)
+	flows := traffic.RandomFlows(g, 24, 16, 5)
+	run := func(extra ...sim.Option) <-chan out {
+		ch := make(chan out, 1)
+		go func() {
+			buf := trace.NewSerial(0)
+			res, err := traffic.Run(g, flows, traffic.Hardware, 2, 1,
+				append([]sim.Option{sim.WithSeed(9), sim.WithMsgFaults(faults), sim.WithTrace(buf)}, extra...)...)
+			ch <- out{res, buf.Events(), err}
+		}()
+		return ch
 	}
-	if auto.Delivered != pinned.Delivered || auto.Metrics != pinned.Metrics {
+	pinnedCh, autoCh := run(sim.WithFixedRing(64)), run()
+	pinned, auto := <-pinnedCh, <-autoCh
+	if pinned.err != nil || auto.err != nil {
+		t.Fatal(pinned.err, auto.err)
+	}
+	if pinned.res.Sched.RingOverflows == 0 {
+		t.Fatal("64-slot window reported no overflows under 90-tick jitter")
+	}
+	if auto.res.Sched.RingOverflows != 0 {
+		t.Fatalf("auto-sized run overflowed the ring %d times", auto.res.Sched.RingOverflows)
+	}
+	if auto.res.Delivered != pinned.res.Delivered || auto.res.Metrics != pinned.res.Metrics {
 		t.Errorf("observables diverged:\n  auto-sized %d delivered %+v\n  pinned     %d delivered %+v",
-			auto.Delivered, auto.Metrics, pinned.Delivered, pinned.Metrics)
+			auto.res.Delivered, auto.res.Metrics, pinned.res.Delivered, pinned.res.Metrics)
 	}
-	if !slices.Equal(autoEvents, pinnedEvents) {
-		t.Errorf("trace diverged: auto-sized %d events, pinned %d events", len(autoEvents), len(pinnedEvents))
+	if !slices.Equal(auto.evs, pinned.evs) {
+		t.Errorf("trace diverged: auto-sized %d events, pinned %d events", len(auto.evs), len(pinned.evs))
 	}
 }
 
-// FuzzHopBatch searches for a divergence between the auto-sized scheduler and
-// the reference pinned to the historical 64-slot window, over random graphs,
-// delay geometry, fault envelopes, and shard counts. Run as a CI fuzz smoke.
+// FuzzHopBatch searches for a divergence between the auto-sized scheduler, the
+// same scheduler pinned to a 64-slot ring and — on the classic contract — the
+// reference engine, over random graphs, delay geometry, fault envelopes, and
+// shard counts. Run as a CI fuzz smoke.
 func FuzzHopBatch(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(10), uint8(2), uint8(1), uint8(20), uint8(24), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(80), uint8(6), uint8(8), uint8(2), uint8(10), uint8(96), uint8(15), uint8(64), uint8(4))
@@ -296,9 +318,9 @@ func FuzzHopBatch(f *testing.F) {
 			SlowMax:    core.Time(slowMax),
 		}
 		g := graph.GNP(nodes, 0.05+float64(pPct%100)/250, seed)
-		run := func(extra ...sim.Option) string {
+		run := func(mk newEngine, extra ...sim.Option) string {
 			buf := trace.NewSerial(0)
-			net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
+			net := mk(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
 				append([]sim.Option{sim.WithDelays(core.Time(c%12), 1+core.Time(p%4)),
 					sim.WithSeed(seed), sim.WithTrace(buf), sim.WithMsgFaults(faults),
 					sim.WithShards(int(shards % 5))}, extra...)...)
@@ -313,11 +335,16 @@ func FuzzHopBatch(f *testing.F) {
 			}
 			return hashRun(buf, net, finish)
 		}
-		auto := run()
-		reference := run(sim.WithRingWindow(64))
-		if auto != reference {
-			t.Errorf("auto-sized %s != reference %s (nodes=%d c=%d shards=%d faults=%+v)",
-				auto, reference, nodes, c%12, shards%5, faults)
+		auto := run(production)
+		if pinned := run(production, sim.WithFixedRing(64)); auto != pinned {
+			t.Errorf("auto-sized %s != 64-slot ring %s (nodes=%d c=%d shards=%d faults=%+v)",
+				auto, pinned, nodes, c%12, shards%5, faults)
+		}
+		if shards%5 == 0 {
+			if naive := run(reference); auto != naive {
+				t.Errorf("production %s != reference engine %s (nodes=%d c=%d faults=%+v)",
+					auto, naive, nodes, c%12, faults)
+			}
 		}
 	})
 }

@@ -58,7 +58,7 @@ func (net *Network) applyCapacity(c core.Capacity) {
 			n := len(net.nodes[i].ports)
 			row := arena[off : off+n : off+n]
 			for j := range row {
-				row[j] = linkBucket{tok: burst, last: net.now}
+				row[j] = linkBucket{tok: burst, last: net.sp.now}
 			}
 			tok[i] = row
 			off += n

@@ -1,10 +1,21 @@
 package sim
 
+// WithFixedRing pins the calendar ring to n instants (rounded up to a power
+// of two in [64, 8192]) in place of the auto-sized span; SetMsgFaults then
+// never regrows it. The span is pure mechanism — any size yields the same
+// observables — so production code has no such knob: tests use this one to
+// force the overflow heap and the spill paths.
+func WithFixedRing(n int) Option {
+	return func(cf *config) { cf.ringWindow = n }
+}
+
 // SpineShape reports the length of the same-time lane and of the longest
 // calendar-ring slot, for tests that must know what a spill is about to move.
-func (net *Network) SpineShape() (lane, longestSlot int) {
-	for s := range net.ring {
-		longestSlot = max(longestSlot, net.ring[s].n)
+func (net *Network) SpineShape() (lane, longestSlot int) { return net.sp.shape() }
+
+func (s *spine) shape() (lane, longestSlot int) {
+	for i := range s.ring {
+		longestSlot = max(longestSlot, s.ring[i].n)
 	}
-	return net.lane.n, longestSlot
+	return s.lane.n, longestSlot
 }

@@ -19,11 +19,37 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden hashes from the current implementation")
 
+// engine is what a scenario needs of the runtime under it: production
+// (*sim.Network) or the naive reference engine (*sim.Reference,
+// reference_test.go). Scenarios take the constructor, so a differential runs
+// one scenario body on both.
+type engine interface {
+	PortMap() *core.PortMap
+	Protocol(core.NodeID) core.Protocol
+	Inject(t core.Time, v core.NodeID, payload any)
+	SetLink(t core.Time, u, v core.NodeID, up bool)
+	Run() (core.Time, error)
+	Metrics() core.Metrics
+	DeliveriesPerNode() []int64
+	BusyTimePerNode() []core.Time
+	SchedStats() sim.SchedStats
+}
+
+type newEngine func(*graph.Graph, core.Factory, ...sim.Option) engine
+
+func production(g *graph.Graph, f core.Factory, opts ...sim.Option) engine {
+	return sim.New(g, f, opts...)
+}
+
+func reference(g *graph.Graph, f core.Factory, opts ...sim.Option) engine {
+	return sim.NewReference(g, f, opts...)
+}
+
 // hashRun renders every observable output of a finished run — the full trace
 // stream, the metrics line, the finish time, and the per-node delivery and
 // busy-time vectors — into one canonical byte stream and hashes it. Any
 // change to event ordering, rng draw sequences, or counters changes the hash.
-func hashRun(buf interface{ Events() []trace.Event }, net *sim.Network, finish core.Time) string {
+func hashRun(buf interface{ Events() []trace.Event }, net engine, finish core.Time) string {
 	h := sha256.New()
 	for _, e := range buf.Events() {
 		fmt.Fprintf(h, "%d %d %d %d %d %s\n", e.Kind, e.Time, e.Node, e.Act, e.Msg, e.Cause)
@@ -41,12 +67,12 @@ func hashRun(buf interface{ Events() []trace.Event }, net *sim.Network, finish c
 // drops on down links), and a multi-starter election (protocol rng, header
 // reverse-path accumulation). Together they cover every rng stream and every
 // event kind the scheduler handles.
-func goldenScenarios() map[string]func(t *testing.T, extra ...sim.Option) string {
-	return map[string]func(t *testing.T, extra ...sim.Option) string{
-		"broadcast-tree-exact": func(t *testing.T, extra ...sim.Option) string {
+func goldenScenarios() map[string]func(t *testing.T, mk newEngine, extra ...sim.Option) string {
+	return map[string]func(t *testing.T, mk newEngine, extra ...sim.Option) string{
+		"broadcast-tree-exact": func(t *testing.T, mk newEngine, extra ...sim.Option) string {
 			g := graph.RandomTree(64, 3)
 			buf := trace.NewSerial(0)
-			net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
+			net := mk(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
 				append([]sim.Option{sim.WithDelays(0, 1), sim.WithDmax(g.N()), sim.WithTrace(buf)}, extra...)...)
 			recs := topology.RecordsForGraph(g, net.PortMap(), nil)
 			net.Protocol(0).(topology.Maintainer).Preload(recs)
@@ -57,10 +83,10 @@ func goldenScenarios() map[string]func(t *testing.T, extra ...sim.Option) string
 			}
 			return hashRun(buf, net, finish)
 		},
-		"flood-random-delays": func(t *testing.T, extra ...sim.Option) string {
+		"flood-random-delays": func(t *testing.T, mk newEngine, extra ...sim.Option) string {
 			g := graph.GNP(48, 0.12, 7)
 			buf := trace.NewSerial(0)
-			net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
+			net := mk(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
 				append([]sim.Option{sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(42),
 					sim.WithDmax(g.N()), sim.WithTrace(buf)}, extra...)...)
 			for u := 0; u < g.N(); u++ {
@@ -72,10 +98,10 @@ func goldenScenarios() map[string]func(t *testing.T, extra ...sim.Option) string
 			}
 			return hashRun(buf, net, finish)
 		},
-		"lossy-flaps": func(t *testing.T, extra ...sim.Option) string {
+		"lossy-flaps": func(t *testing.T, mk newEngine, extra ...sim.Option) string {
 			g := graph.GNP(40, 0.12, 9)
 			buf := trace.NewSerial(0)
-			net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, true, nil),
+			net := mk(g, topology.NewMaintainer(topology.ModeFlood, true, nil),
 				append([]sim.Option{sim.WithDelays(2, 3), sim.WithRandomDelays(), sim.WithSeed(13),
 					sim.WithDmax(g.N()), sim.WithTrace(buf),
 					sim.WithMsgFaults(core.MsgFaults{Drop: 0.05, Dup: 0.05, Corrupt: 0.03, Jitter: 0.1, JitterMax: 3})}, extra...)...)
@@ -92,11 +118,11 @@ func goldenScenarios() map[string]func(t *testing.T, extra ...sim.Option) string
 			}
 			return hashRun(buf, net, finish)
 		},
-		"election-random-delays": func(t *testing.T, extra ...sim.Option) string {
+		"election-random-delays": func(t *testing.T, mk newEngine, extra ...sim.Option) string {
 			g := graph.GNP(32, 0.15, 5)
 			buf := trace.NewSerial(0)
 			stats := &election.Stats{}
-			net := sim.New(g, func(id core.NodeID) core.Protocol {
+			net := mk(g, func(id core.NodeID) core.Protocol {
 				return election.New(id, stats)
 			}, append([]sim.Option{sim.WithDelays(2, 3), sim.WithRandomDelays(), sim.WithSeed(11),
 				sim.WithDmax(election.Dmax(g.N())), sim.WithTrace(buf)}, extra...)...)
@@ -135,7 +161,7 @@ func TestGoldenHashes(t *testing.T) {
 	}
 	got := map[string]string{}
 	for name, run := range goldenScenarios() {
-		got[name] = run(t)
+		got[name] = run(t, production)
 	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")

@@ -99,6 +99,24 @@ func TestSlowdownNeverFusesCutThrough(t *testing.T) {
 	if col.ats[0] < 2 {
 		t.Fatalf("arrival at %d; slowdown extras were fused away", col.ats[0])
 	}
+	// The reference engine, which has no walk to fuse, lands the packet at
+	// the same instant with the same counters.
+	var refCol *collectProto
+	ref := NewReference(g, func(id core.NodeID) core.Protocol {
+		p := &collectProto{id: id}
+		if id == 2 {
+			refCol = p
+		}
+		return p
+	}, WithDelays(0, 1), WithSeed(1), WithMsgFaults(core.MsgFaults{Slowdown: 1}))
+	ref.nodes[0].proto = &pingProto{route: anr.Direct(links)}
+	ref.Inject(0, 0, "go")
+	if _, err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.Metrics() != m || !reflect.DeepEqual(refCol.ats, col.ats) {
+		t.Fatalf("reference engine: arrivals %v, %v; production: %v, %v", refCol.ats, ref.Metrics(), col.ats, m)
+	}
 }
 
 // TestStallNodeInflatesSoftwareDelay: activations inside the stall window pay

@@ -1,0 +1,267 @@
+package sim
+
+import (
+	"math/rand"
+
+	"fastnet/internal/anr"
+	"fastnet/internal/core"
+	"fastnet/internal/graph"
+	"fastnet/internal/trace"
+)
+
+// hwSrc is the hardware-delay stream for hops leaving node v: per-node in
+// shard mode, the network-global source otherwise.
+func (net *Network) hwSrc(v core.NodeID) *rand.Rand {
+	if !net.shardMode {
+		return net.rng
+	}
+	nd := &net.nodes[v]
+	if nd.hwRng == nil {
+		nd.hwRng = rand.New(rand.NewSource(net.cfg.seed ^ (-0x61C8864680B583EB * (int64(v) + 1))))
+	}
+	return nd.hwRng
+}
+
+// faultSrc is the lossy-link roll stream for traversals leaving node v;
+// per-node in shard mode so fault draws stay on the owning shard.
+func (net *Network) faultSrc(v core.NodeID) *rand.Rand {
+	if !net.shardMode {
+		return net.faultRng
+	}
+	nd := &net.nodes[v]
+	if nd.fltRng == nil {
+		nd.fltRng = rand.New(rand.NewSource((net.cfg.seed ^ 0x10551e5) + -0x61C8864680B583EB*(int64(v)+1)))
+	}
+	return nd.fltRng
+}
+
+// dupRev returns the reverse-path buffer a fault-injected duplicate should
+// carry. Classic mode shares the original (idempotent rewrites); shard mode
+// clones it — the duplicate and the original may cross shard boundaries at
+// different times, and sharing would make one shard re-write positions
+// another is reading.
+func (net *Network) dupRev(rev anr.Header) anr.Header {
+	if !net.shardMode {
+		return rev
+	}
+	return append(anr.Header(nil), rev...)
+}
+
+// hwDelayOnce draws one hardware delay for a hop leaving node from.
+func (net *Network) hwDelayOnce(from core.NodeID) core.Time {
+	c := net.cfg.hwDelay
+	if !net.cfg.randomize || c <= 1 {
+		return c
+	}
+	return 1 + core.Time(net.hwSrc(from).Int63n(int64(c)))
+}
+
+// route launches packet routing from node src at the current time. Hops are
+// stepped as individual events so that link failures affect packets in
+// flight. Semantics match core.WalkRoute.
+func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64) error {
+	if err := h.Validate(); err != nil {
+		return err
+	}
+	if err := h.CheckDmax(net.cfg.dmax); err != nil {
+		net.metrics.DmaxViolations++
+		return err
+	}
+	// Static pre-validation: every named link must exist in the topology.
+	cur := src
+	for _, hop := range h {
+		if hop.Link == anr.NCU {
+			break
+		}
+		port, err := net.pm.Resolve(cur, hop.Link)
+		if err != nil {
+			return err
+		}
+		cur = port.Remote
+	}
+	msg := net.nextMsg(src)
+	net.metrics.Packets++
+	hops := int64(h.HopCount())
+	net.metrics.HeaderBits += (hops + 1) * int64(net.pm.IDWidth()+1)
+	if hops > net.metrics.MaxHeaderHops {
+		net.metrics.MaxHeaderHops = hops
+	}
+	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: int64(net.sp.now), Node: src, Act: act, Msg: msg})
+	// One reverse-path buffer per packet, carved from this event core's hop
+	// arena and filled back to front as the header is consumed: the reverse
+	// route after hop i is revBuf[hops-1-i:], so every delivery's Reverse is
+	// an independent tail of the same buffer and no per-hop allocation is
+	// needed. The buffer — and so every tail — has cap == len, so a protocol
+	// appending to a captured Reverse reallocates instead of stomping the
+	// next packet's buffer; duplicate packets re-write the same positions
+	// with the same route-determined values, which is idempotent.
+	revBuf := net.hops.carve(h.HopCount() + 1)
+	revBuf[len(revBuf)-1] = anr.Hop{Link: anr.NCU}
+	net.stepHop(src, h, 0, revBuf, anr.NCU, payload, msg)
+	return nil
+}
+
+// hopArena hands out reverse-route buffers from pointer-free chunks, so a
+// packet launch allocates once per hopChunk hops instead of once per packet.
+// Buffers are never recycled: a chunk is garbage once every buffer carved
+// from it is, so a protocol retaining one Reverse pins at most hopChunk hops.
+// Routes longer than hopChunk/8 get an allocation of their own, which bounds
+// both that retention and the unused tail a chunk is abandoned with.
+type hopArena struct{ free []anr.Hop }
+
+const hopChunk = 512
+
+func (a *hopArena) carve(n int) anr.Header {
+	if n > hopChunk/8 {
+		return make(anr.Header, n)
+	}
+	if len(a.free) < n {
+		a.free = make([]anr.Hop, hopChunk)
+	}
+	buf := a.free[:n:n]
+	a.free = a.free[n:]
+	return buf
+}
+
+// stepHop consumes the header from position i at node cur, at the current
+// time. The reverse route accumulated so far is revBuf[len(revBuf)-1-i:].
+//
+// A hop that takes no time — C = 0 and no jitter pending, the paper's
+// "hardware hops cost almost nothing" regime — is not an event: the walk
+// continues inline, depth-first, inside this one call (cut-through). That is
+// the model's semantics at C = 0, not an optimization of them; per-link fault
+// rolls, hop metrics and traces are produced in traversal order. The
+// scheduler is re-entered only at a time advance (C > 0 or jitter), a
+// selective-copy or terminal NCU delivery, a fault or filter breaking the
+// walk, or route end. reference_test.go walks the same way over a plain heap.
+func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Header, arrivedOn anr.ID, payload any, msg int64) {
+	for {
+		rev := revBuf[len(revBuf)-1-i:]
+		hop := h[i]
+		if hop.Link == anr.NCU {
+			if e := net.enqueueActivation(cur, msg, arrivedOn, anr.NCU, 0); e != nil {
+				e.payload, e.rev = payload, rev
+			}
+			return
+		}
+		port, err := net.pm.Resolve(cur, hop.Link)
+		if err != nil {
+			// Pre-validated at send; unreachable unless topology changed shape.
+			net.metrics.Drops++
+			return
+		}
+		if i > 0 && net.cfg.filter != nil && !net.cfg.filter(cur, payload) {
+			net.metrics.Filtered++
+			net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
+			return
+		}
+		if hop.Copy {
+			if e := net.enqueueActivation(cur, msg, arrivedOn, hop.Link, flagCopy); e != nil {
+				e.payload, e.h, e.rev = payload, h[i+1:].Clone(), rev
+			}
+		}
+		if net.down[graph.Edge{U: cur, V: port.Remote}.Canon()] {
+			net.metrics.Drops++
+			net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
+			return
+		}
+		if net.linkTok != nil {
+			// Per-link bandwidth: one token per traversal from the tail node's
+			// bucket for this directed link, refilled lazily since its last
+			// touch — O(1) admission, no refill events, and no rng draw (so
+			// enabling capacity never perturbs the fault or delay streams).
+			b := &net.linkTok[cur][int(hop.Link)-1]
+			if dt := net.sp.now - b.last; dt > 0 {
+				b.tok += net.cfg.cap.LinkRate * float64(dt)
+				if burst := net.cfg.cap.Burst(); b.tok > burst {
+					b.tok = burst
+				}
+				b.last = net.sp.now
+			}
+			if b.tok < 1 {
+				net.metrics.CapLinkDrops++
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindCapLinkDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
+				return
+			}
+			b.tok--
+		}
+		// Lossy-link model: one roll per live-link traversal. A duplicate
+		// crosses the link a second time (an extra hardware hop) after a jitter
+		// delay; a corruption damages the payload seen by everything downstream.
+		var extraDelay core.Time
+		duplicate := false
+		if net.cfg.faults.Enabled() {
+			switch net.cfg.faults.Roll(net.faultSrc(cur)) {
+			case core.FaultDrop:
+				net.metrics.FaultDrops++
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultDrop, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultDrop.String()})
+				return
+			case core.FaultDup:
+				net.metrics.FaultDups++
+				duplicate = true
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultDup, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultDup.String()})
+			case core.FaultCorrupt:
+				net.metrics.FaultCorrupts++
+				payload = core.CorruptPayload(payload, net.faultSrc(cur))
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultCorrupt, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultCorrupt.String()})
+			case core.FaultJitter:
+				net.metrics.FaultJitters++
+				extraDelay = net.cfg.faults.JitterDelay(net.faultSrc(cur))
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultJitter, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultJitter.String()})
+			case core.FaultReorder:
+				// A reorder fault holds the packet back on the wire: the
+				// extra delay lets traffic sent later on the same link
+				// overtake it, which is what breaks the FIFO discipline.
+				net.metrics.FaultReorders++
+				extraDelay = net.cfg.faults.ReorderDelay(net.faultSrc(cur))
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultReorder, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultReorder.String()})
+			case core.FaultSlowdown:
+				// A gray link: the packet is delivered intact, just late —
+				// the extra delay is >= 1, so a slowed hop always leaves the
+				// instant and never fuses into a zero-delay chain.
+				net.metrics.FaultSlowdowns++
+				extraDelay = net.cfg.faults.SlowdownDelay(net.faultSrc(cur), net.cfg.hwDelay)
+				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultSlow, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultSlowdown.String()})
+			}
+		}
+		net.metrics.Hops++
+		revBuf[len(revBuf)-2-i] = anr.Hop{Link: port.RemoteID}
+		at := net.sp.now + net.hwDelayOnce(cur) + extraDelay
+		if at > net.sp.now {
+			net.pushHop(at, port.Remote, h, i+1, revBuf, port.RemoteID, payload, msg)
+		}
+		if duplicate {
+			// A duplicate re-crosses the link after a jitter delay >= 1, so it
+			// always leaves the instant and goes through the scheduler.
+			net.metrics.Hops++
+			dupAt := net.sp.now + net.hwDelayOnce(cur) + net.cfg.faults.JitterDelay(net.faultSrc(cur))
+			net.pushHop(dupAt, port.Remote, h, i+1, net.dupRev(revBuf), port.RemoteID, payload, msg)
+		}
+		if at > net.sp.now {
+			return
+		}
+		// Zero-delay hop: the packet is at the next subsystem already (at ==
+		// now implies hwDelayOnce drew nothing: C <= 1 never draws).
+		net.sp.stats.FusedHops++
+		cur, i, arrivedOn = port.Remote, i+1, port.RemoteID
+	}
+}
+
+func (net *Network) pushHop(at core.Time, node core.NodeID, h anr.Header, i int, revBuf anr.Header, arrivedOn anr.ID, payload any, msg int64) {
+	var e *eventRec
+	if net.assign != nil && net.assign[node] != net.shardID {
+		// Boundary hop: the key is drawn here, at creation, from the origin
+		// node's canonical counter — the same position in the counter stream
+		// a single-shard run would draw it — and the event waits in the
+		// outbox until the window barrier hands it to the owning shard. Its
+		// arrival time is at least now + lookahead, so it lands strictly
+		// after the current window.
+		box := &net.outbox[net.assign[node]]
+		*box = append(*box, eventRec{t: at, seq: net.nextKey()})
+		e = &(*box)[len(*box)-1]
+	} else {
+		e = net.sp.schedule(at, net.nextKey())
+	}
+	e.set(evHop, node, msg, int32(i), arrivedOn, 0, 0)
+	e.payload, e.h, e.rev = payload, h, revBuf
+}

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
@@ -27,7 +30,7 @@ const (
 // eventRec is the one element type of the scheduler: the key (t, seq) — a
 // strict total order, since seq is unique — and the event itself, stored by
 // value wherever it waits (lane, ring slot, heap, shard outbox). It is
-// written once, in place, by the code that schedules it (Network.schedule
+// written once, in place, by the code that schedules it (spine.schedule
 // hands out the entry) and read in place at dispatch. An entry nothing waits
 // in holds no references — payload, h and rev are nil — but its scalars are
 // whatever the last event left, so a producer writes all of them at once
@@ -284,4 +287,360 @@ func (q *eventHeap) pop(into *eventRec) {
 		i = best
 	}
 	evs[i] = last
+}
+
+// Bounds of the calendar ring's span. The span is auto-sized from the delay
+// envelope (config.ringSize) so that C >= 1 and heavy-jitter runs keep the
+// ~100% heap bypass the unit-delay defaults get from the 64-slot minimum. The
+// cap bounds memory (a few hundred KB of lane headers) and the clock-advance
+// scan; envelopes beyond it overflow to the heap (SchedStats.RingOverflows).
+const (
+	minRingWindow = 64
+	maxRingWindow = 8192
+)
+
+// roundRingWindow rounds n up to a power of two in [minRingWindow,
+// maxRingWindow]; powers of two make the slot index a mask and the occupancy
+// bitmap a whole number of words.
+func roundRingWindow(n int) int {
+	w := minRingWindow
+	for w < n && w < maxRingWindow {
+		w <<= 1
+	}
+	return w
+}
+
+// eventTier names where next found the event that done will retire.
+type eventTier uint8
+
+const (
+	tierHeap eventTier = iota
+	tierStage
+	tierLane
+)
+
+// spine is the scheduler of one event core: the clock and every event waiting
+// on it, dispatched in the strict total order (t, key). Network holds one by
+// value, as does every shard child.
+//
+// An event waits in one of three places. Scheduled for the current instant it
+// joins the same-time lane, a FIFO. Scheduled within span instants of now —
+// nearly every event, the span being sized from the delay envelope — it joins
+// the calendar ring's FIFO slot for its instant (slot t & mask), which is
+// promoted wholesale when the clock reaches t. Anything farther out, or
+// spilled by rewind, goes to the overflow heap.
+//
+// Why that is (t, key) order when keys are handed out in increasing order
+// (the classic contract): at instant t the heap's residue dispatches first,
+// then the promoted slot, then the lane. A heap entry for t was scheduled
+// while now <= t - span, or before a rewind; a ring entry for t while
+// t - span < now < t and after any rewind; a lane entry while now == t. The
+// clock only moves forward between rewinds, and a rewind empties lane and
+// ring into the heap, so every heap entry for t predates every ring entry for
+// t, which predates every lane entry — and earlier means a smaller key. Each
+// tier is FIFO (the heap by key), so the concatenation is key order. Under
+// the shard contract (keyed), where keys are canonical rather than
+// increasing, the promoted slot is instead sorted by key (the stage) and
+// merged with the heap's residue key by key; the lane still drains last, in
+// creation order — "what was scheduled before t in key order, then what t
+// itself creates in creation order". TestSpineMatchesHeapModel checks both
+// against a single binary heap.
+type spine struct {
+	now   core.Time
+	lane  eventLane  // events for now, in push order
+	stage eventStage // keyed only: the promoted slot, in key order
+	heap  eventHeap  // beyond the ring, and whatever rewind spilled
+	pool  chunkPool  // the chunks behind lane, stage and every ring slot
+
+	popped eventRec  // the heap's minimum while it dispatches
+	from   eventTier // where the event next returned waits
+
+	ring    []eventLane
+	bits    []uint64  // slot-occupancy bitmap: bit s set iff ring[s] is nonempty
+	span    core.Time // len(ring), a power of two
+	mask    core.Time // span - 1
+	pending int       // entries across ring slots
+	keyed   bool      // shard contract: promote through the stage
+
+	stats SchedStats
+	sent  SchedStats // the part of stats already added to the totals sink
+}
+
+// initRing allocates the calendar ring at span w (see roundRingWindow).
+func (s *spine) initRing(w int) {
+	s.ring = make([]eventLane, w)
+	s.bits = make([]uint64, w/64)
+	s.span = core.Time(w)
+	s.mask = core.Time(w - 1)
+}
+
+// schedule reserves the entry of a new event keyed (t, key), t clamped to
+// now, and returns it for the caller to fill in (see eventRec) before
+// anything else is scheduled.
+func (s *spine) schedule(t core.Time, key uint64) *eventRec {
+	var e *eventRec
+	if t <= s.now {
+		t = s.now
+		s.stats.LanePushes++
+		e = s.lane.alloc(&s.pool)
+	} else {
+		e = s.place(t, key)
+	}
+	e.t, e.seq = t, key
+	return e
+}
+
+// place reserves the entry of a future event keyed (t, key): one schedule
+// created, or one another shard hands over at a window barrier (which is why
+// the key is the caller's to set: the event arrives whole). Boundary events
+// land strictly after the window, and a keyed spine dispatches a slot in key
+// order, so neither the tier nor the barrier's arrival order ever shows.
+func (s *spine) place(t core.Time, key uint64) *eventRec {
+	if t > s.now && t-s.now < s.span {
+		s.stats.RingPushes++
+		idx := t & s.mask
+		s.bits[idx>>6] |= 1 << (idx & 63)
+		s.pending++
+		if s.pending > s.stats.RingPeak {
+			s.stats.RingPeak = s.pending
+		}
+		return s.ring[idx].alloc(&s.pool)
+	}
+	s.stats.RingOverflows++
+	s.stats.HeapPushes++
+	e := s.heap.alloc(t, key)
+	if n := s.heap.len(); n > s.stats.HeapPeak {
+		s.stats.HeapPeak = n
+	}
+	return e
+}
+
+// next advances the clock to the earliest pending event with t <= deadline
+// (any, when deadline < 0) and returns it, counted, to be dispatched where it
+// waits — entries never move, and whatever the dispatch schedules lands
+// behind it — and then retired with done. It returns nil when nothing is
+// pending, leaving the clock alone, or when the earliest event lies past the
+// deadline, with the clock stopped at the deadline; pending ring entries stay
+// put then, since their instants only get closer.
+func (s *spine) next(deadline core.Time) *eventRec {
+	for {
+		switch {
+		case s.heap.len() > 0 && s.heap.evs[0].t == s.now &&
+			(s.stage.len() == 0 || s.heap.evs[0].seq < s.stage.front().seq):
+			s.heap.pop(&s.popped)
+			s.stats.Events++
+			s.from = tierHeap
+			return &s.popped
+		case s.stage.len() > 0:
+			s.stats.Events++
+			s.from = tierStage
+			return s.stage.front()
+		case s.lane.n > 0:
+			s.stats.Events++
+			s.from = tierLane
+			return s.lane.front()
+		}
+		// Nothing left at this instant: advance to the earliest pending one
+		// across ring and heap.
+		t := s.nextRingInstant()
+		if s.heap.len() > 0 && (t < 0 || s.heap.evs[0].t < t) {
+			t = s.heap.evs[0].t
+		}
+		if t < 0 {
+			return nil
+		}
+		if deadline >= 0 && t > deadline {
+			s.now = deadline
+			return nil
+		}
+		s.now = t
+		if slot := &s.ring[t&s.mask]; slot.n > 0 {
+			// Promote the slot of instant t: lane and stage are empty.
+			s.bits[(t&s.mask)>>6] &^= 1 << (t & s.mask & 63)
+			s.pending -= slot.n
+			if s.keyed {
+				s.stage.load(slot)
+			} else {
+				s.lane, *slot = *slot, eventLane{}
+			}
+		}
+	}
+}
+
+// done retires the event next returned, releasing what it pinned.
+func (s *spine) done() {
+	switch s.from {
+	case tierHeap:
+		s.popped.release()
+	case tierStage:
+		s.stage.drop(&s.pool)
+	case tierLane:
+		s.lane.drop(&s.pool)
+	}
+}
+
+// nextTime is the earliest pending instant, or -1 when the spine is drained.
+func (s *spine) nextTime() core.Time {
+	if s.lane.n > 0 || s.stage.len() > 0 {
+		return s.now
+	}
+	t := s.nextRingInstant()
+	if s.heap.len() > 0 && (t < 0 || s.heap.evs[0].t < t) {
+		t = s.heap.evs[0].t
+	}
+	return t
+}
+
+// nextRingInstant returns the earliest pending ring instant, or -1. Every
+// pending instant lies in (now, now+span), and slot order starting after
+// now's slot — wrapping once — is instant order, so a word-at-a-time scan of
+// the occupancy bitmap finds it in O(span/64) words rather than O(span) slot
+// probes: the auto-sizer produces large, sparse rings.
+func (s *spine) nextRingInstant() core.Time {
+	if s.pending == 0 {
+		return -1
+	}
+	for dt := core.Time(1); dt <= s.span; {
+		idx := (s.now + dt) & s.mask
+		if w := s.bits[idx>>6] >> (idx & 63); w != 0 {
+			return s.now + dt + core.Time(bits.TrailingZeros64(w))
+		}
+		dt += 64 - (idx & 63)
+	}
+	return -1
+}
+
+// rewind moves the clock back to deadline (a backward RunUntil), first
+// spilling lane, stage and ring into the heap, whose (t, key) order keeps the
+// entries correct for whenever the clock catches up. The spill is what keeps
+// one instant per ring slot: an entry retained across a backward move could
+// share its slot with a later push for an instant span earlier.
+func (s *spine) rewind(deadline core.Time) {
+	for s.stage.len() > 0 {
+		s.heap.push(s.stage.front())
+		s.stage.drop(&s.pool)
+	}
+	spill := func(l *eventLane) {
+		for l.n > 0 {
+			s.heap.push(l.front())
+			l.drop(&s.pool)
+		}
+	}
+	spill(&s.lane)
+	for i := range s.ring {
+		spill(&s.ring[i])
+	}
+	s.pending = 0
+	clear(s.bits)
+	s.now = deadline
+}
+
+// grow widens the ring to span w, re-bucketing the pending slots. Every
+// pending instant owns exactly one old slot and distinct instants stay
+// distinct modulo any larger power of two, so a slot moves whole — its chunks
+// stay where they are — and per-instant entry order carries over. The ring
+// never shrinks: an entry in a slot a heap push could no longer reach would
+// break the order argument above.
+func (s *spine) grow(w int) {
+	if w <= len(s.ring) {
+		return
+	}
+	old := s.ring
+	s.initRing(w)
+	for i := range old {
+		if old[i].n > 0 {
+			idx := old[i].front().t & s.mask
+			s.ring[idx] = old[i]
+			s.bits[idx>>6] |= 1 << (idx & 63)
+		}
+	}
+}
+
+// publish adds the counters accumulated since the last publish to the sink.
+func (s *spine) publish(to *SchedTotals) {
+	d := s.stats
+	d.Events -= s.sent.Events
+	d.HeapPushes -= s.sent.HeapPushes
+	d.LanePushes -= s.sent.LanePushes
+	d.RingPushes -= s.sent.RingPushes
+	d.RingOverflows -= s.sent.RingOverflows
+	d.FusedHops -= s.sent.FusedHops
+	s.sent = s.stats
+	to.mu.Lock()
+	to.sum.add(d)
+	to.mu.Unlock()
+}
+
+// SchedStats are scheduler observability counters: how much work the event
+// core did and how much of it the same-time fast paths absorbed. They are
+// measurement only — no simulation result depends on them.
+type SchedStats struct {
+	Events        int64 // scheduler events dispatched
+	HeapPushes    int64 // events that paid a heap sift
+	LanePushes    int64 // events absorbed by the same-time FIFO lane (O(1))
+	RingPushes    int64 // events absorbed by the near-time calendar ring (O(1))
+	RingOverflows int64 // future events past the ring window that fell back to the heap
+	FusedHops     int64 // zero-delay hardware hops walked inline, no event at all
+	HeapPeak      int   // high-water mark of the heap (pending future events)
+	RingPeak      int   // high-water mark of the calendar ring's pending entries
+}
+
+// LaneHitRate is the fraction of scheduled events that bypassed the heap
+// (same-time lane or near-time ring).
+func (s SchedStats) LaneHitRate() float64 {
+	if total := s.HeapPushes + s.LanePushes + s.RingPushes; total > 0 {
+		return float64(s.LanePushes+s.RingPushes) / float64(total)
+	}
+	return 0
+}
+
+// FusedHopsPerEvent is how many hardware hops rode along per scheduler
+// event — the cut-through walk's amortization factor.
+func (s SchedStats) FusedHopsPerEvent() float64 {
+	if s.Events > 0 {
+		return float64(s.FusedHops) / float64(s.Events)
+	}
+	return 0
+}
+
+// String renders the counters in the one-line form the CLI surfaces
+// (`fastnet exp -v`, `fastnet soak -v`) print.
+func (s SchedStats) String() string {
+	return fmt.Sprintf("events=%d fused-hops=%d (%.2f/event) pushes(heap=%d lane=%d ring=%d) heap-bypass=%.1f%% ring-overflows=%d peaks(heap=%d ring=%d)",
+		s.Events, s.FusedHops, s.FusedHopsPerEvent(),
+		s.HeapPushes, s.LanePushes, s.RingPushes,
+		100*s.LaneHitRate(), s.RingOverflows, s.HeapPeak, s.RingPeak)
+}
+
+// add accumulates o into s (peaks by max).
+func (s *SchedStats) add(o SchedStats) {
+	s.Events += o.Events
+	s.HeapPushes += o.HeapPushes
+	s.LanePushes += o.LanePushes
+	s.RingPushes += o.RingPushes
+	s.RingOverflows += o.RingOverflows
+	s.FusedHops += o.FusedHops
+	s.HeapPeak = max(s.HeapPeak, o.HeapPeak)
+	s.RingPeak = max(s.RingPeak, o.RingPeak)
+}
+
+// SchedTotals is a caller-owned sum of SchedStats over every network built
+// with its Sink option — how a caller observes the networks a driver builds
+// internally (`fastnet exp -v`). A network adds what it has counted since it
+// last did when Run returns and when its SchedStats are read — not per
+// RunUntil, which epoch and open-loop drivers call once per arrival. Safe for
+// networks running on different goroutines.
+type SchedTotals struct {
+	mu  sync.Mutex
+	sum SchedStats
+}
+
+// Sink is the option that points a network at t.
+func (t *SchedTotals) Sink() Option { return func(cf *config) { cf.totals = t } }
+
+// Stats returns the sum so far (counters added, peaks by max).
+func (t *SchedTotals) Stats() SchedStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sum
 }

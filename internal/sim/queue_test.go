@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"slices"
 	"testing"
@@ -202,31 +203,31 @@ func TestGrowRingMovesSlotsWhole(t *testing.T) {
 	}
 
 	net, protos, buf := run()
-	if got := len(net.ring); got != 512 {
+	if got := len(net.sp.ring); got != 512 {
 		t.Fatalf("ring spans %d instants before the profile change, want 512", got)
 	}
-	old := &net.ring[due&net.ringMask]
+	old := &net.sp.ring[due&net.sp.mask]
 	if old.n != k || old.head.next == nil || old.head.next.next != old.tail {
 		t.Fatalf("slot of instant %d holds %d events, want %d in three chunks", due, old.n, k)
 	}
-	head, made := old.head, net.pool.made
+	head, made := old.head, net.sp.pool.made
 	net.SetMsgFaults(wide)
-	if got := len(net.ring); got != 2048 {
+	if got := len(net.sp.ring); got != 2048 {
 		t.Fatalf("ring spans %d instants after the profile change, want 2048", got)
 	}
-	moved := &net.ring[due&net.ringMask]
-	if moved.n != k || moved.head != head || net.pool.made != made || net.ringPending != k {
+	moved := &net.sp.ring[due&net.sp.mask]
+	if moved.n != k || moved.head != head || net.sp.pool.made != made || net.sp.pending != k {
 		t.Fatalf("after growth the slot holds %d events (pending %d) at chunk %p in a pool of %d; want the same %d at %p, pool of %d",
-			moved.n, net.ringPending, moved.head, net.pool.made, k, head, made)
+			moved.n, net.sp.pending, moved.head, net.sp.pool.made, k, head, made)
 	}
-	if next := net.nextRingInstant(); next != due {
+	if next := net.sp.nextRingInstant(); next != due {
 		t.Fatalf("next ring instant after growth is %d, want %d", next, due)
 	}
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
 
-	ref, refProtos, refBuf := run(WithRingWindow(2048))
+	ref, refProtos, refBuf := run(WithFixedRing(2048))
 	ref.SetMsgFaults(wide)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
@@ -237,4 +238,269 @@ func TestGrowRingMovesSlotsWhole(t *testing.T) {
 	if net.Metrics() != ref.Metrics() || !slices.Equal(buf.Events(), refBuf.Events()) {
 		t.Errorf("grown ring diverged from the fixed one:\n  grown %v\n  fixed %v", net.Metrics(), ref.Metrics())
 	}
+}
+
+// spineModel is the specification the spine is checked against: one binary
+// heap. Under the classic contract keys are handed out in increasing order and
+// dispatch order is (t, key), nothing else. Under the shard contract keys are
+// canonical, not increasing, and the order at one instant is "what was
+// scheduled before the clock got there, by key; then what the instant itself
+// creates, in creation order" — late marks the second group, ord its order. A
+// rewind makes everything pending "scheduled before" again.
+type spineModel struct {
+	keyed bool
+	now   core.Time
+	ord   uint64
+	evs   []modelEv
+}
+
+type modelEv struct {
+	t    core.Time
+	key  uint64
+	late bool
+	ord  uint64
+}
+
+func (m *spineModel) Len() int      { return len(m.evs) }
+func (m *spineModel) Swap(i, j int) { m.evs[i], m.evs[j] = m.evs[j], m.evs[i] }
+func (m *spineModel) Push(x any)    { m.evs = append(m.evs, x.(modelEv)) }
+func (m *spineModel) Pop() any {
+	e := m.evs[len(m.evs)-1]
+	m.evs = m.evs[:len(m.evs)-1]
+	return e
+}
+
+func (m *spineModel) Less(i, j int) bool {
+	a, b := m.evs[i], m.evs[j]
+	switch {
+	case a.t != b.t:
+		return a.t < b.t
+	case m.keyed && a.late != b.late:
+		return b.late
+	case m.keyed && a.late:
+		return a.ord < b.ord
+	}
+	return a.key < b.key
+}
+
+func (m *spineModel) schedule(t core.Time, key uint64) {
+	m.ord++
+	heap.Push(m, modelEv{t: max(t, m.now), key: key, late: t <= m.now, ord: m.ord})
+}
+
+// next pops the minimum if it is due by the deadline (any, when negative).
+// With nothing pending the clock stays; with nothing due it stops at the
+// deadline.
+func (m *spineModel) next(deadline core.Time) (modelEv, bool) {
+	if len(m.evs) == 0 {
+		return modelEv{}, false
+	}
+	if deadline >= 0 && m.evs[0].t > deadline {
+		m.now = deadline
+		return modelEv{}, false
+	}
+	e := heap.Pop(m).(modelEv)
+	m.now = e.t
+	return e, true
+}
+
+func (m *spineModel) rewind(deadline core.Time) {
+	m.now = deadline
+	for i := range m.evs {
+		m.evs[i].late = false
+	}
+	heap.Init(m)
+}
+
+// spineDriver runs one operation string against a bare spine and the model.
+type spineDriver struct {
+	t      *testing.T
+	sp     spine
+	m      spineModel
+	seq    uint64 // classic keys; event identities under both contracts
+	popped int64
+	// What the string happened to exercise.
+	cuts, spills, overflows, atCap int
+}
+
+func newSpineDriver(t *testing.T, keyed bool) *spineDriver {
+	d := &spineDriver{t: t}
+	d.sp.keyed, d.m.keyed = keyed, keyed
+	d.sp.initRing(minRingWindow)
+	return d
+}
+
+// key is the next event's key: the push sequence, or — keyed — a canonical
+// key with no relation to push order (an odd multiplier permutes uint64).
+func (d *spineDriver) key() uint64 {
+	d.seq++
+	if d.sp.keyed {
+		return d.seq * 0x9E3779B97F4A7C15
+	}
+	return d.seq
+}
+
+// schedule adds one event at now+dt to both; barrier models a hand-off from
+// another shard, which uses place and writes the whole entry itself.
+func (d *spineDriver) schedule(dt core.Time, barrier bool) {
+	t, key := d.sp.now+dt, d.key()
+	var e *eventRec
+	if barrier && dt > 0 {
+		e = d.sp.place(t, key)
+		e.t, e.seq = t, key
+	} else {
+		e = d.sp.schedule(t, key)
+	}
+	e.set(evHop, 1, int64(d.seq), 0, 1, 0, 0)
+	e.payload, e.h, e.rev = key, anr.Local(), anr.Local()
+	d.m.schedule(t, key)
+}
+
+// next takes one event from both under the deadline, compares, and lets the
+// "dispatch" schedule spawn more events before the entry is retired.
+func (d *spineDriver) next(deadline core.Time, spawn byte) bool {
+	want, ok := d.m.next(deadline)
+	ev := d.sp.next(deadline)
+	if (ev != nil) != ok || d.sp.now != d.m.now {
+		d.t.Fatalf("next(%d): spine returned %v at clock %d; model has an event: %v, clock %d", deadline, ev, d.sp.now, ok, d.m.now)
+	}
+	if !ok {
+		return false
+	}
+	if ev.t != want.t || ev.seq != want.key || ev.payload != want.key {
+		d.t.Fatalf("pop %d at clock %d: spine dispatched (t=%d key=%d payload=%v), model (t=%d key=%d)",
+			d.popped, d.sp.now, ev.t, ev.seq, ev.payload, want.t, want.key)
+	}
+	d.popped++
+	for ; spawn&3 != 0; spawn >>= 2 {
+		d.schedule([]core.Time{0, 0, 1, d.sp.span}[spawn&3], false)
+	}
+	d.sp.done()
+	return true
+}
+
+func (d *spineDriver) pending() int {
+	return d.sp.lane.n + d.sp.stage.len() + d.sp.pending + d.sp.heap.len()
+}
+
+// run interprets ops two bytes at a time: operation, argument.
+func (d *spineDriver) run(ops []byte) {
+	sp := &d.sp
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i]%10, core.Time(ops[i+1])
+		switch op {
+		case 0: // same instant: the lane
+			d.schedule(0, false)
+		case 1: // inside the window: the ring
+			d.schedule(1+arg%(sp.span-1), arg&1 != 0)
+		case 2: // exactly the span: the first instant the ring cannot take
+			d.schedule(sp.span, false)
+		case 3: // past the span, and far past it
+			d.schedule(sp.span+1+arg*arg, arg&1 != 0)
+		case 4: // the past: clamped to now
+			d.schedule(-1-arg, false)
+		case 5: // a burst on one instant: a slot of several chunks
+			for n := 2*laneChunk + 1 + int(arg)%laneChunk; n > 0; n-- {
+				d.schedule(1+arg%7, false)
+			}
+		case 6: // dispatch a few events, whatever their time
+			for n := 1 + arg%8; n > 0 && d.next(-1, byte(arg)); n-- {
+			}
+		case 7: // run to a deadline that may cut the ring mid-span
+			deadline := sp.now + arg%sp.span
+			for spawn := byte(arg); d.next(deadline, spawn); spawn = 0 {
+			}
+			if sp.pending > 0 {
+				d.cuts++
+			}
+		case 8: // backward RunUntil
+			if deadline := sp.now - 1 - arg%50; deadline >= 0 {
+				if lane, slot := sp.shape(); lane > 0 && slot > 2*laneChunk {
+					d.spills++
+				}
+				sp.rewind(deadline)
+				d.m.rewind(deadline)
+			}
+		case 9: // a wider delay envelope
+			sp.grow(roundRingWindow(2 * len(sp.ring)))
+			if len(sp.ring) == maxRingWindow {
+				d.atCap++
+			}
+		}
+		if got, want := d.pending(), len(d.m.evs); got != want {
+			d.t.Fatalf("after op %d (%d, %d): spine holds %d events, model %d", i/2, op, arg, got, want)
+		}
+		if got, want := sp.nextTime(), core.Time(-1); len(d.m.evs) > 0 {
+			if want = d.m.evs[0].t; got != want {
+				d.t.Fatalf("after op %d: nextTime() = %d, model's minimum is at %d", i/2, got, want)
+			}
+		}
+	}
+	for d.next(-1, 0) {
+	}
+	d.overflows = int(sp.stats.RingOverflows)
+	// Drained: every count back to zero, every chunk back in the pool, and
+	// nothing the events pinned still reachable from the spine.
+	if d.pending() != 0 || sp.nextTime() != -1 || sp.stats.Events != d.popped ||
+		sp.stats.LanePushes+sp.stats.RingPushes+sp.stats.HeapPushes != int64(d.seq) {
+		d.t.Fatalf("drained spine: %d pending, nextTime %d, stats %+v for %d pushes and %d pops",
+			d.pending(), sp.nextTime(), sp.stats, d.seq, d.popped)
+	}
+	if got := pooled(d.t, &sp.pool); got != sp.pool.made {
+		d.t.Fatalf("%d chunks on the free list after the drain, %d ever made", got, sp.pool.made)
+	}
+	pinned := []eventRec{sp.popped}
+	pinned = append(pinned, sp.heap.evs[:cap(sp.heap.evs)]...)
+	for _, r := range sp.stage.idx[:cap(sp.stage.idx)] {
+		if r.ev != nil {
+			pinned = append(pinned, *r.ev)
+		}
+	}
+	for _, e := range pinned {
+		if e.payload != nil || e.h != nil || e.rev != nil {
+			d.t.Fatalf("drained spine still pins %+v", e)
+		}
+	}
+}
+
+// spinePreamble walks the clock off zero, fills one slot with three chunks
+// and the lane with two events, rewinds over both, and grows the ring — so
+// every operation string starts from a wrapped, once-spilled, regrown spine.
+var spinePreamble = []byte{1, 60, 6, 0, 5, 3, 0, 0, 0, 0, 8, 4, 9, 0, 3, 9, 7, 30}
+
+// TestSpineMatchesHeapModel is the proof of the spine's order argument (see
+// the spine type): random operation strings — schedules at every distance
+// from now, bursts, partial drains, forward deadlines that cut the ring
+// mid-span, backward rewinds, ring growth from 64 to the 8192 cap — must
+// dispatch in exactly the order one binary heap does, under both contracts,
+// and leave nothing behind.
+func TestSpineMatchesHeapModel(t *testing.T) {
+	for _, keyed := range []bool{false, true} {
+		var cuts, spills, overflows, atCap int
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]byte, 1200)
+			rng.Read(ops)
+			d := newSpineDriver(t, keyed)
+			d.run(append(append([]byte(nil), spinePreamble...), ops...))
+			cuts, spills, overflows, atCap = cuts+d.cuts, spills+d.spills, overflows+d.overflows, atCap+d.atCap
+		}
+		if cuts == 0 || spills == 0 || overflows == 0 || atCap == 0 {
+			t.Errorf("keyed=%v: the strings covered %d forward cuts over a pending ring, %d rewinds over a lane and a multi-chunk slot, %d heap overflows, %d growths to the cap; want all > 0",
+				keyed, cuts, spills, overflows, atCap)
+		}
+	}
+}
+
+// FuzzSpine lets the fuzzer write the operation string.
+func FuzzSpine(f *testing.F) {
+	f.Add(false, spinePreamble)
+	f.Add(true, spinePreamble)
+	f.Add(true, []byte{5, 2, 1, 3, 7, 9, 6, 255, 8, 0, 3, 200, 9, 0, 9, 0, 7, 63, 4, 4, 6, 77})
+	f.Fuzz(func(t *testing.T, keyed bool, ops []byte) {
+		if len(ops) > 1024 { // a rewind costs what is pending: keep strings quick
+			ops = ops[:1024]
+		}
+		newSpineDriver(t, keyed).run(ops)
+	})
 }

@@ -16,24 +16,11 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/trace"
 )
-
-// defaultShardsN is the package-wide shard-count default applied at
-// construction when no per-network WithShards is given; see SetDefaultShards.
-var defaultShardsN atomic.Int64
-
-// SetDefaultShards sets the shard count applied to every subsequently
-// constructed Network that does not carry an explicit WithShards (which still
-// wins). 0 — the initial value — keeps the classic serial scheduler. Like
-// SetDefaultCutThrough it exists so whole experiment or soak stacks, which
-// construct networks internally, can be switched onto the sharded engine from
-// one flag. Affects construction only: existing networks keep their engine.
-func SetDefaultShards(n int) { defaultShardsN.Store(int64(n)) }
 
 // WithShards selects the shard-mode engine with p workers (p is a cap: the
 // partitioner may produce fewer parts). Shard mode is a different stream
@@ -117,7 +104,7 @@ func (net *Network) ShardInfo() ShardInfo {
 // protocol Init. With one effective part (tiny graph, all-zero-delay model,
 // or WithShards(1)) the facade itself becomes the single serial shard.
 func (net *Network) buildShards() {
-	net.shardMode = true
+	net.shardMode, net.sp.keyed = true, true
 	net.curOrigin = -1
 	net.scriptCtr = new(uint64)
 	if _, discard := net.cfg.sink.(trace.Discard); !discard {
@@ -160,7 +147,8 @@ func (net *Network) buildShards() {
 			scriptCtr: net.scriptCtr,
 			curOrigin: -1,
 		}
-		ch.initRing(ch.cfg.ringSize())
+		ch.sp.keyed = true
+		ch.sp.initRing(ch.cfg.ringSize())
 		if net.tb != nil {
 			ch.tb = &traceBuf{}
 			ch.cfg.sink = ch.tb
@@ -187,24 +175,6 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 	return net.assign == nil || net.assign[v] == net.shardID
 }
 
-// nextEventTime is the earliest pending instant of this event core, or -1
-// when it is drained: the minimum over the same-time lane and stage (both
-// normally empty between windows), the per-shard calendar ring (via the
-// occupancy bitmap's word-level scan), and the heap.
-func (net *Network) nextEventTime() core.Time {
-	if net.lane.n > 0 || net.stage.len() > 0 {
-		return net.now
-	}
-	t := core.Time(-1)
-	if net.queue.len() > 0 {
-		t = net.queue.evs[0].t
-	}
-	if r := net.nextRingInstant(); r >= 0 && (t < 0 || r < t) {
-		t = r
-	}
-	return t
-}
-
 // run is the synchronous-window coordinator: find the earliest pending event
 // across shards, run every shard with work in [W, W+lookahead-1] in parallel,
 // then exchange boundary packets at the barrier. Cross-shard packets always
@@ -215,7 +185,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	for len(errs) == 0 {
 		w := core.Time(-1)
 		for _, ch := range grp.children {
-			if t := ch.nextEventTime(); t >= 0 && (w < 0 || t < w) {
+			if t := ch.sp.nextTime(); t >= 0 && (w < 0 || t < w) {
 				w = t
 			}
 		}
@@ -228,7 +198,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		}
 		grp.active = grp.active[:0]
 		for _, ch := range grp.children {
-			if t := ch.nextEventTime(); t >= 0 && t <= end {
+			if t := ch.sp.nextTime(); t >= 0 && t <= end {
 				grp.active = append(grp.active, ch)
 			}
 		}
@@ -257,36 +227,25 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		// destination rings and heaps. Insertion order is irrelevant — the
 		// canonical keys decide dispatch order.
 		for _, ch := range grp.children {
-			if ch.now < end {
-				ch.now = end
-			}
+			ch.sp.now = max(ch.sp.now, end)
 		}
 		for _, src := range grp.children {
 			for dst, box := range src.outbox {
 				for i := range box {
 					e := &box[i]
-					*grp.children[dst].place(e.t, e.seq) = *e
+					*grp.children[dst].sp.place(e.t, e.seq) = *e
 				}
 				clear(box) // the events now live in dst; drop the references
 				src.outbox[dst] = box[:0]
 			}
 		}
 	}
-	if deadline >= 0 {
-		for _, ch := range grp.children {
-			if ch.now < deadline {
-				ch.now = deadline
-			}
-		}
-	}
 	fac := grp.fac
 	for _, ch := range grp.children {
-		if ch.now > fac.now {
-			fac.now = ch.now
+		if deadline >= 0 {
+			ch.sp.now = max(ch.sp.now, deadline)
 		}
-	}
-	if deadline >= 0 && fac.now < deadline {
-		fac.now = deadline
+		fac.sp.now = max(fac.sp.now, ch.sp.now)
 	}
 	if fac.userSink != nil {
 		flushShardTrace(grp.children, fac.userSink)
@@ -302,22 +261,6 @@ func (grp *shardGroup) metrics() core.Metrics {
 		m.Add(ch.metrics)
 	}
 	return m
-}
-
-func (grp *shardGroup) schedStats() SchedStats {
-	var s SchedStats
-	for _, ch := range grp.children {
-		s.add(ch.schedStats())
-	}
-	return s
-}
-
-func (grp *shardGroup) events() int64 {
-	var n int64
-	for _, ch := range grp.children {
-		n += ch.eventCount
-	}
-	return n
 }
 
 // traceBuf is the private, lock-free sink each shard records into; the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"fastnet/internal/core"
@@ -11,6 +12,7 @@ import (
 	"fastnet/internal/sim"
 	"fastnet/internal/topology"
 	"fastnet/internal/trace"
+	"fastnet/internal/traffic"
 )
 
 // The tests in this file are the determinism contract of the sharded
@@ -30,9 +32,9 @@ var shardCounts = []int{2, 3, 4, 8}
 // the C >= 1 scenarios partition for real.)
 func TestShardDifferential(t *testing.T) {
 	for name, run := range goldenScenarios() {
-		serial := run(t, sim.WithShards(1))
+		serial := run(t, production, sim.WithShards(1))
 		for _, p := range shardCounts {
-			if got := run(t, sim.WithShards(p)); got != serial {
+			if got := run(t, production, sim.WithShards(p)); got != serial {
 				t.Errorf("%s: %d-shard run diverged from serial reference\n  shards=1 %s\n  shards=%d %s",
 					name, p, serial, p, got)
 			}
@@ -57,8 +59,8 @@ func TestShardGoldenHashes(t *testing.T) {
 	}
 	got := map[string]string{}
 	for name, run := range goldenScenarios() {
-		one := run(t, sim.WithShards(1))
-		four := run(t, sim.WithShards(4))
+		one := run(t, production, sim.WithShards(1))
+		four := run(t, production, sim.WithShards(4))
 		if one != four {
 			t.Fatalf("scenario %q: shards=1 and shards=4 disagree before pinning\n  one  %s\n  four %s", name, one, four)
 		}
@@ -106,14 +108,7 @@ func runShardFlood(t *testing.T, shards int, extra ...sim.Option) (lossyRun, *si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lossyRun{
-		events:     buf.Events(),
-		metrics:    net.Metrics(),
-		finish:     finish,
-		deliveries: net.DeliveriesPerNode(),
-		busy:       net.BusyTimePerNode(),
-		sched:      net.SchedStats(),
-	}, net
+	return observed(buf, net, finish), net
 }
 
 // TestShardEngagement verifies the sharded path is actually selected on a
@@ -194,14 +189,7 @@ func TestShardEpochsAndDriverAPI(t *testing.T) {
 		if f > finish {
 			finish = f
 		}
-		return lossyRun{
-			events:     buf.Events(),
-			metrics:    net.Metrics(),
-			finish:     finish,
-			deliveries: net.DeliveriesPerNode(),
-			busy:       net.BusyTimePerNode(),
-			sched:      net.SchedStats(),
-		}
+		return observed(buf, net, finish)
 	}
 	serial := run(t, 1)
 	for _, p := range []int{2, 4} {
@@ -209,22 +197,48 @@ func TestShardEpochsAndDriverAPI(t *testing.T) {
 	}
 }
 
-// TestSetDefaultShards verifies the package-wide default reaches networks
-// constructed without an explicit option (the hook `fastnet exp -shards`
-// uses to flip whole experiment stacks), and that an explicit WithShards
-// still wins.
+// TestSetDefaultShards: the shard count is a value in one driver's option
+// list, not a process setting, so it reaches exactly the networks built from
+// that list. Two goroutines run the same driver at once, one with
+// WithShards(4) and its own totals sink, one with neither: each Result.Sched
+// is what its own sink collected, a network built from each list reports that
+// list's partition in ShardInfo, and under -race nothing is shared. (The name
+// dates from the package-wide default this replaced.)
 func TestSetDefaultShards(t *testing.T) {
-	defer sim.SetDefaultShards(0)
-	sim.SetDefaultShards(4)
 	g := graph.GNP(96, 0.06, 13)
-	net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil), sim.WithDelays(2, 1))
-	if got := net.Shards(); got <= 1 {
-		t.Fatalf("default-4 network runs on %d shards", got)
+	flows := traffic.RandomFlows(g, 12, 8, 3)
+	var sharded, classic sim.SchedTotals
+	lists := map[*sim.SchedTotals][]sim.Option{
+		&sharded: {sim.WithShards(4), sharded.Sink()},
+		&classic: {classic.Sink()},
 	}
-	classic := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
-		sim.WithDelays(2, 1), sim.WithShards(0))
-	if got := classic.Shards(); got != 1 {
-		t.Fatalf("explicit WithShards(0) did not keep the classic engine (%d shards)", got)
+	var wg sync.WaitGroup
+	for totals, opts := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				before := totals.Stats()
+				res, err := traffic.Run(g, flows, traffic.StoreAndForward, 2, 1, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				before.Events += res.Sched.Events
+				if got := totals.Stats(); res.Sched.Events == 0 || got.Events != before.Events {
+					t.Errorf("rep %d: the driver's network counted %+v, its sink now holds %+v", rep, res.Sched, got)
+				}
+			}
+			info := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
+				append([]sim.Option{sim.WithDelays(2, 1)}, opts...)...).ShardInfo()
+			if want := totals == &sharded; (info.Shards > 1) != want || (info.CutEdges > 0) != want || (info.Lookahead == 2) != want {
+				t.Errorf("options with WithShards(4)=%v built %+v", want, info)
+			}
+		}()
+	}
+	wg.Wait()
+	if sharded.Stats() == classic.Stats() || classic.Stats().Events == 0 {
+		t.Errorf("the two drivers' totals are %+v and %+v", sharded.Stats(), classic.Stats())
 	}
 }
 

@@ -74,8 +74,7 @@ func runWithBackwardJump(t *testing.T, jump bool, extra ...sim.Option) lossyRun 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lossyRun{events: buf.Events(), metrics: net.Metrics(), finish: finish,
-		deliveries: net.DeliveriesPerNode(), busy: net.BusyTimePerNode(), sched: net.SchedStats()}
+	return observed(buf, net, finish)
 }
 
 func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
@@ -85,8 +84,7 @@ func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lossyRun{events: buf.Events(), metrics: net.Metrics(), finish: finish,
-		deliveries: net.DeliveriesPerNode(), busy: net.BusyTimePerNode(), sched: net.SchedStats()}
+	return observed(buf, net, finish)
 }
 
 // TestBackwardRunUntilSpill drives the spill path under the classic
@@ -97,10 +95,10 @@ func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
 func TestBackwardRunUntilSpill(t *testing.T) {
 	cases := map[string][]sim.Option{
 		"classic":        nil,
-		"classic-ring4":  {sim.WithRingWindow(4)},
-		"classic-ring64": {sim.WithRingWindow(64)},
+		"classic-ring4":  {sim.WithFixedRing(4)},
+		"classic-ring64": {sim.WithFixedRing(64)},
 		"shard-serial":   {sim.WithShards(1)},
-		"shard-ring4":    {sim.WithShards(1), sim.WithRingWindow(4)},
+		"shard-ring4":    {sim.WithShards(1), sim.WithFixedRing(4)},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -135,8 +133,7 @@ func TestForwardCutKeepsRing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			epoched := lossyRun{events: buf.Events(), metrics: net.Metrics(), finish: finish,
-				deliveries: net.DeliveriesPerNode(), busy: net.BusyTimePerNode(), sched: net.SchedStats()}
+			epoched := observed(buf, net, finish)
 			requireEqualRuns(t, epoched, straight)
 		})
 	}
@@ -149,7 +146,7 @@ func TestBackwardRunUntilHeapResidue(t *testing.T) {
 	build := func() *sim.Network {
 		g := graph.RandomTree(16, 3)
 		net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
-			sim.WithDelays(1, 1), sim.WithRingWindow(4))
+			sim.WithDelays(1, 1), sim.WithFixedRing(4))
 		for u := 0; u < g.N(); u++ {
 			// Injections straddling the 4-slot window: some ring, some heap.
 			net.Inject(core.Time(u), core.NodeID(u%g.N()), topology.Trigger{})
