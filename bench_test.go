@@ -6,6 +6,7 @@
 package fastnet_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -180,9 +181,33 @@ func BenchmarkTreeLabelDecompose(b *testing.B) {
 	}
 }
 
+// reportControlPlane adds the two numbers the repository benchmark's ctl-c0
+// row gates on to a C = 0 control-plane benchmark: heap objects per node
+// (the budget the package's alloc test pins) and model operations — hops
+// plus system calls, what the paper counts — per second.
+func reportControlPlane(b *testing.B, n int, opsPerRun int64, mallocs0 uint64) {
+	b.StopTimer()
+	b.ReportMetric(float64(mallocs()-mallocs0)/float64(b.N)/float64(n), "allocs/node")
+	b.ReportMetric(float64(opsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "model-ops/s")
+}
+
+// mallocs is the process's heap-object count so far (ReadMemStats stops the
+// world: call it outside the timed region).
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// BenchmarkSingleBroadcast4096 is one half of ctl-c0: build a 4096-node
+// network, warm-start the origin, broadcast over branching paths. It pins
+// the per-node construction and relay cost (TestSingleBroadcastAllocsPerNode
+// holds the budget).
 func BenchmarkSingleBroadcast4096(b *testing.B) {
 	g := graph.RandomTree(4096, 2)
+	var ops int64
 	b.ReportAllocs()
+	m0 := mallocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := topology.SingleBroadcast(g, 0, topology.ModeBranching)
@@ -192,7 +217,9 @@ func BenchmarkSingleBroadcast4096(b *testing.B) {
 		if res.Metrics.Deliveries != 4095 {
 			b.Fatal("bad delivery count")
 		}
+		ops = res.Metrics.Hops + res.Metrics.Syscalls()
 	}
+	reportControlPlane(b, 4096, ops, m0)
 }
 
 // BenchmarkGosimBroadcast1024 is BenchmarkSingleBroadcast4096's scenario on
@@ -308,13 +335,19 @@ func BenchmarkOpenLoopZipf(b *testing.B) {
 	})
 }
 
+// BenchmarkElection1024 is the other half of ctl-c0: one §4 token election,
+// every node starting. It pins the handler cost per capture — domain
+// bookkeeping, route derivation, messages (TestElectionAllocsPerNode holds
+// the budget).
 func BenchmarkElection1024(b *testing.B) {
 	g := graph.GNP(1024, 4.0/1024, 3)
 	starters := make([]core.NodeID, 1024)
 	for i := range starters {
 		starters[i] = core.NodeID(i)
 	}
+	var ops int64
 	b.ReportAllocs()
+	m0 := mallocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := election.Run(g, election.AlgoToken, starters)
@@ -324,7 +357,9 @@ func BenchmarkElection1024(b *testing.B) {
 		if res.AlgorithmMessages > 6*1024 {
 			b.Fatal("6n bound violated")
 		}
+		ops = res.Metrics.Hops + res.Metrics.Syscalls()
 	}
+	reportControlPlane(b, 1024, ops, m0)
 }
 
 // BenchmarkReliableAdaptive mirrors the bench artifact's ReliableAdaptive

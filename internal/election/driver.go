@@ -38,6 +38,20 @@ func (a Algorithm) String() string {
 // ErrNoLeader is returned when a run finishes without exactly one leader.
 var ErrNoLeader = errors.New("election: run did not elect exactly one leader")
 
+// ErrBadStarter is returned when a starter is not a node of the graph.
+var ErrBadStarter = errors.New("election: starter is not a node of the graph")
+
+// checkStarters rejects starters outside [0, n) before a runtime indexes its
+// node table with them.
+func checkStarters(g *graph.Graph, starters []core.NodeID) error {
+	for i, s := range starters {
+		if s < 0 || int(s) >= g.N() {
+			return fmt.Errorf("%w: starters[%d] = %d, want 0 <= s < %d", ErrBadStarter, i, s, g.N())
+		}
+	}
+	return nil
+}
+
 // Result reports one election run.
 type Result struct {
 	Leader  core.NodeID
@@ -99,8 +113,12 @@ func stateOf(p core.Protocol) State {
 
 // Run executes one election on the discrete-event runtime: the given
 // starters receive START at time 0, the network runs to quiescence, and the
-// outcome is validated (exactly one leader; every other node knows it).
+// outcome is validated (exactly one leader; every other node knows it). A
+// starter outside the graph is refused with ErrBadStarter.
 func Run(g *graph.Graph, algo Algorithm, starters []core.NodeID, opts ...sim.Option) (Result, error) {
+	if err := checkStarters(g, starters); err != nil {
+		return Result{}, err
+	}
 	stats := &Stats{}
 	base := []sim.Option{sim.WithDelays(0, 1), sim.WithDmax(Dmax(g.N()))}
 	net := sim.New(g, factory(algo, stats), append(base, opts...)...)
@@ -126,6 +144,9 @@ func Run(g *graph.Graph, algo Algorithm, starters []core.NodeID, opts ...sim.Opt
 // RunAsync executes one election on the goroutine runtime. Extra options
 // (e.g. a reorder fault profile) are appended after the driver's own.
 func RunAsync(g *graph.Graph, algo Algorithm, starters []core.NodeID, seed int64, timeout time.Duration, opts ...gosim.Option) (Result, error) {
+	if err := checkStarters(g, starters); err != nil {
+		return Result{}, err
+	}
 	stats := &Stats{}
 	base := []gosim.Option{gosim.WithSeed(seed), gosim.WithDmax(Dmax(g.N()))}
 	net := gosim.New(g, factory(algo, stats), append(base, opts...)...)

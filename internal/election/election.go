@@ -7,8 +7,6 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
-	"fastnet/internal/graph"
-	"fastnet/internal/paths"
 )
 
 // State is a node's election outcome.
@@ -80,18 +78,20 @@ type returnMsg struct {
 	// Retire is true when the candidate must become inactive (rules 1, 2.1,
 	// 2.4 and the comeback comparison).
 	Retire bool
-	// Capture carries the captured domain; nil when Retire.
-	Capture *captureData
+	// Capture carries the captured domain; its Dom is nil when Retire.
+	Capture captureData
 }
 
 // captureData is the captured origin's bookkeeping, shipped home with the
-// returning candidate (rule 2.2).
+// returning candidate (rule 2.2). Dom is the captured node's own domain, by
+// reference: capture froze it (only an origin merges or starts, and a
+// captured node is never an origin again), the captured node goes on reading
+// it for return routes, and the capturer only reads it — the contract
+// topology.Msg has for its records. What a message carries between NCUs is
+// not a model measure; the header is.
 type captureData struct {
-	From core.NodeID // the captured origin v
-	In   []core.NodeID
-	Out  []core.NodeID
-	Tree []TreeEntry // INOUT_v in parent-before-child order, rooted at From
-	O    core.NodeID // the entry node o (in IN_v, already in the capturer's tree)
+	Dom *domain     // IN_v, OUT_v and INOUT_v, rooted at the captured origin v
+	O   core.NodeID // the entry node o (in IN_v, already in the capturer's tree)
 }
 
 // announceSpec is one branching path of the leader announcement: the start
@@ -175,9 +175,7 @@ type Protocol struct {
 	isOrigin bool
 	active   bool
 	onTour   bool
-	in       map[core.NodeID]bool
-	out      map[core.NodeID]bool
-	inout    *inoutTree
+	dom      domain
 
 	// f is the virtual-tree parent pointer once captured: a direct route to
 	// the capturer, in general not a neighbor.
@@ -187,7 +185,8 @@ type Protocol struct {
 	// waiting is the single parked foreign token (rule 2.3).
 	waiting *tourToken
 
-	// Flood-transport state (non-FIFO recovery).
+	// Flood-transport state (non-FIFO recovery); the map is made by the
+	// first flood this node sees.
 	floodSeq   int64
 	seenFloods map[floodKey]bool
 }
@@ -197,7 +196,7 @@ var _ core.Protocol = (*Protocol)(nil)
 // New returns the election protocol for one node. All nodes of one network
 // must share the same Stats.
 func New(id core.NodeID, stats *Stats) *Protocol {
-	return &Protocol{id: id, stats: stats, state: StateNotLeader, seenFloods: make(map[floodKey]bool)}
+	return &Protocol{id: id, stats: stats, state: StateNotLeader}
 }
 
 // State returns the node's election outcome (valid once the network is
@@ -205,7 +204,7 @@ func New(id core.NodeID, stats *Stats) *Protocol {
 func (p *Protocol) State() State { return p.state }
 
 // Level returns the node's current candidate level.
-func (p *Protocol) Level() Level { return Level{Size: len(p.in), ID: p.id} }
+func (p *Protocol) Level() Level { return Level{Size: p.dom.nIn, ID: p.id} }
 
 // Init implements core.Protocol.
 func (p *Protocol) Init(core.Env) {}
@@ -246,7 +245,7 @@ func (p *Protocol) Deliver(env core.Env, pkt core.Packet) {
 		if p.seenFloods[key] {
 			return
 		}
-		p.seenFloods[key] = true
+		p.markFlood(key)
 		// Extend the accumulated back-route by this relay hop: pkt.Reverse
 		// is ANR(here -> previous holder), Back is ANR(previous holder ->
 		// Origin).
@@ -266,8 +265,15 @@ func (p *Protocol) flood(env core.Env, target core.NodeID, inner any) {
 	p.stats.Recoveries.Add(1)
 	p.floodSeq++
 	m := &floodMsg{Origin: p.id, Seq: p.floodSeq, Target: target, Back: anr.Local(), Inner: inner}
-	p.seenFloods[floodKey{Origin: m.Origin, Seq: m.Seq}] = true
+	p.markFlood(floodKey{Origin: m.Origin, Seq: m.Seq})
 	p.relayFlood(env, m, anr.NCU)
+}
+
+func (p *Protocol) markFlood(key floodKey) {
+	if p.seenFloods == nil {
+		p.seenFloods = make(map[floodKey]bool)
+	}
+	p.seenFloods[key] = true
 }
 
 // relayFlood fans the flood out over every live port except the arrival one
@@ -348,22 +354,8 @@ func (p *Protocol) ensureStarted(env core.Env) {
 	p.started = true
 	p.isOrigin = true
 	p.active = true
-	p.in = map[core.NodeID]bool{p.id: true}
-	p.out = make(map[core.NodeID]bool)
-	p.inout = newInOutTree(p.id)
-	for _, port := range env.Ports() {
-		if !port.Up {
-			continue
-		}
-		p.out[port.Remote] = true
-		if err := p.inout.attach(TreeEntry{
-			Node:   port.Remote,
-			Parent: p.id,
-			Down:   port.Local,
-			Up:     port.RemoteID,
-		}); err != nil {
-			panic(err)
-		}
+	if err := p.dom.start(p.id, env.Ports()); err != nil {
+		panic(fmt.Sprintf("election: node %d start: %v", p.id, err))
 	}
 	p.tour(env)
 }
@@ -371,20 +363,20 @@ func (p *Protocol) ensureStarted(env core.Env) {
 // tour starts the next capturing tour from home (the candidate must be
 // active and at home).
 func (p *Protocol) tour(env core.Env) {
-	if len(p.out) == 0 {
+	o, ok := p.dom.minOut()
+	if !ok {
 		p.becomeLeader(env)
 		return
 	}
-	o := p.pickOut()
 	tok := tourToken{
 		Cand:  p.id,
-		Size:  len(p.in),
-		Phase: phaseOf(len(p.in)),
+		Size:  p.dom.nIn,
+		Phase: phaseOf(p.dom.nIn),
 		Hops:  1,
 		O:     o,
 	}
 	p.onTour = true
-	route, err := p.inout.route(o)
+	route, err := p.dom.route(o)
 	if err != nil {
 		// A degraded merge left o in OUT but not in the tree: flood the
 		// entry; the accumulated flood route becomes the token's RetO.
@@ -394,17 +386,6 @@ func (p *Protocol) tour(env core.Env) {
 	if err := env.Send(route, &tourMsg{Tok: tok}); err != nil {
 		panic(fmt.Sprintf("election: tour send: %v", err))
 	}
-}
-
-// pickOut selects the smallest OUT node (deterministic).
-func (p *Protocol) pickOut() core.NodeID {
-	best := core.NodeID(-1)
-	for x := range p.out {
-		if best < 0 || x < best {
-			best = x
-		}
-	}
-	return best
 }
 
 // onTokenArrival handles a visiting candidate token.
@@ -467,14 +448,7 @@ func (p *Protocol) captureMe(env core.Env, tok tourToken) {
 	p.active = false
 	p.stats.Captures.Add(1)
 
-	data := &captureData{
-		From: p.id,
-		In:   setToSlice(p.in),
-		Out:  setToSlice(p.out),
-		Tree: p.inout.wire(),
-		O:    tok.O,
-	}
-	m := &returnMsg{Cand: tok.Cand, Capture: data}
+	m := &returnMsg{Cand: tok.Cand, Capture: captureData{Dom: &p.dom, O: tok.O}}
 	if !ok {
 		p.flood(env, tok.Cand, m)
 		return
@@ -510,8 +484,8 @@ func (p *Protocol) routeHome(env core.Env, tok tourToken) (anr.Header, bool) {
 	if p.id == tok.O {
 		return tok.RetO, true
 	}
-	if toO, err := p.inout.route(tok.O); err == nil {
-		return anr.Concat(toO, tok.RetO), true
+	if home, err := p.dom.routeThen(tok.O, tok.RetO); err == nil {
+		return home, true
 	}
 	if port, ok := env.PortToward(tok.Cand); ok && port.Up {
 		p.stats.Recoveries.Add(1)
@@ -530,8 +504,12 @@ func (p *Protocol) onComeback(env core.Env, m *returnMsg) {
 	switch {
 	case m.Retire:
 		p.active = false
-	case m.Capture != nil:
-		p.merge(m.Capture)
+	case m.Capture.Dom != nil:
+		if !p.dom.merge(m.Capture.Dom, m.Capture.O) {
+			// Stale tree on either side (non-FIFO only): sets folded, graft
+			// skipped; the flood transport serves the unreachable members.
+			p.stats.Recoveries.Add(1)
+		}
 	}
 	// Resolve the parked waiter against the updated level.
 	if p.waiting != nil {
@@ -552,53 +530,6 @@ func (p *Protocol) onComeback(env core.Env, m *returnMsg) {
 	}
 }
 
-// merge folds a captured domain into this origin (rule 2.2's bookkeeping):
-// IN ∪= IN_v, OUT = (OUT ∪ OUT_v) − IN, and the INOUT trees are combined by
-// re-rooting the captured tree at the entry node o, which this tree already
-// contains.
-func (p *Protocol) merge(c *captureData) {
-	vTree := newInOutTree(c.From)
-	for _, e := range c.Tree {
-		if err := vTree.attach(e); err != nil {
-			panic(fmt.Sprintf("election: merge attach: %v", err))
-		}
-	}
-	re, err := vTree.reroot(c.O)
-	if err != nil || !p.inout.has(c.O) {
-		// The captured node's shipped tree is stale: it was itself captured
-		// through entry node c.O before its own merge of the sub-domain
-		// containing c.O arrived (possible only under non-FIFO delivery).
-		// Fold the IN/OUT sets and skip the tree graft — every downstream
-		// route consumer (tour entries, returns, announcements) falls back
-		// to the flood transport for the unreachable members.
-		p.stats.Recoveries.Add(1)
-		p.mergeSets(c)
-		return
-	}
-	for _, e := range re.wire() {
-		if p.inout.has(e.Node) {
-			continue // keep the existing attachment
-		}
-		if err := p.inout.attach(e); err != nil {
-			panic(fmt.Sprintf("election: merge graft: %v", err))
-		}
-	}
-	p.mergeSets(c)
-}
-
-// mergeSets folds the captured IN/OUT sets: IN ∪= IN_v, OUT = (OUT ∪ OUT_v) − IN.
-func (p *Protocol) mergeSets(c *captureData) {
-	for _, x := range c.In {
-		p.in[x] = true
-		delete(p.out, x)
-	}
-	for _, x := range c.Out {
-		if !p.in[x] {
-			p.out[x] = true
-		}
-	}
-}
-
 // becomeLeader finishes the election: OUT is empty, so the domain spans the
 // component. The result is announced with the §3 branching-paths broadcast
 // over the INOUT tree: n-1 system calls, O(log n) additional time, and at
@@ -607,57 +538,17 @@ func (p *Protocol) mergeSets(c *captureData) {
 func (p *Protocol) becomeLeader(env core.Env) {
 	p.state = StateLeader
 	p.active = false
-	if len(p.in) <= 1 {
+	if p.dom.nIn <= 1 {
 		return
 	}
-	msg := &announceMsg{Leader: p.id, Routes: p.announceRoutes()}
+	msg := &announceMsg{Leader: p.id, Routes: p.dom.announceRoutes()}
 	p.relayAnnounce(env, msg)
 	// Degraded merges can leave domain members out of the INOUT tree, so the
 	// branching paths miss them; they learn the result by flood (ascending
 	// order for determinism).
-	orphans := setToSlice(p.in)
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-	for _, x := range orphans {
-		if x != p.id && !p.inout.has(x) {
-			p.flood(env, x, msg)
-		}
+	for _, x := range p.dom.orphans() {
+		p.flood(env, x, msg)
 	}
-}
-
-// announceRoutes decomposes the INOUT tree into branching paths.
-func (p *Protocol) announceRoutes() []announceSpec {
-	max := p.id
-	for x := range p.inout.entries {
-		if x > max {
-			max = x
-		}
-	}
-	tree := &graph.Tree{
-		Root:   p.id,
-		Parent: make([]core.NodeID, int(max)+1),
-		Depth:  make([]int, int(max)+1),
-	}
-	for i := range tree.Parent {
-		tree.Parent[i] = core.None
-		tree.Depth[i] = -1
-	}
-	tree.Depth[p.id] = 0
-	// Entries are parent-before-child via wire(); fill depths accordingly.
-	for _, e := range p.inout.wire() {
-		tree.Parent[e.Node] = e.Parent
-		tree.Depth[e.Node] = tree.Depth[e.Parent] + 1
-	}
-	labels := paths.Labels(tree)
-	dec := paths.Decompose(tree, labels)
-	// Ordered by Start (paths.Routes) so relayAnnounce can binary-search its
-	// own paths. Every chain node is an INOUT entry, so no hop is unknown.
-	specs := make([]announceSpec, 0, len(dec.Paths))
-	_ = paths.Routes(dec, func(_, v core.NodeID) (anr.ID, bool) {
-		return p.inout.entries[v].Down, true
-	}, func(path paths.Path, links []anr.ID) {
-		specs = append(specs, announceSpec{Start: path.Start(), Links: links})
-	})
-	return specs
 }
 
 // phaseOf is the paper's PH = floor(log2 size).
@@ -667,12 +558,4 @@ func phaseOf(size int) int {
 		ph++
 	}
 	return ph
-}
-
-func setToSlice(s map[core.NodeID]bool) []core.NodeID {
-	out := make([]core.NodeID, 0, len(s))
-	for x := range s {
-		out = append(out, x)
-	}
-	return out
 }

@@ -322,8 +322,8 @@ func TestInOutTreeReroot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.root != 2 {
-		t.Fatalf("root = %d, want 2", re.root)
+	if re.root() != 2 {
+		t.Fatalf("root = %d, want 2", re.root())
 	}
 	// Route 2 -> 0 must use the Up IDs in reverse order: 21 then 11.
 	h, err := re.route(0)
@@ -338,7 +338,7 @@ func TestInOutTreeReroot(t *testing.T) {
 	}
 	// Rerooting to the current root is a no-op.
 	same, err := tr.reroot(0)
-	if err != nil || same.root != 0 {
+	if err != nil || same.root() != 0 {
 		t.Fatalf("reroot to self: %v, %v", same, err)
 	}
 	if _, err := tr.reroot(9); err == nil {

@@ -12,7 +12,7 @@ import (
 
 // buildInOutFromGraph constructs an INOUT tree mirroring a BFS tree of a
 // real graph, with the true link IDs from the port map.
-func buildInOutFromGraph(g *graph.Graph, root core.NodeID) (*inoutTree, *core.PortMap) {
+func buildInOutFromGraph(g *graph.Graph, root core.NodeID) (*domain, *core.PortMap) {
 	pm := core.NewPortMap(g)
 	bfs := g.BFSTree(root)
 	tr := newInOutTree(root)
@@ -143,7 +143,7 @@ func TestInOutWireOrderQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seen := map[core.NodeID]bool{re.root: true}
+		seen := map[core.NodeID]bool{re.root(): true}
 		for _, e := range re.wire() {
 			if !seen[e.Parent] {
 				return false

@@ -49,18 +49,11 @@ type Broadcast struct {
 	// duplicated Msg would otherwise re-trigger this node's whole branching
 	// fan-out — a message storm the dedup watermark suppresses. Record
 	// application stays unconditional: Update is idempotent by sequence.
-	fwd map[core.NodeID]uint64
+	fwd watermarks
 
-	// Cached branching-path route specs, valid while the database version
-	// holds: a quiet round refreshes only the local record's sequence
-	// number, which leaves the version (and thus the decomposition) intact,
-	// so steady-state broadcasts reuse the same specs with no tree or
-	// decomposition work. Receivers treat Msg as immutable, so the slice is
-	// safely shared across rounds.
-	specs    []RouteSpec
-	specsErr error
-	specsAt  uint64
-	specsOK  bool
+	// routes caches the branching-path route specs of this node's own
+	// broadcasts; nil until it starts one (a relay never does).
+	routes *specCache
 
 	// Stats for experiments.
 	Broadcasts int
@@ -69,13 +62,25 @@ type Broadcast struct {
 	DupSuppressed int
 }
 
+// specCache is a broadcast origin's route specs, valid while the database
+// version holds: a quiet round refreshes only the local record's sequence
+// number, which leaves the version (and thus the decomposition) intact, so
+// steady-state broadcasts reuse the same specs with no tree or decomposition
+// work. Receivers treat Msg as immutable, so the slice is safely shared
+// across rounds.
+type specCache struct {
+	specs []RouteSpec
+	err   error
+	at    uint64
+}
+
 var _ core.Protocol = (*Broadcast)(nil)
 
 // NewBroadcast returns the branching-paths protocol for one node. With full
 // set, every broadcast carries all records the node knows (the paper's
 // "improved to log d" variant); otherwise only the local topology.
 func NewBroadcast(id core.NodeID, full bool) *Broadcast {
-	return &Broadcast{localTopo: newLocalTopo(id), full: full, fwd: make(map[core.NodeID]uint64)}
+	return &Broadcast{localTopo: localTopo{id: id}, full: full}
 }
 
 // Init records the node's own local topology.
@@ -106,17 +111,17 @@ func (b *Broadcast) Deliver(env core.Env, pkt core.Packet) {
 	case Trigger:
 		b.startBroadcast(env)
 	case *Msg:
-		b.db.UpdateAll(m.Recs)
+		b.db.installAll(m.Recs)
 		// Forward each round at most once: a fault-duplicated (or reordered
 		// stale) Msg must not re-fan-out. Rounds with no route specs (the
 		// LinkEvent adjacency bring-up) forward nothing, so they are exempt
 		// from the watermark and can never mask a real round.
 		if len(m.Routes) > 0 {
-			if m.Seq <= b.fwd[m.Origin] {
+			if m.Seq <= b.fwd.get(m.Origin) {
 				b.DupSuppressed++
 				return
 			}
-			b.fwd[m.Origin] = m.Seq
+			b.fwd.set(m.Origin, m.Seq)
 		}
 		b.forward(env, m)
 	}
@@ -147,12 +152,13 @@ func (b *Broadcast) startBroadcast(env core.Env) {
 // database version, recomputing the tree and decomposition only when the
 // believed topology actually changed.
 func (b *Broadcast) cachedRoutes() ([]RouteSpec, bool) {
-	if v := b.db.Version(); !b.specsOK || b.specsAt != v {
-		b.specs, b.specsErr = b.computeRoutes()
-		b.specsAt = v
-		b.specsOK = true
+	c := b.routes
+	if v := b.db.Version(); c == nil || c.at != v {
+		c = &specCache{at: v}
+		c.specs, c.err = b.computeRoutes()
+		b.routes = c
 	}
-	return b.specs, b.specsErr == nil
+	return c.specs, c.err == nil
 }
 
 // computeRoutes builds the route specs from scratch: branching-path

@@ -61,17 +61,13 @@ func recordFromPorts(id core.NodeID, seq uint64, ports []core.Port, loads map[an
 // link loads.
 type localTopo struct {
 	id    core.NodeID
-	db    *DB
+	db    DB
 	seq   uint64
-	loads map[anr.ID]uint32
-}
-
-func newLocalTopo(id core.NodeID) localTopo {
-	return localTopo{id: id, db: NewDB(), loads: make(map[anr.ID]uint32)}
+	loads map[anr.ID]uint32 // nil until the first SetLoad
 }
 
 // DB exposes the node's topology database for driver checks.
-func (l *localTopo) DB() *DB { return l.db }
+func (l *localTopo) DB() *DB { return &l.db }
 
 // Preload installs records (warm start for single-broadcast experiments).
 func (l *localTopo) Preload(recs []Record) {
@@ -81,19 +77,52 @@ func (l *localTopo) Preload(recs []Record) {
 // SetLoad records the load condition of a local link; the next broadcast
 // carries it.
 func (l *localTopo) SetLoad(link anr.ID, load uint32) {
+	if l.loads == nil {
+		l.loads = make(map[anr.ID]uint32)
+	}
 	l.loads[link] = load
 }
 
 // refresh bumps the sequence number and re-snapshots the local record.
 func (l *localTopo) refresh(env core.Env) {
 	l.seq++
-	l.db.Update(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
+	l.db.install(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
 }
 
 // snapshot stores the current local record without bumping the sequence
 // number (used by Init).
 func (l *localTopo) snapshot(env core.Env) {
-	l.db.Update(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
+	l.db.install(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
+}
+
+// watermarks is the newest sequence number a node has forwarded per origin;
+// an origin never forwarded reads 0. The first origin is held inline: in a
+// single broadcast — the unit the paper's bounds are stated for — every
+// relay hears one origin only, and a map would be most of what the relay
+// holds. Further origins go to a map made when the second one is heard.
+type watermarks struct {
+	seq    uint64
+	more   map[core.NodeID]uint64
+	origin core.NodeID
+	used   bool
+}
+
+func (w *watermarks) get(origin core.NodeID) uint64 {
+	if w.used && w.origin == origin {
+		return w.seq
+	}
+	return w.more[origin]
+}
+
+func (w *watermarks) set(origin core.NodeID, seq uint64) {
+	if !w.used || w.origin == origin {
+		w.origin, w.seq, w.used = origin, seq, true
+		return
+	}
+	if w.more == nil {
+		w.more = make(map[core.NodeID]uint64)
+	}
+	w.more[origin] = seq
 }
 
 // DB is one node's view of the network topology: the newest Record per node,
@@ -129,19 +158,27 @@ type DB struct {
 	view   *graph.Graph // nil until the first View call
 	viewAt uint64
 
-	// Per-source route caches, all valid for cacheAt == version only:
-	// min-hop trees, load-weighted trees with their distance arrays, and
-	// finished headers (including negative results) per (src, dst) pair.
-	cacheAt   uint64
+	// Per-source route caches, made by the first tree or route query: most
+	// databases of a large network only ever store and relay.
+	caches *routeCaches
+
+	nodeBuf []core.NodeID // scratch: route paths, patchView's neighbor list
+}
+
+// routeCaches holds everything computed per source, all valid for at ==
+// version only: min-hop trees, load-weighted trees with their distance
+// arrays, and finished headers (including negative results) per (src, dst)
+// pair.
+type routeCaches struct {
+	at        uint64
 	trees     map[core.NodeID]*graph.Tree
 	loadTrees map[core.NodeID]*loadTree
 	routes    map[pairKey]routeResult
 	loadRts   map[pairKey]routeResult
 
-	// Scratch recycled across cache invalidations.
+	// Scratch recycled across invalidations.
 	treePool  []*graph.Tree
 	ltreePool []*loadTree
-	nodeBuf   []core.NodeID // route paths, patchView's neighbor list
 }
 
 // loadTree is one cached load-weighted shortest-path tree.
@@ -164,9 +201,9 @@ func pair(src, dst core.NodeID) pairKey {
 }
 
 // entry is one stored record plus its adjacency index: indices into
-// rec.Links sorted by (Neighbor, index), built only for high-degree records,
-// making link lookups O(log d) while leaving the wire-visible Record
-// untouched.
+// rec.Links sorted by (Neighbor, index), built by the first lookup (index)
+// and only for high-degree records, making link lookups O(log d) while
+// leaving the wire-visible Record untouched.
 type entry struct {
 	rec Record
 	idx []int32
@@ -239,16 +276,17 @@ func linksEqual(a, b []LinkInfo) bool {
 // zero extra allocations.
 const indexThreshold = 8
 
-// reindex rebuilds the sorted adjacency index of slot s.
-func (db *DB) reindex(s int32) {
-	links := db.ents[s].rec.Links
-	if len(links) < indexThreshold {
-		if db.ents[s].idx != nil {
-			db.ents[s].idx = db.ents[s].idx[:0]
-		}
-		return
+// index returns the sorted adjacency index of slot s, empty for a record
+// below indexThreshold. Update only invalidates it; it is built by the first
+// lookup after, so a node that stores a high-degree record to relay it and
+// never routes over it does not pay for the sort.
+func (db *DB) index(s int32) []int32 {
+	e := &db.ents[s]
+	links := e.rec.Links
+	if len(e.idx) == len(links) || len(links) < indexThreshold {
+		return e.idx
 	}
-	idx := db.ents[s].idx[:0]
+	idx := e.idx[:0]
 	if cap(idx) < len(links) {
 		idx = make([]int32, 0, len(links))
 	}
@@ -262,21 +300,30 @@ func (db *DB) reindex(s int32) {
 		}
 		return int(a) - int(b) // ties keep record order: first match = lowest index
 	})
-	db.ents[s].idx = idx
+	e.idx = idx
+	return idx
 }
 
 // Update installs rec if it is newer than the stored record for its node and
 // reports whether anything changed. The database keeps its own copy of
 // rec.Links, taken only when the links differ from the stored ones.
-func (db *DB) Update(rec Record) bool {
+func (db *DB) Update(rec Record) bool { return db.update(rec, false) }
+
+// install is Update for a record whose Links nobody will write again: one
+// this package just built from the node's ports, or one that arrived in a
+// message (immutable once sent). The database adopts the list instead of
+// copying it.
+func (db *DB) install(rec Record) bool { return db.update(rec, true) }
+
+func (db *DB) update(rec Record, adopt bool) bool {
 	s, known := db.slotOf(rec.Node)
 	var old []LinkInfo
 	if !known {
 		s = int32(len(db.ents))
 		if db.ents == nil {
-			// A typical per-node database holds a handful of records; one
-			// small allocation covers the usual lifetime.
-			db.ents = make([]entry, 0, 4)
+			// Most per-node databases end with two records: the node's own
+			// and the one a broadcast brought.
+			db.ents = make([]entry, 0, 2)
 		}
 		db.ents = append(db.ents, entry{rec: Record{Node: rec.Node}})
 		if db.slot != nil {
@@ -296,10 +343,13 @@ func (db *DB) Update(rec Record) bool {
 	} else {
 		old = e.rec.Links
 	}
-	// A fresh copy, never an overwrite of the stored array: records handed
+	// A fresh list, never an overwrite of the stored array: records handed
 	// out earlier, some still in flight, share it.
-	db.ents[s].rec = Record{Node: rec.Node, Seq: rec.Seq, Links: slices.Clone(rec.Links)}
-	db.reindex(s)
+	if !adopt {
+		rec.Links = slices.Clone(rec.Links)
+	}
+	db.ents[s].rec = Record{Node: rec.Node, Seq: rec.Seq, Links: rec.Links}
+	db.ents[s].idx = db.ents[s].idx[:0]
 	viewCurrent := db.view != nil && db.viewAt == db.version
 	db.version++
 	if viewCurrent {
@@ -312,7 +362,13 @@ func (db *DB) Update(rec Record) bool {
 // one. A full-knowledge broadcast repeats the sender's whole database and
 // nearly all of it is already known here, so stale records are turned away
 // against the slot table before the Update call.
-func (db *DB) UpdateAll(recs []Record) {
+func (db *DB) UpdateAll(recs []Record) { db.updateAll(recs, false) }
+
+// installAll is UpdateAll under install's ownership rule: the records of a
+// received message.
+func (db *DB) installAll(recs []Record) { db.updateAll(recs, true) }
+
+func (db *DB) updateAll(recs []Record, adopt bool) {
 	for i := range recs {
 		r := &recs[i]
 		if int(r.Node) < len(db.slot) {
@@ -320,7 +376,7 @@ func (db *DB) UpdateAll(recs []Record) {
 				continue
 			}
 		}
-		db.Update(*r)
+		db.update(*r, adopt)
 	}
 }
 
@@ -396,7 +452,7 @@ func (db *DB) believes(u, v core.NodeID) bool {
 // upToward reports whether any link of slot s's record toward v is up.
 func (db *DB) upToward(s int32, v core.NodeID) bool {
 	links := db.ents[s].rec.Links
-	if idx := db.ents[s].idx; len(idx) > 0 {
+	if idx := db.index(s); len(idx) > 0 {
 		i := sort.Search(len(idx), func(i int) bool { return links[idx[i]].Neighbor >= v })
 		for ; i < len(idx) && links[idx[i]].Neighbor == v; i++ {
 			if links[idx[i]].Up {
@@ -427,7 +483,7 @@ func (db *DB) findLink(u, v core.NodeID) (LinkInfo, bool, bool) {
 // firstToward is findLink for a known slot.
 func (db *DB) firstToward(s int32, v core.NodeID) (LinkInfo, bool) {
 	links := db.ents[s].rec.Links
-	if idx := db.ents[s].idx; len(idx) > 0 {
+	if idx := db.index(s); len(idx) > 0 {
 		i := sort.Search(len(idx), func(i int) bool { return links[idx[i]].Neighbor >= v })
 		if i < len(idx) && links[idx[i]].Neighbor == v {
 			return links[idx[i]], true
@@ -498,13 +554,13 @@ func (db *DB) Route(src, dst core.NodeID) (anr.Header, error) {
 	if src == dst {
 		return anr.Local(), nil
 	}
-	db.ensureCaches()
+	c := db.ensureCaches()
 	key := pair(src, dst)
-	if r, ok := db.routes[key]; ok {
+	if r, ok := c.routes[key]; ok {
 		return r.h, r.err
 	}
 	h, err := db.routeMinHop(src, dst)
-	db.routes[key] = routeResult{h: h, err: err}
+	c.routes[key] = routeResult{h: h, err: err}
 	return h, err
 }
 
@@ -546,7 +602,7 @@ func (db *DB) maxLoadToward(u, v core.NodeID) uint32 {
 	}
 	links := db.ents[s].rec.Links
 	var load uint32
-	if idx := db.ents[s].idx; len(idx) > 0 {
+	if idx := db.index(s); len(idx) > 0 {
 		i := sort.Search(len(idx), func(i int) bool { return links[idx[i]].Neighbor >= v })
 		for ; i < len(idx) && links[idx[i]].Neighbor == v; i++ {
 			if l := links[idx[i]].Load; l > load {
@@ -582,13 +638,13 @@ func (db *DB) RouteMinLoad(src, dst core.NodeID) (anr.Header, error) {
 	if src == dst {
 		return anr.Local(), nil
 	}
-	db.ensureCaches()
+	c := db.ensureCaches()
 	key := pair(src, dst)
-	if r, ok := db.loadRts[key]; ok {
+	if r, ok := c.loadRts[key]; ok {
 		return r.h, r.err
 	}
 	h, err := db.routeMinLoad(src, dst)
-	db.loadRts[key] = routeResult{h: h, err: err}
+	c.loadRts[key] = routeResult{h: h, err: err}
 	return h, err
 }
 
@@ -607,68 +663,73 @@ func (db *DB) routeMinLoad(src, dst core.NodeID) (anr.Header, error) {
 	return db.headerFor(path)
 }
 
-// ensureCaches makes the per-source caches valid for the current version,
+// ensureCaches returns the per-source caches, valid for the current version,
 // recycling the previous generation's trees as scratch.
-func (db *DB) ensureCaches() {
-	if db.trees != nil && db.cacheAt == db.version {
-		return
-	}
-	if db.trees == nil {
-		db.trees = make(map[core.NodeID]*graph.Tree)
-		db.loadTrees = make(map[core.NodeID]*loadTree)
-		db.routes = make(map[pairKey]routeResult)
-		db.loadRts = make(map[pairKey]routeResult)
-	} else {
-		for _, t := range db.trees {
-			db.treePool = append(db.treePool, t)
+func (db *DB) ensureCaches() *routeCaches {
+	c := db.caches
+	switch {
+	case c == nil:
+		c = &routeCaches{
+			trees:     make(map[core.NodeID]*graph.Tree),
+			loadTrees: make(map[core.NodeID]*loadTree),
+			routes:    make(map[pairKey]routeResult),
+			loadRts:   make(map[pairKey]routeResult),
 		}
-		for _, lt := range db.loadTrees {
-			db.ltreePool = append(db.ltreePool, lt)
+		db.caches = c
+	case c.at == db.version:
+		return c
+	default:
+		for _, t := range c.trees {
+			c.treePool = append(c.treePool, t)
 		}
-		clear(db.trees)
-		clear(db.loadTrees)
-		clear(db.routes)
-		clear(db.loadRts)
+		for _, lt := range c.loadTrees {
+			c.ltreePool = append(c.ltreePool, lt)
+		}
+		clear(c.trees)
+		clear(c.loadTrees)
+		clear(c.routes)
+		clear(c.loadRts)
 	}
-	db.cacheAt = db.version
+	c.at = db.version
+	return c
 }
 
 // BFSTree returns the minimum-hop spanning tree of the believed topology
 // rooted at src, cached per (version, source). The tree is shared: callers
 // must not modify it.
 func (db *DB) BFSTree(src core.NodeID) *graph.Tree {
-	db.ensureCaches()
-	if t, ok := db.trees[src]; ok {
+	c := db.ensureCaches()
+	if t, ok := c.trees[src]; ok {
 		return t
 	}
 	var t *graph.Tree
-	if n := len(db.treePool); n > 0 {
-		t = db.treePool[n-1]
-		db.treePool = db.treePool[:n-1]
+	if n := len(c.treePool); n > 0 {
+		t = c.treePool[n-1]
+		c.treePool = c.treePool[:n-1]
 	}
 	t = db.View().BFSTreeInto(t, src)
-	db.trees[src] = t
+	c.trees[src] = t
 	return t
 }
 
 // minLoadTree returns the load-weighted shortest-path tree rooted at src,
 // cached per (version, source).
 func (db *DB) minLoadTree(src core.NodeID) *loadTree {
-	db.ensureCaches()
-	if lt, ok := db.loadTrees[src]; ok {
+	c := db.ensureCaches()
+	if lt, ok := c.loadTrees[src]; ok {
 		return lt
 	}
 	var lt *loadTree
-	if n := len(db.ltreePool); n > 0 {
-		lt = db.ltreePool[n-1]
-		db.ltreePool = db.ltreePool[:n-1]
+	if n := len(c.ltreePool); n > 0 {
+		lt = c.ltreePool[n-1]
+		c.ltreePool = c.ltreePool[:n-1]
 	} else {
 		lt = &loadTree{}
 	}
 	lt.tree, lt.dist = db.View().ShortestTreeInto(lt.tree, lt.dist, src, func(u, v core.NodeID) int64 {
 		return 1 + int64(db.LoadOf(u, v))
 	})
-	db.loadTrees[src] = lt
+	c.loadTrees[src] = lt
 	return lt
 }
 

@@ -24,7 +24,7 @@ type Flood struct {
 
 	// best tracks the newest sequence number forwarded per origin, so each
 	// broadcast is flooded once per node.
-	best map[core.NodeID]uint64
+	best watermarks
 
 	// hop[i] is the one-hop route over port i+1, built on the first relay and
 	// never written afterwards (Send and Multicast only read a header);
@@ -40,7 +40,7 @@ var _ core.Protocol = (*Flood)(nil)
 
 // NewFlood returns the flooding protocol for one node.
 func NewFlood(id core.NodeID, full bool) *Flood {
-	return &Flood{localTopo: newLocalTopo(id), full: full, best: make(map[core.NodeID]uint64)}
+	return &Flood{localTopo: localTopo{id: id}, full: full}
 }
 
 // Init records the local topology.
@@ -66,14 +66,14 @@ func (f *Flood) Deliver(env core.Env, pkt core.Packet) {
 			rec, _ := f.db.Record(f.id)
 			msg.Recs = []Record{rec}
 		}
-		f.best[f.id] = f.seq
+		f.best.set(f.id, f.seq)
 		f.relay(env, msg, anr.NCU)
 	case *FloodMsg:
-		f.db.UpdateAll(m.Recs)
-		if f.best[m.Origin] >= m.Seq {
+		f.db.installAll(m.Recs)
+		if f.best.get(m.Origin) >= m.Seq {
 			return // already forwarded this broadcast
 		}
-		f.best[m.Origin] = m.Seq
+		f.best.set(m.Origin, m.Seq)
 		f.Forwards++
 		f.relay(env, m, pkt.ArrivedOn)
 	}

@@ -149,12 +149,12 @@ var _ core.Protocol = (*WalkBroadcast)(nil)
 // NewDFSBroadcast returns the one-shot DFS broadcast (broken under
 // failures; see the paper's six-node example).
 func NewDFSBroadcast(id core.NodeID, full bool, order ChildOrder) *WalkBroadcast {
-	return &WalkBroadcast{localTopo: newLocalTopo(id), kind: walkDFS, full: full, order: order}
+	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkDFS, full: full, order: order}
 }
 
 // NewLayersBroadcast returns footnote 1's BFS-layers broadcast.
 func NewLayersBroadcast(id core.NodeID, full bool) *WalkBroadcast {
-	return &WalkBroadcast{localTopo: newLocalTopo(id), kind: walkLayers, full: full}
+	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkLayers, full: full}
 }
 
 // Init records the local topology.
@@ -179,7 +179,7 @@ func (w *WalkBroadcast) Deliver(env core.Env, pkt core.Packet) {
 	case Trigger:
 		w.broadcast(env)
 	case *WalkMsg:
-		w.db.UpdateAll(m.Recs)
+		w.db.installAll(m.Recs)
 	}
 }
 
