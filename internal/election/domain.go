@@ -334,8 +334,8 @@ func (d *domain) orphans() []core.NodeID {
 	return out
 }
 
-// announceRoutes decomposes the INOUT tree into branching paths.
-func (d *domain) announceRoutes() []announceSpec {
+// announcePlan decomposes the INOUT tree into branching paths.
+func (d *domain) announcePlan() *paths.Fanout {
 	max := d.root()
 	for i := range d.ents {
 		if d.ents[i].Node > max {
@@ -359,18 +359,12 @@ func (d *domain) announceRoutes() []announceSpec {
 			tree.Depth[m.Node] = tree.Depth[m.Parent] + 1
 		}
 	}
-	labels := paths.Labels(tree)
-	dec := paths.Decompose(tree, labels)
-	// Ordered by Start (paths.Routes) so relayAnnounce can binary-search its
-	// own paths. Every chain node is a tree member, so no hop is unknown.
-	specs := make([]announceSpec, 0, len(dec.Paths))
-	_ = paths.Routes(dec, func(_, v core.NodeID) (anr.ID, bool) {
+	// Every chain node is a tree member, so no hop is unknown.
+	plan, _ := paths.NewFanout(tree, func(_, v core.NodeID) (anr.ID, bool) {
 		pos, _ := d.find(v)
 		return d.ents[pos].Down, true
-	}, func(path paths.Path, links []anr.ID) {
-		specs = append(specs, announceSpec{Start: path.Start(), Links: links})
 	})
-	return specs
+	return plan
 }
 
 // posTable is an open-addressed node → position map: linear probing over a

@@ -222,8 +222,11 @@ func (s *domainScript) check() {
 		if got, want := d.orphans(), m.orphans(); !slices.Equal(got, want) {
 			t.Fatalf("domain %d: orphans %v, model %v", root, got, want)
 		}
-		if got, want := d.announceRoutes(), m.announceRoutes(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("domain %d: announce routes %v, model %v", root, got, want)
+		plan, routes := d.announcePlan(), m.announceRoutes()
+		for x := core.NodeID(-1); int(x) <= s.u+1; x++ {
+			if got, want := plan.For(x), relayLoop(routes, x); len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("domain %d: node %d announces over %v, model %v", root, x, got, want)
+			}
 		}
 		// The list is its own wire form: every tree member sits behind its
 		// parent, and its parent position names that parent.

@@ -2,11 +2,11 @@ package election
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
+	"fastnet/internal/paths"
 )
 
 // State is a node's election outcome.
@@ -94,21 +94,14 @@ type captureData struct {
 	O   core.NodeID // the entry node o (in IN_v, already in the capturer's tree)
 }
 
-// announceSpec is one branching path of the leader announcement: the start
-// node and the per-hop link IDs of its chain (same mechanism as the §3
-// topology broadcast — the paper notes the election's routing technique "is
-// very similar to the one used for the broadcast in Section 3").
-type announceSpec struct {
-	Start core.NodeID
-	Links []anr.ID
-}
-
 // announceMsg tells domain members the election result. It carries the
-// branching-path decomposition of the leader's INOUT tree so every path
-// start can relay within one activation.
+// branching-path plan of the leader's INOUT tree so every path start can
+// relay within one activation (same mechanism as the §3 topology broadcast —
+// the paper notes the election's routing technique "is very similar to the
+// one used for the broadcast in Section 3").
 type announceMsg struct {
 	Leader core.NodeID
-	Routes []announceSpec
+	Plan   *paths.Fanout
 }
 
 // floodMsg is the recovery transport for non-FIFO executions. Under
@@ -323,23 +316,13 @@ func (p *Protocol) consumeFlood(env core.Env, m *floodMsg, back anr.Header) {
 }
 
 // relayAnnounce forwards the announcement over every branching path that
-// starts at this node (one activation, one route per link). Routes is
-// sorted by Start (announceRoutes's contract), so this node's paths are a
-// contiguous run found by binary search rather than a scan of all paths.
+// starts at this node (one activation, one route per link). The plan's link
+// IDs are handshake facts of a topology that is static for the election, so
+// a refusal means the plan was built for another network: a bug, not an
+// input (TestAnnounceRelayRefused reaches it with exactly that).
 func (p *Protocol) relayAnnounce(env core.Env, m *announceMsg) {
-	lo := sort.Search(len(m.Routes), func(j int) bool { return m.Routes[j].Start >= p.id })
-	var hs []anr.Header
-	for _, spec := range m.Routes[lo:] {
-		if spec.Start != p.id {
-			break
-		}
-		hs = append(hs, anr.CopyPath(spec.Links))
-	}
-	if len(hs) == 0 {
-		return
-	}
-	if err := env.Multicast(hs, m); err != nil {
-		panic(fmt.Sprintf("election: announce relay: %v", err))
+	if _, err := m.Plan.Relay(env, p.id, m); err != nil {
+		panic(fmt.Sprintf("election: announce: %v", err))
 	}
 }
 
@@ -541,7 +524,7 @@ func (p *Protocol) becomeLeader(env core.Env) {
 	if p.dom.nIn <= 1 {
 		return
 	}
-	msg := &announceMsg{Leader: p.id, Routes: p.dom.announceRoutes()}
+	msg := &announceMsg{Leader: p.id, Plan: p.dom.announcePlan()}
 	p.relayAnnounce(env, msg)
 	// Degraded merges can leave domain members out of the INOUT tree, so the
 	// branching paths miss them; they learn the result by flood (ascending

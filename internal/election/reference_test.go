@@ -207,7 +207,29 @@ func (d *mapDomain) orphans() []core.NodeID {
 	return out
 }
 
-func (d *mapDomain) announceRoutes() []announceSpec {
+// modelSpec is the announcement's wire form before paths.Fanout: one
+// branching path as its start node and per-hop link IDs, the list sorted by
+// start.
+type modelSpec struct {
+	Start core.NodeID
+	Links []anr.ID
+}
+
+// relayLoop is the relay every node ran on that form: binary search for its
+// own run of paths, one CopyPath header each.
+func relayLoop(routes []modelSpec, id core.NodeID) []anr.Header {
+	lo := sort.Search(len(routes), func(j int) bool { return routes[j].Start >= id })
+	var hs []anr.Header
+	for _, spec := range routes[lo:] {
+		if spec.Start != id {
+			break
+		}
+		hs = append(hs, anr.CopyPath(spec.Links))
+	}
+	return hs
+}
+
+func (d *mapDomain) announceRoutes() []modelSpec {
 	max := d.tree.root
 	for x := range d.tree.entries {
 		if x > max {
@@ -229,11 +251,11 @@ func (d *mapDomain) announceRoutes() []announceSpec {
 		tree.Depth[e.Node] = tree.Depth[e.Parent] + 1
 	}
 	dec := paths.Decompose(tree, paths.Labels(tree))
-	specs := make([]announceSpec, 0, len(dec.Paths))
+	specs := make([]modelSpec, 0, len(dec.Paths))
 	_ = paths.Routes(dec, func(_, v core.NodeID) (anr.ID, bool) {
 		return d.tree.entries[v].Down, true
 	}, func(path paths.Path, links []anr.ID) {
-		specs = append(specs, announceSpec{Start: path.Start(), Links: links})
+		specs = append(specs, modelSpec{Start: path.Start(), Links: links})
 	})
 	return specs
 }

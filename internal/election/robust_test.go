@@ -2,12 +2,15 @@ package election
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
+	"fastnet/internal/paths"
 	"fastnet/internal/sim"
 )
 
@@ -132,4 +135,28 @@ func TestVirtualTreeDepthBound(t *testing.T) {
 		t.Fatalf("messages = %d exceed %d tours x 9 (Lemma 3 violated?)",
 			res.AlgorithmMessages, tours)
 	}
+}
+
+// TestAnnounceRelayRefused reaches relayAnnounce's panic the only way there
+// is: an announcement whose plan was made for another network. The leader's
+// own plan names handshake link IDs of a topology that is static for the
+// election, so the runtime never refuses it.
+func TestAnnounceRelayRefused(t *testing.T) {
+	star := graph.Star(5).BFSTree(0)
+	plan, err := paths.NewFanout(star, func(_, to core.NodeID) (anr.ID, bool) { return anr.ID(to), true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := sim.New(graph.Path(3), factory(AlgoToken, &Stats{}), sim.WithDelays(0, 1)) // node 0 has one port
+	net.Inject(0, 0, &announceMsg{Leader: 0, Plan: plan})
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"election: announce: node 0: ", "first links [1 2 3 4]", "no link 2"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	_, _ = net.Run()
+	t.Fatal("a plan for a five-node star was relayed on a three-node path")
 }

@@ -1,12 +1,70 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"fastnet/internal/calls"
+	"fastnet/internal/core"
 	"fastnet/internal/graph"
+	"fastnet/internal/reliable"
+	"fastnet/internal/sim"
+	"fastnet/internal/topology"
 )
+
+// I1 recognises a stored link list it has already verified by identity: all
+// converged databases share one array per node. A list in an array of its
+// own must still get the full check — stale, it is the witness; equal, it
+// passes.
+func TestConvergedCatchesPrivateStaleList(t *testing.T) {
+	g := graph.GNP(12, 0.35, 2)
+	topo := topology.NewMaintainer(topology.ModeBranching, true, nil)
+	r := &soakRun{g: g, st: NewState(g)}
+	r.h = NewSimHarness(sim.New(g, func(id core.NodeID) core.Protocol {
+		return &soakNode{
+			topo: topo(id).(topology.Maintainer), mgr: calls.New(id),
+			rel: reliable.NewEndpoint(id, reliable.Config{RTO: 1}), book: &probeBook{},
+		}
+	}, sim.WithDelays(0, 1), sim.WithDmax(g.N())))
+	if rounds, witness, err := r.convergeRounds(); err != nil || rounds < 0 {
+		t.Fatalf("no convergence: %v %s", err, witness)
+	}
+	const w, equal, stale = 5, 3, 8
+	shared, _ := r.node(0).topo.DB().Record(w)
+	for u := 0; u < g.N(); u++ {
+		if rec, _ := r.node(core.NodeID(u)).topo.DB().Record(w); &rec.Links[0] != &shared.Links[0] {
+			t.Fatalf("node %d holds node %d's list in an array of its own after convergence", u, w)
+		}
+	}
+	// install puts the given lists for w into u's database one after the
+	// other. Update copies a list that differs from the stored one, so the
+	// last of them ends up in an array of u's own.
+	truth := shared.Links
+	wrong := slices.Clone(truth)
+	wrong[0].Up = !wrong[0].Up
+	install := func(u core.NodeID, lists ...[]topology.LinkInfo) {
+		db := r.node(u).topo.DB()
+		for _, l := range lists {
+			rec, _ := db.Record(w)
+			db.Update(topology.Record{Node: w, Seq: rec.Seq + 1, Links: l})
+		}
+		if rec, _ := db.Record(w); &rec.Links[0] == &shared.Links[0] {
+			t.Fatalf("node %d still shares node %d's list", u, w)
+		}
+	}
+	install(equal, wrong, truth)
+	install(stale, wrong)
+	witness, ok := r.converged()
+	if ok || !strings.HasPrefix(witness, "node 8 is stale about 5 ") {
+		t.Fatalf("converged() = %q, %v; want node %d named as stale about %d", witness, ok, stale, w)
+	}
+	install(stale, truth)
+	if witness, ok := r.converged(); !ok {
+		t.Fatalf("equal lists in private arrays must pass: %s", witness)
+	}
+}
 
 func TestSoakDESAllFaultKinds(t *testing.T) {
 	g := graph.GNP(12, 0.35, 2)

@@ -16,19 +16,21 @@ package paths
 
 import (
 	"fmt"
-	"sort"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/graph"
 )
 
 // Labels computes the Strahler labels of all nodes in t. Nodes outside the
 // tree get label -1.
-func Labels(t *graph.Tree) []int {
+func Labels(t *graph.Tree) []int { return label(t, t.Children()) }
+
+// label is Labels over t's child lists, which every caller has at hand.
+func label(t *graph.Tree, children [][]graph.NodeID) []int {
 	labels := make([]int, len(t.Parent))
 	for i := range labels {
 		labels[i] = -1
 	}
-	children := t.Children()
 	// Post-order via explicit stack (trees can be deep paths).
 	type frame struct {
 		node graph.NodeID
@@ -83,101 +85,114 @@ func (p Path) Chain() []graph.NodeID { return p[1:] }
 // Label returns the common edge label of the path's chain.
 func (p Path) label(labels []int) int { return labels[p[1]] }
 
-// Decomposition is the full set of branching paths of one tree.
+// Decomposition is the full set of branching paths of one tree, in ascending
+// order of the chains' top nodes.
 type Decomposition struct {
-	Paths   []Path
-	Labels  []int
-	byStart map[graph.NodeID][]int // built lazily by StartingAt
+	Paths  []Path
+	Labels []int
+
+	// The same paths grouped by start node: order lists path indices by
+	// ascending start, the paths of one start in decomposition order (what a
+	// stable sort by start would leave), and those starting at u are
+	// order[off[u]:off[u+1]]. off spans the tree's node IDs.
+	off   []int32
+	order []int32
 }
 
 // Decompose computes the branching-path decomposition of t using the given
 // labels (from Labels).
 func Decompose(t *graph.Tree, labels []int) *Decomposition {
-	children := t.Children()
-	d := &Decomposition{Labels: labels}
+	return decompose(t, labels, t.Children())
+}
+
+// decompose is Decompose over t's child lists. All chains are carved from one
+// node slab, each with cap == len.
+func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decomposition {
 	// A child c is a chain top iff its parent is the root (the root has no
 	// chain of its own) or its label differs from its parent's.
-	var tops []graph.NodeID
-	for u := range t.Parent {
-		c := graph.NodeID(u)
-		if !t.Reached(c) || c == t.Root {
-			continue
+	top := func(c, p graph.NodeID) bool {
+		return p != graph.None && c != t.Root && (p == t.Root || labels[c] != labels[p])
+	}
+	d := &Decomposition{Labels: labels, off: make([]int32, len(t.Parent)+1)}
+	tops, nodes := 0, 0
+	for u, p := range t.Parent {
+		if p != graph.None {
+			nodes++
 		}
-		p := t.Parent[c]
-		if p == t.Root || labels[c] != labels[p] {
-			tops = append(tops, c)
+		if top(graph.NodeID(u), p) {
+			tops++
+			d.off[p+1]++
 		}
 	}
-	sort.Slice(tops, func(i, j int) bool { return tops[i] < tops[j] })
-	d.Paths = make([]Path, 0, len(tops))
-	for _, top := range tops {
-		start := t.Parent[top]
-		path := Path{start, top}
-		l := labels[top]
-		cur := top
-		for {
+	for u := range t.Parent {
+		d.off[u+1] += d.off[u]
+	}
+	// off[u] is now where u's run of order begins; filling the run advances it
+	// to where the next one begins, and one shift afterwards restores it.
+	d.Paths = make([]Path, 0, tops)
+	d.order = make([]int32, tops)
+	slab := make([]graph.NodeID, 0, nodes+tops)
+	for u, p := range t.Parent { // ascending top ID
+		c := graph.NodeID(u)
+		if !top(c, p) {
+			continue
+		}
+		d.order[d.off[p]] = int32(len(d.Paths))
+		d.off[p]++
+		lo := len(slab)
+		slab = append(slab, p, c)
+		for l, cur := labels[c], c; ; {
 			next := graph.None
-			for _, c := range children[cur] {
-				if labels[c] == l {
-					next = c
+			for _, k := range children[cur] {
+				if labels[k] == l {
+					next = k
 					break // Lemma 1: at most one equal-label child
 				}
 			}
 			if next == graph.None {
 				break
 			}
-			path = append(path, next)
+			slab = append(slab, next)
 			cur = next
 		}
-		d.Paths = append(d.Paths, path)
+		d.Paths = append(d.Paths, Path(slab[lo:len(slab):len(slab)]))
 	}
+	copy(d.off[1:], d.off)
+	d.off[0] = 0
 	return d
 }
 
-// StartingAt returns the paths whose start node is u. The start index is
-// built on first use: the broadcast hot path iterates Paths directly and
-// never pays for it.
+// StartingAt returns the paths whose start node is u.
 func (d *Decomposition) StartingAt(u graph.NodeID) []Path {
-	if d.byStart == nil {
-		d.byStart = make(map[graph.NodeID][]int, len(d.Paths))
-		for i, p := range d.Paths {
-			d.byStart[p.Start()] = append(d.byStart[p.Start()], i)
-		}
+	if u < 0 || int(u)+1 >= len(d.off) {
+		return nil
 	}
-	idx := d.byStart[u]
-	out := make([]Path, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, d.Paths[i])
+	idx := d.order[d.off[u]:d.off[u+1]]
+	out := make([]Path, len(idx))
+	for i, j := range idx {
+		out[i] = d.Paths[j]
 	}
 	return out
 }
 
 // Routes lays the decomposition out as wire routes. It calls emit once per
 // path, ordered by start node — the paths of one start keep their
-// decomposition order, as a stable sort by start would leave them, so a
-// receiver finds its own paths as one contiguous run by binary search —
-// passing the link IDs that link reports for the path's hops. The order is
-// one counting pass over the starts, and every links slice is carved from a
-// single slab with cap == len, so appending to one cannot reach the next. A
-// hop that link does not know ends the layout with an error.
+// decomposition order — passing the link IDs that link reports for the
+// path's hops. Every links slice is carved from a single slab with
+// cap == len, so appending to one cannot reach the next. A hop that link
+// does not know ends the layout with an error.
 func Routes[L any](d *Decomposition, link func(from, to graph.NodeID) (L, bool), emit func(p Path, links []L)) error {
-	// next[u] = position in order of u's next path; Labels spans the node IDs.
-	next := make([]int32, len(d.Labels)+1)
-	hops := 0
+	return layout(d, 0, link, emit)
+}
+
+// layout is Routes with tail zero-valued elements behind every path's links.
+func layout[L any](d *Decomposition, tail int, link func(from, to graph.NodeID) (L, bool), emit func(p Path, links []L)) error {
+	size := tail * len(d.Paths)
 	for _, p := range d.Paths {
-		next[p.Start()+1]++
-		hops += len(p) - 1
+		size += len(p) - 1
 	}
-	for u := 1; u < len(next); u++ {
-		next[u] += next[u-1]
-	}
-	order := make([]int32, len(d.Paths))
-	for i, p := range d.Paths {
-		order[next[p.Start()]] = int32(i)
-		next[p.Start()]++
-	}
-	slab := make([]L, 0, hops)
-	for _, i := range order {
+	slab := make([]L, 0, size)
+	for _, i := range d.order {
 		p := d.Paths[i]
 		lo, from := len(slab), p.Start()
 		for _, to := range p.Chain() {
@@ -188,9 +203,80 @@ func Routes[L any](d *Decomposition, link func(from, to graph.NodeID) (L, bool),
 			slab = append(slab, l)
 			from = to
 		}
+		slab = slab[:len(slab)+tail] // never written: still make's zero values
 		emit(p, slab[lo:len(slab):len(slab)])
 	}
 	return nil
+}
+
+// Fanout is a whole branching-paths broadcast in wire form: for every start
+// node, the finished selective-copy header of each path that starts there
+// (first hop normal — the sender already holds the message — every later hop
+// with the copy bit, then the NCU terminator). The origin builds it once per
+// tree and attaches it to the message; a receiver's whole part in the
+// broadcast is to multicast For(its own ID) as it stands.
+//
+// A Fanout is immutable from the moment it is attached to a message. The
+// selective copies of one broadcast share it, an origin reuses it across
+// rounds, and under the goroutine runtime every node reads it concurrently;
+// the runtimes' Send and Multicast only read a header. What a message carries
+// between NCUs is not a model measure; the bits of the headers sent are.
+type Fanout struct {
+	off  []int32      // hdrs[off[u]:off[u+1]] start at node u; spans the tree's node IDs
+	hdrs []anr.Header // in start order, all hops in one slab, each with cap == len
+}
+
+// NewFanout decomposes t into branching paths and lays them out as headers,
+// taking the link ID at from toward to from link. A hop that link does not
+// know is an error.
+func NewFanout(t *graph.Tree, link func(from, to graph.NodeID) (anr.ID, bool)) (*Fanout, error) {
+	children := t.Children()
+	d := decompose(t, label(t, children), children)
+	f := &Fanout{off: d.off, hdrs: make([]anr.Header, 0, len(d.Paths))}
+	err := layout(d, 1, func(from, to graph.NodeID) (anr.Hop, bool) {
+		id, ok := link(from, to)
+		return anr.Hop{Link: id, Copy: true}, ok
+	}, func(_ Path, h []anr.Hop) {
+		h[0].Copy = false
+		f.hdrs = append(f.hdrs, h) // the tail element is the zero Hop: the NCU terminator
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// For returns the headers of the paths that start at id: none for a node that
+// starts no path or lies outside the tree's ID range, and none on a nil plan.
+func (f *Fanout) For(id graph.NodeID) []anr.Header {
+	if f == nil || id < 0 || int(id)+1 >= len(f.off) {
+		return nil
+	}
+	return f.hdrs[f.off[id]:f.off[id+1]]
+}
+
+// Relay sends payload over every path that starts at id in one multicast (one
+// activation at id, one route per link) and reports how many paths that was;
+// a node that starts none sends nothing. env is the sending node's
+// core.Env. An error means the runtime refused the routes — they do not
+// match the ports of the node they were handed to, or exceed dmax — and names
+// the node and the first link of every route; whether that is fatal is the
+// protocol's call.
+func (f *Fanout) Relay(env interface {
+	Multicast(hs []anr.Header, payload any) error
+}, id graph.NodeID, payload any) (int, error) {
+	hs := f.For(id)
+	if len(hs) == 0 {
+		return 0, nil
+	}
+	if err := env.Multicast(hs, payload); err != nil {
+		first := make([]anr.ID, len(hs))
+		for i, h := range hs {
+			first[i] = h[0].Link
+		}
+		return len(hs), fmt.Errorf("node %d: relay over first links %v: %w", id, first, err)
+	}
+	return len(hs), nil
 }
 
 // Rounds returns, for every path, the broadcast round in which its start

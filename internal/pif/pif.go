@@ -58,21 +58,15 @@ type TreeEdge struct {
 	Up     anr.ID // at Child toward Parent
 }
 
-// RouteSpec is one branching path of the broadcast phase.
-type RouteSpec struct {
-	Start core.NodeID
-	Links []anr.ID
-}
-
-// bcast is the broadcast message: the branching paths plus everything a
+// bcast is the broadcast message: the branching-path plan plus everything a
 // receiver needs to take its place in the echo tree.
 type bcast struct {
-	Root   core.NodeID
-	Routes []RouteSpec
-	Edges  []TreeEdge
-	Order  []core.NodeID // spanning-tree nodes in BFS order, root first
-	Mode   EchoMode
-	C, P   core.Time
+	Root  core.NodeID
+	Plan  *paths.Fanout
+	Edges []TreeEdge
+	Order []core.NodeID // spanning-tree nodes in BFS order, root first
+	Mode  EchoMode
+	C, P  core.Time
 
 	// Shared precomputed echo structure. Every field below is a pure
 	// function of the fields above, so every receiver would compute the
@@ -144,23 +138,13 @@ func (p *proto) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-// relay forwards the broadcast over the branching paths starting here.
-// Routes is sorted by Start (Run's contract), so this node's paths are a
-// contiguous run found by binary search rather than a scan of all paths.
+// relay forwards the broadcast over the branching paths starting here. Run
+// builds the plan from the port map of the very network it then runs, so a
+// refusal means the plan belongs to another network: a bug, not an input
+// (TestRelayRefused reaches it with exactly that).
 func (p *proto) relay(env core.Env, m *bcast) {
-	lo := sort.Search(len(m.Routes), func(j int) bool { return m.Routes[j].Start >= p.id })
-	var hs []anr.Header
-	for _, spec := range m.Routes[lo:] {
-		if spec.Start != p.id {
-			break
-		}
-		hs = append(hs, anr.CopyPath(spec.Links))
-	}
-	if len(hs) == 0 {
-		return
-	}
-	if err := env.Multicast(hs, m); err != nil {
-		panic(fmt.Sprintf("pif: relay: %v", err))
+	if _, err := m.Plan.Relay(env, p.id, m); err != nil {
+		panic(fmt.Sprintf("pif: broadcast: %v", err))
 	}
 }
 
@@ -367,19 +351,11 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts .
 	}
 	pm := core.NewPortMap(g)
 	bfs := g.BFSTree(root)
-	labels := paths.Labels(bfs)
-	dec := paths.Decompose(bfs, labels)
-
-	msg := &bcast{Root: root, Mode: mode, C: c, P: p}
-	// Ordered by Start (paths.Routes) so relay can binary-search its own
-	// paths.
-	msg.Routes = make([]RouteSpec, 0, len(dec.Paths))
-	err := paths.Routes(dec, pm.Toward, func(path paths.Path, links []anr.ID) {
-		msg.Routes = append(msg.Routes, RouteSpec{Start: path.Start(), Links: links})
-	})
+	plan, err := paths.NewFanout(bfs, pm.Toward)
 	if err != nil {
 		return Result{}, fmt.Errorf("pif: %w", err)
 	}
+	msg := &bcast{Root: root, Plan: plan, Mode: mode, C: c, P: p}
 	for u := 0; u < g.N(); u++ {
 		id := core.NodeID(u)
 		if id == root {

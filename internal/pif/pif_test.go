@@ -2,12 +2,15 @@ package pif
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
+	"fastnet/internal/paths"
+	"fastnet/internal/sim"
 )
 
 func TestPIFCompletes(t *testing.T) {
@@ -171,4 +174,29 @@ func TestTreeRouteQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRelayRefused reaches relay's panic the only way there is: a broadcast
+// whose plan was made for another network. Run builds the plan from the port
+// map of the network it runs, so the runtime never refuses it.
+func TestRelayRefused(t *testing.T) {
+	star := graph.Star(5).BFSTree(0)
+	plan, err := paths.NewFanout(star, func(_, to core.NodeID) (anr.ID, bool) { return anr.ID(to), true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := sim.New(graph.Path(3), func(id core.NodeID) core.Protocol { // node 0 has one port
+		return &proto{id: id, done: &doneProbe{}}
+	}, sim.WithDelays(0, 1))
+	net.Inject(0, 0, &bcast{Root: 0, Plan: plan, Mode: EchoDirect, Order: []core.NodeID{0}})
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"pif: broadcast: node 0: ", "first links [1 2 3 4]", "no link 2"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	_, _ = net.Run()
+	t.Fatal("a plan for a five-node star was relayed on a three-node path")
 }

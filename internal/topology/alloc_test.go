@@ -9,12 +9,13 @@ import (
 )
 
 // TestQuietRoundAllocs pins what a broadcast costs once the network has
-// converged. Every broadcast allocates its Msg and record slice, one header
-// per branching path (n-1 chains cover the tree) with the per-node header
-// lists around them, and the spine's packets. In full-knowledge mode the
-// Msg carries the sender's whole database on top, and that must cost O(1)
-// more objects — the stored link lists are shared, not copied once per
-// known record.
+// converged: its Msg and record slice, the local record's new snapshot, and
+// the spine's packets. The plan is the origin's cached one, every path start
+// sends the plan's headers as they stand, and a receiver turns the batch
+// away on its screen — nothing per branching path, nothing per delivery. In
+// full-knowledge mode the Msg carries the sender's whole database on top, and
+// that must cost O(1) more objects — the stored link lists are shared, not
+// copied once per known record.
 func TestQuietRoundAllocs(t *testing.T) {
 	const n = 64
 	g := graph.GNP(n, 8.0/n, 5)
@@ -42,10 +43,10 @@ func TestQuietRoundAllocs(t *testing.T) {
 	}
 	local, full := perBroadcast(false), perBroadcast(true)
 	t.Logf("allocs per broadcast in a quiet round: %.1f local-topology, %.1f full-knowledge", local, full)
-	// Measured 108.5 and 108.5 when the test was added; copying the link
-	// lists made it 172.5, one more per known record.
-	if full > 217 {
-		t.Errorf("%.1f allocs per full-knowledge broadcast, want <= 217", full)
+	// Measured 9.3 and 9.3; 103.4 while every path start built its headers
+	// from route specs, one more per known record when link lists were copied.
+	if full > 20 {
+		t.Errorf("%.1f allocs per full-knowledge broadcast, want <= 20", full)
 	}
 	if full-local > 2 {
 		t.Errorf("carrying the whole database costs %.1f more allocs per broadcast, want <= 2", full-local)
@@ -90,14 +91,14 @@ func TestQuietFloodAllocs(t *testing.T) {
 // TestSingleBroadcastAllocsPerNode pins what one broadcast network costs to
 // build and run once, per node: the simulator's node state, the protocol
 // struct (database and watermark inside it), the local record and the
-// two-record store it goes into, and one header and route list per branching
-// path; the origin adds the preloaded topology (a record and its copied link
-// list per node) and the tree, decomposition and route specs made from it. A
-// relay allocates nothing to store the origin's record (the link list is
-// adopted from the message), index it (built on first lookup) or watermark
-// it (the first origin is held inline). Measured 8.9 when the test was
-// added; 15.9 with a separately allocated database, two eager maps, a copy
-// and an index per received record.
+// two-record store it goes into; the origin adds the preloaded topology (a
+// record and its copied link list per node) and the tree, decomposition and
+// plan made from it. A relay allocates nothing to forward (its headers are
+// the plan's), to store the origin's record (the link list is adopted from
+// the message), index it (built on first lookup) or watermark it (the first
+// origin is held inline). Measured 6.7; 8.9 with a header and a route list
+// per branching path; 15.9 with a separately allocated database, two eager
+// maps, a copy and an index per received record.
 func TestSingleBroadcastAllocsPerNode(t *testing.T) {
 	const n = 4096
 	g := graph.RandomTree(n, 2)
@@ -108,7 +109,7 @@ func TestSingleBroadcastAllocsPerNode(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocs per node for one %d-node branching-paths broadcast", allocs/n, n)
-	if allocs/n > 10 {
-		t.Errorf("%.1f allocs per node, want <= 10", allocs/n)
+	if allocs/n > 8 {
+		t.Errorf("%.1f allocs per node, want <= 8", allocs/n)
 	}
 }

@@ -1,9 +1,6 @@
 package topology
 
 import (
-	"fmt"
-	"sort"
-
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
@@ -14,26 +11,18 @@ import (
 // experiment driver injects it (the paper's periodic timer).
 type Trigger struct{}
 
-// RouteSpec is one branching path, precomputed by the broadcast origin so
-// that path-start nodes can build ANR headers without global knowledge: the
-// link IDs are local to each node along the chain, taken from the origin's
-// topology database.
-type RouteSpec struct {
-	Start core.NodeID
-	Nodes []core.NodeID // chain nodes, in order
-	Links []anr.ID      // Links[i] = ID at the i-th sender toward Nodes[i]
-}
-
 // Msg is one topology broadcast packet: the origin's (or, in full-knowledge
-// mode, all known) local-topology records plus the branching-path route
-// specs that tell every start node what to forward. Routes is sorted by
-// Start, so receivers locate their own paths by binary search. Receivers
-// must treat a Msg as immutable: selective copies share the value.
+// mode, all known) local-topology records plus the origin's plan of the
+// broadcast — the branching paths of its minimum-hop tree as finished ANR
+// headers, link IDs taken from its topology database — so that every
+// path-start node forwards without global knowledge. Plan is nil on the
+// LinkEvent adjacency bring-up, which nobody forwards. Receivers must treat a
+// Msg as immutable: selective copies share the value.
 type Msg struct {
 	Origin core.NodeID
 	Seq    uint64
 	Recs   []Record
-	Routes []RouteSpec
+	Plan   *paths.Fanout
 }
 
 // Broadcast is the paper's §3.1 branching-paths topology-maintenance
@@ -51,9 +40,9 @@ type Broadcast struct {
 	// application stays unconditional: Update is idempotent by sequence.
 	fwd watermarks
 
-	// routes caches the branching-path route specs of this node's own
-	// broadcasts; nil until it starts one (a relay never does).
-	routes *specCache
+	// plan caches the branching-path plan of this node's own broadcasts; nil
+	// until it starts one (a relay never does).
+	plan *planCache
 
 	// Stats for experiments.
 	Broadcasts int
@@ -62,16 +51,14 @@ type Broadcast struct {
 	DupSuppressed int
 }
 
-// specCache is a broadcast origin's route specs, valid while the database
-// version holds: a quiet round refreshes only the local record's sequence
-// number, which leaves the version (and thus the decomposition) intact, so
-// steady-state broadcasts reuse the same specs with no tree or decomposition
-// work. Receivers treat Msg as immutable, so the slice is safely shared
-// across rounds.
-type specCache struct {
-	specs []RouteSpec
-	err   error
-	at    uint64
+// planCache is a broadcast origin's plan, valid while the database version
+// holds: a quiet round refreshes only the local record's sequence number,
+// which leaves the version (and thus the decomposition) intact, so
+// steady-state broadcasts attach the same plan with no tree or decomposition
+// work. plan is nil when the version allows none.
+type planCache struct {
+	plan *paths.Fanout
+	at   uint64
 }
 
 var _ core.Protocol = (*Broadcast)(nil)
@@ -113,16 +100,17 @@ func (b *Broadcast) Deliver(env core.Env, pkt core.Packet) {
 	case *Msg:
 		b.db.installAll(m.Recs)
 		// Forward each round at most once: a fault-duplicated (or reordered
-		// stale) Msg must not re-fan-out. Rounds with no route specs (the
-		// LinkEvent adjacency bring-up) forward nothing, so they are exempt
+		// stale) Msg must not re-fan-out. A message with no plan (the
+		// LinkEvent adjacency bring-up) forwards nothing, so it is exempt
 		// from the watermark and can never mask a real round.
-		if len(m.Routes) > 0 {
-			if m.Seq <= b.fwd.get(m.Origin) {
-				b.DupSuppressed++
-				return
-			}
-			b.fwd.set(m.Origin, m.Seq)
+		if m.Plan == nil {
+			return
 		}
+		if m.Seq <= b.fwd.get(m.Origin) {
+			b.DupSuppressed++
+			return
+		}
+		b.fwd.set(m.Origin, m.Seq)
 		b.forward(env, m)
 	}
 }
@@ -131,14 +119,14 @@ func (b *Broadcast) startBroadcast(env core.Env) {
 	b.refresh(env)
 	b.Broadcasts++
 
-	routes, ok := b.cachedRoutes()
-	if !ok {
+	plan := b.cachedPlan()
+	if plan == nil {
 		// Knows nothing beyond itself, or a stale view names links the
 		// origin has no record for; skip this broadcast round, later rounds
 		// repair the view.
 		return
 	}
-	msg := &Msg{Origin: b.id, Seq: b.seq, Routes: routes}
+	msg := &Msg{Origin: b.id, Seq: b.seq, Plan: plan}
 	if b.full {
 		msg.Recs = b.db.Records()
 	} else {
@@ -148,74 +136,29 @@ func (b *Broadcast) startBroadcast(env core.Env) {
 	b.forward(env, msg)
 }
 
-// cachedRoutes returns the branching-path route specs for the current
-// database version, recomputing the tree and decomposition only when the
-// believed topology actually changed.
-func (b *Broadcast) cachedRoutes() ([]RouteSpec, bool) {
-	c := b.routes
+// cachedPlan returns the branching-path plan for the current database
+// version, recomputing the tree and decomposition only when the believed
+// topology actually changed.
+func (b *Broadcast) cachedPlan() *paths.Fanout {
+	c := b.plan
 	if v := b.db.Version(); c == nil || c.at != v {
-		c = &specCache{at: v}
-		c.specs, c.err = b.computeRoutes()
-		b.routes = c
+		c = &planCache{at: v}
+		if int(b.id) < b.db.View().N() {
+			c.plan, _ = paths.NewFanout(b.db.BFSTree(b.id), b.db.LinkID) // nil with the error
+		}
+		b.plan = c
 	}
-	return c.specs, c.err == nil
-}
-
-// computeRoutes builds the route specs from scratch: branching-path
-// decomposition of the cached minimum-hop tree rooted here.
-func (b *Broadcast) computeRoutes() ([]RouteSpec, error) {
-	if int(b.id) >= b.db.View().N() {
-		return nil, fmt.Errorf("topology: node %d knows nothing beyond itself", b.id)
-	}
-	tree := b.db.BFSTree(b.id)
-	labels := paths.Labels(tree)
-	dec := paths.Decompose(tree, labels)
-	return b.routeSpecs(dec)
-}
-
-// routeSpecs converts a decomposition into wire route specs using the
-// database's link IDs. The result is sorted by Start (paths.Routes's order)
-// — the contract forward's binary search relies on. Ordering at the origin
-// is free compared with what it saves: unsorted, every one of the n
-// receivers scans all O(n) specs, which profiling showed dominating large
-// broadcasts.
-func (b *Broadcast) routeSpecs(dec *paths.Decomposition) ([]RouteSpec, error) {
-	specs := make([]RouteSpec, 0, len(dec.Paths))
-	err := paths.Routes(dec, b.db.LinkID, func(p paths.Path, links []anr.ID) {
-		// Nodes aliases the decomposition's chain storage: paths are never
-		// mutated after Decompose, and Msg (which carries the specs) is
-		// immutable by contract.
-		specs = append(specs, RouteSpec{Start: p.Start(), Nodes: p.Chain(), Links: links})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("topology: %w", err)
-	}
-	return specs, nil
+	return c.plan
 }
 
 // forward relays the message over every path starting at this node, within
-// the same activation (one system call, free multicast). Routes is sorted
-// by Start (routeSpecs's contract), so this node's paths are one contiguous
-// run found by binary search instead of a full scan — per receiver that is
-// O(log n + own paths), not O(all paths).
+// the same activation (one system call, free multicast).
 func (b *Broadcast) forward(env core.Env, m *Msg) {
-	lo := sort.Search(len(m.Routes), func(j int) bool { return m.Routes[j].Start >= b.id })
-	var hs []anr.Header
-	for _, spec := range m.Routes[lo:] {
-		if spec.Start != b.id {
-			break
-		}
-		hs = append(hs, anr.CopyPath(spec.Links))
-	}
-	if len(hs) == 0 {
-		return
-	}
-	if m.Origin != b.id {
-		b.Forwards++
-	}
 	// Route errors (e.g. dmax) surface as lost coverage; later broadcast
 	// rounds repair it, mirroring the paper's loss handling.
-	_ = env.Multicast(hs, m)
+	if n, _ := m.Plan.Relay(env, b.id, m); n > 0 && m.Origin != b.id {
+		b.Forwards++
+	}
 }
 
 // RecordsForGraph builds the true records of every node of g (seq 0, all

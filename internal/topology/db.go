@@ -151,6 +151,17 @@ type DB struct {
 	slot  []int32 // slot[u] = entry index of node u, -1 if unknown; nil until len(ents) > slotThreshold
 	order []int32 // entry indices by ascending node; Records re-sorts it only after a node was added
 
+	// The batch screen: seen[u] = 1 + the stored sequence number of node u, 0
+	// for a node with no record (or one whose number leaves no room for the
+	// +1; such a record is merely not screened). A full-knowledge message
+	// repeats its sender's whole database and all but a record or two of it
+	// is already held here, so updateAll turns those away on this one dense
+	// load per record. It is nil until the first multi-record message arrives
+	// at a database that has its slot table, then as long as slot and kept
+	// exact by update: databases that hear one record at a time (flooding, a
+	// single broadcast) never pay for it.
+	seen []uint64
+
 	// The materialized believed-topology graph. While it is current, Update
 	// patches the edges at the changed record's node (patchView); View
 	// rebuilds it in place (Reset + refill) only from cold or when the node
@@ -223,7 +234,7 @@ func NewDB() *DB {
 // slotOf returns the store slot holding u's record.
 func (db *DB) slotOf(u core.NodeID) (int32, bool) {
 	if db.slot != nil {
-		if int(u) >= len(db.slot) {
+		if uint(u) >= uint(len(db.slot)) { // beyond the table, or negative
 			return 0, false
 		}
 		s := db.slot[u]
@@ -246,6 +257,9 @@ func (db *DB) setSlot(u core.NodeID, s int32) {
 			grown[i] = -1
 		}
 		db.slot = grown
+		if db.seen != nil {
+			db.seen = append(db.seen, make([]uint64, len(grown)-len(db.seen))...)
+		}
 	}
 	db.slot[u] = s
 }
@@ -268,6 +282,18 @@ func linksEqual(a, b []LinkInfo) bool {
 		}
 	}
 	return true
+}
+
+// SameLinks reports whether a and b are one list in the strict sense: the
+// same array, not merely equal contents. Link lists are immutable once stored
+// or sent and a database adopts the lists it receives, so in a converged
+// network every database holds the same array for a node and identity is the
+// usual form of equality — one that costs nothing to establish. Two lists
+// with equal contents can still sit in different arrays: a node that restarts
+// rebuilds its own, Update copies what it is given, and a record that came by
+// another route may carry an older array.
+func SameLinks(a, b []LinkInfo) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // indexThreshold is the degree below which findLink scans the link list
@@ -316,8 +342,29 @@ func (db *DB) Update(rec Record) bool { return db.update(rec, false) }
 func (db *DB) install(rec Record) bool { return db.update(rec, true) }
 
 func (db *DB) update(rec Record, adopt bool) bool {
+	if rec.Node < 0 {
+		return false // no node has a negative ID; the slot table is indexed by it
+	}
 	s, known := db.slotOf(rec.Node)
 	var old []LinkInfo
+	if known {
+		e := &db.ents[s]
+		if e.rec.Seq >= rec.Seq {
+			return false
+		}
+		if linksEqual(e.rec.Links, rec.Links) {
+			// A pure sequence-number refresh leaves every derived structure
+			// valid: keep the version, and with it every cache.
+			db.setSeq(s, rec.Seq)
+			return true
+		}
+		old = e.rec.Links
+	}
+	for _, l := range rec.Links {
+		if l.Neighbor < 0 {
+			return false // View sizes the graph by the IDs the records name
+		}
+	}
 	if !known {
 		s = int32(len(db.ents))
 		if db.ents == nil {
@@ -333,23 +380,15 @@ func (db *DB) update(rec Record, adopt bool) bool {
 				db.setSlot(db.ents[i].rec.Node, int32(i))
 			}
 		}
-	} else if e := &db.ents[s]; e.rec.Seq >= rec.Seq {
-		return false
-	} else if linksEqual(e.rec.Links, rec.Links) {
-		// A pure sequence-number refresh leaves every derived structure
-		// valid: keep the version, and with it every cache.
-		e.rec.Seq = rec.Seq
-		return true
-	} else {
-		old = e.rec.Links
 	}
 	// A fresh list, never an overwrite of the stored array: records handed
 	// out earlier, some still in flight, share it.
 	if !adopt {
 		rec.Links = slices.Clone(rec.Links)
 	}
-	db.ents[s].rec = Record{Node: rec.Node, Seq: rec.Seq, Links: rec.Links}
+	db.ents[s].rec.Links = rec.Links
 	db.ents[s].idx = db.ents[s].idx[:0]
+	db.setSeq(s, rec.Seq)
 	viewCurrent := db.view != nil && db.viewAt == db.version
 	db.version++
 	if viewCurrent {
@@ -358,21 +397,51 @@ func (db *DB) update(rec Record, adopt bool) bool {
 	return true
 }
 
-// UpdateAll applies every record of a received batch, as Update would one by
-// one. A full-knowledge broadcast repeats the sender's whole database and
-// nearly all of it is already known here, so stale records are turned away
-// against the slot table before the Update call.
+// setSeq advances the sequence number of slot s's record, in the store and,
+// where there is one, on the batch screen.
+func (db *DB) setSeq(s int32, seq uint64) {
+	r := &db.ents[s].rec
+	r.Seq = seq
+	if int(r.Node) < len(db.seen) {
+		db.seen[r.Node] = seq + 1
+	}
+}
+
+// UpdateAll applies every record of a batch, as Update would one by one.
 func (db *DB) UpdateAll(recs []Record) { db.updateAll(recs, false) }
 
 // installAll is UpdateAll under install's ownership rule: the records of a
 // received message.
-func (db *DB) installAll(recs []Record) { db.updateAll(recs, true) }
+func (db *DB) installAll(recs []Record) {
+	if db.seen == nil && db.slot != nil && len(recs) > 1 {
+		db.seen = make([]uint64, len(db.slot))
+		for i := range db.ents {
+			db.seen[db.ents[i].rec.Node] = db.ents[i].rec.Seq + 1
+		}
+	}
+	db.updateAll(recs, true)
+}
 
+// updateAll pays for what a batch brings that is new: a record no newer than
+// the stored one is turned away before the update call — on the screen where
+// there is one, else against the slot table — and a newer one whose Links is
+// the stored array itself (SameLinks) is a sequence refresh with nothing to
+// compare; a list that is merely equal takes update's comparison as before.
 func (db *DB) updateAll(recs []Record, adopt bool) {
 	for i := range recs {
 		r := &recs[i]
-		if int(r.Node) < len(db.slot) {
-			if s := db.slot[r.Node]; s >= 0 && db.ents[s].rec.Seq >= r.Seq {
+		u := uint(r.Node) // a negative ID lands past every table, and update rejects it
+		if u < uint(len(db.seen)) {
+			seen := db.seen[u]
+			if seen > r.Seq {
+				continue
+			}
+			if s := db.slot[u]; seen != 0 && SameLinks(db.ents[s].rec.Links, r.Links) {
+				db.setSeq(s, r.Seq)
+				continue
+			}
+		} else if u < uint(len(db.slot)) {
+			if s := db.slot[u]; s >= 0 && db.ents[s].rec.Seq >= r.Seq {
 				continue
 			}
 		}

@@ -98,7 +98,7 @@ func (m *diffModel) step(op, a, b, c byte) {
 	if v == u {
 		v = (v + 1) % span
 	}
-	switch op % 8 {
+	switch op % 10 {
 	case 4: // name the first node beyond the view: the patch must decline and the view grow
 		top := m.cached.View().N()
 		if top >= m.n {
@@ -148,6 +148,31 @@ func (m *diffModel) step(op, a, b, c byte) {
 			m.links[u][int(c)%len(m.links[u])].Neighbor = core.NodeID(v)
 			m.install(u)
 		}
+	case 8: // a record no node sent: a negative ID (c even) or neighbour; the shadow does not move
+		rec := Record{Node: core.NodeID(u), Seq: m.seq[u] + 1, Links: []LinkInfo{{Local: 1, Neighbor: core.NodeID(v), Up: true}}}
+		if c%2 == 0 {
+			rec.Node = -1 - core.NodeID(a%3)
+		} else {
+			rec.Links[0].Neighbor = -1 - core.NodeID(b%3)
+		}
+		m.history = append(m.history, rec)
+		m.cached.Update(rec)
+	case 9: // a full-knowledge message through installAll: every node's record (the first
+		// one brings the whole ID range up at once), under a fresh number where b and c
+		// say so and as stored elsewhere, carrying the stored array itself (a even) or a copy
+		batch := make([]Record, 0, m.n)
+		for x := 0; x < m.n; x++ {
+			if m.seq[x] == 0 || (uint(b)|uint(c)<<8)>>(x%16)&1 == 1 {
+				m.seq[x]++
+			}
+			rec := Record{Node: core.NodeID(x), Seq: m.seq[x], Links: slices.Clone(m.links[x])}
+			if stored, ok := m.cached.Record(rec.Node); ok && a%2 == 0 && linksEqual(stored.Links, rec.Links) {
+				rec.Links = stored.Links
+			}
+			batch = append(batch, rec)
+		}
+		m.history = append(m.history, batch...)
+		m.cached.installAll(batch)
 	case 5: // a first record that denies (c even) or omits (c odd) an edge claimed one-sidedly
 		for w := range m.links {
 			for _, l := range m.links[w] {
@@ -230,8 +255,9 @@ func sameRecords(a, b []Record) bool {
 
 // checkRecords verifies the record-immutability contract and the batch
 // apply: the previous Records() result still reads as it did when taken, and
-// the history replayed through UpdateAll — twice, so the second pass is all
-// stale records — builds the database the Update loop builds.
+// the history replayed through UpdateAll, and as five-record messages through
+// installAll — twice, so the second pass is all stale records — builds the
+// database the Update loop builds.
 func (m *diffModel) checkRecords(t *testing.T) {
 	t.Helper()
 	if !sameRecords(m.snap, m.snapWant) {
@@ -244,19 +270,24 @@ func (m *diffModel) checkRecords(t *testing.T) {
 		m.snapWant[i] = r
 	}
 
-	loop, batch := NewDB(), NewDB()
+	loop, batch, msgs := NewDB(), NewDB(), NewDB()
 	for pass := 0; pass < 2; pass++ {
 		for _, r := range m.history {
 			loop.Update(r)
 		}
 		batch.UpdateAll(m.history)
+		for i := 0; i < len(m.history); i += 5 {
+			msgs.installAll(m.history[i:min(i+5, len(m.history))])
+		}
 	}
-	if batch.Version() != loop.Version() || batch.Len() != loop.Len() {
-		t.Fatalf("UpdateAll: version %d, %d records; Update loop: version %d, %d records",
-			batch.Version(), batch.Len(), loop.Version(), loop.Len())
-	}
-	if got, want := batch.Records(), loop.Records(); !sameRecords(got, want) || !sameRecords(got, m.snap) {
-		t.Fatalf("UpdateAll records diverged:\n got %+v\nloop %+v\nlive %+v", got, want, m.snap)
+	for name, db := range map[string]*DB{"UpdateAll": batch, "installAll": msgs} {
+		if db.Version() != loop.Version() || db.Len() != loop.Len() {
+			t.Fatalf("%s: version %d, %d records; Update loop: version %d, %d records",
+				name, db.Version(), db.Len(), loop.Version(), loop.Len())
+		}
+		if got, want := db.Records(), loop.Records(); !sameRecords(got, want) || !sameRecords(got, m.snap) {
+			t.Fatalf("%s records diverged:\n got %+v\nloop %+v\nlive %+v", name, got, want, m.snap)
+		}
 	}
 }
 
@@ -302,7 +333,8 @@ func TestRoutingPlaneDifferential(t *testing.T) {
 		binary.LittleEndian.PutUint64(data[i:], x)
 	}
 	// 9 nodes stay on the linear-scan store; 24 cross slotThreshold, so
-	// UpdateAll's early-out against the slot table runs too.
+	// updateAll's early-out against the slot table and, from the second
+	// multi-record message on, the screen run too.
 	for _, n := range []int{9, 24} {
 		for _, k := range []int{1, 2, 3, 7} {
 			runDiff(t, data, n, k)
@@ -315,6 +347,12 @@ func FuzzRoutingPlane(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 0, 2, 1, 0, 1, 1, 2, 0, 1, 5, 3, 0, 0, 0})
 	f.Add(rangeScript)
 	f.Add(shapeScript)
+	// Hostile records: node -1 and a neighbour -2 between good ones.
+	f.Add([]byte{0, 0, 1, 0, 8, 0, 1, 0, 8, 1, 0, 1, 0, 1, 2, 0})
+	// Batches on the 18-node model (bit 2 of the first byte): a bring-up that
+	// builds the slot table, a change, the batch that builds the screen, a
+	// hostile record, then batches of stored arrays and of copies.
+	f.Add([]byte{29, 0, 0xff, 0xff, 0, 0, 1, 0, 9, 1, 0x0f, 0, 8, 0, 1, 0, 9, 0, 0xf0, 0x0f, 1, 0, 0, 0, 9, 2, 0, 0, 9, 3, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4*64 {
 			data = data[:4*64]
@@ -322,6 +360,12 @@ func FuzzRoutingPlane(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		runDiff(t, data, 7, 1+int(data[0])%4)
+		// Most scripts run on 7 nodes, where a check is cheap; the others on
+		// 18, which a single batch takes past slotThreshold.
+		n := 7
+		if data[0]&4 != 0 {
+			n = slotThreshold + 2
+		}
+		runDiff(t, data, n, 1+int(data[0])%4)
 	})
 }
