@@ -286,6 +286,7 @@ func benchJitterBroadcast(b *testing.B, c core.Time, shards int) {
 
 func BenchmarkJitterBroadcastC2(b *testing.B)       { benchJitterBroadcast(b, 2, 0) }
 func BenchmarkJitterBroadcastC8(b *testing.B)       { benchJitterBroadcast(b, 8, 0) }
+func BenchmarkJitterBroadcastC8Shard1(b *testing.B) { benchJitterBroadcast(b, 8, 1) } // the shard-mode contract alone: what p = 1 costs the classic row above
 func BenchmarkJitterBroadcastC8Shard4(b *testing.B) { benchJitterBroadcast(b, 8, 4) }
 
 // benchOpenLoop runs one open-loop load-plane scenario per iteration on a

@@ -16,7 +16,6 @@ import (
 	"os"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"fastnet/internal/core"
 	"fastnet/internal/election"
@@ -253,7 +252,7 @@ func runSim(args []string) error {
 		if *proto == "pif-direct" {
 			mode = pif.EchoDirect
 		}
-		res, err := pif.Run(g, core.NodeID(*root), mode, core.Time(*c), core.Time(*p))
+		res, err := pif.Run(g, core.NodeID(*root), mode, core.Time(*c), core.Time(*p), opts...)
 		if err != nil {
 			return err
 		}
@@ -278,7 +277,7 @@ func runSim(args []string) error {
 		for i := range inputs {
 			inputs[i] = globalfn.Value(i)
 		}
-		res, err := globalfn.Execute(tree, params, inputs, globalfn.Sum, false)
+		res, err := globalfn.Execute(tree, params, inputs, globalfn.Sum, false, opts...)
 		if err != nil {
 			return err
 		}
@@ -292,115 +291,37 @@ func runSim(args []string) error {
 	}
 }
 
-// runSoak drives the seeded fault-injection soak (internal/faults). Flag
-// names must stay in sync with faults.Config.Repro, which renders the
-// one-line reproduction command printed on an invariant violation.
+// runSoak drives the seeded fault-injection soak (internal/faults). The
+// soak's own knobs are declared once, in faults.Config, which registers their
+// flags here and renders the same names into the one-line reproduction
+// command printed on an invariant violation; this function adds what is not a
+// property of the soak: the topology, the campaign and profiling.
 func runSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
 	var (
-		runtimeName = fs.String("runtime", "des", "runtime: des|gosim")
-		topoName    = fs.String("topo", "gnp", "topology: ring|path|star|grid|complete|tree|gnp|arpanet|cbt")
-		n           = fs.Int("n", 64, "number of nodes (topology-dependent)")
-		gnpP        = fs.Float64("gnp-p", 0, "edge probability for gnp (default 4/n)")
-		seed        = fs.Int64("seed", 1, "seed for schedules, calls and elections")
-		epochs      = fs.Int("epochs", 50, "churn epochs to run")
-		modeName    = fs.String("mode", "branching-paths", "maintenance protocol: branching-paths|flooding")
-		flaps       = fs.Int("flaps", 2, "link flaps per epoch")
-		flapLen     = fs.Int("flaplen", 1, "steps a flapped link stays down")
-		partEvery   = fs.Int("partition-every", 5, "epochs between correlated cuts (0 = off)")
-		partHeal    = fs.Int("partition-heal", 1, "epochs until a cut heals")
-		crashes     = fs.Int("crashes", 1, "node crashes per epoch")
-		downtime    = fs.Int("downtime", 1, "epochs a crashed node stays down")
-		callCount   = fs.Int("calls", 2, "calls set up and failure-checked per epoch")
-		leaderCrash = fs.Float64("leader-crash", 0.25, "per-epoch probability of crashing the leader")
-		loss        = fs.Float64("loss", 0, "per-traversal drop probability (lossy-link model)")
-		dup         = fs.Float64("dup", 0, "per-traversal duplication probability")
-		corrupt     = fs.Float64("corrupt", 0, "per-traversal corruption probability")
-		jitter      = fs.Float64("jitter", 0, "per-traversal extra-delay probability")
-		jitterMax   = fs.Int("jittermax", 0, "max extra per-hop delay (default 4)")
-		reorder     = fs.Float64("reorder", 0, "per-traversal reorder probability (arms invariant I7)")
-		reorderWin  = fs.Int("reorder-window", 0, "max reorder displacement in ticks (default 8)")
-		slow        = fs.Float64("slow", 0, "per-traversal gray-slowdown probability (arms invariant I8)")
-		slowFactor  = fs.Float64("slow-factor", 0, "slowdown multiplier on the per-hop delay (default 4)")
-		slowMax     = fs.Int("slow-max", 0, "max additive slowdown in ticks (default 8)")
-		stall       = fs.Int("stall", 0, "NCU-stall windows per epoch (arms invariant I8)")
-		stallTicks  = fs.Int("stall-ticks", 0, "stall window length in ticks (default 8)")
-		rate        = fs.Float64("rate", 0, "open-loop arrival rate in calls/tick (0 = classic churn soak; arms invariant I9)")
-		holding     = fs.Int("holding", 0, "open-loop mean call-holding time in ticks (default 256)")
-		zipfS       = fs.Float64("zipf", 0, "open-loop endpoint-popularity skew exponent (0 = uniform)")
-		ncuCap      = fs.Int("ncu-cap", 0, "open-loop finite NCU service queue (0 = unlimited)")
-		linkCap     = fs.Float64("link-cap", 0, "open-loop per-link token refill rate (0 = unlimited)")
-		reliableN   = fs.Int("reliable", 0, "reliable ledger messages per epoch (invariant I6)")
-		burstEvery  = fs.Int("burst-every", 0, "scale the fault profile up every k-th epoch (0 = off)")
-		burstScale  = fs.Float64("burst-scale", 0, "burst multiplier (default 2)")
-		adversary   = fs.Bool("adversary", false, "fail the link the last delivery was observed on")
-		noElection  = fs.Bool("no-election", false, "skip the per-epoch re-election invariant")
-		maxRounds   = fs.Int("max-rounds", 0, "convergence-round cap (default n+8)")
-		timeout     = fs.Duration("timeout", 30*time.Second, "per-quiescence bound (gosim runtime)")
-		verbose     = fs.Bool("v", false, "print one line per epoch")
-		shards      = fs.Int("shards", 0, "event cores for the sharded DES scheduler (0 = classic serial; implies unit hardware delay)")
-		seedCount   = fs.Int("seeds", 1, "run a campaign of this many consecutive seeds starting at -seed")
-		parallel    = fs.Int("parallel", 1, "workers for the multi-seed campaign (0 = one per CPU)")
-		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = fs.String("memprofile", "", "write an allocation profile to this file")
+		cfg       faults.Config
+		topoName  = fs.String("topo", "gnp", "topology: ring|path|star|grid|complete|tree|gnp|arpanet|cbt")
+		n         = fs.Int("n", 64, "number of nodes (topology-dependent)")
+		gnpP      = fs.Float64("gnp-p", 0, "edge probability for gnp (default 4/n)")
+		verbose   = fs.Bool("v", false, "print one line per epoch")
+		seedCount = fs.Int("seeds", 1, "run a campaign of this many consecutive seeds starting at -seed")
+		parallel  = fs.Int("parallel", 1, "workers for the multi-seed campaign (0 = one per CPU)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write an allocation profile to this file")
 	)
+	parsed := cfg.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var mode topology.Mode
-	switch *modeName {
-	case "branching-paths", "branching", "broadcast":
-		mode = topology.ModeBranching
-	case "flooding", "flood":
-		mode = topology.ModeFlood
-	default:
-		return fmt.Errorf("unknown mode %q (want branching-paths or flooding)", *modeName)
-	}
-	if err := checkShards(*shards); err != nil {
+	if err := parsed(); err != nil {
 		return err
 	}
-	g, err := buildTopo(*topoName, *n, *gnpP, *seed)
+	if err := checkShards(cfg.Shards); err != nil {
+		return err
+	}
+	g, err := buildTopo(*topoName, *n, *gnpP, cfg.Seed)
 	if err != nil {
 		return err
-	}
-	cfg := faults.Config{
-		Seed:           *seed,
-		Epochs:         *epochs,
-		Runtime:        *runtimeName,
-		Mode:           mode,
-		Flaps:          *flaps,
-		FlapLen:        *flapLen,
-		PartitionEvery: *partEvery,
-		PartitionHeal:  *partHeal,
-		Crashes:        *crashes,
-		Downtime:       *downtime,
-		Adversary:      *adversary,
-		LeaderCrash:    *leaderCrash,
-		Loss:           *loss,
-		Dup:            *dup,
-		Corrupt:        *corrupt,
-		Jitter:         *jitter,
-		JitterMax:      *jitterMax,
-		Reorder:        *reorder,
-		ReorderWindow:  *reorderWin,
-		Slow:           *slow,
-		SlowFactor:     *slowFactor,
-		SlowMax:        *slowMax,
-		Stall:          *stall,
-		StallTicks:     *stallTicks,
-		BurstEvery:     *burstEvery,
-		BurstScale:     *burstScale,
-		Reliable:       *reliableN,
-		Rate:           *rate,
-		Holding:        *holding,
-		ZipfS:          *zipfS,
-		NCUCap:         *ncuCap,
-		LinkCap:        *linkCap,
-		Calls:          *callCount,
-		NoElection:     *noElection,
-		MaxRounds:      *maxRounds,
-		Timeout:        *timeout,
-		Shards:         *shards,
 	}
 	if *verbose {
 		cfg.Verbose = os.Stdout
@@ -409,35 +330,53 @@ func runSoak(args []string) error {
 	if err != nil {
 		return err
 	}
+	// report prints one finished soak, under its seed in a campaign, and says
+	// whether every invariant held. The repro line of one that did not is the
+	// soak's own plus the one topology parameter Repro's signature does not
+	// carry.
+	report := func(cfg faults.Config, res *faults.Result, campaign bool) bool {
+		line, sub := "", ""
+		if campaign {
+			line, sub = fmt.Sprintf("seed %d: ", cfg.Seed), fmt.Sprintf("seed %d ", cfg.Seed)
+		}
+		fmt.Println(line + res.Line())
+		if *verbose && res.Sched.Events > 0 {
+			fmt.Printf("%ssched: %s\n", sub, res.Sched)
+		}
+		if *verbose && res.Det.Probes > 0 {
+			fmt.Printf("%sdetector: %s\n", sub, res.Det)
+		}
+		if res.OK() {
+			return true
+		}
+		for _, v := range res.Violations {
+			fmt.Fprintln(os.Stderr, "violation:", v)
+		}
+		repro := cfg.Repro(*topoName, *n)
+		if *gnpP > 0 {
+			repro += fmt.Sprintf(" -gnp-p %g", *gnpP)
+		}
+		fmt.Fprintln(os.Stderr, "repro:", repro)
+		return false
+	}
 
 	// Multi-seed campaign: fan independent soaks across the worker pool and
 	// report one line per seed, in seed order regardless of worker count.
 	if *seedCount > 1 {
-		seeds := runner.Seeds(*seed, *seedCount)
+		seeds := runner.Seeds(cfg.Seed, *seedCount)
 		fmt.Printf("soak campaign %s on %s: n=%d m=%d seeds=%d..%d epochs=%d mode=%s workers=%d\n",
 			cfg.Runtime, *topoName, g.N(), g.M(), seeds[0], seeds[len(seeds)-1],
-			cfg.Epochs, mode, runner.Workers(*parallel))
+			cfg.Epochs, cfg.Mode, runner.Workers(*parallel))
 		results, err := faults.SoakSeeds(g, cfg, seeds, *parallel)
 		if err != nil {
 			return err
 		}
 		bad := 0
 		for i, res := range results {
-			fmt.Printf("seed %d: %s\n", seeds[i], res.Line())
-			if *verbose && res.Sched.Events > 0 {
-				fmt.Printf("seed %d sched: %s\n", seeds[i], res.Sched)
-			}
-			if *verbose && res.Det.Probes > 0 {
-				fmt.Printf("seed %d detector: %s\n", seeds[i], res.Det)
-			}
-			if !res.OK() {
+			c := cfg
+			c.Seed = seeds[i]
+			if !report(c, res, true) {
 				bad++
-				for _, v := range res.Violations {
-					fmt.Fprintln(os.Stderr, "violation:", v)
-				}
-				c := cfg
-				c.Seed = seeds[i]
-				fmt.Fprintln(os.Stderr, "repro:", c.Repro(*topoName, *n))
 			}
 		}
 		if err := stopProf(); err != nil {
@@ -450,26 +389,16 @@ func runSoak(args []string) error {
 	}
 
 	fmt.Printf("soak %s on %s: n=%d m=%d seed=%d epochs=%d mode=%s\n",
-		cfg.Runtime, *topoName, g.N(), g.M(), cfg.Seed, cfg.Epochs, mode)
+		cfg.Runtime, *topoName, g.N(), g.M(), cfg.Seed, cfg.Epochs, cfg.Mode)
 	res, err := faults.Soak(g, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Line())
-	if *verbose && res.Sched.Events > 0 {
-		fmt.Println("sched:", res.Sched)
-	}
-	if *verbose && res.Det.Probes > 0 {
-		fmt.Println("detector:", res.Det)
-	}
+	ok := report(cfg, res, false)
 	if err := stopProf(); err != nil {
 		return err
 	}
-	if !res.OK() {
-		for _, v := range res.Violations {
-			fmt.Fprintln(os.Stderr, "violation:", v)
-		}
-		fmt.Fprintln(os.Stderr, "repro:", cfg.Repro(*topoName, *n))
+	if !ok {
 		return fmt.Errorf("%d invariant violation(s) after %d clean epochs", len(res.Violations), res.Epochs)
 	}
 	return nil

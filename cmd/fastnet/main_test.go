@@ -45,41 +45,66 @@ func reexec(t *testing.T, args ...string) (string, int) {
 // non-zero process exit status and a one-line repro command that reproduces
 // the identical violation when replayed.
 func TestSoakViolationExitCodeAndRepro(t *testing.T) {
-	// -max-rounds 1 on a churned ring cannot converge: deterministic I1
-	// violation on the discrete-event runtime.
-	out, code := reexec(t, "soak", "-topo", "ring", "-n", "16", "-seed", "1",
-		"-epochs", "2", "-flaps", "3", "-partition-every", "0", "-crashes", "0",
-		"-calls", "0", "-leader-crash", "0", "-no-election", "-max-rounds", "1")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\n%s", code, out)
+	for name, args := range map[string][]string{
+		// -max-rounds 1 on a churned ring cannot converge: deterministic I1
+		// violation on the discrete-event runtime.
+		"ring": {"soak", "-topo", "ring", "-n", "16", "-seed", "1",
+			"-epochs", "2", "-flaps", "3", "-partition-every", "0", "-crashes", "0",
+			"-calls", "0", "-leader-crash", "0", "-no-election", "-max-rounds", "1"},
+		// The edge probability is part of the topology: a repro line without
+		// it replays another graph, and so another violation.
+		"gnp-p": {"soak", "-topo", "gnp", "-n", "16", "-gnp-p", "0.6", "-seed", "1",
+			"-epochs", "2", "-max-rounds", "1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			out, code := reexec(t, args...)
+			if code != 1 {
+				t.Fatalf("exit code = %d, want 1\n%s", code, out)
+			}
+			if !strings.Contains(out, "invariant I1 violated") {
+				t.Fatalf("output misses the violation line:\n%s", out)
+			}
+			var repro string
+			for _, line := range strings.Split(out, "\n") {
+				if rest, ok := strings.CutPrefix(line, "repro: fastnet "); ok {
+					repro = rest
+					break
+				}
+			}
+			if repro == "" {
+				t.Fatalf("output misses the one-line repro:\n%s", out)
+			}
+			// Replaying the repro command reproduces the violation byte for byte.
+			out2, code2 := reexec(t, strings.Fields(repro)...)
+			if code2 != 1 {
+				t.Fatalf("repro exit code = %d, want 1\n%s", code2, out2)
+			}
+			want := ""
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "violation:") {
+					want = line
+					break
+				}
+			}
+			if want == "" || !strings.Contains(out2, want) {
+				t.Fatalf("repro run did not reproduce %q:\n%s", want, out2)
+			}
+		})
 	}
-	if !strings.Contains(out, "invariant I1 violated") {
-		t.Fatalf("output misses the violation line:\n%s", out)
+}
+
+// TestSoakHelpGolden pins `fastnet soak -h` byte for byte. Most of its flags
+// are not declared in this package — the soak's knobs register themselves
+// (faults.Config.Flags) — so a name, a default or a usage line that moved
+// shows here.
+func TestSoakHelpGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/soak_help.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var repro string
-	for _, line := range strings.Split(out, "\n") {
-		if rest, ok := strings.CutPrefix(line, "repro: fastnet "); ok {
-			repro = rest
-			break
-		}
-	}
-	if repro == "" {
-		t.Fatalf("output misses the one-line repro:\n%s", out)
-	}
-	// Replaying the repro command reproduces the violation byte for byte.
-	out2, code2 := reexec(t, strings.Fields(repro)...)
-	if code2 != 1 {
-		t.Fatalf("repro exit code = %d, want 1\n%s", code2, out2)
-	}
-	want := ""
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "violation:") {
-			want = line
-			break
-		}
-	}
-	if want == "" || !strings.Contains(out2, want) {
-		t.Fatalf("repro run did not reproduce %q:\n%s", want, out2)
+	out, code := reexec(t, "soak", "-h")
+	if code != 1 || out != string(want) {
+		t.Fatalf("soak -h exited %d and printed\n%s\nwant exit 1 and\n%s", code, out, want)
 	}
 }
 
@@ -274,6 +299,20 @@ func TestRunSimPIF(t *testing.T) {
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("run(%v): %v", args, err)
+		}
+	}
+	// The network flags reach the protocols that build their own networks:
+	// drawing every delay from [1,C] and [1,P] instead of paying C and P
+	// moves the finish time.
+	for _, proto := range []string{"pif", "pif-direct", "gsf"} {
+		args := []string{"sim", "-topo", "tree", "-n", "40", "-proto", proto, "-c", "3", "-p", "2"}
+		exact, code := reexec(t, args...)
+		drawn, code2 := reexec(t, append(args, "-random-delays")...)
+		if code != 0 || code2 != 0 {
+			t.Fatalf("%s: exit codes %d and %d\n%s\n%s", proto, code, code2, exact, drawn)
+		}
+		if exact == drawn {
+			t.Errorf("%s: -random-delays changed nothing:\n%s", proto, exact)
 		}
 	}
 }

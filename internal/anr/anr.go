@@ -133,19 +133,6 @@ func (h Header) Clone() Header {
 	return append(Header(nil), h...)
 }
 
-// Reversed is a convenience for tests: it returns the hops in reverse order
-// with a fresh terminator. Note that a reversed header is NOT in general a
-// valid return route, because link IDs are local to each switching
-// subsystem; runtimes build true reverse routes hop by hop (the paper's
-// reverse-path facility).
-func (h Header) Reversed() Header {
-	r := make(Header, 0, len(h))
-	for i := len(h) - 2; i >= 0; i-- {
-		r = append(r, Hop{Link: h[i].Link})
-	}
-	return append(r, Hop{Link: NCU})
-}
-
 // String renders the route compactly, e.g. "3 >5* >0" where * marks copy hops.
 func (h Header) String() string {
 	var b strings.Builder

@@ -218,13 +218,3 @@ func (a *Analysis) SpanningTree(n int) ([]core.NodeID, error) {
 	}
 	return parents, nil
 }
-
-// TreeNodes lists the nodes with a causal parent, sorted (diagnostics).
-func (a *Analysis) TreeNodes() []core.NodeID {
-	out := make([]core.NodeID, 0, len(a.Parent))
-	for u := range a.Parent {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -238,6 +238,34 @@ func TestWalkRouteBadLink(t *testing.T) {
 
 // Property: the accumulated reverse route of a terminal delivery leads back
 // to the sender, on random trees and random source/destination pairs.
+// The goroutine runtime builds its link-state, roller and corruption closures
+// for every send; a walk that made them escape would add two objects to each
+// fault-free send. The walk may allocate what it delivers and nothing for
+// what it was handed: closures over a local cost what package functions cost.
+func TestWalkLeavesCallersClosuresOnTheStack(t *testing.T) {
+	pm := NewPortMap(graph.Path(4))
+	links, _ := pm.RouteLinks([]NodeID{0, 1, 2, 3})
+	h := anr.CopyPath(links)
+	keep := func(pl any) any { return pl }
+	plain := testing.AllocsPerRun(100, func() {
+		if _, err := WalkRouteFaults(pm, allUp, nil, nil, keep, 0, h, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	captured := testing.AllocsPerRun(100, func() {
+		calls := 0
+		up := func(NodeID, anr.ID) bool { calls++; return true }
+		roll := func(NodeID) MsgFault { calls++; return FaultNone }
+		corrupt := func(pl any) any { calls++; return pl }
+		if _, err := WalkRouteFaults(pm, up, nil, roll, corrupt, 0, h, nil); err != nil || calls != 6 {
+			t.Fatalf("walk: %v after %d calls", err, calls)
+		}
+	})
+	if captured != plain {
+		t.Fatalf("%.0f allocations with closures over a local, %.0f with package functions", captured, plain)
+	}
+}
+
 func TestWalkReverseRouteQuick(t *testing.T) {
 	f := func(seed int64, a, b uint8) bool {
 		g := graph.RandomTree(20, seed)

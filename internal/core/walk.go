@@ -35,13 +35,6 @@ type Delivery struct {
 	Reordered bool
 }
 
-// TraversalFault is one lossy-link perturbation applied during a walk.
-type TraversalFault struct {
-	Kind MsgFault
-	// At is the node whose outgoing link traversal was perturbed.
-	At NodeID
-}
-
 // Traversal is the complete hardware-level outcome of routing one packet.
 type Traversal struct {
 	Deliveries []Delivery
@@ -54,11 +47,9 @@ type Traversal struct {
 	// Dropped or Filtered).
 	DroppedAt NodeID
 	// Filtered is true if the programmable switching filter discarded the
-	// packet (Dropped stays false in that case).
+	// packet (Dropped stays false in that case, as it does when a fault drops
+	// the packet: the roller is what accounts for faults).
 	Filtered bool
-	// Faults lists the lossy-link perturbations applied during the walk
-	// (fault drops are recorded here, not in Dropped).
-	Faults []TraversalFault
 }
 
 // LinkStateFunc reports whether the physical link behind node u's local port
@@ -130,69 +121,14 @@ func ValidateMulticast(hs []anr.Header) error {
 // normal hop only forwards. Copies are delivered even when the onward link is
 // dead (the NCU link is always up), after which the packet is dropped.
 func WalkRoute(pm *PortMap, up LinkStateFunc, src NodeID, h anr.Header) (Traversal, error) {
-	return WalkRouteFiltered(pm, up, nil, src, h, nil)
+	return WalkRouteFaults(pm, up, nil, nil, nil, src, h, nil)
 }
 
 // WalkRouteFiltered is WalkRoute with the extended hardware model: filter
 // (if non-nil) runs in every transit SS before any output, and payload is
 // what it inspects.
 func WalkRouteFiltered(pm *PortMap, up LinkStateFunc, filter HopFilter, src NodeID, h anr.Header, payload any) (Traversal, error) {
-	if err := h.Validate(); err != nil {
-		return Traversal{}, err
-	}
-	var (
-		tr        Traversal
-		cur       = src
-		rev       = anr.Local()
-		arrivedOn = anr.NCU
-	)
-	for i, hop := range h {
-		if hop.Link == anr.NCU {
-			tr.Deliveries = append(tr.Deliveries, Delivery{
-				Node:       cur,
-				Remaining:  nil,
-				Reverse:    rev,
-				ArrivedOn:  arrivedOn,
-				HopsBefore: tr.Hops,
-			})
-			return tr, nil
-		}
-		port, err := pm.Resolve(cur, hop.Link)
-		if err != nil {
-			return Traversal{}, fmt.Errorf("walk at node %d: %w", cur, err)
-		}
-		if i > 0 && filter != nil && !filter(cur, payload) {
-			tr.Filtered = true
-			tr.DroppedAt = cur
-			return tr, nil
-		}
-		if hop.Copy {
-			tr.Deliveries = append(tr.Deliveries, Delivery{
-				Node:        cur,
-				Remaining:   h[i+1:].Clone(),
-				Reverse:     rev,
-				ArrivedOn:   arrivedOn,
-				ForwardedOn: hop.Link,
-				Copy:        true,
-				HopsBefore:  tr.Hops,
-			})
-		}
-		if !up(cur, hop.Link) {
-			tr.Dropped = true
-			tr.DroppedAt = cur
-			return tr, nil
-		}
-		tr.Hops++
-		// Extend the reverse route: from the next node, first traverse
-		// back over this link, then follow the previous reverse route.
-		next := make(anr.Header, 0, len(rev)+1)
-		next = append(next, anr.Hop{Link: port.RemoteID})
-		rev = append(next, rev...)
-		arrivedOn = port.RemoteID
-		cur = port.Remote
-	}
-	// Validate guarantees a terminator, so this is unreachable.
-	return tr, fmt.Errorf("walk: header %v missing terminator", h)
+	return WalkRouteFaults(pm, up, filter, nil, nil, src, h, payload)
 }
 
 // FaultRoller decides the fault applied to one link traversal; it is called
@@ -205,16 +141,14 @@ type FaultRoller func(at NodeID) MsgFault
 // non-nil) perturbs each live-link traversal. A duplicate branch re-walks
 // the remaining header, so its hops and deliveries are accounted again —
 // the duplicate physically retraverses the fabric. The whole route is
-// pre-validated against the port map, so branches cannot fail mid-walk.
+// pre-validated against the port map, as the discrete-event runtime does
+// before it launches a packet: a header naming a link that does not exist is
+// refused whole, wherever on the route a dead link, the filter or a fault
+// would have stopped the packet, and branches cannot fail mid-walk.
 func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll FaultRoller, corrupt func(any) any, src NodeID, h anr.Header, payload any) (Traversal, error) {
-	if roll == nil {
-		return WalkRouteFiltered(pm, up, filter, src, h, payload)
-	}
 	if err := h.Validate(); err != nil {
 		return Traversal{}, err
 	}
-	// Pre-validate every named link so duplicate branches cannot hit a
-	// resolution error after the first branch already produced deliveries.
 	cur := src
 	for _, hop := range h {
 		if hop.Link == anr.NCU {
@@ -226,85 +160,100 @@ func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll Fault
 		}
 		cur = port.Remote
 	}
+	w := walker{pm: pm, up: up, filter: filter, roll: roll, corrupt: corrupt, h: h}
 	var tr Traversal
-	var walk func(cur NodeID, i int, rev anr.Header, arrivedOn anr.ID, pl any, tainted, reordered bool, hops int)
-	walk = func(cur NodeID, i int, rev anr.Header, arrivedOn anr.ID, pl any, tainted, reordered bool, hops int) {
-		for ; i < len(h); i++ {
-			hop := h[i]
-			if hop.Link == anr.NCU {
-				d := Delivery{Node: cur, Reverse: rev, ArrivedOn: arrivedOn, HopsBefore: hops, Reordered: reordered}
-				if tainted {
-					d.Payload = pl
-				}
-				tr.Deliveries = append(tr.Deliveries, d)
-				return
-			}
-			port, _ := pm.Resolve(cur, hop.Link)
-			if i > 0 && filter != nil && !filter(cur, pl) {
-				tr.Filtered = true
-				tr.DroppedAt = cur
-				return
-			}
-			if hop.Copy {
-				d := Delivery{
-					Node:        cur,
-					Remaining:   h[i+1:].Clone(),
-					Reverse:     rev,
-					ArrivedOn:   arrivedOn,
-					ForwardedOn: hop.Link,
-					Copy:        true,
-					HopsBefore:  hops,
-					Reordered:   reordered,
-				}
-				if tainted {
-					d.Payload = pl
-				}
-				tr.Deliveries = append(tr.Deliveries, d)
-			}
-			if !up(cur, hop.Link) {
-				tr.Dropped = true
-				tr.DroppedAt = cur
-				return
-			}
-			dup := false
-			switch f := roll(cur); f {
-			case FaultDrop:
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultDrop, At: cur})
-				return
-			case FaultDup:
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultDup, At: cur})
-				dup = true
-			case FaultCorrupt:
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultCorrupt, At: cur})
-				pl = corrupt(pl)
-				tainted = true
-			case FaultJitter:
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultJitter, At: cur})
-				reordered = true
-			case FaultReorder:
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultReorder, At: cur})
-				reordered = true
-			case FaultSlowdown:
-				// No delay model here: a slowed packet is simply one that
-				// later traffic may overtake, so it is delivered reordered.
-				tr.Faults = append(tr.Faults, TraversalFault{Kind: FaultSlowdown, At: cur})
-				reordered = true
-			}
+	w.walk(&tr, branch{cur: src, rev: anr.Local(), arrivedOn: anr.NCU, pl: payload})
+	return tr, nil
+}
+
+// walker is the inputs of one WalkRouteFaults call. The traversal every
+// branch of the packet adds to is passed beside it, not held in it: the
+// deliveries go to the heap, and what shares a struct with them is taken to
+// go there too — the caller's up, roll and corrupt closures, which the
+// goroutine runtime builds for every send and which must stay on its stack.
+type walker struct {
+	pm      *PortMap
+	up      LinkStateFunc
+	filter  HopFilter
+	roll    FaultRoller
+	corrupt func(any) any
+	h       anr.Header
+}
+
+// branch is one copy of the packet in flight: where it is, the header index
+// it is about to consume, and what the hops behind it did to it.
+type branch struct {
+	cur       NodeID
+	i         int
+	rev       anr.Header
+	arrivedOn anr.ID
+	pl        any
+	tainted   bool // pl replaced the routed payload: a corruption fault upstream
+	reordered bool
+	hops      int
+}
+
+// walk carries b to the end of its route, or to whatever stops it.
+func (w *walker) walk(tr *Traversal, b branch) {
+	for ; b.i < len(w.h); b.i++ {
+		hop := w.h[b.i]
+		d := Delivery{Node: b.cur, Reverse: b.rev, ArrivedOn: b.arrivedOn, HopsBefore: b.hops, Reordered: b.reordered}
+		if b.tainted {
+			d.Payload = b.pl
+		}
+		if hop.Link == anr.NCU {
+			tr.Deliveries = append(tr.Deliveries, d)
+			return
+		}
+		if b.i > 0 && w.filter != nil && !w.filter(b.cur, b.pl) {
+			tr.Filtered = true
+			tr.DroppedAt = b.cur
+			return
+		}
+		if hop.Copy {
+			d.Remaining = w.h[b.i+1:].Clone()
+			d.ForwardedOn = hop.Link
+			d.Copy = true
+			tr.Deliveries = append(tr.Deliveries, d)
+		}
+		if !w.up(b.cur, hop.Link) {
+			tr.Dropped = true
+			tr.DroppedAt = b.cur
+			return
+		}
+		f := FaultNone
+		if w.roll != nil {
+			f = w.roll(b.cur)
+		}
+		switch f {
+		case FaultDrop:
+			return
+		case FaultCorrupt:
+			b.pl = w.corrupt(b.pl)
+			b.tainted = true
+		case FaultJitter, FaultReorder, FaultSlowdown:
+			// No delay model here: a delayed packet is simply one that later
+			// traffic may overtake, so it is delivered reordered.
+			b.reordered = true
+		}
+		tr.Hops++
+		b.hops++
+		// Extend the reverse route: from the next node, first traverse
+		// back over this link, then follow the previous reverse route.
+		port, _ := w.pm.Resolve(b.cur, hop.Link) // pre-validated
+		next := make(anr.Header, 0, len(b.rev)+1)
+		next = append(next, anr.Hop{Link: port.RemoteID})
+		b.rev = append(next, b.rev...)
+		b.arrivedOn = port.RemoteID
+		b.cur = port.Remote
+		if f == FaultDup {
+			// The duplicate also crossed the link: account its hop and
+			// continue it independently from the far end.
 			tr.Hops++
-			hops++
-			next := make(anr.Header, 0, len(rev)+1)
-			next = append(next, anr.Hop{Link: port.RemoteID})
-			rev = append(next, rev...)
-			arrivedOn = port.RemoteID
-			cur = port.Remote
-			if dup {
-				// The duplicate also crossed the link: account its hop and
-				// continue it independently from the far end.
-				tr.Hops++
-				walk(cur, i+1, rev.Clone(), arrivedOn, pl, tainted, reordered, hops)
-			}
+			dup := b
+			dup.i++
+			dup.rev = b.rev.Clone()
+			w.walk(tr, dup)
 		}
 	}
-	walk(src, 0, anr.Local(), anr.NCU, payload, false, false, 0)
-	return tr, nil
 }

@@ -128,17 +128,7 @@ func Run(g *graph.Graph, algo Algorithm, starters []core.NodeID, opts ...sim.Opt
 	if _, err := net.Run(); err != nil {
 		return Result{}, err
 	}
-	leader, err := validate(g, func(u core.NodeID) State { return stateOf(net.Protocol(u)) })
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Leader:            leader,
-		Metrics:           net.Metrics(),
-		LeaderDomain:      domainOf(net.Protocol(leader), g.N()),
-		AlgorithmMessages: stats.AlgorithmMessages(),
-		Stats:             stats,
-	}, nil
+	return outcome(g, net, stats)
 }
 
 // RunAsync executes one election on the goroutine runtime. Extra options
@@ -157,6 +147,17 @@ func RunAsync(g *graph.Graph, algo Algorithm, starters []core.NodeID, seed int64
 	if err := net.AwaitQuiescence(timeout); err != nil {
 		return Result{}, err
 	}
+	return outcome(g, net, stats)
+}
+
+// finished is what either runtime's network shows of a run that has quiesced.
+type finished interface {
+	Protocol(core.NodeID) core.Protocol
+	Metrics() core.Metrics
+}
+
+// outcome validates a finished run and assembles its Result.
+func outcome(g *graph.Graph, net finished, stats *Stats) (Result, error) {
 	leader, err := validate(g, func(u core.NodeID) State { return stateOf(net.Protocol(u)) })
 	if err != nil {
 		return Result{}, err

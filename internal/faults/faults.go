@@ -181,6 +181,40 @@ func (st *State) Live() *graph.Graph {
 	return live
 }
 
+// largestComponent returns the live topology and its largest connected
+// component, the first of equals in graph.Components' order. The soak's
+// ledger traffic (I6), elections (I2, I7, I8) and detector scenario run
+// there; fewer than two members leave them nothing to do.
+func (st *State) largestComponent() (live *graph.Graph, comp []core.NodeID) {
+	live = st.Live()
+	for _, c := range live.Components() {
+		if len(c) > len(comp) {
+			comp = c
+		}
+	}
+	return live, comp
+}
+
+// inducedSubgraph maps comp onto a compact 0..k-1 graph; ids maps local
+// node IDs back to g's.
+func inducedSubgraph(g *graph.Graph, comp []core.NodeID) (*graph.Graph, []core.NodeID) {
+	idx := make(map[core.NodeID]int, len(comp))
+	ids := make([]core.NodeID, len(comp))
+	for i, v := range comp {
+		idx[v] = i
+		ids[i] = v
+	}
+	sub := graph.New(len(comp))
+	for _, e := range g.Edges() {
+		iu, uOK := idx[e.U]
+		iv, vOK := idx[e.V]
+		if uOK && vOK {
+			sub.MustAddEdge(core.NodeID(iu), core.NodeID(iv))
+		}
+	}
+	return sub, ids
+}
+
 // BeginEpoch clears the epoch-local touched set.
 func (st *State) BeginEpoch() {
 	st.touched = make(map[graph.Edge]bool)

@@ -10,17 +10,16 @@ import (
 
 	"fastnet/internal/faults"
 	"fastnet/internal/graph"
-	"fastnet/internal/topology"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden soak lines from the current implementation")
 
 // goldenSoaks pin full soak result lines (the byte-identical repro target)
-// for a small matrix of configs: plain churn, churn with elections and
-// leader crashes, and a lossy fabric with the reliable-delivery ledger.
+// for faults.GoldenConfigs, a small matrix of configs.
 func goldenSoaks() map[string]func() (string, error) {
-	run := func(cfg faults.Config) func() (string, error) {
-		return func() (string, error) {
+	soaks := map[string]func() (string, error){}
+	for name, cfg := range faults.GoldenConfigs {
+		soaks[name] = func() (string, error) {
 			g := graph.GNP(20, 0.3, 2)
 			res, err := faults.Soak(g, cfg)
 			if err != nil {
@@ -32,19 +31,7 @@ func goldenSoaks() map[string]func() (string, error) {
 			return res.Line(), nil
 		}
 	}
-	return map[string]func() (string, error){
-		"churn-flood": run(faults.Config{
-			Seed: 7, Epochs: 4, Mode: topology.ModeFlood,
-			Flaps: 2, Crashes: 1, Downtime: 2, NoElection: true,
-		}),
-		"churn-elect": run(faults.Config{
-			Seed: 3, Epochs: 4, Flaps: 1, Crashes: 1, LeaderCrash: 0.5, Calls: 2,
-		}),
-		"lossy-reliable": run(faults.Config{
-			Seed: 5, Epochs: 3, Mode: topology.ModeFlood, Flaps: 1, NoElection: true,
-			Loss: 0.1, Dup: 0.05, Corrupt: 0.02, Jitter: 0.05, Reliable: 8,
-		}),
-	}
+	return soaks
 }
 
 // TestGoldenSoakLines locks the soak driver's repro contract: for pinned

@@ -66,11 +66,9 @@ type gosimHarness struct {
 	timeout time.Duration
 }
 
-// NewGosimHarness adapts a goroutine network; timeout bounds each Quiesce.
+// NewGosimHarness adapts a goroutine network; timeout bounds each Quiesce
+// (Soak passes Config.Timeout, its default resolved).
 func NewGosimHarness(net *gosim.Network, timeout time.Duration) Harness {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	return gosimHarness{net, timeout}
 }
 

@@ -118,21 +118,6 @@ func TestSoakFaultFreeLineUnchanged(t *testing.T) {
 	}
 }
 
-// TestReproRoundTrips: the repro line for a lossy config carries every flag
-// that shaped the run.
-func TestReproRoundTrips(t *testing.T) {
-	cfg := lossyCfg(42, 5)
-	repro := cfg.Repro("ring", 16)
-	for _, want := range []string{
-		"-seed 42", "-epochs 5", "-loss 0.25", "-dup 0.1", "-corrupt 0.1",
-		"-jitter 0.1", "-jittermax 4", "-reliable 6", "-burst-every 2", "-burst-scale 2",
-	} {
-		if !strings.Contains(repro, want) {
-			t.Fatalf("repro %q misses %q", repro, want)
-		}
-	}
-}
-
 func TestMsgFaultSchedules(t *testing.T) {
 	base := core.MsgFaults{Drop: 0.1, Dup: 0.05}
 	c := ConstantFaults{P: base}

@@ -32,7 +32,7 @@ func runOpenLoop(g *graph.Graph, cfg Config, opts []sim.Option) (*Result, error)
 			Seed:    cfg.Seed*1000003 + int64(epoch)*65599 + 17,
 			Calls:   cfg.Calls,
 			Rate:    cfg.Rate * float64(epoch+1),
-			Holding: core.Time(cfg.olHolding()),
+			Holding: core.Time(cfg.Holding),
 			Zipf:    cfg.ZipfS,
 			Faults:  profile,
 			Capacity: core.Capacity{
@@ -48,16 +48,12 @@ func runOpenLoop(g *graph.Graph, cfg Config, opts []sim.Option) (*Result, error)
 		res.OL.Merge(s)
 		res.Metrics = res.OL.Net
 		if s.Generated != s.Delivered+s.Blocked+s.Dropped {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"epoch %d: invariant I9 violated: ledger leak at rate %g: generated=%d delivered=%d blocked=%d dropped=%d",
-				epoch, lc.Rate, s.Generated, s.Delivered, s.Blocked, s.Dropped))
-			return res, nil
+			return res, res.settle(violated(epoch, 9, "ledger leak at rate %g: generated=%d delivered=%d blocked=%d dropped=%d",
+				lc.Rate, s.Generated, s.Delivered, s.Blocked, s.Dropped))
 		}
 		if !lc.Capacity.Enabled() && !profile.Enabled() && s.Blocked+s.Dropped != 0 {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"epoch %d: invariant I9 violated: undeclared overload at rate %g: blocked=%d dropped=%d on a clean uncapped fabric",
-				epoch, lc.Rate, s.Blocked, s.Dropped))
-			return res, nil
+			return res, res.settle(violated(epoch, 9, "undeclared overload at rate %g: blocked=%d dropped=%d on a clean uncapped fabric",
+				lc.Rate, s.Blocked, s.Dropped))
 		}
 		res.Epochs++
 		if w := cfg.Verbose; w != nil {

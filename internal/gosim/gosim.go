@@ -452,6 +452,16 @@ func (net *Network) randomQueuePos(n int) int {
 	return net.faultRng.Intn(n + 1)
 }
 
+// faultKinds is the trace event a fired fault is recorded as.
+var faultKinds = [...]trace.Kind{
+	core.FaultDrop:     trace.KindFaultDrop,
+	core.FaultDup:      trace.KindFaultDup,
+	core.FaultCorrupt:  trace.KindFaultCorrupt,
+	core.FaultJitter:   trace.KindFaultJitter,
+	core.FaultReorder:  trace.KindFaultReorder,
+	core.FaultSlowdown: trace.KindFaultSlow,
+}
+
 // route performs the hardware traversal synchronously and enqueues the
 // resulting NCU deliveries.
 func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64) error {
@@ -496,15 +506,7 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 				net.faultSlow.Add(1)
 			}
 			if f != core.FaultNone {
-				kind := map[core.MsgFault]trace.Kind{
-					core.FaultDrop:     trace.KindFaultDrop,
-					core.FaultDup:      trace.KindFaultDup,
-					core.FaultCorrupt:  trace.KindFaultCorrupt,
-					core.FaultJitter:   trace.KindFaultJitter,
-					core.FaultReorder:  trace.KindFaultReorder,
-					core.FaultSlowdown: trace.KindFaultSlow,
-				}[f]
-				net.cfg.sink.Record(trace.Event{Kind: kind, Time: act, Node: at, Msg: msg, Cause: f.String()})
+				net.cfg.sink.Record(trace.Event{Kind: faultKinds[f], Time: act, Node: at, Msg: msg, Cause: f.String()})
 			}
 			return f
 		}

@@ -98,8 +98,6 @@ type Config struct {
 	// MMPP: on-phases arrive BurstFactor times denser than Rate, separated
 	// by silent phases, preserving the long-run mean.
 	BurstFactor float64
-	// BurstOn is the mean on-phase length in ticks (default 512).
-	BurstOn float64
 	// Holding is the mean call-holding time in ticks, exponentially
 	// distributed per call (default 256). A delivered call occupies its
 	// endpoints for its holding time before completing.
@@ -112,22 +110,17 @@ type Config struct {
 	// NCUCap > 0 caps concurrent calls per endpoint: an arrival finding
 	// either endpoint full is Blocked (the classic Erlang loss knob), and
 	// admitted calls carry an admission timer — in flight past
-	// AdmissionTimeout means Dropped.
+	// 4*Holding + 256 ticks means Dropped.
 	NCUCap int
-	// AdmissionTimeout is the in-flight deadline when NCUCap > 0
-	// (default 4*Holding + 256).
-	AdmissionTimeout core.Time
 	// Capacity enables the runtime's finite-resource model (finite NCU
 	// service queues, per-link token buckets). Zero = off.
 	Capacity core.Capacity
-	// C, P are the runtime's hardware and software delays (defaults 0, 1).
-	C, P core.Time
 	// Faults layers the lossy-link model under the calls.
 	Faults core.MsgFaults
-	// EventBudget overrides the runtime's runaway guard
-	// (default max(64*Calls, 10M)).
-	EventBudget int64
 }
+
+// burstOn is the mean on-phase length of the bursty arrival process, in ticks.
+const burstOn = 512
 
 // ConfigError reports a Config field no run can honour, so sweep and probe
 // drivers can tell a bad scenario from a simulation failure with errors.As.
@@ -147,7 +140,7 @@ func (cfg *Config) validate() error {
 	for _, f := range []struct {
 		field string
 		v     float64
-	}{{"Rate", cfg.Rate}, {"Zipf", cfg.Zipf}, {"BurstFactor", cfg.BurstFactor}, {"BurstOn", cfg.BurstOn}} {
+	}{{"Rate", cfg.Rate}, {"Zipf", cfg.Zipf}, {"BurstFactor", cfg.BurstFactor}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return &ConfigError{f.field, f.v, "must be finite"}
 		}
@@ -168,26 +161,8 @@ func (cfg *Config) holding() core.Time {
 	return cfg.Holding
 }
 
-func (cfg *Config) timeout() core.Time {
-	if cfg.AdmissionTimeout > 0 {
-		return cfg.AdmissionTimeout
-	}
-	return 4*cfg.holding() + 256
-}
-
-func (cfg *Config) burstOn() float64 {
-	if cfg.BurstOn <= 0 {
-		return 512
-	}
-	return cfg.BurstOn
-}
-
-func (cfg *Config) swDelay() core.Time {
-	if cfg.P <= 0 {
-		return 1
-	}
-	return cfg.P
-}
+// timeout is the in-flight deadline of an admitted call when NCUCap > 0.
+func (cfg *Config) timeout() core.Time { return 4*cfg.holding() + 256 }
 
 // Stats is the outcome ledger and latency record of one open-loop run.
 // Conservation holds by construction: Generated == Delivered + Blocked +
@@ -307,17 +282,10 @@ func run(g *graph.Graph, cfg Config, pairs *PairTable, opts ...sim.Option) (*Sta
 		return nil, err
 	}
 	e := &engine{cfg: cfg, timeout: cfg.timeout(), reuse: cfg.Faults.Dup == 0}
-	budget := cfg.EventBudget
-	if budget <= 0 {
-		budget = 64 * int64(cfg.Calls)
-		if budget < 10_000_000 {
-			budget = 10_000_000
-		}
-	}
 	simOpts := []sim.Option{
-		sim.WithDelays(cfg.C, cfg.swDelay()),
+		sim.WithDelays(0, 1), // the paper's regime: free hardware, unit software delay
 		sim.WithSeed(cfg.Seed),
-		sim.WithEventBudget(budget),
+		sim.WithEventBudget(max(64*int64(cfg.Calls), 10_000_000)), // the runaway guard
 	}
 	if cfg.Capacity.Enabled() {
 		simOpts = append(simOpts, sim.WithCapacity(cfg.Capacity))
@@ -339,7 +307,7 @@ func run(g *graph.Graph, cfg Config, pairs *PairTable, opts ...sim.Option) (*Sta
 	// Each is a pure function of the seed, so no consumer can perturb
 	// another's draws.
 	if cfg.BurstFactor > 1 {
-		e.arr = NewBurst(cfg.Rate, cfg.BurstFactor, cfg.burstOn(), cfg.Seed^0x41a7)
+		e.arr = NewBurst(cfg.Rate, cfg.BurstFactor, burstOn, cfg.Seed^0x41a7)
 	} else {
 		e.arr = NewPoisson(cfg.Rate, cfg.Seed^0x41a7)
 	}

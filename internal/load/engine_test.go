@@ -200,8 +200,6 @@ func TestEngineRejectsBadConfig(t *testing.T) {
 		{"Zipf", Config{Calls: 10, Rate: 1, Zipf: -inf}},
 		{"BurstFactor", Config{Calls: 10, Rate: 1, BurstFactor: nan}},
 		{"BurstFactor", Config{Calls: 10, Rate: 1, BurstFactor: inf}},
-		{"BurstOn", Config{Calls: 10, Rate: 1, BurstFactor: 4, BurstOn: nan}},
-		{"BurstOn", Config{Calls: 10, Rate: 1, BurstFactor: 4, BurstOn: -inf}},
 	} {
 		s, err := Run(g, tc.cfg)
 		var ce *ConfigError

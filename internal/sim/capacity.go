@@ -16,15 +16,6 @@ func WithCapacity(c core.Capacity) Option {
 // Capacity returns the active capacity limits.
 func (net *Network) Capacity() core.Capacity { return net.cfg.cap }
 
-// SetCapacity replaces the capacity limits, effective for activations
-// enqueued and traversals attempted from the current virtual time on.
-// Backlog counters start from zero and link buckets start full (at burst),
-// so enabling limits mid-run polices new work, not work already in flight.
-// On a sharded network the per-node state is shared across shards like the
-// per-node metrics arrays: each array row is touched only by the owning
-// event core.
-func (net *Network) SetCapacity(c core.Capacity) { net.applyCapacity(c) }
-
 // linkBucket is one directed link's token state: tok tokens as of virtual
 // time last, refilled lazily at Capacity.LinkRate up to Capacity.Burst when
 // next touched. Lazy refill keeps admission O(1) per traversal with no
