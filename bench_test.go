@@ -292,8 +292,9 @@ func BenchmarkJitterBroadcastC8Shard4(b *testing.B) { benchJitterBroadcast(b, 8,
 // benchOpenLoop runs one open-loop load-plane scenario per iteration on a
 // GNP-1024 fabric, checking the exactly-once ledger and that the record pool
 // engaged (allocations bounded by pool chunks, not by generated calls).
-// Mirrors `fastnet bench`'s OpenLoop* rows; short mode scales a million
-// generated calls down to a hundred thousand.
+// The repository benchmark's openloop-* workloads run the same load plane at
+// 300k and 240k calls; short mode scales a million generated calls here down
+// to a hundred thousand.
 func benchOpenLoop(b *testing.B, cfg load.Config) {
 	g := graph.GNP(1024, 6.0/1024, 3)
 	b.ReportAllocs()

@@ -7,7 +7,6 @@
 //	fastnet exp [-csv] <id>...       run experiments (IDs or 'all')
 //	fastnet sim [flags]              run one scenario (see 'fastnet sim -h')
 //	fastnet soak [flags]             run the invariant-checked churn soak
-//	fastnet bench [flags]            benchmark the suite, emit BENCH_<date>.json
 package main
 
 import (
@@ -54,7 +53,18 @@ func run(args []string) error {
 	case "soak":
 		return runSoak(args[1:])
 	case "bench":
-		return runBench(args[1:])
+		// What is left of `fastnet bench`, which bench/ replaced: the
+		// bench/run.sh invocation for the form that was typed.
+		form := "-workload all -o <dir>"
+		for _, a := range args[1:] {
+			switch name, _, _ := strings.Cut(strings.TrimLeft(a, "-"), "="); name {
+			case "list":
+				form = "-list"
+			case "compare", "from":
+				form = "-workload all -compare <dir>"
+			}
+		}
+		return fmt.Errorf("`fastnet bench` is gone; the repository benchmark is: bash bench/run.sh %s", form)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -404,7 +414,15 @@ func runSoak(args []string) error {
 	return nil
 }
 
+// buildTopo checks -n and -gnp-p first, for every command that takes them: the
+// generators panic on a negative size and take any p (NaN fails the test too).
 func buildTopo(name string, n int, gnpP float64, seed int64) (*graph.Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("-n %d: must be >= 1", n)
+	}
+	if !(gnpP >= 0 && gnpP <= 1) {
+		return nil, fmt.Errorf("-gnp-p %g: must be in (0, 1] (0 = the default 4/n)", gnpP)
+	}
 	switch name {
 	case "ring":
 		return graph.Ring(n), nil
@@ -429,7 +447,7 @@ func buildTopo(name string, n int, gnpP float64, seed int64) (*graph.Graph, erro
 		}
 		return graph.CompleteBinaryTree(d), nil
 	case "gnp":
-		if gnpP <= 0 {
+		if gnpP == 0 {
 			gnpP = 4.0 / float64(n)
 		}
 		return graph.GNP(n, gnpP, seed), nil
@@ -445,6 +463,5 @@ func usage() {
   fastnet list                 list all experiments
   fastnet exp [-csv] <id>...   run experiments by ID ('all' for everything)
   fastnet sim [flags]          run one ad-hoc scenario (see 'fastnet sim -h')
-  fastnet soak [flags]         run the invariant-checked churn soak (see 'fastnet soak -h')
-  fastnet bench [flags]        benchmark the suite and emit BENCH_<date>.json (see 'fastnet bench -h')`)
+  fastnet soak [flags]         run the invariant-checked churn soak (see 'fastnet soak -h')`)
 }

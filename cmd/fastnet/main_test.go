@@ -218,6 +218,12 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"sim", "-c", "-3"}, "-c -3"},
 		{[]string{"sim", "-p", "-1"}, "-p -1"},
 		{[]string{"sim", "-shards", "-3"}, "-shards -3"},
+		{[]string{"sim", "-n", "-5"}, "-n -5"},
+		{[]string{"sim", "-n", "0"}, "-n 0"},
+		{[]string{"sim", "-gnp-p", "2"}, "-gnp-p 2"},
+		{[]string{"sim", "-gnp-p", "NaN"}, "-gnp-p NaN"},
+		{[]string{"sim", "-gnp-p", "-0.5"}, "-gnp-p -0.5"},
+		{[]string{"soak", "-n", "-5"}, "-n -5"},
 		{[]string{"soak", "-topo", "nosuch"}, "nosuch"},
 		{[]string{"soak", "-mode", "nosuch"}, "nosuch"},
 		{[]string{"soak", "-runtime", "nosuch", "-n", "8", "-epochs", "1"}, "nosuch"},
@@ -269,6 +275,8 @@ func TestRunSoakScenarios(t *testing.T) {
 		{"soak", "-topo", "gnp", "-n", "16", "-seed", "2", "-epochs", "3", "-flaps", "1", "-crashes", "1", "-calls", "1"},
 		{"soak", "-topo", "ring", "-n", "12", "-seed", "1", "-epochs", "2", "-flaps", "1", "-partition-every", "0", "-crashes", "0", "-calls", "1", "-mode", "flooding", "-no-election"},
 		{"soak", "-runtime", "gosim", "-topo", "gnp", "-n", "12", "-seed", "3", "-epochs", "2", "-flaps", "1", "-partition-every", "0", "-crashes", "1", "-calls", "1", "-v"},
+		// One node: nothing to cut off, flap or call, and nothing violated.
+		{"soak", "-n", "1", "-epochs", "2"},
 	}
 	for _, args := range scenarios {
 		if err := run(args); err != nil {

@@ -24,9 +24,9 @@ type ID uint32
 // NCU is the reserved link ID of the processor at every node.
 const NCU ID = 0
 
-// MaxID bounds link IDs so that they fit the wire encoding (the copy bit is
+// maxLinkID bounds link IDs so that they fit the wire encoding (the copy bit is
 // carried separately).
-const MaxID ID = 1<<20 - 1
+const maxLinkID ID = 1<<20 - 1
 
 // Hop is one header element: a local link ID plus the copy bit. A hop with
 // Link == NCU terminates the route at the local processor (the copy bit is
@@ -112,7 +112,7 @@ func (h Header) Validate() error {
 		if hop.Link == NCU {
 			return fmt.Errorf("%w (position %d)", ErrEarlyNCU, i)
 		}
-		if hop.Link > MaxID {
+		if hop.Link > maxLinkID {
 			return fmt.Errorf("%w (position %d: %d)", ErrIDRange, i, hop.Link)
 		}
 	}

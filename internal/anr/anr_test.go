@@ -84,7 +84,7 @@ func TestValidateRejects(t *testing.T) {
 		{"no terminator", Header{{Link: 2}}, ErrNoTerminator},
 		{"early NCU", Header{{Link: NCU}, {Link: 2}, {Link: NCU}}, ErrEarlyNCU},
 		{"copy on NCU", Header{{Link: 2}, {Link: NCU, Copy: true}}, ErrCopyToNCU},
-		{"id range", Header{{Link: MaxID + 1}, {Link: NCU}}, ErrIDRange},
+		{"id range", Header{{Link: maxLinkID + 1}, {Link: NCU}}, ErrIDRange},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -75,10 +75,11 @@ type teardownMsg struct {
 	Fail  bool
 }
 
-// Tick drives the caller-side confirm timeout; the experiment driver injects
-// it periodically (NCUs have no timers in this model — compare
-// topology.Trigger and reliable.Tick).
-type Tick struct{}
+// tick drives the caller-side confirm timeout; whatever drives the network
+// injects it periodically — today only this package's lossy-call tests do
+// (NCUs have no timers in this model — compare topology.Trigger and
+// reliable.Tick).
+type tick struct{}
 
 // SetupCmd is injected at the caller to open a call over the given route
 // (transit hops must carry copy bits; use anr.CopyPath).
@@ -205,7 +206,7 @@ func (m *Manager) Deliver(env core.Env, pkt core.Packet) {
 		if err := env.Send(cs.route, &teardownMsg{Call: msg.Call, Epoch: cs.epoch}); err != nil {
 			m.status[msg.Call] = StatusFailed
 		}
-	case Tick:
+	case tick:
 		m.tick(env)
 	case *setupMsg:
 		if msg.Epoch <= m.closed[msg.Call] {

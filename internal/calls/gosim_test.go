@@ -32,7 +32,7 @@ func TestCallsOnGosim(t *testing.T) {
 		t.Fatalf("status = %v, want active", caller.Status(5))
 	}
 	// Mid-call failure under the async runtime.
-	net.SetLink(2, 3, false)
+	net.InjectLink(2, 3, false)
 	if err := net.AwaitQuiescence(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

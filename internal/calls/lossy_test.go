@@ -90,7 +90,7 @@ func TestConfirmTimeoutRetriesAlternate(t *testing.T) {
 	// Heal the fabric, then tick past the timeout: the retry goes over Alt.
 	net.SetMsgFaults(core.MsgFaults{})
 	for i := 0; i < 3; i++ {
-		net.Inject(net.Now()+1, 0, Tick{})
+		net.Inject(net.Now()+1, 0, tick{})
 		if _, err := net.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestConfirmTimeoutExhaustionFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		net.Inject(net.Now()+1, 0, Tick{})
+		net.Inject(net.Now()+1, 0, tick{})
 		if _, err := net.Run(); err != nil {
 			t.Fatal(err)
 		}

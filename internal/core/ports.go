@@ -56,9 +56,6 @@ func NewPortMap(g *graph.Graph) *PortMap {
 	return pm
 }
 
-// N returns the number of nodes.
-func (pm *PortMap) N() int { return len(pm.ports) }
-
 // IDWidth returns the link-ID bit width for this network (k = O(log m)).
 func (pm *PortMap) IDWidth() int { return pm.idWidth }
 

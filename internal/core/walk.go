@@ -124,21 +124,16 @@ func WalkRoute(pm *PortMap, up LinkStateFunc, src NodeID, h anr.Header) (Travers
 	return WalkRouteFaults(pm, up, nil, nil, nil, src, h, nil)
 }
 
-// WalkRouteFiltered is WalkRoute with the extended hardware model: filter
-// (if non-nil) runs in every transit SS before any output, and payload is
-// what it inspects.
-func WalkRouteFiltered(pm *PortMap, up LinkStateFunc, filter HopFilter, src NodeID, h anr.Header, payload any) (Traversal, error) {
-	return WalkRouteFaults(pm, up, filter, nil, nil, src, h, payload)
-}
-
 // FaultRoller decides the fault applied to one link traversal; it is called
 // once per traversal, including on duplicate branches. Implementations wrap
 // a MsgFaults profile around a seeded rng (and a mutex under the goroutine
 // runtime). corrupt produces the damaged payload for a corruption fault.
 type FaultRoller func(at NodeID) MsgFault
 
-// WalkRouteFaults is WalkRouteFiltered under the lossy-link model: roll (if
-// non-nil) perturbs each live-link traversal. A duplicate branch re-walks
+// WalkRouteFaults is WalkRoute with the extended hardware model and the
+// lossy-link model: filter (if non-nil) runs in every transit SS before any
+// output, payload is what it inspects, and roll (if non-nil) perturbs each
+// live-link traversal. A duplicate branch re-walks
 // the remaining header, so its hops and deliveries are accounted again —
 // the duplicate physically retraverses the fabric. The whole route is
 // pre-validated against the port map, as the discrete-event runtime does

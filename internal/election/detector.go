@@ -48,9 +48,8 @@ type beatAck struct {
 // mean instead of burning a fixed miss budget, so slow-but-alive is not
 // deposed while a dead leader's phi still grows without bound.
 //
-// The Detector is not a standalone core.Protocol: hosts multiplex it by
-// calling Handle from their own Deliver (the repo's soak node does), or wrap
-// it in DetectorNode for single-protocol tests.
+// The Detector is not a standalone core.Protocol: DetectorNode hosts it, in
+// the soak's I8 scenario and in single-protocol tests.
 type Detector struct {
 	id core.NodeID
 	// Threshold is how many consecutive unanswered periods raise suspicion
@@ -76,8 +75,8 @@ type Detector struct {
 	Acks   int64
 }
 
-// NewDetector builds the detector for one node. threshold <= 0 defaults to 3.
-func NewDetector(id core.NodeID, threshold int) *Detector {
+// newDetector builds the detector for one node. threshold <= 0 defaults to 3.
+func newDetector(id core.NodeID, threshold int) *Detector {
 	if threshold <= 0 {
 		threshold = 3
 	}
@@ -88,7 +87,7 @@ func NewDetector(id core.NodeID, threshold int) *Detector {
 // (suspect when the current silence is ~1000x less likely than the learned
 // inter-arrival mean would produce).
 func NewAdaptiveDetector(id core.NodeID, phi float64) *Detector {
-	d := NewDetector(id, 0)
+	d := newDetector(id, 0)
 	if phi <= 0 {
 		phi = 3
 	}
@@ -111,18 +110,9 @@ func (d *Detector) SetLeader(leader core.NodeID, route anr.Header) {
 	d.meanGap = 0
 }
 
-// Leader returns the currently watched leader (core.None if unarmed).
-func (d *Detector) Leader() core.NodeID { return d.leader }
-
-// Suspected reports whether the watched leader is currently suspected.
-func (d *Detector) Suspected() bool { return d.suspected }
-
-// Misses returns the current consecutive-unanswered-period count.
-func (d *Detector) Misses() int { return d.misses }
-
-// Handle consumes detector messages; it returns false for payloads belonging
+// handle consumes detector messages; it returns false for payloads belonging
 // to other protocols sharing the node.
-func (d *Detector) Handle(env core.Env, pkt core.Packet) bool {
+func (d *Detector) handle(env core.Env, pkt core.Packet) bool {
 	switch msg := pkt.Payload.(type) {
 	case BeatTick:
 		d.tick(env)
@@ -157,12 +147,12 @@ func (d *Detector) Handle(env core.Env, pkt core.Packet) bool {
 	}
 }
 
-// Phi returns the current suspicion level: -log10 of the probability that a
+// phi returns the current suspicion level: -log10 of the probability that a
 // live leader with the learned ack inter-arrival mean stays silent this long
 // (exponential fit, so phi = silence/(mean·ln 10)). Before any ack arrives
 // the mean defaults to one period: a leader that was dead on arming still
 // accumulates suspicion. 0 when unarmed or self-watching.
-func (d *Detector) Phi() float64 {
+func (d *Detector) phi() float64 {
 	if d.leader == core.None || d.leader == d.id {
 		return 0
 	}
@@ -188,7 +178,7 @@ func (d *Detector) tick(env core.Env) {
 	} else {
 		d.misses = 0
 	}
-	if d.PhiThreshold > 0 && d.Phi() >= d.PhiThreshold {
+	if d.PhiThreshold > 0 && d.phi() >= d.PhiThreshold {
 		d.suspected = true
 		return
 	}
@@ -208,7 +198,7 @@ type DetectorStats struct {
 	// LastAckTick is the probe period in which ack evidence last arrived
 	// (0 = none since arming).
 	LastAckTick int64
-	// Phi is the current accrued suspicion; in fixed-miss mode it reports
+	// phi is the current accrued suspicion; in fixed-miss mode it reports
 	// the accrual the adaptive mode would see, for side-by-side comparison.
 	Phi float64
 	// MeanGap is the learned ack inter-arrival mean in periods.
@@ -230,7 +220,7 @@ func (d *Detector) Stats() DetectorStats {
 		Suspected:   d.suspected,
 		Misses:      d.misses,
 		LastAckTick: d.lastAckAt,
-		Phi:         d.Phi(),
+		Phi:         d.phi(),
 		MeanGap:     d.meanGap,
 		Probes:      d.Probes,
 		Acks:        d.Acks,
@@ -249,7 +239,7 @@ func (n *DetectorNode) Init(core.Env) {}
 
 // Deliver implements core.Protocol.
 func (n *DetectorNode) Deliver(env core.Env, pkt core.Packet) {
-	n.D.Handle(env, pkt)
+	n.D.handle(env, pkt)
 }
 
 // LinkEvent implements core.Protocol.

@@ -16,7 +16,7 @@ func detNet(t *testing.T, n int, opts ...sim.Option) (*sim.Network, func(core.No
 	t.Helper()
 	base := []sim.Option{sim.WithDelays(1, 1), sim.WithDmax(n)}
 	net := sim.New(graph.Path(n), func(id core.NodeID) core.Protocol {
-		return &DetectorNode{D: NewDetector(id, 3)}
+		return &DetectorNode{D: newDetector(id, 3)}
 	}, append(base, opts...)...)
 	return net, func(u core.NodeID) *Detector { return net.Protocol(u).(*DetectorNode).D }
 }
@@ -54,11 +54,11 @@ func TestDetectorNoFalsePositive(t *testing.T) {
 	net, det := detNet(t, 3)
 	armPath(t, net, det, 0, 2)
 	beat(t, net, 0, 25)
-	if det(0).Suspected() {
+	if det(0).suspected {
 		t.Fatal("live leader suspected on a fault-free network")
 	}
-	if det(0).Misses() != 0 {
-		t.Fatalf("misses = %d, want 0", det(0).Misses())
+	if det(0).misses != 0 {
+		t.Fatalf("misses = %d, want 0", det(0).misses)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestDetectorSuspectsCrashedLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	beat(t, net, 0, 5)
-	if !det(0).Suspected() {
+	if !det(0).suspected {
 		t.Fatal("crashed leader never suspected")
 	}
 }
@@ -85,17 +85,17 @@ func TestDetectorSuspicionIsSticky(t *testing.T) {
 	armPath(t, net, det, 0, 2)
 	net.CrashNode(0, 2)
 	beat(t, net, 0, 6)
-	if !det(0).Suspected() {
+	if !det(0).suspected {
 		t.Fatal("crashed leader never suspected")
 	}
 	net.RestoreNode(net.Now()+1, 2)
 	beat(t, net, 0, 6)
-	if !det(0).Suspected() {
+	if !det(0).suspected {
 		t.Fatal("suspicion must be sticky across leader recovery")
 	}
 	armPath(t, net, det, 0, 2)
 	beat(t, net, 0, 6)
-	if det(0).Suspected() {
+	if det(0).suspected {
 		t.Fatal("re-armed detector must trust the recovered leader again")
 	}
 }
@@ -110,7 +110,7 @@ func TestDetectorLossDelaysButConverges(t *testing.T) {
 	net.SetMsgFaults(core.MsgFaults{Drop: 0.4, Corrupt: 0.3})
 	net.CrashNode(0, 2)
 	beat(t, net, 0, 40)
-	if !det(0).Suspected() {
+	if !det(0).suspected {
 		t.Fatal("crashed leader never suspected under loss")
 	}
 }
@@ -120,7 +120,7 @@ func TestDetectorGosim(t *testing.T) {
 	g := graph.Path(3)
 	dets := make([]*Detector, 3)
 	net := gosim.New(g, func(id core.NodeID) core.Protocol {
-		dets[id] = NewDetector(id, 3)
+		dets[id] = newDetector(id, 3)
 		return &DetectorNode{D: dets[id]}
 	})
 	defer net.Shutdown()
@@ -139,15 +139,15 @@ func TestDetectorGosim(t *testing.T) {
 		}
 	}
 	tick(10)
-	if dets[0].Suspected() {
+	if dets[0].suspected {
 		t.Fatal("live leader suspected")
 	}
-	net.SetLink(1, 2, false)
+	net.InjectLink(1, 2, false)
 	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	tick(6)
-	if !dets[0].Suspected() {
+	if !dets[0].suspected {
 		t.Fatal("leader behind a dead link never suspected")
 	}
 }
@@ -162,7 +162,7 @@ func slowNet(adaptive bool) (*sim.Network, []*Detector, error) {
 		if adaptive {
 			dets[id] = NewAdaptiveDetector(id, 3)
 		} else {
-			dets[id] = NewDetector(id, 3)
+			dets[id] = newDetector(id, 3)
 		}
 		return &DetectorNode{D: dets[id]}
 	}, sim.WithDelays(3, 2), sim.WithDmax(3))
@@ -192,10 +192,10 @@ func TestAdaptiveDetectorSurvivesSlowLeader(t *testing.T) {
 		if _, err := net.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if adaptive && dets[0].Suspected() {
+		if adaptive && dets[0].suspected {
 			t.Fatalf("adaptive detector deposed a live-but-slow leader: %+v", dets[0].Stats())
 		}
-		if !adaptive && !dets[0].Suspected() {
+		if !adaptive && !dets[0].suspected {
 			t.Fatal("fixed-miss detector tolerated an RTT above its whole miss budget; the slow regime is not slow enough to mean anything")
 		}
 		if st := dets[0].Stats(); adaptive && st.LastAckTick == 0 {
@@ -220,7 +220,7 @@ func TestAdaptiveDetectorSuspectsDeadLeader(t *testing.T) {
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !dets[0].Suspected() {
+	if !dets[0].suspected {
 		t.Fatalf("dead leader never suspected by the adaptive detector: %+v", dets[0].Stats())
 	}
 }
@@ -245,14 +245,14 @@ func TestAdaptiveDetectorSurvivesLeaderStall(t *testing.T) {
 	if _, err := net.RunUntil(30 * period); err != nil {
 		t.Fatal(err)
 	}
-	if dets[0].Suspected() {
+	if dets[0].suspected {
 		t.Fatalf("adaptive detector deposed a stalled-but-alive leader: %+v", dets[0].Stats())
 	}
 	net.CrashNode(net.Now()+1, 2)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !dets[0].Suspected() {
+	if !dets[0].suspected {
 		t.Fatalf("leader crash after the stall went undetected: %+v", dets[0].Stats())
 	}
 	if net.Metrics().StallTicks == 0 {
@@ -270,7 +270,7 @@ func TestDetectorStatsSnapshot(t *testing.T) {
 	d.SetLeader(2, nil)
 	d.ticksSeen = 10
 	d.seq = 1
-	d.Handle(nil, core.Packet{Payload: &beatAck{From: 2, Seq: 1}})
+	d.handle(nil, core.Packet{Payload: &beatAck{From: 2, Seq: 1}})
 	st := d.Stats()
 	if st.Leader != 2 || st.LastAckTick != 10 || st.MeanGap != 10 || st.Phi != 0 {
 		t.Fatalf("snapshot after first ack: %+v", st)

@@ -15,11 +15,11 @@ import (
 	"fastnet/internal/paths"
 )
 
-// TreeEntry is one node of an INOUT tree in wire form: its parent and the
+// treeEntry is one node of an INOUT tree in wire form: its parent and the
 // link IDs in both directions (Down: at the parent toward the node; Up: at
 // the node toward the parent). Both IDs are local facts exchanged by the
 // data-link handshake, so they stay valid however the tree is re-rooted.
-type TreeEntry struct {
+type treeEntry struct {
 	Node   core.NodeID
 	Parent core.NodeID
 	Down   anr.ID
@@ -36,7 +36,7 @@ const (
 // member is everything an origin knows about one node: its INOUT-tree entry
 // and its IN/OUT membership.
 type member struct {
-	TreeEntry
+	treeEntry
 	ppos  int32 // position of Parent in ents; -1 for the root and off-tree members
 	flags uint8
 }
@@ -78,14 +78,14 @@ const scanMax = 12
 // tree a star over both.
 func (d *domain) start(root core.NodeID, ports []core.Port) error {
 	d.ents = make([]member, 1, len(ports)+1)
-	d.ents[0] = member{TreeEntry: TreeEntry{Node: root, Parent: core.None}, ppos: -1, flags: inTree | inIN}
+	d.ents[0] = member{treeEntry: treeEntry{Node: root, Parent: core.None}, ppos: -1, flags: inTree | inIN}
 	d.nIn = 1
 	d.outs = make([]core.NodeID, 0, len(ports))
 	for _, port := range ports {
 		if !port.Up {
 			continue
 		}
-		if err := d.attach(TreeEntry{Node: port.Remote, Parent: root, Down: port.Local, Up: port.RemoteID}); err != nil {
+		if err := d.attach(treeEntry{Node: port.Remote, Parent: root, Down: port.Local, Up: port.RemoteID}); err != nil {
 			return err
 		}
 		d.addOut(int32(len(d.ents) - 1))
@@ -126,7 +126,7 @@ func (d *domain) add(m member) int32 {
 }
 
 // attach adds e.Node to the tree under e.Parent, which must already be in it.
-func (d *domain) attach(e TreeEntry) error {
+func (d *domain) attach(e treeEntry) error {
 	if e.Node == d.root() {
 		return fmt.Errorf("election: cannot attach the root %d", e.Node)
 	}
@@ -141,19 +141,19 @@ func (d *domain) attach(e TreeEntry) error {
 // link is attach past its checks on e.Node: the caller looked it up and
 // found it off the tree — known at pos as a set-only member, or unknown. It
 // returns the new member's position.
-func (d *domain) link(e TreeEntry, pos int32, known bool) (int32, error) {
+func (d *domain) link(e treeEntry, pos int32, known bool) (int32, error) {
 	ppos, ok := d.find(e.Parent)
 	if !ok || d.ents[ppos].flags&inTree == 0 {
 		return 0, fmt.Errorf("election: parent %d of %d not in tree", e.Parent, e.Node)
 	}
-	m := member{TreeEntry: e, ppos: ppos, flags: inTree}
+	m := member{treeEntry: e, ppos: ppos, flags: inTree}
 	if known {
 		// A set-only member joins the tree: re-append it behind its parent
 		// so ents stays parent-before-child, and leave a vacant slot (Node
 		// None). Nothing hangs under an off-tree member, so no parent
 		// position goes stale.
 		m.flags |= d.ents[pos].flags
-		d.ents[pos] = member{TreeEntry: TreeEntry{Node: core.None}, ppos: -1}
+		d.ents[pos] = member{treeEntry: treeEntry{Node: core.None}, ppos: -1}
 	}
 	return d.add(m), nil
 }
@@ -283,13 +283,13 @@ func (d *domain) merge(v *domain, o core.NodeID) bool {
 	graft := ok && v.ents[opos].flags&inTree != 0 && d.has(o)
 	if graft {
 		for p := opos; p != 0; p = v.ents[p].ppos {
-			e := v.ents[p].TreeEntry
-			d.graft(TreeEntry{Node: e.Parent, Parent: e.Node, Down: e.Up, Up: e.Down}, false)
+			e := v.ents[p].treeEntry
+			d.graft(treeEntry{Node: e.Parent, Parent: e.Node, Down: e.Up, Up: e.Down}, false)
 		}
 	}
 	for i := range v.ents {
 		if m := &v.ents[i]; m.Node != core.None { // else vacated by link
-			pos := d.graft(m.TreeEntry, !graft || i == 0 || m.flags&inTree == 0)
+			pos := d.graft(m.treeEntry, !graft || i == 0 || m.flags&inTree == 0)
 			switch {
 			case m.flags&inIN != 0:
 				d.addIn(pos)
@@ -306,13 +306,13 @@ func (d *domain) merge(v *domain, o core.NodeID) bool {
 // or, with setOnly, kept or added off the tree. The parent of an attached
 // entry is always present: merge emits entries parent-before-child from a
 // node d holds.
-func (d *domain) graft(e TreeEntry, setOnly bool) int32 {
+func (d *domain) graft(e treeEntry, setOnly bool) int32 {
 	pos, known := d.find(e.Node)
 	switch {
 	case known && (setOnly || d.ents[pos].flags&inTree != 0):
 		return pos
 	case setOnly:
-		return d.add(member{TreeEntry: TreeEntry{Node: e.Node, Parent: core.None}, ppos: -1})
+		return d.add(member{treeEntry: treeEntry{Node: e.Node, Parent: core.None}, ppos: -1})
 	}
 	pos, err := d.link(e, pos, known)
 	if err != nil {

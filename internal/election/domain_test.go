@@ -133,7 +133,7 @@ func (s *domainScript) attach() {
 		return
 	}
 	s.touched = append(s.touched, p)
-	e := TreeEntry{Node: s.node(), Parent: s.node(), Down: anr.ID(s.next() + 1), Up: anr.ID(s.next() + 1)}
+	e := treeEntry{Node: s.node(), Parent: s.node(), Down: anr.ID(s.next() + 1), Up: anr.ID(s.next() + 1)}
 	pos, known := p.d.find(e.Node)
 	offTree := known && p.d.ents[pos].flags&inTree == 0
 	derr, merr := p.d.attach(e), p.m.tree.attach(e)
@@ -267,7 +267,9 @@ func TestDomainMatchesMapModel(t *testing.T) {
 	}
 }
 
-// FuzzDomain is the same differential under the fuzzer.
+// FuzzDomain is the same differential under the fuzzer: the flat per-origin
+// domain against the map-based bookkeeping it replaced, over fuzzer-written
+// start/attach/merge/route scripts (minimizing capped in CI as for FuzzSpine).
 func FuzzDomain(f *testing.F) {
 	for seed := int64(1); seed <= 24; seed++ {
 		f.Add(randomScript(seed))

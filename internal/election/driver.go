@@ -78,9 +78,9 @@ func factory(a Algorithm, stats *Stats) core.Factory {
 		case AlgoToken:
 			return New(id, stats)
 		case AlgoHS:
-			return NewHSRing(id, stats)
+			return newHSRing(id, stats)
 		case AlgoNaive:
-			return NewNaive(id, stats)
+			return newNaive(id, stats)
 		default:
 			panic(fmt.Sprintf("election: unknown algorithm %d", int(a)))
 		}
@@ -92,7 +92,7 @@ func factory(a Algorithm, stats *Stats) core.Factory {
 // in).
 func domainOf(p core.Protocol, n int) int {
 	if pr, ok := p.(*Protocol); ok {
-		return pr.Level().Size
+		return pr.level().Size
 	}
 	return n
 }
@@ -102,10 +102,10 @@ func stateOf(p core.Protocol) State {
 	switch pr := p.(type) {
 	case *Protocol:
 		return pr.State()
-	case *HSRing:
-		return pr.State()
-	case *Naive:
-		return pr.State()
+	case *hsRing:
+		return pr.state
+	case *naive:
+		return pr.state
 	default:
 		return 0
 	}

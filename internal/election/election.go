@@ -33,14 +33,14 @@ func (s State) String() string {
 	}
 }
 
-// Level is a candidate's priority: domain size, ties broken by node ID.
-type Level struct {
+// level is a candidate's priority: domain size, ties broken by node ID.
+type level struct {
 	Size int
 	ID   core.NodeID
 }
 
-// Less orders levels lexicographically.
-func (l Level) Less(o Level) bool {
+// less orders levels lexicographically.
+func (l level) less(o level) bool {
 	if l.Size != o.Size {
 		return l.Size < o.Size
 	}
@@ -65,7 +65,7 @@ type tourToken struct {
 	RetO anr.Header
 }
 
-func (t tourToken) level() Level { return Level{Size: t.Size, ID: t.Cand} }
+func (t tourToken) level() level { return level{Size: t.Size, ID: t.Cand} }
 
 // tourMsg moves a candidate token one direct message.
 type tourMsg struct {
@@ -87,8 +87,8 @@ type returnMsg struct {
 // reference: capture froze it (only an origin merges or starts, and a
 // captured node is never an origin again), the captured node goes on reading
 // it for return routes, and the capturer only reads it — the contract
-// topology.Msg has for its records. What a message carries between NCUs is
-// not a model measure; the header is.
+// topology's broadcast message has for its records. What a message carries
+// between NCUs is not a model measure; the header is.
 type captureData struct {
 	Dom *domain     // IN_v, OUT_v and INOUT_v, rooted at the captured origin v
 	O   core.NodeID // the entry node o (in IN_v, already in the capturer's tree)
@@ -196,8 +196,8 @@ func New(id core.NodeID, stats *Stats) *Protocol {
 // quiescent).
 func (p *Protocol) State() State { return p.state }
 
-// Level returns the node's current candidate level.
-func (p *Protocol) Level() Level { return Level{Size: p.dom.nIn, ID: p.id} }
+// level returns the node's current candidate level.
+func (p *Protocol) level() level { return level{Size: p.dom.nIn, ID: p.id} }
 
 // Init implements core.Protocol.
 func (p *Protocol) Init(core.Env) {}
@@ -393,9 +393,9 @@ func (p *Protocol) onTokenArrival(env core.Env, tok tourToken) {
 		return
 	}
 	// Rule (2): v is an origin.
-	lv, li := p.Level(), tok.level()
+	lv, li := p.level(), tok.level()
 	switch {
-	case li.Less(lv): // 2.1
+	case li.less(lv): // 2.1
 		p.sendHome(env, tok, &returnMsg{Cand: tok.Cand, Retire: true})
 		p.stats.Retires.Add(1)
 	case !p.onTour && !p.active: // 2.2
@@ -406,7 +406,7 @@ func (p *Protocol) onTokenArrival(env core.Env, tok tourToken) {
 		p.stats.Waits.Add(1)
 	case p.onTour: // 2.4: another candidate is already waiting
 		j := *p.waiting
-		if j.level().Less(tok.level()) {
+		if j.level().less(tok.level()) {
 			p.sendHome(env, j, &returnMsg{Cand: j.Cand, Retire: true})
 			tokCopy := tok
 			p.waiting = &tokCopy
@@ -498,7 +498,7 @@ func (p *Protocol) onComeback(env core.Env, m *returnMsg) {
 	if p.waiting != nil {
 		j := *p.waiting
 		p.waiting = nil
-		if p.Level().Less(j.level()) {
+		if p.level().less(j.level()) {
 			// The local candidate noticed a higher level: it retires and is
 			// captured by the waiter.
 			p.active = false

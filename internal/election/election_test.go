@@ -229,13 +229,13 @@ func TestValidateRejectsBadOutcomes(t *testing.T) {
 }
 
 func TestLevelOrdering(t *testing.T) {
-	a := Level{Size: 2, ID: 9}
-	b := Level{Size: 3, ID: 1}
-	if !a.Less(b) || b.Less(a) {
+	a := level{Size: 2, ID: 9}
+	b := level{Size: 3, ID: 1}
+	if !a.less(b) || b.less(a) {
 		t.Fatal("size dominates")
 	}
-	c := Level{Size: 2, ID: 1}
-	if !c.Less(a) {
+	c := level{Size: 2, ID: 1}
+	if !c.less(a) {
 		t.Fatal("ID breaks ties")
 	}
 }
@@ -269,13 +269,13 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestInOutTreeRoute(t *testing.T) {
 	tr := newInOutTree(0)
-	must := func(e TreeEntry) {
+	must := func(e treeEntry) {
 		if err := tr.attach(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(TreeEntry{Node: 1, Parent: 0, Down: 2, Up: 1})
-	must(TreeEntry{Node: 2, Parent: 1, Down: 3, Up: 1})
+	must(treeEntry{Node: 1, Parent: 0, Down: 2, Up: 1})
+	must(treeEntry{Node: 2, Parent: 1, Down: 3, Up: 1})
 	h, err := tr.route(2)
 	if err != nil {
 		t.Fatal(err)
@@ -299,16 +299,16 @@ func TestInOutTreeRoute(t *testing.T) {
 
 func TestInOutTreeAttachErrors(t *testing.T) {
 	tr := newInOutTree(0)
-	if err := tr.attach(TreeEntry{Node: 0, Parent: 0}); err == nil {
+	if err := tr.attach(treeEntry{Node: 0, Parent: 0}); err == nil {
 		t.Fatal("attaching the root must fail")
 	}
-	if err := tr.attach(TreeEntry{Node: 2, Parent: 1}); err == nil {
+	if err := tr.attach(treeEntry{Node: 2, Parent: 1}); err == nil {
 		t.Fatal("attaching under unknown parent must fail")
 	}
-	if err := tr.attach(TreeEntry{Node: 1, Parent: 0}); err != nil {
+	if err := tr.attach(treeEntry{Node: 1, Parent: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.attach(TreeEntry{Node: 1, Parent: 0}); err == nil {
+	if err := tr.attach(treeEntry{Node: 1, Parent: 0}); err == nil {
 		t.Fatal("duplicate attach must fail")
 	}
 }
@@ -316,8 +316,8 @@ func TestInOutTreeAttachErrors(t *testing.T) {
 func TestInOutTreeReroot(t *testing.T) {
 	// 0 -> 1 -> 2, with distinct link IDs per direction.
 	tr := newInOutTree(0)
-	_ = tr.attach(TreeEntry{Node: 1, Parent: 0, Down: 10, Up: 11})
-	_ = tr.attach(TreeEntry{Node: 2, Parent: 1, Down: 20, Up: 21})
+	_ = tr.attach(treeEntry{Node: 1, Parent: 0, Down: 10, Up: 11})
+	_ = tr.attach(treeEntry{Node: 2, Parent: 1, Down: 20, Up: 21})
 	re, err := tr.reroot(2)
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +350,9 @@ func TestInOutTreeRerootKeepsBranches(t *testing.T) {
 	// 0 -> 1 -> 2 and 1 -> 3: after rerooting at 2, node 3 must stay
 	// attached under 1 with its original IDs.
 	tr := newInOutTree(0)
-	_ = tr.attach(TreeEntry{Node: 1, Parent: 0, Down: 10, Up: 11})
-	_ = tr.attach(TreeEntry{Node: 2, Parent: 1, Down: 20, Up: 21})
-	_ = tr.attach(TreeEntry{Node: 3, Parent: 1, Down: 30, Up: 31})
+	_ = tr.attach(treeEntry{Node: 1, Parent: 0, Down: 10, Up: 11})
+	_ = tr.attach(treeEntry{Node: 2, Parent: 1, Down: 20, Up: 21})
+	_ = tr.attach(treeEntry{Node: 3, Parent: 1, Down: 30, Up: 31})
 	re, err := tr.reroot(2)
 	if err != nil {
 		t.Fatal(err)
@@ -374,9 +374,9 @@ func TestInOutTreeRerootKeepsBranches(t *testing.T) {
 
 func TestInOutTreeWireRoundTrip(t *testing.T) {
 	tr := newInOutTree(5)
-	_ = tr.attach(TreeEntry{Node: 1, Parent: 5, Down: 1, Up: 2})
-	_ = tr.attach(TreeEntry{Node: 2, Parent: 1, Down: 3, Up: 4})
-	_ = tr.attach(TreeEntry{Node: 3, Parent: 5, Down: 5, Up: 6})
+	_ = tr.attach(treeEntry{Node: 1, Parent: 5, Down: 1, Up: 2})
+	_ = tr.attach(treeEntry{Node: 2, Parent: 1, Down: 3, Up: 4})
+	_ = tr.attach(treeEntry{Node: 3, Parent: 5, Down: 5, Up: 6})
 	wire := tr.wire()
 	rt := newInOutTree(5)
 	for _, e := range wire {

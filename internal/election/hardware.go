@@ -34,11 +34,11 @@ type hwAnnounce struct {
 	Leader core.NodeID
 }
 
-// NewMaxKeyFilter returns the switching filter of the extended model: node
+// newMaxKeyFilter returns the switching filter of the extended model: node
 // v's register starts at v's own ID; a transit token is discarded when its
 // key is below the register and otherwise recorded. The filter is safe for
 // concurrent use (gosim).
-func NewMaxKeyFilter(n int) core.HopFilter {
+func newMaxKeyFilter(n int) core.HopFilter {
 	reg := make([]int64, n)
 	for i := range reg {
 		reg[i] = int64(i)
@@ -70,8 +70,6 @@ type hwRing struct {
 }
 
 var _ core.Protocol = (*hwRing)(nil)
-
-func (p *hwRing) State() State { return p.state }
 
 func (p *hwRing) Init(core.Env) {}
 
@@ -130,7 +128,7 @@ func RunHWRing(n int, starters []core.NodeID, opts ...sim.Option) (Result, error
 	base := []sim.Option{
 		sim.WithDelays(0, 1),
 		sim.WithDmax(n + 1),
-		sim.WithHopFilter(NewMaxKeyFilter(n)),
+		sim.WithHopFilter(newMaxKeyFilter(n)),
 	}
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
 		full := circleLinks(id)
@@ -153,7 +151,7 @@ func RunHWRing(n int, starters []core.NodeID, opts ...sim.Option) (Result, error
 		return Result{}, err
 	}
 	leader, err := validate(g, func(u core.NodeID) State {
-		return net.Protocol(u).(*hwRing).State()
+		return net.Protocol(u).(*hwRing).state
 	})
 	if err != nil {
 		return Result{}, err

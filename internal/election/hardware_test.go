@@ -86,7 +86,7 @@ func TestHWRingWithHardwareDelay(t *testing.T) {
 }
 
 func TestMaxKeyFilterIgnoresOtherTraffic(t *testing.T) {
-	f := NewMaxKeyFilter(4)
+	f := newMaxKeyFilter(4)
 	if !f(1, "unrelated") {
 		t.Fatal("non-token payloads must pass")
 	}

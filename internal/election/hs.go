@@ -7,12 +7,12 @@ import (
 	"fastnet/internal/core"
 )
 
-// HSRing is the Hirschberg–Sinclair election on a bidirectional ring: the
+// hsRing is the Hirschberg–Sinclair election on a bidirectional ring: the
 // classical O(n log n)-message algorithm standing in for the paper's
 // Ω(n log n) baselines [B80, PKR84, KMZ84]. Every message travels one hop and
 // costs one system call, so its system-call complexity is Θ(n log n) under
 // the new measures as well.
-type HSRing struct {
+type hsRing struct {
 	id    core.NodeID
 	stats *Stats
 
@@ -23,7 +23,7 @@ type HSRing struct {
 	state     State
 }
 
-var _ core.Protocol = (*HSRing)(nil)
+var _ core.Protocol = (*hsRing)(nil)
 
 // hsProbe travels outward up to TTL hops.
 type hsProbe struct {
@@ -43,22 +43,19 @@ type hsElected struct {
 	Leader core.NodeID
 }
 
-// NewHSRing returns the HS protocol for one ring node.
-func NewHSRing(id core.NodeID, stats *Stats) *HSRing {
-	return &HSRing{id: id, stats: stats, state: StateNotLeader}
+// newHSRing returns the HS protocol for one ring node.
+func newHSRing(id core.NodeID, stats *Stats) *hsRing {
+	return &hsRing{id: id, stats: stats, state: StateNotLeader}
 }
 
-// State returns the node's outcome.
-func (p *HSRing) State() State { return p.state }
-
 // Init implements core.Protocol.
-func (p *HSRing) Init(core.Env) {}
+func (p *hsRing) Init(core.Env) {}
 
 // LinkEvent implements core.Protocol.
-func (p *HSRing) LinkEvent(core.Env, core.Port) {}
+func (p *hsRing) LinkEvent(core.Env, core.Port) {}
 
 // Deliver implements core.Protocol.
-func (p *HSRing) Deliver(env core.Env, pkt core.Packet) {
+func (p *hsRing) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case Start:
 		p.start(env)
@@ -79,7 +76,7 @@ func (p *HSRing) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-func (p *HSRing) start(env core.Env) {
+func (p *hsRing) start(env core.Env) {
 	if p.started {
 		return
 	}
@@ -89,7 +86,7 @@ func (p *HSRing) start(env core.Env) {
 	p.probeBoth(env)
 }
 
-func (p *HSRing) probeBoth(env core.Env) {
+func (p *hsRing) probeBoth(env core.Env) {
 	probe := &hsProbe{ID: p.id, Phase: p.phase, TTL: 1 << p.phase}
 	var hs []anr.Header
 	for _, port := range env.Ports() {
@@ -100,7 +97,7 @@ func (p *HSRing) probeBoth(env core.Env) {
 	}
 }
 
-func (p *HSRing) onProbe(env core.Env, m *hsProbe, arrived anr.ID) {
+func (p *hsRing) onProbe(env core.Env, m *hsProbe, arrived anr.ID) {
 	switch {
 	case m.ID == p.id:
 		// The probe circumnavigated the ring: this node wins.
@@ -119,7 +116,7 @@ func (p *HSRing) onProbe(env core.Env, m *hsProbe, arrived anr.ID) {
 	}
 }
 
-func (p *HSRing) onReply(env core.Env, m *hsReply, arrived anr.ID) {
+func (p *hsRing) onReply(env core.Env, m *hsReply, arrived anr.ID) {
 	if m.ID != p.id {
 		p.forward(env, arrived, m)
 		return
@@ -136,7 +133,7 @@ func (p *HSRing) onReply(env core.Env, m *hsReply, arrived anr.ID) {
 }
 
 // forward sends the payload out of the port opposite to arrival.
-func (p *HSRing) forward(env core.Env, arrived anr.ID, payload any) {
+func (p *hsRing) forward(env core.Env, arrived anr.ID, payload any) {
 	for _, port := range env.Ports() {
 		if port.Local == arrived {
 			continue
@@ -149,7 +146,7 @@ func (p *HSRing) forward(env core.Env, arrived anr.ID, payload any) {
 }
 
 // reply sends the payload back out of the arrival port.
-func (p *HSRing) reply(env core.Env, arrived anr.ID, payload any) {
+func (p *hsRing) reply(env core.Env, arrived anr.ID, payload any) {
 	if err := env.Send(anr.Direct([]anr.ID{arrived}), payload); err != nil {
 		panic(fmt.Sprintf("election/hs: reply: %v", err))
 	}

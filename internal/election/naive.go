@@ -7,11 +7,11 @@ import (
 	"fastnet/internal/core"
 )
 
-// Naive is the all-pairs exchange on a complete graph: every node sends its
+// naive is the all-pairs exchange on a complete graph: every node sends its
 // ID to every other node and picks the maximum. O(1) time under the
 // traditional model but Θ(n²) system calls under the new measures — the
 // strawman the paper's §4 improves on.
-type Naive struct {
+type naive struct {
 	id    core.NodeID
 	stats *Stats
 
@@ -21,30 +21,27 @@ type Naive struct {
 	state   State
 }
 
-var _ core.Protocol = (*Naive)(nil)
+var _ core.Protocol = (*naive)(nil)
 
 // naiveID is the single message type: the sender's identity.
 type naiveID struct {
 	ID core.NodeID
 }
 
-// NewNaive returns the naive protocol for one node of a complete graph. All
+// newNaive returns the naive protocol for one node of a complete graph. All
 // nodes must be started for the exchange to complete.
-func NewNaive(id core.NodeID, stats *Stats) *Naive {
-	return &Naive{id: id, stats: stats, best: id, state: StateNotLeader}
+func newNaive(id core.NodeID, stats *Stats) *naive {
+	return &naive{id: id, stats: stats, best: id, state: StateNotLeader}
 }
 
-// State returns the node's outcome.
-func (p *Naive) State() State { return p.state }
-
 // Init implements core.Protocol.
-func (p *Naive) Init(core.Env) {}
+func (p *naive) Init(core.Env) {}
 
 // LinkEvent implements core.Protocol.
-func (p *Naive) LinkEvent(core.Env, core.Port) {}
+func (p *naive) LinkEvent(core.Env, core.Port) {}
 
 // Deliver implements core.Protocol.
-func (p *Naive) Deliver(env core.Env, pkt core.Packet) {
+func (p *naive) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case Start:
 		if p.started {
@@ -69,7 +66,7 @@ func (p *Naive) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-func (p *Naive) maybeDecide(env core.Env) {
+func (p *naive) maybeDecide(env core.Env) {
 	if !p.started || p.heard < len(env.Ports()) {
 		return
 	}

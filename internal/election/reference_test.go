@@ -22,14 +22,14 @@ import (
 // mapTree is the reference INOUT tree.
 type mapTree struct {
 	root    core.NodeID
-	entries map[core.NodeID]TreeEntry
+	entries map[core.NodeID]treeEntry
 }
 
 func newMapTree(root core.NodeID) *mapTree {
-	return &mapTree{root: root, entries: make(map[core.NodeID]TreeEntry)}
+	return &mapTree{root: root, entries: make(map[core.NodeID]treeEntry)}
 }
 
-func (t *mapTree) attach(e TreeEntry) error {
+func (t *mapTree) attach(e treeEntry) error {
 	if e.Node == t.root {
 		return fmt.Errorf("cannot attach the root %d", e.Node)
 	}
@@ -74,7 +74,7 @@ func (t *mapTree) route(x core.NodeID) (anr.Header, error) {
 }
 
 // wire serializes the tree in parent-before-child order.
-func (t *mapTree) wire() []TreeEntry {
+func (t *mapTree) wire() []treeEntry {
 	children := make(map[core.NodeID][]core.NodeID, len(t.entries))
 	for _, e := range t.entries {
 		children[e.Parent] = append(children[e.Parent], e.Node)
@@ -82,7 +82,7 @@ func (t *mapTree) wire() []TreeEntry {
 	for _, ch := range children {
 		sort.Slice(ch, func(i, j int) bool { return ch[i] < ch[j] })
 	}
-	out := make([]TreeEntry, 0, len(t.entries))
+	out := make([]treeEntry, 0, len(t.entries))
 	stack := []core.NodeID{t.root}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -114,7 +114,7 @@ func (t *mapTree) reroot(newRoot core.NodeID) (*mapTree, error) {
 	for i := 0; i+1 < len(path); i++ {
 		child, parent := path[i+1], path[i]
 		old := t.entries[path[i]]
-		nt.entries[child] = TreeEntry{Node: child, Parent: parent, Down: old.Up, Up: old.Down}
+		nt.entries[child] = treeEntry{Node: child, Parent: parent, Down: old.Up, Up: old.Down}
 	}
 	for node, e := range t.entries {
 		if node == newRoot {
@@ -145,7 +145,7 @@ func newMapDomain(root core.NodeID, ports []core.Port) (*mapDomain, error) {
 			continue
 		}
 		d.out[port.Remote] = true
-		if err := d.tree.attach(TreeEntry{Node: port.Remote, Parent: root, Down: port.Local, Up: port.RemoteID}); err != nil {
+		if err := d.tree.attach(treeEntry{Node: port.Remote, Parent: root, Down: port.Local, Up: port.RemoteID}); err != nil {
 			return nil, err
 		}
 	}
@@ -281,11 +281,11 @@ func newInOutTree(root core.NodeID) *domain {
 }
 
 // wire returns the tree entries in stored (attach) order.
-func (d *domain) wire() []TreeEntry {
-	var out []TreeEntry
+func (d *domain) wire() []treeEntry {
+	var out []treeEntry
 	for _, m := range d.ents[1:] {
 		if m.flags&inTree != 0 {
-			out = append(out, m.TreeEntry)
+			out = append(out, m.treeEntry)
 		}
 	}
 	return out

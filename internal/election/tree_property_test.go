@@ -31,7 +31,7 @@ func buildInOutFromGraph(g *graph.Graph, root core.NodeID) (*domain, *core.PortM
 		p := bfs.Parent[c]
 		down, _ := pm.Toward(p, c)
 		up, _ := pm.Toward(c, p)
-		if err := tr.attach(TreeEntry{Node: c, Parent: p, Down: down, Up: up}); err != nil {
+		if err := tr.attach(treeEntry{Node: c, Parent: p, Down: down, Up: up}); err != nil {
 			panic(err)
 		}
 	}

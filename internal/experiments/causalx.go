@@ -37,11 +37,11 @@ func (f *wasteful) Deliver(env core.Env, pkt core.Packet) {
 	f.heard++
 }
 
-// E13CausalTree reproduces the appendix's constructive argument: classify
+// e13CausalTree reproduces the appendix's constructive argument: classify
 // the messages of a redundant execution, extract the last-causal-message
 // spanning tree (Lemma A.3), and replay it as a tree-based algorithm that
 // finishes no later than the original run.
-func E13CausalTree(env Env) (*Table, error) {
+func e13CausalTree(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E13",
 		Title:   "causal-message analysis of a redundant all-to-all computation",
@@ -74,7 +74,7 @@ func E13CausalTree(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n, a.Messages, a.CausalCount(), origFinish, res.Finish,
+		t.addRow(n, a.Messages, a.CausalCount(), origFinish, res.Finish,
 			core.Time(res.Finish) <= origFinish)
 	}
 	t.Notes = append(t.Notes,

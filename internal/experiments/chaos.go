@@ -9,13 +9,13 @@ import (
 	"fastnet/internal/topology"
 )
 
-// E20Degradation measures graceful degradation under seeded churn: how
+// e20Degradation measures graceful degradation under seeded churn: how
 // re-convergence rounds and system calls grow with the link-flap rate for
 // the branching-paths protocol vs ARPANET flooding, and how re-election
 // latency responds to leader-crash probability. Every run is a full
 // invariant-checked soak (internal/faults); a non-zero violation count in a
 // row would mean the protocol broke, not just slowed down.
-func E20Degradation(env Env) (*Table, error) {
+func e20Degradation(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E20",
 		Title:   "Degradation under churn: convergence, syscalls, re-election latency",
@@ -60,7 +60,7 @@ func E20Degradation(env Env) (*Table, error) {
 		return nil, err
 	}
 	for i, res := range churnRes {
-		t.AddRow(churn[i].mode, churn[i].flapRate, "-", res.Epochs, res.ConvRounds, res.ConvMax,
+		t.addRow(churn[i].mode, churn[i].flapRate, "-", res.Epochs, res.ConvRounds, res.ConvMax,
 			res.FaultFlips, res.Metrics.Syscalls(), "-", "-", "-", len(res.Violations))
 	}
 
@@ -82,7 +82,7 @@ func E20Degradation(env Env) (*Table, error) {
 		if res.Elections > 0 {
 			avg = fmt.Sprintf("%.1f", float64(res.ReelectTime)/float64(res.Elections))
 		}
-		t.AddRow(topology.ModeBranching, 1, pCrashes[i], res.Epochs, res.ConvRounds, res.ConvMax,
+		t.addRow(topology.ModeBranching, 1, pCrashes[i], res.Epochs, res.ConvRounds, res.ConvMax,
 			res.FaultFlips, res.Metrics.Syscalls(), res.Elections, avg, res.ReelectMax, len(res.Violations))
 	}
 	return t, nil

@@ -47,7 +47,7 @@ func TestTablesCutThroughInvariant(t *testing.T) {
 				var totals sim.SchedTotals
 				env := Env{Workers: 3, Opts: []sim.Option{sim.WithShards(2), totals.Sink()}}
 				for running := true; running; {
-					for _, run := range []func(Env) (*Table, error){E18DataVsControl, E1BroadcastVsFlooding} {
+					for _, run := range []func(Env) (*Table, error){e18DataVsControl, e1BroadcastVsFlooding} {
 						s, err := render(run, env)
 						if err != nil {
 							s = err.Error()

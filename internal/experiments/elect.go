@@ -17,9 +17,9 @@ func allStarters(n int) []core.NodeID {
 	return out
 }
 
-// E6ElectionCost verifies Theorem 5 across topologies and sizes: the token
+// e6ElectionCost verifies Theorem 5 across topologies and sizes: the token
 // algorithm uses at most 6n tour system calls and O(n) time.
-func E6ElectionCost(env Env) (*Table, error) {
+func e6ElectionCost(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
 		Title:   "token election: tour system calls vs the 6n bound",
@@ -51,7 +51,7 @@ func E6ElectionCost(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(w.name, n, res.AlgorithmMessages, 6*n,
+		t.addRow(w.name, n, res.AlgorithmMessages, 6*n,
 			fmt.Sprintf("%.2f", float64(res.AlgorithmMessages)/float64(n)),
 			res.Metrics.FinishTime,
 			fmt.Sprintf("%.2f", float64(res.Metrics.FinishTime)/float64(n)))
@@ -59,11 +59,11 @@ func E6ElectionCost(env Env) (*Table, error) {
 	return t, nil
 }
 
-// E7ElectionBaselines compares the token algorithm with the classical
+// e7ElectionBaselines compares the token algorithm with the classical
 // baselines under the new measure: Hirschberg–Sinclair stays Θ(n log n) and
 // the naive complete-graph exchange Θ(n²), while the token algorithm is
 // linear.
-func E7ElectionBaselines(env Env) (*Table, error) {
+func e7ElectionBaselines(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
 		Title:   "election system calls: token vs classical baselines",
@@ -92,7 +92,7 @@ func E7ElectionBaselines(env Env) (*Table, error) {
 			naive = fmt.Sprintf("%d", nv.AlgorithmMessages)
 			naiveRatio = fmt.Sprintf("%.2f", float64(nv.AlgorithmMessages)/float64(n*n))
 		}
-		t.AddRow(fmt.Sprintf("ring(%d)", n), n, tok.AlgorithmMessages, hs.AlgorithmMessages,
+		t.addRow(fmt.Sprintf("ring(%d)", n), n, tok.AlgorithmMessages, hs.AlgorithmMessages,
 			fmt.Sprintf("%.2f", float64(hs.AlgorithmMessages)/(float64(n)*math.Log2(float64(n)))),
 			naive, naiveRatio)
 	}

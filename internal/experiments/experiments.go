@@ -41,8 +41,8 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a row, formatting every cell with %v.
-func (t *Table) AddRow(cells ...any) {
+// addRow appends a row, formatting every cell with %v.
+func (t *Table) addRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		row[i] = fmt.Sprintf("%v", c)
@@ -119,30 +119,30 @@ type Spec struct {
 // All returns every experiment in ID order.
 func All() []Spec {
 	specs := []Spec{
-		{ID: "E1", Title: "Broadcast cost: branching paths vs ARPANET flooding (§3)", Run: E1BroadcastVsFlooding},
-		{ID: "E2", Title: "Theorem 2: broadcast time <= log2 n on every tree", Run: E2BroadcastTime},
-		{ID: "E3", Title: "Theorem 3: Omega(log n) one-way broadcast on complete binary trees", Run: E3LowerBound},
-		{ID: "E4", Title: "The six-node example: one-shot DFS deadlocks, branching paths converge", Run: E4DeadlockExample},
-		{ID: "E5", Title: "Theorem 1: eventual consistency; O(d) rounds, O(log d) with full knowledge", Run: E5Convergence},
-		{ID: "E6", Title: "Theorem 5: election in <= 6n system calls and O(n) time", Run: E6ElectionCost},
-		{ID: "E7", Title: "Classical election baselines stay Omega(n log n) under the new measure", Run: E7ElectionBaselines},
-		{ID: "E8", Title: "Example 1 (C=0, P=1): binomial trees, S(k) = 2^(k-1)", Run: E8Binomial},
-		{ID: "E9", Title: "Example 3 (C=1, P=1): Fibonacci growth with closed form (11)", Run: E9Fibonacci},
-		{ID: "E10", Title: "Example 2 (C=1, P=0): the traditional model degenerates", Run: E10Traditional},
-		{ID: "E11", Title: "Optimal completion times over the iP+jC grid match simulation exactly", Run: E11OptimalTime},
-		{ID: "E12", Title: "Star vs optimal tree: the crossover as P/C varies (§5 punchline)", Run: E12StarVsTree},
-		{ID: "E13", Title: "Appendix: last-causal-message tree extraction and replay (Theorem 6)", Run: E13CausalTree},
-		{ID: "E14", Title: "Footnote 1: BFS-layers broadcast — 1 time unit, needs dmax = O(n^2)", Run: E14BFSLayers},
-		{ID: "E15", Title: "Extension: ANR header growth and the dmax restriction (§2)", Run: E15HeaderGrowth},
-		{ID: "E16", Title: "Extension: compare-capable switching hardware (§6's open question)", Run: E16HardwareAblation},
-		{ID: "E17", Title: "Extension: gather/dissemination duality over optimal trees ([BK92] link)", Run: E17Duality},
-		{ID: "E18", Title: "Extension: the introduction's premise — data rides hardware, control rides software", Run: E18DataVsControl},
-		{ID: "E19", Title: "Extension: broadcast-with-feedback (PIF) — §6's other-algorithms question", Run: E19PIF},
-		{ID: "E20", Title: "Extension: degradation under churn — convergence, syscalls, re-election latency", Run: E20Degradation},
-		{ID: "E21", Title: "Extension: reliable delivery on lossy links — ARQ overhead and convergence vs loss", Run: E21Reliability},
-		{ID: "E22", Title: "Extension: election under non-FIFO links — 6n holds while recovery absorbs reordering", Run: E22Reorder},
-		{ID: "E23", Title: "Extension: gray links — spurious retransmits under fixed vs adaptive RTO", Run: E23Gray},
-		{ID: "E24", Title: "Extension: open-loop overload — latency vs blocking across capacity regimes", Run: E24OpenLoop},
+		{ID: "E1", Title: "Broadcast cost: branching paths vs ARPANET flooding (§3)", Run: e1BroadcastVsFlooding},
+		{ID: "E2", Title: "Theorem 2: broadcast time <= log2 n on every tree", Run: e2BroadcastTime},
+		{ID: "E3", Title: "Theorem 3: Omega(log n) one-way broadcast on complete binary trees", Run: e3LowerBound},
+		{ID: "E4", Title: "The six-node example: one-shot DFS deadlocks, branching paths converge", Run: e4DeadlockExample},
+		{ID: "E5", Title: "Theorem 1: eventual consistency; O(d) rounds, O(log d) with full knowledge", Run: e5Convergence},
+		{ID: "E6", Title: "Theorem 5: election in <= 6n system calls and O(n) time", Run: e6ElectionCost},
+		{ID: "E7", Title: "Classical election baselines stay Omega(n log n) under the new measure", Run: e7ElectionBaselines},
+		{ID: "E8", Title: "Example 1 (C=0, P=1): binomial trees, S(k) = 2^(k-1)", Run: e8Binomial},
+		{ID: "E9", Title: "Example 3 (C=1, P=1): Fibonacci growth with closed form (11)", Run: e9Fibonacci},
+		{ID: "E10", Title: "Example 2 (C=1, P=0): the traditional model degenerates", Run: e10Traditional},
+		{ID: "E11", Title: "Optimal completion times over the iP+jC grid match simulation exactly", Run: e11OptimalTime},
+		{ID: "E12", Title: "Star vs optimal tree: the crossover as P/C varies (§5 punchline)", Run: e12StarVsTree},
+		{ID: "E13", Title: "Appendix: last-causal-message tree extraction and replay (Theorem 6)", Run: e13CausalTree},
+		{ID: "E14", Title: "Footnote 1: BFS-layers broadcast — 1 time unit, needs dmax = O(n^2)", Run: e14BFSLayers},
+		{ID: "E15", Title: "Extension: ANR header growth and the dmax restriction (§2)", Run: e15HeaderGrowth},
+		{ID: "E16", Title: "Extension: compare-capable switching hardware (§6's open question)", Run: e16HardwareAblation},
+		{ID: "E17", Title: "Extension: gather/dissemination duality over optimal trees ([BK92] link)", Run: e17Duality},
+		{ID: "E18", Title: "Extension: the introduction's premise — data rides hardware, control rides software", Run: e18DataVsControl},
+		{ID: "E19", Title: "Extension: broadcast-with-feedback (PIF) — §6's other-algorithms question", Run: e19PIF},
+		{ID: "E20", Title: "Extension: degradation under churn — convergence, syscalls, re-election latency", Run: e20Degradation},
+		{ID: "E21", Title: "Extension: reliable delivery on lossy links — ARQ overhead and convergence vs loss", Run: e21Reliability},
+		{ID: "E22", Title: "Extension: election under non-FIFO links — 6n holds while recovery absorbs reordering", Run: e22Reorder},
+		{ID: "E23", Title: "Extension: gray links — spurious retransmits under fixed vs adaptive RTO", Run: e23Gray},
+		{ID: "E24", Title: "Extension: open-loop overload — latency vs blocking across capacity regimes", Run: e24OpenLoop},
 	}
 	sort.Slice(specs, func(i, j int) bool { return idOrder(specs[i].ID) < idOrder(specs[j].ID) })
 	return specs

@@ -39,8 +39,8 @@ func TestTableRender(t *testing.T) {
 		Columns: []string{"a", "bbbb"},
 		Notes:   []string{"a note"},
 	}
-	tbl.AddRow(1, "x")
-	tbl.AddRow("longer", 2)
+	tbl.addRow(1, "x")
+	tbl.addRow("longer", 2)
 	var sb strings.Builder
 	tbl.Render(&sb)
 	out := sb.String()
@@ -96,7 +96,7 @@ func TestRunAllExperiments(t *testing.T) {
 func TestExperimentAssertions(t *testing.T) {
 	// E4's content is the paper's core qualitative claim; assert it here so
 	// regressions fail loudly rather than only changing a table.
-	tbl, err := E4DeadlockExample(Env{Workers: 1})
+	tbl, err := e4DeadlockExample(Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestE23AdaptiveBeatsFixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E23 sweep skipped in -short mode")
 	}
-	tbl, err := E23Gray(Env{Workers: 1})
+	tbl, err := e23Gray(Env{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

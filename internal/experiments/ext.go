@@ -12,12 +12,12 @@ import (
 	"fastnet/internal/traffic"
 )
 
-// E15HeaderGrowth is an extension experiment: it measures the ANR header
+// e15HeaderGrowth is an extension experiment: it measures the ANR header
 // overhead that motivates the paper's path-length restriction (§2). Source
 // routes grow linearly with the path, so the wire overhead per packet is
 // k+1 bits per hop; the BFS-layers walk (footnote 1) needs Θ(n·d)-hop
 // headers while every §3/§4 algorithm stays within dmax = O(n).
-func E15HeaderGrowth(env Env) (*Table, error) {
+func e15HeaderGrowth(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E15",
 		Title:   "extension: ANR header growth per algorithm",
@@ -32,7 +32,7 @@ func E15HeaderGrowth(env Env) (*Table, error) {
 		if m.Packets > 0 {
 			avg = fmt.Sprintf("%.1f", float64(m.HeaderBits)/float64(m.Packets))
 		}
-		t.AddRow(name, n, width, m.MaxHeaderHops, dmaxLabel(dmax), avg)
+		t.addRow(name, n, width, m.MaxHeaderHops, dmaxLabel(dmax), avg)
 	}
 	for _, n := range []int{64, 256, 1024} {
 		g := graph.RandomTree(n, 7)
@@ -67,12 +67,12 @@ func dmaxLabel(d int) string {
 	return fmt.Sprintf("%d", d)
 }
 
-// E18DataVsControl quantifies the paper's introductory premise: bulk
+// e18DataVsControl quantifies the paper's introductory premise: bulk
 // user-to-user traffic rides the switching hardware (zero transit system
 // calls), so only the control algorithms compete for the NCU. The same
 // flows pushed through a traditional store-and-forward discipline pay one
 // software activation per hop and saturate relay processors.
-func E18DataVsControl(env Env) (*Table, error) {
+func e18DataVsControl(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E18",
 		Title:   "extension: data plane on hardware vs store-and-forward",
@@ -100,7 +100,7 @@ func E18DataVsControl(env Env) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(w.name, fmt.Sprintf("%dx%d", w.flows, w.pkts), d,
+			t.addRow(w.name, fmt.Sprintf("%dx%d", w.flows, w.pkts), d,
 				res.Metrics.Syscalls(), res.TransitSyscalls, res.Metrics.FinishTime,
 				fmt.Sprintf("%.2f", res.MaxTransitUtilization))
 		}
@@ -108,13 +108,13 @@ func E18DataVsControl(env Env) (*Table, error) {
 	return t, nil
 }
 
-// E16HardwareAblation is an extension experiment answering the paper's
+// e16HardwareAblation is an extension experiment answering the paper's
 // closing question: with a register-and-compare stage in the switches (the
 // §2 extended model), ring election needs only ~2n NCU involvements and a
 // few lines of control software, trading software work for Θ(n²) worst-case
 // hardware hops. The token algorithm and Hirschberg–Sinclair run on the
 // same rings for comparison.
-func E16HardwareAblation(env Env) (*Table, error) {
+func e16HardwareAblation(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E16",
 		Title:   "extension: election with compare-capable switching hardware",
@@ -138,7 +138,7 @@ func E16HardwareAblation(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n,
+		t.addRow(n,
 			hw.Metrics.Syscalls(), hw.Metrics.Hops, hw.Metrics.FinishTime,
 			tok.Metrics.Syscalls(), tok.Metrics.Hops,
 			hs.Metrics.Syscalls(), hs.Metrics.Hops)
@@ -146,12 +146,12 @@ func E16HardwareAblation(env Env) (*Table, error) {
 	return t, nil
 }
 
-// E19PIF answers the conclusion's "can other distributed algorithms be
+// e19PIF answers the conclusion's "can other distributed algorithms be
 // similarly improved?" with broadcast-with-feedback (PIF): the §3
 // branching-paths broadcast down plus a §5 optimal-tree convergecast up
 // gives O(n) system calls and O(log n) time end to end, where direct
 // acknowledgements serialize the root's NCU for Θ(n) time.
-func E19PIF(env Env) (*Table, error) {
+func e19PIF(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E19",
 		Title:   "extension: broadcast-with-feedback (PIF) under the new model",
@@ -168,7 +168,7 @@ func E19PIF(env Env) (*Table, error) {
 				return nil, err
 			}
 			log2n := math.Log2(float64(n))
-			t.AddRow(n, mode, res.Metrics.Deliveries, res.Finish,
+			t.addRow(n, mode, res.Metrics.Deliveries, res.Finish,
 				fmt.Sprintf("%.1f", log2n),
 				fmt.Sprintf("%.2f", float64(res.Finish)/log2n))
 		}

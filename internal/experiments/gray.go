@@ -36,7 +36,7 @@ func (p *e23Node) Deliver(env core.Env, pkt core.Packet) {
 	p.Node.Deliver(env, pkt)
 }
 
-// E23Gray degrades links instead of cutting them and measures what the
+// e23Gray degrades links instead of cutting them and measures what the
 // sender-side timer pays. The fabric loses nothing — every retransmission in
 // this experiment is spurious by construction — but a per-traversal slowdown
 // probability inflates random hops by up to SlowFactor x SlowMax extra ticks,
@@ -49,7 +49,7 @@ func (p *e23Node) Deliver(env core.Env, pkt core.Packet) {
 // fixed sender is quiet while the fabric matches its constant and pays
 // steeply as slowdown grows; the adaptive sender's variance term absorbs the
 // spread and keeps spurious traffic near zero across the whole sweep.
-func E23Gray(env Env) (*Table, error) {
+func e23Gray(env Env) (*Table, error) {
 	const (
 		n     = 16
 		seeds = 10
@@ -170,7 +170,7 @@ func E23Gray(env Env) (*Table, error) {
 			if srttN > 0 {
 				srtt = fmt.Sprintf("%.1f", srttSum/float64(srttN))
 			}
-			t.AddRow(mode, rate, runs, sent, spurious,
+			t.addRow(mode, rate, runs, sent, spurious,
 				fmt.Sprintf("%.2f", float64(spurious)/float64(sent)), srtt, unacked)
 		}
 	}

@@ -8,9 +8,9 @@ import (
 	"fastnet/internal/globalfn"
 )
 
-// E8Binomial reproduces §5 example 1 (C=0, P=1): S(k) = 2^(k-1) and the
+// e8Binomial reproduces §5 example 1 (C=0, P=1): S(k) = 2^(k-1) and the
 // optimal tree is the binomial tree; simulated completion matches k.
-func E8Binomial(env Env) (*Table, error) {
+func e8Binomial(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   "C=0, P=1: binomial trees",
@@ -38,14 +38,14 @@ func E8Binomial(env Env) (*Table, error) {
 			}
 			simFinish = fmt.Sprintf("%d", res.Finish)
 		}
-		t.AddRow(k, s, want, s == want, simFinish)
+		t.addRow(k, s, want, s == want, simFinish)
 	}
 	return t, nil
 }
 
-// E9Fibonacci reproduces §5 example 3 (C=1, P=1): S(k) follows the
+// e9Fibonacci reproduces §5 example 3 (C=1, P=1): S(k) follows the
 // Fibonacci numbers, matching closed form (11) (Binet's formula).
-func E9Fibonacci(env Env) (*Table, error) {
+func e9Fibonacci(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
 		Title:   "C=1, P=1: Fibonacci growth",
@@ -72,15 +72,15 @@ func E9Fibonacci(env Env) (*Table, error) {
 			}
 			simFinish = fmt.Sprintf("%d", res.Finish)
 		}
-		t.AddRow(k, s, binet, s == binet, simFinish)
+		t.addRow(k, s, binet, s == binet, simFinish)
 	}
 	return t, nil
 }
 
-// E10Traditional reproduces §5 example 2 (C=1, P=0): the recursion blows up
+// e10Traditional reproduces §5 example 2 (C=1, P=0): the recursion blows up
 // and a star of any size finishes in constant time — the traditional model
 // hides the software bottleneck entirely.
-func E10Traditional(env Env) (*Table, error) {
+func e10Traditional(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E10",
 		Title:   "C=1, P=0: the traditional model degenerates",
@@ -102,15 +102,15 @@ func E10Traditional(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n, res.Finish, recursion)
+		t.addRow(n, res.Finish, recursion)
 	}
 	return t, nil
 }
 
-// E11OptimalTime sweeps (C, P) regimes and checks that the predicted
+// e11OptimalTime sweeps (C, P) regimes and checks that the predicted
 // optimal completion time t* = min{t : S(t) >= n} is achieved exactly by
 // simulating OT(t*) under worst-case delays.
-func E11OptimalTime(env Env) (*Table, error) {
+func e11OptimalTime(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
 		Title:   "predicted vs simulated optimal completion times",
@@ -131,7 +131,7 @@ func E11OptimalTime(env Env) (*Table, error) {
 				return nil, err
 			}
 			if s > 1<<20 {
-				t.AddRow(p.C, p.P, n, tstar, s, "-", "-")
+				t.addRow(p.C, p.P, n, tstar, s, "-", "-")
 				continue
 			}
 			tr, err := p.OptimalTree(tstar)
@@ -142,18 +142,18 @@ func E11OptimalTime(env Env) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(p.C, p.P, n, tstar, s, res.Finish, globalfn.Time(res.Finish) == tstar)
+			t.addRow(p.C, p.P, n, tstar, s, res.Finish, globalfn.Time(res.Finish) == tstar)
 		}
 	}
 	return t, nil
 }
 
-// E17Duality is an extension experiment: the time-reversal dual of the §5
+// e17Duality is an extension experiment: the time-reversal dual of the §5
 // gather. Disseminating one value over OT(t*) with one send per activation
 // (the postal-model discipline of [BK92], which the paper cites as the
 // follow-up of its §5 model) finishes at exactly the same optimal time as
 // gathering — every branch of the optimal tree is critical.
-func E17Duality(env Env) (*Table, error) {
+func e17Duality(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E17",
 		Title:   "extension: gather/dissemination duality over optimal trees",
@@ -177,17 +177,17 @@ func E17Duality(env Env) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(p.C, p.P, n, tstar, g.Finish, d.Finish,
+			t.addRow(p.C, p.P, n, tstar, g.Finish, d.Finish,
 				g.Finish == d.Finish && globalfn.Time(d.Finish) == tstar)
 		}
 	}
 	return t, nil
 }
 
-// E12StarVsTree traces the §5 punchline: even on a complete graph the
+// e12StarVsTree traces the §5 punchline: even on a complete graph the
 // optimal structure depends on P/C — the star (the traditional optimum)
 // loses to the optimal tree as soon as software delay matters.
-func E12StarVsTree(env Env) (*Table, error) {
+func e12StarVsTree(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
 		Title:   "star vs optimal tree completion, n = 64, C = 8",
@@ -226,7 +226,7 @@ func E12StarVsTree(env Env) (*Table, error) {
 		} else if starRes.Finish == otRes.Finish {
 			winner = "tie"
 		}
-		t.AddRow(pv, starPred, starRes.Finish, tstar, otRes.Finish, winner)
+		t.addRow(pv, starPred, starRes.Finish, tstar, otRes.Finish, winner)
 	}
 	return t, nil
 }

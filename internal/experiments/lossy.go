@@ -9,7 +9,7 @@ import (
 	"fastnet/internal/topology"
 )
 
-// E21Reliability withdraws §2's reliable-data-link assumption and measures
+// e21Reliability withdraws §2's reliable-data-link assumption and measures
 // what restoring exactly-once delivery in software costs. Every row is an
 // invariant-checked soak (internal/faults) on a lossy fabric: the
 // per-traversal loss rate sweeps up with proportional duplication, corruption
@@ -21,7 +21,7 @@ import (
 // themselves can be lost — branching paths vs flooding. Violations would mean
 // reliability broke (a lost, duplicated or phantom application); the column
 // must stay zero.
-func E21Reliability(env Env) (*Table, error) {
+func e21Reliability(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E21",
 		Title:   "Reliable delivery on lossy links: ARQ overhead and convergence vs loss rate",
@@ -72,7 +72,7 @@ func E21Reliability(env Env) (*Table, error) {
 		if res.RelSent > 0 {
 			retx = fmt.Sprintf("%.2f", float64(res.RelRetrans)/float64(res.RelSent))
 		}
-		t.AddRow(points[i].mode, points[i].loss, res.Epochs, res.ConvRounds, res.ConvMax,
+		t.addRow(points[i].mode, points[i].loss, res.Epochs, res.ConvRounds, res.ConvMax,
 			res.RelSent, res.RelRetrans, retx, res.RelDupes, res.RelBadSum,
 			res.Metrics.Syscalls(), len(res.Violations))
 	}

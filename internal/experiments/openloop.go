@@ -9,7 +9,7 @@ import (
 	"fastnet/internal/runner"
 )
 
-// E24OpenLoop sweeps the open-loop load plane across offered rate and
+// e24OpenLoop sweeps the open-loop load plane across offered rate and
 // capacity regime on one GNP-256 fabric. Every run offers the same Zipf-skewed
 // call mix at a fixed arrival rate; what varies is what the fabric is allowed
 // to refuse:
@@ -31,7 +31,7 @@ import (
 // trade instead of asserting it. The notes carry the max-sustainable-rate
 // knee for each capped regime, found by the bisection probe over the same
 // scenario (uncapped is sustainable at any rate by invariant I9b).
-func E24OpenLoop(env Env) (*Table, error) {
+func e24OpenLoop(env Env) (*Table, error) {
 	const (
 		n       = 256
 		seed    = 7
@@ -100,7 +100,7 @@ func E24OpenLoop(env Env) (*Table, error) {
 	}
 	for i, p := range points {
 		s := results[i]
-		t.AddRow(regimes[p.regime].name, p.rate, s.Generated, s.Delivered, s.Blocked, s.Dropped,
+		t.addRow(regimes[p.regime].name, p.rate, s.Generated, s.Delivered, s.Blocked, s.Dropped,
 			s.Setup.Quantile(0.5), s.Setup.Quantile(0.99), s.Setup.Quantile(0.999))
 	}
 

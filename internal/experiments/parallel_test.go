@@ -10,13 +10,13 @@ import (
 // exactly the bytes of the serial reference run.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	specs := []Spec{
-		{ID: "E1", Run: E1BroadcastVsFlooding},
-		{ID: "E5", Run: E5Convergence},
+		{ID: "E1", Run: e1BroadcastVsFlooding},
+		{ID: "E5", Run: e5Convergence},
 	}
 	if !testing.Short() {
 		specs = append(specs,
-			Spec{ID: "E20", Run: E20Degradation},
-			Spec{ID: "E21", Run: E21Reliability},
+			Spec{ID: "E20", Run: e20Degradation},
+			Spec{ID: "E21", Run: e21Reliability},
 		)
 	}
 	render := func(s Spec, workers int) string {

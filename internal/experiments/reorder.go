@@ -10,7 +10,7 @@ import (
 	"fastnet/internal/sim"
 )
 
-// E22Reorder withdraws the FIFO-channel assumption entirely and measures what
+// e22Reorder withdraws the FIFO-channel assumption entirely and measures what
 // the §4 election pays for surviving it. Every row sweeps the per-traversal
 // reorder probability (window 40 ticks) across a batch of seeded GNP graphs
 // under randomized hardware delays; the election must stay panic-free with a
@@ -20,7 +20,7 @@ import (
 // The interesting shape: recoveries and flood relays grow with the reorder
 // rate, while the algorithm-message bound does not move, because recovery
 // traffic is outside the tour economy the theorem prices.
-func E22Reorder(env Env) (*Table, error) {
+func e22Reorder(env Env) (*Table, error) {
 	const (
 		n     = 24
 		seeds = 25
@@ -102,7 +102,7 @@ func E22Reorder(env Env) (*Table, error) {
 			recov += o.recoveries
 			relays += o.floodRelays
 		}
-		t.AddRow(rate, runs, elected, fmt.Sprintf("%.2f", sum/float64(runs)),
+		t.addRow(rate, runs, elected, fmt.Sprintf("%.2f", sum/float64(runs)),
 			fmt.Sprintf("%.2f", peak), recov, relays, violations)
 	}
 	return t, nil

@@ -11,10 +11,10 @@ import (
 	"fastnet/internal/topology"
 )
 
-// E1BroadcastVsFlooding reproduces §3's headline comparison: per broadcast,
+// e1BroadcastVsFlooding reproduces §3's headline comparison: per broadcast,
 // branching paths cost n system calls and O(log n) time; flooding costs
 // Θ(m) system calls and up to Θ(n) time.
-func E1BroadcastVsFlooding(env Env) (*Table, error) {
+func e1BroadcastVsFlooding(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
 		Title:   "broadcast cost per topology update",
@@ -57,7 +57,7 @@ func E1BroadcastVsFlooding(env Env) (*Table, error) {
 	for i, p := range results {
 		w := ws[i]
 		ratio := float64(p.flood.Metrics.Deliveries) / float64(p.branch.Metrics.Deliveries)
-		t.AddRow(w.name, w.g.N(), w.g.M(),
+		t.addRow(w.name, w.g.N(), w.g.M(),
 			p.branch.Metrics.Deliveries, p.branch.Metrics.FinishTime,
 			p.flood.Metrics.Deliveries, p.flood.Metrics.FinishTime,
 			fmt.Sprintf("%.2f", ratio))
@@ -65,9 +65,9 @@ func E1BroadcastVsFlooding(env Env) (*Table, error) {
 	return t, nil
 }
 
-// E2BroadcastTime verifies Theorem 2 on many tree shapes: the measured
+// e2BroadcastTime verifies Theorem 2 on many tree shapes: the measured
 // broadcast time never exceeds floor(log2 n)+1 rounds.
-func E2BroadcastTime(env Env) (*Table, error) {
+func e2BroadcastTime(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
 		Title:   "branching-paths broadcast time vs the log2 n bound",
@@ -96,15 +96,15 @@ func E2BroadcastTime(env Env) (*Table, error) {
 		}
 		rounds := int(res.Metrics.FinishTime) - 1
 		bound := bits.Len(uint(w.g.N()))
-		t.AddRow(w.name, w.g.N(), rounds, bound, rounds <= bound)
+		t.addRow(w.name, w.g.N(), rounds, bound, rounds <= bound)
 	}
 	return t, nil
 }
 
-// E3LowerBound measures broadcast rounds on complete binary trees: the
+// e3LowerBound measures broadcast rounds on complete binary trees: the
 // branching-paths algorithm needs Θ(log n) rounds, matching Theorem 3's
 // Ω(log n) lower bound for one-way broadcast within a constant factor.
-func E3LowerBound(env Env) (*Table, error) {
+func e3LowerBound(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "one-way broadcast rounds on complete binary trees",
@@ -121,7 +121,7 @@ func E3LowerBound(env Env) (*Table, error) {
 		}
 		rounds := int(res.Metrics.FinishTime) - 1
 		log2n := bits.Len(uint(g.N())) - 1
-		t.AddRow(depth, g.N(), rounds, log2n,
+		t.addRow(depth, g.N(), rounds, log2n,
 			fmt.Sprintf("%.2f", float64(rounds)/float64(log2n)))
 	}
 	return t, nil
@@ -163,9 +163,9 @@ func cyclicOrder(parent core.NodeID, children []core.NodeID) []core.NodeID {
 	return out
 }
 
-// E4DeadlockExample runs the six-node example under one-shot DFS (which
+// e4DeadlockExample runs the six-node example under one-shot DFS (which
 // must never converge) and under branching paths and flooding (which must).
-func E4DeadlockExample(env Env) (*Table, error) {
+func e4DeadlockExample(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "the six-node example after three simultaneous link failures",
@@ -186,15 +186,15 @@ func E4DeadlockExample(env Env) (*Table, error) {
 		if !res.Converged {
 			ran = 30
 		}
-		t.AddRow(mode, res.Converged, res.RoundsAfterChanges, ran)
+		t.addRow(mode, res.Converged, res.RoundsAfterChanges, ran)
 	}
 	return t, nil
 }
 
-// E5Convergence measures rounds to eventual consistency after failure
+// e5Convergence measures rounds to eventual consistency after failure
 // bursts: O(d) with plain broadcasts, O(log d) when nodes broadcast all
 // they know (the comment after Theorem 1).
-func E5Convergence(env Env) (*Table, error) {
+func e5Convergence(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "rounds to eventual consistency after changes stop",
@@ -245,7 +245,7 @@ func E5Convergence(env Env) (*Table, error) {
 		return nil, err
 	}
 	for i, p := range results {
-		t.AddRow(ws[i].name, ws[i].g.N(), ws[i].g.Diameter(),
+		t.addRow(ws[i].name, ws[i].g.N(), ws[i].g.Diameter(),
 			convLabel(p.plain), convLabel(p.full))
 	}
 	t.Notes = append(t.Notes, "cold start: databases empty before round 1; rounds counted after the last change")
@@ -259,10 +259,10 @@ func convLabel(r topology.ConvergenceResult) string {
 	return fmt.Sprintf("%d", r.RoundsAfterChanges)
 }
 
-// E14BFSLayers exercises footnote 1: a single-walk broadcast takes one time
+// e14BFSLayers exercises footnote 1: a single-walk broadcast takes one time
 // unit but needs Θ(n·d)-hop headers, so it is only legal with a relaxed
 // path-length restriction.
-func E14BFSLayers(env Env) (*Table, error) {
+func e14BFSLayers(env Env) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
 		Title:   "BFS-layers walk broadcast: time 1, header Theta(n*d)",
@@ -290,7 +290,7 @@ func E14BFSLayers(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(w.name, w.g.N(), res.Metrics.FinishTime-1, res.Metrics.Hops, withN, true)
+		t.addRow(w.name, w.g.N(), res.Metrics.FinishTime-1, res.Metrics.Hops, withN, true)
 	}
 	return t, nil
 }

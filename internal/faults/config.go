@@ -247,9 +247,8 @@ func (cfg Config) Repro(topo string, n int) string {
 
 // normalize resolves every default, once, at entry to Soak and to Repro: what
 // a zero or negative knob means is decided here and the run reads the fields
-// as they stand. The exported generators (Flaps, Partitions, Churn, Stalls)
-// defend their own fields as well, because callers other than the soak reach
-// them.
+// as they stand. The generators (flaps, partitions, churn, stalls) defend
+// their own fields as well: their tests plan with zero values.
 func (cfg *Config) normalize() {
 	orDefault(&cfg.Runtime, "des")
 	orDefault(&cfg.Mode, topology.ModeBranching)
@@ -301,9 +300,9 @@ func (cfg Config) lossy() bool { return cfg.msgFaults().Enabled() || cfg.Reliabl
 func (cfg Config) gray() bool { return cfg.Slow > 0 || cfg.Stall > 0 }
 
 // schedule builds the per-epoch profile schedule from the config.
-func (cfg Config) schedule() MsgFaultSchedule {
+func (cfg Config) schedule() msgFaultSchedule {
 	if cfg.BurstEvery > 0 {
-		return BurstyFaults{Base: cfg.msgFaults(), Every: cfg.BurstEvery, Scale: cfg.BurstScale}
+		return burstyFaults{Base: cfg.msgFaults(), Every: cfg.BurstEvery, Scale: cfg.BurstScale}
 	}
-	return ConstantFaults{P: cfg.msgFaults()}
+	return constantFaults{P: cfg.msgFaults()}
 }

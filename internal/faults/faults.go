@@ -1,7 +1,7 @@
 // Package faults is the chaos engine for the fastnet runtimes: seeded,
 // deterministic fault-schedule generators (link flaps, correlated edge-set
 // partitions, node crash/restore churn, and a trace-driven adversary), a
-// ground-truth State tracker, and an invariant-checked soak driver that
+// ground-truth state tracker, and an invariant-checked soak driver that
 // alternates churn epochs with quiescence on either runtime.
 //
 // The paper's correctness story is explicitly fault-driven: Theorem 1 is
@@ -9,7 +9,7 @@
 // naive protocol deadlocking under link failures, and §4's election must
 // survive origin crashes. This package turns those hand-scripted scenarios
 // into a reusable subsystem: generators compile to either runtime through
-// the small Injector surface, and the soak driver checks the protocols'
+// the small injector surface, and the soak driver checks the protocols'
 // invariants after every churn epoch.
 package faults
 
@@ -21,46 +21,46 @@ import (
 	"fastnet/internal/graph"
 )
 
-// Kind enumerates fault events.
-type Kind int
+// kind enumerates fault events.
+type kind int
 
 // Fault kinds. Link kinds address edge {U, V}; node kinds address node U.
 const (
-	LinkDown Kind = iota + 1
-	LinkUp
-	Crash
-	Restore
+	linkDown kind = iota + 1
+	linkUp
+	crash
+	restore
 )
 
 // String names the kind.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case LinkDown:
+	case linkDown:
 		return "link-down"
-	case LinkUp:
+	case linkUp:
 		return "link-up"
-	case Crash:
+	case crash:
 		return "crash"
-	case Restore:
+	case restore:
 		return "restore"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
 
-// Event is one scheduled fault: at Step (a quiescence-separated instant
+// event is one scheduled fault: at Step (a quiescence-separated instant
 // within its epoch) apply Kind to edge {U, V} (link kinds) or node U (node
 // kinds).
-type Event struct {
+type event struct {
 	Step int
-	Kind Kind
+	Kind kind
 	U, V core.NodeID
 }
 
 // String renders the event for repro logs.
-func (ev Event) String() string {
+func (ev event) String() string {
 	switch ev.Kind {
-	case Crash, Restore:
+	case crash, restore:
 		return fmt.Sprintf("@%d %s %d", ev.Step, ev.Kind, ev.U)
 	default:
 		return fmt.Sprintf("@%d %s %d-%d", ev.Step, ev.Kind, ev.U, ev.V)
@@ -69,7 +69,7 @@ func (ev Event) String() string {
 
 // sortEvents orders events by (Step, Kind, U, V) so schedules apply
 // deterministically regardless of generator composition order within a step.
-func sortEvents(evs []Event) {
+func sortEvents(evs []event) {
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].Step != evs[j].Step {
 			return evs[i].Step < evs[j].Step
@@ -84,43 +84,43 @@ func sortEvents(evs []Event) {
 	})
 }
 
-// Injector is the fault-application surface a runtime exposes to the chaos
+// injector is the fault-application surface a runtime exposes to the chaos
 // engine. Both *sim.Network and *gosim.Network implement it (the
 // discrete-event runtime applies the change at its current virtual time).
-type Injector interface {
+type injector interface {
 	// Graph returns the underlying topology.
 	Graph() *graph.Graph
-	// LinkUp reports the current hardware state of edge {u, v}.
+	// linkUp reports the current hardware state of edge {u, v}.
 	LinkUp(u, v core.NodeID) bool
 	// InjectLink flips the hardware state of edge {u, v}; both endpoint
 	// NCUs receive the data-link notification.
 	InjectLink(u, v core.NodeID, up bool)
 }
 
-// Flip is one concrete link state change derived from an Event by the State
+// flip is one concrete link state change derived from an event by the state
 // tracker (node events expand into their incident links).
-type Flip struct {
+type flip struct {
 	U, V core.NodeID
 	Up   bool
 }
 
-// State is the chaos engine's ground truth: which edges are down, which
+// state is the chaos engine's ground truth: which edges are down, which
 // nodes are crashed, and which edges went down at any point during the
 // current epoch. A link is down while it has at least one cause — an
 // explicit link fault or a crashed endpoint — which makes overlapping
 // generators compose correctly (restoring a crashed node does not resurrect
 // an independently flapped link, and healing a flap under a crashed
 // endpoint keeps the link down).
-type State struct {
+type state struct {
 	g       *graph.Graph
 	faulted map[graph.Edge]bool // down due to an explicit link fault
 	crashed map[core.NodeID]bool
 	touched map[graph.Edge]bool // went down at some point this epoch
 }
 
-// NewState tracks faults over g; everything starts up.
-func NewState(g *graph.Graph) *State {
-	return &State{
+// newState tracks faults over g; everything starts up.
+func newState(g *graph.Graph) *state {
+	return &state{
 		g:       g,
 		faulted: make(map[graph.Edge]bool),
 		crashed: make(map[core.NodeID]bool),
@@ -128,53 +128,53 @@ func NewState(g *graph.Graph) *State {
 	}
 }
 
-// EdgeDown reports whether edge {u, v} is currently down.
-func (st *State) EdgeDown(u, v core.NodeID) bool {
+// edgeDown reports whether edge {u, v} is currently down.
+func (st *state) edgeDown(u, v core.NodeID) bool {
 	return st.faulted[graph.Edge{U: u, V: v}.Canon()] || st.crashed[u] || st.crashed[v]
 }
 
-// Crashed reports whether v is currently crashed.
-func (st *State) Crashed(v core.NodeID) bool { return st.crashed[v] }
+// isCrashed reports whether v is currently crashed.
+func (st *state) isCrashed(v core.NodeID) bool { return st.crashed[v] }
 
-// Down returns the current down-edge set in canonical form.
-func (st *State) Down() map[graph.Edge]bool {
+// downSet returns the current down-edge set in canonical form.
+func (st *state) downSet() map[graph.Edge]bool {
 	down := make(map[graph.Edge]bool)
 	for _, e := range st.g.Edges() {
-		if st.EdgeDown(e.U, e.V) {
+		if st.edgeDown(e.U, e.V) {
 			down[e.Canon()] = true
 		}
 	}
 	return down
 }
 
-// DownEdges returns the currently down edges, sorted canonically.
-func (st *State) DownEdges() []graph.Edge {
+// downEdges returns the currently down edges, sorted canonically.
+func (st *state) downEdges() []graph.Edge {
 	var out []graph.Edge
 	for _, e := range st.g.Edges() {
-		if st.EdgeDown(e.U, e.V) {
+		if st.edgeDown(e.U, e.V) {
 			out = append(out, e.Canon())
 		}
 	}
 	return out
 }
 
-// UpEdges returns the currently up edges, sorted canonically.
-func (st *State) UpEdges() []graph.Edge {
+// upEdges returns the currently up edges, sorted canonically.
+func (st *state) upEdges() []graph.Edge {
 	var out []graph.Edge
 	for _, e := range st.g.Edges() {
-		if !st.EdgeDown(e.U, e.V) {
+		if !st.edgeDown(e.U, e.V) {
 			out = append(out, e.Canon())
 		}
 	}
 	return out
 }
 
-// Live materializes the current live topology (down edges removed; crashed
+// liveGraph materializes the current live topology (down edges removed; crashed
 // nodes appear as isolated vertices, the model's inactive-node reading).
-func (st *State) Live() *graph.Graph {
+func (st *state) liveGraph() *graph.Graph {
 	live := st.g.Clone()
 	for _, e := range st.g.Edges() {
-		if st.EdgeDown(e.U, e.V) {
+		if st.edgeDown(e.U, e.V) {
 			live.RemoveEdge(e.U, e.V)
 		}
 	}
@@ -185,8 +185,8 @@ func (st *State) Live() *graph.Graph {
 // component, the first of equals in graph.Components' order. The soak's
 // ledger traffic (I6), elections (I2, I7, I8) and detector scenario run
 // there; fewer than two members leave them nothing to do.
-func (st *State) largestComponent() (live *graph.Graph, comp []core.NodeID) {
-	live = st.Live()
+func (st *state) largestComponent() (live *graph.Graph, comp []core.NodeID) {
+	live = st.liveGraph()
 	for _, c := range live.Components() {
 		if len(c) > len(comp) {
 			comp = c
@@ -215,66 +215,66 @@ func inducedSubgraph(g *graph.Graph, comp []core.NodeID) (*graph.Graph, []core.N
 	return sub, ids
 }
 
-// BeginEpoch clears the epoch-local touched set.
-func (st *State) BeginEpoch() {
+// beginEpoch clears the epoch-local touched set.
+func (st *state) beginEpoch() {
 	st.touched = make(map[graph.Edge]bool)
 }
 
-// Touched reports whether edge {u, v} went down at any point during the
+// wasTouched reports whether edge {u, v} went down at any point during the
 // current epoch (even if it has healed since).
-func (st *State) Touched(u, v core.NodeID) bool {
+func (st *state) wasTouched(u, v core.NodeID) bool {
 	return st.touched[graph.Edge{U: u, V: v}.Canon()]
 }
 
-// Apply advances the ground truth by one event and returns the concrete
+// apply advances the ground truth by one event and returns the concrete
 // link flips a runtime must perform (empty when the event is a no-op, e.g.
 // downing an already-down link). Node events expand into their incident
 // links in sorted-neighbor order.
-func (st *State) Apply(ev Event) []Flip {
-	var flips []Flip
+func (st *state) apply(ev event) []flip {
+	var flips []flip
 	switch ev.Kind {
-	case LinkDown:
+	case linkDown:
 		e := graph.Edge{U: ev.U, V: ev.V}.Canon()
 		if !st.g.HasEdge(e.U, e.V) || st.faulted[e] {
 			return nil
 		}
-		wasUp := !st.EdgeDown(e.U, e.V)
+		wasUp := !st.edgeDown(e.U, e.V)
 		st.faulted[e] = true
 		st.touched[e] = true
 		if wasUp {
-			flips = append(flips, Flip{U: e.U, V: e.V, Up: false})
+			flips = append(flips, flip{U: e.U, V: e.V, Up: false})
 		}
-	case LinkUp:
+	case linkUp:
 		e := graph.Edge{U: ev.U, V: ev.V}.Canon()
 		if !st.faulted[e] {
 			return nil
 		}
 		delete(st.faulted, e)
-		if !st.EdgeDown(e.U, e.V) {
-			flips = append(flips, Flip{U: e.U, V: e.V, Up: true})
+		if !st.edgeDown(e.U, e.V) {
+			flips = append(flips, flip{U: e.U, V: e.V, Up: true})
 		}
-	case Crash:
+	case crash:
 		if st.crashed[ev.U] {
 			return nil
 		}
 		for _, nb := range st.g.Neighbors(ev.U) {
-			if !st.EdgeDown(ev.U, nb) {
+			if !st.edgeDown(ev.U, nb) {
 				e := graph.Edge{U: ev.U, V: nb}.Canon()
 				st.touched[e] = true
-				flips = append(flips, Flip{U: e.U, V: e.V, Up: false})
+				flips = append(flips, flip{U: e.U, V: e.V, Up: false})
 			}
 		}
 		st.crashed[ev.U] = true
-	case Restore:
+	case restore:
 		if !st.crashed[ev.U] {
 			return nil
 		}
 		st.crashed[ev.U] = false
 		delete(st.crashed, ev.U)
 		for _, nb := range st.g.Neighbors(ev.U) {
-			if !st.EdgeDown(ev.U, nb) {
+			if !st.edgeDown(ev.U, nb) {
 				e := graph.Edge{U: ev.U, V: nb}.Canon()
-				flips = append(flips, Flip{U: e.U, V: e.V, Up: true})
+				flips = append(flips, flip{U: e.U, V: e.V, Up: true})
 			}
 		}
 	}

@@ -12,85 +12,85 @@ import (
 
 func TestStateCausesCompose(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3
-	st := NewState(g)
+	st := newState(g)
 
 	// Flap 1-2 down, then crash node 1: the edge has two causes.
-	if flips := st.Apply(Event{Kind: LinkDown, U: 1, V: 2}); len(flips) != 1 || flips[0].Up {
+	if flips := st.apply(event{Kind: linkDown, U: 1, V: 2}); len(flips) != 1 || flips[0].Up {
 		t.Fatalf("flap down flips = %v", flips)
 	}
-	flips := st.Apply(Event{Kind: Crash, U: 1})
+	flips := st.apply(event{Kind: crash, U: 1})
 	// 1-2 already down, so only 0-1 actually flips.
-	if len(flips) != 1 || flips[0] != (Flip{U: 0, V: 1, Up: false}) {
+	if len(flips) != 1 || flips[0] != (flip{U: 0, V: 1, Up: false}) {
 		t.Fatalf("crash flips = %v, want only 0-1 down", flips)
 	}
 	// Healing the flap must not resurrect the edge while 1 is crashed.
-	if flips := st.Apply(Event{Kind: LinkUp, U: 1, V: 2}); len(flips) != 0 {
+	if flips := st.apply(event{Kind: linkUp, U: 1, V: 2}); len(flips) != 0 {
 		t.Fatalf("heal under crash flipped %v", flips)
 	}
-	if !st.EdgeDown(1, 2) {
+	if !st.edgeDown(1, 2) {
 		t.Fatal("edge 1-2 must stay down: endpoint crashed")
 	}
-	// Restore brings back exactly the edges with no remaining cause.
-	flips = st.Apply(Event{Kind: Restore, U: 1})
-	want := []Flip{{U: 0, V: 1, Up: true}, {U: 1, V: 2, Up: true}}
+	// restore brings back exactly the edges with no remaining cause.
+	flips = st.apply(event{Kind: restore, U: 1})
+	want := []flip{{U: 0, V: 1, Up: true}, {U: 1, V: 2, Up: true}}
 	if !reflect.DeepEqual(flips, want) {
 		t.Fatalf("restore flips = %v, want %v", flips, want)
 	}
-	if len(st.DownEdges()) != 0 {
-		t.Fatalf("down after full heal: %v", st.DownEdges())
+	if len(st.downEdges()) != 0 {
+		t.Fatalf("down after full heal: %v", st.downEdges())
 	}
 }
 
 func TestStateTouchedPerEpoch(t *testing.T) {
 	g := graph.Path(3)
-	st := NewState(g)
-	st.Apply(Event{Kind: LinkDown, U: 0, V: 1})
-	st.Apply(Event{Kind: LinkUp, U: 0, V: 1})
-	if !st.Touched(0, 1) {
+	st := newState(g)
+	st.apply(event{Kind: linkDown, U: 0, V: 1})
+	st.apply(event{Kind: linkUp, U: 0, V: 1})
+	if !st.wasTouched(0, 1) {
 		t.Fatal("healed flap must still count as touched this epoch")
 	}
-	st.BeginEpoch()
-	if st.Touched(0, 1) {
+	st.beginEpoch()
+	if st.wasTouched(0, 1) {
 		t.Fatal("touched must reset at epoch start")
 	}
 }
 
 func TestStateLiveGraph(t *testing.T) {
 	g := graph.Ring(5)
-	st := NewState(g)
-	st.Apply(Event{Kind: Crash, U: 2})
-	live := st.Live()
+	st := newState(g)
+	st.apply(event{Kind: crash, U: 2})
+	live := st.liveGraph()
 	if live.Degree(2) != 0 {
 		t.Fatalf("crashed node degree = %d, want 0", live.Degree(2))
 	}
 	if live.M() != g.M()-2 {
 		t.Fatalf("live edges = %d, want %d", live.M(), g.M()-2)
 	}
-	if got := len(st.DownEdges()); got != 2 {
+	if got := len(st.downEdges()); got != 2 {
 		t.Fatalf("down edges = %d, want 2", got)
 	}
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
 	g := graph.GNP(12, 0.4, 7)
-	plan := func() [][]Event {
+	plan := func() [][]event {
 		rng := rand.New(rand.NewSource(42))
-		st := NewState(g)
-		gens := []Generator{
-			Flaps{PerEpoch: 2, Len: 1, Steps: 2},
-			&Partitions{Every: 2, Heal: 1},
-			&Churn{PerEpoch: 1, Downtime: 1},
+		st := newState(g)
+		gens := []generator{
+			flaps{PerEpoch: 2, Len: 1, Steps: 2},
+			&partitions{Every: 2, Heal: 1},
+			&churn{PerEpoch: 1, Downtime: 1},
 		}
-		var epochs [][]Event
+		var epochs [][]event
 		for e := 0; e < 4; e++ {
-			st.BeginEpoch()
-			var evs []Event
+			st.beginEpoch()
+			var evs []event
 			for _, gen := range gens {
 				evs = append(evs, gen.Plan(e, st, rng)...)
 			}
 			sortEvents(evs)
 			for _, ev := range evs {
-				st.Apply(ev)
+				st.apply(ev)
 			}
 			epochs = append(epochs, evs)
 		}
@@ -109,11 +109,37 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratorsOnDegenerateGraphs: the soak takes any graph (`fastnet soak
+// -n 1`), so each generator plans three epochs on the graphs with nothing (or
+// almost nothing) to fail — no nodes, one node, one link — without panicking.
+// partitions drew rng.Intn(n-1) for its subset size, which panics at n <= 1.
+func TestGeneratorsOnDegenerateGraphs(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.New(0), graph.New(1), graph.Path(2)} {
+		st := newState(g)
+		rng := rand.New(rand.NewSource(1))
+		gens := []generator{
+			flaps{PerEpoch: 2},
+			&partitions{},
+			&churn{PerEpoch: 2},
+			&adversary{Witness: &witness{}},
+		}
+		for e := 0; e < 3; e++ {
+			st.beginEpoch()
+			for _, gen := range gens {
+				for _, ev := range gen.Plan(e, st, rng) {
+					st.apply(ev)
+				}
+			}
+			stalls{PerEpoch: 2}.plan(e, st, rng)
+		}
+	}
+}
+
 func TestFlapsPairDownWithUp(t *testing.T) {
 	g := graph.Ring(6)
-	st := NewState(g)
+	st := newState(g)
 	rng := rand.New(rand.NewSource(1))
-	evs := Flaps{PerEpoch: 3, Len: 2, Steps: 1}.Plan(0, st, rng)
+	evs := flaps{PerEpoch: 3, Len: 2, Steps: 1}.Plan(0, st, rng)
 	if len(evs) != 6 {
 		t.Fatalf("planned %d events, want 6 (3 down + 3 up)", len(evs))
 	}
@@ -121,9 +147,9 @@ func TestFlapsPairDownWithUp(t *testing.T) {
 	for _, ev := range evs {
 		e := graph.Edge{U: ev.U, V: ev.V}.Canon()
 		switch ev.Kind {
-		case LinkDown:
+		case linkDown:
 			downs[e] = ev.Step
-		case LinkUp:
+		case linkUp:
 			if up, ok := downs[e]; !ok || ev.Step != up+2 {
 				t.Fatalf("up event %v does not pair with its down", ev)
 			}
@@ -133,22 +159,22 @@ func TestFlapsPairDownWithUp(t *testing.T) {
 
 func TestPartitionsCutsAndHeals(t *testing.T) {
 	g := graph.Complete(6)
-	st := NewState(g)
+	st := newState(g)
 	rng := rand.New(rand.NewSource(3))
-	p := &Partitions{Every: 10, Heal: 2}
+	p := &partitions{Every: 10, Heal: 2}
 
 	cut := p.Plan(0, st, rng)
 	if len(cut) == 0 {
 		t.Fatal("epoch 0 must plan a cut")
 	}
 	for _, ev := range cut {
-		if ev.Kind != LinkDown || ev.Step != 0 {
+		if ev.Kind != linkDown || ev.Step != 0 {
 			t.Fatalf("cut event %v, want step-0 link-down", ev)
 		}
-		st.Apply(ev)
+		st.apply(ev)
 	}
 	// The cut must disconnect the graph.
-	if st.Live().Connected() {
+	if st.liveGraph().Connected() {
 		t.Fatal("correlated cut left the graph connected")
 	}
 	if evs := p.Plan(1, st, rng); len(evs) != 0 {
@@ -159,42 +185,42 @@ func TestPartitionsCutsAndHeals(t *testing.T) {
 		t.Fatalf("heal planned %d events, want %d", len(heal), len(cut))
 	}
 	for _, ev := range heal {
-		if ev.Kind != LinkUp {
+		if ev.Kind != linkUp {
 			t.Fatalf("heal event %v, want link-up", ev)
 		}
-		st.Apply(ev)
+		st.apply(ev)
 	}
-	if !st.Live().Connected() {
+	if !st.liveGraph().Connected() {
 		t.Fatal("graph must be whole after the heal")
 	}
 }
 
 func TestChurnRestoresAfterDowntime(t *testing.T) {
 	g := graph.Ring(8)
-	st := NewState(g)
+	st := newState(g)
 	rng := rand.New(rand.NewSource(5))
-	c := &Churn{PerEpoch: 2, Downtime: 2}
+	c := &churn{PerEpoch: 2, Downtime: 2}
 
 	ev0 := c.Plan(0, st, rng)
 	crashed := 0
 	for _, ev := range ev0 {
-		if ev.Kind == Crash {
+		if ev.Kind == crash {
 			crashed++
 		}
-		st.Apply(ev)
+		st.apply(ev)
 	}
 	if crashed != 2 {
 		t.Fatalf("crashed %d nodes, want 2", crashed)
 	}
 	for _, ev := range c.Plan(1, st, rng) {
-		st.Apply(ev)
+		st.apply(ev)
 	}
 	restores := 0
 	for _, ev := range c.Plan(2, st, rng) {
-		if ev.Kind == Restore {
+		if ev.Kind == restore {
 			restores++
 		}
-		st.Apply(ev)
+		st.apply(ev)
 	}
 	if restores != 2 {
 		t.Fatalf("epoch 2 restored %d nodes, want the 2 crashed in epoch 0", restores)
@@ -202,61 +228,61 @@ func TestChurnRestoresAfterDowntime(t *testing.T) {
 }
 
 func TestWitnessCorrelatesSendToDeliver(t *testing.T) {
-	w := &Witness{}
+	w := &witness{}
 	w.Record(trace.Event{Kind: trace.KindSend, Node: 2, Msg: 7})
 	w.Record(trace.Event{Kind: trace.KindDeliver, Node: 3, Msg: 7})
-	from, to, ok := w.LastHop()
+	from, to, ok := w.lastHop()
 	if !ok || from != 2 || to != 3 {
 		t.Fatalf("LastHop = %d,%d,%v, want 2,3,true", from, to, ok)
 	}
-	w.Reset()
+	w.reset()
 	// The hop survives a reset; only the correlation table is dropped.
-	if _, _, ok := w.LastHop(); !ok {
+	if _, _, ok := w.lastHop(); !ok {
 		t.Fatal("LastHop lost across Reset")
 	}
 	w.Record(trace.Event{Kind: trace.KindDeliver, Node: 5, Msg: 9})
-	if from, to, _ := w.LastHop(); from != 2 || to != 3 {
+	if from, to, _ := w.lastHop(); from != 2 || to != 3 {
 		t.Fatalf("uncorrelated deliver moved LastHop to %d,%d", from, to)
 	}
 }
 
 func TestAdversaryFailsObservedHopThenHeals(t *testing.T) {
 	g := graph.Ring(5)
-	st := NewState(g)
+	st := newState(g)
 	rng := rand.New(rand.NewSource(1))
-	w := &Witness{}
-	a := &Adversary{Witness: w}
+	w := &witness{}
+	a := &adversary{Witness: w}
 
 	w.Record(trace.Event{Kind: trace.KindSend, Node: 1, Msg: 1})
 	w.Record(trace.Event{Kind: trace.KindDeliver, Node: 2, Msg: 1})
 	evs := a.Plan(0, st, rng)
-	if len(evs) != 1 || evs[0].Kind != LinkDown {
+	if len(evs) != 1 || evs[0].Kind != linkDown {
 		t.Fatalf("plan = %v, want one link-down", evs)
 	}
 	e := graph.Edge{U: evs[0].U, V: evs[0].V}.Canon()
 	if e != (graph.Edge{U: 1, V: 2}) {
 		t.Fatalf("adversary failed %v, want the observed hop 1-2", e)
 	}
-	st.Apply(evs[0])
+	st.apply(evs[0])
 	heal := a.Plan(1, st, rng)
-	if len(heal) == 0 || heal[0].Kind != LinkUp {
+	if len(heal) == 0 || heal[0].Kind != linkUp {
 		t.Fatalf("next epoch = %v, want the heal first", heal)
 	}
 }
 
 func TestSortEventsStableOrder(t *testing.T) {
-	evs := []Event{
-		{Step: 1, Kind: LinkUp, U: 3, V: 4},
-		{Step: 0, Kind: Crash, U: 9},
-		{Step: 0, Kind: LinkDown, U: 1, V: 2},
-		{Step: 0, Kind: LinkDown, U: 0, V: 2},
+	evs := []event{
+		{Step: 1, Kind: linkUp, U: 3, V: 4},
+		{Step: 0, Kind: crash, U: 9},
+		{Step: 0, Kind: linkDown, U: 1, V: 2},
+		{Step: 0, Kind: linkDown, U: 0, V: 2},
 	}
 	sortEvents(evs)
-	want := []Event{
-		{Step: 0, Kind: LinkDown, U: 0, V: 2},
-		{Step: 0, Kind: LinkDown, U: 1, V: 2},
-		{Step: 0, Kind: Crash, U: 9},
-		{Step: 1, Kind: LinkUp, U: 3, V: 4},
+	want := []event{
+		{Step: 0, Kind: linkDown, U: 0, V: 2},
+		{Step: 0, Kind: linkDown, U: 1, V: 2},
+		{Step: 0, Kind: crash, U: 9},
+		{Step: 1, Kind: linkUp, U: 3, V: 4},
 	}
 	if !reflect.DeepEqual(evs, want) {
 		t.Fatalf("sorted = %v, want %v", evs, want)

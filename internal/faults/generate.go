@@ -9,24 +9,24 @@ import (
 	"fastnet/internal/trace"
 )
 
-// Generator plans the fault events for one churn epoch. Plan must be a pure
+// generator plans the fault events for one churn epoch. Plan must be a pure
 // function of (epoch, st, rng) — all randomness drawn from rng — so a soak
 // run is reproducible from its seed. Generators may keep private pending
 // state (e.g. heal schedules) because epochs are always planned in order.
-type Generator interface {
-	Plan(epoch int, st *State, rng *rand.Rand) []Event
+type generator interface {
+	Plan(epoch int, st *state, rng *rand.Rand) []event
 }
 
-// Flaps downs PerEpoch random live links and brings each back up Len steps
+// flaps downs PerEpoch random live links and brings each back up Len steps
 // later in the same epoch, with down-steps spread over Steps instants.
-type Flaps struct {
+type flaps struct {
 	PerEpoch int
 	Len      int // steps a flapped link stays down (>= 1)
 	Steps    int // spread of down instants (>= 1)
 }
 
-// Plan implements Generator.
-func (f Flaps) Plan(epoch int, st *State, rng *rand.Rand) []Event {
+// Plan implements generator.
+func (f flaps) Plan(epoch int, st *state, rng *rand.Rand) []event {
 	if f.PerEpoch <= 0 {
 		return nil
 	}
@@ -37,34 +37,34 @@ func (f Flaps) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 	if steps < 1 {
 		steps = 1
 	}
-	up := st.UpEdges()
-	var evs []Event
+	up := st.upEdges()
+	var evs []event
 	for i := 0; i < f.PerEpoch && len(up) > 0; i++ {
 		j := rng.Intn(len(up))
 		e := up[j]
 		up = append(up[:j], up[j+1:]...)
 		at := rng.Intn(steps)
 		evs = append(evs,
-			Event{Step: at, Kind: LinkDown, U: e.U, V: e.V},
-			Event{Step: at + length, Kind: LinkUp, U: e.U, V: e.V},
+			event{Step: at, Kind: linkDown, U: e.U, V: e.V},
+			event{Step: at + length, Kind: linkUp, U: e.U, V: e.V},
 		)
 	}
 	return evs
 }
 
-// Partitions fails a correlated edge set every Every epochs: a random node
+// partitions fails a correlated edge set every Every epochs: a random node
 // subset S is cut off by downing every live edge crossing (S, V-S) at once,
 // then the whole cut heals together Heal epochs later (Heal < Every keeps
 // at most one partition outstanding).
-type Partitions struct {
+type partitions struct {
 	Every int // plan a new cut when epoch%Every == 0 (default 1)
 	Heal  int // epochs until the cut heals (>= 1)
 
 	pending map[int][]graph.Edge // heal epoch -> cut edges
 }
 
-// Plan implements Generator.
-func (p *Partitions) Plan(epoch int, st *State, rng *rand.Rand) []Event {
+// Plan implements generator.
+func (p *partitions) Plan(epoch int, st *state, rng *rand.Rand) []event {
 	every := p.Every
 	if every < 1 {
 		every = 1
@@ -76,14 +76,14 @@ func (p *Partitions) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 	if p.pending == nil {
 		p.pending = make(map[int][]graph.Edge)
 	}
-	var evs []Event
+	var evs []event
 	// Heal a cut scheduled for this epoch before planning a new one.
 	for _, e := range p.pending[epoch] {
-		evs = append(evs, Event{Step: 0, Kind: LinkUp, U: e.U, V: e.V})
+		evs = append(evs, event{Step: 0, Kind: linkUp, U: e.U, V: e.V})
 	}
 	delete(p.pending, epoch)
-	if epoch%every == 0 {
-		g := st.g
+	// A graph of fewer than two nodes has no proper subset to cut off.
+	if g := st.g; epoch%every == 0 && g.N() >= 2 {
 		// Random proper subset: size in [1, n-1].
 		size := 1 + rng.Intn(g.N()-1)
 		perm := rng.Perm(g.N())
@@ -93,9 +93,9 @@ func (p *Partitions) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 		}
 		var cut []graph.Edge
 		for _, e := range g.Edges() {
-			if inS[e.U] != inS[e.V] && !st.EdgeDown(e.U, e.V) {
+			if inS[e.U] != inS[e.V] && !st.edgeDown(e.U, e.V) {
 				cut = append(cut, e.Canon())
-				evs = append(evs, Event{Step: 0, Kind: LinkDown, U: e.U, V: e.V})
+				evs = append(evs, event{Step: 0, Kind: linkDown, U: e.U, V: e.V})
 			}
 		}
 		if len(cut) > 0 {
@@ -105,17 +105,17 @@ func (p *Partitions) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 	return evs
 }
 
-// Churn crashes PerEpoch random live nodes and restores each Downtime
+// churn crashes PerEpoch random live nodes and restores each Downtime
 // epochs later.
-type Churn struct {
+type churn struct {
 	PerEpoch int
 	Downtime int // epochs a crashed node stays down (>= 1)
 
 	pending map[int][]core.NodeID // restore epoch -> nodes
 }
 
-// Plan implements Generator.
-func (c *Churn) Plan(epoch int, st *State, rng *rand.Rand) []Event {
+// Plan implements generator.
+func (c *churn) Plan(epoch int, st *state, rng *rand.Rand) []event {
 	if c.pending == nil {
 		c.pending = make(map[int][]core.NodeID)
 	}
@@ -123,15 +123,15 @@ func (c *Churn) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 	if downtime < 1 {
 		downtime = 1
 	}
-	var evs []Event
+	var evs []event
 	for _, v := range c.pending[epoch] {
-		evs = append(evs, Event{Step: 0, Kind: Restore, U: v})
+		evs = append(evs, event{Step: 0, Kind: restore, U: v})
 	}
 	delete(c.pending, epoch)
 	if c.PerEpoch > 0 {
 		var alive []core.NodeID
 		for v := 0; v < st.g.N(); v++ {
-			if !st.Crashed(core.NodeID(v)) {
+			if !st.isCrashed(core.NodeID(v)) {
 				alive = append(alive, core.NodeID(v))
 			}
 		}
@@ -139,65 +139,65 @@ func (c *Churn) Plan(epoch int, st *State, rng *rand.Rand) []Event {
 			j := rng.Intn(len(alive))
 			v := alive[j]
 			alive = append(alive[:j], alive[j+1:]...)
-			evs = append(evs, Event{Step: 0, Kind: Crash, U: v})
+			evs = append(evs, event{Step: 0, Kind: crash, U: v})
 			c.pending[epoch+downtime] = append(c.pending[epoch+downtime], v)
 		}
 	}
 	return evs
 }
 
-// Adversary is the trace-driven generator: its Witness (installed as the
+// adversary is the trace-driven generator: its Witness (installed as the
 // network's trace sink) watches deliveries, and each epoch the adversary
 // fails the edge the protocol just used — the last delivery hop it saw —
 // healing it again the next epoch. This is the "fail the tree edge just
 // used" schedule: broadcasts that lean on a spanning structure keep losing
 // exactly the branch they committed to.
-type Adversary struct {
-	Witness *Witness
+type adversary struct {
+	Witness *witness
 
 	pending []graph.Edge // edges to heal next epoch
 }
 
-// Plan implements Generator.
-func (a *Adversary) Plan(epoch int, st *State, rng *rand.Rand) []Event {
-	var evs []Event
+// Plan implements generator.
+func (a *adversary) Plan(epoch int, st *state, rng *rand.Rand) []event {
+	var evs []event
 	for _, e := range a.pending {
-		evs = append(evs, Event{Step: 0, Kind: LinkUp, U: e.U, V: e.V})
+		evs = append(evs, event{Step: 0, Kind: linkUp, U: e.U, V: e.V})
 	}
 	a.pending = nil
 	if a.Witness == nil {
 		return evs
 	}
-	from, to, ok := a.Witness.LastHop()
+	from, to, ok := a.Witness.lastHop()
 	if !ok {
 		return evs
 	}
 	target, found := graph.Edge{}, false
-	if st.g.HasEdge(from, to) && !st.EdgeDown(from, to) {
+	if st.g.HasEdge(from, to) && !st.edgeDown(from, to) {
 		target, found = graph.Edge{U: from, V: to}.Canon(), true
 	} else {
 		// The observed hop is gone; fall back to any live edge at the
 		// receiver so the adversary keeps pressure on the active region.
 		for _, nb := range st.g.Neighbors(to) {
-			if !st.EdgeDown(to, nb) {
+			if !st.edgeDown(to, nb) {
 				target, found = graph.Edge{U: to, V: nb}.Canon(), true
 				break
 			}
 		}
 	}
 	if found {
-		evs = append(evs, Event{Step: 0, Kind: LinkDown, U: target.U, V: target.V})
+		evs = append(evs, event{Step: 0, Kind: linkDown, U: target.U, V: target.V})
 		a.pending = append(a.pending, target)
 	}
 	return evs
 }
 
-// Witness is a trace.Sink that remembers the most recent delivery hop; it
+// witness is a trace.Sink that remembers the most recent delivery hop; it
 // feeds the Adversary generator. Trace events carry no sender, so the
 // witness correlates each KindDeliver with its KindSend through the shared
 // message ID. Safe for concurrent use (the goroutine runtime records trace
 // events from many node goroutines).
-type Witness struct {
+type witness struct {
 	mu      sync.Mutex
 	senders map[int64]core.NodeID // msg ID -> sending node
 	from    core.NodeID
@@ -206,7 +206,7 @@ type Witness struct {
 }
 
 // Record implements trace.Sink.
-func (w *Witness) Record(ev trace.Event) {
+func (w *witness) Record(ev trace.Event) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	switch ev.Kind {
@@ -222,16 +222,16 @@ func (w *Witness) Record(ev trace.Event) {
 	}
 }
 
-// LastHop returns the (from, to) endpoints of the most recent delivery.
-func (w *Witness) LastHop() (from, to core.NodeID, ok bool) {
+// lastHop returns the (from, to) endpoints of the most recent delivery.
+func (w *witness) lastHop() (from, to core.NodeID, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.from, w.to, w.ok
 }
 
-// Reset drops the send correlation table (the last hop survives); the soak
+// reset drops the send correlation table (the last hop survives); the soak
 // driver calls it between epochs to bound memory over long runs.
-func (w *Witness) Reset() {
+func (w *witness) reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.senders = make(map[int64]core.NodeID)

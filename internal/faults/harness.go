@@ -10,15 +10,15 @@ import (
 
 // Both runtimes satisfy the chaos engine's injection surface.
 var (
-	_ Injector = (*sim.Network)(nil)
-	_ Injector = (*gosim.Network)(nil)
+	_ injector = (*sim.Network)(nil)
+	_ injector = (*gosim.Network)(nil)
 )
 
-// Harness is the runtime surface the soak driver needs beyond fault
+// harness is the runtime surface the soak driver needs beyond fault
 // injection: start activations, drain to quiescence, and inspect the
-// result. NewSimHarness and NewGosimHarness adapt the two runtimes.
-type Harness interface {
-	Injector
+// result. newSimHarness and newGosimHarness adapt the two runtimes.
+type harness interface {
+	injector
 	// Inject schedules an external activation at v ("now" on the
 	// discrete-event runtime).
 	Inject(v core.NodeID, payload any)
@@ -46,9 +46,9 @@ type simHarness struct {
 	*sim.Network
 }
 
-// NewSimHarness adapts a discrete-event network. Quiesce runs the event
+// newSimHarness adapts a discrete-event network. Quiesce runs the event
 // loop until the heap drains; virtual time carries across calls.
-func NewSimHarness(net *sim.Network) Harness { return simHarness{net} }
+func newSimHarness(net *sim.Network) harness { return simHarness{net} }
 
 func (h simHarness) Inject(v core.NodeID, payload any) {
 	h.Network.Inject(h.Network.Now(), v, payload)
@@ -66,9 +66,9 @@ type gosimHarness struct {
 	timeout time.Duration
 }
 
-// NewGosimHarness adapts a goroutine network; timeout bounds each Quiesce
+// newGosimHarness adapts a goroutine network; timeout bounds each Quiesce
 // (Soak passes Config.Timeout, its default resolved).
-func NewGosimHarness(net *gosim.Network, timeout time.Duration) Harness {
+func newGosimHarness(net *gosim.Network, timeout time.Duration) harness {
 	return gosimHarness{net, timeout}
 }
 

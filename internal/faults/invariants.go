@@ -25,8 +25,8 @@ import (
 // Any other array — a node's own rebuild of an equal list, a stale private
 // copy — takes the full check and becomes the remembered one.
 func (r *soakRun) converged() (string, bool) {
-	live := r.st.Live()
-	down := r.st.Down()
+	live := r.st.liveGraph()
+	down := r.st.downSet()
 	good := make([][]topology.LinkInfo, r.g.N()) // good[w]: the last list verified for w (never empty: w has a neighbor)
 	one := make([]core.NodeID, 1)
 	for _, comp := range live.Components() {
@@ -43,7 +43,7 @@ func (r *soakRun) converged() (string, bool) {
 				one[0] = w
 				if !db.KnowsNodes(one, r.g, down) {
 					return fmt.Sprintf("node %d is stale about %d (record %v, have=%v; truth degree %d, down %v)",
-						u, w, rec, ok, r.g.Degree(w), r.st.DownEdges()), false
+						u, w, rec, ok, r.g.Degree(w), r.st.downEdges()), false
 				}
 				good[w] = rec.Links
 			}
@@ -86,7 +86,7 @@ func (r *soakRun) setupCalls(epoch int) ([]callInfo, error) {
 	if r.cfg.Calls <= 0 {
 		return nil, nil
 	}
-	live := r.st.Live()
+	live := r.st.liveGraph()
 	trees := newTreeMemo(live)
 	var callers []core.NodeID
 	for v := 0; v < live.N(); v++ {
@@ -252,7 +252,7 @@ func (r *soakRun) checkCalls(epoch int, infos []callInfo) error {
 	for _, ci := range infos {
 		touched := false
 		for k := 0; k+1 < len(ci.path); k++ {
-			if r.st.Touched(ci.path[k], ci.path[k+1]) {
+			if r.st.wasTouched(ci.path[k], ci.path[k+1]) {
 				touched = true
 				break
 			}
@@ -395,9 +395,9 @@ func (r *soakRun) checkElection(epoch int, sub *graph.Graph, ids []core.NodeID) 
 	r.res.ReelectMax = max(r.res.ReelectMax, res.Metrics.FinishTime)
 	if r.cfg.LeaderCrash > 0 && r.rng.Float64() < r.cfg.LeaderCrash {
 		leader := ids[res.Leader]
-		r.pend[epoch+1] = append(r.pend[epoch+1], Event{Step: 0, Kind: Crash, U: leader})
+		r.pend[epoch+1] = append(r.pend[epoch+1], event{Step: 0, Kind: crash, U: leader})
 		back := epoch + 1 + r.cfg.Downtime
-		r.pend[back] = append(r.pend[back], Event{Step: 0, Kind: Restore, U: leader})
+		r.pend[back] = append(r.pend[back], event{Step: 0, Kind: restore, U: leader})
 	}
 	return nil
 }
@@ -621,7 +621,7 @@ func (r *soakRun) checkProbes(epoch int, profile core.MsgFaults) error {
 		return r.h.Quiesce()
 	}
 	var downProbes, upProbes []probe
-	down := r.st.DownEdges()
+	down := r.st.downEdges()
 	if len(down) > 64 {
 		down = down[:64]
 	}
@@ -629,7 +629,7 @@ func (r *soakRun) checkProbes(epoch int, profile core.MsgFaults) error {
 		r.probeID++
 		downProbes = append(downProbes, probe{id: r.probeID, e: e, want: false})
 	}
-	up := r.st.UpEdges()
+	up := r.st.upEdges()
 	for i := 0; i < 16 && len(up) > 0; i++ {
 		j := r.rng.Intn(len(up))
 		e := up[j]

@@ -120,13 +120,13 @@ func TestSoakFaultFreeLineUnchanged(t *testing.T) {
 
 func TestMsgFaultSchedules(t *testing.T) {
 	base := core.MsgFaults{Drop: 0.1, Dup: 0.05}
-	c := ConstantFaults{P: base}
+	c := constantFaults{P: base}
 	for _, e := range []int{0, 3, 17} {
 		if got := c.Profile(e); got != base {
-			t.Fatalf("ConstantFaults.Profile(%d) = %+v, want %+v", e, got, base)
+			t.Fatalf("constantFaults.Profile(%d) = %+v, want %+v", e, got, base)
 		}
 	}
-	b := BurstyFaults{Base: base, Every: 3, Scale: 2}
+	b := burstyFaults{Base: base, Every: 3, Scale: 2}
 	if got := b.Profile(0); got != base {
 		t.Fatalf("epoch 0 should be calm, got %+v", got)
 	}
@@ -138,7 +138,7 @@ func TestMsgFaultSchedules(t *testing.T) {
 		t.Fatalf("epoch 3 should be calm again, got %+v", got)
 	}
 	// Scaling saturates at probability 1.
-	sat := BurstyFaults{Base: core.MsgFaults{Drop: 0.6}, Every: 1, Scale: 5}.Profile(0)
+	sat := burstyFaults{Base: core.MsgFaults{Drop: 0.6}, Every: 1, Scale: 5}.Profile(0)
 	if sat.Drop > 1 {
 		t.Fatalf("burst scaled past probability 1: %+v", sat)
 	}

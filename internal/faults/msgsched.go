@@ -2,31 +2,31 @@ package faults
 
 import "fastnet/internal/core"
 
-// MsgFaultSchedule yields the lossy-link profile for each epoch, the
-// message-level sibling of the link-level Generator plans. Schedules are
+// msgFaultSchedule yields the lossy-link profile for each epoch, the
+// message-level sibling of the link-level generator plans. Schedules are
 // pure functions of the epoch number so soak runs stay seed-deterministic.
-type MsgFaultSchedule interface {
+type msgFaultSchedule interface {
 	Profile(epoch int) core.MsgFaults
 }
 
-// ConstantFaults applies the same profile every epoch.
-type ConstantFaults struct {
+// constantFaults applies the same profile every epoch.
+type constantFaults struct {
 	P core.MsgFaults
 }
 
-// Profile implements MsgFaultSchedule.
-func (s ConstantFaults) Profile(int) core.MsgFaults { return s.P }
+// Profile implements msgFaultSchedule.
+func (s constantFaults) Profile(int) core.MsgFaults { return s.P }
 
-// BurstyFaults models weather: the base profile most epochs, scaled up every
+// burstyFaults models weather: the base profile most epochs, scaled up every
 // Every-th epoch (loss comes in storms, not as a stationary rate).
-type BurstyFaults struct {
+type burstyFaults struct {
 	Base  core.MsgFaults
 	Every int     // burst period in epochs (<= 0 disables bursts)
 	Scale float64 // burst multiplier applied to every probability
 }
 
-// Profile implements MsgFaultSchedule.
-func (s BurstyFaults) Profile(epoch int) core.MsgFaults {
+// Profile implements msgFaultSchedule.
+func (s burstyFaults) Profile(epoch int) core.MsgFaults {
 	if s.Every > 0 && epoch%s.Every == s.Every-1 {
 		return s.Base.Scale(s.Scale)
 	}

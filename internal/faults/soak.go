@@ -49,19 +49,19 @@ func (r *Result) settle(err error) error {
 type soakRun struct {
 	cfg   Config // normalized
 	g     *graph.Graph
-	h     Harness
-	st    *State
+	h     harness
+	st    *state
 	rng   *rand.Rand
-	gens  []Generator
-	sched MsgFaultSchedule
-	wit   *Witness
+	gens  []generator
+	sched msgFaultSchedule
+	wit   *witness
 	book  *probeBook
 	rel   *relBook
 	res   *Result
 	opts  []sim.Option // the caller's, appended to every DES network the run builds
 
-	pend    map[int][]Event // soak-scheduled events (leader crashes)
-	stalls  Stalls          // zero-valued unless cfg.Stall > 0
+	pend    map[int][]event // soak-scheduled events (leader crashes)
+	stalls  stalls          // zero-valued unless cfg.Stall > 0
 	callSeq calls.CallID
 	probeID int64
 	relSeq  uint64
@@ -87,30 +87,30 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 	r := &soakRun{
 		cfg:   cfg,
 		g:     g,
-		st:    NewState(g),
+		st:    newState(g),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		sched: cfg.schedule(),
 		book:  &probeBook{echo: make(map[int64]bool)},
 		rel:   &relBook{got: make(map[uint64][]core.NodeID)},
 		res:   &Result{},
 		opts:  opts,
-		pend:  make(map[int][]Event),
+		pend:  make(map[int][]event),
 	}
 	if cfg.Flaps > 0 {
-		r.gens = append(r.gens, Flaps{PerEpoch: cfg.Flaps, Len: cfg.FlapLen, Steps: 2})
+		r.gens = append(r.gens, flaps{PerEpoch: cfg.Flaps, Len: cfg.FlapLen, Steps: 2})
 	}
 	if cfg.PartitionEvery > 0 {
-		r.gens = append(r.gens, &Partitions{Every: cfg.PartitionEvery, Heal: cfg.PartitionHeal})
+		r.gens = append(r.gens, &partitions{Every: cfg.PartitionEvery, Heal: cfg.PartitionHeal})
 	}
 	if cfg.Crashes > 0 {
-		r.gens = append(r.gens, &Churn{PerEpoch: cfg.Crashes, Downtime: cfg.Downtime})
+		r.gens = append(r.gens, &churn{PerEpoch: cfg.Crashes, Downtime: cfg.Downtime})
 	}
 	if cfg.Adversary {
-		r.wit = &Witness{}
-		r.gens = append(r.gens, &Adversary{Witness: r.wit})
+		r.wit = &witness{}
+		r.gens = append(r.gens, &adversary{Witness: r.wit})
 	}
 	if cfg.Stall > 0 {
-		r.stalls = Stalls{PerEpoch: cfg.Stall, Window: core.Time(cfg.StallTicks)}
+		r.stalls = stalls{PerEpoch: cfg.Stall, Window: core.Time(cfg.StallTicks)}
 	}
 
 	// View-routed modes run the full-knowledge variant: the incremental one
@@ -150,13 +150,13 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 		if r.wit != nil {
 			opts = append(opts, sim.WithTrace(r.wit))
 		}
-		r.h = NewSimHarness(sim.New(g, factory, r.with(opts...)...))
+		r.h = newSimHarness(sim.New(g, factory, r.with(opts...)...))
 	case "gosim":
 		opts := []gosim.Option{gosim.WithSeed(cfg.Seed), gosim.WithDmax(dmax)}
 		if r.wit != nil {
 			opts = append(opts, gosim.WithTrace(r.wit))
 		}
-		r.h = NewGosimHarness(gosim.New(g, factory, opts...), cfg.Timeout)
+		r.h = newGosimHarness(gosim.New(g, factory, opts...), cfg.Timeout)
 	default:
 		return nil, fmt.Errorf("faults: unknown runtime %q", cfg.Runtime)
 	}
@@ -213,9 +213,9 @@ func (r *soakRun) run() error {
 // cover its loss behavior), I3's surviving-call audit, and up-direction
 // probes — run on a healed fabric.
 func (r *soakRun) epoch(epoch int) error {
-	r.st.BeginEpoch()
+	r.st.beginEpoch()
 	if r.wit != nil {
-		r.wit.Reset()
+		r.wit.reset()
 	}
 	profile := r.sched.Profile(epoch)
 
@@ -233,11 +233,11 @@ func (r *soakRun) epoch(epoch int) error {
 	// Self-check: the tracker's ground truth must agree with the runtime's
 	// hardware state; a divergence is a harness bug, not a violation.
 	for _, e := range r.g.Edges() {
-		if r.st.EdgeDown(e.U, e.V) != r.h.LinkUp(e.U, e.V) {
+		if r.st.edgeDown(e.U, e.V) != r.h.LinkUp(e.U, e.V) {
 			continue
 		}
 		return fmt.Errorf("faults: ground truth diverged at edge %d-%d (tracker down=%v, runtime up=%v)",
-			e.U, e.V, r.st.EdgeDown(e.U, e.V), r.h.LinkUp(e.U, e.V))
+			e.U, e.V, r.st.edgeDown(e.U, e.V), r.h.LinkUp(e.U, e.V))
 	}
 
 	// Gray stalls: inflate this epoch's chosen NCUs through the convergence
@@ -245,7 +245,7 @@ func (r *soakRun) epoch(epoch int) error {
 	// below must hold unchanged. The rng is only consulted when stalls are
 	// configured, so gray-free runs draw bit-identically to before.
 	if r.cfg.Stall > 0 {
-		for _, s := range r.stalls.Plan(epoch, r.st, r.rng) {
+		for _, s := range r.stalls.plan(epoch, r.st, r.rng) {
 			r.h.StallNode(s.Node, s.Window, s.Extra)
 			r.res.GrayStalls++
 		}
@@ -298,7 +298,7 @@ func (r *soakRun) epoch(epoch int) error {
 // soak-scheduled events (leader crashes), then applies them step group by
 // step group with a quiescence barrier between groups.
 func (r *soakRun) applySchedule(epoch int) error {
-	var evs []Event
+	var evs []event
 	for _, gen := range r.gens {
 		evs = append(evs, gen.Plan(epoch, r.st, r.rng)...)
 	}
@@ -308,7 +308,7 @@ func (r *soakRun) applySchedule(epoch int) error {
 	for i := 0; i < len(evs); {
 		j := i
 		for j < len(evs) && evs[j].Step == evs[i].Step {
-			for _, flip := range r.st.Apply(evs[j]) {
+			for _, flip := range r.st.apply(evs[j]) {
 				r.h.InjectLink(flip.U, flip.V, flip.Up)
 				r.res.FaultFlips++
 			}

@@ -21,8 +21,8 @@ import (
 func TestConvergedCatchesPrivateStaleList(t *testing.T) {
 	g := graph.GNP(12, 0.35, 2)
 	topo := topology.NewMaintainer(topology.ModeBranching, true, nil)
-	r := &soakRun{g: g, st: NewState(g)}
-	r.h = NewSimHarness(sim.New(g, func(id core.NodeID) core.Protocol {
+	r := &soakRun{g: g, st: newState(g)}
+	r.h = newSimHarness(sim.New(g, func(id core.NodeID) core.Protocol {
 		return &soakNode{
 			topo: topo(id).(topology.Maintainer), mgr: calls.New(id),
 			rel: reliable.NewEndpoint(id, reliable.Config{RTO: 1}), book: &probeBook{},

@@ -197,8 +197,8 @@ func TestStarShape(t *testing.T) {
 	if tr.Size != 7 || len(tr.Children[0]) != 6 || tr.Depth() != 1 {
 		t.Fatalf("bad star: %+v", tr)
 	}
-	if len(tr.Leaves()) != 6 {
-		t.Fatalf("leaves = %v", tr.Leaves())
+	if len(tr.leaves()) != 6 {
+		t.Fatalf("leaves = %v", tr.leaves())
 	}
 }
 
@@ -412,4 +412,34 @@ func TestGridUpTo(t *testing.T) {
 			t.Fatalf("grid = %v, want %v", grid, want)
 		}
 	}
+}
+
+// Truncate returns the largest achievable completion time <= t, i.e. the
+// largest value i*P + j*(C+P) <= t with i >= 1, j >= 0 (every tree-based
+// schedule completes at such a point), or 0 if t < P.
+func (p Params) Truncate(t Time) Time {
+	if t < p.P {
+		return 0
+	}
+	best := Time(0)
+	// j is bounded by t/(C+P); for each j take the largest i.
+	step := p.C + p.P
+	for j := Time(0); j*step+p.P <= t; j++ {
+		i := (t - j*step) / p.P // >= 1 by the loop condition
+		if v := i*p.P + j*step; v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+// Binomial returns the binomial tree of order k (2^k nodes): the optimal
+// tree of the C=0, P=1 regime (paper example 1).
+func Binomial(k int) *Tree {
+	p := Params{C: 0, P: 1}
+	tr, err := p.OptimalTree(Time(k + 1))
+	if err != nil {
+		panic(err) // P=1 cannot degenerate
+	}
+	return tr
 }

@@ -144,7 +144,7 @@ func Execute(t *Tree, p Params, inputs []Value, combine Combine, onComplete bool
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
 		return &proto{id: id, cfg: cfg}
 	}, append(base, opts...)...)
-	for _, leaf := range t.Leaves() {
+	for _, leaf := range t.leaves() {
 		net.Inject(0, core.NodeID(leaf), start{})
 	}
 	finish, err := net.Run()

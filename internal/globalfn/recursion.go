@@ -56,25 +56,6 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Truncate returns the largest achievable completion time <= t, i.e. the
-// largest value i*P + j*(C+P) <= t with i >= 1, j >= 0 (every tree-based
-// schedule completes at such a point), or 0 if t < P.
-func (p Params) Truncate(t Time) Time {
-	if t < p.P {
-		return 0
-	}
-	best := Time(0)
-	// j is bounded by t/(C+P); for each j take the largest i.
-	step := p.C + p.P
-	for j := Time(0); j*step+p.P <= t; j++ {
-		i := (t - j*step) / p.P // >= 1 by the loop condition
-		if v := i*p.P + j*step; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // S returns the maximum number of nodes over which a tree-based algorithm
 // can compute any globally sensitive function within time t (the size of
 // the optimal tree OT(t)).
@@ -274,8 +255,8 @@ func (t *Tree) PruneTo(n int) (*Tree, error) {
 	return pr, nil
 }
 
-// Leaves returns the IDs of all leaves.
-func (t *Tree) Leaves() []int {
+// leaves returns the IDs of all leaves.
+func (t *Tree) leaves() []int {
 	var out []int
 	for id := 0; id < t.Size; id++ {
 		if len(t.Children[id]) == 0 {
@@ -313,17 +294,6 @@ func Star(n int) *Tree {
 		t.Children[0] = append(t.Children[0], id)
 	}
 	return t
-}
-
-// Binomial returns the binomial tree of order k (2^k nodes): the optimal
-// tree of the C=0, P=1 regime (paper example 1).
-func Binomial(k int) *Tree {
-	p := Params{C: 0, P: 1}
-	tr, err := p.OptimalTree(Time(k + 1))
-	if err != nil {
-		panic(err) // P=1 cannot degenerate
-	}
-	return tr
 }
 
 // StarTime predicts the star algorithm's worst-case completion under

@@ -110,7 +110,7 @@ func TestRapidFlapLinkEventAccounting(t *testing.T) {
 
 	const flips = 50
 	for i := 0; i < flips; i++ {
-		net.SetLink(1, 2, i%2 == 0)
+		net.InjectLink(1, 2, i%2 == 0)
 	}
 	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -179,3 +179,8 @@ func TestGosimHeaderBits(t *testing.T) {
 		t.Fatalf("MaxHeaderHops = %d, want 2", m.MaxHeaderHops)
 	}
 }
+
+// WithHopFilter installs the extended hardware model's programmable
+// switching filter (see core.HopFilter). The filter must be safe for
+// concurrent use: sends from different nodes run in parallel.
+func WithHopFilter(f core.HopFilter) Option { return func(c *config) { c.filter = f } }

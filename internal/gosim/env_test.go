@@ -83,7 +83,7 @@ func TestGenvSurface(t *testing.T) {
 	if probe.now.Load() <= 0 {
 		t.Fatal("Now must be a positive ordinal inside an activation")
 	}
-	if buf.Len() == 0 {
+	if len(buf.Events()) == 0 {
 		t.Fatal("trace sink saw nothing")
 	}
 	if _, ok := net.Protocol(1).(*genvProbe); !ok {

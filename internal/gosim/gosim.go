@@ -48,11 +48,6 @@ func WithDmax(d int) Option { return func(c *config) { c.dmax = d } }
 // WithTrace attaches a trace sink (must be concurrency-safe).
 func WithTrace(s trace.Sink) Option { return func(c *config) { c.sink = s } }
 
-// WithHopFilter installs the extended hardware model's programmable
-// switching filter (see core.HopFilter). The filter must be safe for
-// concurrent use: sends from different nodes run in parallel.
-func WithHopFilter(f core.HopFilter) Option { return func(c *config) { c.filter = f } }
-
 // WithMsgFaults enables the lossy-link model: each live-link traversal may
 // drop, duplicate, corrupt, reorder, or slow the packet per the profile. Rolls are
 // serialized over one seeded source; under the Go scheduler's inherent
@@ -214,10 +209,12 @@ func (net *Network) Inject(v core.NodeID, payload any) {
 	}})
 }
 
-// SetLink flips the hardware state of edge {u, v} and notifies both NCUs.
-func (net *Network) SetLink(u, v core.NodeID, up bool) {
+// InjectLink flips the hardware state of edge {u, v} and notifies both NCUs,
+// under the name it has on the discrete-event runtime (the soak scripts both
+// through one interface).
+func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 	if !net.g.HasEdge(u, v) {
-		panic(fmt.Sprintf("gosim: SetLink on non-edge %d-%d", u, v))
+		panic(fmt.Sprintf("gosim: InjectLink on non-edge %d-%d", u, v))
 	}
 	net.mu.Lock()
 	net.down[graph.Edge{U: u, V: v}.Canon()] = !up
@@ -245,25 +242,12 @@ func (net *Network) LinkUp(u, v core.NodeID) bool {
 	return !net.down[graph.Edge{U: u, V: v}.Canon()]
 }
 
-// InjectLink flips the hardware state of edge {u, v}; it is SetLink under
-// the name shared with the discrete-event runtime (faults.Injector).
-func (net *Network) InjectLink(u, v core.NodeID, up bool) {
-	net.SetLink(u, v, up)
-}
-
 // SetMsgFaults replaces the lossy-link profile, effective for subsequent
 // sends. Safe for concurrent use.
 func (net *Network) SetMsgFaults(f core.MsgFaults) {
 	net.faultMu.Lock()
 	net.faults = f
 	net.faultMu.Unlock()
-}
-
-// MsgFaults returns the active lossy-link profile.
-func (net *Network) MsgFaults() core.MsgFaults {
-	net.faultMu.Lock()
-	defer net.faultMu.Unlock()
-	return net.faults
 }
 
 // StallNode opens an NCU-stall window at v (the gray-failure sibling of
@@ -286,7 +270,7 @@ func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
 // inactive node is one all of whose links are inactive).
 func (net *Network) CrashNode(v core.NodeID) {
 	for _, nb := range net.g.Neighbors(v) {
-		net.SetLink(v, nb, false)
+		net.InjectLink(v, nb, false)
 	}
 }
 
@@ -294,7 +278,7 @@ func (net *Network) CrashNode(v core.NodeID) {
 // back up and both endpoints are notified.
 func (net *Network) RestoreNode(v core.NodeID) {
 	for _, nb := range net.g.Neighbors(v) {
-		net.SetLink(v, nb, true)
+		net.InjectLink(v, nb, true)
 	}
 }
 
@@ -355,15 +339,6 @@ func (net *Network) Metrics() core.Metrics {
 		FaultSlowdowns: net.faultSlow.Load(),
 		StallTicks:     net.stallTicks.Load(),
 	}
-}
-
-// DeliveriesPerNode returns a copy of the per-node delivery counts.
-func (net *Network) DeliveriesPerNode() []int64 {
-	out := make([]int64, len(net.perNode))
-	for i := range net.perNode {
-		out[i] = net.perNode[i].Load()
-	}
-	return out
 }
 
 func (net *Network) addInflight(d int64) {
@@ -568,7 +543,7 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 func (e *genv) ID() core.NodeID { return e.nd.id }
 
 func (e *genv) Ports() []core.Port {
-	// Port state is mutated under nd.mu by SetLink; activations read it
+	// Port state is mutated under nd.mu by InjectLink; activations read it
 	// under the same lock for a consistent snapshot.
 	e.nd.mu.Lock()
 	defer e.nd.mu.Unlock()

@@ -175,7 +175,7 @@ func TestLinkFailureDropAndNotify(t *testing.T) {
 	})
 	defer net.Shutdown()
 
-	net.SetLink(1, 2, false)
+	net.InjectLink(1, 2, false)
 	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -327,3 +327,12 @@ func (p *leafSender) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 func (p *leafSender) LinkEvent(core.Env, core.Port) {}
+
+// DeliveriesPerNode returns a copy of the per-node delivery counts.
+func (net *Network) DeliveriesPerNode() []int64 {
+	out := make([]int64, len(net.perNode))
+	for i := range net.perNode {
+		out[i] = net.perNode[i].Load()
+	}
+	return out
+}

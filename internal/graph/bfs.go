@@ -90,27 +90,6 @@ func (t *Tree) PathFromRootInto(buf []NodeID, u NodeID) []NodeID {
 	return path
 }
 
-// NextHops returns, for every node, the first hop on the tree path from the
-// root to that node (None for the root itself and for unreachable nodes).
-// The array answers "which way out of the root" in O(1) per destination.
-func (t *Tree) NextHops() []NodeID {
-	next := make([]NodeID, len(t.Parent))
-	for u := range next {
-		next[u] = None
-	}
-	for u := range t.Parent {
-		if NodeID(u) == t.Root || !t.Reached(NodeID(u)) {
-			continue
-		}
-		v := NodeID(u)
-		for t.Parent[v] != t.Root {
-			v = t.Parent[v]
-		}
-		next[u] = v
-	}
-	return next
-}
-
 // queuePool recycles BFS frontier slices across traversals. Pooling is
 // invisible in results: the frontier's contents are fully overwritten before
 // use and BFS order depends only on the adjacency lists.
@@ -238,15 +217,4 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
-}
-
-// Eccentricity returns the largest hop distance from u to any reachable node.
-func (g *Graph) Eccentricity(u NodeID) int {
-	ecc := 0
-	for _, d := range g.Distances(u) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }

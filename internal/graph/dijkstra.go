@@ -9,13 +9,6 @@ import (
 // must be symmetric.
 type WeightFunc func(u, v NodeID) int64
 
-// ShortestTree computes the single-source shortest-path tree under the
-// given edge weights (Dijkstra). Dist is -1 for unreachable nodes.
-// Non-positive weights are treated as 1.
-func (g *Graph) ShortestTree(root NodeID, weight WeightFunc) (*Tree, []int64) {
-	return g.ShortestTreeInto(nil, nil, root, weight)
-}
-
 // distHeapPool recycles priority-queue slices across Dijkstra runs. Pop order
 // depends only on the pushed (node, dist) entries, so pooling is invisible in
 // results.

@@ -82,3 +82,10 @@ func TestShortestTreeRelaxedQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ShortestTree computes the single-source shortest-path tree under the
+// given edge weights (Dijkstra). Dist is -1 for unreachable nodes.
+// Non-positive weights are treated as 1.
+func (g *Graph) ShortestTree(root NodeID, weight WeightFunc) (*Tree, []int64) {
+	return g.ShortestTreeInto(nil, nil, root, weight)
+}

@@ -77,21 +77,6 @@ func Grid(w, h int) *Graph {
 	return g
 }
 
-// Hypercube returns the d-dimensional hypercube on 2^d nodes.
-func Hypercube(d int) *Graph {
-	n := 1 << d
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for b := 0; b < d; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				g.MustAddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	return g
-}
-
 // RandomTree returns a uniformly random labelled tree on n nodes generated
 // from a random Prüfer-like attachment: each node i >= 1 attaches to a
 // uniformly chosen earlier node. Deterministic for a given seed.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -334,4 +335,54 @@ func TestComponentsPartitionQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Hypercube returns the d-dimensional hypercube on 2^d nodes.
+func Hypercube(d int) *Graph {
+	n := 1 << d
+	g := New(n)
+	for u := 0; u < n; u++ {
+		for b := 0; b < d; b++ {
+			v := u ^ (1 << b)
+			if u < v {
+				g.MustAddEdge(NodeID(u), NodeID(v))
+			}
+		}
+	}
+	return g
+}
+
+// Eccentricity returns the largest hop distance from u to any reachable node.
+func (g *Graph) Eccentricity(u NodeID) int {
+	ecc := 0
+	for _, d := range g.Distances(u) {
+		if d > ecc {
+			ecc = d
+		}
+	}
+	return ecc
+}
+
+// Validate checks structural sanity (dense part ids, sizes consistent); it
+// exists for tests and debug assertions.
+func (p Partition) Validate(g *Graph) error {
+	if len(p.Assign) != g.N() {
+		return fmt.Errorf("graph: partition covers %d of %d nodes", len(p.Assign), g.N())
+	}
+	sizes := make([]int, p.K)
+	for u, c := range p.Assign {
+		if c < 0 || int(c) >= p.K {
+			return fmt.Errorf("graph: node %d assigned to part %d of %d", u, c, p.K)
+		}
+		sizes[c]++
+	}
+	for c, s := range sizes {
+		if s == 0 {
+			return fmt.Errorf("graph: part %d is empty", c)
+		}
+		if s != p.Sizes[c] {
+			return fmt.Errorf("graph: part %d size %d, recorded %d", c, s, p.Sizes[c])
+		}
+	}
+	return nil
 }

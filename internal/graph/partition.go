@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // Partition is a k-way node partition produced by PartitionK, plus the cut
 // statistics the sharded scheduler consumes: the number of cut edges (the
 // boundary traffic bound) and the minimum delay over cut edges (the
@@ -305,30 +303,6 @@ func cutStats(g *Graph, assign []int32, delay func(u, v NodeID) int64) (int, int
 		}
 	}
 	return cut, minDelay
-}
-
-// Validate checks structural sanity (dense part ids, sizes consistent); it
-// exists for tests and debug assertions.
-func (p Partition) Validate(g *Graph) error {
-	if len(p.Assign) != g.N() {
-		return fmt.Errorf("graph: partition covers %d of %d nodes", len(p.Assign), g.N())
-	}
-	sizes := make([]int, p.K)
-	for u, c := range p.Assign {
-		if c < 0 || int(c) >= p.K {
-			return fmt.Errorf("graph: node %d assigned to part %d of %d", u, c, p.K)
-		}
-		sizes[c]++
-	}
-	for c, s := range sizes {
-		if s == 0 {
-			return fmt.Errorf("graph: part %d is empty", c)
-		}
-		if s != p.Sizes[c] {
-			return fmt.Errorf("graph: part %d size %d, recorded %d", c, s, p.Sizes[c])
-		}
-	}
-	return nil
 }
 
 func frontierDrained(frontiers [][]NodeID) bool {

@@ -127,3 +127,24 @@ func TestNextHops(t *testing.T) {
 		}
 	}
 }
+
+// NextHops returns, for every node, the first hop on the tree path from the
+// root to that node (None for the root itself and for unreachable nodes).
+// The array answers "which way out of the root" in O(1) per destination.
+func (t *Tree) NextHops() []NodeID {
+	next := make([]NodeID, len(t.Parent))
+	for u := range next {
+		next[u] = None
+	}
+	for u := range t.Parent {
+		if NodeID(u) == t.Root || !t.Reached(NodeID(u)) {
+			continue
+		}
+		v := NodeID(u)
+		for t.Parent[v] != t.Root {
+			v = t.Parent[v]
+		}
+		next[u] = v
+	}
+	return next
+}

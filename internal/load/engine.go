@@ -95,7 +95,7 @@ type Config struct {
 	// Rate is the long-run mean arrival rate in calls per tick.
 	Rate float64
 	// BurstFactor > 1 switches the arrival process from Poisson to on-off
-	// MMPP: on-phases arrive BurstFactor times denser than Rate, separated
+	// mmpp: on-phases arrive BurstFactor times denser than Rate, separated
 	// by silent phases, preserving the long-run mean.
 	BurstFactor float64
 	// Holding is the mean call-holding time in ticks, exponentially
@@ -105,7 +105,7 @@ type Config struct {
 	// Zipf is the skew exponent of the endpoint popularity table
 	// (0 = uniform).
 	Zipf float64
-	// Pairs bounds the popularity table size (0 = DefaultPairs rule).
+	// Pairs bounds the popularity table size (0 = defaultPairs rule).
 	Pairs int
 	// NCUCap > 0 caps concurrent calls per endpoint: an arrival finding
 	// either endpoint full is Blocked (the classic Erlang loss knob), and
@@ -209,8 +209,8 @@ func (s *Stats) Merge(other *Stats) {
 	s.Late += other.Late
 	s.Dups += other.Dups
 	s.Garbled += other.Garbled
-	s.Setup.Merge(&other.Setup)
-	s.Transit.Merge(&other.Transit)
+	s.Setup.merge(&other.Setup)
+	s.Transit.merge(&other.Transit)
 	if other.MaxInFlight > s.MaxInFlight {
 		s.MaxInFlight = other.MaxInFlight
 	}
@@ -228,7 +228,7 @@ type engine struct {
 	pairs   *PairTable
 	wheel   *wheel
 	pool    *recPool
-	arr     Arrivals
+	arr     arrivals
 	pairRng *rand.Rand
 	holdRng *rand.Rand
 	active  []int32 // per-node concurrent calls, nil unless NCUCap > 0
@@ -307,7 +307,7 @@ func run(g *graph.Graph, cfg Config, pairs *PairTable, opts ...sim.Option) (*Sta
 	// Each is a pure function of the seed, so no consumer can perturb
 	// another's draws.
 	if cfg.BurstFactor > 1 {
-		e.arr = NewBurst(cfg.Rate, cfg.BurstFactor, burstOn, cfg.Seed^0x41a7)
+		e.arr = newBurst(cfg.Rate, cfg.BurstFactor, burstOn, cfg.Seed^0x41a7)
 	} else {
 		e.arr = NewPoisson(cfg.Rate, cfg.Seed^0x41a7)
 	}

@@ -64,14 +64,8 @@ func (h *Hist) Record(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.n }
-
-// Max returns the largest recorded value (0 when empty).
-func (h *Hist) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Hist) Mean() float64 {
+// mean returns the arithmetic mean (0 when empty).
+func (h *Hist) mean() float64 {
 	if h.n == 0 {
 		return 0
 	}
@@ -106,8 +100,8 @@ func (h *Hist) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Merge accumulates other into h.
-func (h *Hist) Merge(other *Hist) {
+// merge accumulates other into h.
+func (h *Hist) merge(other *Hist) {
 	for i := range h.counts {
 		h.counts[i] += other.counts[i]
 	}
@@ -121,5 +115,5 @@ func (h *Hist) Merge(other *Hist) {
 // Summary renders count/mean/p50/p99/p999/max on one line.
 func (h *Hist) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d p999=%d max=%d",
-		h.n, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.max)
+		h.n, h.mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.max)
 }

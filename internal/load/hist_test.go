@@ -59,11 +59,11 @@ func TestHistQuantiles(t *testing.T) {
 			t.Fatalf("q%.3f: reported %d exceeds exact %d beyond error budget %d", q, got, exact, slack)
 		}
 	}
-	if h.Count() != int64(n) {
-		t.Fatalf("count=%d want %d", h.Count(), n)
+	if h.n != int64(n) {
+		t.Fatalf("count=%d want %d", h.n, n)
 	}
-	if h.Max() != vals[n-1] {
-		t.Fatalf("max=%d want %d", h.Max(), vals[n-1])
+	if h.max != vals[n-1] {
+		t.Fatalf("max=%d want %d", h.max, vals[n-1])
 	}
 }
 
@@ -94,8 +94,8 @@ func TestHistMerge(t *testing.T) {
 			b.Record(v)
 		}
 	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Max() != all.Max() {
+	a.merge(&b)
+	if a.n != all.n || a.max != all.max {
 		t.Fatalf("merge count/max mismatch")
 	}
 	for _, q := range []float64{0.1, 0.5, 0.99} {

@@ -7,7 +7,7 @@
 // run the generator and its bookkeeping compete with the event spine itself:
 //
 //   - Arrival times come from O(1)-per-event samplers (Poisson via an
-//     exponential inter-arrival draw, bursty traffic via MMPP on-off
+//     exponential inter-arrival draw, bursty traffic via mmpp on-off
 //     modulation) and (src,dst) endpoints from a Zipf-skewed popularity
 //     table sampled in constant time with the alias method — no per-draw
 //     heap walk, no rejection loop.
@@ -38,9 +38,9 @@ import (
 	"fastnet/internal/core"
 )
 
-// Arrivals is an O(1)-per-event arrival-time sampler: Next returns the
+// arrivals is an O(1)-per-event arrival-time sampler: Next returns the
 // absolute virtual time of the next arrival, nondecreasing across calls.
-type Arrivals interface {
+type arrivals interface {
 	Next() core.Time
 }
 
@@ -63,13 +63,13 @@ func (p *Poisson) Next() core.Time {
 	return core.Time(p.t)
 }
 
-// MMPP is a two-state Markov-modulated Poisson process: an on phase arriving
+// mmpp is a two-state Markov-modulated Poisson process: an on phase arriving
 // at the peak rate alternates with a silent off phase, both with
 // exponentially distributed sojourn times. With off = on*(factor-1) and
 // peak = base*factor the long-run mean rate equals base while arrivals come
 // in bursts factor times denser — the classic on-off model of self-similar
 // call traffic.
-type MMPP struct {
+type mmpp struct {
 	rng      *rand.Rand
 	peak     float64
 	onMean   float64
@@ -79,25 +79,25 @@ type MMPP struct {
 	on       bool
 }
 
-// NewMMPP returns an on-off sampler: peak arrivals per tick during on
+// newMMPP returns an on-off sampler: peak arrivals per tick during on
 // phases of mean length onMean ticks, silent during off phases of mean
 // length offMean ticks.
-func NewMMPP(peak, onMean, offMean float64, seed int64) *MMPP {
-	return &MMPP{rng: rand.New(rand.NewSource(seed)), peak: peak, onMean: onMean, offMean: offMean}
+func newMMPP(peak, onMean, offMean float64, seed int64) *mmpp {
+	return &mmpp{rng: rand.New(rand.NewSource(seed)), peak: peak, onMean: onMean, offMean: offMean}
 }
 
-// NewBurst returns an MMPP whose long-run mean rate is rate while on-phase
+// newBurst returns an mmpp whose long-run mean rate is rate while on-phase
 // arrivals run factor times denser: peak = rate*factor over on phases of
 // mean onMean ticks, balanced by off phases of mean onMean*(factor-1).
-func NewBurst(rate, factor, onMean float64, seed int64) *MMPP {
+func newBurst(rate, factor, onMean float64, seed int64) *mmpp {
 	if factor < 1 {
 		factor = 1
 	}
-	return NewMMPP(rate*factor, onMean, onMean*(factor-1), seed)
+	return newMMPP(rate*factor, onMean, onMean*(factor-1), seed)
 }
 
 // Next implements Arrivals.
-func (m *MMPP) Next() core.Time {
+func (m *mmpp) Next() core.Time {
 	for {
 		if !m.on {
 			// Skip the silent phase and open an on phase.

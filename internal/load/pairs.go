@@ -10,9 +10,9 @@ import (
 	"fastnet/internal/graph"
 )
 
-// DefaultPairs bounds the endpoint popularity table when Config.Pairs is 0:
-// min(DefaultPairs, n*(n-1)) distinct (src,dst) pairs.
-const DefaultPairs = 4096
+// defaultPairs bounds the endpoint popularity table when Config.Pairs is 0:
+// min(defaultPairs, n*(n-1)) distinct (src,dst) pairs.
+const defaultPairs = 4096
 
 // pairEntry is one precomputed (src,dst) endpoint pair with its ANR route,
 // so the per-call hot path does no graph work at all.
@@ -32,7 +32,7 @@ type PairTable struct {
 }
 
 // NewPairTable builds a table of count distinct connected pairs over g
-// (count <= 0 uses the DefaultPairs rule; the table may come up shorter
+// (count <= 0 uses the defaultPairs rule; the table may come up shorter
 // than count on sparse or disconnected graphs, but never empty unless no
 // connected ordered pair exists). The choice of pairs and their popularity
 // ranking derive from seed alone.
@@ -43,7 +43,7 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 	}
 	maxPairs := n * (n - 1)
 	if count <= 0 {
-		count = DefaultPairs
+		count = defaultPairs
 	}
 	if count > maxPairs {
 		count = maxPairs
@@ -120,9 +120,6 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 
 // Len returns the number of pairs in the table.
 func (t *PairTable) Len() int { return len(t.entries) }
-
-// MaxHops returns the longest precomputed route (ANR hop count).
-func (t *PairTable) MaxHops() int { return t.maxHops }
 
 // Sample draws one pair index in O(1).
 func (t *PairTable) Sample(rng *rand.Rand) int { return t.alias.sample(rng) }

@@ -19,7 +19,7 @@ func referencePairs(t *testing.T, g *graph.Graph, pm *core.PortMap, count int, s
 	n := g.N()
 	maxPairs := n * (n - 1)
 	if count <= 0 {
-		count = DefaultPairs
+		count = defaultPairs
 	}
 	if count > maxPairs {
 		count = maxPairs
@@ -124,8 +124,8 @@ func TestPairTableMatchesPerSourceTrees(t *testing.T) {
 				}
 				maxHops = max(maxHops, w.hdr.HopCount())
 			}
-			if got.MaxHops() != maxHops {
-				t.Fatalf("%s seed %d: MaxHops %d, reference %d", tc.name, seed, got.MaxHops(), maxHops)
+			if got.maxHops != maxHops {
+				t.Fatalf("%s seed %d: MaxHops %d, reference %d", tc.name, seed, got.maxHops, maxHops)
 			}
 		}
 	}

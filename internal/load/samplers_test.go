@@ -77,10 +77,10 @@ func TestPoissonRate(t *testing.T) {
 	}
 }
 
-// TestBurstRate: the MMPP preserves the long-run mean rate while its
+// TestBurstRate: the mmpp preserves the long-run mean rate while its
 // on-phases run at the peak.
 func TestBurstRate(t *testing.T) {
-	m := NewBurst(0.5, 8, 512, 42)
+	m := newBurst(0.5, 8, 512, 42)
 	n := 200000
 	var last core.Time
 	for i := 0; i < n; i++ {
@@ -92,10 +92,10 @@ func TestBurstRate(t *testing.T) {
 	}
 }
 
-// TestBurstIsBursty: with the same mean rate, the MMPP's inter-arrival
+// TestBurstIsBursty: with the same mean rate, the mmpp's inter-arrival
 // variance must exceed the Poisson's (burstiness is the point).
 func TestBurstIsBursty(t *testing.T) {
-	varOf := func(a Arrivals, n int) float64 {
+	varOf := func(a arrivals, n int) float64 {
 		var prev core.Time
 		var sum, sumSq float64
 		for i := 0; i < n; i++ {
@@ -109,7 +109,7 @@ func TestBurstIsBursty(t *testing.T) {
 		return sumSq/float64(n) - mean*mean
 	}
 	vp := varOf(NewPoisson(0.5, 7), 100000)
-	vb := varOf(NewBurst(0.5, 8, 512, 7), 100000)
+	vb := varOf(newBurst(0.5, 8, 512, 7), 100000)
 	if vb < 2*vp {
 		t.Fatalf("burst variance %.2f not clearly above poisson %.2f", vb, vp)
 	}

@@ -79,8 +79,8 @@ type Path []graph.NodeID
 // Start returns the sending node of the path.
 func (p Path) Start() graph.NodeID { return p[0] }
 
-// Chain returns the receiving nodes.
-func (p Path) Chain() []graph.NodeID { return p[1:] }
+// chain returns the receiving nodes.
+func (p Path) chain() []graph.NodeID { return p[1:] }
 
 // Label returns the common edge label of the path's chain.
 func (p Path) label(labels []int) int { return labels[p[1]] }
@@ -162,19 +162,6 @@ func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decompos
 	return d
 }
 
-// StartingAt returns the paths whose start node is u.
-func (d *Decomposition) StartingAt(u graph.NodeID) []Path {
-	if u < 0 || int(u)+1 >= len(d.off) {
-		return nil
-	}
-	idx := d.order[d.off[u]:d.off[u+1]]
-	out := make([]Path, len(idx))
-	for i, j := range idx {
-		out[i] = d.Paths[j]
-	}
-	return out
-}
-
 // Routes lays the decomposition out as wire routes. It calls emit once per
 // path, ordered by start node — the paths of one start keep their
 // decomposition order — passing the link IDs that link reports for the
@@ -195,7 +182,7 @@ func layout[L any](d *Decomposition, tail int, link func(from, to graph.NodeID) 
 	for _, i := range d.order {
 		p := d.Paths[i]
 		lo, from := len(slab), p.Start()
-		for _, to := range p.Chain() {
+		for _, to := range p.chain() {
 			l, ok := link(from, to)
 			if !ok {
 				return fmt.Errorf("paths: no link %d->%d", from, to)
@@ -287,7 +274,7 @@ func (d *Decomposition) Rounds(root graph.NodeID) ([]int, int) {
 	// receivedIn[v] = index of the path that contains v in its chain.
 	receivedIn := make(map[graph.NodeID]int, len(d.Paths)*2)
 	for i, p := range d.Paths {
-		for _, v := range p.Chain() {
+		for _, v := range p.chain() {
 			receivedIn[v] = i
 		}
 	}
@@ -317,60 +304,4 @@ func (d *Decomposition) Rounds(root graph.NodeID) ([]int, int) {
 		}
 	}
 	return rounds, max
-}
-
-// Check verifies the decomposition invariants against its tree: chains
-// partition the non-root reached nodes, every chain is a same-label
-// parent-to-child path, and every start node is the root or a chain member.
-// It returns the first violation found.
-func (d *Decomposition) Check(t *graph.Tree) error {
-	seen := make(map[graph.NodeID]bool)
-	inSomeChain := make(map[graph.NodeID]bool)
-	for i, p := range d.Paths {
-		if len(p) < 2 {
-			return fmt.Errorf("paths: path %d too short: %v", i, p)
-		}
-		l := p.label(d.Labels)
-		for j := 1; j < len(p); j++ {
-			v := p[j]
-			if seen[v] {
-				return fmt.Errorf("paths: node %d appears in two chains", v)
-			}
-			seen[v] = true
-			inSomeChain[v] = true
-			if d.Labels[v] != l {
-				return fmt.Errorf("paths: path %d mixes labels %d and %d", i, l, d.Labels[v])
-			}
-			if t.Parent[v] != p[j-1] {
-				return fmt.Errorf("paths: path %d edge %d->%d is not a tree edge", i, p[j-1], v)
-			}
-		}
-	}
-	for u := range t.Parent {
-		v := graph.NodeID(u)
-		if !t.Reached(v) || v == t.Root {
-			continue
-		}
-		if !seen[v] {
-			return fmt.Errorf("paths: node %d not covered by any chain", v)
-		}
-	}
-	for i, p := range d.Paths {
-		if s := p.Start(); s != t.Root && !inSomeChain[s] {
-			return fmt.Errorf("paths: path %d starts at uncovered node %d", i, s)
-		}
-	}
-	return nil
-}
-
-// MaxLabel returns the largest label (the root's label for a connected
-// tree); by Theorem 2 it is at most floor(log2 n).
-func MaxLabel(labels []int) int {
-	max := 0
-	for _, l := range labels {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 	"testing"
@@ -229,7 +230,7 @@ func TestDecomposePartitionQuick(t *testing.T) {
 		// Total chain length must be exactly n-1 (each non-root node once).
 		total := 0
 		for _, p := range d.Paths {
-			total += len(p.Chain())
+			total += len(p.chain())
 		}
 		return total == n-1
 	}
@@ -280,7 +281,7 @@ func TestRoutesOrderAndLinks(t *testing.T) {
 		err := Routes(d, func(from, to graph.NodeID) (hop, bool) { return hop{from, to}, true },
 			func(p Path, links []hop) {
 				got = append(got, p)
-				if len(links) != len(p.Chain()) || cap(links) != len(links) {
+				if len(links) != len(p.chain()) || cap(links) != len(links) {
 					t.Fatalf("seed %d: path %v got %d links (cap %d)", seed, p, len(links), cap(links))
 				}
 				for i, l := range links {
@@ -312,4 +313,73 @@ func TestRoutesUnknownLink(t *testing.T) {
 	if err == nil || emitted != 0 {
 		t.Fatalf("err = %v after %d routes, want an error naming hop 1->2 and no route", err, emitted)
 	}
+}
+
+// MaxLabel returns the largest label (the root's label for a connected
+// tree); by Theorem 2 it is at most floor(log2 n).
+func MaxLabel(labels []int) int {
+	max := 0
+	for _, l := range labels {
+		if l > max {
+			max = l
+		}
+	}
+	return max
+}
+
+// Check verifies the decomposition invariants against its tree: chains
+// partition the non-root reached nodes, every chain is a same-label
+// parent-to-child path, and every start node is the root or a chain member.
+// It returns the first violation found.
+func (d *Decomposition) Check(t *graph.Tree) error {
+	seen := make(map[graph.NodeID]bool)
+	inSomeChain := make(map[graph.NodeID]bool)
+	for i, p := range d.Paths {
+		if len(p) < 2 {
+			return fmt.Errorf("paths: path %d too short: %v", i, p)
+		}
+		l := p.label(d.Labels)
+		for j := 1; j < len(p); j++ {
+			v := p[j]
+			if seen[v] {
+				return fmt.Errorf("paths: node %d appears in two chains", v)
+			}
+			seen[v] = true
+			inSomeChain[v] = true
+			if d.Labels[v] != l {
+				return fmt.Errorf("paths: path %d mixes labels %d and %d", i, l, d.Labels[v])
+			}
+			if t.Parent[v] != p[j-1] {
+				return fmt.Errorf("paths: path %d edge %d->%d is not a tree edge", i, p[j-1], v)
+			}
+		}
+	}
+	for u := range t.Parent {
+		v := graph.NodeID(u)
+		if !t.Reached(v) || v == t.Root {
+			continue
+		}
+		if !seen[v] {
+			return fmt.Errorf("paths: node %d not covered by any chain", v)
+		}
+	}
+	for i, p := range d.Paths {
+		if s := p.Start(); s != t.Root && !inSomeChain[s] {
+			return fmt.Errorf("paths: path %d starts at uncovered node %d", i, s)
+		}
+	}
+	return nil
+}
+
+// StartingAt returns the paths whose start node is u.
+func (d *Decomposition) StartingAt(u graph.NodeID) []Path {
+	if u < 0 || int(u)+1 >= len(d.off) {
+		return nil
+	}
+	idx := d.order[d.off[u]:d.off[u+1]]
+	out := make([]Path, len(idx))
+	for i, j := range idx {
+		out[i] = d.Paths[j]
+	}
+	return out
 }

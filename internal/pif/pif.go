@@ -49,9 +49,9 @@ func (m EchoMode) String() string {
 	}
 }
 
-// TreeEdge describes one spanning-tree edge with both directions' link IDs,
+// treeEdge describes one spanning-tree edge with both directions' link IDs,
 // letting any receiver compute tree routes locally.
-type TreeEdge struct {
+type treeEdge struct {
 	Child  core.NodeID
 	Parent core.NodeID
 	Down   anr.ID // at Parent toward Child
@@ -63,7 +63,7 @@ type TreeEdge struct {
 type bcast struct {
 	Root  core.NodeID
 	Plan  *paths.Fanout
-	Edges []TreeEdge
+	Edges []treeEdge
 	Order []core.NodeID // spanning-tree nodes in BFS order, root first
 	Mode  EchoMode
 	C, P  core.Time
@@ -247,14 +247,14 @@ func echoTree(n int, c, p core.Time) (*globalfn.Tree, error) {
 
 // treeRoute builds the ANR route from u to w along spanning-tree edges
 // (up to the least common ancestor, then down).
-func treeRoute(edges []TreeEdge, u, w core.NodeID) (anr.Header, error) {
+func treeRoute(edges []treeEdge, u, w core.NodeID) (anr.Header, error) {
 	return treeRouteIdx(edges, edgeIndex(edges), u, w)
 }
 
 // edgeIndex returns the child-to-edge index treeRouteIdx climbs on:
 // idx[u] = position in edges of the edge whose Child is u, -1 for the root
 // and for nodes outside the edge set.
-func edgeIndex(edges []TreeEdge) []int32 {
+func edgeIndex(edges []treeEdge) []int32 {
 	max := core.NodeID(-1)
 	for _, e := range edges {
 		if e.Child > max {
@@ -277,7 +277,7 @@ func edgeIndex(edges []TreeEdge) []int32 {
 // treeRouteIdx is treeRoute on a prebuilt edgeIndex: two parent-chain climbs
 // to equal depth, then a joint climb to the least common ancestor — O(path)
 // with no maps, no BFS, and no allocation beyond the route itself.
-func treeRouteIdx(edges []TreeEdge, parentAt []int32, u, w core.NodeID) (anr.Header, error) {
+func treeRouteIdx(edges []treeEdge, parentAt []int32, u, w core.NodeID) (anr.Header, error) {
 	at := func(x core.NodeID) int32 {
 		if int(x) < len(parentAt) {
 			return parentAt[x]
@@ -364,7 +364,7 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts .
 		par := bfs.Parent[id]
 		down, _ := pm.Toward(par, id)
 		up, _ := pm.Toward(id, par)
-		msg.Edges = append(msg.Edges, TreeEdge{Child: id, Parent: par, Down: down, Up: up})
+		msg.Edges = append(msg.Edges, treeEdge{Child: id, Parent: par, Down: down, Up: up})
 	}
 	// BFS order, root first.
 	msg.Order = bfsOrder(bfs, root)

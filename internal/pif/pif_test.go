@@ -116,13 +116,13 @@ func TestTreeRouteLCA(t *testing.T) {
 	g.MustAddEdge(1, 4)
 	pm := core.NewPortMap(g)
 	bfs := g.BFSTree(0)
-	var edges []TreeEdge
+	var edges []treeEdge
 	for u := 1; u < 5; u++ {
 		id := core.NodeID(u)
 		par := bfs.Parent[id]
 		down, _ := pm.Toward(par, id)
 		up, _ := pm.Toward(id, par)
-		edges = append(edges, TreeEdge{Child: id, Parent: par, Down: down, Up: up})
+		edges = append(edges, treeEdge{Child: id, Parent: par, Down: down, Up: up})
 	}
 	check := func(u, w core.NodeID, hops int) {
 		t.Helper()
@@ -152,13 +152,13 @@ func TestTreeRouteQuick(t *testing.T) {
 		g := graph.RandomTree(n, seed)
 		pm := core.NewPortMap(g)
 		bfs := g.BFSTree(0)
-		var edges []TreeEdge
+		var edges []treeEdge
 		for u := 1; u < n; u++ {
 			id := core.NodeID(u)
 			par := bfs.Parent[id]
 			down, _ := pm.Toward(par, id)
 			up, _ := pm.Toward(id, par)
-			edges = append(edges, TreeEdge{Child: id, Parent: par, Down: down, Up: up})
+			edges = append(edges, treeEdge{Child: id, Parent: par, Down: down, Up: up})
 		}
 		u, w := core.NodeID(a%n), core.NodeID(b%n)
 		h, err := treeRoute(edges, u, w)

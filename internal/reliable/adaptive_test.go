@@ -22,8 +22,8 @@ func (f *fakeEnv) Rand() *rand.Rand           { return f.rng }
 func newFakeEnv(seed int64) *fakeEnv { return &fakeEnv{rng: rand.New(rand.NewSource(seed))} }
 
 // ackFor builds the well-formed ack retiring seq at sender e.
-func ackFor(e *Endpoint, dst core.NodeID, seq uint64) *Ack {
-	return &Ack{Src: dst, Dst: e.id, Seq: seq, Sum: ackSum(dst, e.id, seq)}
+func ackFor(e *Endpoint, dst core.NodeID, seq uint64) *ack {
+	return &ack{Src: dst, Dst: e.id, Seq: seq, Sum: ackSum(dst, e.id, seq)}
 }
 
 func TestRTTStateJacobsonFixedPoint(t *testing.T) {
@@ -71,7 +71,7 @@ func TestAdaptiveRTOTracksDestination(t *testing.T) {
 		}
 		seq := e.nextSeq[dst]
 		for k := 0; k < rtt; k++ {
-			e.Tick(env)
+			e.tick(env)
 		}
 		e.onAck(ackFor(e, dst, seq))
 	}
@@ -105,9 +105,9 @@ func TestKarnRuleExcludesRetransmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := e.nextSeq[dst]
-	// Tick far past the timeout so the frame retransmits at least once.
+	// tick far past the timeout so the frame retransmits at least once.
 	for k := 0; k < 8; k++ {
-		e.Tick(env)
+		e.tick(env)
 	}
 	if e.stats.Retransmits == 0 {
 		t.Fatal("frame never retransmitted; the test premise is broken")
@@ -155,7 +155,7 @@ func TestAdaptiveRTOClamps(t *testing.T) {
 		p := e.pend[slow][seq]
 		p.nextAt = 1 << 40 // hold off retransmission; this test times the ack only
 		for k := 0; k < 50; k++ {
-			e.Tick(env)
+			e.tick(env)
 		}
 		e.onAck(ackFor(e, slow, seq))
 	}
@@ -175,7 +175,7 @@ func TestZeroValueConfigUnchanged(t *testing.T) {
 		if err := e.SendRoute(env, dst, route, i); err != nil {
 			t.Fatal(err)
 		}
-		e.Tick(env)
+		e.tick(env)
 		e.onAck(ackFor(e, dst, e.nextSeq[dst]))
 	}
 	if got := e.rtoFor(dst); got != 3 {
@@ -207,7 +207,7 @@ func TestRetransmitJitterScalesWithBackoff(t *testing.T) {
 		p := e.pend[1][1]
 		// March to the third retransmission: backoff is 16 by then.
 		for p.attempt < 4 {
-			e.Tick(env)
+			e.tick(env)
 		}
 		if p.backoff != 32 {
 			t.Fatalf("backoff after 3 retransmissions = %d, want 32", p.backoff)
@@ -247,7 +247,7 @@ func TestSlowFlagsGrayDestination(t *testing.T) {
 			seq := e.nextSeq[dst]
 			e.pend[dst][seq].nextAt = 1 << 40
 			for k := 0; k < rtt; k++ {
-				e.Tick(env)
+				e.tick(env)
 			}
 			e.onAck(ackFor(e, dst, seq))
 		}

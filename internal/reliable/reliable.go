@@ -39,9 +39,9 @@ import (
 	"fastnet/internal/core"
 )
 
-// Frame is one reliably-tracked message in flight. Frames are immutable after
+// frame is one reliably-tracked message in flight. Frames are immutable after
 // send (receivers may see the same value repeatedly through duplicates).
-type Frame struct {
+type frame struct {
 	Src core.NodeID
 	Dst core.NodeID
 	Seq uint64
@@ -54,7 +54,7 @@ type Frame struct {
 // CorruptedCopy implements core.Corruptible: link corruption damages the
 // checksum and sequence fields the way real bit rot would, giving receiver
 // verification something to reject instead of replacing the frame wholesale.
-func (f *Frame) CorruptedCopy(r *rand.Rand) any {
+func (f *frame) CorruptedCopy(r *rand.Rand) any {
 	c := *f
 	c.Sum ^= 1 + uint64(r.Int63())
 	if r.Intn(2) == 0 {
@@ -63,10 +63,10 @@ func (f *Frame) CorruptedCopy(r *rand.Rand) any {
 	return &c
 }
 
-// Ack confirms receipt of one frame; it flows back over the hardware reverse
+// ack confirms receipt of one frame; it flows back over the hardware reverse
 // route. Acks carry their own checksum: a corrupted ack must not confirm
 // anything.
-type Ack struct {
+type ack struct {
 	Src core.NodeID // the frame's destination (ack sender)
 	Dst core.NodeID // the frame's source (ack receiver)
 	Seq uint64
@@ -74,7 +74,7 @@ type Ack struct {
 }
 
 // CorruptedCopy implements core.Corruptible.
-func (a *Ack) CorruptedCopy(r *rand.Rand) any {
+func (a *ack) CorruptedCopy(r *rand.Rand) any {
 	c := *a
 	c.Sum ^= 1 + uint64(r.Int63())
 	return &c
@@ -106,7 +106,7 @@ type Stats struct {
 
 // pending tracks one unacked frame at the sender.
 type pending struct {
-	frame    *Frame
+	frame    *frame
 	route    anr.Header
 	attempt  int   // delivery attempts made so far (1 after the first send)
 	nextAt   int64 // tick count at which to retransmit
@@ -143,7 +143,7 @@ type Config struct {
 	// OnDeliver receives each payload exactly once, in arrival order.
 	OnDeliver func(env core.Env, src core.NodeID, payload any)
 	// OnAbort is called when a frame hits its deadline.
-	OnAbort func(env core.Env, f *Frame)
+	OnAbort func(env core.Env, f *frame)
 	// Route supplies per-attempt routes. Required for Send; SendRoute
 	// bypasses it for attempt 0 and falls back to it for retransmissions
 	// when non-nil.
@@ -279,39 +279,6 @@ func (e *Endpoint) RTT(dst core.NodeID) (RTTStats, bool) {
 	}, true
 }
 
-// RTTLedger snapshots every destination with at least one accepted sample.
-func (e *Endpoint) RTTLedger() map[core.NodeID]RTTStats {
-	out := make(map[core.NodeID]RTTStats, len(e.rtt))
-	for d := range e.rtt {
-		if st, ok := e.RTT(d); ok {
-			out[d] = st
-		}
-	}
-	return out
-}
-
-// Slow reports whether dst's smoothed RTT exceeds factor× the fastest
-// destination this endpoint talks to (factor <= 1 defaults to 2) — the
-// observed-slowdown signal topology.DB.RouterFromPenalized consumes to
-// escalate off a gray primary route early. Destinations without samples are
-// never slow.
-func (e *Endpoint) Slow(dst core.NodeID, factor float64) bool {
-	if factor <= 1 {
-		factor = 2
-	}
-	st := e.rtt[dst]
-	if st == nil || st.samples == 0 {
-		return false
-	}
-	best := int64(-1)
-	for _, o := range e.rtt {
-		if o.samples > 0 && (best < 0 || o.srtt8 < best) {
-			best = o.srtt8
-		}
-	}
-	return float64(st.srtt8) > factor*float64(best)
-}
-
 // Stats returns a snapshot of the endpoint's counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
@@ -341,25 +308,13 @@ func ackSum(src, dst core.NodeID, seq uint64) uint64 {
 	return h.Sum64()
 }
 
-// Send queues payload for reliable delivery to dst, routing via cfg.Route.
-func (e *Endpoint) Send(env core.Env, dst core.NodeID, payload any) error {
-	if e.cfg.Route == nil {
-		return fmt.Errorf("reliable: no Router configured")
-	}
-	route, ok := e.cfg.Route(dst, 0)
-	if !ok {
-		return fmt.Errorf("reliable: no route to node %d", dst)
-	}
-	return e.SendRoute(env, dst, route, payload)
-}
-
 // SendRoute queues payload for reliable delivery to dst over an explicit
 // first-attempt route. Retransmissions re-route through cfg.Route when set
 // (so attempt >= 1 can divert to an alternate path) and reuse route otherwise.
 func (e *Endpoint) SendRoute(env core.Env, dst core.NodeID, route anr.Header, payload any) error {
 	seq := e.nextSeq[dst] + 1
 	e.nextSeq[dst] = seq
-	f := &Frame{Src: e.id, Dst: dst, Seq: seq, Payload: payload}
+	f := &frame{Src: e.id, Dst: dst, Seq: seq, Payload: payload}
 	f.Sum = checksum(f.Src, f.Dst, f.Seq, f.Payload)
 	p := &pending{frame: f, route: route, backoff: e.rtoFor(dst)}
 	if e.cfg.Deadline > 0 {
@@ -391,10 +346,10 @@ func (e *Endpoint) transmit(env core.Env, p *pending) {
 	p.backoff = min(2*p.backoff, e.cfg.MaxBackoff)
 }
 
-// Tick advances the retransmission clock one unit: due frames retransmit,
+// tick advances the retransmission clock one unit: due frames retransmit,
 // expired frames abort. Destinations and sequences are visited in sorted
 // order so discrete-event runs replay exactly.
-func (e *Endpoint) Tick(env core.Env) {
+func (e *Endpoint) tick(env core.Env) {
 	e.ticks++
 	dsts := make([]core.NodeID, 0, len(e.pend))
 	for d := range e.pend {
@@ -450,10 +405,10 @@ func (e *Endpoint) Tick(env core.Env) {
 // means the payload belongs to some other protocol sharing the node.
 func (e *Endpoint) Deliver(env core.Env, pkt core.Packet) bool {
 	switch msg := pkt.Payload.(type) {
-	case *Frame:
+	case *frame:
 		e.onFrame(env, pkt, msg)
 		return true
-	case *Ack:
+	case *ack:
 		e.onAck(msg)
 		return true
 	case core.Garbled:
@@ -461,7 +416,7 @@ func (e *Endpoint) Deliver(env core.Env, pkt core.Packet) bool {
 		e.stats.Garbled++
 		return true
 	case Tick:
-		e.Tick(env)
+		e.tick(env)
 		return true
 	default:
 		return false
@@ -470,7 +425,7 @@ func (e *Endpoint) Deliver(env core.Env, pkt core.Packet) bool {
 
 // onFrame verifies, dedups, delivers, and always acks (re-acking duplicates
 // is what heals a lost ack).
-func (e *Endpoint) onFrame(env core.Env, pkt core.Packet, f *Frame) {
+func (e *Endpoint) onFrame(env core.Env, pkt core.Packet, f *frame) {
 	if f.Dst != e.id || f.Sum != checksum(f.Src, f.Dst, f.Seq, f.Payload) {
 		e.stats.BadSum++
 		return
@@ -494,14 +449,14 @@ func (e *Endpoint) onFrame(env core.Env, pkt core.Packet, f *Frame) {
 	} else {
 		e.stats.Duplicates++
 	}
-	// Ack over the hardware reverse route — even for duplicates: the dup may
+	// ack over the hardware reverse route — even for duplicates: the dup may
 	// mean our previous ack was lost.
-	ack := &Ack{Src: e.id, Dst: f.Src, Seq: f.Seq, Sum: ackSum(e.id, f.Src, f.Seq)}
+	ack := &ack{Src: e.id, Dst: f.Src, Seq: f.Seq, Sum: ackSum(e.id, f.Src, f.Seq)}
 	_ = env.Send(pkt.Reverse, ack)
 }
 
 // onAck retires the pending frame the ack names.
-func (e *Endpoint) onAck(a *Ack) {
+func (e *Endpoint) onAck(a *ack) {
 	if a.Dst != e.id || a.Sum != ackSum(a.Src, a.Dst, a.Seq) {
 		e.stats.BadSum++
 		return

@@ -141,9 +141,9 @@ func TestReliableExactlyOnceUnderLoss(t *testing.T) {
 }
 
 func TestReliableDeadlineAborts(t *testing.T) {
-	var aborted []*Frame
+	var aborted []*frame
 	cfg := Config{RTO: 1, MaxBackoff: 2, Deadline: 6}
-	cfg.OnAbort = func(_ core.Env, f *Frame) { aborted = append(aborted, f) }
+	cfg.OnAbort = func(_ core.Env, f *frame) { aborted = append(aborted, f) }
 	net, nodes := buildSim(t, 3, core.MsgFaults{Drop: 1}, cfg, sim.WithSeed(3))
 	net.Inject(0, 0, sendCmd{dst: 2, payload: "doomed"})
 	if _, err := net.Run(); err != nil {
@@ -264,4 +264,49 @@ func TestReliableGosim(t *testing.T) {
 	if len(seen) != N {
 		t.Fatalf("delivered %d distinct payloads, want %d", len(seen), N)
 	}
+}
+
+// RTTLedger snapshots every destination with at least one accepted sample.
+func (e *Endpoint) RTTLedger() map[core.NodeID]RTTStats {
+	out := make(map[core.NodeID]RTTStats, len(e.rtt))
+	for d := range e.rtt {
+		if st, ok := e.RTT(d); ok {
+			out[d] = st
+		}
+	}
+	return out
+}
+
+// Slow reports whether dst's smoothed RTT exceeds factor× the fastest
+// destination this endpoint talks to (factor <= 1 defaults to 2) — the
+// observed-slowdown signal topology.DB.RouterFromPenalized consumes to
+// escalate off a gray primary route early. Destinations without samples are
+// never slow.
+func (e *Endpoint) Slow(dst core.NodeID, factor float64) bool {
+	if factor <= 1 {
+		factor = 2
+	}
+	st := e.rtt[dst]
+	if st == nil || st.samples == 0 {
+		return false
+	}
+	best := int64(-1)
+	for _, o := range e.rtt {
+		if o.samples > 0 && (best < 0 || o.srtt8 < best) {
+			best = o.srtt8
+		}
+	}
+	return float64(st.srtt8) > factor*float64(best)
+}
+
+// Send queues payload for reliable delivery to dst, routing via cfg.Route.
+func (e *Endpoint) Send(env core.Env, dst core.NodeID, payload any) error {
+	if e.cfg.Route == nil {
+		return fmt.Errorf("reliable: no Router configured")
+	}
+	route, ok := e.cfg.Route(dst, 0)
+	if !ok {
+		return fmt.Errorf("reliable: no route to node %d", dst)
+	}
+	return e.SendRoute(env, dst, route, payload)
 }

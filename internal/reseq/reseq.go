@@ -50,19 +50,19 @@ type Tick struct{}
 // Config shapes the resequencing buffer.
 type Config struct {
 	// Window is the per-link bound on buffered out-of-order frames; holding
-	// one more forces a release. 0 means DefaultWindow.
+	// one more forces a release. 0 means defaultWindow.
 	Window int
 	// HoldTicks force-releases frames buffered for more than this many Tick
 	// injections. 0 disables the age valve (overflow still applies).
 	HoldTicks int64
 }
 
-// DefaultWindow is the per-link buffer bound when Config.Window is 0.
-const DefaultWindow = 32
+// defaultWindow is the per-link buffer bound when Config.Window is 0.
+const defaultWindow = 32
 
 func (c Config) window() int {
 	if c.Window <= 0 {
-		return DefaultWindow
+		return defaultWindow
 	}
 	return c.Window
 }
@@ -137,9 +137,6 @@ func WrapFactory(f core.Factory, cfg Config) core.Factory {
 		return p
 	}
 }
-
-// Inner returns the wrapped protocol (for test assertions on its state).
-func (n *Node) Inner() core.Protocol { return n.inner }
 
 // Stats returns a snapshot of the resequencer's counters.
 func (n *Node) Stats() Stats { return n.stats }

@@ -12,8 +12,8 @@ import (
 // to every live neighbor, one single-hop unicast stream per link.
 type Start struct{ Count int }
 
-// Msg is one element of a neighbor stream; I runs 1..Count in send order.
-type Msg struct {
+// streamMsg is one element of a neighbor stream; I runs 1..Count in send order.
+type streamMsg struct {
 	From core.NodeID
 	I    int
 }
@@ -30,8 +30,8 @@ type Stream struct {
 	ledgers map[anr.ID][]int
 }
 
-// NewStream builds the exerciser for one node.
-func NewStream(id core.NodeID) *Stream {
+// newStream builds the exerciser for one node.
+func newStream(id core.NodeID) *Stream {
 	return &Stream{id: id, ledgers: make(map[anr.ID][]int)}
 }
 
@@ -54,12 +54,12 @@ func (s *Stream) Deliver(env core.Env, pkt core.Packet) {
 			}
 			route := anr.Direct([]anr.ID{port.Local})
 			for i := 1; i <= m.Count; i++ {
-				if err := env.Send(route, Msg{From: s.id, I: i}); err != nil {
+				if err := env.Send(route, streamMsg{From: s.id, I: i}); err != nil {
 					panic(fmt.Sprintf("reseq stream: send on link %d: %v", port.Local, err))
 				}
 			}
 		}
-	case Msg:
+	case streamMsg:
 		s.ledgers[pkt.ArrivedOn] = append(s.ledgers[pkt.ArrivedOn], m.I)
 	}
 }
@@ -101,13 +101,13 @@ func (s *Stream) Violations() []string {
 // StreamFactory builds a Stream per node; wrap with WrapFactory to get the
 // resequenced variant.
 func StreamFactory() core.Factory {
-	return func(id core.NodeID) core.Protocol { return NewStream(id) }
+	return func(id core.NodeID) core.Protocol { return newStream(id) }
 }
 
 // StreamOf unwraps the Stream behind a possibly-wrapped protocol instance.
 func StreamOf(p core.Protocol) *Stream {
 	if n, ok := p.(*Node); ok {
-		p = n.Inner()
+		p = n.inner
 	}
 	return p.(*Stream)
 }

@@ -174,7 +174,10 @@ func TestHopBatchTrainDifferential(t *testing.T) {
 
 // TestHeapBypassC1Regime is the CI heap-bypass regression smoke: a C >= 1
 // workload with jitter and slowdown faults — delays well past the historical
-// 64-slot window — must keep LaneHitRate >= 0.95 via the auto-sized ring.
+// 64-slot window — must keep LaneHitRate >= 0.95 via the auto-sized ring,
+// whose whole point that is. A failure means the ring stopped covering the
+// delay envelope, which is a performance cliff long before it is a
+// correctness problem.
 func TestHeapBypassC1Regime(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 96, Slowdown: 0.1, SlowFactor: 2, SlowMax: 128}
 	for _, c := range []core.Time{2, 8} {
@@ -259,8 +262,8 @@ func TestRingAutoSize(t *testing.T) {
 // the test-only fixed window overflows its 64 slots under 90-tick jitter; the
 // same driver with no such option, run at the same time on another goroutine,
 // auto-sizes and never overflows; and the two agree on every observable. (The
-// name dates from the package-wide default that `fastnet bench -reference`
-// used to pin every network in the process.)
+// name dates from the package-wide default that a benchmark flag used to pin
+// for every network in the process.)
 func TestSetDefaultRingWindow(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 90}
 	type out struct {

@@ -13,9 +13,6 @@ func WithCapacity(c core.Capacity) Option {
 	return func(cf *config) { cf.cap = c }
 }
 
-// Capacity returns the active capacity limits.
-func (net *Network) Capacity() core.Capacity { return net.cfg.cap }
-
 // linkBucket is one directed link's token state: tok tokens as of virtual
 // time last, refilled lazily at Capacity.LinkRate up to Capacity.Burst when
 // next touched. Lazy refill keeps admission O(1) per traversal with no

@@ -19,3 +19,19 @@ func (s *spine) shape() (lane, longestSlot int) {
 	}
 	return s.lane.n, longestSlot
 }
+
+// Shards returns the number of event cores executing this network's runs.
+func (net *Network) Shards() int {
+	if net.group != nil {
+		return len(net.group.children)
+	}
+	return 1
+}
+
+// RingWindow returns the current calendar-ring span in instants.
+func (net *Network) RingWindow() int {
+	if net.group != nil {
+		return len(net.group.children[0].sp.ring)
+	}
+	return len(net.sp.ring)
+}

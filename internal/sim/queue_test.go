@@ -492,7 +492,10 @@ func TestSpineMatchesHeapModel(t *testing.T) {
 	}
 }
 
-// FuzzSpine lets the fuzzer write the operation string.
+// FuzzSpine lets the fuzzer write the operation string: the scheduler at its
+// own boundary, a bare spine against a container/heap model. Interesting
+// inputs are byte strings, so CI (scripts/ci-smokes.sh) caps the time the
+// engine spends minimizing each one with -fuzzminimizetime 1s.
 func FuzzSpine(f *testing.F) {
 	f.Add(false, spinePreamble)
 	f.Add(true, spinePreamble)

@@ -78,14 +78,6 @@ type ShardInfo struct {
 	Lookahead core.Time
 }
 
-// Shards returns the number of event cores executing this network's runs.
-func (net *Network) Shards() int {
-	if net.group != nil {
-		return len(net.group.children)
-	}
-	return 1
-}
-
 // ShardInfo reports the partition statistics of the sharded engine.
 func (net *Network) ShardInfo() ShardInfo {
 	if net.group == nil {

@@ -239,8 +239,8 @@ func (net *Network) Metrics() core.Metrics {
 	return net.metrics
 }
 
-// Events returns the number of scheduler events processed so far; divided by
-// wall-clock it is the event throughput `fastnet bench` reports. Zero-delay
+// Events returns the number of scheduler events processed so far; wall-clock
+// divided by it is the repository benchmark's sim.ns_per_event. Zero-delay
 // hardware hops are walked inline and are not events; they are counted in
 // SchedStats().FusedHops.
 func (net *Network) Events() int64 { return net.schedStats().Events }
@@ -355,7 +355,7 @@ func (net *Network) RestoreNode(t core.Time, v core.NodeID) {
 
 // InjectLink flips the hardware state of edge {u, v} at the current virtual
 // time. It is the fault-injection surface shared with the goroutine runtime
-// (faults.Injector); experiment drivers that script changes at explicit
+// (the soak scripts both through one interface); experiment drivers that script changes at explicit
 // times keep using SetLink.
 func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 	net.SetLink(net.sp.now, u, v, up)
@@ -412,17 +412,6 @@ func (cf *config) ringSize() int {
 	env += extra + max(1, cf.swDelay)
 	return roundRingWindow(int(4 * env))
 }
-
-// RingWindow returns the current calendar-ring span in instants.
-func (net *Network) RingWindow() int {
-	if net.group != nil {
-		return len(net.group.children[0].sp.ring)
-	}
-	return len(net.sp.ring)
-}
-
-// MsgFaults returns the active lossy-link profile.
-func (net *Network) MsgFaults() core.MsgFaults { return net.cfg.faults }
 
 // StallNode opens an NCU-stall window at v (the gray-failure sibling of
 // CrashNode): for the next window units of virtual time, every activation at

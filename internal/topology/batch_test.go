@@ -146,7 +146,7 @@ func (m *batchModel) deliver() {
 func (m *batchModel) compare(when string) {
 	t := m.t
 	t.Helper()
-	g, w := m.got.Records(), m.want.Records()
+	g, w := m.got.records(), m.want.records()
 	for i := 0; i < len(g) && i < len(w); i++ {
 		if !sameRecords(g[i:i+1], w[i:i+1]) {
 			t.Fatalf("%s: record %d is %+v, want %+v", when, i, g[i], w[i])
@@ -155,7 +155,7 @@ func (m *batchModel) compare(when string) {
 	if len(g) != len(w) {
 		t.Fatalf("%s: %d records, want %d", when, len(g), len(w))
 	}
-	if g, w := m.got.Version(), m.want.Version(); g != w {
+	if g, w := m.got.version, m.want.version; g != w {
 		t.Fatalf("%s: version %d, want %d", when, g, w)
 	}
 	if g, w := m.got.View(), m.want.View(); !g.Equal(w) {
@@ -235,7 +235,7 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	if db.seen == nil {
 		t.Fatal("no screen after two multi-record batches")
 	}
-	v := db.Version()
+	v := db.version
 	stored := func(u core.NodeID) Record { r, _ := db.Record(u); return r }
 
 	// The stored array itself, an equal copy, both under a higher number:
@@ -245,8 +245,8 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	equal.Links = slices.Clone(equal.Links)
 	db.installAll([]Record{same, equal})
 	for _, u := range []core.NodeID{3, 4} {
-		if r := stored(u); r.Seq != 5 || &r.Links[0] != &base[u].Links[0] || db.Version() != v {
-			t.Fatalf("node %d: seq %d, version %d -> %d, list replaced: %v", u, r.Seq, v, db.Version(), &r.Links[0] != &base[u].Links[0])
+		if r := stored(u); r.Seq != 5 || &r.Links[0] != &base[u].Links[0] || db.version != v {
+			t.Fatalf("node %d: seq %d, version %d -> %d, list replaced: %v", u, r.Seq, v, db.version, &r.Links[0] != &base[u].Links[0])
 		}
 	}
 	// A different list of the same length: installed, adopted, version bump.
@@ -255,14 +255,14 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	diff.Links = slices.Clone(diff.Links)
 	diff.Links[1].Up = false
 	db.installAll([]Record{diff, base[6]})
-	if r := stored(5); r.Seq != 5 || &r.Links[0] != &diff.Links[0] || db.Version() != v+1 {
-		t.Fatalf("node 5: seq %d, version %d -> %d, adopted: %v", r.Seq, v, db.Version(), &r.Links[0] == &diff.Links[0])
+	if r := stored(5); r.Seq != 5 || &r.Links[0] != &diff.Links[0] || db.version != v+1 {
+		t.Fatalf("node 5: seq %d, version %d -> %d, adopted: %v", r.Seq, v, db.version, &r.Links[0] == &diff.Links[0])
 	}
 	// An empty list replaces a non-empty one, and is then its own refresh.
 	db.installAll([]Record{{Node: 7, Seq: 5}, base[6]})
 	db.installAll([]Record{{Node: 7, Seq: 6, Links: []LinkInfo{}}, base[6]})
-	if r := stored(7); r.Seq != 6 || len(r.Links) != 0 || db.Version() != v+2 {
-		t.Fatalf("node 7: %+v, version %d -> %d", r, v, db.Version())
+	if r := stored(7); r.Seq != 6 || len(r.Links) != 0 || db.version != v+2 {
+		t.Fatalf("node 7: %+v, version %d -> %d", r, v, db.version)
 	}
 	// Node 3 is at 5 by an identity refresh, node 4 by update's comparison.
 	// A late batch carrying the stored arrays under 4 must be turned away by
@@ -297,13 +297,13 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		if (db.slot != nil) != (n > slotThreshold) || (db.seen != nil) != (n > slotThreshold && n%2 == 1) {
 			t.Fatalf("n=%d: slot table %v, screen %v", n, db.slot != nil, db.seen != nil)
 		}
-		version, nodes, edges := db.Version(), db.View().N(), db.View().M()
+		version, nodes, edges := db.version, db.View().N(), db.View().M()
 		for _, r := range hostile {
 			if db.Update(r) {
 				t.Errorf("n=%d: Update accepted %+v", n, r)
 			}
 		}
-		db.UpdateAll(hostile)
+		db.updateAll(hostile, false)
 		db.installAll(hostile)
 		// Enough good records behind them to cross slotThreshold: at the
 		// parent commit the slot table's first build indexed it by -1.
@@ -312,8 +312,8 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 				t.Fatalf("n=%d: good record %d refused", n, u)
 			}
 		}
-		if db.Len() != n+slotThreshold || db.Version() != version+slotThreshold {
-			t.Errorf("n=%d: %d records, version %d -> %d", n, db.Len(), version, db.Version())
+		if len(db.ents) != n+slotThreshold || db.version != version+slotThreshold {
+			t.Errorf("n=%d: %d records, version %d -> %d", n, len(db.ents), version, db.version)
 		}
 		if g := db.View(); g.N() != n+slotThreshold || g.M() != edges || nodes != n {
 			t.Errorf("n=%d: view %d nodes, %d edges; before %d, %d", n, g.N(), g.M(), nodes, edges)

@@ -11,29 +11,29 @@ import (
 // experiment driver injects it (the paper's periodic timer).
 type Trigger struct{}
 
-// Msg is one topology broadcast packet: the origin's (or, in full-knowledge
+// bcastMsg is one topology broadcast packet: the origin's (or, in full-knowledge
 // mode, all known) local-topology records plus the origin's plan of the
 // broadcast — the branching paths of its minimum-hop tree as finished ANR
 // headers, link IDs taken from its topology database — so that every
 // path-start node forwards without global knowledge. Plan is nil on the
 // LinkEvent adjacency bring-up, which nobody forwards. Receivers must treat a
 // Msg as immutable: selective copies share the value.
-type Msg struct {
+type bcastMsg struct {
 	Origin core.NodeID
 	Seq    uint64
 	Recs   []Record
 	Plan   *paths.Fanout
 }
 
-// Broadcast is the paper's §3.1 branching-paths topology-maintenance
+// broadcast is the paper's §3.1 branching-paths topology-maintenance
 // protocol.
-type Broadcast struct {
+type broadcast struct {
 	localTopo
 
 	full bool // broadcast everything known, not just the local topology
 
 	// fwd is the newest broadcast sequence forwarded per origin (same idiom
-	// as Flood.best). Every broadcast round refreshes the origin's record,
+	// as flood.best). Every broadcast round refreshes the origin's record,
 	// so (Origin, Seq) identifies a round; under the lossy-link model a
 	// duplicated Msg would otherwise re-trigger this node's whole branching
 	// fan-out — a message storm the dedup watermark suppresses. Record
@@ -61,17 +61,17 @@ type planCache struct {
 	at   uint64
 }
 
-var _ core.Protocol = (*Broadcast)(nil)
+var _ core.Protocol = (*broadcast)(nil)
 
-// NewBroadcast returns the branching-paths protocol for one node. With full
+// newBroadcast returns the branching-paths protocol for one node. With full
 // set, every broadcast carries all records the node knows (the paper's
 // "improved to log d" variant); otherwise only the local topology.
-func NewBroadcast(id core.NodeID, full bool) *Broadcast {
-	return &Broadcast{localTopo: localTopo{id: id}, full: full}
+func newBroadcast(id core.NodeID, full bool) *broadcast {
+	return &broadcast{localTopo: localTopo{id: id}, full: full}
 }
 
 // Init records the node's own local topology.
-func (b *Broadcast) Init(env core.Env) {
+func (b *broadcast) Init(env core.Env) {
 	b.snapshot(env)
 }
 
@@ -84,20 +84,20 @@ func (b *Broadcast) Init(env core.Env) {
 // it and the stale records are never replaced. The database exchange gives
 // the recovering side a view good enough to route its own fresh record
 // everywhere, which unwinds the staleness.
-func (b *Broadcast) LinkEvent(env core.Env, port core.Port) {
+func (b *broadcast) LinkEvent(env core.Env, port core.Port) {
 	b.refresh(env)
 	if port.Up {
-		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &Msg{Origin: b.id, Seq: b.seq, Recs: b.db.Records()})
+		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &bcastMsg{Origin: b.id, Seq: b.seq, Recs: b.db.records()})
 	}
 }
 
 // Deliver handles triggers (start a broadcast) and broadcast packets
 // (record, then forward the paths that start here).
-func (b *Broadcast) Deliver(env core.Env, pkt core.Packet) {
+func (b *broadcast) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case Trigger:
 		b.startBroadcast(env)
-	case *Msg:
+	case *bcastMsg:
 		b.db.installAll(m.Recs)
 		// Forward each round at most once: a fault-duplicated (or reordered
 		// stale) Msg must not re-fan-out. A message with no plan (the
@@ -115,7 +115,7 @@ func (b *Broadcast) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-func (b *Broadcast) startBroadcast(env core.Env) {
+func (b *broadcast) startBroadcast(env core.Env) {
 	b.refresh(env)
 	b.Broadcasts++
 
@@ -126,9 +126,9 @@ func (b *Broadcast) startBroadcast(env core.Env) {
 		// repair the view.
 		return
 	}
-	msg := &Msg{Origin: b.id, Seq: b.seq, Plan: plan}
+	msg := &bcastMsg{Origin: b.id, Seq: b.seq, Plan: plan}
 	if b.full {
-		msg.Recs = b.db.Records()
+		msg.Recs = b.db.records()
 	} else {
 		rec, _ := b.db.Record(b.id)
 		msg.Recs = []Record{rec}
@@ -139,9 +139,9 @@ func (b *Broadcast) startBroadcast(env core.Env) {
 // cachedPlan returns the branching-path plan for the current database
 // version, recomputing the tree and decomposition only when the believed
 // topology actually changed.
-func (b *Broadcast) cachedPlan() *paths.Fanout {
+func (b *broadcast) cachedPlan() *paths.Fanout {
 	c := b.plan
-	if v := b.db.Version(); c == nil || c.at != v {
+	if v := b.db.version; c == nil || c.at != v {
 		c = &planCache{at: v}
 		if int(b.id) < b.db.View().N() {
 			c.plan, _ = paths.NewFanout(b.db.BFSTree(b.id), b.db.LinkID) // nil with the error
@@ -153,7 +153,7 @@ func (b *Broadcast) cachedPlan() *paths.Fanout {
 
 // forward relays the message over every path starting at this node, within
 // the same activation (one system call, free multicast).
-func (b *Broadcast) forward(env core.Env, m *Msg) {
+func (b *broadcast) forward(env core.Env, m *bcastMsg) {
 	// Route errors (e.g. dmax) surface as lost coverage; later broadcast
 	// rounds repair it, mirroring the paper's loss handling.
 	if n, _ := m.Plan.Relay(env, b.id, m); n > 0 && m.Origin != b.id {

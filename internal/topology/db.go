@@ -32,7 +32,7 @@ type LinkInfo struct {
 
 // Record is a sequence-numbered snapshot of one node's local topology. Links
 // is immutable once the record is stored or sent: databases hand their
-// stored link lists out by reference (Record, Records) and packets in flight
+// stored link lists out by reference (Record, records) and packets in flight
 // carry them, so nobody — the database included — writes one after install.
 type Record struct {
 	Node  core.NodeID
@@ -71,7 +71,7 @@ func (l *localTopo) DB() *DB { return &l.db }
 
 // Preload installs records (warm start for single-broadcast experiments).
 func (l *localTopo) Preload(recs []Record) {
-	l.db.UpdateAll(recs)
+	l.db.updateAll(recs, false)
 }
 
 // SetLoad records the load condition of a local link; the next broadcast
@@ -138,7 +138,10 @@ func (w *watermarks) set(origin core.NodeID, seq uint64) {
 // All cached results — View, BFSTree, Route and RouteMinLoad headers — are
 // shared with the caller and must be treated as immutable.
 type DB struct {
-	version uint64 // bumped on every routing-relevant change
+	// version advances exactly when a routing-relevant change lands (a record
+	// with different links, or a node heard from for the first time), so
+	// equal versions guarantee equal views, trees and routes.
+	version uint64
 
 	// Packed record store: one entry per known node (memory stays
 	// O(records) even though every node of a big network keeps its own DB).
@@ -149,7 +152,7 @@ type DB struct {
 	// convergence workloads probe it on every record of every broadcast.
 	ents  []entry
 	slot  []int32 // slot[u] = entry index of node u, -1 if unknown; nil until len(ents) > slotThreshold
-	order []int32 // entry indices by ascending node; Records re-sorts it only after a node was added
+	order []int32 // entry indices by ascending node; records re-sorts it only after a node was added
 
 	// The batch screen: seen[u] = 1 + the stored sequence number of node u, 0
 	// for a node with no record (or one whose number leaves no room for the
@@ -263,12 +266,6 @@ func (db *DB) setSlot(u core.NodeID, s int32) {
 	}
 	db.slot[u] = s
 }
-
-// Version returns the routing-plane version: it advances exactly when a
-// routing-relevant change lands (a record with different links, or a node
-// heard from for the first time), so equal versions guarantee equal views,
-// trees and routes.
-func (db *DB) Version() uint64 { return db.version }
 
 // linksEqual reports whether two link lists are identical, element for
 // element (LinkInfo is comparable).
@@ -407,11 +404,8 @@ func (db *DB) setSeq(s int32, seq uint64) {
 	}
 }
 
-// UpdateAll applies every record of a batch, as Update would one by one.
-func (db *DB) UpdateAll(recs []Record) { db.updateAll(recs, false) }
-
-// installAll is UpdateAll under install's ownership rule: the records of a
-// received message.
+// installAll applies every record of a batch, as Update would one by one,
+// under install's ownership rule: the records of a received message.
 func (db *DB) installAll(recs []Record) {
 	if db.seen == nil && db.slot != nil && len(recs) > 1 {
 		db.seen = make([]uint64, len(db.slot))
@@ -422,7 +416,8 @@ func (db *DB) installAll(recs []Record) {
 	db.updateAll(recs, true)
 }
 
-// updateAll pays for what a batch brings that is new: a record no newer than
+// updateAll applies a batch (adopt: under install's ownership rule, else
+// Update's) and pays for what it brings that is new: a record no newer than
 // the stored one is turned away before the update call — on the screen where
 // there is one, else against the slot table — and a newer one whose Links is
 // the stored array itself (SameLinks) is a sequence refresh with nothing to
@@ -577,10 +572,10 @@ func (db *DB) Record(u core.NodeID) (Record, bool) {
 	return db.ents[s].rec, true
 }
 
-// Records returns all stored records, one per node, in ascending node order.
+// records returns all stored records, one per node, in ascending node order.
 // The slice is the caller's; the records' Links are shared with the database
 // and immutable, so later Updates leave the result as it was.
-func (db *DB) Records() []Record {
+func (db *DB) records() []Record {
 	if len(db.order) != len(db.ents) {
 		db.order = db.order[:0]
 		for s := range db.ents {
@@ -596,9 +591,6 @@ func (db *DB) Records() []Record {
 	}
 	return out
 }
-
-// Len returns the number of nodes with a stored record.
-func (db *DB) Len() int { return len(db.ents) }
 
 // LinkID returns u's local link ID toward v according to the stored
 // records. Either endpoint's record suffices: u's record names the ID
@@ -688,9 +680,9 @@ func (db *DB) maxLoadToward(u, v core.NodeID) uint32 {
 	return load
 }
 
-// LoadOf returns the believed load of edge {u, v}: the maximum of the two
+// loadOf returns the believed load of edge {u, v}: the maximum of the two
 // endpoints' reports (0 if neither endpoint reported).
-func (db *DB) LoadOf(u, v core.NodeID) uint32 {
+func (db *DB) loadOf(u, v core.NodeID) uint32 {
 	load := db.maxLoadToward(u, v)
 	if l := db.maxLoadToward(v, u); l > load {
 		load = l
@@ -796,7 +788,7 @@ func (db *DB) minLoadTree(src core.NodeID) *loadTree {
 		lt = &loadTree{}
 	}
 	lt.tree, lt.dist = db.View().ShortestTreeInto(lt.tree, lt.dist, src, func(u, v core.NodeID) int64 {
-		return 1 + int64(db.LoadOf(u, v))
+		return 1 + int64(db.loadOf(u, v))
 	})
 	c.loadTrees[src] = lt
 	return lt
@@ -921,14 +913,4 @@ func (db *DB) KnowsNodes(nodes []core.NodeID, g *graph.Graph, down map[graph.Edg
 		}
 	}
 	return true
-}
-
-// KnowsExactly reports whether the database matches the whole actual
-// topology (Theorem 1's condition restricted to a connected network).
-func (db *DB) KnowsExactly(g *graph.Graph, down map[graph.Edge]bool) bool {
-	all := make([]core.NodeID, g.N())
-	for i := range all {
-		all[i] = core.NodeID(i)
-	}
-	return db.KnowsNodes(all, g, down)
 }

@@ -28,7 +28,7 @@ func TestBroadcastForwardDedup(t *testing.T) {
 
 	suppressed := 0
 	for u := 0; u < g.N(); u++ {
-		b := net.Protocol(core.NodeID(u)).(*Broadcast)
+		b := net.Protocol(core.NodeID(u)).(*broadcast)
 		// Forwards counts non-origin fan-outs; at most one per round.
 		if b.Forwards > 1 {
 			t.Fatalf("node %d forwarded %d times in one round", u, b.Forwards)
@@ -51,7 +51,7 @@ func TestBroadcastDedupAllowsNewRounds(t *testing.T) {
 	g := graph.CompleteBinaryTree(3)
 	totals := func(net *sim.Network) (fwd, sup int) {
 		for u := 0; u < g.N(); u++ {
-			b := net.Protocol(core.NodeID(u)).(*Broadcast)
+			b := net.Protocol(core.NodeID(u)).(*broadcast)
 			fwd += b.Forwards
 			sup += b.DupSuppressed
 		}

@@ -26,7 +26,7 @@ type diffModel struct {
 	steps  int
 
 	// Every record installed, in order: replayed through an Update loop and
-	// through UpdateAll, which must build the same database.
+	// through updateAll, which must build the same database.
 	history []Record
 	// The last check's Records() result and a deep copy taken then: stored
 	// links are immutable, so later Updates must not show through.
@@ -221,8 +221,8 @@ func (m *diffModel) check(t *testing.T) {
 		t.Fatalf("cached view diverged: %d nodes/%d edges, want %d/%d",
 			got.N(), got.M(), want.N(), want.M())
 	}
-	if m.cached.Len() != cold.Len() {
-		t.Fatalf("Len = %d, want %d", m.cached.Len(), cold.Len())
+	if len(m.cached.ents) != len(cold.ents) {
+		t.Fatalf("Len = %d, want %d", len(m.cached.ents), len(cold.ents))
 	}
 	m.checkRecords(t)
 	for u := 0; u < m.n; u++ {
@@ -233,8 +233,8 @@ func (m *diffModel) check(t *testing.T) {
 			if gl != wl || gok != wok {
 				t.Fatalf("LinkID(%d,%d) = (%d,%v), want (%d,%v)", u, v, gl, gok, wl, wok)
 			}
-			if gd, wd := m.cached.LoadOf(src, dst), cold.LoadOf(src, dst); gd != wd {
-				t.Fatalf("LoadOf(%d,%d) = %d, want %d", u, v, gd, wd)
+			if gd, wd := m.cached.loadOf(src, dst), cold.loadOf(src, dst); gd != wd {
+				t.Fatalf("loadOf(%d,%d) = %d, want %d", u, v, gd, wd)
 			}
 			gh, gerr := m.cached.Route(src, dst)
 			wh, werr := cold.Route(src, dst)
@@ -255,7 +255,7 @@ func sameRecords(a, b []Record) bool {
 
 // checkRecords verifies the record-immutability contract and the batch
 // apply: the previous Records() result still reads as it did when taken, and
-// the history replayed through UpdateAll, and as five-record messages through
+// the history replayed through updateAll, and as five-record messages through
 // installAll — twice, so the second pass is all stale records — builds the
 // database the Update loop builds.
 func (m *diffModel) checkRecords(t *testing.T) {
@@ -263,7 +263,7 @@ func (m *diffModel) checkRecords(t *testing.T) {
 	if !sameRecords(m.snap, m.snapWant) {
 		t.Fatalf("an earlier Records() result was rewritten by later Updates:\n got %+v\nwant %+v", m.snap, m.snapWant)
 	}
-	m.snap = m.cached.Records()
+	m.snap = m.cached.records()
 	m.snapWant = make([]Record, len(m.snap))
 	for i, r := range m.snap {
 		r.Links = slices.Clone(r.Links)
@@ -275,17 +275,17 @@ func (m *diffModel) checkRecords(t *testing.T) {
 		for _, r := range m.history {
 			loop.Update(r)
 		}
-		batch.UpdateAll(m.history)
+		batch.updateAll(m.history, false)
 		for i := 0; i < len(m.history); i += 5 {
 			msgs.installAll(m.history[i:min(i+5, len(m.history))])
 		}
 	}
-	for name, db := range map[string]*DB{"UpdateAll": batch, "installAll": msgs} {
-		if db.Version() != loop.Version() || db.Len() != loop.Len() {
+	for name, db := range map[string]*DB{"updateAll": batch, "installAll": msgs} {
+		if db.version != loop.version || len(db.ents) != len(loop.ents) {
 			t.Fatalf("%s: version %d, %d records; Update loop: version %d, %d records",
-				name, db.Version(), db.Len(), loop.Version(), loop.Len())
+				name, db.version, len(db.ents), loop.version, len(loop.ents))
 		}
-		if got, want := db.Records(), loop.Records(); !sameRecords(got, want) || !sameRecords(got, m.snap) {
+		if got, want := db.records(), loop.records(); !sameRecords(got, want) || !sameRecords(got, m.snap) {
 			t.Fatalf("%s records diverged:\n got %+v\nloop %+v\nlive %+v", name, got, want, m.snap)
 		}
 	}

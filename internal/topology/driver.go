@@ -50,13 +50,13 @@ func NewMaintainer(mode Mode, full bool, order ChildOrder) core.Factory {
 	return func(id core.NodeID) core.Protocol {
 		switch mode {
 		case ModeBranching:
-			return NewBroadcast(id, full)
+			return newBroadcast(id, full)
 		case ModeFlood:
-			return NewFlood(id, full)
+			return newFlood(id, full)
 		case ModeDFS:
-			return NewDFSBroadcast(id, full, order)
+			return newDFSBroadcast(id, full, order)
 		case ModeLayers:
-			return NewLayersBroadcast(id, full)
+			return newLayersBroadcast(id, full)
 		default:
 			panic(fmt.Sprintf("topology: unknown mode %d", mode))
 		}

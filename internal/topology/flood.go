@@ -5,19 +5,19 @@ import (
 	"fastnet/internal/core"
 )
 
-// FloodMsg is one flooding packet: a single node's local-topology record
+// floodMsg is one flooding packet: a single node's local-topology record
 // (or, in full-knowledge mode, several records).
-type FloodMsg struct {
+type floodMsg struct {
 	Origin core.NodeID
 	Seq    uint64
 	Recs   []Record
 }
 
-// Flood is the ARPANET-style baseline [MRR80]: every broadcast sends the
+// flood is the ARPANET-style baseline [MRR80]: every broadcast sends the
 // local topology over every link, and each node forwards the first copy of a
 // newer record over all other links. Per broadcast it costs O(m) system
 // calls and O(n) time under the new measures (every hop is an NCU visit).
-type Flood struct {
+type flood struct {
 	localTopo
 
 	full bool
@@ -36,39 +36,39 @@ type Flood struct {
 	Forwards   int
 }
 
-var _ core.Protocol = (*Flood)(nil)
+var _ core.Protocol = (*flood)(nil)
 
-// NewFlood returns the flooding protocol for one node.
-func NewFlood(id core.NodeID, full bool) *Flood {
-	return &Flood{localTopo: localTopo{id: id}, full: full}
+// newFlood returns the flooding protocol for one node.
+func newFlood(id core.NodeID, full bool) *flood {
+	return &flood{localTopo: localTopo{id: id}, full: full}
 }
 
 // Init records the local topology.
-func (f *Flood) Init(env core.Env) {
+func (f *flood) Init(env core.Env) {
 	f.snapshot(env)
 }
 
 // LinkEvent refreshes the local record.
-func (f *Flood) LinkEvent(env core.Env, _ core.Port) {
+func (f *flood) LinkEvent(env core.Env, _ core.Port) {
 	f.refresh(env)
 }
 
 // Deliver handles triggers and flood packets.
-func (f *Flood) Deliver(env core.Env, pkt core.Packet) {
+func (f *flood) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case Trigger:
 		f.refresh(env)
 		f.Broadcasts++
-		msg := &FloodMsg{Origin: f.id, Seq: f.seq}
+		msg := &floodMsg{Origin: f.id, Seq: f.seq}
 		if f.full {
-			msg.Recs = f.db.Records()
+			msg.Recs = f.db.records()
 		} else {
 			rec, _ := f.db.Record(f.id)
 			msg.Recs = []Record{rec}
 		}
 		f.best.set(f.id, f.seq)
 		f.relay(env, msg, anr.NCU)
-	case *FloodMsg:
+	case *floodMsg:
 		f.db.installAll(m.Recs)
 		if f.best.get(m.Origin) >= m.Seq {
 			return // already forwarded this broadcast
@@ -80,7 +80,7 @@ func (f *Flood) Deliver(env core.Env, pkt core.Packet) {
 }
 
 // relay sends the message one hop over every up link except the arrival one.
-func (f *Flood) relay(env core.Env, m *FloodMsg, arrived anr.ID) {
+func (f *flood) relay(env core.Env, m *floodMsg, arrived anr.ID) {
 	ports := env.Ports()
 	if f.hop == nil {
 		f.hop = make([]anr.Header, len(ports))

@@ -27,11 +27,11 @@ func TestRouteMinLoadAvoidsHotLink(t *testing.T) {
 	}
 	db.Update(rec)
 
-	if db.LoadOf(0, 1) != 50 {
-		t.Fatalf("LoadOf(0,1) = %d, want 50", db.LoadOf(0, 1))
+	if db.loadOf(0, 1) != 50 {
+		t.Fatalf("loadOf(0,1) = %d, want 50", db.loadOf(0, 1))
 	}
-	if db.LoadOf(1, 0) != 50 {
-		t.Fatal("LoadOf must be symmetric")
+	if db.loadOf(1, 0) != 50 {
+		t.Fatal("loadOf must be symmetric")
 	}
 
 	hot, err := db.Route(0, 1)

@@ -473,3 +473,13 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// KnowsExactly reports whether the database matches the whole actual
+// topology (Theorem 1's condition restricted to a connected network).
+func (db *DB) KnowsExactly(g *graph.Graph, down map[graph.Edge]bool) bool {
+	all := make([]core.NodeID, g.N())
+	for i := range all {
+		all[i] = core.NodeID(i)
+	}
+	return db.KnowsNodes(all, g, down)
+}

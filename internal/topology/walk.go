@@ -110,9 +110,9 @@ func walkHeader(walk []core.NodeID, linkID func(u, v core.NodeID) (anr.ID, bool)
 	return append(h, anr.Hop{Link: anr.NCU}), nil
 }
 
-// WalkMsg is the packet of the one-shot walk broadcasts (DFS and
+// walkMsg is the packet of the one-shot walk broadcasts (DFS and
 // BFS-layers): records only, no forwarding duties.
-type WalkMsg struct {
+type walkMsg struct {
 	Origin core.NodeID
 	Seq    uint64
 	Recs   []Record
@@ -146,14 +146,14 @@ type WalkBroadcast struct {
 
 var _ core.Protocol = (*WalkBroadcast)(nil)
 
-// NewDFSBroadcast returns the one-shot DFS broadcast (broken under
+// newDFSBroadcast returns the one-shot DFS broadcast (broken under
 // failures; see the paper's six-node example).
-func NewDFSBroadcast(id core.NodeID, full bool, order ChildOrder) *WalkBroadcast {
+func newDFSBroadcast(id core.NodeID, full bool, order ChildOrder) *WalkBroadcast {
 	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkDFS, full: full, order: order}
 }
 
-// NewLayersBroadcast returns footnote 1's BFS-layers broadcast.
-func NewLayersBroadcast(id core.NodeID, full bool) *WalkBroadcast {
+// newLayersBroadcast returns footnote 1's BFS-layers broadcast.
+func newLayersBroadcast(id core.NodeID, full bool) *WalkBroadcast {
 	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkLayers, full: full}
 }
 
@@ -169,7 +169,7 @@ func (w *WalkBroadcast) Init(env core.Env) {
 func (w *WalkBroadcast) LinkEvent(env core.Env, port core.Port) {
 	w.refresh(env)
 	if port.Up {
-		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &WalkMsg{Origin: w.id, Seq: w.seq, Recs: w.db.Records()})
+		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &walkMsg{Origin: w.id, Seq: w.seq, Recs: w.db.records()})
 	}
 }
 
@@ -178,7 +178,7 @@ func (w *WalkBroadcast) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case Trigger:
 		w.broadcast(env)
-	case *WalkMsg:
+	case *walkMsg:
 		w.db.installAll(m.Recs)
 	}
 }
@@ -208,9 +208,9 @@ func (w *WalkBroadcast) broadcast(env core.Env) {
 		w.SendErrors++
 		return
 	}
-	msg := &WalkMsg{Origin: w.id, Seq: w.seq}
+	msg := &walkMsg{Origin: w.id, Seq: w.seq}
 	if w.full {
-		msg.Recs = w.db.Records()
+		msg.Recs = w.db.records()
 	} else {
 		rec, _ := w.db.Record(w.id)
 		msg.Recs = []Record{rec}

@@ -84,20 +84,6 @@ func (b *Buffer) Events() []Event {
 	return append([]Event(nil), b.events...)
 }
 
-// Len returns the number of recorded events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
-}
-
-// Reset discards all recorded events.
-func (b *Buffer) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.events = b.events[:0]
-}
-
 // Serial is an in-memory Sink for single-threaded producers: Record is a
 // plain append with no lock, which matters on the discrete-event runtime
 // where every event of a run goes through one goroutine. Not safe for
@@ -120,12 +106,6 @@ func (s *Serial) Record(e Event) { s.events = append(s.events, e) }
 
 // Events returns a snapshot of the recorded events in record order.
 func (s *Serial) Events() []Event { return append([]Event(nil), s.events...) }
-
-// Len returns the number of recorded events.
-func (s *Serial) Len() int { return len(s.events) }
-
-// Reset discards all recorded events, keeping the backing array.
-func (s *Serial) Reset() { s.events = s.events[:0] }
 
 // Discard is a Sink that drops everything; used when tracing is off.
 type Discard struct{}

@@ -106,3 +106,23 @@ func TestPerNode(t *testing.T) {
 		t.Fatalf("empty projection = %+v", p)
 	}
 }
+
+// Len returns the number of recorded events.
+func (b *Buffer) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.events)
+}
+
+// Reset discards all recorded events.
+func (b *Buffer) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.events = b.events[:0]
+}
+
+// Len returns the number of recorded events.
+func (s *Serial) Len() int { return len(s.events) }
+
+// Reset discards all recorded events, keeping the backing array.
+func (s *Serial) Reset() { s.events = s.events[:0] }
