@@ -326,8 +326,11 @@ func runSoak(args []string) error {
 	if err := parsed(); err != nil {
 		return err
 	}
-	if err := checkShards(cfg.Shards); err != nil {
-		return err
+	if *seedCount < 1 {
+		return fmt.Errorf("-seeds %d: must be >= 1", *seedCount)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must be >= 0 (0 = one worker per CPU)", *parallel)
 	}
 	g, err := buildTopo(*topoName, *n, *gnpP, cfg.Seed)
 	if err != nil {

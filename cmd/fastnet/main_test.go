@@ -223,12 +223,32 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"sim", "-gnp-p", "2"}, "-gnp-p 2"},
 		{[]string{"sim", "-gnp-p", "NaN"}, "-gnp-p NaN"},
 		{[]string{"sim", "-gnp-p", "-0.5"}, "-gnp-p -0.5"},
+		// Baselines off the graphs they are defined on: at the parent the
+		// first ran 50M events to the budget and the second "elected" node 7.
+		{[]string{"sim", "-proto", "election-hs", "-topo", "gnp", "-n", "16"}, "hirschberg-sinclair needs a ring"},
+		{[]string{"sim", "-proto", "election-naive", "-topo", "path", "-n", "8"}, "naive-allpairs needs a complete graph"},
 		{[]string{"soak", "-n", "-5"}, "-n -5"},
 		{[]string{"soak", "-topo", "nosuch"}, "nosuch"},
 		{[]string{"soak", "-mode", "nosuch"}, "nosuch"},
 		{[]string{"soak", "-runtime", "nosuch", "-n", "8", "-epochs", "1"}, "nosuch"},
 		{[]string{"soak", "-epochs", "0"}, "Epochs"},
 		{[]string{"soak", "-shards", "-3", "-n", "8", "-epochs", "1"}, "-shards -3"},
+		// Knobs out of range, each accepted without a word at the parent
+		// (-loss 2 ran to a bogus I1 violation with a repro line).
+		{[]string{"soak", "-loss", "2"}, "-loss 2: must be a probability in [0, 1]"},
+		{[]string{"soak", "-loss", "NaN"}, "-loss NaN"},
+		{[]string{"soak", "-leader-crash", "1.5"}, "-leader-crash 1.5"},
+		{[]string{"soak", "-flaps", "-1"}, "-flaps -1: must be finite and >= 0"},
+		{[]string{"soak", "-reliable", "-1"}, "-reliable -1"},
+		{[]string{"soak", "-calls", "-5"}, "-calls -5"},
+		{[]string{"soak", "-stall", "-1"}, "-stall -1"},
+		{[]string{"soak", "-rate", "-1"}, "-rate -1"},
+		{[]string{"soak", "-rate", "+Inf"}, "-rate +Inf"},
+		{[]string{"soak", "-jittermax", "-4"}, "-jittermax -4"},
+		{[]string{"soak", "-timeout", "-1s"}, "-timeout -1s"},
+		{[]string{"soak", "-seeds", "0"}, "-seeds 0"},
+		{[]string{"soak", "-seeds", "-3"}, "-seeds -3"},
+		{[]string{"soak", "-parallel", "-2"}, "-parallel -2"},
 	} {
 		err := run(tc.args)
 		if err == nil {

@@ -8,7 +8,8 @@
 // discrete-event simulator used for the complexity measurements) and
 // internal/gosim (a goroutine/channel runtime used to exercise protocols
 // under real asynchrony). Protocol code is written once against this package
-// and runs unchanged on both.
+// and runs unchanged on both; so does the hardware model both call (link
+// state, send admission, the fault ledger — docs/MODEL.md maps its clauses).
 package core
 
 import (
@@ -113,6 +114,33 @@ type Protocol interface {
 	// LinkEvent reports a data-link state change for a local port. It is an
 	// NCU activation (counted as a system call).
 	LinkEvent(env Env, port Port)
+}
+
+// Runtime is what a driver may ask of a network on either runtime without
+// knowing which it holds. What genuinely differs stays on the concrete types:
+// when an injected activation happens, how a run reaches quiescence, and
+// whether there is anything to shut down.
+type Runtime interface {
+	Graph() *graph.Graph
+	// PortMap is the static port assignment, for drivers that precompute
+	// routes; protocols must not use it.
+	PortMap() *PortMap
+	// Protocol (node u's instance) and Metrics (the accumulated cost
+	// measures) are for inspection once the network is quiescent.
+	Protocol(u NodeID) Protocol
+	Metrics() Metrics
+	// LinkUp reports, and InjectLink flips now, the hardware state of edge
+	// {u, v}; a flip sends both endpoint NCUs the data-link notification.
+	LinkUp(u, v NodeID) bool
+	InjectLink(u, v NodeID, up bool)
+	// SetMsgFaults swaps the lossy-link profile for traffic sent after the
+	// call.
+	SetMsgFaults(f MsgFaults)
+	// StallNode opens an NCU-stall window at v (gray failure: slow, not
+	// dead): the discrete-event runtime inflates every activation's software
+	// delay by extra for the next window time units; the goroutine runtime
+	// deschedules each of the next window activations extra times.
+	StallNode(v NodeID, window, extra Time)
 }
 
 // Factory builds the protocol instance for one node.

@@ -10,6 +10,7 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/graph"
+	"fastnet/internal/trace"
 )
 
 func allUp(NodeID, anr.ID) bool { return true }
@@ -248,17 +249,17 @@ func TestWalkLeavesCallersClosuresOnTheStack(t *testing.T) {
 	h := anr.CopyPath(links)
 	keep := func(pl any) any { return pl }
 	plain := testing.AllocsPerRun(100, func() {
-		if _, err := WalkRouteFaults(pm, allUp, nil, nil, keep, 0, h, nil); err != nil {
-			t.Fatal(err)
+		if tr := WalkRouteFaults(pm, allUp, nil, nil, keep, 0, h, nil); tr.Hops != 3 {
+			t.Fatalf("walk: %d hops", tr.Hops)
 		}
 	})
 	captured := testing.AllocsPerRun(100, func() {
 		calls := 0
 		up := func(NodeID, anr.ID) bool { calls++; return true }
-		roll := func(NodeID) MsgFault { calls++; return FaultNone }
+		roll := func(NodeID) MsgFault { calls++; return faultNone }
 		corrupt := func(pl any) any { calls++; return pl }
-		if _, err := WalkRouteFaults(pm, up, nil, roll, corrupt, 0, h, nil); err != nil || calls != 6 {
-			t.Fatalf("walk: %v after %d calls", err, calls)
+		if tr := WalkRouteFaults(pm, up, nil, roll, corrupt, 0, h, nil); tr.Hops != 3 || calls != 6 {
+			t.Fatalf("walk: %d hops after %d calls", tr.Hops, calls)
 		}
 	})
 	if captured != plain {
@@ -353,18 +354,18 @@ func TestValidateMulticast(t *testing.T) {
 		anr.Direct([]anr.ID{2}),
 		anr.CopyPath([]anr.ID{3, 1}),
 	}
-	if err := ValidateMulticast(ok); err != nil {
+	if err := validateMulticast(ok); err != nil {
 		t.Fatalf("distinct first links rejected: %v", err)
 	}
 	dup := []anr.Header{
 		anr.Direct([]anr.ID{1, 2}),
 		anr.Direct([]anr.ID{1, 3}),
 	}
-	if err := ValidateMulticast(dup); !errors.Is(err, ErrMulticastLinks) {
+	if err := validateMulticast(dup); !errors.Is(err, ErrMulticastLinks) {
 		t.Fatalf("err = %v, want ErrMulticastLinks", err)
 	}
 	bad := []anr.Header{{}}
-	if err := ValidateMulticast(bad); err == nil {
+	if err := validateMulticast(bad); err == nil {
 		t.Fatal("invalid header accepted")
 	}
 }
@@ -377,23 +378,132 @@ func TestValidateMulticastWide(t *testing.T) {
 	for i := range wide {
 		wide[i] = anr.Direct([]anr.ID{anr.ID(i + 1)})
 	}
-	if err := ValidateMulticast(wide); err != nil {
+	if err := validateMulticast(wide); err != nil {
 		t.Fatalf("4096 distinct first links rejected: %v", err)
 	}
 	for _, repeat := range []anr.ID{1777, multicastDense + 5} {
 		wide[100] = anr.Direct([]anr.ID{repeat})
 		wide[len(wide)-1] = anr.Direct([]anr.ID{repeat, 9})
-		err := ValidateMulticast(wide)
+		err := validateMulticast(wide)
 		if want := fmt.Sprintf("(link %d used twice)", repeat); !errors.Is(err, ErrMulticastLinks) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("duplicate in the last position: err = %v, want ErrMulticastLinks %s", err, want)
 		}
 		wide[100] = anr.Direct([]anr.ID{101})
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := ValidateMulticast(wide[:16]); err != nil {
+		if err := validateMulticast(wide[:16]); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ValidateMulticast allocates %.1f objects at 16 routes, want 0", allocs)
+		t.Errorf("validateMulticast allocates %.1f objects at 16 routes, want 0", allocs)
+	}
+}
+
+// TestAdmit: the one admission both runtimes call. A refusal leaves the
+// metrics alone but for the dmax count; an admitted packet is accounted once.
+func TestAdmit(t *testing.T) {
+	pm := NewPortMap(graph.Path(4))
+	var m Metrics
+	for _, tc := range []struct {
+		h       anr.Header
+		dmax    int
+		refused bool
+		is      error // the sentinel a refusal wraps, where there is one
+	}{
+		{anr.Header{}, 0, true, anr.ErrEmptyHeader},
+		{anr.Direct([]anr.ID{1, 2, 2}), 2, true, anr.ErrPathTooLong},
+		{anr.Direct([]anr.ID{1, 3}), 0, true, nil}, // node 1 has links 1 and 2
+		{anr.Direct([]anr.ID{1, 2, 2}), 3, false, nil},
+		{anr.Local(), 3, false, nil},
+	} {
+		err := pm.Admit(&m, 0, tc.h, tc.dmax)
+		if (err != nil) != tc.refused || (tc.is != nil && !errors.Is(err, tc.is)) {
+			t.Fatalf("Admit(%v, dmax %d) = %v, want refused=%v (%v)", tc.h, tc.dmax, err, tc.refused, tc.is)
+		}
+	}
+	bits := int64(pm.IDWidth() + 1)
+	if want := (Metrics{DmaxViolations: 1, Packets: 2, HeaderBits: 4*bits + bits, MaxHeaderHops: 3}); m != want {
+		t.Fatalf("metrics after two admissions and three refusals\n got %+v\nwant %+v", m, want)
+	}
+}
+
+// TestMulticastStopsAtFirstRefusal: one Send however many routes, routes
+// handed over in order, nothing after the first refusal.
+func TestMulticastStopsAtFirstRefusal(t *testing.T) {
+	var m Metrics
+	var routed []anr.ID
+	refuse := errors.New("refused")
+	route := func(h anr.Header) error {
+		if h[0].Link == 3 {
+			return refuse
+		}
+		routed = append(routed, h[0].Link)
+		return nil
+	}
+	hs := []anr.Header{anr.Direct([]anr.ID{1}), anr.Direct([]anr.ID{2}), anr.Direct([]anr.ID{3}), anr.Direct([]anr.ID{4})}
+	if err := Multicast(&m, hs, route); err != refuse || !slices.Equal(routed, []anr.ID{1, 2}) || m.Sends != 1 {
+		t.Fatalf("Multicast = %v after routing %v with %d sends", err, routed, m.Sends)
+	}
+	if err := Multicast(&m, append(hs, hs[0]), route); !errors.Is(err, ErrMulticastLinks) || m.Sends != 1 {
+		t.Fatalf("repeated first link: %v, %d sends", err, m.Sends)
+	}
+	if err := Multicast(&m, nil, route); err != nil || m.Sends != 2 {
+		t.Fatalf("no routes: %v, %d sends", err, m.Sends)
+	}
+}
+
+// TestLinks: the live table starts as the port map's rows, all up; a flip
+// writes one end and reports that end's port; rows cannot grow into each
+// other; the port map itself never changes.
+func TestLinks(t *testing.T) {
+	pm := NewPortMap(graph.Star(4))
+	links := NewLinks(pm)
+	for u := range links {
+		if !slices.Equal(links[u], pm.Ports(NodeID(u))) || cap(links[u]) != len(links[u]) {
+			t.Fatalf("node %d: row %v (cap %d), want %v clamped", u, links[u], cap(links[u]), pm.Ports(NodeID(u)))
+		}
+	}
+	if port := links.Flip(0, 2, false); port.Remote != 2 || port.Local != 2 || port.Up {
+		t.Fatalf("Flip(0, 2, down) reported %+v", port)
+	}
+	if links.Up(0, 2) || !links.Up(2, 0) || !links.Up(0, 1) {
+		t.Fatal("a flip writes exactly one end of one edge")
+	}
+	if p, ok := links.Toward(0, 2); !ok || p.Up || p.RemoteID != 1 {
+		t.Fatalf("Toward(0, 2) = %+v, %v", p, ok)
+	}
+	if _, ok := links.Toward(1, 2); ok || links.Up(1, 2) {
+		t.Fatal("leaves 1 and 2 share no link")
+	}
+	if links.Flip(0, 2, true); !links.Up(0, 2) || !pm.Ports(0)[1].Up {
+		t.Fatal("flip back up; the port map stays static throughout")
+	}
+}
+
+// TestFaultLedger: every fault is one counter and one trace event of its own
+// kind, tagged with the fault's name; no fault is no entry.
+func TestFaultLedger(t *testing.T) {
+	var m Metrics
+	sink := trace.NewSerial(8)
+	faults := []MsgFault{faultNone, FaultDrop, FaultDup, FaultCorrupt, FaultJitter, FaultReorder, FaultSlowdown}
+	for i, f := range faults {
+		f.Count(&m, sink, int64(10+i), NodeID(i), int64(100+i))
+	}
+	if want := (Metrics{FaultDrops: 1, FaultDups: 1, FaultCorrupts: 1, FaultJitters: 1, FaultReorders: 1, FaultSlowdowns: 1}); m != want {
+		t.Fatalf("counters %+v", m)
+	}
+	kinds := []trace.Kind{trace.KindFaultDrop, trace.KindFaultDup, trace.KindFaultCorrupt, trace.KindFaultJitter, trace.KindFaultReorder, trace.KindFaultSlow}
+	evs := sink.Events()
+	if len(evs) != len(kinds) {
+		t.Fatalf("%d events for %d faults", len(evs), len(kinds))
+	}
+	for i, ev := range evs {
+		f := faults[i+1]
+		if want := (trace.Event{Kind: kinds[i], Time: int64(11 + i), Node: NodeID(i + 1), Msg: int64(101 + i), Cause: f.String()}); ev != want {
+			t.Errorf("%v recorded as %+v, want %+v", f, ev, want)
+		}
+	}
+	if MsgFault(99).String() != "fault(99)" || MsgFault(-1).String() != "fault(-1)" {
+		t.Fatal("an unknown fault still has a name")
 	}
 }

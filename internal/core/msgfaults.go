@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+
+	"fastnet/internal/trace"
 )
 
 // MsgFaults configures the lossy-link model: per-link-traversal message
@@ -100,7 +102,7 @@ type MsgFault int
 
 // Per-traversal fault outcomes.
 const (
-	FaultNone MsgFault = iota
+	faultNone MsgFault = iota
 	FaultDrop
 	FaultDup
 	FaultCorrupt
@@ -109,26 +111,51 @@ const (
 	FaultSlowdown
 )
 
+// faultLedger is how each fault is written down: its tag (a trace event's
+// Cause, a repro line's word) and the trace event it is recorded as.
+var faultLedger = [...]struct {
+	tag  string
+	kind trace.Kind
+}{
+	faultNone:     {tag: "none"},
+	FaultDrop:     {"drop", trace.KindFaultDrop},
+	FaultDup:      {"dup", trace.KindFaultDup},
+	FaultCorrupt:  {"corrupt", trace.KindFaultCorrupt},
+	FaultJitter:   {"jitter", trace.KindFaultJitter},
+	FaultReorder:  {"reorder", trace.KindFaultReorder},
+	FaultSlowdown: {"slow", trace.KindFaultSlow},
+}
+
 // String names the fault for trace cause tags.
 func (k MsgFault) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultDrop:
-		return "drop"
-	case FaultDup:
-		return "dup"
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultJitter:
-		return "jitter"
-	case FaultReorder:
-		return "reorder"
-	case FaultSlowdown:
-		return "slow"
-	default:
+	if k < 0 || int(k) >= len(faultLedger) {
 		return fmt.Sprintf("fault(%d)", int(k))
 	}
+	return faultLedger[k].tag
+}
+
+// Count is the fault ledger's one entry point: the fault rolled for message
+// msg's traversal out of node at, at time now on the runtime's clock, is
+// counted into m and recorded in sink with its tag as the Cause. No fault is
+// no entry. What a fault then does to the packet is the runtime's business.
+func (k MsgFault) Count(m *Metrics, sink trace.Sink, now int64, at NodeID, msg int64) {
+	switch k {
+	case faultNone:
+		return
+	case FaultDrop:
+		m.FaultDrops++
+	case FaultDup:
+		m.FaultDups++
+	case FaultCorrupt:
+		m.FaultCorrupts++
+	case FaultJitter:
+		m.FaultJitters++
+	case FaultReorder:
+		m.FaultReorders++
+	case FaultSlowdown:
+		m.FaultSlowdowns++
+	}
+	sink.Record(trace.Event{Kind: faultLedger[k].kind, Time: now, Node: at, Msg: msg, Cause: faultLedger[k].tag})
 }
 
 // Roll draws the fault for one link traversal. A single uniform draw is
@@ -138,7 +165,7 @@ func (k MsgFault) String() string {
 // fault fires).
 func (f MsgFaults) Roll(r *rand.Rand) MsgFault {
 	if !f.Enabled() {
-		return FaultNone
+		return faultNone
 	}
 	u := r.Float64()
 	switch {
@@ -157,7 +184,7 @@ func (f MsgFaults) Roll(r *rand.Rand) MsgFault {
 	case u < f.Drop+f.Dup+f.Corrupt+f.Jitter+f.Reorder+f.Slowdown:
 		return FaultSlowdown
 	default:
-		return FaultNone
+		return faultNone
 	}
 }
 

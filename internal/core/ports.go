@@ -65,12 +65,19 @@ func (pm *PortMap) Ports(u NodeID) []Port { return pm.ports[u] }
 
 // Toward returns u's local link ID for the edge to v.
 func (pm *PortMap) Toward(u, v NodeID) (anr.ID, bool) {
-	ports := pm.ports[u]
-	i := sort.Search(len(ports), func(k int) bool { return ports[k].Remote >= v })
-	if i < len(ports) && ports[i].Remote == v {
-		return ports[i].Local, true
+	if p := toward(pm.ports[u], v); p != nil {
+		return p.Local, true
 	}
 	return 0, false
+}
+
+// toward finds the port of one node that leads to v, nil if none does.
+func toward(ports []Port, v NodeID) *Port {
+	i := sort.Search(len(ports), func(k int) bool { return ports[k].Remote >= v })
+	if i < len(ports) && ports[i].Remote == v {
+		return &ports[i]
+	}
+	return nil
 }
 
 // Resolve maps u's local link ID to the port it names.
@@ -83,6 +90,82 @@ func (pm *PortMap) Resolve(u NodeID, l anr.ID) (Port, error) {
 		return Port{}, fmt.Errorf("core: node %d has no link %d", u, l)
 	}
 	return pm.ports[u][i], nil
+}
+
+// Admit is send admission, the one place a runtime decides whether the
+// switching subsystem takes a packet (docs/MODEL.md §§1-3): the header is well
+// formed, at most dmax hops long (0 = unrestricted; a violation is counted),
+// and names, from src on, only links that exist — a route is refused whole,
+// wherever on it a dead link, the filter or a fault would have stopped the
+// packet. An admitted packet is accounted into m: Packets, HeaderBits,
+// MaxHeaderHops.
+func (pm *PortMap) Admit(m *Metrics, src NodeID, h anr.Header, dmax int) error {
+	if err := h.Validate(); err != nil {
+		return err
+	}
+	if err := h.CheckDmax(dmax); err != nil {
+		m.DmaxViolations++
+		return err
+	}
+	hops := h[:len(h)-1]
+	for _, hop := range hops {
+		port, err := pm.Resolve(src, hop.Link)
+		if err != nil {
+			return err
+		}
+		src = port.Remote
+	}
+	m.Packets++
+	m.HeaderBits += int64(len(h)) * int64(pm.idWidth+1)
+	m.MaxHeaderHops = max(m.MaxHeaderHops, int64(len(hops)))
+	return nil
+}
+
+// Links is the live link state of one network — Links[u] is node u's ports,
+// index = localID-1, a PortMap's rows with Up following the data-link
+// notifications — in one slab, each row capacity-clamped so no append can
+// bleed into a neighbor's. A runtime owns the synchronisation: the table
+// itself has none.
+type Links [][]Port
+
+// NewLinks returns pm's links, all up.
+func NewLinks(pm *PortMap) Links {
+	total := 0
+	for _, ports := range pm.ports {
+		total += len(ports)
+	}
+	arena := make([]Port, 0, total)
+	links := make(Links, len(pm.ports))
+	for u := range links {
+		start := len(arena)
+		arena = append(arena, pm.Ports(NodeID(u))...)
+		links[u] = arena[start:len(arena):len(arena)]
+	}
+	return links
+}
+
+// Toward returns u's port whose remote end is v.
+func (l Links) Toward(u, v NodeID) (Port, bool) {
+	if p := toward(l[u], v); p != nil {
+		return *p, true
+	}
+	return Port{}, false
+}
+
+// Flip sets u's end of edge {u, v} and returns the port, as u's NCU is to be
+// notified of it. One end only: a shard writes the rows of the nodes it owns,
+// so a flip of the whole edge is two calls. A non-edge is a caller's bug.
+func (l Links) Flip(u, v NodeID, up bool) Port {
+	p := toward(l[u], v)
+	p.Up = up
+	return *p
+}
+
+// Up reports whether edge {u, v} carries packets, as seen from u's end; a
+// link that does not exist carries none.
+func (l Links) Up(u, v NodeID) bool {
+	p := toward(l[u], v)
+	return p != nil && p.Up
 }
 
 // RouteLinks converts a node path starting at src into the sequence of local

@@ -72,17 +72,17 @@ type HopFilter func(at NodeID, payload any) bool
 // activation).
 var ErrMulticastLinks = errors.New("core: multicast routes must start on distinct links")
 
-// multicastDense bounds the link IDs ValidateMulticast marks in its bitset.
+// multicastDense bounds the link IDs validateMulticast marks in its bitset.
 // IDs are dense port numbers, far below it on any graph built here; a header
 // naming a larger one (it will fail to resolve anyway) is compared against
 // the earlier routes one by one instead of sizing the set to a made-up ID.
 const multicastDense = 1 << 16
 
-// ValidateMulticast checks the §2 multicast primitive's constraint: every
+// validateMulticast checks the §2 multicast primitive's constraint: every
 // route must be well formed and start on a different local link. First links
 // are marked in a bitset that lives on the stack for IDs below 256, so the
 // fan-outs protocols use cost no allocation and a wide one stays linear.
-func ValidateMulticast(hs []anr.Header) error {
+func validateMulticast(hs []anr.Header) error {
 	var buf [4]uint64
 	seen := buf[:]
 	for i, h := range hs {
@@ -110,10 +110,26 @@ func ValidateMulticast(hs []anr.Header) error {
 	return nil
 }
 
+// Multicast is Env.Multicast over a runtime's route (Env.Send is its one-route
+// case, with no distinct-links rule to check): one Send counted into m
+// however many routes there are, each handed to route in order, stopping at
+// the first one refused — the routes before it are already in flight.
+func Multicast(m *Metrics, hs []anr.Header, route func(anr.Header) error) error {
+	if err := validateMulticast(hs); err != nil {
+		return err
+	}
+	m.Sends++
+	for _, h := range hs {
+		if err := route(h); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WalkRoute performs the switching-subsystem traversal of header h injected
-// at node src. It is the single source of truth for SS semantics: both
-// runtimes call it (directly or by mirroring its rules) and then schedule
-// the returned deliveries according to their own timing models.
+// at node src, with no timing: the oracle that routes built by protocols are
+// replayed on, admitting h as a runtime would before the first hop.
 //
 // Semantics per hop, mirroring the paper's hardware model: the current SS
 // pops the leading ID; ID 0 terminates at the local NCU; a copy hop delivers
@@ -121,7 +137,10 @@ func ValidateMulticast(hs []anr.Header) error {
 // normal hop only forwards. Copies are delivered even when the onward link is
 // dead (the NCU link is always up), after which the packet is dropped.
 func WalkRoute(pm *PortMap, up LinkStateFunc, src NodeID, h anr.Header) (Traversal, error) {
-	return WalkRouteFaults(pm, up, nil, nil, nil, src, h, nil)
+	if err := pm.Admit(new(Metrics), src, h, 0); err != nil {
+		return Traversal{}, fmt.Errorf("walk from node %d: %w", src, err)
+	}
+	return WalkRouteFaults(pm, up, nil, nil, nil, src, h, nil), nil
 }
 
 // FaultRoller decides the fault applied to one link traversal; it is called
@@ -130,35 +149,18 @@ func WalkRoute(pm *PortMap, up LinkStateFunc, src NodeID, h anr.Header) (Travers
 // runtime). corrupt produces the damaged payload for a corruption fault.
 type FaultRoller func(at NodeID) MsgFault
 
-// WalkRouteFaults is WalkRoute with the extended hardware model and the
+// WalkRouteFaults is the walk itself, of a header pm.Admit has admitted (so
+// branches cannot fail mid-walk), with the extended hardware model and the
 // lossy-link model: filter (if non-nil) runs in every transit SS before any
 // output, payload is what it inspects, and roll (if non-nil) perturbs each
-// live-link traversal. A duplicate branch re-walks
-// the remaining header, so its hops and deliveries are accounted again —
-// the duplicate physically retraverses the fabric. The whole route is
-// pre-validated against the port map, as the discrete-event runtime does
-// before it launches a packet: a header naming a link that does not exist is
-// refused whole, wherever on the route a dead link, the filter or a fault
-// would have stopped the packet, and branches cannot fail mid-walk.
-func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll FaultRoller, corrupt func(any) any, src NodeID, h anr.Header, payload any) (Traversal, error) {
-	if err := h.Validate(); err != nil {
-		return Traversal{}, err
-	}
-	cur := src
-	for _, hop := range h {
-		if hop.Link == anr.NCU {
-			break
-		}
-		port, err := pm.Resolve(cur, hop.Link)
-		if err != nil {
-			return Traversal{}, fmt.Errorf("walk at node %d: %w", cur, err)
-		}
-		cur = port.Remote
-	}
+// live-link traversal. A duplicate branch re-walks the remaining header, so
+// its hops and deliveries are accounted again — the duplicate physically
+// retraverses the fabric.
+func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll FaultRoller, corrupt func(any) any, src NodeID, h anr.Header, payload any) Traversal {
 	w := walker{pm: pm, up: up, filter: filter, roll: roll, corrupt: corrupt, h: h}
 	var tr Traversal
 	w.walk(&tr, branch{cur: src, rev: anr.Local(), arrivedOn: anr.NCU, pl: payload})
-	return tr, nil
+	return tr
 }
 
 // walker is the inputs of one WalkRouteFaults call. The traversal every
@@ -216,7 +218,7 @@ func (w *walker) walk(tr *Traversal, b branch) {
 			tr.DroppedAt = b.cur
 			return
 		}
-		f := FaultNone
+		f := faultNone
 		if w.roll != nil {
 			f = w.roll(b.cur)
 		}
@@ -235,7 +237,7 @@ func (w *walker) walk(tr *Traversal, b branch) {
 		b.hops++
 		// Extend the reverse route: from the next node, first traverse
 		// back over this link, then follow the previous reverse route.
-		port, _ := w.pm.Resolve(b.cur, hop.Link) // pre-validated
+		port, _ := w.pm.Resolve(b.cur, hop.Link) // admitted: cannot fail
 		next := make(anr.Header, 0, len(b.rev)+1)
 		next = append(next, anr.Hop{Link: port.RemoteID})
 		b.rev = append(next, b.rev...)

@@ -3,6 +3,7 @@ package election
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,5 +165,40 @@ func TestBadStarter(t *testing.T) {
 	}
 	if _, err := Run(g, AlgoToken, []core.NodeID{0, 7}); err != nil {
 		t.Fatalf("starters at both ends of the range: %v", err)
+	}
+}
+
+// TestBaselinesRefuseForeignGraphs: Hirschberg-Sinclair is defined on rings
+// and the all-pairs exchange on complete graphs; anywhere else the one loops
+// to the event budget and the other "elects" whoever its neighbours happen to
+// name. Both runtimes refuse such a run before building a network; the
+// paper's algorithm runs on every connected graph.
+func TestBaselinesRefuseForeignGraphs(t *testing.T) {
+	const n = 8
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		defined map[Algorithm]bool
+	}{
+		{"ring", graph.Ring(n), map[Algorithm]bool{AlgoToken: true, AlgoHS: true}},
+		{"path", graph.Path(n), map[Algorithm]bool{AlgoToken: true}},
+		{"star", graph.Star(n), map[Algorithm]bool{AlgoToken: true}},
+		{"gnp", graph.GNP(n, 0.5, 3), map[Algorithm]bool{AlgoToken: true}},
+		{"complete", graph.Complete(n), map[Algorithm]bool{AlgoToken: true, AlgoNaive: true}},
+		{"triangle", graph.Complete(3), map[Algorithm]bool{AlgoToken: true, AlgoHS: true, AlgoNaive: true}},
+	} {
+		for _, algo := range []Algorithm{AlgoToken, AlgoHS, AlgoNaive} {
+			starters := allNodes(tc.g.N())
+			_, errSim := Run(tc.g, algo, starters)
+			_, errGo := RunAsync(tc.g, algo, starters, 1, 10*time.Second)
+			for rt, err := range map[string]error{"sim": errSim, "gosim": errGo} {
+				if tc.defined[algo] && err != nil {
+					t.Errorf("%s on %s (%s): %v", algo, tc.name, rt, err)
+				}
+				if !tc.defined[algo] && (!errors.Is(err, ErrUndefined) || !strings.Contains(err.Error(), algo.String())) {
+					t.Errorf("%s on %s (%s): %v, want ErrUndefined naming the algorithm", algo, tc.name, rt, err)
+				}
+			}
+		}
 	}
 }

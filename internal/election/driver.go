@@ -41,12 +41,24 @@ var ErrNoLeader = errors.New("election: run did not elect exactly one leader")
 // ErrBadStarter is returned when a starter is not a node of the graph.
 var ErrBadStarter = errors.New("election: starter is not a node of the graph")
 
-// checkStarters rejects starters outside [0, n) before a runtime indexes its
-// node table with them.
-func checkStarters(g *graph.Graph, starters []core.NodeID) error {
+// ErrUndefined is returned when a baseline algorithm is asked to run on a
+// graph it is not defined on: on any other it loops or elects by accident.
+var ErrUndefined = errors.New("election: algorithm is not defined on this graph")
+
+// checkRun refuses, before a network is built, a baseline on a graph it is
+// not defined on (the graph is simple, so the edge count settles both shapes)
+// and starters outside [0, n), which a runtime would index its node table with.
+func checkRun(g *graph.Graph, algo Algorithm, starters []core.NodeID) error {
+	n := g.N()
+	switch {
+	case algo == AlgoHS && !(g.Connected() && g.M() == n && g.MaxDegree() == 2):
+		return fmt.Errorf("%w: %v needs a ring (connected, every node of degree 2)", ErrUndefined, algo)
+	case algo == AlgoNaive && g.M() != n*(n-1)/2:
+		return fmt.Errorf("%w: %v needs a complete graph", ErrUndefined, algo)
+	}
 	for i, s := range starters {
-		if s < 0 || int(s) >= g.N() {
-			return fmt.Errorf("%w: starters[%d] = %d, want 0 <= s < %d", ErrBadStarter, i, s, g.N())
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("%w: starters[%d] = %d, want 0 <= s < %d", ErrBadStarter, i, s, n)
 		}
 	}
 	return nil
@@ -114,9 +126,10 @@ func stateOf(p core.Protocol) State {
 // Run executes one election on the discrete-event runtime: the given
 // starters receive START at time 0, the network runs to quiescence, and the
 // outcome is validated (exactly one leader; every other node knows it). A
-// starter outside the graph is refused with ErrBadStarter.
+// starter outside the graph is refused with ErrBadStarter, a baseline on a
+// graph it is not defined on with ErrUndefined.
 func Run(g *graph.Graph, algo Algorithm, starters []core.NodeID, opts ...sim.Option) (Result, error) {
-	if err := checkStarters(g, starters); err != nil {
+	if err := checkRun(g, algo, starters); err != nil {
 		return Result{}, err
 	}
 	stats := &Stats{}
@@ -134,7 +147,7 @@ func Run(g *graph.Graph, algo Algorithm, starters []core.NodeID, opts ...sim.Opt
 // RunAsync executes one election on the goroutine runtime. Extra options
 // (e.g. a reorder fault profile) are appended after the driver's own.
 func RunAsync(g *graph.Graph, algo Algorithm, starters []core.NodeID, seed int64, timeout time.Duration, opts ...gosim.Option) (Result, error) {
-	if err := checkStarters(g, starters); err != nil {
+	if err := checkRun(g, algo, starters); err != nil {
 		return Result{}, err
 	}
 	stats := &Stats{}
@@ -150,14 +163,9 @@ func RunAsync(g *graph.Graph, algo Algorithm, starters []core.NodeID, seed int64
 	return outcome(g, net, stats)
 }
 
-// finished is what either runtime's network shows of a run that has quiesced.
-type finished interface {
-	Protocol(core.NodeID) core.Protocol
-	Metrics() core.Metrics
-}
-
-// outcome validates a finished run and assembles its Result.
-func outcome(g *graph.Graph, net finished, stats *Stats) (Result, error) {
+// outcome validates a run that has quiesced, on either runtime, and assembles
+// its Result.
+func outcome(g *graph.Graph, net core.Runtime, stats *Stats) (Result, error) {
 	leader, err := validate(g, func(u core.NodeID) State { return stateOf(net.Protocol(u)) })
 	if err != nil {
 		return Result{}, err

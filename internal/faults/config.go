@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -189,7 +190,8 @@ const defaultTimeout = 30 * time.Second
 
 // Flags registers every knob on fs, each flag writing its field of cfg, and
 // returns the function to call once fs has parsed the command line: it
-// resolves -mode, the one flag whose value is a name.
+// resolves -mode, the one flag whose value is a name, and range-checks the
+// rest.
 func (cfg *Config) Flags(fs *flag.FlagSet) (parsed func() error) {
 	var mode string
 	for _, k := range cfg.knobs() {
@@ -219,8 +221,33 @@ func (cfg *Config) Flags(fs *flag.FlagSet) (parsed func() error) {
 		default:
 			return fmt.Errorf("unknown mode %q (want branching-paths or flooding)", mode)
 		}
-		return nil
+		return cfg.check()
 	}
+}
+
+// check rejects a knob outside its range, naming its flag, before normalize
+// can read a negative as "default": a probability — a *float64 knob that feeds
+// msgFaults, or LeaderCrash — lies in [0, 1]; every other count, rate and
+// duration is finite and not negative (-seed is any int64).
+func (cfg *Config) check() error {
+	probs := []*float64{&cfg.LeaderCrash, &cfg.Loss, &cfg.Dup, &cfg.Corrupt, &cfg.Jitter, &cfg.Reorder, &cfg.Slow}
+	for _, k := range cfg.knobs() {
+		v, hi, want := 0.0, math.MaxFloat64, "finite and >= 0"
+		switch p := k.field.(type) {
+		case *int:
+			v = float64(*p)
+		case *time.Duration:
+			v = float64(*p)
+		case *float64:
+			if v = *p; slices.Contains(probs, p) {
+				hi, want = 1, "a probability in [0, 1]"
+			}
+		}
+		if !(v >= 0 && v <= hi) { // NaN is neither
+			return fmt.Errorf("-%s %v: must be %s", k.name, reflect.ValueOf(k.field).Elem().Interface(), want)
+		}
+	}
+	return nil
 }
 
 // Repro renders the fastnet soak invocation that reproduces this config on

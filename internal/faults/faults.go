@@ -9,7 +9,7 @@
 // naive protocol deadlocking under link failures, and §4's election must
 // survive origin crashes. This package turns those hand-scripted scenarios
 // into a reusable subsystem: generators compile to either runtime through
-// the small injector surface, and the soak driver checks the protocols'
+// core.Runtime's InjectLink, and the soak driver checks the protocols'
 // invariants after every churn epoch.
 package faults
 
@@ -82,19 +82,6 @@ func sortEvents(evs []event) {
 		}
 		return evs[i].V < evs[j].V
 	})
-}
-
-// injector is the fault-application surface a runtime exposes to the chaos
-// engine. Both *sim.Network and *gosim.Network implement it (the
-// discrete-event runtime applies the change at its current virtual time).
-type injector interface {
-	// Graph returns the underlying topology.
-	Graph() *graph.Graph
-	// linkUp reports the current hardware state of edge {u, v}.
-	LinkUp(u, v core.NodeID) bool
-	// InjectLink flips the hardware state of edge {u, v}; both endpoint
-	// NCUs receive the data-link notification.
-	InjectLink(u, v core.NodeID, up bool)
 }
 
 // flip is one concrete link state change derived from an event by the state

@@ -74,6 +74,9 @@ type soakRun struct {
 // network the run builds — the fabric and the per-epoch election and detector
 // networks alike.
 func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
+	}
 	cfg.normalize()
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("faults: Epochs must be positive")
@@ -150,13 +153,13 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 		if r.wit != nil {
 			opts = append(opts, sim.WithTrace(r.wit))
 		}
-		r.h = newSimHarness(sim.New(g, factory, r.with(opts...)...))
+		r.h = simHarness{sim.New(g, factory, r.with(opts...)...)}
 	case "gosim":
 		opts := []gosim.Option{gosim.WithSeed(cfg.Seed), gosim.WithDmax(dmax)}
 		if r.wit != nil {
 			opts = append(opts, gosim.WithTrace(r.wit))
 		}
-		r.h = newGosimHarness(gosim.New(g, factory, opts...), cfg.Timeout)
+		r.h = gosimHarness{gosim.New(g, factory, opts...), cfg.Timeout}
 	default:
 		return nil, fmt.Errorf("faults: unknown runtime %q", cfg.Runtime)
 	}

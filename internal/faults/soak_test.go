@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -22,12 +23,12 @@ func TestConvergedCatchesPrivateStaleList(t *testing.T) {
 	g := graph.GNP(12, 0.35, 2)
 	topo := topology.NewMaintainer(topology.ModeBranching, true, nil)
 	r := &soakRun{g: g, st: newState(g)}
-	r.h = newSimHarness(sim.New(g, func(id core.NodeID) core.Protocol {
+	r.h = simHarness{sim.New(g, func(id core.NodeID) core.Protocol {
 		return &soakNode{
 			topo: topo(id).(topology.Maintainer), mgr: calls.New(id),
 			rel: reliable.NewEndpoint(id, reliable.Config{RTO: 1}), book: &probeBook{},
 		}
-	}, sim.WithDelays(0, 1), sim.WithDmax(g.N())))
+	}, sim.WithDelays(0, 1), sim.WithDmax(g.N()))}
 	if rounds, witness, err := r.convergeRounds(); err != nil || rounds < 0 {
 		t.Fatalf("no convergence: %v %s", err, witness)
 	}
@@ -165,6 +166,22 @@ func TestSoakRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Soak(g, Config{Epochs: 1, Runtime: "bogus"}); err == nil {
 		t.Fatal("unknown runtime must error")
+	}
+	// A library caller's knobs are range-checked like the command line's,
+	// before normalize can take a negative for "default".
+	for flag, cfg := range map[string]Config{
+		"-loss 2":       {Epochs: 1, Loss: 2},
+		"-slow NaN":     {Epochs: 1, Slow: math.NaN()},
+		"-flaplen -1":   {Epochs: 1, FlapLen: -1},
+		"-link-cap -1":  {Epochs: 1, LinkCap: -1},
+		"-timeout -1ns": {Epochs: 1, Timeout: -1},
+	} {
+		if _, err := Soak(g, cfg); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("Soak accepted %s: %v", flag, err)
+		}
+	}
+	if _, err := Soak(g, Config{Epochs: 1, Seed: -4, LeaderCrash: 1, Loss: 0}); err != nil {
+		t.Fatalf("bounds of the ranges, and any seed: %v", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package gosim is the goroutine-based runtime for fastnet protocols. Every
 // NCU is a goroutine draining an unbounded FIFO inbox; the switching
-// hardware is instantaneous (core.WalkRoute); scheduling nondeterminism
+// hardware is instantaneous (core.WalkRouteFaults); scheduling nondeterminism
 // comes from the Go scheduler. It implements the same core.Env contract as
 // the discrete-event runtime, so protocol code runs unchanged.
 //
@@ -55,14 +55,16 @@ func WithTrace(s trace.Sink) Option { return func(c *config) { c.sink = s } }
 // replaying them.
 func WithMsgFaults(f core.MsgFaults) Option { return func(c *config) { c.faults = f } }
 
+var _ core.Runtime = (*Network)(nil)
+
 // Network is a running goroutine network.
 type Network struct {
 	g   *graph.Graph
 	pm  *core.PortMap
 	cfg config
 
-	mu   sync.RWMutex // guards down
-	down map[graph.Edge]bool
+	mu    sync.RWMutex // guards links: InjectLink writes; walks and Env.Ports read
+	links core.Links
 
 	faultMu  sync.Mutex // guards faults + faultRng
 	faults   core.MsgFaults
@@ -75,29 +77,9 @@ type Network struct {
 	quiesceMu sync.Mutex
 	quiesceC  *sync.Cond
 
-	hops         atomic.Int64
-	deliveries   atomic.Int64
-	copies       atomic.Int64
-	injections   atomic.Int64
-	linkEvents   atomic.Int64
-	sends        atomic.Int64
-	packets      atomic.Int64
-	drops        atomic.Int64
-	dmaxViol     atomic.Int64
-	headerBits   atomic.Int64
-	maxHdrHops   atomic.Int64
-	filtered     atomic.Int64
-	faultDrops   atomic.Int64
-	faultDups    atomic.Int64
-	faultCorr    atomic.Int64
-	faultJitter  atomic.Int64
-	faultReorder atomic.Int64
-	faultSlow    atomic.Int64
-	stallTicks   atomic.Int64
-	perNode      []atomic.Int64
-	actSeq       atomic.Int64
-	msgSeq       atomic.Int64
-	stopped      atomic.Bool
+	actSeq  atomic.Int64
+	msgSeq  atomic.Int64
+	stopped atomic.Bool
 }
 
 type item struct {
@@ -116,7 +98,10 @@ type gnode struct {
 	id    core.NodeID
 	proto core.Protocol
 	rng   *rand.Rand
-	ports []core.Port
+	// metrics is this node's share of the network's: every counter is bumped
+	// on the goroutine of the node sending or being activated, so it needs no
+	// lock of its own (see Network.Metrics).
+	metrics core.Metrics
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -149,30 +134,17 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		g:        g,
 		pm:       pm,
 		cfg:      cfg,
-		down:     make(map[graph.Edge]bool),
+		links:    core.NewLinks(pm),
 		faults:   cfg.faults,
 		faultRng: rand.New(rand.NewSource(cfg.seed ^ 0x10551e5)),
 		nodes:    make([]*gnode, g.N()),
-		perNode:  make([]atomic.Int64, g.N()),
 	}
 	net.quiesceC = sync.NewCond(&net.quiesceMu)
-	// One contiguous arena holds every node's mutable port state; each node
-	// gets a capacity-clamped sub-slice (its own mutex guards the writes),
-	// instead of one copy allocation per node.
-	total := 0
-	for u := 0; u < g.N(); u++ {
-		total += len(pm.Ports(core.NodeID(u)))
-	}
-	arena := make([]core.Port, 0, total)
 	for i := range net.nodes {
-		id := core.NodeID(i)
-		start := len(arena)
-		arena = append(arena, pm.Ports(id)...)
 		nd := &gnode{
-			id:    id,
-			proto: f(id),
+			id:    core.NodeID(i),
+			proto: f(core.NodeID(i)),
 			rng:   rand.New(rand.NewSource(cfg.seed + int64(i) + 1)),
-			ports: arena[start:len(arena):len(arena)],
 		}
 		nd.cond = sync.NewCond(&nd.mu)
 		nd.env = genv{net: net, nd: nd}
@@ -217,29 +189,18 @@ func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 		panic(fmt.Sprintf("gosim: InjectLink on non-edge %d-%d", u, v))
 	}
 	net.mu.Lock()
-	net.down[graph.Edge{U: u, V: v}.Canon()] = !up
+	atU, atV := net.links.Flip(u, v, up), net.links.Flip(v, u, up)
 	net.mu.Unlock()
-	for _, end := range [2]core.NodeID{u, v} {
-		other := v
-		if end == v {
-			other = u
-		}
-		nd := net.nodes[end]
-		lid, _ := net.pm.Toward(end, other)
-		nd.mu.Lock()
-		nd.ports[int(lid)-1].Up = up
-		port := nd.ports[int(lid)-1]
-		nd.mu.Unlock()
-		net.addInflight(1)
-		nd.enqueue(item{linkEvent: true, port: port})
-	}
+	net.addInflight(2)
+	net.nodes[u].enqueue(item{linkEvent: true, port: atU})
+	net.nodes[v].enqueue(item{linkEvent: true, port: atV})
 }
 
 // LinkUp reports the current hardware state of edge {u, v}.
 func (net *Network) LinkUp(u, v core.NodeID) bool {
 	net.mu.RLock()
 	defer net.mu.RUnlock()
-	return !net.down[graph.Edge{U: u, V: v}.Canon()]
+	return net.links.Up(u, v)
 }
 
 // SetMsgFaults replaces the lossy-link profile, effective for subsequent
@@ -316,29 +277,15 @@ func (net *Network) Shutdown() {
 	net.wg.Wait()
 }
 
-// Metrics snapshots the accumulated cost measures.
+// Metrics sums the nodes' cost measures. Like Protocol, it is for a network
+// that is quiescent or shut down: the in-flight counter reaching zero (or the
+// goroutines' exit) is what orders every node's counting before the read.
 func (net *Network) Metrics() core.Metrics {
-	return core.Metrics{
-		Hops:           net.hops.Load(),
-		Deliveries:     net.deliveries.Load(),
-		CopyDeliveries: net.copies.Load(),
-		Injections:     net.injections.Load(),
-		LinkEvents:     net.linkEvents.Load(),
-		Sends:          net.sends.Load(),
-		Packets:        net.packets.Load(),
-		Drops:          net.drops.Load(),
-		DmaxViolations: net.dmaxViol.Load(),
-		HeaderBits:     net.headerBits.Load(),
-		MaxHeaderHops:  net.maxHdrHops.Load(),
-		Filtered:       net.filtered.Load(),
-		FaultDrops:     net.faultDrops.Load(),
-		FaultDups:      net.faultDups.Load(),
-		FaultCorrupts:  net.faultCorr.Load(),
-		FaultJitters:   net.faultJitter.Load(),
-		FaultReorders:  net.faultReorder.Load(),
-		FaultSlowdowns: net.faultSlow.Load(),
-		StallTicks:     net.stallTicks.Load(),
+	var m core.Metrics
+	for _, nd := range net.nodes {
+		m.Add(nd.metrics)
 	}
+	return m
 }
 
 func (net *Network) addInflight(d int64) {
@@ -371,7 +318,7 @@ func (net *Network) loop(nd *gnode) {
 		if stall > 0 {
 			// Stalled NCU: give every other runnable goroutine the processor
 			// before this activation runs — slow, not dead.
-			net.stallTicks.Add(int64(stall))
+			nd.metrics.StallTicks += int64(stall)
 			for i := 0; i < stall; i++ {
 				runtime.Gosched()
 			}
@@ -381,18 +328,17 @@ func (net *Network) loop(nd *gnode) {
 		nd.env.act = act
 		switch {
 		case it.linkEvent:
-			net.linkEvents.Add(1)
+			nd.metrics.LinkEvents++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindLinkEvent, Time: act, Node: nd.id, Act: act})
 			nd.proto.LinkEvent(&nd.env, it.port)
 		case it.pkt.Injected:
-			net.injections.Add(1)
+			nd.metrics.Injections++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindInject, Time: act, Node: nd.id, Act: act})
 			nd.proto.Deliver(&nd.env, it.pkt)
 		default:
-			net.deliveries.Add(1)
-			net.perNode[nd.id].Add(1)
+			nd.metrics.Deliveries++
 			if it.isCopy {
-				net.copies.Add(1)
+				nd.metrics.CopyDeliveries++
 			}
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindDeliver, Time: act, Node: nd.id, Act: act, Msg: it.msg})
 			nd.proto.Deliver(&nd.env, it.pkt)
@@ -427,36 +373,17 @@ func (net *Network) randomQueuePos(n int) int {
 	return net.faultRng.Intn(n + 1)
 }
 
-// faultKinds is the trace event a fired fault is recorded as.
-var faultKinds = [...]trace.Kind{
-	core.FaultDrop:     trace.KindFaultDrop,
-	core.FaultDup:      trace.KindFaultDup,
-	core.FaultCorrupt:  trace.KindFaultCorrupt,
-	core.FaultJitter:   trace.KindFaultJitter,
-	core.FaultReorder:  trace.KindFaultReorder,
-	core.FaultSlowdown: trace.KindFaultSlow,
-}
-
-// route performs the hardware traversal synchronously and enqueues the
-// resulting NCU deliveries.
-func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64) error {
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	if err := h.CheckDmax(net.cfg.dmax); err != nil {
-		net.dmaxViol.Add(1)
+// route admits the packet, performs the hardware traversal synchronously and
+// enqueues the resulting NCU deliveries. It runs on the goroutine of nd, the
+// sender, inside the activation nd.env.act, and counts into nd's metrics.
+func (net *Network) route(nd *gnode, h anr.Header, payload any) error {
+	m, act := &nd.metrics, nd.env.act
+	if err := net.pm.Admit(m, nd.id, h, net.cfg.dmax); err != nil {
 		return err
 	}
 	msg := net.msgSeq.Add(1)
-	linkUp := func(u core.NodeID, l anr.ID) bool {
-		p, rerr := net.pm.Resolve(u, l)
-		if rerr != nil {
-			return false
-		}
-		return !net.down[graph.Edge{U: u, V: p.Remote}.Canon()]
-	}
-	// The lossy-link roller serializes rolls over the shared fault source;
-	// fault trace events are emitted inline so they carry the message ID.
+	// The roller serializes rolls over the shared fault source; the ledger
+	// records each inline, so fault events carry the message ID.
 	var roll core.FaultRoller
 	net.faultMu.Lock()
 	faults := net.faults
@@ -466,23 +393,7 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 			net.faultMu.Lock()
 			f := faults.Roll(net.faultRng)
 			net.faultMu.Unlock()
-			switch f {
-			case core.FaultDrop:
-				net.faultDrops.Add(1)
-			case core.FaultDup:
-				net.faultDups.Add(1)
-			case core.FaultCorrupt:
-				net.faultCorr.Add(1)
-			case core.FaultJitter:
-				net.faultJitter.Add(1)
-			case core.FaultReorder:
-				net.faultReorder.Add(1)
-			case core.FaultSlowdown:
-				net.faultSlow.Add(1)
-			}
-			if f != core.FaultNone {
-				net.cfg.sink.Record(trace.Event{Kind: faultKinds[f], Time: act, Node: at, Msg: msg, Cause: f.String()})
-			}
+			f.Count(m, net.cfg.sink, act, at, msg)
 			return f
 		}
 	}
@@ -491,29 +402,18 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 		defer net.faultMu.Unlock()
 		return core.CorruptPayload(pl, net.faultRng)
 	}
+	up := func(u core.NodeID, l anr.ID) bool { return net.links[u][l-1].Up }
 	net.mu.RLock()
-	tr, err := core.WalkRouteFaults(net.pm, linkUp, net.cfg.filter, roll, corrupt, src, h, payload)
+	tr := core.WalkRouteFaults(net.pm, up, net.cfg.filter, roll, corrupt, nd.id, h, payload)
 	net.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	net.packets.Add(1)
-	net.hops.Add(int64(tr.Hops))
-	hdrHops := int64(h.HopCount())
-	net.headerBits.Add((hdrHops + 1) * int64(net.pm.IDWidth()+1))
-	for {
-		cur := net.maxHdrHops.Load()
-		if hdrHops <= cur || net.maxHdrHops.CompareAndSwap(cur, hdrHops) {
-			break
-		}
-	}
-	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: act, Node: src, Act: act, Msg: msg})
+	m.Hops += int64(tr.Hops)
+	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: act, Node: nd.id, Act: act, Msg: msg})
 	if tr.Dropped {
-		net.drops.Add(1)
+		m.Drops++
 		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: tr.DroppedAt, Msg: msg})
 	}
 	if tr.Filtered {
-		net.filtered.Add(1)
+		m.Filtered++
 		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: tr.DroppedAt, Msg: msg})
 	}
 	for _, d := range tr.Deliveries {
@@ -543,39 +443,26 @@ func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64)
 func (e *genv) ID() core.NodeID { return e.nd.id }
 
 func (e *genv) Ports() []core.Port {
-	// Port state is mutated under nd.mu by InjectLink; activations read it
+	// Link state is written under net.mu by InjectLink; activations read it
 	// under the same lock for a consistent snapshot.
-	e.nd.mu.Lock()
-	defer e.nd.mu.Unlock()
-	return append([]core.Port(nil), e.nd.ports...)
+	e.net.mu.RLock()
+	defer e.net.mu.RUnlock()
+	return append([]core.Port(nil), e.net.links[e.nd.id]...)
 }
 
 func (e *genv) PortToward(nb core.NodeID) (core.Port, bool) {
-	lid, ok := e.net.pm.Toward(e.nd.id, nb)
-	if !ok {
-		return core.Port{}, false
-	}
-	e.nd.mu.Lock()
-	defer e.nd.mu.Unlock()
-	return e.nd.ports[int(lid)-1], true
+	e.net.mu.RLock()
+	defer e.net.mu.RUnlock()
+	return e.net.links.Toward(e.nd.id, nb)
 }
 
 func (e *genv) Send(h anr.Header, payload any) error {
-	e.net.sends.Add(1)
-	return e.net.route(e.nd.id, h, payload, e.act)
+	e.nd.metrics.Sends++
+	return e.net.route(e.nd, h, payload)
 }
 
 func (e *genv) Multicast(hs []anr.Header, payload any) error {
-	if err := core.ValidateMulticast(hs); err != nil {
-		return err
-	}
-	e.net.sends.Add(1)
-	for _, h := range hs {
-		if err := e.net.route(e.nd.id, h, payload, e.act); err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.Multicast(&e.nd.metrics, hs, func(h anr.Header) error { return e.net.route(e.nd, h, payload) })
 }
 
 func (e *genv) Now() core.Time { return core.Time(e.net.actSeq.Load()) }

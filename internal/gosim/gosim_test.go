@@ -330,9 +330,9 @@ func (p *leafSender) LinkEvent(core.Env, core.Port) {}
 
 // DeliveriesPerNode returns a copy of the per-node delivery counts.
 func (net *Network) DeliveriesPerNode() []int64 {
-	out := make([]int64, len(net.perNode))
-	for i := range net.perNode {
-		out[i] = net.perNode[i].Load()
+	out := make([]int64, len(net.nodes))
+	for i, nd := range net.nodes {
+		out[i] = nd.metrics.Deliveries
 	}
 	return out
 }

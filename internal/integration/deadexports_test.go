@@ -38,7 +38,7 @@ var keptExports = map[string]string{
 	"(*paths.Decomposition).Rounds": "Theorem 2's measure (rounds <= log2 n), asserted by the paths tests and reported by BenchmarkTreeLabelDecompose",
 
 	// Driver hooks: the soak scripts node failures link by link through
-	// faults' injector interface; tests script them by name.
+	// core.Runtime's InjectLink; tests script them by name.
 	"(*sim.Network).CrashNode":     "driver hook: every link of a node down at once, scripted by the detector and robustness tests",
 	"(*sim.Network).RestoreNode":   "driver hook: the reverse of CrashNode",
 	"(*gosim.Network).CrashNode":   "driver hook: the same on the goroutine runtime (crash_test.go, reconverge_test.go)",

@@ -1,6 +1,7 @@
 package integration_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,8 @@ import (
 	"fastnet/internal/sim"
 )
 
-// sendOnce sends the header it is handed and keeps what Send answered.
+// sendOnce sends the header it is handed (multicasts a list of them) and
+// keeps what the switching subsystem answered.
 type sendOnce struct {
 	mu   sync.Mutex
 	errs []error
@@ -21,60 +23,164 @@ type sendOnce struct {
 func (p *sendOnce) Init(core.Env) {}
 
 func (p *sendOnce) Deliver(env core.Env, pkt core.Packet) {
-	if h, ok := pkt.Payload.(anr.Header); ok {
-		err := env.Send(h, "probe")
-		p.mu.Lock()
-		p.errs = append(p.errs, err)
-		p.mu.Unlock()
+	var err error
+	switch h := pkt.Payload.(type) {
+	case anr.Header:
+		err = env.Send(h, "probe")
+	case []anr.Header:
+		err = env.Multicast(h, "probe")
+	default:
+		return
 	}
+	p.mu.Lock()
+	p.errs = append(p.errs, err)
+	p.mu.Unlock()
 }
 
 func (p *sendOnce) LinkEvent(core.Env, core.Port) {}
 
-// TestHostileRouteRefusedOnBothRuntimes: a header naming a link that does not
-// exist is refused by Send wherever on the route the packet would have
-// stopped — here behind a dead link, where a walk that resolves links only as
-// it reaches them never looks. Both runtimes must agree, with the lossy-link
-// model on and off: the switching subsystem has one walker, and it validates
-// the route against the port map before the first hop.
+// contractDmax is the path-length restriction of every network the contract
+// table builds: the three-hop probe path fits, the four-hop row does not.
+const contractDmax = 3
+
+// contractRow is one send the hardware model must answer identically on both
+// runtimes. The graph is the path 0-1-2-3: node 0 has link 1; nodes 1 and 2
+// have link 1 (toward 0) and link 2 (toward 3); node 3 has link 1.
+type contractRow struct {
+	name    string
+	src     core.NodeID
+	send    any              // anr.Header for Send, []anr.Header for Multicast
+	down    [][2]core.NodeID // edges taken down before the send
+	want    error            // the sentinel a refusal wraps; nil with refused set means any error
+	refused bool
+}
+
+var contractRows = []contractRow{
+	{name: "empty", send: anr.Header{}, want: anr.ErrEmptyHeader, refused: true},
+	{name: "unterminated", send: anr.Header{{Link: 1}}, want: anr.ErrNoTerminator, refused: true},
+	{name: "ncu-mid-route", send: anr.Header{{Link: 1}, {Link: anr.NCU}, {Link: 2}, {Link: anr.NCU}}, want: anr.ErrEarlyNCU, refused: true},
+	{name: "huge-link-id", send: anr.Direct([]anr.ID{1 << 20}), want: anr.ErrIDRange, refused: true},
+	{name: "no-such-link-first", send: anr.Direct([]anr.ID{9}), refused: true},
+	{name: "no-such-link-later", send: anr.Direct([]anr.ID{1, 9}), refused: true},
+	// Behind a dead link, where a walk that resolves links only as it reaches
+	// them never looks: the route is refused whole all the same.
+	{name: "no-such-link-behind-dead-link", send: anr.Direct([]anr.ID{1, 9}), down: [][2]core.NodeID{{0, 1}}, refused: true},
+	{name: "dmax", send: anr.Direct([]anr.ID{1, 2, 2, 1}), want: anr.ErrPathTooLong, refused: true},
+	{name: "dead-first-link", send: anr.Direct([]anr.ID{1, 2}), down: [][2]core.NodeID{{0, 1}}},
+	{name: "copy-then-dead-link", send: anr.CopyPath([]anr.ID{1, 2, 2}), down: [][2]core.NodeID{{1, 2}}},
+	{name: "multicast-repeated-first-link", src: 1, send: []anr.Header{anr.Direct([]anr.ID{2, 2}), anr.Direct([]anr.ID{2})}, want: core.ErrMulticastLinks, refused: true},
+	{name: "multicast-bad-second-route", src: 1, send: []anr.Header{anr.Direct([]anr.ID{1}), anr.Direct([]anr.ID{2, 9})}, refused: true},
+	{name: "multicast-no-routes", src: 1, send: []anr.Header{}},
+}
+
+// contractOutcome is what one row left behind on one runtime.
+type contractOutcome struct {
+	errs    []error
+	metrics core.Metrics // FinishTime zeroed: the goroutine runtime has no clock
+}
+
+// check holds the outcome against the row: one answer, refused or not, and
+// wrapping the named sentinel where the row names one.
+func (o contractOutcome) check(t *testing.T, row contractRow) {
+	t.Helper()
+	if len(o.errs) != 1 || (o.errs[0] != nil) != row.refused {
+		t.Fatalf("%s: answered %v, want one answer, refused=%v", row.name, o.errs, row.refused)
+	}
+	if row.want != nil && !errors.Is(o.errs[0], row.want) {
+		t.Fatalf("%s: refused with %v, want %v", row.name, o.errs[0], row.want)
+	}
+}
+
+func contractOnSim(t *testing.T, row contractRow, faults core.MsgFaults) contractOutcome {
+	t.Helper()
+	p := &sendOnce{}
+	net := sim.New(graph.Path(4), func(core.NodeID) core.Protocol { return p },
+		sim.WithDelays(1, 1), sim.WithDmax(contractDmax), sim.WithMsgFaults(faults))
+	for _, e := range row.down {
+		net.InjectLink(e[0], e[1], false)
+	}
+	net.Inject(net.Now(), row.src, row.send)
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m := net.Metrics()
+	m.FinishTime = 0
+	return contractOutcome{p.errs, m}
+}
+
+func contractOnGosim(t *testing.T, row contractRow, faults core.MsgFaults) contractOutcome {
+	t.Helper()
+	p := &sendOnce{}
+	net := gosim.New(graph.Path(4), func(core.NodeID) core.Protocol { return p },
+		gosim.WithDmax(contractDmax), gosim.WithMsgFaults(faults))
+	defer net.Shutdown()
+	for _, e := range row.down {
+		net.InjectLink(e[0], e[1], false)
+	}
+	if err := net.AwaitQuiescence(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	net.Inject(row.src, row.send)
+	if err := net.AwaitQuiescence(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return contractOutcome{p.errs, net.Metrics()}
+}
+
+// TestHostileRouteRefusedOnBothRuntimes is the contract table of the hardware
+// model's send side (docs/MODEL.md §§1-4, 9): for every row — malformed,
+// unroutable, over-long, dead-ended and multicast sends — the switching
+// subsystem gives the answer the row states, the goroutine runtime gives the
+// discrete-event runtime's answer, and both count the same core.Metrics. The
+// lossy-link model is on (every traversal jittered, so the fault counts are
+// not a matter of luck) and off. Then, for each fault kind at probability 1 on
+// a three-hop copy path, both runtimes count the same hops, deliveries, copies
+// and faults of each kind.
 func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
-	// Path 0-1-2: link 1 at node 0 is the dead edge 0-1; node 1 has links 1
-	// and 2 only, so the second hop names a link nobody has.
-	g := graph.Path(3)
-	hostile := anr.Direct([]anr.ID{1, 9})
-	for _, faults := range []core.MsgFaults{{}, {Jitter: 0.5, JitterMax: 2}} {
+	for _, faults := range []core.MsgFaults{{}, {Jitter: 1, JitterMax: 2}} {
 		name := "faults-off"
 		if faults.Enabled() {
 			name = "faults-on"
 		}
 		t.Run("sim/"+name, func(t *testing.T) {
-			p := &sendOnce{}
-			net := sim.New(g, func(core.NodeID) core.Protocol { return p }, sim.WithDelays(1, 1), sim.WithMsgFaults(faults))
-			net.InjectLink(0, 1, false)
-			net.Inject(net.Now(), 0, hostile)
-			if _, err := net.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if len(p.errs) != 1 || p.errs[0] == nil {
-				t.Fatalf("Send of %v answered %v, want one refusal", hostile, p.errs)
+			for _, row := range contractRows {
+				contractOnSim(t, row, faults).check(t, row)
 			}
 		})
 		t.Run("gosim/"+name, func(t *testing.T) {
-			p := &sendOnce{}
-			net := gosim.New(g, func(core.NodeID) core.Protocol { return p }, gosim.WithMsgFaults(faults))
-			defer net.Shutdown()
-			net.InjectLink(0, 1, false)
-			if err := net.AwaitQuiescence(10 * time.Second); err != nil {
-				t.Fatal(err)
+			for _, row := range contractRows {
+				got := contractOnGosim(t, row, faults)
+				got.check(t, row)
+				if want := contractOnSim(t, row, faults); got.metrics != want.metrics {
+					t.Fatalf("%s: metrics differ\n gosim %+v\n sim   %+v", row.name, got.metrics, want.metrics)
+				}
 			}
-			net.Inject(0, hostile)
-			if err := net.AwaitQuiescence(10 * time.Second); err != nil {
-				t.Fatal(err)
+		})
+	}
+	probe := contractRow{name: "copy-path", send: anr.CopyPath([]anr.ID{1, 2, 2})}
+	for _, prof := range []struct {
+		name   string
+		faults core.MsgFaults
+		fired  func(core.Metrics) int64
+	}{
+		{"drop", core.MsgFaults{Drop: 1}, func(m core.Metrics) int64 { return m.FaultDrops }},
+		{"dup", core.MsgFaults{Dup: 1}, func(m core.Metrics) int64 { return m.FaultDups }},
+		{"corrupt", core.MsgFaults{Corrupt: 1}, func(m core.Metrics) int64 { return m.FaultCorrupts }},
+		{"jitter", core.MsgFaults{Jitter: 1, JitterMax: 3}, func(m core.Metrics) int64 { return m.FaultJitters }},
+		{"reorder", core.MsgFaults{Reorder: 1, ReorderWindow: 3}, func(m core.Metrics) int64 { return m.FaultReorders }},
+		{"slowdown", core.MsgFaults{Slowdown: 1, SlowFactor: 2, SlowMax: 3}, func(m core.Metrics) int64 { return m.FaultSlowdowns }},
+	} {
+		t.Run("saturated/"+prof.name, func(t *testing.T) {
+			onSim, onGosim := contractOnSim(t, probe, prof.faults), contractOnGosim(t, probe, prof.faults)
+			onSim.check(t, probe)
+			onGosim.check(t, probe)
+			if onSim.metrics != onGosim.metrics {
+				t.Fatalf("metrics differ\n gosim %+v\n sim   %+v", onGosim.metrics, onSim.metrics)
 			}
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			if len(p.errs) != 1 || p.errs[0] == nil {
-				t.Fatalf("Send of %v answered %v, want one refusal", hostile, p.errs)
+			if prof.fired(onSim.metrics) == 0 {
+				t.Fatalf("the %s fault never fired: %+v", prof.name, onSim.metrics)
 			}
 		})
 	}

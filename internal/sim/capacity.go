@@ -37,13 +37,13 @@ func (net *Network) applyCapacity(c core.Capacity) {
 		tok = make([][]linkBucket, len(net.nodes))
 		total := 0
 		for i := range net.nodes {
-			total += len(net.nodes[i].ports)
+			total += len(net.links[i])
 		}
 		arena := make([]linkBucket, total)
 		burst := c.Burst()
 		off := 0
 		for i := range net.nodes {
-			n := len(net.nodes[i].ports)
+			n := len(net.links[i])
 			row := arena[off : off+n : off+n]
 			for j := range row {
 				row[j] = linkBucket{tok: burst, last: net.sp.now}

@@ -5,7 +5,6 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
-	"fastnet/internal/graph"
 	"fastnet/internal/trace"
 )
 
@@ -56,36 +55,14 @@ func (net *Network) hwDelayOnce(from core.NodeID) core.Time {
 	return 1 + core.Time(net.hwSrc(from).Int63n(int64(c)))
 }
 
-// route launches packet routing from node src at the current time. Hops are
-// stepped as individual events so that link failures affect packets in
-// flight. Semantics match core.WalkRoute.
+// route launches packet routing from node src at the current time, once
+// core admits the send. Hops are stepped as individual events so that link
+// failures affect packets in flight.
 func (net *Network) route(src core.NodeID, h anr.Header, payload any, act int64) error {
-	if err := h.Validate(); err != nil {
+	if err := net.pm.Admit(&net.metrics, src, h, net.cfg.dmax); err != nil {
 		return err
-	}
-	if err := h.CheckDmax(net.cfg.dmax); err != nil {
-		net.metrics.DmaxViolations++
-		return err
-	}
-	// Static pre-validation: every named link must exist in the topology.
-	cur := src
-	for _, hop := range h {
-		if hop.Link == anr.NCU {
-			break
-		}
-		port, err := net.pm.Resolve(cur, hop.Link)
-		if err != nil {
-			return err
-		}
-		cur = port.Remote
 	}
 	msg := net.nextMsg(src)
-	net.metrics.Packets++
-	hops := int64(h.HopCount())
-	net.metrics.HeaderBits += (hops + 1) * int64(net.pm.IDWidth()+1)
-	if hops > net.metrics.MaxHeaderHops {
-		net.metrics.MaxHeaderHops = hops
-	}
 	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: int64(net.sp.now), Node: src, Act: act, Msg: msg})
 	// One reverse-path buffer per packet, carved from this event core's hop
 	// arena and filled back to front as the header is consumed: the reverse
@@ -144,12 +121,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 			}
 			return
 		}
-		port, err := net.pm.Resolve(cur, hop.Link)
-		if err != nil {
-			// Pre-validated at send; unreachable unless topology changed shape.
-			net.metrics.Drops++
-			return
-		}
+		port := net.links[cur][hop.Link-1] // the live port; admitted at send, so it exists
 		if i > 0 && net.cfg.filter != nil && !net.cfg.filter(cur, payload) {
 			net.metrics.Filtered++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
@@ -160,7 +132,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 				e.payload, e.h, e.rev = payload, h[i+1:].Clone(), rev
 			}
 		}
-		if net.down[graph.Edge{U: cur, V: port.Remote}.Canon()] {
+		if !port.Up {
 			net.metrics.Drops++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
 			return
@@ -191,37 +163,27 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 		var extraDelay core.Time
 		duplicate := false
 		if net.cfg.faults.Enabled() {
-			switch net.cfg.faults.Roll(net.faultSrc(cur)) {
+			f := net.cfg.faults.Roll(net.faultSrc(cur))
+			f.Count(&net.metrics, net.cfg.sink, int64(net.sp.now), cur, msg)
+			switch f {
 			case core.FaultDrop:
-				net.metrics.FaultDrops++
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultDrop, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultDrop.String()})
 				return
 			case core.FaultDup:
-				net.metrics.FaultDups++
 				duplicate = true
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultDup, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultDup.String()})
 			case core.FaultCorrupt:
-				net.metrics.FaultCorrupts++
 				payload = core.CorruptPayload(payload, net.faultSrc(cur))
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultCorrupt, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultCorrupt.String()})
 			case core.FaultJitter:
-				net.metrics.FaultJitters++
 				extraDelay = net.cfg.faults.JitterDelay(net.faultSrc(cur))
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultJitter, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultJitter.String()})
 			case core.FaultReorder:
 				// A reorder fault holds the packet back on the wire: the
 				// extra delay lets traffic sent later on the same link
 				// overtake it, which is what breaks the FIFO discipline.
-				net.metrics.FaultReorders++
 				extraDelay = net.cfg.faults.ReorderDelay(net.faultSrc(cur))
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultReorder, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultReorder.String()})
 			case core.FaultSlowdown:
 				// A gray link: the packet is delivered intact, just late —
 				// the extra delay is >= 1, so a slowed hop always leaves the
 				// instant and never fuses into a zero-delay chain.
-				net.metrics.FaultSlowdowns++
 				extraDelay = net.cfg.faults.SlowdownDelay(net.faultSrc(cur), net.cfg.hwDelay)
-				net.cfg.sink.Record(trace.Event{Kind: trace.KindFaultSlow, Time: int64(net.sp.now), Node: cur, Msg: msg, Cause: core.FaultSlowdown.String()})
 			}
 		}
 		net.metrics.Hops++

@@ -5,7 +5,6 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
-	"fastnet/internal/graph"
 	"fastnet/internal/trace"
 )
 
@@ -13,7 +12,6 @@ type node struct {
 	id        core.NodeID
 	proto     core.Protocol
 	rng       *rand.Rand // created on first draw; see node.random
-	ports     []core.Port
 	busyUntil core.Time
 	// NCU-stall window (gray failure): while now < stallUntil every
 	// activation's software delay is inflated by stallExtra.
@@ -117,24 +115,13 @@ func (net *Network) dispatch(ev *eventRec) {
 		}
 	case evLinkFlip:
 		u, v, up := ev.node, core.NodeID(ev.hopIdx), ev.flags&flagUp != 0
-		e := graph.Edge{U: u, V: v}.Canon()
-		net.down[e] = !up
-		for _, end := range [2]core.NodeID{u, v} {
+		for _, end := range [2][2]core.NodeID{{u, v}, {v, u}} {
 			// On a sharded network a cut edge's flip record reaches both
-			// shards; each notifies only the endpoint it owns.
-			if !net.ownsNode(end) {
-				continue
+			// shards; each flips and notifies only the endpoint it owns.
+			if net.ownsNode(end[0]) {
+				net.curOrigin = int32(end[0])
+				net.enqueueLinkEvent(end[0], net.links.Flip(end[0], end[1], up))
 			}
-			other := v
-			if end == v {
-				other = u
-			}
-			net.curOrigin = int32(end)
-			nd := &net.nodes[end]
-			lid, _ := net.pm.Toward(end, other)
-			port := &nd.ports[int(lid)-1]
-			port.Up = up
-			net.enqueueLinkEvent(end, *port)
 		}
 	}
 }
@@ -260,14 +247,10 @@ func (net *Network) swDelayFor(nd *node) core.Time {
 
 func (e *env) ID() core.NodeID { return e.nd.id }
 
-func (e *env) Ports() []core.Port { return e.nd.ports }
+func (e *env) Ports() []core.Port { return e.net.links[e.nd.id] }
 
 func (e *env) PortToward(nb core.NodeID) (core.Port, bool) {
-	lid, ok := e.net.pm.Toward(e.nd.id, nb)
-	if !ok {
-		return core.Port{}, false
-	}
-	return e.nd.ports[int(lid)-1], true
+	return e.net.links.Toward(e.nd.id, nb)
 }
 
 func (e *env) Send(h anr.Header, payload any) error {
@@ -276,16 +259,9 @@ func (e *env) Send(h anr.Header, payload any) error {
 }
 
 func (e *env) Multicast(hs []anr.Header, payload any) error {
-	if err := core.ValidateMulticast(hs); err != nil {
-		return err
-	}
-	e.net.metrics.Sends++
-	for _, h := range hs {
-		if err := e.net.route(e.nd.id, h, payload, e.act); err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.Multicast(&e.net.metrics, hs, func(h anr.Header) error {
+		return e.net.route(e.nd.id, h, payload, e.act)
+	})
 }
 
 func (e *env) Now() core.Time { return e.net.sp.now }

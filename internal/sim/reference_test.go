@@ -264,8 +264,15 @@ func (nd *refNode) PortToward(nb core.NodeID) (core.Port, bool) {
 func (nd *refNode) Send(h anr.Header, payload any) error { return nd.send([]anr.Header{h}, payload) }
 
 func (nd *refNode) Multicast(hs []anr.Header, payload any) error {
-	if err := core.ValidateMulticast(hs); err != nil {
-		return err
+	first := map[anr.ID]bool{} // the §2 rule, the naive way: routes start on distinct links
+	for _, h := range hs {
+		if err := h.Validate(); err != nil {
+			return err
+		}
+		if first[h[0].Link] {
+			return core.ErrMulticastLinks
+		}
+		first[h[0].Link] = true
 	}
 	return nd.send(hs, payload)
 }

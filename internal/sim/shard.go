@@ -128,7 +128,7 @@ func (net *Network) buildShards() {
 			g:         net.g,
 			pm:        net.pm,
 			cfg:       net.cfg,
-			down:      make(map[graph.Edge]bool),
+			links:     net.links,
 			nodes:     net.nodes, // shared; each shard touches only owned rows
 			perNode:   net.perNode,
 			busy:      net.busy,

@@ -120,6 +120,8 @@ func WithMsgFaults(f core.MsgFaults) Option {
 	return func(cf *config) { cf.faults = f }
 }
 
+var _ core.Runtime = (*Network)(nil)
+
 // Network is a simulated network: a graph, one protocol instance per node,
 // and the event queue.
 type Network struct {
@@ -130,7 +132,7 @@ type Network struct {
 	hops     hopArena // reverse-route buffers of the packets this core launches
 	seq      uint64
 	nodes    []node
-	down     map[graph.Edge]bool
+	links    core.Links // live link state; a shard child shares the table and writes the rows it owns
 	rng      *rand.Rand // network-level source (hardware delays)
 	faultRng *rand.Rand // lossy-link rolls (separate stream: enabling faults must not perturb delay draws)
 
@@ -176,7 +178,7 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		g:        g,
 		pm:       pm,
 		cfg:      cfg,
-		down:     make(map[graph.Edge]bool),
+		links:    core.NewLinks(pm),
 		rng:      rand.New(rand.NewSource(cfg.seed)),
 		faultRng: rand.New(rand.NewSource(cfg.seed ^ 0x10551e5)),
 		nodes:    make([]node, g.N()),
@@ -184,22 +186,10 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		busy:     make([]core.Time, g.N()),
 	}
 	net.sp.initRing(cfg.ringSize())
-	// One contiguous port arena for all nodes: each node's mutable port
-	// slice is a sub-slice (full-slice expression, so no append can bleed
-	// into a neighbor's ports), instead of one small allocation per node.
-	total := 0
-	for u := 0; u < g.N(); u++ {
-		total += len(pm.Ports(core.NodeID(u)))
-	}
-	arena := make([]core.Port, 0, total)
 	for i := range net.nodes {
-		id := core.NodeID(i)
-		start := len(arena)
-		arena = append(arena, pm.Ports(id)...)
 		nd := &net.nodes[i]
-		nd.id = id
-		nd.proto = f(id)
-		nd.ports = arena[start:len(arena):len(arena)]
+		nd.id = core.NodeID(i)
+		nd.proto = f(nd.id)
 		nd.env = env{net: net, nd: nd}
 	}
 	if cfg.shards >= 1 {
@@ -309,7 +299,7 @@ func (net *Network) Inject(t core.Time, v core.NodeID, payload any) {
 // SetLink schedules a link state change at time t. The hardware state flips
 // at t; both endpoint NCUs receive a LinkEvent activation (the data-link
 // notification). On a sharded network a cut edge's flip is delivered to both
-// endpoint-owning shards — each updates its own link-state map and notifies
+// endpoint-owning shards — each flips its own end of the link and notifies
 // only the endpoints it owns. Driver ordinals sort before all node-created
 // events at the same instant, so the flip is visible to every hop at t on
 // every shard.
@@ -333,9 +323,7 @@ func (net *Network) scheduleFlip(t core.Time, u, v core.NodeID, up bool) {
 }
 
 // LinkUp reports the current hardware state of edge {u, v}.
-func (net *Network) LinkUp(u, v core.NodeID) bool {
-	return !net.ownerOf(u).down[graph.Edge{U: u, V: v}.Canon()]
-}
+func (net *Network) LinkUp(u, v core.NodeID) bool { return net.links.Up(u, v) }
 
 // CrashNode schedules the model's node failure at time t: an inactive node
 // is one all of whose links are inactive (§2), so every incident link goes
