@@ -253,8 +253,9 @@ func BenchmarkGosimBroadcast1024(b *testing.B) {
 // a dense GNP flood under hardware delay c with every hop jittered up to 384
 // ticks — far past the historical 64-slot ring window — and NCU slowdowns
 // stretching the activation backlog. The auto-sized calendar ring keeps the
-// run at ~100% heap bypass; compare against sim.WithRingWindow(64), which
-// sends most hops through a million-entry heap (see docs/PERF.md).
+// run at ~100% heap bypass; compare against a fixed 64-slot ring
+// (WithFixedRing(64) in sim's own tests), which sends most hops through a
+// million-entry heap (see docs/PERF.md).
 func benchJitterBroadcast(b *testing.B, c core.Time, shards int) {
 	faults := core.MsgFaults{Jitter: 1, JitterMax: 384, Slowdown: 0.1, SlowFactor: 2, SlowMax: 512}
 	n := 1024
@@ -364,8 +365,8 @@ func BenchmarkElection1024(b *testing.B) {
 	reportControlPlane(b, 1024, ops, m0)
 }
 
-// BenchmarkReliableAdaptive mirrors the bench artifact's ReliableAdaptive
-// row: 64 frames through the Jacobson/Karn estimator on a two-node fabric.
+// BenchmarkReliableAdaptive times E23's adaptive sender: 64 frames through
+// the Jacobson/Karn estimator on a two-node fabric.
 func BenchmarkReliableAdaptive(b *testing.B) {
 	const msgs = 64
 	g := graph.Path(2)

@@ -140,8 +140,8 @@ func TestWalkRouteTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WalkRoute: %v", err)
 	}
-	if tr.Dropped {
-		t.Fatal("unexpected drop")
+	if len(tr.Dropped) > 0 {
+		t.Fatalf("unexpected drops at %v", tr.Dropped)
 	}
 	if tr.Hops != 3 {
 		t.Fatalf("Hops = %d, want 3", tr.Hops)
@@ -200,7 +200,7 @@ func TestWalkRouteDropDeliversPendingCopy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WalkRoute: %v", err)
 	}
-	if !tr.Dropped || tr.DroppedAt != 1 {
+	if len(tr.Dropped) != 1 || tr.Dropped[0] != 1 {
 		t.Fatalf("expected drop at node 1, got %+v", tr)
 	}
 	if len(tr.Deliveries) != 1 || tr.Deliveries[0].Node != 1 || !tr.Deliveries[0].Copy {
@@ -237,8 +237,29 @@ func TestWalkRouteBadLink(t *testing.T) {
 	}
 }
 
-// Property: the accumulated reverse route of a terminal delivery leads back
-// to the sender, on random trees and random source/destination pairs.
+// The walk fills one reverse-route buffer per packet, back to front, so what
+// a walk allocates does not grow with the route: the buffer, the delivery
+// list and nothing per hop.
+func TestWalkAllocsFlatInHops(t *testing.T) {
+	pm := NewPortMap(graph.Path(257))
+	for _, hops := range []int{8, 64, 256} {
+		path := make([]NodeID, hops+1)
+		for i := range path {
+			path[i] = NodeID(i)
+		}
+		links, _ := pm.RouteLinks(path)
+		h := anr.Direct(links)
+		allocs := testing.AllocsPerRun(50, func() {
+			if tr := WalkRouteFaults(pm, allUp, nil, nil, nil, 0, h, nil); tr.Hops != hops {
+				t.Fatalf("walk: %d hops, want %d", tr.Hops, hops)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%d hops: %.0f allocations per walk, want <= 4", hops, allocs)
+		}
+	}
+}
+
 // The goroutine runtime builds its link-state, roller and corruption closures
 // for every send; a walk that made them escape would add two objects to each
 // fault-free send. The walk may allocate what it delivers and nothing for
@@ -267,6 +288,8 @@ func TestWalkLeavesCallersClosuresOnTheStack(t *testing.T) {
 	}
 }
 
+// Property: the accumulated reverse route of a terminal delivery leads back
+// to the sender, on random trees and random source/destination pairs.
 func TestWalkReverseRouteQuick(t *testing.T) {
 	f := func(seed int64, a, b uint8) bool {
 		g := graph.RandomTree(20, seed)
@@ -282,13 +305,13 @@ func TestWalkReverseRouteQuick(t *testing.T) {
 			return false
 		}
 		tr, err := WalkRoute(pm, allUp, src, anr.Direct(links))
-		if err != nil || tr.Dropped || len(tr.Deliveries) != 1 {
+		if err != nil || len(tr.Dropped) > 0 || len(tr.Deliveries) != 1 {
 			return false
 		}
 		// Follow the reverse route from dst: it must terminate at src with
 		// the same number of hops.
 		back, err := WalkRoute(pm, allUp, dst, tr.Deliveries[0].Reverse)
-		if err != nil || back.Dropped || len(back.Deliveries) != 1 {
+		if err != nil || len(back.Dropped) > 0 || len(back.Deliveries) != 1 {
 			return false
 		}
 		return back.Deliveries[0].Node == src && back.Hops == tr.Hops
@@ -315,7 +338,7 @@ func TestWalkCopyPathCoverageQuick(t *testing.T) {
 			return false
 		}
 		tr, err := WalkRoute(pm, allUp, src, anr.CopyPath(links))
-		if err != nil || tr.Dropped {
+		if err != nil || len(tr.Dropped) > 0 {
 			return false
 		}
 		if len(tr.Deliveries) != len(path)-1 {

@@ -41,15 +41,12 @@ type Traversal struct {
 	// Hops is the number of links actually traversed (stops early on a
 	// dead link).
 	Hops int
-	// Dropped is true if the packet died on an inactive link.
-	Dropped bool
-	// DroppedAt is the node whose outgoing link was dead (valid iff
-	// Dropped or Filtered).
-	DroppedAt NodeID
-	// Filtered is true if the programmable switching filter discarded the
-	// packet (Dropped stays false in that case, as it does when a fault drops
-	// the packet: the roller is what accounts for faults).
-	Filtered bool
+	// Dropped lists, in walk order, the node of every branch of the packet
+	// that died because its outgoing link was dead, and Filtered the node of
+	// every branch the programmable switching filter discarded. A duplicate
+	// branch dies on its own, so one packet can appear more than once. A
+	// fault drop is in neither: the roller is what accounts for faults.
+	Dropped, Filtered []NodeID
 }
 
 // LinkStateFunc reports whether the physical link behind node u's local port
@@ -159,7 +156,9 @@ type FaultRoller func(at NodeID) MsgFault
 func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll FaultRoller, corrupt func(any) any, src NodeID, h anr.Header, payload any) Traversal {
 	w := walker{pm: pm, up: up, filter: filter, roll: roll, corrupt: corrupt, h: h}
 	var tr Traversal
-	w.walk(&tr, branch{cur: src, rev: anr.Local(), arrivedOn: anr.NCU, pl: payload})
+	rev := make(anr.Header, h.HopCount()+1)
+	rev[len(rev)-1] = anr.Hop{Link: anr.NCU}
+	w.walk(&tr, branch{cur: src, rev: rev, arrivedOn: anr.NCU, pl: payload})
 	return tr
 }
 
@@ -178,7 +177,12 @@ type walker struct {
 }
 
 // branch is one copy of the packet in flight: where it is, the header index
-// it is about to consume, and what the hops behind it did to it.
+// it is about to consume, and what the hops behind it did to it. rev is the
+// packet's one reverse-route buffer, filled back to front as in the
+// discrete-event runtime: the reverse route at header index i is
+// rev[len(rev)-1-i:], a tail with cap == len, so every delivery gets its own
+// without a per-hop copy. A duplicate branch shares the buffer: it writes the
+// same positions with the same route-determined values.
 type branch struct {
 	cur       NodeID
 	i         int
@@ -194,7 +198,7 @@ type branch struct {
 func (w *walker) walk(tr *Traversal, b branch) {
 	for ; b.i < len(w.h); b.i++ {
 		hop := w.h[b.i]
-		d := Delivery{Node: b.cur, Reverse: b.rev, ArrivedOn: b.arrivedOn, HopsBefore: b.hops, Reordered: b.reordered}
+		d := Delivery{Node: b.cur, Reverse: b.rev[len(b.rev)-1-b.i:], ArrivedOn: b.arrivedOn, HopsBefore: b.hops, Reordered: b.reordered}
 		if b.tainted {
 			d.Payload = b.pl
 		}
@@ -203,8 +207,7 @@ func (w *walker) walk(tr *Traversal, b branch) {
 			return
 		}
 		if b.i > 0 && w.filter != nil && !w.filter(b.cur, b.pl) {
-			tr.Filtered = true
-			tr.DroppedAt = b.cur
+			tr.Filtered = append(tr.Filtered, b.cur)
 			return
 		}
 		if hop.Copy {
@@ -214,8 +217,7 @@ func (w *walker) walk(tr *Traversal, b branch) {
 			tr.Deliveries = append(tr.Deliveries, d)
 		}
 		if !w.up(b.cur, hop.Link) {
-			tr.Dropped = true
-			tr.DroppedAt = b.cur
+			tr.Dropped = append(tr.Dropped, b.cur)
 			return
 		}
 		f := faultNone
@@ -238,9 +240,7 @@ func (w *walker) walk(tr *Traversal, b branch) {
 		// Extend the reverse route: from the next node, first traverse
 		// back over this link, then follow the previous reverse route.
 		port, _ := w.pm.Resolve(b.cur, hop.Link) // admitted: cannot fail
-		next := make(anr.Header, 0, len(b.rev)+1)
-		next = append(next, anr.Hop{Link: port.RemoteID})
-		b.rev = append(next, b.rev...)
+		b.rev[len(b.rev)-2-b.i] = anr.Hop{Link: port.RemoteID}
 		b.arrivedOn = port.RemoteID
 		b.cur = port.Remote
 		if f == FaultDup {
@@ -249,7 +249,6 @@ func (w *walker) walk(tr *Traversal, b branch) {
 			tr.Hops++
 			dup := b
 			dup.i++
-			dup.rev = b.rev.Clone()
 			w.walk(tr, dup)
 		}
 	}

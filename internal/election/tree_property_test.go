@@ -42,7 +42,7 @@ func buildInOutFromGraph(g *graph.Graph, root core.NodeID) (*domain, *core.PortM
 // terminal node.
 func walkTo(pm *core.PortMap, from core.NodeID, h anr.Header) (core.NodeID, bool) {
 	tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, from, h)
-	if err != nil || tr.Dropped || len(tr.Deliveries) != 1 {
+	if err != nil || len(tr.Dropped) > 0 || len(tr.Deliveries) != 1 {
 		return 0, false
 	}
 	return tr.Deliveries[0].Node, true

@@ -169,9 +169,9 @@ func (st *state) liveGraph() *graph.Graph {
 }
 
 // largestComponent returns the live topology and its largest connected
-// component, the first of equals in graph.Components' order. The soak's
-// ledger traffic (I6), elections (I2, I7, I8) and detector scenario run
-// there; fewer than two members leave them nothing to do.
+// component, the first of equals in the order Graph.Components lists them.
+// The soak's ledger traffic (I6), elections (I2, I7, I8) and detector
+// scenario run there; fewer than two members leave them nothing to do.
 func (st *state) largestComponent() (live *graph.Graph, comp []core.NodeID) {
 	live = st.liveGraph()
 	for _, c := range live.Components() {

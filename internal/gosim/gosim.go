@@ -254,8 +254,14 @@ func (net *Network) AwaitQuiescence(timeout time.Duration) error {
 			return fmt.Errorf("%w (%d in flight)", ErrTimeout, atomic.LoadInt64(&net.inflight))
 		}
 		// Wake periodically so the deadline is honored even without
-		// counter transitions.
-		waker := time.AfterFunc(time.Millisecond, net.quiesceC.Broadcast)
+		// counter transitions. The waker takes the lock, so it cannot fire
+		// between the check above and Wait and be lost: a network that never
+		// quiesces would then hold this call past its deadline.
+		waker := time.AfterFunc(time.Millisecond, func() {
+			net.quiesceMu.Lock()
+			net.quiesceC.Broadcast()
+			net.quiesceMu.Unlock()
+		})
 		net.quiesceC.Wait()
 		waker.Stop()
 	}
@@ -408,13 +414,10 @@ func (net *Network) route(nd *gnode, h anr.Header, payload any) error {
 	net.mu.RUnlock()
 	m.Hops += int64(tr.Hops)
 	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: act, Node: nd.id, Act: act, Msg: msg})
-	if tr.Dropped {
-		m.Drops++
-		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: tr.DroppedAt, Msg: msg})
-	}
-	if tr.Filtered {
-		m.Filtered++
-		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: tr.DroppedAt, Msg: msg})
+	m.Drops += int64(len(tr.Dropped))
+	m.Filtered += int64(len(tr.Filtered))
+	for _, at := range append(tr.Dropped, tr.Filtered...) {
+		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: at, Msg: msg})
 	}
 	for _, d := range tr.Deliveries {
 		pl := payload

@@ -2,63 +2,49 @@ package gosim_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastnet/internal/core"
+	"fastnet/internal/election"
 	"fastnet/internal/gosim"
 	"fastnet/internal/graph"
-	"fastnet/internal/reseq"
-	"fastnet/internal/sim"
+	"fastnet/internal/trace"
 )
 
-const streamCount = 30
+// countSink counts the events a network records; safe for concurrent use.
+type countSink struct{ n atomic.Int64 }
 
-// TestReseqShutdownNoLeakWithPendingBuffers is the resequencer mirror of
-// TestShutdownNoLeakUnderFaults: a lossy fabric leaves permanent gaps in the
-// per-link streams, the age valve force-releases frames that outlive
-// HoldTicks, and the runtime is then shut down with out-of-order buffers
-// still held (their gaps can never fill — the frames were dropped). Every
-// node loop and in-flight delivery must wind down without leaking
-// goroutines. Run under -race in CI.
+func (s *countSink) Record(trace.Event) { s.n.Add(1) }
+
+// TestReseqShutdownNoLeakWithPendingBuffers is the election's mirror of
+// TestShutdownNoLeakUnderFaults: a §4 election on the goroutine runtime, under
+// drop and reorder faults, is shut down mid-run with tours in flight and
+// reordered deliveries still queued. Every node loop must wind down without
+// leaking goroutines. Run under -race in CI.
 func TestReseqShutdownNoLeakWithPendingBuffers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		g := graph.Path(2)
-		wrapped := reseq.WrapFactory(reseq.StreamFactory(), reseq.Config{Window: 64, HoldTicks: 1})
-		net := gosim.New(g, wrapped, gosim.WithSeed(int64(round)+3),
-			gosim.WithMsgFaults(core.MsgFaults{Drop: 0.4, Reorder: 0.3, ReorderWindow: 25}))
+	var m core.Metrics
+	for round := int64(1); round <= 3; round++ {
+		g := graph.GNP(24, 0.22, round)
+		stats := &election.Stats{}
+		sink := &countSink{}
+		net := gosim.New(g, func(id core.NodeID) core.Protocol { return election.New(id, stats) },
+			gosim.WithSeed(round), gosim.WithTrace(sink), gosim.WithDmax(election.Dmax(g.N())),
+			gosim.WithMsgFaults(core.MsgFaults{Drop: 0.2, Reorder: 0.5, ReorderWindow: 100}))
 		for u := 0; u < g.N(); u++ {
-			net.Inject(core.NodeID(u), reseq.Start{Count: 40})
+			net.Inject(core.NodeID(u), election.Start{})
 		}
-		// Two tick rounds across a quiesced-but-gapped fabric: the first
-		// starts the age clock, the second expires frames past HoldTicks.
-		for i := 0; i < 2; i++ {
-			if err := net.AwaitQuiescence(5 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			for u := 0; u < g.N(); u++ {
-				net.Inject(core.NodeID(u), reseq.Tick{})
-			}
-		}
-		if err := net.AwaitQuiescence(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		var buffered, forced int64
-		for u := 0; u < g.N(); u++ {
-			st := net.Protocol(core.NodeID(u)).(*reseq.Node).Stats()
-			buffered += st.Buffered
-			forced += st.Forced
-		}
-		if buffered == 0 || forced == 0 {
-			t.Fatalf("round %d: scenario too tame to exercise the age valve: buffered=%d forced=%d",
-				round, buffered, forced)
-		}
-		// Refill the reorder buffers and shut down with frames still held.
-		for u := 0; u < g.N(); u++ {
-			net.Inject(core.NodeID(u), reseq.Start{Count: 40})
+		// Let the election get going (or stall on a dropped tour), then pull
+		// the plug.
+		for sink.n.Load() < 50 && net.AwaitQuiescence(time.Millisecond) != nil {
 		}
 		net.Shutdown()
+		m.Add(net.Metrics())
+	}
+	if m.FaultDrops == 0 || m.FaultReorders == 0 {
+		t.Fatalf("scenario too tame to exercise both faults: %+v", m)
 	}
 	// Goroutine counts are noisy; poll for decay back toward the baseline.
 	deadline := time.Now().Add(5 * time.Second)
@@ -76,54 +62,37 @@ func TestReseqShutdownNoLeakWithPendingBuffers(t *testing.T) {
 	}
 }
 
-// TestResequencerGosim is the cross-runtime half of the resequencer's
-// differential contract: the goroutine runtime's real asynchrony plus a
-// reorder fault profile must still yield per-link ledgers byte-identical to
-// a plain FIFO discrete-event run — for every seed, because the ledger
-// outcome is a pure function of the topology once order is restored.
+// TestResequencerGosim runs E22's election on the goroutine runtime: GNP(24,
+// 0.22) samples, every node starting, each traversal reordered with
+// probability 0.25, 0.5 or 0.7 (window 100). The election needs no
+// resequencer: one leader, full domain, at most 6n algorithm messages, and
+// the fault fired.
 func TestResequencerGosim(t *testing.T) {
-	g := graph.GNP(14, 0.3, 5)
-	wrapped := reseq.WrapFactory(reseq.StreamFactory(), reseq.Config{Window: 256})
-
-	// Reference: exact-delay FIFO run on the DES runtime.
-	ref := sim.New(g, wrapped, sim.WithDelays(3, 1))
-	for u := 0; u < g.N(); u++ {
-		ref.Inject(0, core.NodeID(u), reseq.Start{Count: streamCount})
+	const n = 24
+	starters := make([]core.NodeID, n)
+	for i := range starters {
+		starters[i] = core.NodeID(i)
 	}
-	if _, err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	refLines := make([]string, g.N())
-	for u := 0; u < g.N(); u++ {
-		refLines[u] = reseq.StreamOf(ref.Protocol(core.NodeID(u))).LedgerLine()
-	}
-
-	profile := core.MsgFaults{Reorder: 0.3, ReorderWindow: 25}
-	for _, seed := range []int64{1, 7, 42} {
-		net := gosim.New(g, wrapped, gosim.WithSeed(seed), gosim.WithMsgFaults(profile))
-		for u := 0; u < g.N(); u++ {
-			net.Inject(core.NodeID(u), reseq.Start{Count: streamCount})
-		}
-		err := net.AwaitQuiescence(30 * time.Second)
-		m := net.Metrics()
-		if err != nil {
-			net.Shutdown()
-			t.Fatalf("seed %d: %v", seed, err)
+	for _, rate := range []float64{0.25, 0.5, 0.7} {
+		faults := core.MsgFaults{Reorder: rate, ReorderWindow: 100}
+		var m core.Metrics
+		for seed := int64(1); seed <= 3; seed++ {
+			g := graph.GNP(n, 0.22, seed)
+			if !g.Connected() {
+				continue
+			}
+			res, err := election.RunAsync(g, election.AlgoToken, starters, seed, 30*time.Second, gosim.WithMsgFaults(faults))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", faults, seed, err)
+			}
+			if res.LeaderDomain != n || res.AlgorithmMessages > 6*n {
+				t.Fatalf("%s seed %d: domain %d of %d, %d algorithm messages (6n = %d)",
+					faults, seed, res.LeaderDomain, n, res.AlgorithmMessages, 6*n)
+			}
+			m.Add(res.Metrics)
 		}
 		if m.FaultReorders == 0 {
-			net.Shutdown()
-			t.Fatalf("seed %d: reorder profile never fired", seed)
+			t.Fatalf("%s: no connected sample reordered anything", faults)
 		}
-		for u := 0; u < g.N(); u++ {
-			s := reseq.StreamOf(net.Protocol(core.NodeID(u)))
-			if vs := s.Violations(); len(vs) > 0 {
-				t.Errorf("seed %d node %d: order violations through resequencer: %v", seed, u, vs)
-			}
-			if got := s.LedgerLine(); got != refLines[u] {
-				t.Errorf("seed %d node %d ledgers diverge from FIFO reference\n fifo %s\ngosim %s",
-					seed, u, refLines[u], got)
-			}
-		}
-		net.Shutdown()
 	}
 }

@@ -44,15 +44,8 @@ var keptExports = map[string]string{
 	"(*gosim.Network).CrashNode":   "driver hook: the same on the goroutine runtime (crash_test.go, reconverge_test.go)",
 	"(*gosim.Network).RestoreNode": "driver hook: the reverse of CrashNode",
 
-	// Capabilities only tests and benchmarks arm (ROADMAP direction 7 records
-	// the question of whether a protocol declares them or they move behind
-	// the tests).
-	"reseq.*":                            "the resequencing layer has no non-test importer: the election survives reordering by its own recovery",
-	"core.FIFORequirer":                  "with reseq: the capability a protocol would declare to be wrapped by it; only test protocols do",
-	"reliable.Router":                    "type of reliable.Config.Route, the adaptive-rerouting hook only tests and BenchmarkReliableAdaptive install",
-	"(*topology.DB).RouterFrom":          "with reliable.Router: min-hop first, min-load alternates on retry",
-	"(*topology.DB).RouterFromPenalized": "with reliable.Router: the same, steering off destinations observed slow",
-	"(*topology.DB).RouteMinLoad":        "with reliable.Router: the load-weighted route those retries use; BenchmarkDBRouteMinLoad{Warm,Cold} time it",
+	// The paper's use of what the records carry, waiting for its consumer.
+	"(*topology.DB).RouteMinLoad": "§3's use of the link loads the records carry: the load-weighted route; BenchmarkDBRouteMinLoad{Warm,Cold} time it",
 
 	// Reached through values rather than by name.
 	"core.Corruptible":                   "the interface reliable's frame and ack satisfy so that a corruption fault leaves something a checksum can reject; core asserts it on payloads",
@@ -286,6 +279,7 @@ type module struct {
 type modPkg struct {
 	types *types.Package
 	info  *types.Info
+	files []*ast.File // with their comments, which TestDocsNameRealCode reads
 }
 
 func newModule(root string) *module {
@@ -338,26 +332,25 @@ func (m *module) load(dir string) (*modPkg, error) {
 	parsed, err := parser.ParseDir(m.fset, dir, func(fi os.FileInfo) bool {
 		ok, _ := build.Default.MatchFile(dir, fi.Name())
 		return ok && !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	}, parser.SkipObjectResolution|parser.ParseComments)
 	if err != nil {
 		return nil, err
-	}
-	var files []*ast.File
-	for _, pkg := range parsed {
-		for _, f := range pkg.Files {
-			files = append(files, f)
-		}
 	}
 	p := &modPkg{info: &types.Info{
 		Uses:  map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{},
 	}}
+	for _, pkg := range parsed {
+		for _, f := range pkg.Files {
+			p.files = append(p.files, f)
+		}
+	}
 	rel, err := filepath.Rel(m.root, dir)
 	if err != nil {
 		return nil, err
 	}
 	conf := types.Config{Importer: m}
-	if p.types, err = conf.Check("fastnet/"+filepath.ToSlash(rel), m.fset, files, p.info); err != nil {
+	if p.types, err = conf.Check("fastnet/"+filepath.ToSlash(rel), m.fset, p.files, p.info); err != nil {
 		return nil, err
 	}
 	m.pkgs[dir] = p

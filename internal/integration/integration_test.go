@@ -62,7 +62,7 @@ func TestDiscoveryThenRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Dropped || len(tr.Deliveries) != 1 || tr.Deliveries[0].Node != dst {
+	if len(tr.Dropped) > 0 || len(tr.Deliveries) != 1 || tr.Deliveries[0].Node != dst {
 		t.Fatalf("routing over the discovered map failed: %+v", tr)
 	}
 }

@@ -137,7 +137,8 @@ func contractOnGosim(t *testing.T, row contractRow, faults core.MsgFaults) contr
 // lossy-link model is on (every traversal jittered, so the fault counts are
 // not a matter of luck) and off. Then, for each fault kind at probability 1 on
 // a three-hop copy path, both runtimes count the same hops, deliveries, copies
-// and faults of each kind.
+// and faults of each kind; duplicated behind a dead last link, each branch
+// the duplicates make is one drop on both.
 func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 	for _, faults := range []core.MsgFaults{{}, {Jitter: 1, JitterMax: 2}} {
 		name := "faults-off"
@@ -159,20 +160,22 @@ func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 			}
 		})
 	}
-	probe := contractRow{name: "copy-path", send: anr.CopyPath([]anr.ID{1, 2, 2})}
 	for _, prof := range []struct {
 		name   string
 		faults core.MsgFaults
 		fired  func(core.Metrics) int64
+		down   [][2]core.NodeID
 	}{
-		{"drop", core.MsgFaults{Drop: 1}, func(m core.Metrics) int64 { return m.FaultDrops }},
-		{"dup", core.MsgFaults{Dup: 1}, func(m core.Metrics) int64 { return m.FaultDups }},
-		{"corrupt", core.MsgFaults{Corrupt: 1}, func(m core.Metrics) int64 { return m.FaultCorrupts }},
-		{"jitter", core.MsgFaults{Jitter: 1, JitterMax: 3}, func(m core.Metrics) int64 { return m.FaultJitters }},
-		{"reorder", core.MsgFaults{Reorder: 1, ReorderWindow: 3}, func(m core.Metrics) int64 { return m.FaultReorders }},
-		{"slowdown", core.MsgFaults{Slowdown: 1, SlowFactor: 2, SlowMax: 3}, func(m core.Metrics) int64 { return m.FaultSlowdowns }},
+		{"drop", core.MsgFaults{Drop: 1}, func(m core.Metrics) int64 { return m.FaultDrops }, nil},
+		{"dup", core.MsgFaults{Dup: 1}, func(m core.Metrics) int64 { return m.FaultDups }, nil},
+		{"corrupt", core.MsgFaults{Corrupt: 1}, func(m core.Metrics) int64 { return m.FaultCorrupts }, nil},
+		{"jitter", core.MsgFaults{Jitter: 1, JitterMax: 3}, func(m core.Metrics) int64 { return m.FaultJitters }, nil},
+		{"reorder", core.MsgFaults{Reorder: 1, ReorderWindow: 3}, func(m core.Metrics) int64 { return m.FaultReorders }, nil},
+		{"slowdown", core.MsgFaults{Slowdown: 1, SlowFactor: 2, SlowMax: 3}, func(m core.Metrics) int64 { return m.FaultSlowdowns }, nil},
+		{"dup-behind-dead-link", core.MsgFaults{Dup: 1}, func(m core.Metrics) int64 { return m.Drops }, [][2]core.NodeID{{2, 3}}},
 	} {
 		t.Run("saturated/"+prof.name, func(t *testing.T) {
+			probe := contractRow{name: "copy-path", send: anr.CopyPath([]anr.ID{1, 2, 2}), down: prof.down}
 			onSim, onGosim := contractOnSim(t, probe, prof.faults), contractOnGosim(t, probe, prof.faults)
 			onSim.check(t, probe)
 			onGosim.check(t, probe)

@@ -233,13 +233,15 @@ func TestRetransmitJitterScalesWithBackoff(t *testing.T) {
 	}
 }
 
-// TestSlowFlagsGrayDestination: the per-route ledger calls a destination slow
-// when its smoothed RTT is a factor above the endpoint's fastest peer.
+// TestSlowFlagsGrayDestination: the per-destination estimators Endpoint.RTT
+// exposes (what E23 reads) order a gray destination's smoothed RTT more than
+// twice above the endpoint's fastest peer, keep healthy peers within that
+// factor, and report nothing for a destination without samples.
 func TestSlowFlagsGrayDestination(t *testing.T) {
 	env := newFakeEnv(1)
 	e := NewEndpoint(0, Config{RTO: 1, Adaptive: true, MaxRTO: 100})
 	route := anr.Direct([]anr.ID{1})
-	drive := func(dst core.NodeID, rtt int) {
+	drive := func(dst core.NodeID, rtt int) RTTStats {
 		for i := 0; i < 8; i++ {
 			if err := e.SendRoute(env, dst, route, i); err != nil {
 				t.Fatal(err)
@@ -251,24 +253,22 @@ func TestSlowFlagsGrayDestination(t *testing.T) {
 			}
 			e.onAck(ackFor(e, dst, seq))
 		}
+		st, ok := e.RTT(dst)
+		if !ok || st.Samples != 8 {
+			t.Fatalf("node %d: %d samples (ok=%v), want 8", dst, st.Samples, ok)
+		}
+		return st
 	}
-	drive(1, 2) // healthy
-	drive(2, 3) // a bit behind, within factor 2
-	drive(3, 9) // gray: >4x the fastest
-	if e.Slow(1, 2) || e.Slow(2, 2) {
-		t.Fatalf("healthy destinations flagged slow: %v", e.RTTLedger())
+	healthy := drive(1, 2)
+	behind := drive(2, 3) // a bit behind, within factor 2
+	gray := drive(3, 9)   // gray: >4x the fastest
+	if behind.SRTT > 2*healthy.SRTT {
+		t.Fatalf("healthy destinations more than 2x apart: %+v vs %+v", behind, healthy)
 	}
-	if !e.Slow(3, 2) {
-		t.Fatalf("gray destination not flagged: %v", e.RTTLedger())
+	if gray.SRTT <= 2*healthy.SRTT || gray.RTO <= behind.RTO {
+		t.Fatalf("gray destination not ordered behind the healthy ones: %+v vs %+v, %+v", gray, healthy, behind)
 	}
-	if e.Slow(4, 2) {
-		t.Fatal("sample-less destination flagged slow")
-	}
-	led := e.RTTLedger()
-	if len(led) != 3 {
-		t.Fatalf("ledger has %d entries, want 3: %v", len(led), led)
-	}
-	if led[3].SRTT <= led[1].SRTT {
-		t.Fatalf("ledger ordering wrong: %v", led)
+	if st, ok := e.RTT(4); ok {
+		t.Fatalf("sample-less destination reported %+v", st)
 	}
 }

@@ -85,12 +85,6 @@ func (a *ack) CorruptedCopy(r *rand.Rand) any {
 // the endpoint's retransmission clock.
 type Tick struct{}
 
-// Router supplies the route for one delivery attempt. attempt is 0 for the
-// original send and increments per retransmission, so implementations can
-// switch to an alternate path when the primary keeps losing. Returning ok =
-// false aborts the frame immediately (no route available).
-type Router func(dst core.NodeID, attempt int) (anr.Header, bool)
-
 // Stats counts the endpoint's software effort. All fields are cumulative.
 type Stats struct {
 	Sent        int64 // distinct payloads accepted for delivery
@@ -144,10 +138,6 @@ type Config struct {
 	OnDeliver func(env core.Env, src core.NodeID, payload any)
 	// OnAbort is called when a frame hits its deadline.
 	OnAbort func(env core.Env, f *frame)
-	// Route supplies per-attempt routes. Required for Send; SendRoute
-	// bypasses it for attempt 0 and falls back to it for retransmissions
-	// when non-nil.
-	Route Router
 }
 
 // rttState is one destination's Jacobson/Karn estimator in the classic
@@ -188,9 +178,8 @@ func (st *rttState) rto() int64 {
 	return st.srtt8>>3 + max(1, st.rttvar4)
 }
 
-// RTTStats is the exported snapshot of one destination's estimator; the
-// per-route RTT ledger (RTTLedger / Slow) is what gray-failure-aware routing
-// consumes.
+// RTTStats is the exported snapshot of one destination's estimator, as
+// Endpoint.RTT returns it (E23 reads it per destination).
 type RTTStats struct {
 	SRTT    float64 // smoothed round trip, ticks
 	RTTVar  float64 // smoothed mean deviation, ticks
@@ -309,8 +298,7 @@ func ackSum(src, dst core.NodeID, seq uint64) uint64 {
 }
 
 // SendRoute queues payload for reliable delivery to dst over an explicit
-// first-attempt route. Retransmissions re-route through cfg.Route when set
-// (so attempt >= 1 can divert to an alternate path) and reuse route otherwise.
+// route. Retransmissions reuse it.
 func (e *Endpoint) SendRoute(env core.Env, dst core.NodeID, route anr.Header, payload any) error {
 	seq := e.nextSeq[dst] + 1
 	e.nextSeq[dst] = seq
@@ -336,7 +324,7 @@ func (e *Endpoint) transmit(env core.Env, p *pending) {
 	p.attempt++
 	p.sentAt = e.ticks
 	// Send errors (route through a down first link, dmax) are treated like
-	// loss: the timeout path retries, possibly over an alternate route.
+	// loss: the timeout path retries.
 	_ = env.Send(p.route, p.frame)
 	// Jitter scales with the interval actually being waited: a fixed
 	// [0, RTO] draw becomes negligible once backoff has grown, so endpoints
@@ -375,11 +363,6 @@ func (e *Endpoint) tick(env core.Env) {
 			}
 			if e.ticks < p.nextAt {
 				continue
-			}
-			if e.cfg.Route != nil {
-				if r, ok := e.cfg.Route(d, p.attempt); ok {
-					p.route = r
-				}
 			}
 			e.stats.Retransmits++
 			e.transmit(env, p)
@@ -506,7 +489,6 @@ func (n *Node) Deliver(env core.Env, pkt core.Packet) {
 	n.E.Deliver(env, pkt)
 }
 
-// LinkEvent implements core.Protocol. Link state is the Router's concern
-// (routes are recomputed per attempt); the endpoint itself holds no
-// topology.
+// LinkEvent implements core.Protocol. Routes are the sender's concern; the
+// endpoint itself holds no topology.
 func (n *Node) LinkEvent(core.Env, core.Port) {}

@@ -12,61 +12,59 @@ import (
 	"fastnet/internal/sim"
 )
 
-// lineRouter routes along a path graph 0-1-...-(n-1): hop-by-hop node path
-// converted through the port map. The same route is used for every attempt.
-func lineRouter(pm *core.PortMap, src core.NodeID) Router {
-	return func(dst core.NodeID, attempt int) (anr.Header, bool) {
-		path := []core.NodeID{src}
-		step := core.NodeID(1)
-		if dst < src {
-			step = -1
-		}
-		for cur := src; cur != dst; {
-			cur += step
-			path = append(path, cur)
-		}
-		links, err := pm.RouteLinks(path)
-		if err != nil {
-			return nil, false
-		}
-		return anr.Direct(links), true
+// lineRoute is the route from src to dst along a path graph 0-1-...-(n-1):
+// the hop-by-hop node path converted through the port map.
+func lineRoute(pm *core.PortMap, src, dst core.NodeID) (anr.Header, error) {
+	path := []core.NodeID{src}
+	step := core.NodeID(1)
+	if dst < src {
+		step = -1
 	}
+	for cur := src; cur != dst; {
+		cur += step
+		path = append(path, cur)
+	}
+	links, err := pm.RouteLinks(path)
+	if err != nil {
+		return nil, err
+	}
+	return anr.Direct(links), nil
 }
 
 // buildSim wires n reliable nodes on a path graph under the DES runtime.
 func buildSim(t *testing.T, n int, faults core.MsgFaults, cfg Config, opts ...sim.Option) (*sim.Network, []*Node) {
 	t.Helper()
 	g := graph.Path(n)
+	pm := core.NewPortMap(g)
 	nodes := make([]*Node, n)
 	all := append([]sim.Option{sim.WithDelays(1, 1), sim.WithMsgFaults(faults)}, opts...)
-	var pm *core.PortMap
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
-		c := cfg
-		c.Route = func(dst core.NodeID, attempt int) (anr.Header, bool) {
-			return lineRouter(pm, id)(dst, attempt)
-		}
-		nodes[id] = NewNode(id, c)
-		return cmdNode{nodes[id]}
+		nodes[id] = NewNode(id, cfg)
+		return cmdNode{nodes[id], pm}
 	}, all...)
-	pm = net.PortMap()
 	return net, nodes
 }
 
 // sendCmd is a driver-side payload: cmdNode turns it into a reliable send
-// issued from inside the receiving activation.
+// issued from inside the receiving activation, over the line route to dst.
 type sendCmd struct {
 	dst     core.NodeID
 	payload any
 }
 
-// cmdNode wraps Node to accept driver sendCmds.
+// cmdNode wraps Node to accept driver sendCmds on a path graph.
 type cmdNode struct {
 	*Node
+	pm *core.PortMap
 }
 
 func (n cmdNode) Deliver(env core.Env, pkt core.Packet) {
 	if c, ok := pkt.Payload.(sendCmd); ok {
-		if err := n.E.Send(env, c.dst, c.payload); err != nil {
+		route, err := lineRoute(n.pm, env.ID(), c.dst)
+		if err == nil {
+			err = n.E.SendRoute(env, c.dst, route, c.payload)
+		}
+		if err != nil {
 			panic(err)
 		}
 		return
@@ -214,23 +212,19 @@ func TestReliableGosim(t *testing.T) {
 		p   any
 	}
 	done := make(chan rec, 64)
+	pm := core.NewPortMap(g)
 	nodes := make([]*Node, 3)
-	var pm *core.PortMap
 	net := gosim.New(g, func(id core.NodeID) core.Protocol {
 		cfg := Config{RTO: 1, MaxBackoff: 4}
-		cfg.Route = func(dst core.NodeID, attempt int) (anr.Header, bool) {
-			return lineRouter(pm, id)(dst, attempt)
-		}
 		if id == 2 {
 			cfg.OnDeliver = func(_ core.Env, src core.NodeID, payload any) {
 				done <- rec{src, payload}
 			}
 		}
 		nodes[id] = NewNode(id, cfg)
-		return cmdNode{nodes[id]}
+		return cmdNode{nodes[id], pm}
 	}, gosim.WithMsgFaults(core.MsgFaults{Drop: 0.25, Dup: 0.1, Corrupt: 0.1, Jitter: 0.1}))
 	defer net.Shutdown()
-	pm = net.PortMap()
 
 	const N = 10
 	for i := 0; i < N; i++ {
@@ -264,49 +258,4 @@ func TestReliableGosim(t *testing.T) {
 	if len(seen) != N {
 		t.Fatalf("delivered %d distinct payloads, want %d", len(seen), N)
 	}
-}
-
-// RTTLedger snapshots every destination with at least one accepted sample.
-func (e *Endpoint) RTTLedger() map[core.NodeID]RTTStats {
-	out := make(map[core.NodeID]RTTStats, len(e.rtt))
-	for d := range e.rtt {
-		if st, ok := e.RTT(d); ok {
-			out[d] = st
-		}
-	}
-	return out
-}
-
-// Slow reports whether dst's smoothed RTT exceeds factor× the fastest
-// destination this endpoint talks to (factor <= 1 defaults to 2) — the
-// observed-slowdown signal topology.DB.RouterFromPenalized consumes to
-// escalate off a gray primary route early. Destinations without samples are
-// never slow.
-func (e *Endpoint) Slow(dst core.NodeID, factor float64) bool {
-	if factor <= 1 {
-		factor = 2
-	}
-	st := e.rtt[dst]
-	if st == nil || st.samples == 0 {
-		return false
-	}
-	best := int64(-1)
-	for _, o := range e.rtt {
-		if o.samples > 0 && (best < 0 || o.srtt8 < best) {
-			best = o.srtt8
-		}
-	}
-	return float64(st.srtt8) > factor*float64(best)
-}
-
-// Send queues payload for reliable delivery to dst, routing via cfg.Route.
-func (e *Endpoint) Send(env core.Env, dst core.NodeID, payload any) error {
-	if e.cfg.Route == nil {
-		return fmt.Errorf("reliable: no Router configured")
-	}
-	route, ok := e.cfg.Route(dst, 0)
-	if !ok {
-		return fmt.Errorf("reliable: no route to node %d", dst)
-	}
-	return e.SendRoute(env, dst, route, payload)
 }

@@ -4,98 +4,25 @@ import (
 	"testing"
 
 	"fastnet/internal/core"
-	"fastnet/internal/election"
-	"fastnet/internal/graph"
-	"fastnet/internal/reseq"
 	"fastnet/internal/sim"
 )
 
-// FuzzReorder throws randomized reorder profiles, delay regimes, and buffer
-// geometries at the two consumers of the non-FIFO channel model:
-//
-//   - the resequencing sublayer, whose differential contract (reordered run
-//     == FIFO run, per-link ledgers byte-identical) must hold whenever no
-//     release valve fired, and which must never deliver out of order or
-//     panic even when the valves do fire;
-//   - the election, which must stay panic-free with a single full-domain
-//     leader within the 6n bound no matter how channels reorder.
+// FuzzReorder throws randomized reorder profiles and delay regimes at the
+// election on the discrete-event runtime: however the channels reorder, it
+// must stay panic-free and elect one full-domain leader within the 6n bound.
 func FuzzReorder(f *testing.F) {
-	f.Add(int64(1), byte(30), byte(25), byte(3), byte(1), byte(0), byte(64))
-	f.Add(int64(7), byte(60), byte(39), byte(7), byte(8), byte(1), byte(2))
-	f.Add(int64(0x19d0443), byte(10), byte(5), byte(0), byte(0), byte(1), byte(16))
-	f.Add(int64(-9), byte(80), byte(12), byte(9), byte(4), byte(0), byte(1))
-	f.Fuzz(func(t *testing.T, seed int64, pct, win, dC, dP, proto, bufWin byte) {
-		profile := core.MsgFaults{
-			Reorder:       float64(pct%81) / 100, // 0..0.8
-			ReorderWindow: core.Time(win%40) + 1,
+	f.Add(int64(1), byte(30), byte(25), byte(3), byte(1))
+	f.Add(int64(7), byte(60), byte(39), byte(7), byte(8))
+	f.Add(int64(0x19d0443), byte(10), byte(5), byte(0), byte(0))
+	f.Add(int64(-9), byte(80), byte(12), byte(9), byte(4))
+	f.Fuzz(func(t *testing.T, seed int64, pct, win, dC, dP byte) {
+		c := cell{n: 12, p: 0.3,
+			faults: core.MsgFaults{
+				Reorder:       float64(pct%81) / 100, // 0..0.8
+				ReorderWindow: core.Time(win%40) + 1,
+			},
+			delays: []sim.Option{sim.WithDelays(core.Time(dC%10), core.Time(dP%10)+1), sim.WithRandomDelays()},
 		}
-		n := 12
-		g := graph.GNP(n, 0.3, seed)
-		if !g.Connected() {
-			t.Skip("disconnected sample")
-		}
-		delays := []sim.Option{
-			sim.WithDelays(core.Time(dC%10), core.Time(dP%10)+1),
-			sim.WithRandomDelays(), sim.WithSeed(seed),
-		}
-
-		if proto%2 == 1 {
-			// Election lane: the recovery paths must absorb any reordering.
-			starters := make([]core.NodeID, n)
-			for i := range starters {
-				starters[i] = core.NodeID(i)
-			}
-			res, err := election.Run(g, election.AlgoToken, starters,
-				append(delays, sim.WithMsgFaults(profile))...)
-			if err != nil {
-				t.Fatalf("seed=%d profile=%s: %v", seed, profile, err)
-			}
-			if res.LeaderDomain != n {
-				t.Fatalf("seed=%d: leader domain %d, want %d", seed, res.LeaderDomain, n)
-			}
-			if res.AlgorithmMessages > int64(6*n) {
-				t.Fatalf("seed=%d: messages %d > 6n", seed, res.AlgorithmMessages)
-			}
-			return
-		}
-
-		// Stream lane: differential against the FIFO reference run.
-		const count = 12
-		cfg := reseq.Config{Window: int(bufWin%64) + 1}
-		run := func(opts ...sim.Option) (*sim.Network, []string) {
-			net := sim.New(g, reseq.WrapFactory(reseq.StreamFactory(), cfg), opts...)
-			for u := 0; u < n; u++ {
-				net.Inject(0, core.NodeID(u), reseq.Start{Count: count})
-			}
-			if _, err := net.Run(); err != nil {
-				t.Fatalf("seed=%d profile=%s: %v", seed, profile, err)
-			}
-			lines := make([]string, n)
-			for u := 0; u < n; u++ {
-				lines[u] = reseq.StreamOf(net.Protocol(core.NodeID(u))).LedgerLine()
-			}
-			return net, lines
-		}
-		_, fifoLines := run(sim.WithDelays(core.Time(dC%10), core.Time(dP%10)+1))
-		net, lines := run(append(delays, sim.WithMsgFaults(profile))...)
-
-		forced := int64(0)
-		for u := 0; u < n; u++ {
-			forced += net.Protocol(core.NodeID(u)).(*reseq.Node).Stats().Forced
-		}
-		if forced > 0 {
-			// A valve fired (tiny Window vs aggressive reordering): order may
-			// legitimately break, but the run completed and nothing panicked.
-			return
-		}
-		for u := 0; u < n; u++ {
-			if vs := reseq.StreamOf(net.Protocol(core.NodeID(u))).Violations(); len(vs) > 0 {
-				t.Fatalf("seed=%d node %d: violations without forced release: %v", seed, u, vs)
-			}
-			if lines[u] != fifoLines[u] {
-				t.Fatalf("seed=%d node %d: ledgers diverge without forced release\n fifo %s\nreord %s",
-					seed, u, fifoLines[u], lines[u])
-			}
-		}
+		c.elect(t, seed)
 	})
 }

@@ -794,54 +794,6 @@ func (db *DB) minLoadTree(src core.NodeID) *loadTree {
 	return lt
 }
 
-// RouterFrom adapts the cached plane to the reliable package's per-attempt
-// Router shape for the node src: the first attempts retransmit over the
-// cached minimum-hop route, and from the third attempt on the supplier
-// switches to the load-weighted route as the alternate path (both re-read
-// the current version, so a topology update between attempts re-routes).
-func (db *DB) RouterFrom(src core.NodeID) func(dst core.NodeID, attempt int) (anr.Header, bool) {
-	return func(dst core.NodeID, attempt int) (anr.Header, bool) {
-		route := db.Route
-		if attempt >= 2 {
-			route = db.RouteMinLoad
-		}
-		h, err := route(src, dst)
-		if err != nil {
-			// Fall back to the other metric before giving up: a header over
-			// a worse path beats aborting the frame.
-			if attempt >= 2 {
-				h, err = db.Route(src, dst)
-			}
-			if err != nil {
-				return nil, false
-			}
-		}
-		return h, true
-	}
-}
-
-// RouterFromPenalized is RouterFrom with gray-failure awareness: slow
-// reports whether the destination has shown sustained slowdown on its
-// primary route — reliable's per-route RTT ledger (Endpoint.Slow) is the
-// canonical feed. For a slow destination the escalation to the
-// load-weighted alternate happens on the FIRST retransmission instead of
-// the third: when the primary is degraded rather than lossy, retrying it
-// twice more only queues behind the same gray link. Destinations the ledger
-// considers healthy keep the exact RouterFrom schedule, and a nil slow
-// degrades to RouterFrom.
-func (db *DB) RouterFromPenalized(src core.NodeID, slow func(dst core.NodeID) bool) func(dst core.NodeID, attempt int) (anr.Header, bool) {
-	base := db.RouterFrom(src)
-	if slow == nil {
-		return base
-	}
-	return func(dst core.NodeID, attempt int) (anr.Header, bool) {
-		if attempt >= 1 && attempt < 2 && slow(dst) {
-			attempt = 2
-		}
-		return base(dst, attempt)
-	}
-}
-
 // View materializes the believed topology as a graph: the edge {u, v} is
 // present iff u's record lists v as up and v's record (if known) agrees.
 // The graph is sized to hold the largest known node ID. Update keeps a

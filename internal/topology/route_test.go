@@ -109,7 +109,7 @@ func TestDBRouteExecutableQuick(t *testing.T) {
 			return false
 		}
 		tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, src, h)
-		if err != nil || tr.Dropped {
+		if err != nil || len(tr.Dropped) > 0 {
 			return false
 		}
 		return len(tr.Deliveries) == 1 && tr.Deliveries[0].Node == dst

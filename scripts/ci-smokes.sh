@@ -18,7 +18,7 @@ smokes=(
 	"./internal/sim/|-run ^\$ -fuzz FuzzCutThrough -fuzztime 30s|production engine vs reference engine, C = 0 walks under faults"
 	"./internal/sim/|-run ^\$ -fuzz FuzzSpine -fuzztime 30s -fuzzminimizetime 1s|spine vs container/heap model over fuzzer-written operation strings"
 	"./internal/election/|-run ^\$ -fuzz FuzzDomain -fuzztime 30s -fuzzminimizetime 1s|election domain vs the map model it replaced"
-	"./internal/reseq/|-run ^\$ -fuzz FuzzReorder -fuzztime 30s|reordering: resequencer differential + election recovery"
+	"./internal/reseq/|-run ^\$ -fuzz FuzzReorder -fuzztime 30s|reordering: election recovery, both runtimes"
 	"./internal/faults/|-run ^\$ -fuzz FuzzGrayFailure -fuzztime 30s|gray failures: slowdown/stall envelope, invariant I8"
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|sharded vs serial scheduler differential"
 	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|C >= 1 spine: auto-sized ring vs 64-slot ring vs reference engine"
