@@ -73,8 +73,8 @@ func TestSoakCutThroughDifferential(t *testing.T) {
 }
 
 // TestSoakSchedStats checks that the DES soak surfaces scheduler
-// observability: the zero-hardware-delay fabric should fuse hops and absorb
-// same-instant events in the lane.
+// observability: the zero-hardware-delay fabric should fuse hops, absorb
+// same-instant events in the lane and NCU backlogs in the calendar ring.
 func TestSoakSchedStats(t *testing.T) {
 	g := graph.GNP(20, 0.3, 2)
 	res, err := faults.Soak(g, faults.Config{
@@ -88,7 +88,7 @@ func TestSoakSchedStats(t *testing.T) {
 		t.Fatalf("violations: %v", res.Violations)
 	}
 	s := res.Sched
-	if s.Events == 0 || s.FusedHops == 0 || s.LanePushes == 0 || s.HeapPeak == 0 {
+	if s.Events == 0 || s.FusedHops == 0 || s.LanePushes == 0 || s.RingPushes == 0 {
 		t.Fatalf("implausible scheduler stats on a C=0 soak: %+v", s)
 	}
 	if rate := s.LaneHitRate(); rate <= 0 || rate > 1 {

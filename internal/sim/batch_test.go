@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/sim"
@@ -175,9 +176,10 @@ func TestHopBatchTrainDifferential(t *testing.T) {
 // TestHeapBypassC1Regime is the CI heap-bypass regression smoke: a C >= 1
 // workload with jitter and slowdown faults — delays well past the historical
 // 64-slot window — must keep LaneHitRate >= 0.95 via the auto-sized ring,
-// whose whole point that is. A failure means the ring stopped covering the
-// delay envelope, which is a performance cliff long before it is a
-// correctness problem.
+// whose whole point that is; store-and-forward traffic at C = P = 1 must
+// bypass the heap entirely, its NCU backlogs riding the ring as it doubles. A
+// failure means the ring stopped covering the delay envelope or the backlogs,
+// which is a performance cliff long before it is a correctness problem.
 func TestHeapBypassC1Regime(t *testing.T) {
 	faults := core.MsgFaults{Jitter: 0.2, JitterMax: 96, Slowdown: 0.1, SlowFactor: 2, SlowMax: 128}
 	for _, c := range []core.Time{2, 8} {
@@ -186,6 +188,17 @@ func TestHeapBypassC1Regime(t *testing.T) {
 			t.Errorf("C=%d: lane hit rate %.3f < 0.95 — the auto-sizer lost the heap bypass\nstats: %+v",
 				c, rate, run.sched)
 		}
+	}
+	// Store-and-forward at C = P = 1: the NCU backlogs, not the delay
+	// envelope, set how far out events land, and the ring follows them out.
+	g := graph.GNP(96, 6.0/96, 3)
+	res, err := traffic.Run(g, traffic.RandomFlows(g, 96, 45, 1), traffic.StoreAndForward, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate := res.Sched.LaneHitRate(); rate != 1 {
+		t.Errorf("store-and-forward: lane hit rate %.4f, want 1 — an NCU backlog overflowed the ring\nstats: %+v",
+			rate, res.Sched)
 	}
 }
 
@@ -301,6 +314,92 @@ func TestSetDefaultRingWindow(t *testing.T) {
 	if !slices.Equal(auto.evs, pinned.evs) {
 		t.Errorf("trace diverged: auto-sized %d events, pinned %d events", len(auto.evs), len(pinned.evs))
 	}
+}
+
+// burst asks a leaf of runBacklog's star to send that many packets to the hub.
+type burst int
+
+// hubFeeder is runBacklog's protocol: a leaf handed a burst sends it to the
+// hub back to back, one packet per send; what arrives is only counted (by the
+// engine's delivery vector and trace).
+type hubFeeder struct{}
+
+func (hubFeeder) Init(core.Env)                 {}
+func (hubFeeder) LinkEvent(core.Env, core.Port) {}
+
+func (hubFeeder) Deliver(env core.Env, pkt core.Packet) {
+	k, ok := pkt.Payload.(burst)
+	if !ok {
+		return
+	}
+	hub, _ := env.PortToward(0)
+	route := anr.Direct([]anr.ID{hub.Local})
+	for i := 0; i < int(k); i++ {
+		if err := env.Send(route, i); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// runBacklog gives one NCU a backlog of leaves × per activations at
+// C = P = 1: each leaf of a star sends per packets to the hub, one instant
+// after the last, and the hub serializes them, scheduling each activation
+// one P behind the previous — thousands of instants past the one-hop delay
+// envelope the ring is sized from.
+func runBacklog(t *testing.T, mk newEngine, leaves, per int, extra ...sim.Option) (lossyRun, engine) {
+	t.Helper()
+	g := graph.Star(leaves + 1)
+	buf := trace.NewSerial(0)
+	net := mk(g, func(core.NodeID) core.Protocol { return hubFeeder{} },
+		append([]sim.Option{sim.WithDelays(1, 1), sim.WithTrace(buf)}, extra...)...)
+	for u := 1; u <= leaves; u++ {
+		net.Inject(core.Time(u), core.NodeID(u), burst(per))
+	}
+	finish, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.DeliveriesPerNode()[0]; got != int64(leaves*per) {
+		t.Fatalf("hub took %d deliveries, want %d", got, leaves*per)
+	}
+	return observed(buf, net, finish), net
+}
+
+// TestNCUBacklogRidesRing: a 3,000-activation backlog at one NCU grows the
+// auto-sized ring on demand instead of overflowing it, and the run equals,
+// observable by observable, the same run on a frozen 64-slot ring, which
+// sends the backlog's far part through the overflow heap.
+func TestNCUBacklogRidesRing(t *testing.T) {
+	auto, net := runBacklog(t, production, 3, 1000)
+	pinned, _ := runBacklog(t, production, 3, 1000, sim.WithFixedRing(64))
+	if auto.sched.RingOverflows != 0 {
+		t.Errorf("auto-sized ring overflowed: %+v", auto.sched)
+	}
+	if w := net.(*sim.Network).RingWindow(); w != 4096 {
+		t.Errorf("auto-sized ring spans %d instants after the backlog, want 4096", w)
+	}
+	if pinned.sched.RingOverflows == 0 {
+		t.Errorf("64-slot ring never overflowed under the backlog: %+v", pinned.sched)
+	}
+	if auto.sched.Events != pinned.sched.Events {
+		t.Errorf("Events diverged: auto-sized %d, pinned %d", auto.sched.Events, pinned.sched.Events)
+	}
+	requireEqualRuns(t, auto, pinned)
+}
+
+// TestNCUBacklogAtRingCap tests the doubling at its limit: a 10,000-activation
+// backlog grows the ring to the 8192-slot cap and no further, the rest
+// overflows to the heap, and the run equals the reference engine's.
+func TestNCUBacklogAtRingCap(t *testing.T) {
+	got, net := runBacklog(t, production, 10, 1000)
+	if w := net.(*sim.Network).RingWindow(); w != 8192 {
+		t.Errorf("ring spans %d instants after the backlog, want the 8192 cap", w)
+	}
+	if got.sched.RingOverflows == 0 {
+		t.Errorf("a backlog past the cap never overflowed: %+v", got.sched)
+	}
+	ref, _ := runBacklog(t, reference, 10, 1000)
+	requireEqualRuns(t, got, ref)
 }
 
 // FuzzHopBatch searches for a divergence between the auto-sized scheduler, the

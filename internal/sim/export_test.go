@@ -1,8 +1,8 @@
 package sim
 
 // WithFixedRing pins the calendar ring to n instants (rounded up to a power
-// of two in [64, 8192]) in place of the auto-sized span; SetMsgFaults then
-// never regrows it. The span is pure mechanism — any size yields the same
+// of two in [64, 8192]) in place of the auto-sized span; neither SetMsgFaults
+// nor an NCU backlog then grows it. The span is pure mechanism — any size yields the same
 // observables — so production code has no such knob: tests use this one to
 // force the overflow heap and the spill paths.
 func WithFixedRing(n int) Option {

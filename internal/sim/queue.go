@@ -291,9 +291,10 @@ func (q *eventHeap) pop(into *eventRec) {
 
 // Bounds of the calendar ring's span. The span is auto-sized from the delay
 // envelope (config.ringSize) so that C >= 1 and heavy-jitter runs keep the
-// ~100% heap bypass the unit-delay defaults get from the 64-slot minimum. The
-// cap bounds memory (a few hundred KB of lane headers) and the clock-advance
-// scan; envelopes beyond it overflow to the heap (SchedStats.RingOverflows).
+// ~100% heap bypass the unit-delay defaults get from the 64-slot minimum, and
+// doubles on demand (spine.place) as NCU backlogs push past it. The cap
+// bounds memory (a few hundred KB of lane headers) and the clock-advance
+// scan; what lies beyond it overflows to the heap (SchedStats.RingOverflows).
 const (
 	minRingWindow = 64
 	maxRingWindow = 8192
@@ -327,7 +328,9 @@ const (
 // joins the same-time lane, a FIFO. Scheduled within span instants of now —
 // nearly every event, the span being sized from the delay envelope — it joins
 // the calendar ring's FIFO slot for its instant (slot t & mask), which is
-// promoted wholesale when the clock reaches t. Anything farther out, or
+// promoted wholesale when the clock reaches t. A push just past the span
+// (less than two spans out) doubles an auto-sized ring instead, up to
+// maxRingWindow, so NCU backlogs follow the ring out; anything farther out, or
 // spilled by rewind, goes to the overflow heap.
 //
 // Why that is (t, key) order when keys are handed out in increasing order
@@ -335,12 +338,12 @@ const (
 // then the promoted slot, then the lane. A heap entry for t was scheduled
 // while now <= t - span, or before a rewind; a ring entry for t while
 // t - span < now < t and after any rewind; a lane entry while now == t. The
-// clock only moves forward between rewinds, and a rewind empties lane and
-// ring into the heap, so every heap entry for t predates every ring entry for
-// t, which predates every lane entry — and earlier means a smaller key. Each
-// tier is FIFO (the heap by key), so the concatenation is key order. Under
-// the shard contract (keyed), where keys are canonical rather than
-// increasing, the promoted slot is instead sorted by key (the stage) and
+// clock only moves forward between rewinds, the span only grows, and a rewind
+// empties lane and ring into the heap, so every heap entry for t predates
+// every ring entry for t, which predates every lane entry — and earlier means
+// a smaller key. Each tier is FIFO (the heap by key), so the concatenation is
+// key order. Under the shard contract (keyed), where keys are canonical rather
+// than increasing, the promoted slot is instead sorted by key (the stage) and
 // merged with the heap's residue key by key; the lane still drains last, in
 // creation order — "what was scheduled before t in key order, then what t
 // itself creates in creation order". TestSpineMatchesHeapModel checks both
@@ -361,6 +364,7 @@ type spine struct {
 	mask    core.Time // span - 1
 	pending int       // entries across ring slots
 	keyed   bool      // shard contract: promote through the stage
+	fixed   bool      // the span is pinned (WithFixedRing): place never grows it
 
 	stats SchedStats
 	sent  SchedStats // the part of stats already added to the totals sink
@@ -405,6 +409,12 @@ func (s *spine) place(t core.Time, key uint64) *eventRec {
 			s.stats.RingPeak = s.pending
 		}
 		return s.ring[idx].alloc(&s.pool)
+	}
+	if !s.fixed && t > s.now && t-s.now < 2*s.span && s.span < maxRingWindow {
+		// Just past the span: NCU backlogs creep out one P at a time, so an
+		// auto-sized ring doubles and follows them.
+		s.grow(2 * len(s.ring))
+		return s.place(t, key)
 	}
 	s.stats.RingOverflows++
 	s.stats.HeapPushes++

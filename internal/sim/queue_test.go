@@ -180,12 +180,16 @@ func (p *burstProto) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-// TestGrowRingMovesSlotsWhole: a SetMsgFaults that widens the delay envelope
-// re-buckets a pending slot spanning three chunks by moving the slot — no
-// event is copied, no chunk drawn — and the run it interrupts is observably
-// the run of a ring that was that wide from the start.
+// TestGrowRingMovesSlotsWhole: both ways the ring grows — on demand, when a
+// push lands just past the span, and when a SetMsgFaults widens the delay
+// envelope — re-bucket a pending slot spanning three chunks by moving the
+// slot — no event is copied, no chunk drawn — and the run they interrupt is
+// observably the run of a ring that was that wide from the start.
 func TestGrowRingMovesSlotsWhole(t *testing.T) {
-	const k, due = 2*laneChunk + 8, 671
+	// The burst's slot index differs between spans 512, 1024 and 2048, and
+	// the "go" injection lies two spans out, so it waits in the heap rather
+	// than growing the ring.
+	const k, due = 2*laneChunk + 8, 1695
 	wide := core.MsgFaults{Jitter: 0.5, JitterMax: 200}
 	run := func(opts ...Option) (*Network, []*burstProto, *trace.Serial) {
 		protos := make([]*burstProto, 3)
@@ -194,43 +198,62 @@ func TestGrowRingMovesSlotsWhole(t *testing.T) {
 			protos[id] = &burstProto{route: anr.Direct([]anr.ID{1, 2}), k: k}
 			return protos[id]
 		}, append([]Option{WithDelays(70, 1), WithSeed(4), WithTrace(buf)}, opts...)...)
-		// Late enough that the burst's slot index differs between the spans.
 		net.Inject(due-71, 0, "go")
 		if _, err := net.RunUntil(due - 70); err != nil { // the burst is on the wire
 			t.Fatal(err)
 		}
 		return net, protos, buf
 	}
+	late := core.Time(due - 70 + 513) // just past a 512-slot span
 
 	net, protos, buf := run()
 	if got := len(net.sp.ring); got != 512 {
-		t.Fatalf("ring spans %d instants before the profile change, want 512", got)
+		t.Fatalf("ring spans %d instants before any growth, want 512", got)
 	}
 	old := &net.sp.ring[due&net.sp.mask]
 	if old.n != k || old.head.next == nil || old.head.next.next != old.tail {
 		t.Fatalf("slot of instant %d holds %d events, want %d in three chunks", due, old.n, k)
 	}
+	if net.sp.pool.free == nil {
+		t.Fatal("no free chunk for the late injection's slot")
+	}
 	head, made := old.head, net.sp.pool.made
-	net.SetMsgFaults(wide)
-	if got := len(net.sp.ring); got != 2048 {
-		t.Fatalf("ring spans %d instants after the profile change, want 2048", got)
+	for _, grow := range []struct {
+		name string
+		do   func()
+		span int
+	}{
+		{"a push just past the span", func() { net.Inject(late, 0, "late") }, 1024},
+		{"the profile change", func() { net.SetMsgFaults(wide) }, 2048},
+	} {
+		grow.do()
+		if got := len(net.sp.ring); got != grow.span {
+			t.Fatalf("ring spans %d instants after %s, want %d", got, grow.name, grow.span)
+		}
+		moved := &net.sp.ring[due&net.sp.mask]
+		if moved.n != k || moved.head != head || net.sp.pool.made != made || net.sp.pending != k+1 {
+			t.Fatalf("after %s the slot holds %d events (pending %d) at chunk %p in a pool of %d; want the same %d at %p, pool of %d",
+				grow.name, moved.n, net.sp.pending, moved.head, net.sp.pool.made, k, head, made)
+		}
+		if next := net.sp.nextRingInstant(); next != due {
+			t.Fatalf("next ring instant after %s is %d, want %d", grow.name, next, due)
+		}
 	}
-	moved := &net.sp.ring[due&net.sp.mask]
-	if moved.n != k || moved.head != head || net.sp.pool.made != made || net.sp.pending != k {
-		t.Fatalf("after growth the slot holds %d events (pending %d) at chunk %p in a pool of %d; want the same %d at %p, pool of %d",
-			moved.n, net.sp.pending, moved.head, net.sp.pool.made, k, head, made)
-	}
-	if next := net.sp.nextRingInstant(); next != due {
-		t.Fatalf("next ring instant after growth is %d, want %d", next, due)
+	if net.sp.stats.RingOverflows != 1 {
+		t.Fatalf("%d ring overflows, want 1: the far injection alone", net.sp.stats.RingOverflows)
 	}
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	ref, refProtos, refBuf := run(WithFixedRing(2048))
+	ref.Inject(late, 0, "late")
 	ref.SetMsgFaults(wide)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(protos[0].got, []any{"late"}) || !slices.Equal(refProtos[0].got, []any{"late"}) {
+		t.Errorf("late injection delivered %v on the grown ring, %v on the fixed one", protos[0].got, refProtos[0].got)
 	}
 	if len(protos[2].got) == 0 || !slices.Equal(protos[2].got, refProtos[2].got) {
 		t.Errorf("deliveries diverged: grown ring %v, fixed ring %v", protos[2].got, refProtos[2].got)
@@ -320,7 +343,7 @@ type spineDriver struct {
 	seq    uint64 // classic keys; event identities under both contracts
 	popped int64
 	// What the string happened to exercise.
-	cuts, spills, overflows, atCap int
+	cuts, spills, overflows, growths, atCap int
 }
 
 func newSpineDriver(t *testing.T, keyed bool) *spineDriver {
@@ -344,12 +367,16 @@ func (d *spineDriver) key() uint64 {
 // another shard, which uses place and writes the whole entry itself.
 func (d *spineDriver) schedule(dt core.Time, barrier bool) {
 	t, key := d.sp.now+dt, d.key()
+	span := d.sp.span
 	var e *eventRec
 	if barrier && dt > 0 {
 		e = d.sp.place(t, key)
 		e.t, e.seq = t, key
 	} else {
 		e = d.sp.schedule(t, key)
+	}
+	if d.sp.span != span {
+		d.growths++
 	}
 	e.set(evHop, 1, int64(d.seq), 0, 1, 0, 0)
 	e.payload, e.h, e.rev = key, anr.Local(), anr.Local()
@@ -393,9 +420,9 @@ func (d *spineDriver) run(ops []byte) {
 			d.schedule(0, false)
 		case 1: // inside the window: the ring
 			d.schedule(1+arg%(sp.span-1), arg&1 != 0)
-		case 2: // exactly the span: the first instant the ring cannot take
+		case 2: // exactly the span: the first instant the ring cannot take, so it doubles (below the cap)
 			d.schedule(sp.span, false)
-		case 3: // past the span, and far past it
+		case 3: // past the span — doubling the ring when arg is small — and far past it, into the heap
 			d.schedule(sp.span+1+arg*arg, arg&1 != 0)
 		case 4: // the past: clamped to now
 			d.schedule(-1-arg, false)
@@ -471,23 +498,24 @@ var spinePreamble = []byte{1, 60, 6, 0, 5, 3, 0, 0, 0, 0, 8, 4, 9, 0, 3, 9, 7, 3
 // TestSpineMatchesHeapModel is the proof of the spine's order argument (see
 // the spine type): random operation strings — schedules at every distance
 // from now, bursts, partial drains, forward deadlines that cut the ring
-// mid-span, backward rewinds, ring growth from 64 to the 8192 cap — must
-// dispatch in exactly the order one binary heap does, under both contracts,
-// and leave nothing behind.
+// mid-span, backward rewinds, on-demand doubling for a push just past the
+// span, envelope growth from 64 to the 8192 cap — must dispatch in exactly the
+// order one binary heap does, under both contracts, and leave nothing behind.
 func TestSpineMatchesHeapModel(t *testing.T) {
 	for _, keyed := range []bool{false, true} {
-		var cuts, spills, overflows, atCap int
+		var cuts, spills, overflows, growths, atCap int
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			ops := make([]byte, 1200)
 			rng.Read(ops)
 			d := newSpineDriver(t, keyed)
 			d.run(append(append([]byte(nil), spinePreamble...), ops...))
-			cuts, spills, overflows, atCap = cuts+d.cuts, spills+d.spills, overflows+d.overflows, atCap+d.atCap
+			cuts, spills, overflows = cuts+d.cuts, spills+d.spills, overflows+d.overflows
+			growths, atCap = growths+d.growths, atCap+d.atCap
 		}
-		if cuts == 0 || spills == 0 || overflows == 0 || atCap == 0 {
-			t.Errorf("keyed=%v: the strings covered %d forward cuts over a pending ring, %d rewinds over a lane and a multi-chunk slot, %d heap overflows, %d growths to the cap; want all > 0",
-				keyed, cuts, spills, overflows, atCap)
+		if cuts == 0 || spills == 0 || overflows == 0 || growths == 0 || atCap == 0 {
+			t.Errorf("keyed=%v: the strings covered %d forward cuts over a pending ring, %d rewinds over a lane and a multi-chunk slot, %d heap overflows, %d on-demand growths, %d growths to the cap; want all > 0",
+				keyed, cuts, spills, overflows, growths, atCap)
 		}
 	}
 }

@@ -141,6 +141,7 @@ func (net *Network) buildShards() {
 		}
 		ch.sp.keyed = true
 		ch.sp.initRing(ch.cfg.ringSize())
+		ch.sp.fixed = ch.cfg.ringWindow > 0
 		if net.tb != nil {
 			ch.tb = &traceBuf{}
 			ch.cfg.sink = ch.tb

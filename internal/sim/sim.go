@@ -23,11 +23,12 @@
 // does take time waits in the spine (queue.go): a same-time FIFO lane, a
 // calendar ring auto-sized from the configured delay envelope (hardware C,
 // software P, fault jitter/reorder/slowdown bounds; regrown if SetMsgFaults
-// widens it) and an overflow heap, dispatched in strict (t, seq) order — see
-// docs/PERF.md. queue_test.go proves the spine against a single binary heap;
-// reference_test.go is a naive engine of the same stream contract that
-// cutthrough_test.go and batch_test.go hold production to trace for trace,
-// and golden_test.go pins the event stream byte for byte.
+// widens it, and doubled when an NCU backlog pushes an event just past it)
+// and an overflow heap for what lies farther out, dispatched in strict
+// (t, seq) order — see docs/PERF.md. queue_test.go proves the spine against
+// a single binary heap; reference_test.go is a naive engine of the same
+// stream contract that cutthrough_test.go and batch_test.go hold production
+// to trace for trace, and golden_test.go pins the event stream byte for byte.
 //
 // The package is four files along those seams: queue.go the spine, hop.go
 // packet routing, node.go nodes and NCU activations, sim.go options,
@@ -186,6 +187,7 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		busy:     make([]core.Time, g.N()),
 	}
 	net.sp.initRing(cfg.ringSize())
+	net.sp.fixed = cfg.ringWindow > 0
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		nd.id = core.NodeID(i)
@@ -365,15 +367,17 @@ func (net *Network) SetMsgFaults(f core.MsgFaults) {
 	}
 }
 
-// ringSize is the calendar-ring span for this configuration: a fixed
-// ringWindow wins; otherwise the span is sized so the one-hop delay
-// envelope — the farthest ahead of now any single schedule can land without
-// NCU queueing — fits with 4x headroom for queueing tails, rounded up to a
-// power of two within [minRingWindow, maxRingWindow]. The envelope is
-// hardware C plus the worst enabled fault surcharge (jitter, reorder hold,
-// or gray-link slowdown; duplicates always pay a jitter draw) plus software
-// P. Events beyond the span still run correctly — they overflow to the heap
-// (counted in SchedStats.RingOverflows) — so the size is pure mechanism.
+// ringSize is the calendar-ring span a network starts with: a fixed
+// ringWindow wins (and freezes it); otherwise the span is sized so the
+// one-hop delay envelope — the farthest ahead of now any single schedule can
+// land without NCU queueing — fits with 4x headroom, rounded up to a power of
+// two within [minRingWindow, maxRingWindow]. The envelope is hardware C plus
+// the worst enabled fault surcharge (jitter, reorder hold, or gray-link
+// slowdown; duplicates always pay a jitter draw) plus software P. NCU
+// backlogs are not in it: an auto-sized ring doubles when one pushes an
+// event just past the span (spine.place). Events two or more spans out still
+// run correctly — they overflow to the heap (counted in
+// SchedStats.RingOverflows) — so the size is pure mechanism.
 func (cf *config) ringSize() int {
 	if cf.ringWindow > 0 {
 		return roundRingWindow(cf.ringWindow)

@@ -142,14 +142,22 @@ func (p *node) Deliver(env core.Env, pkt core.Packet) {
 // first builds the flow's packet states and returns the source's own: its
 // header is what every packet of the flow leaves with, its Next what the
 // first receiving node is handed. Hardware is the chain of one hop, the full
-// route.
+// route. The states, and a store-and-forward chain's one-hop headers {link,
+// NCU}, are carved from one backing array each, so a flow costs the same few
+// allocations whatever its length.
 func (m *sendCmd) first() *dataMsg {
 	if m.Discipline == Hardware {
-		return &dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links), Next: &dataMsg{Flow: m.Flow}}
+		pair := new([2]dataMsg)
+		pair[0] = dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links), Next: &pair[1]}
+		pair[1].Flow = m.Flow
+		return &pair[0]
 	}
 	states := make([]dataMsg, len(m.Links)+1)
-	for i := range m.Links {
-		states[i] = dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links[i : i+1]), Next: &states[i+1]}
+	hops := make(anr.Header, 2*len(m.Links))
+	for i, l := range m.Links {
+		h := hops[2*i : 2*i+2 : 2*i+2]
+		h[0].Link, h[1].Link = l, anr.NCU
+		states[i] = dataMsg{Flow: m.Flow, Hop: h, Next: &states[i+1]}
 	}
 	states[len(m.Links)].Flow = m.Flow
 	return &states[0]
@@ -177,8 +185,8 @@ type Result struct {
 	// off-load.
 	MaxTransitUtilization float64
 	// Sched is the scheduler's own cost profile for the run (heap bypass,
-	// hop batching, ring occupancy) — the observability hook for the C >= 1
-	// hot path this engine lives on.
+	// ring overflows, ring and heap occupancy) — the observability hook for
+	// the C >= 1 hot path this engine lives on.
 	Sched sim.SchedStats
 }
 
@@ -190,8 +198,10 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 	if err := validateFlows(g, flows); err != nil {
 		return Result{}, err
 	}
+	nodes := make([]node, g.N())
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
-		return &node{id: id}
+		nodes[id].id = id
+		return &nodes[id]
 	}, append([]sim.Option{sim.WithDelays(c, p), sim.WithDmax(g.N())}, extra...)...)
 	pairs := make([][2]core.NodeID, len(flows))
 	for i, f := range flows {

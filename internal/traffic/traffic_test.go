@@ -297,6 +297,39 @@ func TestRunUnderDuplication(t *testing.T) {
 	}
 }
 
+// TestRelayAllocsPerFlow: Run allocates per flow and per network, not per hop
+// or per node. The same 16 one-packet flows, half each way, run over a path 8
+// hops long and one 64 hops long; the longer route may cost at most one more
+// object per flow (a hardware packet's 65-hop reverse route is too long for
+// the engine's shared buffers and gets its own) plus a few for the longer
+// route searches — not one per extra hop (a store-and-forward chain's one-hop
+// headers) or per extra node (the protocol instances).
+func TestRelayAllocsPerFlow(t *testing.T) {
+	const flows = 16
+	allocs := func(d Discipline, hops int) float64 {
+		g := graph.Path(hops + 1)
+		fl := make([]Flow, flows)
+		for i := range fl {
+			fl[i] = Flow{Src: 0, Dst: core.NodeID(hops), Packets: 1}
+			if i%2 == 1 {
+				fl[i].Src, fl[i].Dst = fl[i].Dst, fl[i].Src
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			if res, err := Run(g, fl, d, 1, 1); err != nil || res.Delivered != flows {
+				t.Fatalf("%v over %d hops: delivered %d of %d (%v)", d, hops, res.Delivered, flows, err)
+			}
+		})
+	}
+	for _, d := range []Discipline{Hardware, StoreAndForward} {
+		short, long := allocs(d, 8), allocs(d, 64)
+		t.Logf("%v: %.0f objects over 8 hops, %.0f over 64", d, short, long)
+		if long-short > flows+8 {
+			t.Errorf("%v: %.0f objects over 64 hops, %.0f over 8: %.0f more for 16 flows", d, long, short, long-short)
+		}
+	}
+}
+
 // TestRelayAllocsPerPacket pins the forwarding handler's allocation cost:
 // doubling every flow's packet count (routes, headers and packet states are
 // per flow and cancel in the difference) adds at most 0.1 heap objects per
