@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -12,8 +13,6 @@ import (
 	"fastnet/internal/graph"
 	"fastnet/internal/trace"
 )
-
-func allUp(NodeID, anr.ID) bool { return true }
 
 func TestPortMapAssignment(t *testing.T) {
 	g := graph.Star(4) // center 0, leaves 1..3
@@ -136,7 +135,7 @@ func TestWalkRouteTerminal(t *testing.T) {
 	g := graph.Path(4)
 	pm := NewPortMap(g)
 	links, _ := pm.RouteLinks([]NodeID{0, 1, 2, 3})
-	tr, err := WalkRoute(pm, allUp, 0, anr.Direct(links))
+	tr, err := WalkRoute(pm, 0, anr.Direct(links))
 	if err != nil {
 		t.Fatalf("WalkRoute: %v", err)
 	}
@@ -150,7 +149,7 @@ func TestWalkRouteTerminal(t *testing.T) {
 		t.Fatalf("%d deliveries, want 1", len(tr.Deliveries))
 	}
 	d := tr.Deliveries[0]
-	if d.Node != 3 || d.Copy || d.HopsBefore != 3 {
+	if d.Node != 3 || d.Copy || d.Reverse.HopCount() != 3 {
 		t.Fatalf("terminal delivery = %+v", d)
 	}
 }
@@ -159,7 +158,7 @@ func TestWalkRouteCopyPath(t *testing.T) {
 	g := graph.Path(4)
 	pm := NewPortMap(g)
 	links, _ := pm.RouteLinks([]NodeID{0, 1, 2, 3})
-	tr, err := WalkRoute(pm, allUp, 0, anr.CopyPath(links))
+	tr, err := WalkRoute(pm, 0, anr.CopyPath(links))
 	if err != nil {
 		t.Fatalf("WalkRoute: %v", err)
 	}
@@ -171,7 +170,7 @@ func TestWalkRouteCopyPath(t *testing.T) {
 	wantCopy := []bool{true, true, false}
 	wantHops := []int{1, 2, 3}
 	for i, d := range tr.Deliveries {
-		if d.Node != wantNodes[i] || d.Copy != wantCopy[i] || d.HopsBefore != wantHops[i] {
+		if d.Node != wantNodes[i] || d.Copy != wantCopy[i] || d.Reverse.HopCount() != wantHops[i] {
 			t.Fatalf("delivery %d = %+v, want node %d copy %v hops %d",
 				i, d, wantNodes[i], wantCopy[i], wantHops[i])
 		}
@@ -188,18 +187,10 @@ func TestWalkRouteDropDeliversPendingCopy(t *testing.T) {
 	links, _ := pm.RouteLinks([]NodeID{0, 1, 2, 3})
 	// Link 1-2 is dead. The copy at node 1 must still be delivered (the NCU
 	// link is always up), then the packet dies.
-	down := func(u NodeID, l anr.ID) bool {
-		p, err := pm.Resolve(u, l)
-		if err != nil {
-			return false
-		}
-		e := graph.Edge{U: u, V: p.Remote}.Canon()
-		return !(e.U == 1 && e.V == 2)
-	}
-	tr, err := WalkRoute(pm, down, 0, anr.CopyPath(links))
-	if err != nil {
-		t.Fatalf("WalkRoute: %v", err)
-	}
+	live := NewLinks(pm)
+	live.Flip(1, 2, false)
+	live.Flip(2, 1, false)
+	tr := WalkRouteFaults(live, nil, nil, 0, anr.CopyPath(links), nil)
 	if len(tr.Dropped) != 1 || tr.Dropped[0] != 1 {
 		t.Fatalf("expected drop at node 1, got %+v", tr)
 	}
@@ -214,7 +205,7 @@ func TestWalkRouteDropDeliversPendingCopy(t *testing.T) {
 func TestWalkRouteLocalDelivery(t *testing.T) {
 	g := graph.Path(2)
 	pm := NewPortMap(g)
-	tr, err := WalkRoute(pm, allUp, 1, anr.Local())
+	tr, err := WalkRoute(pm, 1, anr.Local())
 	if err != nil {
 		t.Fatalf("WalkRoute: %v", err)
 	}
@@ -229,10 +220,10 @@ func TestWalkRouteLocalDelivery(t *testing.T) {
 func TestWalkRouteBadLink(t *testing.T) {
 	g := graph.Path(2)
 	pm := NewPortMap(g)
-	if _, err := WalkRoute(pm, allUp, 0, anr.Direct([]anr.ID{7})); err == nil {
+	if _, err := WalkRoute(pm, 0, anr.Direct([]anr.ID{7})); err == nil {
 		t.Fatal("routing over a nonexistent link must error")
 	}
-	if _, err := WalkRoute(pm, allUp, 0, anr.Header{}); err == nil {
+	if _, err := WalkRoute(pm, 0, anr.Header{}); err == nil {
 		t.Fatal("empty header must error")
 	}
 }
@@ -250,7 +241,7 @@ func TestWalkAllocsFlatInHops(t *testing.T) {
 		links, _ := pm.RouteLinks(path)
 		h := anr.Direct(links)
 		allocs := testing.AllocsPerRun(50, func() {
-			if tr := WalkRouteFaults(pm, allUp, nil, nil, nil, 0, h, nil); tr.Hops != hops {
+			if tr := WalkRouteFaults(pm.ports, nil, nil, 0, h, nil); tr.Hops != hops {
 				t.Fatalf("walk: %d hops, want %d", tr.Hops, hops)
 			}
 		})
@@ -260,26 +251,26 @@ func TestWalkAllocsFlatInHops(t *testing.T) {
 	}
 }
 
-// The goroutine runtime builds its link-state, roller and corruption closures
-// for every send; a walk that made them escape would add two objects to each
-// fault-free send. The walk may allocate what it delivers and nothing for
-// what it was handed: closures over a local cost what package functions cost.
+// The goroutine runtime builds its roller closure for every send; a walk that
+// made it escape would add an object to each send. The walk may allocate what
+// it delivers and nothing for what it was handed: closures over a local cost
+// what package functions cost.
 func TestWalkLeavesCallersClosuresOnTheStack(t *testing.T) {
 	pm := NewPortMap(graph.Path(4))
 	links, _ := pm.RouteLinks([]NodeID{0, 1, 2, 3})
 	h := anr.CopyPath(links)
-	keep := func(pl any) any { return pl }
+	pass := func(NodeID, any) bool { return true }
+	keep := func(_ NodeID, pl any) (MsgFault, any, Time) { return faultNone, pl, 0 }
 	plain := testing.AllocsPerRun(100, func() {
-		if tr := WalkRouteFaults(pm, allUp, nil, nil, keep, 0, h, nil); tr.Hops != 3 {
+		if tr := WalkRouteFaults(pm.ports, pass, keep, 0, h, nil); tr.Hops != 3 {
 			t.Fatalf("walk: %d hops", tr.Hops)
 		}
 	})
 	captured := testing.AllocsPerRun(100, func() {
 		calls := 0
-		up := func(NodeID, anr.ID) bool { calls++; return true }
-		roll := func(NodeID) MsgFault { calls++; return faultNone }
-		corrupt := func(pl any) any { calls++; return pl }
-		if tr := WalkRouteFaults(pm, up, nil, roll, corrupt, 0, h, nil); tr.Hops != 3 || calls != 6 {
+		filter := func(NodeID, any) bool { calls++; return true }
+		roll := func(_ NodeID, pl any) (MsgFault, any, Time) { calls++; return faultNone, pl, 0 }
+		if tr := WalkRouteFaults(pm.ports, filter, roll, 0, h, nil); tr.Hops != 3 || calls != 5 {
 			t.Fatalf("walk: %d hops after %d calls", tr.Hops, calls)
 		}
 	})
@@ -304,13 +295,13 @@ func TestWalkReverseRouteQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := WalkRoute(pm, allUp, src, anr.Direct(links))
+		tr, err := WalkRoute(pm, src, anr.Direct(links))
 		if err != nil || len(tr.Dropped) > 0 || len(tr.Deliveries) != 1 {
 			return false
 		}
 		// Follow the reverse route from dst: it must terminate at src with
 		// the same number of hops.
-		back, err := WalkRoute(pm, allUp, dst, tr.Deliveries[0].Reverse)
+		back, err := WalkRoute(pm, dst, tr.Deliveries[0].Reverse)
 		if err != nil || len(back.Dropped) > 0 || len(back.Deliveries) != 1 {
 			return false
 		}
@@ -337,7 +328,7 @@ func TestWalkCopyPathCoverageQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := WalkRoute(pm, allUp, src, anr.CopyPath(links))
+		tr, err := WalkRoute(pm, src, anr.CopyPath(links))
 		if err != nil || len(tr.Dropped) > 0 {
 			return false
 		}
@@ -528,5 +519,79 @@ func TestFaultLedger(t *testing.T) {
 	}
 	if MsgFault(99).String() != "fault(99)" || MsgFault(-1).String() != "fault(-1)" {
 		t.Fatal("an unknown fault still has a name")
+	}
+}
+
+// TestStepHop: what one switching subsystem does, case by case — ID 0 ends
+// at the NCU whatever the filter says; the filter runs in transit only; a
+// copy bit and a dead port are reported together, since the copy is made
+// before the packet dies.
+func TestStepHop(t *testing.T) {
+	pm := NewPortMap(graph.Path(3))
+	live := NewLinks(pm)
+	live.Flip(1, 2, false)
+	reject := func(NodeID, any) bool { return false }
+	h := anr.Header{{Link: 2, Copy: true}, {Link: 1}, {Link: anr.NCU}}
+	for _, tc := range []struct {
+		name   string
+		i      int
+		filter HopFilter
+		want   Hop
+	}{
+		{"terminal", 2, reject, Hop{Kind: HopTerminal}},
+		{"filtered-in-transit", 1, reject, Hop{Kind: HopFiltered}},
+		{"filter-skips-sender", 0, reject, Hop{Copy: true, Port: live[1][1]}},
+		{"copy-then-dead", 0, nil, Hop{Copy: true, Port: Port{Local: 2, Remote: 2, RemoteID: 1}}},
+		{"forward", 1, nil, Hop{Port: Port{Local: 1, Remote: 0, RemoteID: 1, Up: true}}},
+	} {
+		if got := StepHop(live[1], h, tc.i, 1, tc.filter, nil); got != tc.want {
+			t.Errorf("%s: %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCrossWithinDelayBound: over random profiles, seeds and per-hop delays
+// c, no delay Cross returns and no duplicate's JitterDelay exceeds
+// DelayBound, the envelope the discrete-event runtime sizes its calendar ring
+// by. A fault that delays delays by at least 1 and no other fault delays;
+// only a corruption changes the payload. Cross draws what a roll followed by
+// the fired fault's own draw does, so a twin stream stepped that way (a
+// string payload's corruption draws nothing) stays aligned with it.
+func TestCrossWithinDelayBound(t *testing.T) {
+	f := func(seed int64, probs [6]uint8, jmax, rwin, smax, factor, c uint8) bool {
+		p := func(i int) float64 { return float64(probs[i]%4) / 18 }
+		prof := MsgFaults{Drop: p(0), Dup: p(1), Corrupt: p(2), Jitter: p(3), Reorder: p(4), Slowdown: p(5),
+			JitterMax: Time(jmax % 10), ReorderWindow: Time(rwin % 10), SlowMax: Time(smax % 10), SlowFactor: float64(factor%8) / 2}
+		hw := Time(c % 12)
+		bound := prof.DelayBound(hw)
+		r, twin := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for range 100 {
+			k, pl, delay := prof.Cross(r, hw, "x")
+			delays := k == FaultJitter || k == FaultReorder || k == FaultSlowdown
+			if delay > bound || delays != (delay > 0) || (k == FaultCorrupt) != (pl == Garbled{}) {
+				t.Logf("%+v c=%d: %v delay %d payload %v, bound %d", prof, hw, k, delay, pl, bound)
+				return false
+			}
+			want, wantDelay := prof.Roll(twin), Time(0)
+			switch want {
+			case FaultJitter, FaultDup:
+				wantDelay = prof.JitterDelay(twin)
+			case FaultReorder:
+				wantDelay = prof.ReorderDelay(twin)
+			case FaultSlowdown:
+				wantDelay = prof.SlowdownDelay(twin, hw)
+			}
+			if k == FaultDup {
+				delay = prof.JitterDelay(r) // the duplicate's own re-crossing
+			}
+			if k != want || delay != wantDelay || delay > bound {
+				t.Logf("%+v c=%d: %v delay %d, twin stream %v delay %d", prof, hw, k, delay, want, wantDelay)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

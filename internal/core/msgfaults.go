@@ -33,17 +33,18 @@ type MsgFaults struct {
 	// are replaced by Garbled, the unparseable-frame marker.
 	Corrupt float64
 	// Jitter is the probability a traversal is delayed by extra hardware
-	// time drawn from [1, JitterMax] (discrete-event runtime) or delivered
-	// out of order relative to queued packets (goroutine runtime). This is
-	// the model's bounded-reordering knob.
+	// time drawn from [1, JitterMax]. The goroutine runtime draws the delay
+	// too but has no clock to spend it on: the packet is delivered out of
+	// order relative to queued packets. This is the model's
+	// bounded-reordering knob.
 	Jitter float64
 	// JitterMax bounds the extra per-hop delay; 0 means 1.
 	JitterMax Time
 	// Reorder is the probability a traversal violates the link's FIFO
 	// discipline: the packet is held back by extra hardware time drawn from
-	// [1, ReorderWindow] (discrete-event runtime) or re-enqueued at a random
-	// inbox position (goroutine runtime), letting later traffic on the same
-	// link overtake it. It is jitter's channel-order sibling, counted and
+	// [1, ReorderWindow] (on the goroutine runtime, a delay drawn and spent
+	// as a random inbox position), letting later traffic on the same link
+	// overtake it. It is jitter's channel-order sibling, counted and
 	// traced separately so FIFO-sensitive protocols can attribute failures.
 	Reorder float64
 	// ReorderWindow bounds how far a reordered packet can lag; 0 means 1.
@@ -53,8 +54,8 @@ type MsgFaults struct {
 	// just takes longer. On the discrete-event runtime the hop's hardware
 	// delay is inflated by (SlowFactor-1)× the configured per-hop delay plus
 	// an additive draw from [1, SlowMax]; the goroutine runtime, which has
-	// no delay model, marks the delivery reordered (a late packet can be
-	// overtaken). Distinct from Jitter so degradation-aware timers can be
+	// no delay model, draws it with C = 0 and marks the delivery reordered
+	// (a late packet can be overtaken). Distinct from Jitter so degradation-aware timers can be
 	// measured against transient noise separately from sustained slowness.
 	Slowdown float64
 	// SlowFactor multiplies the configured per-hop hardware delay of a
@@ -137,7 +138,7 @@ func (k MsgFault) String() string {
 // Count is the fault ledger's one entry point: the fault rolled for message
 // msg's traversal out of node at, at time now on the runtime's clock, is
 // counted into m and recorded in sink with its tag as the Cause. No fault is
-// no entry. What a fault then does to the packet is the runtime's business.
+// no entry. What a fault does to the packet is MsgFaults.Cross.
 func (k MsgFault) Count(m *Metrics, sink trace.Sink, now int64, at NodeID, msg int64) {
 	switch k {
 	case faultNone:
@@ -186,6 +187,53 @@ func (f MsgFaults) Roll(r *rand.Rand) MsgFault {
 	default:
 		return faultNone
 	}
+}
+
+// Cross is one live-link traversal under the profile: one Roll, then, from
+// the same r, the fired fault's own draw — the damaged payload of a
+// corruption, or the extra delay of a jitter, reorder or slowdown over a link
+// whose configured per-hop delay is c. It returns the fault, the payload that
+// reaches the far end and the extra delay (0 for the other faults). A drop or
+// a duplicate is the caller's to carry out; a duplicate re-crosses after a
+// JitterDelay drawn from r after this call.
+func (f MsgFaults) Cross(r *rand.Rand, c Time, payload any) (MsgFault, any, Time) {
+	k := f.Roll(r)
+	var extra Time
+	switch k {
+	case FaultCorrupt:
+		payload = CorruptPayload(payload, r)
+	case FaultJitter:
+		extra = f.JitterDelay(r)
+	case FaultReorder:
+		extra = f.ReorderDelay(r)
+	case FaultSlowdown:
+		extra = f.SlowdownDelay(r, c)
+	}
+	return k, payload, extra
+}
+
+// DelayBound is the largest extra delay the profile can add to one traversal
+// of a link whose per-hop delay is c: the most a delay from Cross, or a
+// duplicate's JitterDelay, can be. 0 when nothing that delays is enabled.
+func (f MsgFaults) DelayBound(c Time) Time {
+	var b Time
+	if f.Jitter > 0 || f.Dup > 0 {
+		b = max(1, f.JitterMax)
+	}
+	if f.Reorder > 0 {
+		b = max(b, 1, f.ReorderWindow)
+	}
+	if f.Slowdown > 0 {
+		s := Time(1)
+		if f.SlowFactor > 1 {
+			s += Time(float64(c) * (f.SlowFactor - 1))
+		}
+		if f.SlowMax > 1 {
+			s += f.SlowMax - 1
+		}
+		b = max(b, s)
+	}
+	return b
 }
 
 // JitterDelay draws the extra hardware delay of one jitter fault.

@@ -8,29 +8,15 @@ import (
 )
 
 // Delivery is one NCU activation produced by routing a packet: a selective
-// copy at a forwarding node or the terminal delivery at the route's end.
+// copy at a forwarding node or the terminal delivery at the route's end. The
+// Packet is what Node's NCU is handed, its Payload what reached Node (a
+// corruption fault upstream shows there).
 type Delivery struct {
+	Packet
 	Node NodeID
-	// Remaining is the header left after this node's SS consumed its hop.
-	Remaining anr.Header
-	// Reverse is the accumulated route from Node back to the sender.
-	Reverse anr.Header
-	// ArrivedOn is Node's local ID of the link the packet arrived on
-	// (anr.NCU when Node is the sender itself).
-	ArrivedOn anr.ID
-	// ForwardedOn is the link the SS forwarded on while copying (anr.NCU
-	// for terminal deliveries).
-	ForwardedOn anr.ID
 	// Copy is true for selective-copy deliveries.
 	Copy bool
-	// HopsBefore is the number of link traversals completed before this
-	// delivery; runtimes use it to time the delivery (t0 + C*HopsBefore).
-	HopsBefore int
-	// Payload, when non-nil, overrides the routed payload for this
-	// delivery: a corruption fault upstream damaged the packet before it
-	// got here.
-	Payload any
-	// Reordered marks deliveries behind a jitter or reorder fault; the
+	// Reordered marks deliveries behind a fault that delayed the packet; the
 	// goroutine runtime honors it by enqueueing at a random inbox position.
 	Reordered bool
 }
@@ -48,11 +34,6 @@ type Traversal struct {
 	// fault drop is in neither: the roller is what accounts for faults.
 	Dropped, Filtered []NodeID
 }
-
-// LinkStateFunc reports whether the physical link behind node u's local port
-// l currently delivers packets. Link state is symmetric: implementations
-// must answer identically from both endpoints.
-type LinkStateFunc func(u NodeID, l anr.ID) bool
 
 // HopFilter is the optional programmable switching stage of the extended
 // hardware model (the paper's "update of a stored variable, table lookup
@@ -124,37 +105,67 @@ func Multicast(m *Metrics, hs []anr.Header, route func(anr.Header) error) error 
 	return nil
 }
 
+// HopKind is what the switching subsystem at one node does with a packet.
+type HopKind uint8
+
+const (
+	hopOn       HopKind = iota // forward on Hop.Port, after a copy if Hop.Copy
+	HopTerminal                // ID 0: the packet ends at the local NCU
+	HopFiltered                // the §7 filter discarded the packet in transit
+)
+
+// Hop is what StepHop decided. A forwarding hop leaves on Port, the live
+// port its ID names; a dead port (!Port.Up) drops the packet there, after
+// the copy, since the NCU link is always up.
+type Hop struct {
+	Kind HopKind
+	Copy bool // the NCU gets the remaining packet before it moves on
+	Port Port
+}
+
+// StepHop is one switching subsystem (§1) at node at, whose live link row is
+// row, about to consume position i of an admitted header h: the leading ID 0
+// terminates at the NCU; in transit (i > 0) the filter, if any, sees payload
+// and may discard the packet (§7); any other ID names the port the packet
+// leaves on, and a copy bit also hands the NCU the rest of the route. Both
+// runtimes take every hop through here; what the hop costs in time and what
+// the link then does to the packet (MsgFaults.Cross) are theirs to apply.
+func StepHop(row []Port, h anr.Header, i int, at NodeID, filter HopFilter, payload any) Hop {
+	hop := h[i]
+	if hop.Link == anr.NCU {
+		return Hop{Kind: HopTerminal}
+	}
+	if i > 0 && filter != nil && !filter(at, payload) {
+		return Hop{Kind: HopFiltered}
+	}
+	return Hop{Copy: hop.Copy, Port: row[hop.Link-1]}
+}
+
 // WalkRoute performs the switching-subsystem traversal of header h injected
-// at node src, with no timing: the oracle that routes built by protocols are
-// replayed on, admitting h as a runtime would before the first hop.
-//
-// Semantics per hop, mirroring the paper's hardware model: the current SS
-// pops the leading ID; ID 0 terminates at the local NCU; a copy hop delivers
-// the remaining packet to the local NCU and forwards it on the named link; a
-// normal hop only forwards. Copies are delivered even when the onward link is
-// dead (the NCU link is always up), after which the packet is dropped.
-func WalkRoute(pm *PortMap, up LinkStateFunc, src NodeID, h anr.Header) (Traversal, error) {
+// at node src over a fabric whose links are all up, with no timing: the
+// oracle that routes built by protocols are replayed on, admitting h as a
+// runtime would before the first hop.
+func WalkRoute(pm *PortMap, src NodeID, h anr.Header) (Traversal, error) {
 	if err := pm.Admit(new(Metrics), src, h, 0); err != nil {
 		return Traversal{}, fmt.Errorf("walk from node %d: %w", src, err)
 	}
-	return WalkRouteFaults(pm, up, nil, nil, nil, src, h, nil), nil
+	return WalkRouteFaults(pm.ports, nil, nil, src, h, nil), nil
 }
 
-// FaultRoller decides the fault applied to one link traversal; it is called
-// once per traversal, including on duplicate branches. Implementations wrap
-// a MsgFaults profile around a seeded rng (and a mutex under the goroutine
-// runtime). corrupt produces the damaged payload for a corruption fault.
-type FaultRoller func(at NodeID) MsgFault
+// FaultRoller is what the link does to one traversal out of node at of a
+// packet carrying payload: a runtime's MsgFaults.Cross over its fault
+// stream, with the fault counted. It is called once per live-link traversal,
+// duplicate branches included.
+type FaultRoller func(at NodeID, payload any) (MsgFault, any, Time)
 
-// WalkRouteFaults is the walk itself, of a header pm.Admit has admitted (so
-// branches cannot fail mid-walk), with the extended hardware model and the
-// lossy-link model: filter (if non-nil) runs in every transit SS before any
-// output, payload is what it inspects, and roll (if non-nil) perturbs each
-// live-link traversal. A duplicate branch re-walks the remaining header, so
-// its hops and deliveries are accounted again — the duplicate physically
-// retraverses the fabric.
-func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll FaultRoller, corrupt func(any) any, src NodeID, h anr.Header, payload any) Traversal {
-	w := walker{pm: pm, up: up, filter: filter, roll: roll, corrupt: corrupt, h: h}
+// WalkRouteFaults is the untimed walk of a header pm.Admit has admitted (so
+// branches cannot fail mid-walk) over the live link table links: StepHop at
+// every node, with filter (if non-nil) seeing payload in transit, and roll
+// (if non-nil) perturbing each live-link traversal. A duplicate branch
+// re-walks the remaining header, so its hops and deliveries are accounted
+// again — the duplicate physically retraverses the fabric.
+func WalkRouteFaults(links Links, filter HopFilter, roll FaultRoller, src NodeID, h anr.Header, payload any) Traversal {
+	w := walker{links: links, filter: filter, roll: roll, h: h}
 	var tr Traversal
 	rev := make(anr.Header, h.HopCount()+1)
 	rev[len(rev)-1] = anr.Hop{Link: anr.NCU}
@@ -165,15 +176,13 @@ func WalkRouteFaults(pm *PortMap, up LinkStateFunc, filter HopFilter, roll Fault
 // walker is the inputs of one WalkRouteFaults call. The traversal every
 // branch of the packet adds to is passed beside it, not held in it: the
 // deliveries go to the heap, and what shares a struct with them is taken to
-// go there too — the caller's up, roll and corrupt closures, which the
-// goroutine runtime builds for every send and which must stay on its stack.
+// go there too — the caller's roll closure, which the goroutine runtime
+// builds for every send and which must stay on its stack.
 type walker struct {
-	pm      *PortMap
-	up      LinkStateFunc
-	filter  HopFilter
-	roll    FaultRoller
-	corrupt func(any) any
-	h       anr.Header
+	links  Links
+	filter HopFilter
+	roll   FaultRoller
+	h      anr.Header
 }
 
 // branch is one copy of the packet in flight: where it is, the header index
@@ -189,60 +198,45 @@ type branch struct {
 	rev       anr.Header
 	arrivedOn anr.ID
 	pl        any
-	tainted   bool // pl replaced the routed payload: a corruption fault upstream
 	reordered bool
-	hops      int
 }
 
 // walk carries b to the end of its route, or to whatever stops it.
 func (w *walker) walk(tr *Traversal, b branch) {
 	for ; b.i < len(w.h); b.i++ {
-		hop := w.h[b.i]
-		d := Delivery{Node: b.cur, Reverse: b.rev[len(b.rev)-1-b.i:], ArrivedOn: b.arrivedOn, HopsBefore: b.hops, Reordered: b.reordered}
-		if b.tainted {
-			d.Payload = b.pl
-		}
-		if hop.Link == anr.NCU {
+		d := Delivery{Packet: Packet{Payload: b.pl, Reverse: b.rev[len(b.rev)-1-b.i:], ArrivedOn: b.arrivedOn}, Node: b.cur, Reordered: b.reordered}
+		hop := StepHop(w.links[b.cur], w.h, b.i, b.cur, w.filter, b.pl)
+		switch hop.Kind {
+		case HopTerminal:
 			tr.Deliveries = append(tr.Deliveries, d)
 			return
-		}
-		if b.i > 0 && w.filter != nil && !w.filter(b.cur, b.pl) {
+		case HopFiltered:
 			tr.Filtered = append(tr.Filtered, b.cur)
 			return
 		}
 		if hop.Copy {
-			d.Remaining = w.h[b.i+1:].Clone()
-			d.ForwardedOn = hop.Link
-			d.Copy = true
+			d.Remaining, d.ForwardedOn, d.Copy = w.h[b.i+1:].Clone(), hop.Port.Local, true
 			tr.Deliveries = append(tr.Deliveries, d)
 		}
-		if !w.up(b.cur, hop.Link) {
+		if !hop.Port.Up {
 			tr.Dropped = append(tr.Dropped, b.cur)
 			return
 		}
-		f := faultNone
+		f, delay := faultNone, Time(0)
 		if w.roll != nil {
-			f = w.roll(b.cur)
+			f, b.pl, delay = w.roll(b.cur, b.pl)
 		}
-		switch f {
-		case FaultDrop:
+		if f == FaultDrop {
 			return
-		case FaultCorrupt:
-			b.pl = w.corrupt(b.pl)
-			b.tainted = true
-		case FaultJitter, FaultReorder, FaultSlowdown:
-			// No delay model here: a delayed packet is simply one that later
-			// traffic may overtake, so it is delivered reordered.
-			b.reordered = true
 		}
+		// No delay model here: a delayed packet is simply one that later
+		// traffic may overtake, so it is delivered reordered.
+		b.reordered = b.reordered || delay > 0
 		tr.Hops++
-		b.hops++
-		// Extend the reverse route: from the next node, first traverse
-		// back over this link, then follow the previous reverse route.
-		port, _ := w.pm.Resolve(b.cur, hop.Link) // admitted: cannot fail
-		b.rev[len(b.rev)-2-b.i] = anr.Hop{Link: port.RemoteID}
-		b.arrivedOn = port.RemoteID
-		b.cur = port.Remote
+		// Extend the reverse route: from the next node, first traverse back
+		// over this link, then follow the previous reverse route.
+		b.rev[len(b.rev)-2-b.i] = anr.Hop{Link: hop.Port.RemoteID}
+		b.cur, b.arrivedOn = hop.Port.Remote, hop.Port.RemoteID
 		if f == FaultDup {
 			// The duplicate also crossed the link: account its hop and
 			// continue it independently from the far end.

@@ -41,7 +41,7 @@ func buildInOutFromGraph(g *graph.Graph, root core.NodeID) (*domain, *core.PortM
 // walkTo executes the tree's route on the real hardware and returns the
 // terminal node.
 func walkTo(pm *core.PortMap, from core.NodeID, h anr.Header) (core.NodeID, bool) {
-	tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, from, h)
+	tr, err := core.WalkRoute(pm, from, h)
 	if err != nil || len(tr.Dropped) > 0 || len(tr.Deliveries) != 1 {
 		return 0, false
 	}

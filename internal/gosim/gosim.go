@@ -1,6 +1,8 @@
 // Package gosim is the goroutine-based runtime for fastnet protocols. Every
 // NCU is a goroutine draining an unbounded FIFO inbox; the switching
-// hardware is instantaneous (core.WalkRouteFaults); scheduling nondeterminism
+// hardware is instantaneous: core.WalkRouteFaults takes the whole route at
+// once, each hop a core.StepHop and each live link a core.MsgFaults.Cross,
+// whose delays become reordered inbox insertion; scheduling nondeterminism
 // comes from the Go scheduler. It implements the same core.Env contract as
 // the discrete-event runtime, so protocol code runs unchanged.
 //
@@ -88,8 +90,8 @@ type item struct {
 	port      core.Port
 	msg       int64
 	isCopy    bool
-	// reorder marks deliveries behind a jitter or reorder fault: they are
-	// enqueued at a random inbox position instead of the tail (bounded
+	// reorder marks deliveries behind a fault that delayed the packet: they
+	// are enqueued at a random inbox position instead of the tail (bounded
 	// reordering).
 	reorder bool
 }
@@ -388,55 +390,35 @@ func (net *Network) route(nd *gnode, h anr.Header, payload any) error {
 		return err
 	}
 	msg := net.msgSeq.Add(1)
-	// The roller serializes rolls over the shared fault source; the ledger
-	// records each inline, so fault events carry the message ID.
+	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: act, Node: nd.id, Act: act, Msg: msg})
+	// The roller serializes Cross over the shared fault source; the ledger
+	// records each inline, so fault events carry the message ID. With no
+	// clock, gosim crosses with C = 0 and spends a delay as Reordered.
 	var roll core.FaultRoller
 	net.faultMu.Lock()
 	faults := net.faults
 	net.faultMu.Unlock()
 	if faults.Enabled() {
-		roll = func(at core.NodeID) core.MsgFault {
+		roll = func(at core.NodeID, pl any) (core.MsgFault, any, core.Time) {
 			net.faultMu.Lock()
-			f := faults.Roll(net.faultRng)
+			f, pl, delay := faults.Cross(net.faultRng, 0, pl)
 			net.faultMu.Unlock()
 			f.Count(m, net.cfg.sink, act, at, msg)
-			return f
+			return f, pl, delay
 		}
 	}
-	corrupt := func(pl any) any {
-		net.faultMu.Lock()
-		defer net.faultMu.Unlock()
-		return core.CorruptPayload(pl, net.faultRng)
-	}
-	up := func(u core.NodeID, l anr.ID) bool { return net.links[u][l-1].Up }
 	net.mu.RLock()
-	tr := core.WalkRouteFaults(net.pm, up, net.cfg.filter, roll, corrupt, nd.id, h, payload)
+	tr := core.WalkRouteFaults(net.links, net.cfg.filter, roll, nd.id, h, payload)
 	net.mu.RUnlock()
 	m.Hops += int64(tr.Hops)
-	net.cfg.sink.Record(trace.Event{Kind: trace.KindSend, Time: act, Node: nd.id, Act: act, Msg: msg})
 	m.Drops += int64(len(tr.Dropped))
 	m.Filtered += int64(len(tr.Filtered))
 	for _, at := range append(tr.Dropped, tr.Filtered...) {
 		net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: act, Node: at, Msg: msg})
 	}
 	for _, d := range tr.Deliveries {
-		pl := payload
-		if d.Payload != nil {
-			pl = d.Payload
-		}
 		net.addInflight(1)
-		net.nodes[d.Node].enqueue(item{
-			pkt: core.Packet{
-				Payload:     pl,
-				Remaining:   d.Remaining,
-				Reverse:     d.Reverse,
-				ArrivedOn:   d.ArrivedOn,
-				ForwardedOn: d.ForwardedOn,
-			},
-			msg:     msg,
-			isCopy:  d.Copy,
-			reorder: d.Reordered,
-		})
+		net.nodes[d.Node].enqueue(item{pkt: d.Packet, msg: msg, isCopy: d.Copy, reorder: d.Reordered})
 	}
 	return nil
 }

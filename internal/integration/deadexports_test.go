@@ -36,6 +36,16 @@ var keptExports = map[string]string{
 	"(*topology.DB).LinkID":         "how a test lays a Fanout over a node's database, as the maintainer does internally",
 	"(*topology.DB).BFSTree":        "with DB.LinkID: the tree that Fanout is built from",
 	"(*paths.Decomposition).Rounds": "Theorem 2's measure (rounds <= log2 n), asserted by the paths tests and reported by BenchmarkTreeLabelDecompose",
+	// The draws MsgFaults.Cross makes, which sim's reference engine makes
+	// one by one so that it stays independent of the function it checks.
+	"core.FaultCorrupt":              "oracle: the reference engine's own switch over what a fault does",
+	"core.FaultJitter":               "oracle: as FaultCorrupt",
+	"core.FaultReorder":              "oracle: as FaultCorrupt",
+	"core.FaultSlowdown":             "oracle: as FaultCorrupt",
+	"(core.MsgFaults).Roll":          "oracle: the reference engine's roll, drawn apart from the fault's own draw",
+	"(core.MsgFaults).ReorderDelay":  "oracle: the reference engine's reorder draw",
+	"(core.MsgFaults).SlowdownDelay": "oracle: the reference engine's slowdown draw",
+	"core.CorruptPayload":            "oracle: the reference engine's corruption draw",
 
 	// Driver hooks: the soak scripts node failures link by link through
 	// core.Runtime's InjectLink; tests script them by name.

@@ -57,8 +57,7 @@ func TestDiscoveryThenRouting(t *testing.T) {
 		}
 		links = append(links, lid)
 	}
-	tr, err := core.WalkRoute(net.PortMap(), func(core.NodeID, anr.ID) bool { return true },
-		src, anr.Direct(links))
+	tr, err := core.WalkRoute(net.PortMap(), src, anr.Direct(links))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package integration_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,13 +13,15 @@ import (
 	"fastnet/internal/gosim"
 	"fastnet/internal/graph"
 	"fastnet/internal/sim"
+	"fastnet/internal/trace"
 )
 
-// sendOnce sends the header it is handed (multicasts a list of them) and
-// keeps what the switching subsystem answered.
+// sendOnce sends the header it is handed (multicasts a list of them), keeps
+// what the switching subsystem answered, and notes every probe it is handed.
 type sendOnce struct {
 	mu   sync.Mutex
 	errs []error
+	got  []string // one line per probe delivery, in arrival order
 }
 
 func (p *sendOnce) Init(core.Env) {}
@@ -30,6 +34,10 @@ func (p *sendOnce) Deliver(env core.Env, pkt core.Packet) {
 	case []anr.Header:
 		err = env.Multicast(h, "probe")
 	default:
+		p.mu.Lock()
+		p.got = append(p.got, fmt.Sprintf("node %d arrived on %d forwarded on %d remaining %v reverse %v payload %#v",
+			env.ID(), pkt.ArrivedOn, pkt.ForwardedOn, pkt.Remaining, pkt.Reverse, pkt.Payload))
+		p.mu.Unlock()
 		return
 	}
 	p.mu.Lock()
@@ -75,12 +83,16 @@ var contractRows = []contractRow{
 
 // contractOutcome is what one row left behind on one runtime.
 type contractOutcome struct {
-	errs    []error
-	metrics core.Metrics // FinishTime zeroed: the goroutine runtime has no clock
+	errs       []error
+	metrics    core.Metrics // FinishTime zeroed: the goroutine runtime has no clock
+	deliveries []string     // sendOnce.got, sorted: the multiset of what every NCU was handed
+	events     []trace.Event
 }
 
 // check holds the outcome against the row: one answer, refused or not, and
-// wrapping the named sentinel where the row names one.
+// wrapping the named sentinel where the row names one; and every message's
+// first trace event is its send — a fault, drop or delivery is recorded after
+// the packet left.
 func (o contractOutcome) check(t *testing.T, row contractRow) {
 	t.Helper()
 	if len(o.errs) != 1 || (o.errs[0] != nil) != row.refused {
@@ -89,13 +101,41 @@ func (o contractOutcome) check(t *testing.T, row contractRow) {
 	if row.want != nil && !errors.Is(o.errs[0], row.want) {
 		t.Fatalf("%s: refused with %v, want %v", row.name, o.errs[0], row.want)
 	}
+	seen := map[int64]bool{}
+	for _, e := range o.events {
+		if e.Msg != 0 && !seen[e.Msg] {
+			seen[e.Msg] = true
+			if e.Kind != trace.KindSend {
+				t.Fatalf("%s: message %d is first traced as %+v, not its send", row.name, e.Msg, e)
+			}
+		}
+	}
+}
+
+// same fails t unless two runtimes counted the same metrics and handed their
+// NCUs the same packets.
+func (o contractOutcome) same(t *testing.T, row contractRow, onSim contractOutcome) {
+	t.Helper()
+	if o.metrics != onSim.metrics {
+		t.Fatalf("%s: metrics differ\n gosim %+v\n sim   %+v", row.name, o.metrics, onSim.metrics)
+	}
+	if !slices.Equal(o.deliveries, onSim.deliveries) {
+		t.Fatalf("%s: deliveries differ\n gosim %q\n sim   %q", row.name, o.deliveries, onSim.deliveries)
+	}
+}
+
+func (p *sendOnce) outcome(m core.Metrics, buf *trace.Buffer) contractOutcome {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	slices.Sort(p.got)
+	return contractOutcome{p.errs, m, p.got, buf.Events()}
 }
 
 func contractOnSim(t *testing.T, row contractRow, faults core.MsgFaults) contractOutcome {
 	t.Helper()
-	p := &sendOnce{}
+	p, buf := &sendOnce{}, trace.NewBuffer()
 	net := sim.New(graph.Path(4), func(core.NodeID) core.Protocol { return p },
-		sim.WithDelays(1, 1), sim.WithDmax(contractDmax), sim.WithMsgFaults(faults))
+		sim.WithDelays(1, 1), sim.WithDmax(contractDmax), sim.WithMsgFaults(faults), sim.WithTrace(buf))
 	for _, e := range row.down {
 		net.InjectLink(e[0], e[1], false)
 	}
@@ -105,14 +145,14 @@ func contractOnSim(t *testing.T, row contractRow, faults core.MsgFaults) contrac
 	}
 	m := net.Metrics()
 	m.FinishTime = 0
-	return contractOutcome{p.errs, m}
+	return p.outcome(m, buf)
 }
 
 func contractOnGosim(t *testing.T, row contractRow, faults core.MsgFaults) contractOutcome {
 	t.Helper()
-	p := &sendOnce{}
+	p, buf := &sendOnce{}, trace.NewBuffer()
 	net := gosim.New(graph.Path(4), func(core.NodeID) core.Protocol { return p },
-		gosim.WithDmax(contractDmax), gosim.WithMsgFaults(faults))
+		gosim.WithDmax(contractDmax), gosim.WithMsgFaults(faults), gosim.WithTrace(buf))
 	defer net.Shutdown()
 	for _, e := range row.down {
 		net.InjectLink(e[0], e[1], false)
@@ -124,20 +164,21 @@ func contractOnGosim(t *testing.T, row contractRow, faults core.MsgFaults) contr
 	if err := net.AwaitQuiescence(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return contractOutcome{p.errs, net.Metrics()}
+	return p.outcome(net.Metrics(), buf)
 }
 
 // TestHostileRouteRefusedOnBothRuntimes is the contract table of the hardware
 // model's send side (docs/MODEL.md §§1-4, 9): for every row — malformed,
 // unroutable, over-long, dead-ended and multicast sends — the switching
 // subsystem gives the answer the row states, the goroutine runtime gives the
-// discrete-event runtime's answer, and both count the same core.Metrics. The
-// lossy-link model is on (every traversal jittered, so the fault counts are
-// not a matter of luck) and off. Then, for each fault kind at probability 1 on
-// a three-hop copy path, both runtimes count the same hops, deliveries, copies
-// and faults of each kind; duplicated behind a dead last link, each branch
+// discrete-event runtime's answer, both count the same core.Metrics, and both
+// hand the same multiset of packets (node, arrival and forwarding links,
+// remaining and reverse routes, payload or core.Garbled) to the NCUs. On both,
+// a message is traced first as sent. The lossy-link model is on (every
+// traversal jittered, so the fault counts are not a matter of luck) and off.
+// Then, for each fault kind at probability 1 on a three-hop copy path, both
+// runtimes count the same hops, deliveries, copies and faults of each kind and
+// deliver the same packets; duplicated behind a dead last link, each branch
 // the duplicates make is one drop on both.
 func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 	for _, faults := range []core.MsgFaults{{}, {Jitter: 1, JitterMax: 2}} {
@@ -154,9 +195,7 @@ func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 			for _, row := range contractRows {
 				got := contractOnGosim(t, row, faults)
 				got.check(t, row)
-				if want := contractOnSim(t, row, faults); got.metrics != want.metrics {
-					t.Fatalf("%s: metrics differ\n gosim %+v\n sim   %+v", row.name, got.metrics, want.metrics)
-				}
+				got.same(t, row, contractOnSim(t, row, faults))
 			}
 		})
 	}
@@ -179,9 +218,7 @@ func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 			onSim, onGosim := contractOnSim(t, probe, prof.faults), contractOnGosim(t, probe, prof.faults)
 			onSim.check(t, probe)
 			onGosim.check(t, probe)
-			if onSim.metrics != onGosim.metrics {
-				t.Fatalf("metrics differ\n gosim %+v\n sim   %+v", onGosim.metrics, onSim.metrics)
-			}
+			onGosim.same(t, probe, onSim)
 			if prof.fired(onSim.metrics) == 0 {
 				t.Fatalf("the %s fault never fired: %+v", prof.name, onSim.metrics)
 			}

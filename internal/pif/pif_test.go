@@ -133,7 +133,7 @@ func TestTreeRouteLCA(t *testing.T) {
 		if h.HopCount() != hops {
 			t.Fatalf("route %d->%d = %d hops, want %d", u, w, h.HopCount(), hops)
 		}
-		tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, u, h)
+		tr, err := core.WalkRoute(pm, u, h)
 		if err != nil || len(tr.Dropped) > 0 || tr.Deliveries[0].Node != w {
 			t.Fatalf("route %d->%d did not execute: %+v err=%v", u, w, tr, err)
 		}
@@ -168,7 +168,7 @@ func TestTreeRouteQuick(t *testing.T) {
 		if u == w {
 			return h.HopCount() == 0
 		}
-		tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, u, h)
+		tr, err := core.WalkRoute(pm, u, h)
 		return err == nil && len(tr.Dropped) == 0 && len(tr.Deliveries) == 1 && tr.Deliveries[0].Node == w
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -102,6 +102,8 @@ func (a *hopArena) carve(n int) anr.Header {
 
 // stepHop consumes the header from position i at node cur, at the current
 // time. The reverse route accumulated so far is revBuf[len(revBuf)-1-i:].
+// What the switching subsystem does is core.StepHop, and what the link does
+// to the packet MsgFaults.Cross; this is the loop that gives both a time.
 //
 // A hop that takes no time — C = 0 and no jitter pending, the paper's
 // "hardware hops cost almost nothing" regime — is not an event: the walk
@@ -114,21 +116,21 @@ func (a *hopArena) carve(n int) anr.Header {
 func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Header, arrivedOn anr.ID, payload any, msg int64) {
 	for {
 		rev := revBuf[len(revBuf)-1-i:]
-		hop := h[i]
-		if hop.Link == anr.NCU {
+		hop := core.StepHop(net.links[cur], h, i, cur, net.cfg.filter, payload)
+		switch hop.Kind {
+		case core.HopTerminal:
 			if e := net.enqueueActivation(cur, msg, arrivedOn, anr.NCU, 0); e != nil {
 				e.payload, e.rev = payload, rev
 			}
 			return
-		}
-		port := net.links[cur][hop.Link-1] // the live port; admitted at send, so it exists
-		if i > 0 && net.cfg.filter != nil && !net.cfg.filter(cur, payload) {
+		case core.HopFiltered:
 			net.metrics.Filtered++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindDrop, Time: int64(net.sp.now), Node: cur, Msg: msg})
 			return
 		}
+		port := hop.Port
 		if hop.Copy {
-			if e := net.enqueueActivation(cur, msg, arrivedOn, hop.Link, flagCopy); e != nil {
+			if e := net.enqueueActivation(cur, msg, arrivedOn, port.Local, flagCopy); e != nil {
 				e.payload, e.h, e.rev = payload, h[i+1:].Clone(), rev
 			}
 		}
@@ -142,7 +144,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 			// bucket for this directed link, refilled lazily since its last
 			// touch — O(1) admission, no refill events, and no rng draw (so
 			// enabling capacity never perturbs the fault or delay streams).
-			b := &net.linkTok[cur][int(hop.Link)-1]
+			b := &net.linkTok[cur][int(port.Local)-1]
 			if dt := net.sp.now - b.last; dt > 0 {
 				b.tok += net.cfg.cap.LinkRate * float64(dt)
 				if burst := net.cfg.cap.Burst(); b.tok > burst {
@@ -157,33 +159,17 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 			}
 			b.tok--
 		}
-		// Lossy-link model: one roll per live-link traversal. A duplicate
-		// crosses the link a second time (an extra hardware hop) after a jitter
-		// delay; a corruption damages the payload seen by everything downstream.
+		// Lossy-link model: one Cross per live-link traversal. A delay fault
+		// holds the packet back (a slowed hop by >= 1, so it always leaves
+		// the instant), letting later traffic overtake it; a duplicate
+		// crosses the link a second time, below.
+		var f core.MsgFault
 		var extraDelay core.Time
-		duplicate := false
 		if net.cfg.faults.Enabled() {
-			f := net.cfg.faults.Roll(net.faultSrc(cur))
+			f, payload, extraDelay = net.cfg.faults.Cross(net.faultSrc(cur), net.cfg.hwDelay, payload)
 			f.Count(&net.metrics, net.cfg.sink, int64(net.sp.now), cur, msg)
-			switch f {
-			case core.FaultDrop:
+			if f == core.FaultDrop {
 				return
-			case core.FaultDup:
-				duplicate = true
-			case core.FaultCorrupt:
-				payload = core.CorruptPayload(payload, net.faultSrc(cur))
-			case core.FaultJitter:
-				extraDelay = net.cfg.faults.JitterDelay(net.faultSrc(cur))
-			case core.FaultReorder:
-				// A reorder fault holds the packet back on the wire: the
-				// extra delay lets traffic sent later on the same link
-				// overtake it, which is what breaks the FIFO discipline.
-				extraDelay = net.cfg.faults.ReorderDelay(net.faultSrc(cur))
-			case core.FaultSlowdown:
-				// A gray link: the packet is delivered intact, just late —
-				// the extra delay is >= 1, so a slowed hop always leaves the
-				// instant and never fuses into a zero-delay chain.
-				extraDelay = net.cfg.faults.SlowdownDelay(net.faultSrc(cur), net.cfg.hwDelay)
 			}
 		}
 		net.metrics.Hops++
@@ -192,7 +178,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 		if at > net.sp.now {
 			net.pushHop(at, port.Remote, h, i+1, revBuf, port.RemoteID, payload, msg)
 		}
-		if duplicate {
+		if f == core.FaultDup {
 			// A duplicate re-crosses the link after a jitter delay >= 1, so it
 			// always leaves the instant and goes through the scheduler.
 			net.metrics.Hops++

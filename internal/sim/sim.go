@@ -15,14 +15,15 @@
 // per-event heap allocation, and events that dispatch together sit together
 // in memory.
 //
-// The runtime applies the paper's own cost measure to itself. A hardware hop
-// that takes no time (C = 0, no jitter pending) is not an event: the walk
-// continues inline, depth-first, inside the event that launched it (hop.go),
-// so simulator wall-clock scales with system-call complexity (NCU
-// activations) rather than communication complexity (hops). Everything that
-// does take time waits in the spine (queue.go): a same-time FIFO lane, a
-// calendar ring auto-sized from the configured delay envelope (hardware C,
-// software P, fault jitter/reorder/slowdown bounds; regrown if SetMsgFaults
+// What a hop does is stated once in core (core.StepHop, core.MsgFaults.Cross);
+// this package gives it time, and applies the paper's own cost measure to
+// itself: a hop that takes no time (C = 0, no jitter pending) is not an
+// event, the walk continuing inline, depth-first, inside the event that
+// launched it (hop.go), so simulator wall-clock scales with system-call
+// complexity (NCU activations) rather than communication complexity (hops).
+// Everything that does take time waits in the spine (queue.go): a same-time
+// FIFO lane, a calendar ring auto-sized from the configured delay envelope
+// (hardware C, software P, MsgFaults.DelayBound; regrown if SetMsgFaults
 // widens it, and doubled when an NCU backlog pushes an event just past it)
 // and an overflow heap for what lies farther out, dispatched in strict
 // (t, seq) order — see docs/PERF.md. queue_test.go proves the spine against
@@ -31,7 +32,7 @@
 // to trace for trace, and golden_test.go pins the event stream byte for byte.
 //
 // The package is four files along those seams: queue.go the spine, hop.go
-// packet routing, node.go nodes and NCU activations, sim.go options,
+// the timed hop loop, node.go nodes and NCU activations, sim.go options,
 // construction and the driver API (shard.go and capacity.go add the sharded
 // engine and the finite-resource model).
 package sim
@@ -372,9 +373,8 @@ func (net *Network) SetMsgFaults(f core.MsgFaults) {
 // one-hop delay envelope — the farthest ahead of now any single schedule can
 // land without NCU queueing — fits with 4x headroom, rounded up to a power of
 // two within [minRingWindow, maxRingWindow]. The envelope is hardware C plus
-// the worst enabled fault surcharge (jitter, reorder hold, or gray-link
-// slowdown; duplicates always pay a jitter draw) plus software P. NCU
-// backlogs are not in it: an auto-sized ring doubles when one pushes an
+// the worst enabled fault surcharge (MsgFaults.DelayBound) plus software P.
+// NCU backlogs are not in it: an auto-sized ring doubles when one pushes an
 // event just past the span (spine.place). Events two or more spans out still
 // run correctly — they overflow to the heap (counted in
 // SchedStats.RingOverflows) — so the size is pure mechanism.
@@ -382,26 +382,7 @@ func (cf *config) ringSize() int {
 	if cf.ringWindow > 0 {
 		return roundRingWindow(cf.ringWindow)
 	}
-	env := cf.hwDelay
-	var extra core.Time
-	f := cf.faults
-	if f.Jitter > 0 || f.Dup > 0 {
-		extra = max(extra, max(1, f.JitterMax))
-	}
-	if f.Reorder > 0 {
-		extra = max(extra, max(1, f.ReorderWindow))
-	}
-	if f.Slowdown > 0 {
-		s := core.Time(1)
-		if f.SlowFactor > 1 {
-			s += core.Time(float64(cf.hwDelay) * (f.SlowFactor - 1))
-		}
-		if f.SlowMax > 1 {
-			s += f.SlowMax - 1
-		}
-		extra = max(extra, s)
-	}
-	env += extra + max(1, cf.swDelay)
+	env := cf.hwDelay + cf.faults.DelayBound(cf.hwDelay) + max(1, cf.swDelay)
 	return roundRingWindow(int(4 * env))
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 )
@@ -108,7 +107,7 @@ func TestDBRouteExecutableQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, err := core.WalkRoute(pm, func(core.NodeID, anr.ID) bool { return true }, src, h)
+		tr, err := core.WalkRoute(pm, src, h)
 		if err != nil || len(tr.Dropped) > 0 {
 			return false
 		}

@@ -3,6 +3,7 @@
 #
 #   package | go test arguments | why it runs on its own
 #
+# (the arguments may hold a | of their own: a -run alternation).
 # A fuzz row spends its -fuzztime looking for new inputs (the race suite only
 # replays the seed corpus); an allocation-budget row reruns a test the race
 # suite already ran, because the race runtime allocates too and the budgets
@@ -30,10 +31,12 @@ smokes=(
 	"./internal/election/|-run TestElectionAllocsPerNode -count=1 -v|election: <= 20 allocs/node, 1024 nodes all starting"
 	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 8 allocs/node, build + one 4096-node broadcast"
 	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.8 allocs/model op on the soak-churn shape"
+	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestCrossRuntimeDeterminism|the two runtimes' contract table and determinism goldens, repeated under race"
 )
 
 for row in "${smokes[@]}"; do
-	IFS='|' read -r pkg args why <<<"$row"
+	pkg=${row%%|*} why=${row##*|} args=${row#*|}
+	args=${args%|*}
 	echo "== $why"
 	echo "   go test $pkg $args"
 	# shellcheck disable=SC2086 # args is a word list
