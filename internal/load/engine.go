@@ -27,7 +27,7 @@ const (
 // callRec is one call's lifecycle record. Records live in pooled chunks and
 // are recycled through a free list, so steady-state generation allocates
 // nothing and memory is O(1) per in-flight call. gen invalidates stale
-// timing-wheel entries from a record's previous lives.
+// call-timer entries from a record's previous lives.
 type callRec struct {
 	arrival core.Time
 	sent    core.Time
@@ -79,7 +79,7 @@ func (p *recPool) alloc() *callRec {
 }
 
 func (p *recPool) release(r *callRec) {
-	r.gen++ // invalidate any wheel entries still pointing here
+	r.gen++ // invalidate any timer entries still pointing here
 	r.state = stFree
 	r.next = p.free
 	p.free = r.idx
@@ -99,8 +99,8 @@ type Config struct {
 	// by silent phases, preserving the long-run mean.
 	BurstFactor float64
 	// Holding is the mean call-holding time in ticks, exponentially
-	// distributed per call (default 256). A delivered call occupies its
-	// endpoints for its holding time before completing.
+	// distributed per call (default 256, at most 2^40). A delivered call
+	// occupies its endpoints for its holding time before completing.
 	Holding core.Time
 	// Zipf is the skew exponent of the endpoint popularity table
 	// (0 = uniform).
@@ -151,8 +151,17 @@ func (cfg *Config) validate() error {
 	if cfg.Calls < 0 {
 		return &ConfigError{"Calls", float64(cfg.Calls), "must be >= 0"}
 	}
+	if cfg.Holding > maxHolding {
+		return &ConfigError{"Holding", float64(cfg.Holding), "must be <= 2^40"}
+	}
 	return nil
 }
+
+// maxHolding bounds Config.Holding so that no timer time overflows core.Time:
+// the admission timeout 4*Holding + 256 and a holding draw (ExpFloat64 < 45,
+// so below 45*Holding < 2^46) stay far below 2^63 added to any virtual time
+// a run reaches. A wrapped timeout would fire every admission timer at once.
+const maxHolding = 1 << 40
 
 func (cfg *Config) holding() core.Time {
 	if cfg.Holding <= 0 {
@@ -221,7 +230,7 @@ func (s *Stats) Merge(other *Stats) {
 	s.Net.Add(other.Net)
 }
 
-// engine drives one run: sampler -> admission -> injection -> wheel.
+// engine drives one run: sampler -> admission -> injection -> call timers.
 type engine struct {
 	cfg     Config
 	net     *sim.Network
@@ -233,7 +242,8 @@ type engine struct {
 	holdRng *rand.Rand
 	active  []int32 // per-node concurrent calls, nil unless NCUCap > 0
 	timeout core.Time
-	reuse   bool // free records on completion (unsafe under dup faults)
+	reuse   bool  // free records on completion (unsafe under dup faults)
+	sendErr error // the first send the runtime refused
 	stats   Stats
 }
 
@@ -253,11 +263,13 @@ func (p *olProto) Deliver(env core.Env, pkt core.Packet) {
 	}
 	if pkt.Injected {
 		rec.sent = env.Now()
-		// The precomputed route can't violate dmax (unrestricted) and the
-		// header is validated at build time, so Send cannot fail here; if
-		// the fabric drops the packet the record stays in flight and is
-		// accounted Dropped at drain.
-		_ = env.Send(p.e.pairs.entries[rec.pair].hdr, rec)
+		// If the fabric drops the packet the record stays in flight and is
+		// accounted Dropped at drain. A send the runtime refuses (a caller's
+		// sim.WithDmax shorter than the route) fails the run instead.
+		pe := &p.e.pairs.entries[rec.pair]
+		if err := env.Send(pe.hdr, rec); err != nil && p.e.sendErr == nil {
+			p.e.sendErr = fmt.Errorf("load: call %d->%d: %w", pe.src, pe.dst, err)
+		}
 		return
 	}
 	p.e.delivered(rec, env.Now())
@@ -329,35 +341,36 @@ func run(g *graph.Graph, cfg Config, pairs *PairTable, opts ...sim.Option) (*Sta
 	return &e.stats, nil
 }
 
-// run is the generator loop: wheel expiries are processed whenever the
-// next expiry precedes the next arrival; otherwise arrivals are injected in
-// batches bounded by the next expiry. With an engine-level NCUCap the batch
-// is 1 (strict admission: every arrival sees fully settled resource
-// counts); without one, batching only defers completion bookkeeping —
-// never admission decisions — so it trades nothing for the amortization.
+// run is the engine's one loop. Each pass either expires the next timer
+// instant, once the runtime has reached it, or injects a batch of arrivals
+// that ends before it. With an engine-level NCUCap the batch is 1 (strict
+// admission: every arrival sees fully settled resource counts); without one,
+// batching only defers completion bookkeeping — never admission decisions —
+// so it trades nothing for the amortization. With no arrivals left the same
+// passes drain: timers and runtime stay in lockstep (a timeout must still
+// beat a slower delivery); once no timer is pending the runtime runs dry, and
+// the completions its last deliveries scheduled expire without moving the
+// clock.
 func (e *engine) run() error {
 	batch := 256
 	if e.cfg.NCUCap > 0 {
 		batch = 1
 	}
-	if e.cfg.Calls > 0 {
-		nextA := e.arr.Next()
-		for e.stats.Generated < int64(e.cfg.Calls) {
-			tW := e.wheel.next()
-			if tW >= 0 && tW <= nextA {
-				if tW > e.net.Now() {
-					if _, err := e.net.RunUntil(tW); err != nil {
-						return err
-					}
+	nextA := e.arr.Next()
+	settled := false // the runtime has run dry
+	for {
+		more := e.stats.Generated < int64(e.cfg.Calls)
+		switch tW := e.wheel.next(); {
+		case tW >= 0 && (tW <= nextA || !more):
+			if !settled && tW > e.net.Now() {
+				if _, err := e.net.RunUntil(tW); err != nil {
+					return err
 				}
-				e.wheel.popUntil(tW, e.expire)
-				continue
 			}
+			e.wheel.popUntil(tW, e.expire)
+		case more:
 			last := nextA
-			for n := 0; n < batch && e.stats.Generated < int64(e.cfg.Calls); n++ {
-				if tW >= 0 && nextA >= tW {
-					break
-				}
+			for n := 0; n < batch && e.stats.Generated < int64(e.cfg.Calls) && (tW < 0 || nextA < tW); n++ {
 				last = nextA
 				e.arrive(nextA)
 				nextA = e.arr.Next()
@@ -365,39 +378,25 @@ func (e *engine) run() error {
 			if _, err := e.net.RunUntil(last); err != nil {
 				return err
 			}
-		}
-	}
-	// Drain: keep the wheel and the runtime in lockstep (a timeout must
-	// still beat a slower delivery), then let the runtime finish, then
-	// drain the completions the final deliveries scheduled.
-	for {
-		tW := e.wheel.next()
-		if tW < 0 {
-			break
-		}
-		if tW > e.net.Now() {
-			if _, err := e.net.RunUntil(tW); err != nil {
+		case !settled:
+			if _, err := e.net.Run(); err != nil {
 				return err
 			}
-		}
-		e.wheel.popUntil(tW, e.expire)
-	}
-	if _, err := e.net.Run(); err != nil {
-		return err
-	}
-	e.wheel.drainAll(e.expire)
-	// Residual in-flight records are setups the fabric lost and no timer
-	// claimed (timerless mode): account them dropped.
-	for ci := range e.pool.chunks {
-		for i := range e.pool.chunks[ci] {
-			r := &e.pool.chunks[ci][i]
-			if r.state == stInFlight {
-				e.stats.Dropped++
-				e.releaseEndpoints(r)
+			settled = true
+		default:
+			// Residual in-flight records are setups the fabric lost and no
+			// timer claimed (timerless mode): account them dropped.
+			for ci := range e.pool.chunks {
+				for i := range e.pool.chunks[ci] {
+					if r := &e.pool.chunks[ci][i]; r.state == stInFlight {
+						e.stats.Dropped++
+						e.releaseEndpoints(r)
+					}
+				}
 			}
+			return e.sendErr
 		}
 	}
-	return nil
 }
 
 // arrive admits (or blocks) one arrival at time t and injects its setup.
@@ -444,7 +443,7 @@ func (e *engine) delivered(r *callRec, now core.Time) {
 	}
 }
 
-// expire handles one timing-wheel expiry: a call completion or an
+// expire handles one call-timer expiry: a call completion or an
 // admission timeout, disambiguated by state and deadline. Stale entries
 // (generation mismatch, or an admission timer whose call was delivered)
 // are ignored — lazy cancellation.

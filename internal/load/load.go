@@ -11,11 +11,10 @@
 //     modulation) and (src,dst) endpoints from a Zipf-skewed popularity
 //     table sampled in constant time with the alias method — no per-draw
 //     heap walk, no rejection loop.
-//   - Call-holding times and admission timers live in a hierarchical timing
-//     wheel owned by the engine (fine tick slots cascading from a coarse
-//     256-tick level, overflow beyond the horizon), not as one scheduler
-//     event per call in the spine's heap; the spine only ever sees the
-//     call-setup packets themselves.
+//   - Call-holding times and admission timers live in a calendar owned by
+//     the engine, shaped like the spine's ring (one-tick slots, doubling on
+//     demand to a cap, a heap beyond it), not as one scheduler event per
+//     call; the spine only ever sees the call-setup packets themselves.
 //   - Call-lifecycle records are drawn from a free-list pool in contiguous
 //     chunks (like the spine's event records), so memory is O(1) per
 //     in-flight call and steady-state generation allocates nothing.

@@ -1,48 +1,43 @@
 package load
 
 import (
+	"container/heap"
 	"math/bits"
 
 	"fastnet/internal/core"
 )
 
-// Hierarchical timing wheel for call-holding times and admission timers.
-// Two wheel levels plus an overflow tier:
+// The call-timer calendar: call-holding times and admission timers. It has
+// the event spine's shape (sim's spine.place and spine.grow):
 //
-//   - fine: 256 one-tick slots covering (cur, cur+256);
-//   - coarse: 256 slots of 256 ticks covering up to the horizon;
-//   - over: everything at distance >= wheelHorizon, re-bucketed as soon as
-//     the hand comes within the horizon of its earliest entry.
+//   - one slot per tick over (cur, cur+span), each slot a list of the timers
+//     of its one instant, and an occupancy bitmap scanned a word at a time;
+//   - a span that starts at minTimerSpan and doubles whenever a timer lands
+//     past it, up to maxTimerSpan; a doubling moves every slot whole, since
+//     distinct instants in (cur, cur+span) stay distinct modulo twice span;
+//   - a binary heap (far) for any timer maxTimerSpan or more ticks out. Heap
+//     timers never move into the ring: next takes the earlier of the ring's
+//     first instant and the heap's minimum, and popUntil expires both.
 //
-// The insert horizon is wheelSpan - wheelSlots rather than wheelSpan: the
-// one-block margin guarantees every coarse slot holds entries of a single
-// 256-tick block (two blocks one wheel-turn apart can never be pending in
-// one slot at once), so a cascade moves a whole slot without filtering.
+// The slot lists thread through one node slab with a free list, so a warm
+// calendar allocates nothing. The clock hand cur only advances inside
+// popUntil, and never past the timer being popped or the caller's deadline:
+// next is a pure peek, because the engine peeks while new deadlines keep
+// arriving behind the earliest pending one, and an eagerly advanced hand would
+// clamp them into the past.
 //
-// next() is a pure peek (cached, invalidated by pops) costing two bitmap
-// scans: every occupied coarse slot carries the minimum of its entries in
-// coarseMin (lowered by add, dead once locate cascades the slot), so the
-// peek never walks entries. The clock hand cur only advances inside
-// popUntil, and never past the entry being popped or the caller's deadline.
-// That asymmetry is load-bearing — the engine peeks every loop iteration
-// while new deadlines keep arriving behind the earliest pending one, and an
-// eagerly advanced hand would clamp them into the past.
-//
-// Ordering argument (see docs/PERF.md): all fine-resident entries lie in
-// (cur, cur+256), where each slot index corresponds to exactly one absolute
-// time, so a bitmap scan in slot order from cur+1 through the end of cur's
-// block visits times in increasing order; entries of later blocks are either
-// in fine slots below the scan window or still coarse/overflow-resident, and
-// locate() advances cur block-by-block (first pulling in any overflow the
-// hand is within the horizon of, then cascading the block's coarse slot), so
-// no entry is ever visited late. Hence popUntil drains in nondecreasing time
-// order.
+// Timers of one instant expire in no fixed order (a slot is a stack; heap
+// timers follow ring timers), and no output can tell. At one instant the
+// engine's expire only decrements endpoint counters, counts Dropped and
+// pushes records onto the pool's free list: the first two commute, and the
+// free list's order decides only which record the next arrival reuses, which
+// no ledger field, packet or timer time depends on. A record's own two timers meeting at one
+// instant settle it once either way: whichever expires first finds it
+// delivered with w.t == r.end and completes it, and the other then misses on
+// gen (the record was freed) or on state (stDone).
 const (
-	wheelBits    = 8
-	wheelSlots   = 1 << wheelBits          // 256 fine slots, 1 tick each
-	wheelSpan    = wheelSlots * wheelSlots // coarse level reach: 65536 ticks
-	wheelHorizon = wheelSpan - wheelSlots  // insert threshold (single-block slots)
-	wheelMask    = core.Time(wheelSlots - 1)
+	minTimerSpan = 256
+	maxTimerSpan = 1 << 16
 )
 
 // wheelEntry schedules pool record idx at time t; gen guards against stale
@@ -54,181 +49,96 @@ type wheelEntry struct {
 	gen uint32
 }
 
+// timerNode is one ring timer: its entry and the next node of its slot list
+// (or of the free list); node 0 is the nil link.
+type timerNode struct {
+	wheelEntry
+	next int32
+}
+
 type wheel struct {
-	cur       core.Time // all pending entries have t > cur
-	pending   int
-	fine      [wheelSlots][]wheelEntry
-	coarse    [wheelSlots][]wheelEntry
-	fineBm    wheelBitmap
-	corseBm   wheelBitmap
-	coarseMin [wheelSlots]core.Time // earliest entry per coarse slot; valid while its bit is set
-	over      []wheelEntry
-	overMin   core.Time    // min overflow entry time, -1 when empty
-	spare     []wheelEntry // reused batch buffer for popUntil
-	peekT     core.Time    // cached earliest pending time
-	peekOK    bool         // peekT valid
+	cur     core.Time   // all pending entries have t > cur
+	pending int         // entries in the ring and the heap
+	slots   []int32     // head node of each slot's list, 0 when empty
+	bits    []uint64    // bit s set iff slots[s] != 0
+	mask    core.Time   // len(slots) - 1, a power of two less one
+	nodes   []timerNode // the slab every slot list threads through
+	free    int32       // head of the node free list, 0 when empty
+	far     farHeap     // entries maxTimerSpan or more ticks out at add
 }
 
 func newWheel(start core.Time) *wheel {
-	return &wheel{cur: start, overMin: -1, peekT: -1, peekOK: true}
+	return &wheel{
+		cur:   start,
+		slots: make([]int32, minTimerSpan),
+		bits:  make([]uint64, minTimerSpan/64),
+		mask:  minTimerSpan - 1,
+		nodes: make([]timerNode, 1),
+	}
 }
 
 // add schedules (idx, gen) at time t (clamped to cur+1 if not in the
-// future). Amortized O(1): each entry is appended at most three times
-// (overflow, coarse, fine) over its life.
+// future), doubling the ring until t fits unless t lies past the cap.
 func (w *wheel) add(t core.Time, idx int32, gen uint32) {
 	if t <= w.cur {
 		t = w.cur + 1
 	}
 	w.pending++
-	switch d := t - w.cur; {
-	case d < wheelSlots:
-		s := int(t & wheelMask)
-		w.fine[s] = append(w.fine[s], wheelEntry{t, idx, gen})
-		w.fineBm.set(s)
-	case d < wheelHorizon:
-		s := int((t >> wheelBits) & wheelMask)
-		if !w.corseBm.has(s) || t < w.coarseMin[s] {
-			w.coarseMin[s] = t
-		}
-		w.coarse[s] = append(w.coarse[s], wheelEntry{t, idx, gen})
-		w.corseBm.set(s)
-	default:
-		w.over = append(w.over, wheelEntry{t, idx, gen})
-		if w.overMin < 0 || t < w.overMin {
-			w.overMin = t
-		}
+	if t-w.cur >= maxTimerSpan {
+		heap.Push(&w.far, wheelEntry{t, idx, gen})
+		return
 	}
-	if w.peekOK && (w.peekT < 0 || t < w.peekT) {
-		w.peekT = t
+	for t-w.cur > w.mask {
+		w.grow()
+	}
+	n := w.free
+	if n == 0 {
+		n = int32(len(w.nodes))
+		w.nodes = append(w.nodes, timerNode{})
+	} else {
+		w.free = w.nodes[n].next
+	}
+	s := t & w.mask
+	w.nodes[n] = timerNode{wheelEntry{t, idx, gen}, w.slots[s]}
+	w.slots[s] = n
+	w.bits[s>>6] |= 1 << (s & 63)
+}
+
+// grow doubles the span, moving each pending slot's list whole to the slot
+// its instant owns in the wider ring.
+func (w *wheel) grow() {
+	old := w.slots
+	w.slots = make([]int32, 2*len(old))
+	w.bits = make([]uint64, len(w.slots)/64)
+	w.mask = core.Time(len(w.slots) - 1)
+	for _, n := range old {
+		if n != 0 {
+			s := w.nodes[n].t & w.mask
+			w.slots[s] = n
+			w.bits[s>>6] |= 1 << (s & 63)
+		}
 	}
 }
 
-// next returns the earliest pending expiry time, or -1 when the wheel is
-// empty. Pure peek: the clock hand does not move, so entries added behind
-// the current earliest (but after cur) remain schedulable.
+// next returns the earliest pending expiry time, or -1 when the calendar is
+// empty. Slot order from cur+1, wrapping once, is instant order, so the
+// first set bit of a word-at-a-time scan is the ring's earliest instant.
 func (w *wheel) next() core.Time {
-	if w.pending == 0 {
-		return -1
-	}
-	if !w.peekOK {
-		w.peekT = w.peekCompute()
-		w.peekOK = true
-	}
-	return w.peekT
-}
-
-// wheelBitmap is the slot-occupancy bitmap of one wheel level.
-type wheelBitmap [wheelSlots / 64]uint64
-
-func (b *wheelBitmap) set(s int)      { b[s>>6] |= 1 << (s & 63) }
-func (b *wheelBitmap) clear(s int)    { b[s>>6] &^= 1 << (s & 63) }
-func (b *wheelBitmap) has(s int) bool { return b[s>>6]&(1<<(s&63)) != 0 }
-
-// after returns how many slots past from (1..wheelSlots, wrapping, so
-// wheelSlots means from itself) the nearest occupied slot lies, or -1 on an
-// empty bitmap: at most five word probes.
-func (b *wheelBitmap) after(from int) int {
-	for k := 1; k <= wheelSlots; {
-		s := (from + k) & (wheelSlots - 1)
-		if word := b[s>>6] >> (s & 63); word != 0 {
-			return k + bits.TrailingZeros64(word)
-		}
-		k += 64 - s&63
-	}
-	return -1
-}
-
-// peekCompute finds the earliest pending time from the two occupancy bitmaps
-// and the overflow minimum, without touching an entry.
-func (w *wheel) peekCompute() core.Time {
-	best := w.overMin
-	consider := func(t core.Time) {
-		if best < 0 || t < best {
-			best = t
-		}
-	}
-	// Fine tier: entries lie in (cur, cur+256), one absolute time per slot, so
-	// slot distance from cur's slot is time distance from cur.
-	if k := w.fineBm.after(int(w.cur & wheelMask)); k > 0 {
-		consider(w.cur + core.Time(k))
-	}
-	// Coarse tier: blocks are disjoint increasing time ranges in wrap order
-	// from cur's own block (still coarse-resident when popUntil parked the
-	// hand inside it), so the first occupied slot holds the coarse minimum.
-	cs := int((w.cur >> wheelBits) & wheelMask)
-	if k := w.corseBm.after(cs - 1); k > 0 {
-		consider(w.coarseMin[(cs-1+k)&(wheelSlots-1)])
-	}
-	return best
-}
-
-// locate advances cur to just before the earliest pending entry (cascading
-// coarse slots and re-bucketing the overflow along the way) and returns
-// that entry's time with its fine slot resident. Only popUntil calls it, so
-// the hand never outruns a pop — jumps target the block containing the
-// minimum entry, hence cur stays strictly below every pending time.
-func (w *wheel) locate() core.Time {
-	for {
-		// Overflow entries the hand has come within the horizon of re-enter
-		// the wheel levels before any scan, so the levels always hold every
-		// entry earlier than the overflow's minimum.
-		if w.overMin >= 0 && w.overMin-w.cur < wheelHorizon {
-			w.rebucketOver()
-		}
-		start := w.cur + 1
-		base := start &^ wheelMask
-		// Cascade the coarse slot of start's block: afterwards every entry
-		// in (cur, base+256) is fine-resident.
-		cs := int((base >> wheelBits) & wheelMask)
-		if w.corseBm.has(cs) {
-			w.corseBm.clear(cs)
-			slot := w.coarse[cs]
-			for _, e := range slot {
-				s := int(e.t & wheelMask)
-				w.fine[s] = append(w.fine[s], e)
-				w.fineBm.set(s)
+	t := core.Time(-1)
+	if w.pending > len(w.far) {
+		for dt := core.Time(1); dt <= w.mask+1; {
+			s := (w.cur + dt) & w.mask
+			if word := w.bits[s>>6] >> (s & 63); word != 0 {
+				t = w.cur + dt + core.Time(bits.TrailingZeros64(word))
+				break
 			}
-			w.coarse[cs] = slot[:0]
+			dt += 64 - s&63
 		}
-		// The nearest occupied fine slot at or after start's: inside this
-		// block it is the answer (slot order = time order).
-		lo := int(start & wheelMask)
-		k := w.fineBm.after(lo - 1)
-		if s := lo - 1 + k; k > 0 && s < wheelSlots {
-			return base + core.Time(s)
-		}
-		// Nothing left in this block: jump cur to just before the earliest
-		// block that still holds work. Fine entries below the scan window
-		// belong to the immediately following block; coarse slot cs+c (wrap)
-		// holds block base + c*256, unique within the horizon.
-		jump := core.Time(-1)
-		if k > 0 {
-			jump = base + wheelSlots
-		}
-		if c := w.corseBm.after(cs); c > 0 && (jump < 0 || base+core.Time(c)<<wheelBits < jump) {
-			jump = base + core.Time(c)<<wheelBits
-		}
-		if jump >= 0 {
-			w.cur = jump - 1
-			continue
-		}
-		// Only the overflow holds entries: jump to just before the earliest
-		// (skipping no work) and let the next pass pull it into the levels.
-		w.cur = w.overMin - 1
 	}
-}
-
-// rebucketOver re-adds the overflow against the current hand, pulling the
-// entries now inside the horizon — at least the minimum — into the levels.
-func (w *wheel) rebucketOver() {
-	old := w.over
-	w.over = nil
-	w.overMin = -1
-	w.pending -= len(old)
-	for _, e := range old {
-		w.add(e.t, e.idx, e.gen)
+	if len(w.far) > 0 && (t < 0 || w.far[0].t < t) {
+		t = w.far[0].t
 	}
+	return t
 }
 
 // popUntil drains every entry with t <= deadline, in nondecreasing t order,
@@ -242,29 +152,39 @@ func (w *wheel) popUntil(deadline core.Time, fn func(wheelEntry)) {
 		if t < 0 || t > deadline {
 			break
 		}
-		w.locate()
-		s := int(t & wheelMask)
-		// Every entry in a fine slot shares the same t (one absolute time
-		// per slot within the (cur, cur+256) window).
-		batch := w.fine[s]
-		w.fine[s] = w.spare[:0]
-		w.fineBm.clear(s)
-		w.pending -= len(batch)
 		w.cur = t
-		w.peekOK = false
-		for i := range batch {
-			fn(batch[i])
+		// t is the earliest pending instant, so its slot holds no other one.
+		// The list is detached before fn runs: an add may grow the ring.
+		s := t & w.mask
+		n := w.slots[s]
+		w.slots[s] = 0
+		w.bits[s>>6] &^= 1 << (s & 63)
+		for n != 0 {
+			node := w.nodes[n]
+			w.nodes[n].next, w.free = w.free, n
+			w.pending--
+			fn(node.wheelEntry)
+			n = node.next
 		}
-		w.spare = batch[:0]
+		for len(w.far) > 0 && w.far[0].t == t {
+			w.pending--
+			fn(heap.Pop(&w.far).(wheelEntry))
+		}
 	}
 	if deadline > w.cur {
 		w.cur = deadline
 	}
 }
 
-// drainAll drains every pending entry in nondecreasing t order.
-func (w *wheel) drainAll(fn func(wheelEntry)) {
-	for w.pending > 0 {
-		w.popUntil(w.next(), fn)
-	}
+// farHeap is a container/heap min-heap of entries on t.
+type farHeap []wheelEntry
+
+func (h farHeap) Len() int           { return len(h) }
+func (h farHeap) Less(i, j int) bool { return h[i].t < h[j].t }
+func (h farHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *farHeap) Push(x any)        { *h = append(*h, x.(wheelEntry)) }
+func (h *farHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
 }

@@ -97,7 +97,7 @@ type dataMsg struct {
 
 // sendCmd is injected at a flow's source: emit the flow's packets (one
 // activation emits all of them back to back — the adapter's job; the
-// interesting costs are downstream).
+// interesting costs are downstream). Flow is the flow's index in Run's flows.
 type sendCmd struct {
 	Flow       int
 	Discipline Discipline
@@ -107,8 +107,21 @@ type sendCmd struct {
 
 // node is the per-node traffic protocol.
 type node struct {
-	id       core.NodeID
+	run      *flowRun
 	received []int // packet counts of the flows ending here, by dataMsg.Flow slot
+}
+
+// flowRun is what the nodes of one Run share: each flow's counter slot at its
+// destination, and the first send the runtime refused.
+type flowRun struct {
+	slot []int
+	err  error
+}
+
+func (r *flowRun) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 var _ core.Protocol = (*node)(nil)
@@ -120,10 +133,11 @@ func (p *node) LinkEvent(core.Env, core.Port) {}
 func (p *node) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case *sendCmd:
-		first := m.first()
+		first := m.first(p.run.slot[m.Flow])
 		for i := 0; i < m.Packets; i++ {
 			if err := env.Send(first.Hop, first.Next); err != nil {
-				panic(fmt.Sprintf("traffic: send: %v", err))
+				p.run.fail(fmt.Errorf("traffic: flow %d: send: %w", m.Flow, err))
+				return
 			}
 		}
 	case *dataMsg:
@@ -134,22 +148,22 @@ func (p *node) Deliver(env core.Env, pkt core.Packet) {
 		}
 		// Store-and-forward relay: one software activation per hop.
 		if err := env.Send(m.Hop, m.Next); err != nil {
-			panic(fmt.Sprintf("traffic: relay: %v", err))
+			p.run.fail(fmt.Errorf("traffic: relay at node %d: %w", env.ID(), err))
 		}
 	}
 }
 
-// first builds the flow's packet states and returns the source's own: its
-// header is what every packet of the flow leaves with, its Next what the
-// first receiving node is handed. Hardware is the chain of one hop, the full
+// first builds the packet states of the flow its destination counts in slot
+// and returns the source's own: its header is what every packet of the flow
+// leaves with, its Next what the first receiving node is handed. Hardware is the chain of one hop, the full
 // route. The states, and a store-and-forward chain's one-hop headers {link,
 // NCU}, are carved from one backing array each, so a flow costs the same few
 // allocations whatever its length.
-func (m *sendCmd) first() *dataMsg {
+func (m *sendCmd) first(slot int) *dataMsg {
 	if m.Discipline == Hardware {
 		pair := new([2]dataMsg)
-		pair[0] = dataMsg{Flow: m.Flow, Hop: anr.Direct(m.Links), Next: &pair[1]}
-		pair[1].Flow = m.Flow
+		pair[0] = dataMsg{Flow: slot, Hop: anr.Direct(m.Links), Next: &pair[1]}
+		pair[1].Flow = slot
 		return &pair[0]
 	}
 	states := make([]dataMsg, len(m.Links)+1)
@@ -157,9 +171,9 @@ func (m *sendCmd) first() *dataMsg {
 	for i, l := range m.Links {
 		h := hops[2*i : 2*i+2 : 2*i+2]
 		h[0].Link, h[1].Link = l, anr.NCU
-		states[i] = dataMsg{Flow: m.Flow, Hop: h, Next: &states[i+1]}
+		states[i] = dataMsg{Flow: slot, Hop: h, Next: &states[i+1]}
 	}
-	states[len(m.Links)].Flow = m.Flow
+	states[len(m.Links)].Flow = slot
 	return &states[0]
 }
 
@@ -193,14 +207,17 @@ type Result struct {
 // Run pushes every flow's packets through the network under the given
 // discipline with delays (C, P) and returns the cost profile. Extra options
 // (fault injection, sharding, scheduler knobs) are appended to the network's
-// build options, so fault-load traffic studies reuse this driver.
+// build options, so fault-load traffic studies reuse this driver. A send the
+// runtime refuses (a WithDmax shorter than a route) fails the run, naming the
+// flow.
 func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...sim.Option) (Result, error) {
 	if err := validateFlows(g, flows); err != nil {
 		return Result{}, err
 	}
+	run := &flowRun{slot: make([]int, len(flows))} // flow -> its counter at the destination
 	nodes := make([]node, g.N())
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
-		nodes[id].id = id
+		nodes[id].run = run
 		return &nodes[id]
 	}, append([]sim.Option{sim.WithDelays(c, p), sim.WithDmax(g.N())}, extra...)...)
 	pairs := make([][2]core.NodeID, len(flows))
@@ -211,7 +228,7 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 	if err != nil {
 		return Result{}, err
 	}
-	slot := make([]int, len(flows)) // flow -> its counter at the destination
+	slot := run.slot
 	ending := make(map[core.NodeID]int, len(flows))
 	for i, f := range flows {
 		if routes[i] == nil {
@@ -220,13 +237,16 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 		slot[i] = ending[f.Dst]
 		ending[f.Dst]++
 		net.Inject(0, f.Src, &sendCmd{
-			Flow:       slot[i],
+			Flow:       i,
 			Discipline: d,
 			Links:      routes[i],
 			Packets:    f.Packets,
 		})
 	}
 	finish, err := net.Run()
+	if err == nil {
+		err = run.err
+	}
 	if err != nil {
 		return Result{}, err
 	}

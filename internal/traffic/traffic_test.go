@@ -4,9 +4,11 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/sim"
@@ -123,6 +125,23 @@ func TestNoPathError(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	if _, err := Run(g, []Flow{{Src: 0, Dst: 2, Packets: 1}}, Hardware, 0, 1); err == nil {
 		t.Fatal("unreachable destination must error")
+	}
+}
+
+// TestRefusedSendFailsRun: a caller's WithDmax shorter than a hardware route
+// makes the runtime refuse the source's send; Run returns that error, naming
+// the flow, instead of panicking inside the handler. Store-and-forward sends
+// one-hop headers only, so the same dmax serves it.
+func TestRefusedSendFailsRun(t *testing.T) {
+	g := graph.Path(8)
+	flows := []Flow{{Src: 1, Dst: 2, Packets: 3}, {Src: 0, Dst: 7, Packets: 3}}
+	_, err := Run(g, flows, Hardware, 1, 1, sim.WithDmax(2))
+	if !errors.Is(err, anr.ErrPathTooLong) || !strings.Contains(err.Error(), "flow 1") {
+		t.Fatalf("hardware route past dmax: err %v, want anr.ErrPathTooLong naming flow 1", err)
+	}
+	res, err := Run(g, flows, StoreAndForward, 1, 1, sim.WithDmax(2))
+	if err != nil || res.Delivered != 6 {
+		t.Fatalf("store-and-forward under dmax 2: delivered %d, err %v; want 6, nil", res.Delivered, err)
 	}
 }
 
