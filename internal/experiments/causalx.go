@@ -42,13 +42,14 @@ func (f *wasteful) Deliver(env core.Env, pkt core.Packet) {
 // spanning tree (Lemma A.3), and replay it as a tree-based algorithm that
 // finishes no later than the original run.
 func e13CausalTree(env Env) (*Table, error) {
+	p := globalfn.Params{C: 1, P: 1}
 	t := &Table{
 		ID:      "E13",
 		Title:   "causal-message analysis of a redundant all-to-all computation",
 		Columns: []string{"n", "messages", "causal", "orig.finish", "replay.finish", "replay<=orig"},
+		Notes:   []string{fmt.Sprintf("workload: all-to-all input exchange on K_n with C=%d, P=%d", p.C, p.P)},
 	}
-	p := globalfn.Params{C: 1, P: 1}
-	for _, n := range []int{8, 16, 32, 64} {
+	return sweep(env, t, []int{8, 16, 32, 64}, func(n int) ([]any, error) {
 		g := graph.Complete(n)
 		buf := trace.NewSerial(0)
 		net := sim.New(g, func(id core.NodeID) core.Protocol {
@@ -74,10 +75,7 @@ func e13CausalTree(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.addRow(n, a.Messages, a.CausalCount(), origFinish, res.Finish,
-			core.Time(res.Finish) <= origFinish)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("workload: all-to-all input exchange on K_n with C=%d, P=%d", p.C, p.P))
-	return t, nil
+		return []any{n, a.Messages, a.CausalCount(), origFinish, res.Finish,
+			core.Time(res.Finish) <= origFinish}, nil
+	})
 }

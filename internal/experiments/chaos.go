@@ -5,7 +5,6 @@ import (
 
 	"fastnet/internal/faults"
 	"fastnet/internal/graph"
-	"fastnet/internal/runner"
 	"fastnet/internal/topology"
 )
 
@@ -29,61 +28,38 @@ func e20Degradation(env Env) (*Table, error) {
 
 	g := graph.GNP(24, 0.25, 1)
 
-	// Churn sweep: convergence cost vs churn rate, branching paths vs
+	// Churn rows: convergence cost vs churn rate, branching paths vs
 	// flooding. Flaps heal within the epoch; the accompanying crashes leave
 	// persistent damage for the databases to re-converge around. Elections
-	// are off so syscalls isolate the maintenance cost. Each row is an
-	// independent soak on the shared read-only graph, so the sweep fans out
-	// through the worker pool; rows come back in input order.
-	type churnPoint struct {
-		mode     topology.Mode
-		flapRate int
-	}
-	var churn []churnPoint
-	for _, mode := range []topology.Mode{topology.ModeBranching, topology.ModeFlood} {
-		for _, flapRate := range []int{1, 2, 4, 8} {
-			churn = append(churn, churnPoint{mode, flapRate})
-		}
-	}
-	churnRes, err := runner.Map(env.Workers, churn, func(p churnPoint) (*faults.Result, error) {
-		return faults.Soak(g, faults.Config{
-			Seed:       1,
-			Epochs:     6,
-			Mode:       p.mode,
-			Flaps:      p.flapRate,
-			Crashes:    (p.flapRate + 1) / 2,
-			Downtime:   2,
-			NoElection: true,
+	// are off so syscalls isolate the maintenance cost. Every row is an
+	// independent soak on the shared read-only graph.
+	modes := []topology.Mode{topology.ModeBranching, topology.ModeFlood}
+	if _, err := sweep(env, t, grid(modes, []int{1, 2, 4, 8}), func(p pair[topology.Mode, int]) ([]any, error) {
+		mode, flaps := p.a, p.b
+		res, err := faults.Soak(g, faults.Config{
+			Seed: 1, Epochs: 6, Mode: mode, Flaps: flaps,
+			Crashes: (flaps + 1) / 2, Downtime: 2, NoElection: true,
 		}, env.Opts...)
-	})
-	if err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return []any{mode, flaps, "-", res.Epochs, res.ConvRounds, res.ConvMax,
+			res.FaultFlips, res.Metrics.Syscalls(), "-", "-", "-", len(res.Violations)}, nil
+	}); err != nil {
 		return nil, err
-	}
-	for i, res := range churnRes {
-		t.addRow(churn[i].mode, churn[i].flapRate, "-", res.Epochs, res.ConvRounds, res.ConvMax,
-			res.FaultFlips, res.Metrics.Syscalls(), "-", "-", "-", len(res.Violations))
 	}
 
-	// Re-election sweep: latency vs leader-crash probability.
-	pCrashes := []float64{0, 0.5, 1}
-	electRes, err := runner.Map(env.Workers, pCrashes, func(pCrash float64) (*faults.Result, error) {
-		return faults.Soak(g, faults.Config{
-			Seed:        1,
-			Epochs:      6,
-			Flaps:       1,
-			LeaderCrash: pCrash,
-		}, env.Opts...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range electRes {
+	// Re-election rows: latency vs leader-crash probability.
+	return sweep(env, t, []float64{0, 0.5, 1}, func(pCrash float64) ([]any, error) {
+		res, err := faults.Soak(g, faults.Config{Seed: 1, Epochs: 6, Flaps: 1, LeaderCrash: pCrash}, env.Opts...)
+		if err != nil {
+			return nil, err
+		}
 		avg := "-"
 		if res.Elections > 0 {
 			avg = fmt.Sprintf("%.1f", float64(res.ReelectTime)/float64(res.Elections))
 		}
-		t.addRow(topology.ModeBranching, 1, pCrashes[i], res.Epochs, res.ConvRounds, res.ConvMax,
-			res.FaultFlips, res.Metrics.Syscalls(), res.Elections, avg, res.ReelectMax, len(res.Violations))
-	}
-	return t, nil
+		return []any{topology.ModeBranching, 1, pCrash, res.Epochs, res.ConvRounds, res.ConvMax,
+			res.FaultFlips, res.Metrics.Syscalls(), res.Elections, avg, res.ReelectMax, len(res.Violations)}, nil
+	})
 }

@@ -29,10 +29,6 @@ func e6ElectionCost(env Env) (*Table, error) {
 			"all nodes start; C=0, P=1",
 		},
 	}
-	type workload struct {
-		name string
-		g    *graph.Graph
-	}
 	var ws []workload
 	for _, n := range []int{32, 128, 512, 2048} {
 		ws = append(ws,
@@ -45,18 +41,17 @@ func e6ElectionCost(env Env) (*Table, error) {
 		workload{"grid(16x16)", graph.Grid(16, 16)},
 		workload{"star(512)", graph.Star(512)},
 	)
-	for _, w := range ws {
+	return sweep(env, t, ws, func(w workload) ([]any, error) {
 		n := w.g.N()
 		res, err := election.Run(w.g, election.AlgoToken, allStarters(n), env.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		t.addRow(w.name, n, res.AlgorithmMessages, 6*n,
+		return []any{w.name, n, res.AlgorithmMessages, 6 * n,
 			fmt.Sprintf("%.2f", float64(res.AlgorithmMessages)/float64(n)),
 			res.Metrics.FinishTime,
-			fmt.Sprintf("%.2f", float64(res.Metrics.FinishTime)/float64(n)))
-	}
-	return t, nil
+			fmt.Sprintf("%.2f", float64(res.Metrics.FinishTime)/float64(n))}, nil
+	})
 }
 
 // e7ElectionBaselines compares the token algorithm with the classical
@@ -72,7 +67,7 @@ func e7ElectionBaselines(env Env) (*Table, error) {
 			"hs.ring runs on the ring; naive runs on the complete graph (n <= 256)",
 		},
 	}
-	for _, n := range []int{32, 64, 128, 256, 512, 1024} {
+	return sweep(env, t, []int{32, 64, 128, 256, 512, 1024}, func(n int) ([]any, error) {
 		ring := graph.Ring(n)
 		tok, err := election.Run(ring, election.AlgoToken, allStarters(n), env.Opts...)
 		if err != nil {
@@ -92,9 +87,8 @@ func e7ElectionBaselines(env Env) (*Table, error) {
 			naive = fmt.Sprintf("%d", nv.AlgorithmMessages)
 			naiveRatio = fmt.Sprintf("%.2f", float64(nv.AlgorithmMessages)/float64(n*n))
 		}
-		t.addRow(fmt.Sprintf("ring(%d)", n), n, tok.AlgorithmMessages, hs.AlgorithmMessages,
+		return []any{fmt.Sprintf("ring(%d)", n), n, tok.AlgorithmMessages, hs.AlgorithmMessages,
 			fmt.Sprintf("%.2f", float64(hs.AlgorithmMessages)/(float64(n)*math.Log2(float64(n)))),
-			naive, naiveRatio)
-	}
-	return t, nil
+			naive, naiveRatio}, nil
+	})
 }

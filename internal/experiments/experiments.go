@@ -1,27 +1,28 @@
 // Package experiments regenerates every quantitative artefact of the paper:
 // one runner per experiment ID (E1..E14 for the paper's own artefacts,
-// E15..E22 for extensions; see DESIGN.md's index). The
-// runners return plain tables that cmd/fastnet renders and that
-// bench_test.go wraps as benchmarks.
+// E15..E24 for extensions; see DESIGN.md's index). Every runner declares its
+// points and a point → row function and hands both to sweep; the tables the
+// runners return are what cmd/fastnet renders and bench_test.go wraps as
+// benchmarks.
 package experiments
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
+	"fastnet/internal/graph"
+	"fastnet/internal/runner"
 	"fastnet/internal/sim"
 )
 
 // Env is what the caller of an experiment decides for it, handed down as a
 // value to every driver the experiment calls.
 type Env struct {
-	// Workers is the worker-pool width sweep experiments hand to runner.Map
-	// (0 = one per CPU, 1 = serial). Any width produces byte-identical tables:
-	// every row is an independent DES instance that is a pure function of its
-	// seed, and results keep input order.
+	// Workers is the worker-pool width sweep hands to runner.Map (0 = one per
+	// CPU, 1 = serial). Any width produces byte-identical tables: every row is
+	// a pure function of its point, and rows keep point order.
 	Workers int
 	// Opts are appended to the options of every sim network the experiment
 	// builds, directly or through a driver (`fastnet exp -shards`, and the
@@ -39,6 +40,46 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+}
+
+// sweep computes one row per point on env.Workers workers and appends the
+// rows to t in point order. It is how every experiment fills its table: row
+// builds whatever networks its point needs and shares nothing mutable with
+// the other points, so the table is the same at any worker count.
+func sweep[P any](env Env, t *Table, points []P, row func(P) ([]any, error)) (*Table, error) {
+	rows, err := runner.Map(env.Workers, points, row)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t.addRow(r...)
+	}
+	return t, nil
+}
+
+// pair is one point of a two-parameter grid.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// grid is every pair (a, b) with a from as and b from bs, a-major: the points
+// of a table whose rows nest one parameter inside another.
+func grid[A, B any](as []A, bs []B) []pair[A, B] {
+	out := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, pair[A, B]{a, b})
+		}
+	}
+	return out
+}
+
+// workload is a named graph: the point of the sweeps that run one scenario
+// over several topologies.
+type workload struct {
+	name string
+	g    *graph.Graph
 }
 
 // addRow appends a row, formatting every cell with %v.
@@ -118,7 +159,7 @@ type Spec struct {
 
 // All returns every experiment in ID order.
 func All() []Spec {
-	specs := []Spec{
+	return []Spec{
 		{ID: "E1", Title: "Broadcast cost: branching paths vs ARPANET flooding (§3)", Run: e1BroadcastVsFlooding},
 		{ID: "E2", Title: "Theorem 2: broadcast time <= log2 n on every tree", Run: e2BroadcastTime},
 		{ID: "E3", Title: "Theorem 3: Omega(log n) one-way broadcast on complete binary trees", Run: e3LowerBound},
@@ -144,14 +185,6 @@ func All() []Spec {
 		{ID: "E23", Title: "Extension: gray links — spurious retransmits under fixed vs adaptive RTO", Run: e23Gray},
 		{ID: "E24", Title: "Extension: open-loop overload — latency vs blocking across capacity regimes", Run: e24OpenLoop},
 	}
-	sort.Slice(specs, func(i, j int) bool { return idOrder(specs[i].ID) < idOrder(specs[j].ID) })
-	return specs
-}
-
-func idOrder(id string) int {
-	var n int
-	fmt.Sscanf(id, "E%d", &n)
-	return n
 }
 
 // Lookup finds an experiment by ID (case-insensitive).

@@ -27,37 +27,39 @@ func e15HeaderGrowth(env Env) (*Table, error) {
 			"the layers walk needs headers far beyond dmax=n — the paper's reason to restrict path length",
 		},
 	}
-	add := func(name string, n int, width int, m core.Metrics, dmax int) {
+	row := func(name string, g *graph.Graph, m core.Metrics, dmax int) []any {
 		avg := "-"
 		if m.Packets > 0 {
 			avg = fmt.Sprintf("%.1f", float64(m.HeaderBits)/float64(m.Packets))
 		}
-		t.addRow(name, n, width, m.MaxHeaderHops, dmaxLabel(dmax), avg)
+		return []any{fmt.Sprintf("%s(%d)", name, g.N()), g.N(), core.NewPortMap(g).IDWidth(),
+			m.MaxHeaderHops, dmaxLabel(dmax), avg}
 	}
-	for _, n := range []int{64, 256, 1024} {
+	ns := []int{64, 256, 1024}
+	modes := []topology.Mode{topology.ModeBranching, topology.ModeLayers}
+	if _, err := sweep(env, t, grid(ns, modes), func(p pair[int, topology.Mode]) ([]any, error) {
+		n, mode := p.a, p.b
 		g := graph.RandomTree(n, 7)
-		width := core.NewPortMap(g).IDWidth()
-		b, err := topology.SingleBroadcast(g, 0, topology.ModeBranching, env.Opts...)
+		res, err := topology.SingleBroadcast(g, 0, mode, env.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		add(fmt.Sprintf("broadcast/tree(%d)", n), n, width, b.Metrics, topology.DefaultDmax(topology.ModeBranching, n))
-		l, err := topology.SingleBroadcast(g, 0, topology.ModeLayers, env.Opts...)
-		if err != nil {
-			return nil, err
+		name := "broadcast/tree"
+		if mode == topology.ModeLayers {
+			name = "layers-walk/tree"
 		}
-		add(fmt.Sprintf("layers-walk/tree(%d)", n), n, width, l.Metrics, 0)
+		return row(name, g, res.Metrics, topology.DefaultDmax(mode, n)), nil
+	}); err != nil {
+		return nil, err
 	}
-	for _, n := range []int{64, 256, 1024} {
+	return sweep(env, t, ns, func(n int) ([]any, error) {
 		g := graph.GNP(n, 4.0/float64(n), int64(n))
-		width := core.NewPortMap(g).IDWidth()
 		res, err := election.Run(g, election.AlgoToken, allStarters(n), env.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		add(fmt.Sprintf("election/gnp(%d)", n), n, width, res.Metrics, election.Dmax(n))
-	}
-	return t, nil
+		return row("election/gnp", g, res.Metrics, election.Dmax(n)), nil
+	})
 }
 
 func dmaxLabel(d int) string {
@@ -82,30 +84,27 @@ func e18DataVsControl(env Env) (*Table, error) {
 			"with ANR the relays' processors stay idle — the premise of the paper's model",
 		},
 	}
-	type workload struct {
-		name  string
-		g     *graph.Graph
-		flows int
-		pkts  int
+	type flowSet struct {
+		name        string
+		g           *graph.Graph
+		flows, pkts int
 	}
-	ws := []workload{
+	sets := []flowSet{
 		{"arpanet", graph.ARPANET(), 8, 100},
 		{"grid(8x8)", graph.Grid(8, 8), 16, 100},
 		{"gnp(128)", graph.GNP(128, 4.0/128, 9), 32, 50},
 	}
-	for _, w := range ws {
-		flows := traffic.RandomFlows(w.g, w.flows, w.pkts, 11)
-		for _, d := range []traffic.Discipline{traffic.Hardware, traffic.StoreAndForward} {
-			res, err := traffic.Run(w.g, flows, d, 1, 5, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			t.addRow(w.name, fmt.Sprintf("%dx%d", w.flows, w.pkts), d,
-				res.Metrics.Syscalls(), res.TransitSyscalls, res.Metrics.FinishTime,
-				fmt.Sprintf("%.2f", res.MaxTransitUtilization))
+	disciplines := []traffic.Discipline{traffic.Hardware, traffic.StoreAndForward}
+	return sweep(env, t, grid(sets, disciplines), func(p pair[flowSet, traffic.Discipline]) ([]any, error) {
+		w, d := p.a, p.b
+		res, err := traffic.Run(w.g, traffic.RandomFlows(w.g, w.flows, w.pkts, 11), d, 1, 5, env.Opts...)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return t, nil
+		return []any{w.name, fmt.Sprintf("%dx%d", w.flows, w.pkts), d,
+			res.Metrics.Syscalls(), res.TransitSyscalls, res.Metrics.FinishTime,
+			fmt.Sprintf("%.2f", res.MaxTransitUtilization)}, nil
+	})
 }
 
 // e16HardwareAblation is an extension experiment answering the paper's
@@ -124,7 +123,7 @@ func e16HardwareAblation(env Env) (*Table, error) {
 			"the hardware variant moves the comparison work into the switches: few system calls, many hops",
 		},
 	}
-	for _, n := range []int{32, 128, 512} {
+	return sweep(env, t, []int{32, 128, 512}, func(n int) ([]any, error) {
 		hw, err := election.RunHWRing(n, nil, env.Opts...)
 		if err != nil {
 			return nil, err
@@ -138,12 +137,11 @@ func e16HardwareAblation(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.addRow(n,
+		return []any{n,
 			hw.Metrics.Syscalls(), hw.Metrics.Hops, hw.Metrics.FinishTime,
 			tok.Metrics.Syscalls(), tok.Metrics.Hops,
-			hs.Metrics.Syscalls(), hs.Metrics.Hops)
-	}
-	return t, nil
+			hs.Metrics.Syscalls(), hs.Metrics.Hops}, nil
+	})
 }
 
 // e19PIF answers the conclusion's "can other distributed algorithms be
@@ -160,18 +158,17 @@ func e19PIF(env Env) (*Table, error) {
 			"C=0, P=1; random trees; syscalls = broadcast deliveries + ack deliveries",
 		},
 	}
-	for _, n := range []int{64, 256, 1024, 4096} {
-		g := graph.RandomTree(n, 7)
-		for _, mode := range []pif.EchoMode{pif.EchoOptimal, pif.EchoDirect} {
-			res, err := pif.Run(g, 0, mode, 0, 1, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			log2n := math.Log2(float64(n))
-			t.addRow(n, mode, res.Metrics.Deliveries, res.Finish,
-				fmt.Sprintf("%.1f", log2n),
-				fmt.Sprintf("%.2f", float64(res.Finish)/log2n))
+	ns := []int{64, 256, 1024, 4096}
+	modes := []pif.EchoMode{pif.EchoOptimal, pif.EchoDirect}
+	return sweep(env, t, grid(ns, modes), func(p pair[int, pif.EchoMode]) ([]any, error) {
+		n, mode := p.a, p.b
+		res, err := pif.Run(graph.RandomTree(n, 7), 0, mode, 0, 1, env.Opts...)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return t, nil
+		log2n := math.Log2(float64(n))
+		return []any{n, mode, res.Metrics.Deliveries, res.Finish,
+			fmt.Sprintf("%.1f", log2n),
+			fmt.Sprintf("%.2f", float64(res.Finish)/log2n)}, nil
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/reliable"
-	"fastnet/internal/runner"
 	"fastnet/internal/sim"
 )
 
@@ -74,105 +73,65 @@ func e23Gray(env Env) (*Table, error) {
 		},
 	}
 
-	type point struct {
-		adaptive bool
-		rate     float64
-		seed     int64
-	}
-	var points []point
-	rates := []float64{0, 0.2, 0.4, 0.6}
-	for _, adaptive := range []bool{false, true} {
-		for _, rate := range rates {
-			for seed := int64(1); seed <= seeds; seed++ {
-				points = append(points, point{adaptive, rate, seed})
-			}
-		}
-	}
-	type outcome struct {
-		skipped  bool
-		sent     int64
-		spurious int64
-		unacked  int
-		srttSum  float64
-		srttN    int
-	}
-	results, err := runner.Map(env.Workers, points, func(p point) (outcome, error) {
-		g := graph.GNP(n, 0.3, p.seed)
-		if !g.Connected() {
-			return outcome{skipped: true}, nil
-		}
-		nodes := make([]*e23Node, n)
-		factory := func(id core.NodeID) core.Protocol {
-			cfg := reliable.Config{RTO: 4, MaxBackoff: 64}
-			if p.adaptive {
-				cfg.Adaptive = true
-				cfg.MinRTO = 2
-				cfg.MaxRTO = 64
-			}
-			nd := &e23Node{Node: reliable.NewNode(id, cfg), dst: g.Neighbors(id)[0]}
-			nodes[id] = nd
-			return nd
-		}
-		net := sim.New(g, factory,
-			env.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(p.seed),
-				sim.WithMsgFaults(core.MsgFaults{Slowdown: p.rate, SlowFactor: 4, SlowMax: 8}))...)
-		// The horizon leaves the last frame ample drain room even fully
-		// slowed and backed off.
-		horizon := core.Time(msgs*gap + 2000)
-		for u := 0; u < n; u++ {
-			for i := 0; i < msgs; i++ {
-				net.Inject(core.Time(i*gap), core.NodeID(u), e23Send{})
-			}
-			for tick := core.Time(tickEvery); tick <= horizon; tick += tickEvery {
-				net.Inject(tick, core.NodeID(u), reliable.Tick{})
-			}
-		}
-		if _, err := net.Run(); err != nil {
-			return outcome{}, fmt.Errorf("adaptive=%v slow=%g seed=%d: %w", p.adaptive, p.rate, p.seed, err)
-		}
-		var o outcome
-		for _, nd := range nodes {
-			st := nd.E.Stats()
-			o.sent += st.Sent
-			o.spurious += st.Retransmits
-			o.unacked += nd.E.Pending()
-			if rtt, ok := nd.E.RTT(nd.dst); ok {
-				o.srttSum += rtt.SRTT
-				o.srttN++
-			}
-		}
-		return o, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	modes := []string{"fixed", "adaptive"}
-	for mi, mode := range modes {
-		for ri, rate := range rates {
-			var runs, unacked int
-			var sent, spurious int64
-			var srttSum float64
-			var srttN int
-			base := (mi*len(rates) + ri) * seeds
-			for _, o := range results[base : base+seeds] {
-				if o.skipped {
-					continue
+	return sweep(env, t, grid(modes, []float64{0, 0.2, 0.4, 0.6}), func(p pair[string, float64]) ([]any, error) {
+		mode, rate := p.a, p.b
+		var runs, unacked, srttN int
+		var sent, spurious int64
+		var srttSum float64
+		for seed := int64(1); seed <= seeds; seed++ {
+			g := graph.GNP(n, 0.3, seed)
+			if !g.Connected() {
+				continue
+			}
+			nodes := make([]*e23Node, n)
+			factory := func(id core.NodeID) core.Protocol {
+				cfg := reliable.Config{RTO: 4, MaxBackoff: 64}
+				if mode == "adaptive" {
+					cfg.Adaptive = true
+					cfg.MinRTO = 2
+					cfg.MaxRTO = 64
 				}
-				runs++
-				sent += o.sent
-				spurious += o.spurious
-				unacked += o.unacked
-				srttSum += o.srttSum
-				srttN += o.srttN
+				nd := &e23Node{Node: reliable.NewNode(id, cfg), dst: g.Neighbors(id)[0]}
+				nodes[id] = nd
+				return nd
 			}
-			srtt := "-"
-			if srttN > 0 {
-				srtt = fmt.Sprintf("%.1f", srttSum/float64(srttN))
+			net := sim.New(g, factory,
+				env.with(sim.WithDelays(3, 2), sim.WithRandomDelays(), sim.WithSeed(seed),
+					sim.WithMsgFaults(core.MsgFaults{Slowdown: rate, SlowFactor: 4, SlowMax: 8}))...)
+			// The horizon leaves the last frame ample drain room even fully
+			// slowed and backed off.
+			horizon := core.Time(msgs*gap + 2000)
+			for u := 0; u < n; u++ {
+				for i := 0; i < msgs; i++ {
+					net.Inject(core.Time(i*gap), core.NodeID(u), e23Send{})
+				}
+				for tick := core.Time(tickEvery); tick <= horizon; tick += tickEvery {
+					net.Inject(tick, core.NodeID(u), reliable.Tick{})
+				}
 			}
-			t.addRow(mode, rate, runs, sent, spurious,
-				fmt.Sprintf("%.2f", float64(spurious)/float64(sent)), srtt, unacked)
+			if _, err := net.Run(); err != nil {
+				return nil, fmt.Errorf("%s slow=%g seed=%d: %w", mode, rate, seed, err)
+			}
+			runs++
+			var runSRTT float64 // summed per run, then across runs: the grouping the mean's rounding pins
+			for _, nd := range nodes {
+				st := nd.E.Stats()
+				sent += st.Sent
+				spurious += st.Retransmits
+				unacked += nd.E.Pending()
+				if rtt, ok := nd.E.RTT(nd.dst); ok {
+					runSRTT += rtt.SRTT
+					srttN++
+				}
+			}
+			srttSum += runSRTT
 		}
-	}
-	return t, nil
+		srtt := "-"
+		if srttN > 0 {
+			srtt = fmt.Sprintf("%.1f", srttSum/float64(srttN))
+		}
+		return []any{mode, rate, runs, sent, spurious,
+			fmt.Sprintf("%.2f", float64(spurious)/float64(sent)), srtt, unacked}, nil
+	})
 }

@@ -20,27 +20,49 @@ func e8Binomial(env Env) (*Table, error) {
 		},
 	}
 	p := globalfn.Params{C: 0, P: 1}
-	for k := globalfn.Time(1); k <= 20; k++ {
+	return sweep(env, t, upTo(20), func(k globalfn.Time) ([]any, error) {
 		s, err := p.S(k)
 		if err != nil {
 			return nil, err
 		}
 		want := int64(1) << (k - 1)
-		simFinish := "-"
-		if s <= 4096 {
-			tr, err := p.OptimalTree(k)
-			if err != nil {
-				return nil, err
-			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			simFinish = fmt.Sprintf("%d", res.Finish)
+		simFinish, err := otFinish(env, p, k, s)
+		if err != nil {
+			return nil, err
 		}
-		t.addRow(k, s, want, s == want, simFinish)
+		return []any{k, s, want, s == want, simFinish}, nil
+	})
+}
+
+// otFinish is the sim.finish cell of E8 and E9: OT(k)'s simulated finish
+// time, or "-" when its s nodes are too many to simulate.
+func otFinish(env Env, p globalfn.Params, k globalfn.Time, s int64) (string, error) {
+	if s > 4096 {
+		return "-", nil
 	}
-	return t, nil
+	res, err := executeOT(env, p, k)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d", res.Finish), nil
+}
+
+// executeOT gathers a sum over OT(k) under p.
+func executeOT(env Env, p globalfn.Params, k globalfn.Time) (globalfn.Result, error) {
+	tr, err := p.OptimalTree(k)
+	if err != nil {
+		return globalfn.Result{}, err
+	}
+	return globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
+}
+
+// upTo returns 1, 2, ..., n.
+func upTo(n globalfn.Time) []globalfn.Time {
+	out := make([]globalfn.Time, n)
+	for i := range out {
+		out[i] = globalfn.Time(i + 1)
+	}
+	return out
 }
 
 // e9Fibonacci reproduces §5 example 3 (C=1, P=1): S(k) follows the
@@ -54,27 +76,18 @@ func e9Fibonacci(env Env) (*Table, error) {
 	p := globalfn.Params{C: 1, P: 1}
 	phi := (1 + math.Sqrt(5)) / 2
 	psi := (1 - math.Sqrt(5)) / 2
-	for k := globalfn.Time(1); k <= 30; k++ {
+	return sweep(env, t, upTo(30), func(k globalfn.Time) ([]any, error) {
 		s, err := p.S(k)
 		if err != nil {
 			return nil, err
 		}
 		binet := int64(math.Round((math.Pow(phi, float64(k)) - math.Pow(psi, float64(k))) / math.Sqrt(5)))
-		simFinish := "-"
-		if s <= 4096 {
-			tr, err := p.OptimalTree(k)
-			if err != nil {
-				return nil, err
-			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			simFinish = fmt.Sprintf("%d", res.Finish)
+		simFinish, err := otFinish(env, p, k, s)
+		if err != nil {
+			return nil, err
 		}
-		t.addRow(k, s, binet, s == binet, simFinish)
-	}
-	return t, nil
+		return []any{k, s, binet, s == binet, simFinish}, nil
+	})
 }
 
 // e10Traditional reproduces §5 example 2 (C=1, P=0): the recursion blows up
@@ -97,14 +110,13 @@ func e10Traditional(env Env) (*Table, error) {
 	} else if err != nil {
 		return nil, err
 	}
-	for _, n := range []int{2, 16, 128, 1024} {
+	return sweep(env, t, []int{2, 16, 128, 1024}, func(n int) ([]any, error) {
 		res, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false, env.Opts...)
 		if err != nil {
 			return nil, err
 		}
-		t.addRow(n, res.Finish, recursion)
-	}
-	return t, nil
+		return []any{n, res.Finish, recursion}, nil
+	})
 }
 
 // e11OptimalTime sweeps (C, P) regimes and checks that the predicted
@@ -120,32 +132,25 @@ func e11OptimalTime(env Env) (*Table, error) {
 		{C: 0, P: 1}, {C: 1, P: 1}, {C: 1, P: 2}, {C: 2, P: 1},
 		{C: 3, P: 2}, {C: 8, P: 1}, {C: 1, P: 8}, {C: 5, P: 5},
 	}
-	for _, p := range params {
-		for _, n := range []int64{16, 256, 4096} {
-			tstar, err := p.OptimalTime(n)
-			if err != nil {
-				return nil, err
-			}
-			s, err := p.S(tstar)
-			if err != nil {
-				return nil, err
-			}
-			if s > 1<<20 {
-				t.addRow(p.C, p.P, n, tstar, s, "-", "-")
-				continue
-			}
-			tr, err := p.OptimalTree(tstar)
-			if err != nil {
-				return nil, err
-			}
-			res, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			t.addRow(p.C, p.P, n, tstar, s, res.Finish, globalfn.Time(res.Finish) == tstar)
+	return sweep(env, t, grid(params, []int64{16, 256, 4096}), func(pt pair[globalfn.Params, int64]) ([]any, error) {
+		p, n := pt.a, pt.b
+		tstar, err := p.OptimalTime(n)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return t, nil
+		s, err := p.S(tstar)
+		if err != nil {
+			return nil, err
+		}
+		if s > 1<<20 {
+			return []any{p.C, p.P, n, tstar, s, "-", "-"}, nil
+		}
+		res, err := executeOT(env, p, tstar)
+		if err != nil {
+			return nil, err
+		}
+		return []any{p.C, p.P, n, tstar, s, res.Finish, globalfn.Time(res.Finish) == tstar}, nil
+	})
 }
 
 // e17Duality is an extension experiment: the time-reversal dual of the §5
@@ -159,29 +164,28 @@ func e17Duality(env Env) (*Table, error) {
 		Title:   "extension: gather/dissemination duality over optimal trees",
 		Columns: []string{"C", "P", "n", "t*", "gather.finish", "dissem.finish", "equal"},
 	}
-	for _, p := range []globalfn.Params{{C: 0, P: 1}, {C: 1, P: 1}, {C: 3, P: 2}, {C: 1, P: 8}} {
-		for _, n := range []int64{16, 256, 2048} {
-			tstar, err := p.OptimalTime(n)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := p.OptimalTree(tstar)
-			if err != nil {
-				return nil, err
-			}
-			g, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			d, err := globalfn.Disseminate(tr, p, 1, env.Opts...)
-			if err != nil {
-				return nil, err
-			}
-			t.addRow(p.C, p.P, n, tstar, g.Finish, d.Finish,
-				g.Finish == d.Finish && globalfn.Time(d.Finish) == tstar)
+	params := []globalfn.Params{{C: 0, P: 1}, {C: 1, P: 1}, {C: 3, P: 2}, {C: 1, P: 8}}
+	return sweep(env, t, grid(params, []int64{16, 256, 2048}), func(pt pair[globalfn.Params, int64]) ([]any, error) {
+		p, n := pt.a, pt.b
+		tstar, err := p.OptimalTime(n)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return t, nil
+		tr, err := p.OptimalTree(tstar)
+		if err != nil {
+			return nil, err
+		}
+		g, err := globalfn.Execute(tr, p, make([]globalfn.Value, tr.Size), globalfn.Sum, false, env.Opts...)
+		if err != nil {
+			return nil, err
+		}
+		d, err := globalfn.Disseminate(tr, p, 1, env.Opts...)
+		if err != nil {
+			return nil, err
+		}
+		return []any{p.C, p.P, n, tstar, g.Finish, d.Finish,
+			g.Finish == d.Finish && globalfn.Time(d.Finish) == tstar}, nil
+	})
 }
 
 // e12StarVsTree traces the §5 punchline: even on a complete graph the
@@ -197,7 +201,7 @@ func e12StarVsTree(env Env) (*Table, error) {
 		},
 	}
 	const n = 64
-	for _, pv := range []globalfn.Time{1, 2, 4, 8, 16, 32} {
+	return sweep(env, t, []globalfn.Time{1, 2, 4, 8, 16, 32}, func(pv globalfn.Time) ([]any, error) {
 		p := globalfn.Params{C: 8, P: pv}
 		starPred := globalfn.StarTime(n, p)
 		starRes, err := globalfn.Execute(globalfn.Star(n), p, make([]globalfn.Value, n), globalfn.Sum, false, env.Opts...)
@@ -226,7 +230,6 @@ func e12StarVsTree(env Env) (*Table, error) {
 		} else if starRes.Finish == otRes.Finish {
 			winner = "tie"
 		}
-		t.addRow(pv, starPred, starRes.Finish, tstar, otRes.Finish, winner)
-	}
-	return t, nil
+		return []any{pv, starPred, starRes.Finish, tstar, otRes.Finish, winner}, nil
+	})
 }

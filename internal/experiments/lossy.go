@@ -5,7 +5,6 @@ import (
 
 	"fastnet/internal/faults"
 	"fastnet/internal/graph"
-	"fastnet/internal/runner"
 	"fastnet/internal/topology"
 )
 
@@ -36,45 +35,33 @@ func e21Reliability(env Env) (*Table, error) {
 	g := graph.GNP(24, 0.25, 1)
 
 	// Every (protocol, loss) point is an independent soak over the shared
-	// read-only graph — fan the sweep through the worker pool and render the
-	// rows in input order so parallel tables match serial ones byte for byte.
-	type lossPoint struct {
-		mode topology.Mode
-		loss float64
-	}
-	var points []lossPoint
-	for _, mode := range []topology.Mode{topology.ModeBranching, topology.ModeFlood} {
-		for _, loss := range []float64{0, 0.1, 0.2, 0.3} {
-			points = append(points, lossPoint{mode, loss})
-		}
-	}
-	results, err := runner.Map(env.Workers, points, func(p lossPoint) (*faults.Result, error) {
-		return faults.Soak(g, faults.Config{
+	// read-only graph.
+	modes := []topology.Mode{topology.ModeBranching, topology.ModeFlood}
+	return sweep(env, t, grid(modes, []float64{0, 0.1, 0.2, 0.3}), func(p pair[topology.Mode, float64]) ([]any, error) {
+		mode, loss := p.a, p.b
+		res, err := faults.Soak(g, faults.Config{
 			Seed:       1,
 			Epochs:     6,
-			Mode:       p.mode,
+			Mode:       mode,
 			Flaps:      1,
 			Crashes:    2,
 			Downtime:   2,
 			NoElection: true,
 			Reliable:   16,
-			Loss:       p.loss,
-			Dup:        p.loss / 2,
-			Corrupt:    p.loss / 4,
-			Jitter:     p.loss / 2,
+			Loss:       loss,
+			Dup:        loss / 2,
+			Corrupt:    loss / 4,
+			Jitter:     loss / 2,
 		}, env.Opts...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
+		if err != nil {
+			return nil, err
+		}
 		retx := "-"
 		if res.RelSent > 0 {
 			retx = fmt.Sprintf("%.2f", float64(res.RelRetrans)/float64(res.RelSent))
 		}
-		t.addRow(points[i].mode, points[i].loss, res.Epochs, res.ConvRounds, res.ConvMax,
+		return []any{mode, loss, res.Epochs, res.ConvRounds, res.ConvMax,
 			res.RelSent, res.RelRetrans, retx, res.RelDupes, res.RelBadSum,
-			res.Metrics.Syscalls(), len(res.Violations))
-	}
-	return t, nil
+			res.Metrics.Syscalls(), len(res.Violations)}, nil
+	})
 }

@@ -41,10 +41,11 @@ func e24OpenLoop(env Env) (*Table, error) {
 	)
 	g := graph.GNP(n, 6.0/n, seed)
 	base := load.Config{Seed: seed, Calls: calls, Holding: holding, Zipf: skew}
-	regimes := []struct {
+	type regime struct {
 		name string
 		cfg  load.Config
-	}{
+	}
+	regimes := []regime{
 		{"uncapped", base},
 		{"ncu", func() load.Config {
 			c := base
@@ -72,46 +73,28 @@ func e24OpenLoop(env Env) (*Table, error) {
 		},
 	}
 
-	type point struct {
-		regime int
-		rate   float64
-	}
-	var points []point
-	for ri := range regimes {
-		for _, rate := range rates {
-			points = append(points, point{ri, rate})
-		}
-	}
-	results, err := runner.Map(env.Workers, points, func(p point) (*load.Stats, error) {
-		cfg := regimes[p.regime].cfg
-		cfg.Rate = p.rate
+	if _, err := sweep(env, t, grid(regimes, rates), func(p pair[regime, float64]) ([]any, error) {
+		name, cfg := p.a.name, p.a.cfg
+		cfg.Rate = p.b
 		s, err := load.Run(g, cfg, env.Opts...)
 		if err != nil {
-			return nil, fmt.Errorf("%s rate %g: %w", regimes[p.regime].name, p.rate, err)
+			return nil, fmt.Errorf("%s rate %g: %w", name, cfg.Rate, err)
 		}
 		if s.Generated != s.Delivered+s.Blocked+s.Dropped {
 			return nil, fmt.Errorf("%s rate %g: ledger leak: gen=%d del=%d blk=%d drp=%d",
-				regimes[p.regime].name, p.rate, s.Generated, s.Delivered, s.Blocked, s.Dropped)
+				name, cfg.Rate, s.Generated, s.Delivered, s.Blocked, s.Dropped)
 		}
-		return s, nil
-	})
-	if err != nil {
+		return []any{name, cfg.Rate, s.Generated, s.Delivered, s.Blocked, s.Dropped,
+			s.Setup.Quantile(0.5), s.Setup.Quantile(0.99), s.Setup.Quantile(0.999)}, nil
+	}); err != nil {
 		return nil, err
-	}
-	for i, p := range points {
-		s := results[i]
-		t.addRow(regimes[p.regime].name, p.rate, s.Generated, s.Delivered, s.Blocked, s.Dropped,
-			s.Setup.Quantile(0.5), s.Setup.Quantile(0.99), s.Setup.Quantile(0.999))
 	}
 
 	// The knee: bisect the highest rate each capped regime still serves at
 	// >= 99% delivered. The probe reuses the row scenario with fewer calls
 	// per run — it is a search, not a measurement, and 24 extra full-size
 	// runs would dominate the experiment's cost.
-	probes, err := runner.Map(env.Workers, regimes[1:], func(r struct {
-		name string
-		cfg  load.Config
-	}) (*load.ProbeResult, error) {
+	probes, err := runner.Map(env.Workers, regimes[1:], func(r regime) (*load.ProbeResult, error) {
 		tpl := r.cfg
 		tpl.Calls = calls / 4
 		return load.MaxSustainableRate(g, load.ProbeConfig{

@@ -5,20 +5,13 @@ import (
 	"testing"
 )
 
-// TestParallelTablesMatchSerial is the acceptance gate for the sweep
-// worker pool: rendering an experiment with any worker count must produce
-// exactly the bytes of the serial reference run.
+// slowIDs are the multi-second sweeps -short leaves out.
+var slowIDs = map[string]bool{"E20": true, "E21": true, "E23": true, "E24": true}
+
+// TestParallelTablesMatchSerial is the acceptance gate for sweep's worker
+// pool: rendering any experiment with any worker count must produce exactly
+// the bytes of the serial reference run.
 func TestParallelTablesMatchSerial(t *testing.T) {
-	specs := []Spec{
-		{ID: "E1", Run: e1BroadcastVsFlooding},
-		{ID: "E5", Run: e5Convergence},
-	}
-	if !testing.Short() {
-		specs = append(specs,
-			Spec{ID: "E20", Run: e20Degradation},
-			Spec{ID: "E21", Run: e21Reliability},
-		)
-	}
 	render := func(s Spec, workers int) string {
 		tbl, err := s.Run(Env{Workers: workers})
 		if err != nil {
@@ -28,7 +21,10 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 		tbl.Render(&b)
 		return b.String()
 	}
-	for _, s := range specs {
+	for _, s := range All() {
+		if testing.Short() && slowIDs[s.ID] {
+			continue
+		}
 		serial := render(s, 1)
 		for _, workers := range []int{3, 0} {
 			if got := render(s, workers); got != serial {

@@ -6,7 +6,6 @@ import (
 	"fastnet/internal/core"
 	"fastnet/internal/election"
 	"fastnet/internal/graph"
-	"fastnet/internal/runner"
 	"fastnet/internal/sim"
 )
 
@@ -37,73 +36,34 @@ func e22Reorder(env Env) (*Table, error) {
 		},
 	}
 
-	type point struct {
-		rate float64
-		seed int64
-	}
-	var points []point
-	rates := []float64{0, 0.25, 0.5, 0.7}
-	for _, rate := range rates {
-		for seed := int64(1); seed <= seeds; seed++ {
-			points = append(points, point{rate, seed})
-		}
-	}
-	type outcome struct {
-		skipped     bool
-		ok          bool
-		msgsPerN    float64
-		recoveries  int64
-		floodRelays int64
-	}
-	results, err := runner.Map(env.Workers, points, func(p point) (outcome, error) {
-		g := graph.GNP(n, 0.22, p.seed)
-		if !g.Connected() {
-			return outcome{skipped: true}, nil
-		}
-		starters := make([]core.NodeID, n)
-		for i := range starters {
-			starters[i] = core.NodeID(i)
-		}
-		res, err := election.Run(g, election.AlgoToken, starters,
-			env.with(sim.WithDelays(7, 8), sim.WithRandomDelays(), sim.WithSeed(p.seed),
-				sim.WithMsgFaults(core.MsgFaults{Reorder: p.rate, ReorderWindow: 100}))...)
-		if err != nil {
-			return outcome{}, fmt.Errorf("reorder=%g seed=%d: %w", p.rate, p.seed, err)
-		}
-		return outcome{
-			ok:          res.LeaderDomain == n && res.AlgorithmMessages <= 6*n,
-			msgsPerN:    float64(res.AlgorithmMessages) / n,
-			recoveries:  res.Stats.Recoveries.Load(),
-			floodRelays: res.Stats.FloodRelays.Load(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for ri, rate := range rates {
+	return sweep(env, t, []float64{0, 0.25, 0.5, 0.7}, func(rate float64) ([]any, error) {
 		var runs, elected, violations int
 		var sum, peak float64
 		var recov, relays int64
-		for _, o := range results[ri*seeds : (ri+1)*seeds] {
-			if o.skipped {
+		for seed := int64(1); seed <= seeds; seed++ {
+			g := graph.GNP(n, 0.22, seed)
+			if !g.Connected() {
 				continue
 			}
+			res, err := election.Run(g, election.AlgoToken, allStarters(n),
+				env.with(sim.WithDelays(7, 8), sim.WithRandomDelays(), sim.WithSeed(seed),
+					sim.WithMsgFaults(core.MsgFaults{Reorder: rate, ReorderWindow: 100}))...)
+			if err != nil {
+				return nil, fmt.Errorf("reorder=%g seed=%d: %w", rate, seed, err)
+			}
 			runs++
-			if o.ok {
+			if res.LeaderDomain == n && res.AlgorithmMessages <= 6*n {
 				elected++
 			} else {
 				violations++
 			}
-			sum += o.msgsPerN
-			if o.msgsPerN > peak {
-				peak = o.msgsPerN
-			}
-			recov += o.recoveries
-			relays += o.floodRelays
+			msgsPerN := float64(res.AlgorithmMessages) / n
+			sum += msgsPerN
+			peak = max(peak, msgsPerN)
+			recov += res.Stats.Recoveries.Load()
+			relays += res.Stats.FloodRelays.Load()
 		}
-		t.addRow(rate, runs, elected, fmt.Sprintf("%.2f", sum/float64(runs)),
-			fmt.Sprintf("%.2f", peak), recov, relays, violations)
-	}
-	return t, nil
+		return []any{rate, runs, elected, fmt.Sprintf("%.2f", sum/float64(runs)),
+			fmt.Sprintf("%.2f", peak), recov, relays, violations}, nil
+	})
 }

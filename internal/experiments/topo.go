@@ -6,7 +6,6 @@ import (
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
-	"fastnet/internal/runner"
 	"fastnet/internal/sim"
 	"fastnet/internal/topology"
 )
@@ -24,10 +23,6 @@ func e1BroadcastVsFlooding(env Env) (*Table, error) {
 			"paper: branching = n-1 deliveries, O(log n) time; flooding = O(m), O(n) time",
 		},
 	}
-	type workload struct {
-		name string
-		g    *graph.Graph
-	}
 	var ws []workload
 	for _, n := range []int{16, 64, 256, 1024} {
 		ws = append(ws, workload{fmt.Sprintf("gnp(%d)", n), graph.GNP(n, 4.0/float64(n), int64(n))})
@@ -37,32 +32,21 @@ func e1BroadcastVsFlooding(env Env) (*Table, error) {
 		workload{"arpanet", graph.ARPANET()},
 		workload{"path(256)", graph.Path(256)},
 	)
-	// Each workload's branch/flood pair is independent of every other row, so
-	// the sweep fans out through the worker pool; rows render in input order.
-	type pair struct{ branch, flood topology.BroadcastResult }
-	results, err := runner.Map(env.Workers, ws, func(w workload) (pair, error) {
+	return sweep(env, t, ws, func(w workload) ([]any, error) {
 		b, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching, env.Opts...)
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
 		f, err := topology.SingleBroadcast(w.g, 0, topology.ModeFlood, env.Opts...)
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
-		return pair{b, f}, nil
+		ratio := float64(f.Metrics.Deliveries) / float64(b.Metrics.Deliveries)
+		return []any{w.name, w.g.N(), w.g.M(),
+			b.Metrics.Deliveries, b.Metrics.FinishTime,
+			f.Metrics.Deliveries, f.Metrics.FinishTime,
+			fmt.Sprintf("%.2f", ratio)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range results {
-		w := ws[i]
-		ratio := float64(p.flood.Metrics.Deliveries) / float64(p.branch.Metrics.Deliveries)
-		t.addRow(w.name, w.g.N(), w.g.M(),
-			p.branch.Metrics.Deliveries, p.branch.Metrics.FinishTime,
-			p.flood.Metrics.Deliveries, p.flood.Metrics.FinishTime,
-			fmt.Sprintf("%.2f", ratio))
-	}
-	return t, nil
 }
 
 // e2BroadcastTime verifies Theorem 2 on many tree shapes: the measured
@@ -76,10 +60,6 @@ func e2BroadcastTime(env Env) (*Table, error) {
 			"rounds = finish time minus the trigger's own activation (C=0, P=1)",
 		},
 	}
-	type workload struct {
-		name string
-		g    *graph.Graph
-	}
 	ws := []workload{
 		{"path(1024)", graph.Path(1024)},
 		{"star(1024)", graph.Star(1024)},
@@ -89,16 +69,15 @@ func e2BroadcastTime(env Env) (*Table, error) {
 	for _, seed := range []int64{1, 2, 3} {
 		ws = append(ws, workload{fmt.Sprintf("randomtree(2048,seed %d)", seed), graph.RandomTree(2048, seed)})
 	}
-	for _, w := range ws {
+	return sweep(env, t, ws, func(w workload) ([]any, error) {
 		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeBranching, env.Opts...)
 		if err != nil {
 			return nil, err
 		}
 		rounds := int(res.Metrics.FinishTime) - 1
 		bound := bits.Len(uint(w.g.N()))
-		t.addRow(w.name, w.g.N(), rounds, bound, rounds <= bound)
-	}
-	return t, nil
+		return []any{w.name, w.g.N(), rounds, bound, rounds <= bound}, nil
+	})
 }
 
 // e3LowerBound measures broadcast rounds on complete binary trees: the
@@ -113,7 +92,7 @@ func e3LowerBound(env Env) (*Table, error) {
 			"Theorem 3: any one-way broadcast needs Omega(log n) rounds on these trees",
 		},
 	}
-	for depth := 2; depth <= 14; depth += 2 {
+	return sweep(env, t, []int{2, 4, 6, 8, 10, 12, 14}, func(depth int) ([]any, error) {
 		g := graph.CompleteBinaryTree(depth)
 		res, err := topology.SingleBroadcast(g, 0, topology.ModeBranching, env.Opts...)
 		if err != nil {
@@ -121,10 +100,9 @@ func e3LowerBound(env Env) (*Table, error) {
 		}
 		rounds := int(res.Metrics.FinishTime) - 1
 		log2n := bits.Len(uint(g.N())) - 1
-		t.addRow(depth, g.N(), rounds, log2n,
-			fmt.Sprintf("%.2f", float64(rounds)/float64(log2n)))
-	}
-	return t, nil
+		return []any{depth, g.N(), rounds, log2n,
+			fmt.Sprintf("%.2f", float64(rounds)/float64(log2n))}, nil
+	})
 }
 
 // sixNodeExample builds the paper's §3 non-convergence scenario.
@@ -174,7 +152,8 @@ func e4DeadlockExample(env Env) (*Table, error) {
 			"DFS uses the paper's adversarial child order; 30 rounds simulated",
 		},
 	}
-	for _, mode := range []topology.Mode{topology.ModeDFS, topology.ModeBranching, topology.ModeFlood} {
+	modes := []topology.Mode{topology.ModeDFS, topology.ModeBranching, topology.ModeFlood}
+	return sweep(env, t, modes, func(mode topology.Mode) ([]any, error) {
 		g, changes := sixNodeExample()
 		res, err := topology.RunConvergence(g, topology.ConvOptions{
 			Mode: mode, Order: cyclicOrder, Warm: true, MaxRounds: 30, SimOpts: env.Opts,
@@ -186,9 +165,8 @@ func e4DeadlockExample(env Env) (*Table, error) {
 		if !res.Converged {
 			ran = 30
 		}
-		t.addRow(mode, res.Converged, res.RoundsAfterChanges, ran)
-	}
-	return t, nil
+		return []any{mode, res.Converged, res.RoundsAfterChanges, ran}, nil
+	})
 }
 
 // e5Convergence measures rounds to eventual consistency after failure
@@ -199,23 +177,23 @@ func e5Convergence(env Env) (*Table, error) {
 		ID:      "E5",
 		Title:   "rounds to eventual consistency after changes stop",
 		Columns: []string{"topology", "n", "diameter", "plain.rounds", "fullknowledge.rounds"},
+		Notes:   []string{"cold start: databases empty before round 1; rounds counted after the last change"},
 	}
-	type workload struct {
-		name    string
-		g       *graph.Graph
+	type burst struct {
+		workload
 		changes []topology.Change
 	}
-	mk := func(name string, g *graph.Graph, seed int64) workload {
+	mk := func(name string, g *graph.Graph, seed int64) burst {
 		// Fail two edges at rounds 1 and 2, restore one at round 3.
 		es := g.Edges()
 		a, b := es[int(seed)%len(es)], es[(int(seed)*7+3)%len(es)]
-		return workload{name: name, g: g, changes: []topology.Change{
+		return burst{workload{name, g}, []topology.Change{
 			{Round: 1, U: a.U, V: a.V, Up: false},
 			{Round: 2, U: b.U, V: b.V, Up: false},
 			{Round: 3, U: a.U, V: a.V, Up: true},
 		}}
 	}
-	ws := []workload{
+	bursts := []burst{
 		mk("gnp(64)", graph.GNP(64, 0.08, 9), 5),
 		mk("grid(8x8)", graph.Grid(8, 8), 11),
 		mk("arpanet", graph.ARPANET(), 3),
@@ -223,33 +201,22 @@ func e5Convergence(env Env) (*Table, error) {
 	}
 	// Cold start: knowledge must still spread across the network after the
 	// burst, so the plain variant needs O(d) rounds and the full-knowledge
-	// variant O(log d). The per-workload pairs are independent runs, so they
-	// fan out through the worker pool and render in input order.
-	type pair struct{ plain, full topology.ConvergenceResult }
-	results, err := runner.Map(env.Workers, ws, func(w workload) (pair, error) {
+	// variant O(log d).
+	return sweep(env, t, bursts, func(w burst) ([]any, error) {
 		plain, err := topology.RunConvergence(w.g, topology.ConvOptions{
 			Mode: topology.ModeBranching, MaxRounds: 200, SimOpts: env.Opts,
 		}, w.changes)
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
 		full, err := topology.RunConvergence(w.g, topology.ConvOptions{
 			Mode: topology.ModeBranching, Full: true, MaxRounds: 200, SimOpts: env.Opts,
 		}, w.changes)
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
-		return pair{plain, full}, nil
+		return []any{w.name, w.g.N(), w.g.Diameter(), convLabel(plain), convLabel(full)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range results {
-		t.addRow(ws[i].name, ws[i].g.N(), ws[i].g.Diameter(),
-			convLabel(p.plain), convLabel(p.full))
-	}
-	t.Notes = append(t.Notes, "cold start: databases empty before round 1; rounds counted after the last change")
-	return t, nil
 }
 
 func convLabel(r topology.ConvergenceResult) string {
@@ -271,17 +238,13 @@ func e14BFSLayers(env Env) (*Table, error) {
 			"time excludes the trigger activation; hops measure the single walk's length",
 		},
 	}
-	type workload struct {
-		name string
-		g    *graph.Graph
-	}
 	ws := []workload{
 		{"path(64)", graph.Path(64)},
 		{"cbt(depth 7)", graph.CompleteBinaryTree(7)},
 		{"randomtree(256)", graph.RandomTree(256, 6)},
 		{"star(128)", graph.Star(128)},
 	}
-	for _, w := range ws {
+	return sweep(env, t, ws, func(w workload) ([]any, error) {
 		res, err := topology.SingleBroadcast(w.g, 0, topology.ModeLayers, env.Opts...)
 		if err != nil {
 			return nil, err
@@ -290,9 +253,8 @@ func e14BFSLayers(env Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.addRow(w.name, w.g.N(), res.Metrics.FinishTime-1, res.Metrics.Hops, withN, true)
-	}
-	return t, nil
+		return []any{w.name, w.g.N(), res.Metrics.FinishTime - 1, res.Metrics.Hops, withN, true}, nil
+	})
 }
 
 // layersLegalUnderDmax reports whether the layered walk fits within dmax.

@@ -66,16 +66,16 @@ type bcast struct {
 	Edges []treeEdge
 	Order []core.NodeID // spanning-tree nodes in BFS order, root first
 	Mode  EchoMode
-	C, P  core.Time
 
 	// Shared precomputed echo structure. Every field below is a pure
-	// function of the fields above, so every receiver would compute the
-	// identical values — and local computation is free in the model's cost
-	// measures (only hops, activations and delay are priced). Computing
-	// them once at the origin instead of once per node keeps the simulated
-	// execution identical while cutting the simulator's own cost from
-	// O(n^2) map-and-tree builds to O(n).
-	Pos      []int32        // Pos[u] = index of u in Order, -1 if absent
+	// function of the fields above and the network's (C, P), so every
+	// receiver would compute the identical values — and local computation is
+	// free in the model's cost measures (only hops, activations and delay
+	// are priced). Run computes them once at the origin instead of once per
+	// node, which keeps the simulated execution identical while cutting the
+	// simulator's own cost from O(n^2) map-and-tree builds to O(n);
+	// receivers read them as given.
+	Pos      []int32        // Pos[u] = index of u in Order
 	ParentAt []int32        // edgeIndex(Edges)
 	Tree     *globalfn.Tree // the §5 echo tree (EchoOptimal only)
 }
@@ -152,18 +152,11 @@ func (p *proto) relay(env core.Env, m *bcast) {
 // shared description, then acknowledges if it is an echo leaf.
 func (p *proto) joinEcho(env core.Env, m *bcast) {
 	p.isRoot = p.id == m.Root
-	parent, children, err := echoRole(m, p.id)
-	if err != nil {
-		panic(fmt.Sprintf("pif: echo role: %v", err))
-	}
+	parent, children := echoRole(m, p.id)
 	p.pending = children - p.early
 	p.early = 0
 	if !p.isRoot {
-		idx := m.ParentAt
-		if idx == nil {
-			idx = edgeIndex(m.Edges)
-		}
-		route, err := treeRouteIdx(m.Edges, idx, p.id, parent)
+		route, err := treeRouteIdx(m.Edges, m.ParentAt, p.id, parent)
 		if err != nil {
 			panic(fmt.Sprintf("pif: echo route: %v", err))
 		}
@@ -190,41 +183,18 @@ func (p *proto) finish(env core.Env) {
 }
 
 // echoRole returns a node's parent and child count in the echo tree.
-func echoRole(m *bcast, id core.NodeID) (core.NodeID, int, error) {
-	idx := -1
-	if m.Pos != nil {
-		if int(id) < len(m.Pos) {
-			idx = int(m.Pos[id])
-		}
-	} else {
-		for i, u := range m.Order {
-			if u == id {
-				idx = i
-				break
-			}
-		}
-	}
-	if idx < 0 {
-		return core.None, 0, fmt.Errorf("node %d not in the broadcast order", id)
-	}
-	n := len(m.Order)
+func echoRole(m *bcast, id core.NodeID) (core.NodeID, int) {
+	idx := m.Pos[id]
 	if m.Mode == EchoDirect {
 		if idx == 0 {
-			return core.None, n - 1, nil
+			return core.None, len(m.Order) - 1
 		}
-		return m.Order[0], 0, nil
-	}
-	tree := m.Tree
-	if tree == nil {
-		var err error
-		if tree, err = echoTree(n, m.C, m.P); err != nil {
-			return core.None, 0, err
-		}
+		return m.Order[0], 0
 	}
 	if idx == 0 {
-		return core.None, len(tree.Children[0]), nil
+		return core.None, len(m.Tree.Children[0])
 	}
-	return m.Order[tree.Parent[idx]], len(tree.Children[idx]), nil
+	return m.Order[m.Tree.Parent[idx]], len(m.Tree.Children[idx])
 }
 
 // echoTree builds the deterministic §5 optimal tree for n nodes under
@@ -243,12 +213,6 @@ func echoTree(n int, c, p core.Time) (*globalfn.Tree, error) {
 		return nil, err
 	}
 	return full.PruneTo(n)
-}
-
-// treeRoute builds the ANR route from u to w along spanning-tree edges
-// (up to the least common ancestor, then down).
-func treeRoute(edges []treeEdge, u, w core.NodeID) (anr.Header, error) {
-	return treeRouteIdx(edges, edgeIndex(edges), u, w)
 }
 
 // edgeIndex returns the child-to-edge index treeRouteIdx climbs on:
@@ -274,9 +238,10 @@ func edgeIndex(edges []treeEdge) []int32 {
 	return idx
 }
 
-// treeRouteIdx is treeRoute on a prebuilt edgeIndex: two parent-chain climbs
-// to equal depth, then a joint climb to the least common ancestor — O(path)
-// with no maps, no BFS, and no allocation beyond the route itself.
+// treeRouteIdx builds the ANR route from u to w along spanning-tree edges
+// (up to the least common ancestor, then down) on a prebuilt edgeIndex: two
+// parent-chain climbs to equal depth, then a joint climb — O(path) with no
+// maps, no BFS, and no allocation beyond the route itself.
 func treeRouteIdx(edges []treeEdge, parentAt []int32, u, w core.NodeID) (anr.Header, error) {
 	at := func(x core.NodeID) int32 {
 		if int(x) < len(parentAt) {
@@ -355,7 +320,7 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts .
 	if err != nil {
 		return Result{}, fmt.Errorf("pif: %w", err)
 	}
-	msg := &bcast{Root: root, Plan: plan, Mode: mode, C: c, P: p}
+	msg := &bcast{Root: root, Plan: plan, Mode: mode}
 	for u := 0; u < g.N(); u++ {
 		id := core.NodeID(u)
 		if id == root {
@@ -368,10 +333,7 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts .
 	}
 	// BFS order, root first.
 	msg.Order = bfsOrder(bfs, root)
-	msg.Pos = make([]int32, g.N())
-	for i := range msg.Pos {
-		msg.Pos[i] = -1
-	}
+	msg.Pos = make([]int32, g.N()) // g is connected: Order holds every node
 	for i, u := range msg.Order {
 		msg.Pos[u] = int32(i)
 	}

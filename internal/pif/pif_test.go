@@ -126,7 +126,7 @@ func TestTreeRouteLCA(t *testing.T) {
 	}
 	check := func(u, w core.NodeID, hops int) {
 		t.Helper()
-		h, err := treeRoute(edges, u, w)
+		h, err := treeRouteIdx(edges, edgeIndex(edges), u, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestTreeRouteLCA(t *testing.T) {
 	check(0, 3, 2)
 }
 
-// Property: treeRoute between random pairs in random trees always executes
+// Property: treeRouteIdx between random pairs in random trees always executes
 // and lands at the destination.
 func TestTreeRouteQuick(t *testing.T) {
 	f := func(seed int64, a, b uint8) bool {
@@ -161,7 +161,7 @@ func TestTreeRouteQuick(t *testing.T) {
 			edges = append(edges, treeEdge{Child: id, Parent: par, Down: down, Up: up})
 		}
 		u, w := core.NodeID(a%n), core.NodeID(b%n)
-		h, err := treeRoute(edges, u, w)
+		h, err := treeRouteIdx(edges, edgeIndex(edges), u, w)
 		if err != nil {
 			return false
 		}
