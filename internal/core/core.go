@@ -143,5 +143,26 @@ type Runtime interface {
 	StallNode(v NodeID, window, extra Time)
 }
 
-// Factory builds the protocol instance for one node.
+// Factory builds the protocol instance for one node. Both runtimes call it
+// once per node, in ID order, from the goroutine that builds the network and
+// before any Init, so a factory may carve its instances from a Slab.
 type Factory func(id NodeID) Protocol
+
+// Slab hands out zeroed values of T carved from shared chunks that grow 8,
+// 16, … 256, so building a network costs a few allocations per network
+// rather than one per node. It is not safe for concurrent use.
+type Slab[T any] struct {
+	free []T
+	size int
+}
+
+// New returns a zeroed value no earlier New returned.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, 8), 256)
+		s.free = make([]T, s.size)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
+}

@@ -595,3 +595,40 @@ func TestCrossWithinDelayBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlab: every value a slab hands out is distinct and zeroed, a later New
+// leaves the earlier values as they were written, and 4096 values cost a
+// chunk per 256 once the chunks stop growing.
+func TestSlab(t *testing.T) {
+	const n = 4096
+	type rec struct {
+		id   int
+		tags []int
+	}
+	var s Slab[rec]
+	vals := make([]*rec, n)
+	seen := make(map[*rec]bool, n)
+	for i := range vals {
+		v := s.New()
+		if seen[v] || v.id != 0 || v.tags != nil {
+			t.Fatalf("value %d: reused %v, not zeroed: %+v", i, seen[v], *v)
+		}
+		seen[v] = true
+		v.id, v.tags = i+1, []int{i}
+		vals[i] = v
+	}
+	for i, v := range vals {
+		if v.id != i+1 || len(v.tags) != 1 || v.tags[0] != i {
+			t.Fatalf("value %d overwritten: %+v", i, *v)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		var s Slab[rec]
+		for range n {
+			s.New()
+		}
+	})
+	if allocs > 25 {
+		t.Errorf("%v allocations for %d values, want <= 25", allocs, n)
+	}
+}

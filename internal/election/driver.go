@@ -83,20 +83,33 @@ type Result struct {
 // return routes concatenate two tree routes, each shorter than n.
 func Dmax(n int) int { return 2*n + 2 }
 
-// factory builds the per-node protocol for an algorithm.
+// factory builds the per-node protocol for an algorithm, carving every
+// node's from one slab.
 func factory(a Algorithm, stats *Stats) core.Factory {
-	return func(id core.NodeID) core.Protocol {
-		switch a {
-		case AlgoToken:
-			return New(id, stats)
-		case AlgoHS:
-			return newHSRing(id, stats)
-		case AlgoNaive:
-			return newNaive(id, stats)
-		default:
-			panic(fmt.Sprintf("election: unknown algorithm %d", int(a)))
+	switch a {
+	case AlgoToken:
+		var s core.Slab[Protocol]
+		return func(id core.NodeID) core.Protocol {
+			p := s.New()
+			p.id, p.stats, p.state = id, stats, StateNotLeader
+			return p
+		}
+	case AlgoHS:
+		var s core.Slab[hsRing]
+		return func(id core.NodeID) core.Protocol {
+			p := s.New()
+			p.id, p.stats, p.state = id, stats, StateNotLeader
+			return p
+		}
+	case AlgoNaive:
+		var s core.Slab[naive]
+		return func(id core.NodeID) core.Protocol {
+			p := s.New()
+			p.id, p.stats, p.best, p.state = id, stats, id, StateNotLeader
+			return p
 		}
 	}
+	panic(fmt.Sprintf("election: unknown algorithm %d", int(a)))
 }
 
 // domainOf reports the winner's domain size (token algorithm: |in|; the

@@ -43,11 +43,6 @@ type hsElected struct {
 	Leader core.NodeID
 }
 
-// newHSRing returns the HS protocol for one ring node.
-func newHSRing(id core.NodeID, stats *Stats) *hsRing {
-	return &hsRing{id: id, stats: stats, state: StateNotLeader}
-}
-
 // Init implements core.Protocol.
 func (p *hsRing) Init(core.Env) {}
 

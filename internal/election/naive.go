@@ -10,7 +10,8 @@ import (
 // naive is the all-pairs exchange on a complete graph: every node sends its
 // ID to every other node and picks the maximum. O(1) time under the
 // traditional model but Θ(n²) system calls under the new measures — the
-// strawman the paper's §4 improves on.
+// strawman the paper's §4 improves on. All nodes must be started for the
+// exchange to complete.
 type naive struct {
 	id    core.NodeID
 	stats *Stats
@@ -26,12 +27,6 @@ var _ core.Protocol = (*naive)(nil)
 // naiveID is the single message type: the sender's identity.
 type naiveID struct {
 	ID core.NodeID
-}
-
-// newNaive returns the naive protocol for one node of a complete graph. All
-// nodes must be started for the exchange to complete.
-func newNaive(id core.NodeID, stats *Stats) *naive {
-	return &naive{id: id, stats: stats, best: id, state: StateNotLeader}
 }
 
 // Init implements core.Protocol.

@@ -34,12 +34,18 @@ func (e Edge) Canon() Edge {
 
 // Graph is a simple undirected graph with dense node IDs. The sorted
 // neighbor lists are the only edge storage: membership is a binary search,
-// so building a graph allocates nothing beyond the adjacency arrays.
+// so building a graph allocates nothing beyond the adjacency arrays. A list
+// with no array starts in a window of the spare array, which holds one per
+// node, so a graph is built with a few allocations, not one per node.
 type Graph struct {
-	n   int
-	adj [][]NodeID // sorted neighbor lists
-	m   int        // edge count
+	n     int
+	adj   [][]NodeID // sorted neighbor lists
+	m     int        // edge count
+	spare []NodeID   // unused windows
 }
+
+// window is the capacity a neighbor list starts with.
+const window = 4
 
 // New returns an empty graph on n nodes.
 func New(n int) *Graph {
@@ -56,7 +62,7 @@ func New(n int) *Graph {
 func (g *Graph) N() int { return g.n }
 
 // Reset re-dimensions g to an empty graph on n nodes, keeping the adjacency
-// backing arrays and edge-set buckets for reuse. A Reset graph is
+// backing arrays and the spare windows for reuse. A Reset graph is
 // indistinguishable from New(n).
 func (g *Graph) Reset(n int) {
 	if n < 0 {
@@ -94,10 +100,24 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if contains(g.adj[u], v) {
 		return nil
 	}
-	g.adj[u] = insertSorted(g.adj[u], v)
-	g.adj[v] = insertSorted(g.adj[v], u)
+	g.adj[u] = insertSorted(g.room(u), v)
+	g.adj[v] = insertSorted(g.room(v), u)
 	g.m++
 	return nil
+}
+
+// room returns u's neighbor list, in a window of the spare array if it has no
+// array yet. Capped at the window, the list moves out when it outgrows it.
+func (g *Graph) room(u NodeID) []NodeID {
+	if cap(g.adj[u]) > 0 {
+		return g.adj[u]
+	}
+	if len(g.spare) < window {
+		g.spare = make([]NodeID, window*g.n)
+	}
+	s := g.spare[:0:window]
+	g.spare = g.spare[window:]
+	return s
 }
 
 // MustAddEdge is AddEdge that panics on error; intended for generators and
@@ -170,12 +190,16 @@ func (g *Graph) Edges() []Edge {
 	return es
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. Its lists are packed into one array, each
+// capped at its length, so one that grows moves out instead of overwriting
+// the next.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	c.m = g.m
+	all := make([]NodeID, 0, 2*g.m)
 	for i, a := range g.adj {
-		c.adj[i] = append([]NodeID(nil), a...)
+		all = append(all, a...)
+		c.adj[i] = all[len(all)-len(a) : len(all) : len(all)]
 	}
 	return c
 }

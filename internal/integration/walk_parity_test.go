@@ -3,7 +3,9 @@ package integration_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +223,64 @@ func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 			onGosim.same(t, probe, onSim)
 			if prof.fired(onSim.metrics) == 0 {
 				t.Fatalf("the %s fault never fired: %+v", prof.name, onSim.metrics)
+			}
+		})
+	}
+}
+
+// initNote is a protocol that notes its Init.
+type initNote struct {
+	id   core.NodeID
+	note func(string)
+}
+
+func (p *initNote) Init(core.Env)                 { p.note(fmt.Sprintf("init %d", p.id)) }
+func (p *initNote) Deliver(core.Env, core.Packet) {}
+func (p *initNote) LinkEvent(core.Env, core.Port) {}
+
+// goroutine names the calling goroutine by the header of its stack trace.
+func goroutine() string {
+	buf := make([]byte, 64)
+	header, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), "[")
+	return header
+}
+
+// TestFactoryCalledInNodeOrder pins core.Factory's calling contract on both
+// runtimes, the one that lets a factory carve its instances from a
+// core.Slab: one call per node, in ID order, on the goroutine that builds the
+// network, and every call before any node's Init.
+func TestFactoryCalledInNodeOrder(t *testing.T) {
+	const n = 6
+	build := map[string]func(*graph.Graph, core.Factory){
+		"sim":   func(g *graph.Graph, f core.Factory) { sim.New(g, f) },
+		"gosim": func(g *graph.Graph, f core.Factory) { gosim.New(g, f).Shutdown() },
+	}
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var log []string
+			note := func(s string) {
+				mu.Lock()
+				log = append(log, s)
+				mu.Unlock()
+			}
+			mk(graph.Ring(n), func(id core.NodeID) core.Protocol {
+				note(fmt.Sprintf("factory %d on %s", id, goroutine()))
+				return &initNote{id: id, note: note}
+			})
+			var want []string
+			for u := range n {
+				want = append(want, fmt.Sprintf("factory %d on %s", u, goroutine()))
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(log) != 2*n || !slices.Equal(log[:n], want) {
+				t.Fatalf("calls %q, want %q and then %d Inits", log, want, n)
+			}
+			for _, s := range log[n:] {
+				if !strings.HasPrefix(s, "init ") {
+					t.Fatalf("calls %q: %q after an Init", log, s)
+				}
 			}
 		})
 	}

@@ -303,7 +303,7 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 				t.Errorf("n=%d: Update accepted %+v", n, r)
 			}
 		}
-		db.updateAll(hostile, false)
+		db.updateAll(hostile)
 		db.installAll(hostile)
 		// Enough good records behind them to cross slotThreshold: at the
 		// parent commit the slot table's first build indexed it by -1.

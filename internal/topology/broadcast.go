@@ -30,7 +30,9 @@ type bcastMsg struct {
 type broadcast struct {
 	localTopo
 
-	full bool // broadcast everything known, not just the local topology
+	// full broadcasts everything known, not just the local topology (the
+	// paper's "improved to log d" variant).
+	full bool
 
 	// fwd is the newest broadcast sequence forwarded per origin (same idiom
 	// as flood.best). Every broadcast round refreshes the origin's record,
@@ -62,13 +64,6 @@ type planCache struct {
 }
 
 var _ core.Protocol = (*broadcast)(nil)
-
-// newBroadcast returns the branching-paths protocol for one node. With full
-// set, every broadcast carries all records the node knows (the paper's
-// "improved to log d" variant); otherwise only the local topology.
-func newBroadcast(id core.NodeID, full bool) *broadcast {
-	return &broadcast{localTopo: localTopo{id: id}, full: full}
-}
 
 // Init records the node's own local topology.
 func (b *broadcast) Init(env core.Env) {
@@ -163,18 +158,19 @@ func (b *broadcast) forward(env core.Env, m *bcastMsg) {
 
 // RecordsForGraph builds the true records of every node of g (seq 0, all
 // links up except those in down), in ascending node order; used to
-// warm-start databases.
+// warm-start databases. The link lists are carved from one array, each capped
+// at its length (the idiom of graph.Tree's Children).
 func RecordsForGraph(g *graph.Graph, pm *core.PortMap, down map[graph.Edge]bool) []Record {
 	recs := make([]Record, 0, g.N())
+	links := make([]LinkInfo, 0, 2*g.M())
 	for u := 0; u < g.N(); u++ {
 		id := core.NodeID(u)
-		ports := pm.Ports(id)
-		rec := Record{Node: id, Links: make([]LinkInfo, 0, len(ports))}
-		for _, p := range ports {
+		for _, p := range pm.Ports(id) {
 			up := !down[graph.Edge{U: id, V: p.Remote}.Canon()]
-			rec.Links = append(rec.Links, LinkInfo{Local: p.Local, Remote: p.RemoteID, Neighbor: p.Remote, Up: up})
+			links = append(links, LinkInfo{Local: p.Local, Remote: p.RemoteID, Neighbor: p.Remote, Up: up})
 		}
-		recs = append(recs, rec)
+		recs = append(recs, Record{Node: id, Links: links[:len(links):len(links)]})
+		links = links[len(links):]
 	}
 	return recs
 }

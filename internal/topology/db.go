@@ -58,20 +58,25 @@ func recordFromPorts(id core.NodeID, seq uint64, ports []core.Port, loads map[an
 
 // localTopo is the per-node state shared by all maintenance protocols: the
 // topology database, the local record's sequence number, and the reported
-// link loads.
+// link loads. Most databases end with two records, the node's own and the one
+// a broadcast brought, so the store's first two entries live here.
 type localTopo struct {
 	id    core.NodeID
 	db    DB
 	seq   uint64
 	loads map[anr.ID]uint32 // nil until the first SetLoad
+	ents  [2]entry
 }
 
 // DB exposes the node's topology database for driver checks.
 func (l *localTopo) DB() *DB { return &l.db }
 
-// Preload installs records (warm start for single-broadcast experiments).
+// Preload installs records (warm start for single-broadcast experiments),
+// growing the store once to hold them all. It adopts the records' link lists
+// under install's ownership rule: nobody may write them afterwards.
 func (l *localTopo) Preload(recs []Record) {
-	l.db.updateAll(recs, false)
+	l.db.ents = slices.Grow(l.db.ents, max(len(recs)-len(l.db.ents), 0))
+	l.db.installAll(recs)
 }
 
 // SetLoad records the load condition of a local link; the next broadcast
@@ -92,6 +97,9 @@ func (l *localTopo) refresh(env core.Env) {
 // snapshot stores the current local record without bumping the sequence
 // number (used by Init).
 func (l *localTopo) snapshot(env core.Env) {
+	if l.db.ents == nil {
+		l.db.ents = l.ents[:0]
+	}
 	l.db.install(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
 }
 
@@ -364,11 +372,6 @@ func (db *DB) update(rec Record, adopt bool) bool {
 	}
 	if !known {
 		s = int32(len(db.ents))
-		if db.ents == nil {
-			// Most per-node databases end with two records: the node's own
-			// and the one a broadcast brought.
-			db.ents = make([]entry, 0, 2)
-		}
 		db.ents = append(db.ents, entry{rec: Record{Node: rec.Node}})
 		if db.slot != nil {
 			db.setSlot(rec.Node, s)
@@ -405,7 +408,8 @@ func (db *DB) setSeq(s int32, seq uint64) {
 }
 
 // installAll applies every record of a batch, as Update would one by one,
-// under install's ownership rule: the records of a received message.
+// under install's ownership rule: the records of a received message, or of a
+// warm start.
 func (db *DB) installAll(recs []Record) {
 	if db.seen == nil && db.slot != nil && len(recs) > 1 {
 		db.seen = make([]uint64, len(db.slot))
@@ -413,16 +417,16 @@ func (db *DB) installAll(recs []Record) {
 			db.seen[db.ents[i].rec.Node] = db.ents[i].rec.Seq + 1
 		}
 	}
-	db.updateAll(recs, true)
+	db.updateAll(recs)
 }
 
-// updateAll applies a batch (adopt: under install's ownership rule, else
-// Update's) and pays for what it brings that is new: a record no newer than
-// the stored one is turned away before the update call — on the screen where
-// there is one, else against the slot table — and a newer one whose Links is
-// the stored array itself (SameLinks) is a sequence refresh with nothing to
-// compare; a list that is merely equal takes update's comparison as before.
-func (db *DB) updateAll(recs []Record, adopt bool) {
+// updateAll applies a batch under install's ownership rule and pays for what
+// it brings that is new: a record no newer than the stored one is turned away
+// before the update call — on the screen where there is one, else against the
+// slot table — and a newer one whose Links is the stored array itself
+// (SameLinks) is a sequence refresh with nothing to compare; a list that is
+// merely equal takes update's comparison as before.
+func (db *DB) updateAll(recs []Record) {
 	for i := range recs {
 		r := &recs[i]
 		u := uint(r.Node) // a negative ID lands past every table, and update rejects it
@@ -440,7 +444,7 @@ func (db *DB) updateAll(recs []Record, adopt bool) {
 				continue
 			}
 		}
-		db.update(*r, adopt)
+		db.update(*r, true)
 	}
 }
 

@@ -275,7 +275,7 @@ func (m *diffModel) checkRecords(t *testing.T) {
 		for _, r := range m.history {
 			loop.Update(r)
 		}
-		batch.updateAll(m.history, false)
+		batch.updateAll(m.history)
 		for i := 0; i < len(m.history); i += 5 {
 			msgs.installAll(m.history[i:min(i+5, len(m.history))])
 		}

@@ -45,22 +45,37 @@ type Maintainer interface {
 }
 
 // NewMaintainer builds the protocol for one node. full selects the
-// broadcast-everything-known variant; order is only used by ModeDFS.
+// broadcast-everything-known variant; order is only used by ModeDFS. The
+// factory carves every node's protocol from one slab.
 func NewMaintainer(mode Mode, full bool, order ChildOrder) core.Factory {
-	return func(id core.NodeID) core.Protocol {
-		switch mode {
-		case ModeBranching:
-			return newBroadcast(id, full)
-		case ModeFlood:
-			return newFlood(id, full)
-		case ModeDFS:
-			return newDFSBroadcast(id, full, order)
-		case ModeLayers:
-			return newLayersBroadcast(id, full)
-		default:
-			panic(fmt.Sprintf("topology: unknown mode %d", mode))
+	switch mode {
+	case ModeBranching:
+		var s core.Slab[broadcast]
+		return func(id core.NodeID) core.Protocol {
+			b := s.New()
+			b.id, b.full = id, full
+			return b
+		}
+	case ModeFlood:
+		var s core.Slab[flood]
+		return func(id core.NodeID) core.Protocol {
+			f := s.New()
+			f.id, f.full = id, full
+			return f
+		}
+	case ModeDFS, ModeLayers:
+		kind := walkDFS
+		if mode == ModeLayers {
+			kind, order = walkLayers, nil
+		}
+		var s core.Slab[WalkBroadcast]
+		return func(id core.NodeID) core.Protocol {
+			w := s.New()
+			w.id, w.kind, w.full, w.order = id, kind, full, order
+			return w
 		}
 	}
+	panic(fmt.Sprintf("topology: unknown mode %d", mode))
 }
 
 // DefaultDmax returns the model's path-length restriction appropriate for a

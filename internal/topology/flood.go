@@ -38,11 +38,6 @@ type flood struct {
 
 var _ core.Protocol = (*flood)(nil)
 
-// newFlood returns the flooding protocol for one node.
-func newFlood(id core.NodeID, full bool) *flood {
-	return &flood{localTopo: localTopo{id: id}, full: full}
-}
-
 // Init records the local topology.
 func (f *flood) Init(env core.Env) {
 	f.snapshot(env)

@@ -39,6 +39,24 @@ func TestDBUpdateCopies(t *testing.T) {
 	}
 }
 
+// TestPreloadAdopts: a warm start stores the link lists it is handed, not
+// copies of them (Record.Links is immutable once stored), for every node but
+// the one preloaded, whose own record from Init is as new as the input's.
+func TestPreloadAdopts(t *testing.T) {
+	g := graph.RandomTree(64, 3)
+	net := sim.New(g, NewMaintainer(ModeBranching, false, nil), sim.WithDmax(g.N()))
+	recs := RecordsForGraph(g, net.PortMap(), nil)
+	const root = 5
+	net.Protocol(root).(Maintainer).Preload(recs)
+	db := net.Protocol(root).(Maintainer).DB()
+	for _, want := range recs {
+		got, ok := db.Record(want.Node)
+		if !ok || SameLinks(got.Links, want.Links) != (want.Node != root) {
+			t.Fatalf("node %d: stored %v, list shared %v", want.Node, ok, SameLinks(got.Links, want.Links))
+		}
+	}
+}
+
 // A record taken from the database is what a local-topology broadcast puts
 // in its Msg; at C > 0 or P > 0 the packet is still in flight when the next
 // link change reaches the sender's database, and must keep saying what was

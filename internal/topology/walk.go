@@ -146,17 +146,6 @@ type WalkBroadcast struct {
 
 var _ core.Protocol = (*WalkBroadcast)(nil)
 
-// newDFSBroadcast returns the one-shot DFS broadcast (broken under
-// failures; see the paper's six-node example).
-func newDFSBroadcast(id core.NodeID, full bool, order ChildOrder) *WalkBroadcast {
-	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkDFS, full: full, order: order}
-}
-
-// newLayersBroadcast returns footnote 1's BFS-layers broadcast.
-func newLayersBroadcast(id core.NodeID, full bool) *WalkBroadcast {
-	return &WalkBroadcast{localTopo: localTopo{id: id}, kind: walkLayers, full: full}
-}
-
 // Init records the local topology.
 func (w *WalkBroadcast) Init(env core.Env) {
 	w.snapshot(env)

@@ -29,10 +29,11 @@ smokes=(
 	"./internal/topology/|-run TestQuietRoundAllocs -count=1 -v|quiet round: <= 20 allocs/broadcast, full knowledge included (plan and records shared)"
 	"./internal/topology/|-run TestQuietFloodAllocs -count=1 -v|quiet flood: <= 0.1 allocs/delivery, nothing per forwarded copy"
 	"./internal/traffic/|-run TestRelayAllocsPerPacket -count=1 -v|relay: <= 0.1 allocs/packet, both disciplines"
-	"./internal/election/|-run TestElectionAllocsPerNode -count=1 -v|election: <= 20 allocs/node, 1024 nodes all starting"
-	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 8 allocs/node, build + one 4096-node broadcast"
+	"./internal/election/|-run TestElectionAllocsPerNode -count=1 -v|election: <= 13 allocs/node, 1024 nodes all starting (protocol structs in slabs)"
+	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node, build + one 4096-node broadcast (slabs, adopted warm start)"
+	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 400 allocs for RandomTree(4096), <= 4 for its Clone"
 	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.8 allocs/model op on the soak-churn shape"
-	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestCrossRuntimeDeterminism|the two runtimes' contract table and determinism goldens, repeated under race"
+	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the two runtimes' contract table, factory contract and determinism goldens, repeated under race"
 )
 
 for row in "${smokes[@]}"; do
