@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"slices"
 	"testing"
 
 	"fastnet/internal/core"
@@ -56,6 +57,7 @@ type lossyRun struct {
 	deliveries []int64
 	busy       []core.Time
 	sched      sim.SchedStats
+	clocks     []core.Time // Now() after each driver call, where a test records it
 }
 
 // observed collects a finished run's observables.
@@ -101,6 +103,9 @@ func requireEqualRuns(t *testing.T, fused, unfused lossyRun) {
 	}
 	if fused.finish != unfused.finish {
 		t.Errorf("finish diverged: fused %d, unfused %d", fused.finish, unfused.finish)
+	}
+	if !slices.Equal(fused.clocks, unfused.clocks) {
+		t.Errorf("clock readings diverged\n  fused   %v\n  unfused %v", fused.clocks, unfused.clocks)
 	}
 	for u := range fused.deliveries {
 		if fused.deliveries[u] != unfused.deliveries[u] {

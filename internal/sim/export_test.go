@@ -10,8 +10,18 @@ func WithFixedRing(n int) Option {
 }
 
 // SpineShape reports the length of the same-time lane and of the longest
-// calendar-ring slot, for tests that must know what a spill is about to move.
-func (net *Network) SpineShape() (lane, longestSlot int) { return net.sp.shape() }
+// calendar-ring slot (maxima over the shards), for tests that must know what
+// a spill is about to move.
+func (net *Network) SpineShape() (lane, longestSlot int) {
+	if net.group == nil {
+		return net.sp.shape()
+	}
+	for _, ch := range net.group.children {
+		l, s := ch.sp.shape()
+		lane, longestSlot = max(lane, l), max(longestSlot, s)
+	}
+	return lane, longestSlot
+}
 
 func (s *spine) shape() (lane, longestSlot int) {
 	for i := range s.ring {

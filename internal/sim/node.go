@@ -126,6 +126,8 @@ func (net *Network) dispatch(ev *eventRec) {
 	}
 }
 
+const originShift = 40 // a shard-mode key's origin field lies above bit 40 (nextKey)
+
 // nextKey assigns the scheduler key of a new event. Classic mode: the global
 // push sequence. Shard mode: a canonical key — driver-scripted events take a
 // shared ordinal (< 2^40, sorting before every node key at the same instant);
@@ -134,6 +136,13 @@ func (net *Network) dispatch(ev *eventRec) {
 // scenario assign identical keys to identical events regardless of the shard
 // count, which is what makes (t, key) dispatch order — and with it every
 // observable — shard-count-invariant.
+//
+// One origin's events also reach any one spine in counter order, which the
+// stage relies on: local pushes follow the origin's dispatch order; a boundary
+// event draws its key here and waits in its shard's outbox in push order, the
+// barrier drains each outbox in order, and an origin lives in one shard;
+// script keys follow the driver's call order. rewind spills to the heap and
+// grow moves slots whole, so neither breaks it.
 func (net *Network) nextKey() uint64 {
 	if !net.shardMode {
 		net.seq++
@@ -145,7 +154,7 @@ func (net *Network) nextKey() uint64 {
 	}
 	nd := &net.nodes[net.curOrigin]
 	nd.keyCtr++
-	return (uint64(net.curOrigin)+1)<<40 | nd.keyCtr
+	return (uint64(net.curOrigin)+1)<<originShift | nd.keyCtr
 }
 
 // nextAct assigns an activation label. Classic mode: the global activation

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"fastnet/internal/anr"
@@ -175,23 +173,32 @@ type stageRef struct {
 
 // eventStage is shard mode's promoted ring slot. Canonical keys, not push
 // order, decide dispatch there, so the slot's chunks stay where they are and
-// the stage sorts an index of (key, entry) pairs over them — 16 bytes moved
-// per comparison swap instead of a whole event.
+// the stage orders an index of (key, entry) pairs over them. A key is
+// (origin+1)<<40 | counter and one origin's events reach a slot in counter
+// order (see nextKey), so a stable partition of the push-order index by the
+// origin field, 8 bits per counting pass, is key order in O(entries).
 type eventStage struct {
-	lane eventLane  // the promoted slot's chunks, entries in push order
-	idx  []stageRef // lane's entries in key order
-	pos  int        // idx[pos:] is still to dispatch
+	lane     eventLane  // the promoted slot's chunks, entries in push order
+	buf      []stageRef // the index and the partition's scratch, grown by doubling
+	pos, end int32      // buf[pos:end] is the index in key order still to dispatch
 }
 
-func (s *eventStage) len() int { return len(s.idx) - s.pos }
+func (s *eventStage) len() int { return int(s.end - s.pos) }
 
-func (s *eventStage) front() *eventRec { return s.idx[s.pos].ev }
+func (s *eventStage) front() *eventRec { return s.buf[s.pos].ev }
 
 // load takes over the entries of l, leaving it empty. The stage must be
 // drained.
 func (s *eventStage) load(l *eventLane) {
 	s.lane, *l = *l, eventLane{}
-	s.idx, s.pos = s.idx[:0], 0
+	n := s.lane.n
+	if len(s.buf) < 2*n {
+		s.buf = make([]stageRef, max(2*n, 2*len(s.buf)))
+	}
+	// The index lives in buf[at:at+n]. A pass over a digit every origin field
+	// shares (a zero byte of or^and) would leave it as it is, so none runs.
+	idx, tmp, at := s.buf[:0:n], s.buf[n:2*n], 0
+	or, and := uint64(0), ^uint64(0)
 	i := int(s.lane.r)
 	for c := s.lane.head; c != nil; c = c.next {
 		end := laneChunk
@@ -199,20 +206,40 @@ func (s *eventStage) load(l *eventLane) {
 			end = int(s.lane.w)
 		}
 		for ; i < end; i++ {
-			s.idx = append(s.idx, stageRef{c.evs[i].seq, &c.evs[i]})
+			k := c.evs[i].seq
+			idx = append(idx, stageRef{k, &c.evs[i]})
+			or, and = or|k>>originShift, and&(k>>originShift)
 		}
 		i = 0
 	}
-	slices.SortFunc(s.idx, func(a, b stageRef) int { return cmp.Compare(a.key, b.key) })
+	for diff, sh := or^and, originShift; diff != 0; diff, sh = diff>>8, sh+8 {
+		if diff&0xff == 0 {
+			continue
+		}
+		var next [256]int32 // per digit, where its next entry goes
+		for _, r := range idx {
+			next[byte(r.key>>sh)]++
+		}
+		sum := int32(0)
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for _, r := range idx {
+			d := byte(r.key >> sh)
+			tmp[next[d]] = r
+			next[d]++
+		}
+		idx, tmp, at = tmp, idx, n-at
+	}
+	s.pos, s.end = int32(at), int32(at+n)
 }
 
 // drop removes the front entry, releasing its references; the chunks go back
 // to the pool together once the last entry is dropped.
 func (s *eventStage) drop(p *chunkPool) {
-	s.idx[s.pos].ev.release()
-	s.idx[s.pos].ev = nil
+	s.buf[s.pos].ev.release()
 	s.pos++
-	if s.pos < len(s.idx) {
+	if s.pos < s.end {
 		return
 	}
 	for c := s.lane.head; c != nil; {
@@ -343,7 +370,8 @@ const (
 // every ring entry for t, which predates every lane entry — and earlier means
 // a smaller key. Each tier is FIFO (the heap by key), so the concatenation is
 // key order. Under the shard contract (keyed), where keys are canonical rather
-// than increasing, the promoted slot is instead sorted by key (the stage) and
+// than increasing, the promoted slot is instead partitioned by origin into key
+// order (the stage: each origin's entries already sit in counter order) and
 // merged with the heap's residue key by key; the lane still drains last, in
 // creation order — "what was scheduled before t in key order, then what t
 // itself creates in creation order". TestSpineMatchesHeapModel checks both
@@ -398,7 +426,8 @@ func (s *spine) schedule(t core.Time, key uint64) *eventRec {
 // created, or one another shard hands over at a window barrier (which is why
 // the key is the caller's to set: the event arrives whole). Boundary events
 // land strictly after the window, and a keyed spine dispatches a slot in key
-// order, so neither the tier nor the barrier's arrival order ever shows.
+// order, so neither the tier nor the order the barrier visits sources in ever
+// shows (each source's outbox arrives in push order: see nextKey).
 func (s *spine) place(t core.Time, key uint64) *eventRec {
 	if t > s.now && t-s.now < s.span {
 		s.stats.RingPushes++

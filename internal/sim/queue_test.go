@@ -119,19 +119,32 @@ func TestPoolHighWaterTracksInFlight(t *testing.T) {
 	}
 }
 
-// TestStageSortsInPlace: a slot of shuffled keys spanning three chunks comes
-// out of the stage in key order, and every chunk goes back to the pool.
+// TestStageSortsInPlace: a slot spanning three chunks, keyed the way nextKey
+// keys events — origins interleaved, each origin's counter ascending in push
+// order — comes out of the stage in key order, and every chunk goes back to
+// the pool. The origin fields need one, two and three counting passes, and
+// none when every entry shares its origin.
 func TestStageSortsInPlace(t *testing.T) {
 	const n = 2*laneChunk + 5
-	keys := rand.New(rand.NewSource(2)).Perm(n)
+	rng := rand.New(rand.NewSource(2))
 	var (
 		pool  chunkPool
 		slot  eventLane
 		stage eventStage
 	)
-	for round := 0; round < 2; round++ { // the second round reuses the index and the chunks
-		for _, k := range keys {
-			fill(slot.alloc(&pool), uint64(k)+1)
+	for _, origins := range [][]uint64{
+		{0, 1, 2, 7, 255},
+		{0, 3, 256, 4000, 65535},
+		{0, 9, 300, 65536, 70000, 1<<24 - 1},
+		{300},
+	} { // each case reuses the index and the chunks of the one before
+		ctr := map[uint64]uint64{}
+		var keys []uint64
+		for i := 0; i < n; i++ {
+			o := origins[rng.Intn(len(origins))]
+			ctr[o]++
+			keys = append(keys, o<<originShift|ctr[o])
+			fill(slot.alloc(&pool), keys[i])
 		}
 		if pool.made != 3 {
 			t.Fatalf("slot of %d entries spans %d chunks, want 3", n, pool.made)
@@ -149,11 +162,38 @@ func TestStageSortsInPlace(t *testing.T) {
 			got = append(got, e.seq)
 			stage.drop(&pool)
 		}
-		if !slices.IsSorted(got) || len(got) != n {
-			t.Fatalf("stage order %v", got)
+		slices.Sort(keys)
+		if !slices.Equal(got, keys) {
+			t.Fatalf("origins %v: stage order %x, want %x", origins, got, keys)
 		}
 		if free := pooled(t, &pool); free != 3 {
 			t.Fatalf("%d chunks back in the pool, want all 3", free)
+		}
+	}
+}
+
+// TestStageLoadAllocs: once the stage's buffer has grown to the largest slot,
+// promoting a slot allocates nothing, whatever its size and however many
+// counting passes its origins need.
+func TestStageLoadAllocs(t *testing.T) {
+	var (
+		pool  chunkPool
+		slot  eventLane
+		stage eventStage
+	)
+	promote := func(n int) {
+		for i := 0; i < n; i++ {
+			slot.alloc(&pool).seq = uint64(i*7919%70000)<<originShift | uint64(i+1)
+		}
+		stage.load(&slot)
+		for stage.len() > 0 {
+			stage.drop(&pool)
+		}
+	}
+	promote(20000)
+	for _, n := range []int{1, 2, 17, 300, 4096, 20000} {
+		if got := testing.AllocsPerRun(5, func() { promote(n) }); got != 0 {
+			t.Errorf("promoting a slot of %d entries allocated %v objects, want 0", n, got)
 		}
 	}
 }
@@ -341,6 +381,7 @@ type spineDriver struct {
 	sp     spine
 	m      spineModel
 	seq    uint64 // classic keys; event identities under both contracts
+	ctr    [len(spineOrigins)]uint64
 	popped int64
 	// What the string happened to exercise.
 	cuts, spills, overflows, growths, atCap int
@@ -353,20 +394,28 @@ func newSpineDriver(t *testing.T, keyed bool) *spineDriver {
 	return d
 }
 
-// key is the next event's key: the push sequence, or — keyed — a canonical
-// key with no relation to push order (an odd multiplier permutes uint64).
-func (d *spineDriver) key() uint64 {
+// spineOrigins are the origin fields keyed events are drawn from: the script
+// field 0 and nodes whose fields need one, two and three counting passes.
+var spineOrigins = [...]uint64{0, 1, 2, 200, 256, 1 << 16, 1<<16 + 5}
+
+// key is the next event's key: the push sequence, or — keyed — the key
+// nextKey would give the o-th origin's next event: origin field above, that
+// origin's counter below, so each origin's keys ascend in push order, and
+// only there.
+func (d *spineDriver) key(o int) uint64 {
 	d.seq++
-	if d.sp.keyed {
-		return d.seq * 0x9E3779B97F4A7C15
+	if !d.sp.keyed {
+		return d.seq
 	}
-	return d.seq
+	d.ctr[o]++
+	return spineOrigins[o]<<originShift | d.ctr[o]
 }
 
-// schedule adds one event at now+dt to both; barrier models a hand-off from
-// another shard, which uses place and writes the whole entry itself.
-func (d *spineDriver) schedule(dt core.Time, barrier bool) {
-	t, key := d.sp.now+dt, d.key()
+// schedule adds one event from origin o at now+dt to both; barrier models a
+// hand-off from another shard, which uses place and writes the whole entry
+// itself.
+func (d *spineDriver) schedule(dt core.Time, o int, barrier bool) {
+	t, key := d.sp.now+dt, d.key(o)
 	span := d.sp.span
 	var e *eventRec
 	if barrier && dt > 0 {
@@ -399,8 +448,8 @@ func (d *spineDriver) next(deadline core.Time, spawn byte) bool {
 			d.popped, d.sp.now, ev.t, ev.seq, ev.payload, want.t, want.key)
 	}
 	d.popped++
-	for ; spawn&3 != 0; spawn >>= 2 {
-		d.schedule([]core.Time{0, 0, 1, d.sp.span}[spawn&3], false)
+	for o := int(ev.seq) % len(spineOrigins); spawn&3 != 0; spawn >>= 2 {
+		d.schedule([]core.Time{0, 0, 1, d.sp.span}[spawn&3], o, false)
 	}
 	d.sp.done()
 	return true
@@ -415,20 +464,21 @@ func (d *spineDriver) run(ops []byte) {
 	sp := &d.sp
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i]%10, core.Time(ops[i+1])
+		o := int(arg>>4) % len(spineOrigins)
 		switch op {
 		case 0: // same instant: the lane
-			d.schedule(0, false)
+			d.schedule(0, o, false)
 		case 1: // inside the window: the ring
-			d.schedule(1+arg%(sp.span-1), arg&1 != 0)
+			d.schedule(1+arg%(sp.span-1), o, arg&1 != 0)
 		case 2: // exactly the span: the first instant the ring cannot take, so it doubles (below the cap)
-			d.schedule(sp.span, false)
+			d.schedule(sp.span, o, false)
 		case 3: // past the span — doubling the ring when arg is small — and far past it, into the heap
-			d.schedule(sp.span+1+arg*arg, arg&1 != 0)
+			d.schedule(sp.span+1+arg*arg, o, arg&1 != 0)
 		case 4: // the past: clamped to now
-			d.schedule(-1-arg, false)
-		case 5: // a burst on one instant: a slot of several chunks
+			d.schedule(-1-arg, o, false)
+		case 5: // a burst on one instant from interleaved origins: a slot of several chunks
 			for n := 2*laneChunk + 1 + int(arg)%laneChunk; n > 0; n-- {
-				d.schedule(1+arg%7, false)
+				d.schedule(1+arg%7, (o+n)%len(spineOrigins), false)
 			}
 		case 6: // dispatch a few events, whatever their time
 			for n := 1 + arg%8; n > 0 && d.next(-1, byte(arg)); n-- {
@@ -478,7 +528,7 @@ func (d *spineDriver) run(ops []byte) {
 	}
 	pinned := []eventRec{sp.popped}
 	pinned = append(pinned, sp.heap.evs[:cap(sp.heap.evs)]...)
-	for _, r := range sp.stage.idx[:cap(sp.stage.idx)] {
+	for _, r := range sp.stage.buf {
 		if r.ev != nil {
 			pinned = append(pinned, *r.ev)
 		}

@@ -172,17 +172,32 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 // across shards, run every shard with work in [W, W+lookahead-1] in parallel,
 // then exchange boundary packets at the barrier. Cross-shard packets always
 // land strictly after the window (send time >= W, delay >= lookahead), so no
-// shard can ever see an event for an instant it has already passed.
+// shard can ever see an event for an instant it has already passed. The
+// facade's clock reads what one core's would (runCore): a backward deadline
+// rewinds every child; otherwise a run ends at the deadline if anything is
+// still pending, else at its last dispatched instant, and every child aligns.
 func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
+	fac := grp.fac
+	if deadline >= 0 && deadline < fac.sp.now {
+		for _, ch := range grp.children {
+			ch.sp.rewind(deadline)
+		}
+		fac.sp.now = deadline
+		return grp.metrics().FinishTime, nil
+	}
 	var errs []error
-	for len(errs) == 0 {
+	clock := fac.sp.now
+	for {
 		w := core.Time(-1)
 		for _, ch := range grp.children {
 			if t := ch.sp.nextTime(); t >= 0 && (w < 0 || t < w) {
 				w = t
 			}
 		}
-		if w < 0 || (deadline >= 0 && w > deadline) {
+		if w < 0 || (deadline >= 0 && w > deadline) || len(errs) > 0 {
+			if w >= 0 && deadline >= 0 {
+				clock = deadline
+			}
 			break
 		}
 		end := w + grp.lookahead - 1
@@ -216,9 +231,11 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 				}
 			}
 		}
+		for _, ch := range grp.active {
+			clock = max(clock, ch.sp.now)
+		}
 		// Barrier: align clocks and drain the boundary outboxes into the
-		// destination rings and heaps. Insertion order is irrelevant — the
-		// canonical keys decide dispatch order.
+		// destination rings and heaps, each in push order (see nextKey).
 		for _, ch := range grp.children {
 			ch.sp.now = max(ch.sp.now, end)
 		}
@@ -233,13 +250,13 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 			}
 		}
 	}
-	fac := grp.fac
+	// With anything pending the clock is the deadline (unless a child failed),
+	// which no child passed; else every spine is empty and a child may move
+	// back over nothing.
 	for _, ch := range grp.children {
-		if deadline >= 0 {
-			ch.sp.now = max(ch.sp.now, deadline)
-		}
-		fac.sp.now = max(fac.sp.now, ch.sp.now)
+		ch.sp.now = clock
 	}
+	fac.sp.now = clock
 	if fac.userSink != nil {
 		flushShardTrace(grp.children, fac.userSink)
 	}

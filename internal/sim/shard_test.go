@@ -153,8 +153,10 @@ func TestShardSerialFallback(t *testing.T) {
 
 // TestShardEpochsAndDriverAPI drives the full mid-run driver surface the way
 // soak campaigns do — RunUntil epochs with link flips, fault-profile swaps,
-// and NCU stalls scripted in between — and requires the sharded run to match
-// the serial reference field by field.
+// and NCU stalls scripted in between — then the clock's edge cases: an
+// injection at Now() after Run, a RunUntil past the last event, and a
+// backward RunUntil followed by injections in the past. The sharded run must
+// match the serial reference field by field, Now() after every call included.
 func TestShardEpochsAndDriverAPI(t *testing.T) {
 	run := func(t *testing.T, shards int) lossyRun {
 		t.Helper()
@@ -168,28 +170,35 @@ func TestShardEpochsAndDriverAPI(t *testing.T) {
 			net.Inject(core.Time(u%4), core.NodeID(u), topology.Trigger{})
 		}
 		var finish core.Time
-		for epoch, deadline := 0, core.Time(12); epoch < 4; epoch, deadline = epoch+1, deadline+12 {
-			f, err := net.RunUntil(deadline)
+		var clocks []core.Time
+		step := func(f core.Time, err error) {
+			t.Helper()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f > finish {
-				finish = f
-			}
+			finish = max(finish, f)
+			clocks = append(clocks, net.Now())
+		}
+		for epoch, deadline := 0, core.Time(12); epoch < 4; epoch, deadline = epoch+1, deadline+12 {
+			step(net.RunUntil(deadline))
 			e := edges[(epoch*7)%len(edges)]
 			net.InjectLink(e.U, e.V, epoch%2 == 1)
 			net.SetMsgFaults(core.MsgFaults{Drop: 0.02 * float64(epoch), Dup: 0.02, Jitter: 0.05, JitterMax: 3})
 			net.StallNode(core.NodeID((epoch*13)%g.N()), 6, 2)
 			net.Inject(deadline, core.NodeID((epoch*11)%g.N()), topology.Trigger{})
 		}
-		f, err := net.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f > finish {
-			finish = f
-		}
-		return observed(buf, net, finish)
+		step(net.Run())
+		net.Inject(net.Now(), 7, topology.Trigger{})
+		step(net.Run())
+		step(net.RunUntil(net.Now() + 150))
+		back := net.Now() - 20
+		step(net.RunUntil(back))
+		net.Inject(back-5, 9, topology.Trigger{})
+		net.Inject(back-1, 40, topology.Trigger{})
+		step(net.Run())
+		r := observed(buf, net, finish)
+		r.clocks = clocks
+		return r
 	}
 	serial := run(t, 1)
 	for _, p := range []int{2, 4} {

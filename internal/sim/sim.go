@@ -187,8 +187,6 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 		perNode:  make([]int64, g.N()),
 		busy:     make([]core.Time, g.N()),
 	}
-	net.sp.initRing(cfg.ringSize())
-	net.sp.fixed = cfg.ringWindow > 0
 	for i := range net.nodes {
 		nd := &net.nodes[i]
 		nd.id = core.NodeID(i)
@@ -197,6 +195,10 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 	}
 	if cfg.shards >= 1 {
 		net.buildShards()
+	}
+	if net.group == nil { // a multi-shard facade schedules nothing itself
+		net.sp.initRing(cfg.ringSize())
+		net.sp.fixed = cfg.ringWindow > 0
 	}
 	if cfg.cap.Enabled() {
 		net.applyCapacity(cfg.cap)
@@ -359,12 +361,13 @@ func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 // pure function of the seed.
 func (net *Network) SetMsgFaults(f core.MsgFaults) {
 	net.cfg.faults = f
-	net.sp.grow(net.cfg.ringSize())
-	if net.group != nil {
-		for _, ch := range net.group.children {
-			ch.cfg.faults = f
-			ch.sp.grow(ch.cfg.ringSize())
-		}
+	if net.group == nil {
+		net.sp.grow(net.cfg.ringSize())
+		return
+	}
+	for _, ch := range net.group.children {
+		ch.cfg.faults = f
+		ch.sp.grow(ch.cfg.ringSize())
 	}
 }
 
@@ -408,7 +411,8 @@ func (net *Network) Run() (core.Time, error) {
 }
 
 // RunUntil processes events with time <= deadline, leaving later events
-// queued, and advances the clock to the deadline.
+// queued. The clock then reads the deadline if events remain queued, else the
+// last event's instant, as after Run; a deadline behind it moves it back.
 func (net *Network) RunUntil(deadline core.Time) (core.Time, error) {
 	return net.runTop(deadline)
 }

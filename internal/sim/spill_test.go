@@ -13,7 +13,7 @@ import (
 
 // Backward-RunUntil coverage: a RunUntil whose deadline is behind the clock
 // spills the same-time lane, the shard-mode stage, and every pending
-// calendar-ring slot into the heap (flushLanes), then moves the clock back.
+// calendar-ring slot into the heap (spine.rewind), then moves the clock back.
 // The heap's (t, seq) order must reproduce the spilled entries' dispatch
 // positions exactly once the clock catches up again, so an epoch-driven run
 // with a backward jump must be observable-identical to the same run without
@@ -89,9 +89,9 @@ func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
 
 // TestBackwardRunUntilSpill drives the spill path under the classic
 // scheduler, the shard-mode serial reference (whose stage and per-shard ring
-// spill through the same flushLanes), and non-default ring windows — tiny (4
-// slots, so the scenario also overflows to the heap organically) and fixed
-// historical 64.
+// spill through the same rewind), two shards (every child rewinds with the
+// facade's clock), and non-default ring windows — tiny (4 slots, so the
+// scenario also overflows to the heap organically) and fixed historical 64.
 func TestBackwardRunUntilSpill(t *testing.T) {
 	cases := map[string][]sim.Option{
 		"classic":        nil,
@@ -99,6 +99,7 @@ func TestBackwardRunUntilSpill(t *testing.T) {
 		"classic-ring64": {sim.WithFixedRing(64)},
 		"shard-serial":   {sim.WithShards(1)},
 		"shard-ring4":    {sim.WithShards(1), sim.WithFixedRing(4)},
+		"shard-2":        {sim.WithShards(2)},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {

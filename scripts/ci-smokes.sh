@@ -24,6 +24,7 @@ smokes=(
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|sharded vs serial scheduler differential"
 	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|C >= 1 spine: auto-sized ring vs 64-slot ring vs reference engine"
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
+	"./internal/sim/|-run TestStageLoadAllocs -count=1 -v|shard-mode stage: 0 allocs to promote a slot of 1 to 20,000 entries once its buffer has grown"
 	"./internal/load/|-run TestOpenLoopAllocsPerCall -count=1 -v|open loop: <= 0.1 allocs/call"
 	"./internal/load/|-run TestOpenLoopAllocsPerRun -count=1 -v|open loop: <= 12,500 allocs per whole run on both benchmark shapes"
 	"./internal/topology/|-run TestQuietRoundAllocs -count=1 -v|quiet round: <= 20 allocs/broadcast, full knowledge included (plan and records shared)"
