@@ -61,6 +61,32 @@ func Direct(links []ID) Header {
 	return append(h, Hop{Link: NCU})
 }
 
+// oneHopTable bounds the shared one-hop headers: link IDs are a node's port
+// numbers, 1 to its degree.
+const oneHopTable = 256
+
+// oneHops holds the one-hop headers {x, NCU} of the link IDs below
+// oneHopTable, back to back: OneHop hands out windows of it, so it is never
+// written after init.
+var oneHops = func() []Hop {
+	hops := make([]Hop, 2*oneHopTable)
+	for x := range oneHopTable {
+		hops[2*x].Link = ID(x)
+	}
+	return hops
+}()
+
+// OneHop returns Direct([]ID{x}), the route over link x to the neighbour's
+// NCU. For x below oneHopTable the header is a window of one shared table,
+// capped at its length so that an append moves it out: it costs no
+// allocation, and callers must not write it.
+func OneHop(x ID) Header {
+	if x >= oneHopTable {
+		return Direct([]ID{x})
+	}
+	return oneHops[2*x : 2*x+2 : 2*x+2]
+}
+
 // CopyPath builds the header for the paper's path broadcast: the first hop is
 // normal (the sender already holds the message), every intermediate hop sets
 // the copy bit so the forwarding node's NCU receives the packet, and the

@@ -22,6 +22,31 @@ func TestDirect(t *testing.T) {
 	}
 }
 
+func TestOneHopMatchesDirect(t *testing.T) {
+	ids := []ID{maxLinkID, maxLinkID + 1, 1<<32 - 1}
+	for x := ID(0); x < oneHopTable+4; x++ {
+		ids = append(ids, x)
+	}
+	for _, x := range ids {
+		h := OneHop(x)
+		if want := Direct([]ID{x}); !reflect.DeepEqual(h, want) {
+			t.Fatalf("OneHop(%d) = %v, want %v", x, h, want)
+		}
+		if cap(h) != len(h) {
+			t.Fatalf("OneHop(%d): cap %d, len %d", x, cap(h), len(h))
+		}
+	}
+	// An append to one shared header must move it out, not overwrite the
+	// header of the next ID.
+	_ = append(OneHop(7), Hop{Link: 99})
+	if want := Direct([]ID{8}); !reflect.DeepEqual(OneHop(8), want) {
+		t.Fatalf("after an append to OneHop(7), OneHop(8) = %v, want %v", OneHop(8), want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = OneHop(oneHopTable - 1) }); allocs != 0 {
+		t.Fatalf("OneHop inside the table: %.0f allocs, want 0", allocs)
+	}
+}
+
 func TestCopyPath(t *testing.T) {
 	h := CopyPath([]ID{3, 1, 2})
 	want := Header{{Link: 3}, {Link: 1, Copy: true}, {Link: 2, Copy: true}, {Link: NCU}}

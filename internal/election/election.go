@@ -277,7 +277,7 @@ func (p *Protocol) relayFlood(env core.Env, m *floodMsg, arrivedOn anr.ID) {
 		if !port.Up || port.Local == arrivedOn {
 			continue
 		}
-		hs = append(hs, anr.Direct([]anr.ID{port.Local}))
+		hs = append(hs, anr.OneHop(port.Local))
 	}
 	if len(hs) == 0 {
 		return
@@ -472,7 +472,7 @@ func (p *Protocol) routeHome(env core.Env, tok tourToken) (anr.Header, bool) {
 	}
 	if port, ok := env.PortToward(tok.Cand); ok && port.Up {
 		p.stats.Recoveries.Add(1)
-		return anr.Direct([]anr.ID{port.Local}), true
+		return anr.OneHop(port.Local), true
 	}
 	return nil, false
 }

@@ -85,7 +85,7 @@ func (p *hsRing) probeBoth(env core.Env) {
 	probe := &hsProbe{ID: p.id, Phase: p.phase, TTL: 1 << p.phase}
 	var hs []anr.Header
 	for _, port := range env.Ports() {
-		hs = append(hs, anr.Direct([]anr.ID{port.Local}))
+		hs = append(hs, anr.OneHop(port.Local))
 	}
 	if err := env.Multicast(hs, probe); err != nil {
 		panic(fmt.Sprintf("election/hs: probe: %v", err))
@@ -133,7 +133,7 @@ func (p *hsRing) forward(env core.Env, arrived anr.ID, payload any) {
 		if port.Local == arrived {
 			continue
 		}
-		if err := env.Send(anr.Direct([]anr.ID{port.Local}), payload); err != nil {
+		if err := env.Send(anr.OneHop(port.Local), payload); err != nil {
 			panic(fmt.Sprintf("election/hs: forward: %v", err))
 		}
 		return
@@ -142,7 +142,7 @@ func (p *hsRing) forward(env core.Env, arrived anr.ID, payload any) {
 
 // reply sends the payload back out of the arrival port.
 func (p *hsRing) reply(env core.Env, arrived anr.ID, payload any) {
-	if err := env.Send(anr.Direct([]anr.ID{arrived}), payload); err != nil {
+	if err := env.Send(anr.OneHop(arrived), payload); err != nil {
 		panic(fmt.Sprintf("election/hs: reply: %v", err))
 	}
 }

@@ -45,7 +45,7 @@ func (p *naive) Deliver(env core.Env, pkt core.Packet) {
 		p.started = true
 		var hs []anr.Header
 		for _, port := range env.Ports() {
-			hs = append(hs, anr.Direct([]anr.ID{port.Local}))
+			hs = append(hs, anr.OneHop(port.Local))
 		}
 		if err := env.Multicast(hs, &naiveID{ID: p.id}); err != nil {
 			panic(fmt.Sprintf("election/naive: send: %v", err))

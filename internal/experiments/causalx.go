@@ -27,7 +27,7 @@ func (f *wasteful) Deliver(env core.Env, pkt core.Packet) {
 	if pkt.Injected {
 		var hs []anr.Header
 		for _, port := range env.Ports() {
-			hs = append(hs, anr.Direct([]anr.ID{port.Local}))
+			hs = append(hs, anr.OneHop(port.Local))
 		}
 		if err := env.Multicast(hs, int(f.id)); err != nil {
 			panic(err)

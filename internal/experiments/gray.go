@@ -27,7 +27,7 @@ func (p *e23Node) Deliver(env core.Env, pkt core.Packet) {
 		if !ok {
 			return
 		}
-		if err := p.E.SendRoute(env, p.dst, anr.Direct([]anr.ID{pt.Local}), e23Send{}); err != nil {
+		if err := p.E.SendRoute(env, p.dst, anr.OneHop(pt.Local), e23Send{}); err != nil {
 			panic(err)
 		}
 		return

@@ -93,7 +93,7 @@ func (s *soakNode) Init(env core.Env) {
 func (s *soakNode) Deliver(env core.Env, pkt core.Packet) {
 	switch p := pkt.Payload.(type) {
 	case probeCmd:
-		_ = env.Send(anr.Direct([]anr.ID{p.Link}), probeEcho{ID: p.ID})
+		_ = env.Send(anr.OneHop(p.Link), probeEcho{ID: p.ID})
 	case probeEcho:
 		s.book.hit(p.ID)
 	case relSend:

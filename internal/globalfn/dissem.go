@@ -83,7 +83,7 @@ func (p *dproto) sendNext(env core.Env) {
 	if !ok {
 		panic(fmt.Sprintf("globalfn: node %d not adjacent to child %d", p.id, child))
 	}
-	if err := env.Send(anr.Direct([]anr.ID{port.Local}), &dValue{Value: p.value}); err != nil {
+	if err := env.Send(anr.OneHop(port.Local), &dValue{Value: p.value}); err != nil {
 		panic(fmt.Sprintf("globalfn: disseminate: %v", err))
 	}
 	if len(p.pending) > 0 {

@@ -97,7 +97,7 @@ func (p *proto) finish(env core.Env) {
 	if !ok {
 		panic(fmt.Sprintf("globalfn: node %d not adjacent to parent %d", p.id, parent))
 	}
-	if err := env.Send(anr.Direct([]anr.ID{port.Local}), &partial{Value: p.acc}); err != nil {
+	if err := env.Send(anr.OneHop(port.Local), &partial{Value: p.acc}); err != nil {
 		panic(fmt.Sprintf("globalfn: send to parent: %v", err))
 	}
 }

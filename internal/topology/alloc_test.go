@@ -55,9 +55,9 @@ func TestQuietRoundAllocs(t *testing.T) {
 
 // TestQuietFloodAllocs pins what flooding costs once the network has
 // converged: each broadcast allocates its message and the one-record slice
-// inside it, and nothing per forwarded copy — a relay sends the node's fixed
-// one-hop headers through one reused route list, and the C >= 1 spine keeps
-// the hops in pooled chunks.
+// inside it, and nothing per forwarded copy — a relay sends the shared
+// one-hop headers (anr.OneHop) through one reused route list, and the C >= 1
+// spine keeps the hops in pooled chunks.
 func TestQuietFloodAllocs(t *testing.T) {
 	const n = 64
 	g := graph.GNP(n, 8.0/n, 5)
@@ -96,7 +96,7 @@ func TestQuietFloodAllocs(t *testing.T) {
 // and the tree, decomposition and plan made from it are per network. A relay
 // allocates nothing to forward (its headers are the plan's), to store the
 // origin's record (the link list is adopted from the message), index it
-// (built on first lookup) or watermark it (the first origin is held inline).
+// (built on first lookup) or watermark it (in the origin's store entry).
 // Measured 1.5; 6.7 with a protocol struct, a store and a copied preload list
 // per node; 8.9 with a header and a route list per branching path; 15.9 with
 // a separately allocated database, two eager maps, a copy and an index per

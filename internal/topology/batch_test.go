@@ -11,10 +11,15 @@ import (
 )
 
 // batchModel feeds one stream of record batches to two databases: got takes
-// every batch whole through installAll — slot-table early-out, screen,
-// identity shortcut — and want takes its records one by one through Update,
-// which knows none of them. After every batch the two must agree on records,
-// version, view and routes.
+// every batch whole through installAll — screen, identity shortcut — and want
+// takes its records one by one through Update, which knows none of them.
+// After every batch the two must agree on records, version, view and routes.
+//
+// Node u of the model has ID ids[u]: half of them in [0, 2n), where the
+// screen can cover them, and half spread over [0, 1<<14), mostly beyond it.
+// So both databases probe the node table through collisions and doublings,
+// and the screen runs at its coverage bound. (The range stops at 1<<14
+// because the view and every cached tree are sized by the largest ID.)
 //
 // The batches are what messages carry in a network: every node has one
 // current link list, an array that travels in batch after batch until the
@@ -25,6 +30,7 @@ type batchModel struct {
 	t       *testing.T
 	rng     *rand.Rand
 	n       int
+	ids     []core.NodeID
 	got     *DB
 	want    *DB
 	cur     [][]LinkInfo // each node's current list; nil until its first record
@@ -34,11 +40,23 @@ type batchModel struct {
 }
 
 func newBatchModel(t *testing.T, n int, seed int64) *batchModel {
-	return &batchModel{
+	m := &batchModel{
 		t: t, rng: rand.New(rand.NewSource(seed)), n: n,
 		got: NewDB(), want: NewDB(),
 		cur: make([][]LinkInfo, n), seq: make([]uint64, n),
 	}
+	taken := map[core.NodeID]bool{}
+	for len(m.ids) < n {
+		id := core.NodeID(m.rng.Intn(2 * n))
+		if len(m.ids)%2 == 1 {
+			id = core.NodeID(m.rng.Intn(1 << 14))
+		}
+		if !taken[id] {
+			taken[id] = true
+			m.ids = append(m.ids, id)
+		}
+	}
+	return m
 }
 
 // freshLinks draws a new link list for u: a handful of neighbours, now and
@@ -49,7 +67,7 @@ func (m *batchModel) freshLinks(u int) []LinkInfo {
 		if v := m.rng.Intn(m.n); v != u {
 			links = append(links, LinkInfo{
 				Local: anr.ID(1 + len(links)), Remote: anr.ID(1 + m.rng.Intn(8)),
-				Neighbor: core.NodeID(v), Up: m.rng.Intn(4) > 0, Load: uint32(m.rng.Intn(3)),
+				Neighbor: m.ids[v], Up: m.rng.Intn(4) > 0, Load: uint32(m.rng.Intn(3)),
 			})
 		}
 	}
@@ -83,7 +101,7 @@ func (m *batchModel) touch(u int) {
 // one-record message, or records no table has a place for.
 func (m *batchModel) generate() {
 	var batch []Record
-	rec := func(u int) Record { return Record{Node: core.NodeID(u), Seq: m.seq[u], Links: m.cur[u]} }
+	rec := func(u int) Record { return Record{Node: m.ids[u], Seq: m.seq[u], Links: m.cur[u]} }
 	switch k := m.rng.Intn(12); {
 	case k < 7:
 		for u := 0; u < m.n; u++ {
@@ -105,11 +123,11 @@ func (m *batchModel) generate() {
 		m.touch(u)
 		batch = append(batch, rec(u))
 	default:
-		far := core.NodeID(m.n + m.rng.Intn(3*m.n))
+		far := core.NodeID(1<<14 + m.rng.Intn(3*m.n))
 		batch = append(batch,
-			Record{Node: far, Seq: uint64(m.rng.Intn(3)), Links: []LinkInfo{{Local: 1, Remote: 1, Neighbor: 0, Up: true}}},
-			Record{Node: -1 - core.NodeID(m.rng.Intn(3)), Seq: 9, Links: []LinkInfo{{Local: 1, Neighbor: 0, Up: true}}},
-			Record{Node: core.NodeID(m.rng.Intn(m.n)), Seq: 1 << 40, Links: []LinkInfo{{Local: 1, Neighbor: -2, Up: true}}},
+			Record{Node: far, Seq: uint64(m.rng.Intn(3)), Links: []LinkInfo{{Local: 1, Remote: 1, Neighbor: m.ids[0], Up: true}}},
+			Record{Node: -1 - core.NodeID(m.rng.Intn(3)), Seq: 9, Links: []LinkInfo{{Local: 1, Neighbor: m.ids[0], Up: true}}},
+			Record{Node: m.ids[m.rng.Intn(m.n)], Seq: 1 << 40, Links: []LinkInfo{{Local: 1, Neighbor: -2, Up: true}}},
 			Record{Node: far + 1, Seq: ^uint64(0), Links: nil}, // the largest number there is
 			Record{Node: far + 1, Seq: ^uint64(0), Links: []LinkInfo{{Local: 2, Neighbor: far, Up: true}}},
 		)
@@ -162,12 +180,12 @@ func (m *batchModel) compare(when string) {
 		t.Fatalf("%s: view has %d nodes, %d edges; want %d, %d", when, g.N(), g.M(), w.N(), w.M())
 	}
 	if seen := m.got.seen; seen != nil {
-		if len(seen) != len(m.got.slot) {
-			t.Fatalf("%s: screen spans %d IDs, slot table %d", when, len(seen), len(m.got.slot))
+		if len(seen) > screenSpan*len(m.got.ents) {
+			t.Fatalf("%s: screen spans %d IDs for %d records", when, len(seen), len(m.got.ents))
 		}
-		for u, s := range m.got.slot {
+		for u := range seen {
 			want := uint64(0)
-			if s >= 0 {
+			if s, ok := m.got.slotOf(core.NodeID(u)); ok {
 				want = m.got.ents[s].rec.Seq + 1
 			}
 			if seen[u] != want {
@@ -177,7 +195,7 @@ func (m *batchModel) compare(when string) {
 	}
 	for i := 0; i < 12; i++ {
 		u, v := m.rng.Intn(m.n), m.rng.Intn(m.n)
-		src, dst := core.NodeID(u), core.NodeID(v)
+		src, dst := m.ids[u], m.ids[v]
 		gh, gerr := m.got.Route(src, dst)
 		wh, werr := m.want.Route(src, dst)
 		sameRoute(t, "Route", u, v, gh, gerr, wh, werr)
@@ -190,7 +208,7 @@ func (m *batchModel) compare(when string) {
 func TestBatchInstallMatchesUpdate(t *testing.T) {
 	// 10 nodes stay on the scanned store until enough strays have joined them;
 	// 24 and 96 cross slotThreshold at once, so the screen is built and every
-	// later batch runs on it.
+	// later batch runs on it, or past it.
 	for _, n := range []int{10, 24, 96} {
 		for seed := int64(1); seed <= 6; seed++ {
 			m := newBatchModel(t, n, seed*int64(n))
@@ -230,7 +248,7 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	}
 	db := NewDB()
 	base := bringUp(1)
-	db.installAll(base) // builds the slot table
+	db.installAll(base) // builds the node table
 	db.installAll(base) // all stale: builds the screen
 	if db.seen == nil {
 		t.Fatal("no screen after two multi-record batches")
@@ -274,6 +292,16 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	if a, b := stored(3).Seq, stored(4).Seq; a != 5 || b != 5 {
 		t.Fatalf("a late batch wound nodes 3 and 4 back to %d and %d", a, b)
 	}
+	// At the largest number the screen has no room for node 8 (it reads 0):
+	// the stored array under a lower number must still be turned away.
+	top := base[8]
+	top.Seq = ^uint64(0)
+	db.installAll([]Record{top, base[6]})
+	top.Seq = 7
+	db.installAll([]Record{top, base[6]})
+	if r := stored(8); r.Seq != ^uint64(0) {
+		t.Fatalf("node 8 wound back from the largest number to %d", r.Seq)
+	}
 }
 
 func TestDBRejectsNegativeIDs(t *testing.T) {
@@ -283,7 +311,7 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		{Node: 2, Seq: 1 << 50, Links: []LinkInfo{{Local: 1, Neighbor: 1, Up: true}, {Local: 2, Neighbor: -1, Up: true}}},
 		{Node: 1 << 20, Seq: 1, Links: []LinkInfo{{Local: 1, Neighbor: core.None}}},
 	}
-	// The scanned store, the slot table, and the slot table with its screen.
+	// The scanned store, the node table, and the node table with its screen.
 	for _, n := range []int{3, slotThreshold + 8, slotThreshold + 9} {
 		db := NewDB()
 		recs := make([]Record, n)
@@ -294,8 +322,8 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		if n%2 == 1 {
 			db.installAll(recs)
 		}
-		if (db.slot != nil) != (n > slotThreshold) || (db.seen != nil) != (n > slotThreshold && n%2 == 1) {
-			t.Fatalf("n=%d: slot table %v, screen %v", n, db.slot != nil, db.seen != nil)
+		if (db.table != nil) != (n > slotThreshold) || (db.seen != nil) != (n > slotThreshold && n%2 == 1) {
+			t.Fatalf("n=%d: node table %v, screen %v", n, db.table != nil, db.seen != nil)
 		}
 		version, nodes, edges := db.version, db.View().N(), db.View().M()
 		for _, r := range hostile {

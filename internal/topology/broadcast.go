@@ -34,14 +34,6 @@ type broadcast struct {
 	// paper's "improved to log d" variant).
 	full bool
 
-	// fwd is the newest broadcast sequence forwarded per origin (same idiom
-	// as flood.best). Every broadcast round refreshes the origin's record,
-	// so (Origin, Seq) identifies a round; under the lossy-link model a
-	// duplicated Msg would otherwise re-trigger this node's whole branching
-	// fan-out — a message storm the dedup watermark suppresses. Record
-	// application stays unconditional: Update is idempotent by sequence.
-	fwd watermarks
-
 	// plan caches the branching-path plan of this node's own broadcasts; nil
 	// until it starts one (a relay never does).
 	plan *planCache
@@ -82,7 +74,7 @@ func (b *broadcast) Init(env core.Env) {
 func (b *broadcast) LinkEvent(env core.Env, port core.Port) {
 	b.refresh(env)
 	if port.Up {
-		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &bcastMsg{Origin: b.id, Seq: b.seq, Recs: b.db.records()})
+		_ = env.Send(anr.OneHop(port.Local), &bcastMsg{Origin: b.id, Seq: b.seq, Recs: b.db.records()})
 	}
 }
 
@@ -94,18 +86,22 @@ func (b *broadcast) Deliver(env core.Env, pkt core.Packet) {
 		b.startBroadcast(env)
 	case *bcastMsg:
 		b.db.installAll(m.Recs)
-		// Forward each round at most once: a fault-duplicated (or reordered
-		// stale) Msg must not re-fan-out. A message with no plan (the
+		// Forward each round at most once. Every broadcast round refreshes
+		// the origin's record, so (Origin, Seq) identifies a round, and the
+		// origin's entry — there since the install above — keeps the newest
+		// one forwarded (DB.forward): under the lossy-link model a duplicated
+		// (or reordered stale) Msg would otherwise re-trigger this node's
+		// whole branching fan-out. Record application stays unconditional:
+		// Update is idempotent by sequence. A message with no plan (the
 		// LinkEvent adjacency bring-up) forwards nothing, so it is exempt
 		// from the watermark and can never mask a real round.
 		if m.Plan == nil {
 			return
 		}
-		if m.Seq <= b.fwd.get(m.Origin) {
+		if !b.db.forward(m.Origin, m.Seq) {
 			b.DupSuppressed++
 			return
 		}
-		b.fwd.set(m.Origin, m.Seq)
 		b.forward(env, m)
 	}
 }

@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -103,45 +104,18 @@ func (l *localTopo) snapshot(env core.Env) {
 	l.db.install(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
 }
 
-// watermarks is the newest sequence number a node has forwarded per origin;
-// an origin never forwarded reads 0. The first origin is held inline: in a
-// single broadcast — the unit the paper's bounds are stated for — every
-// relay hears one origin only, and a map would be most of what the relay
-// holds. Further origins go to a map made when the second one is heard.
-type watermarks struct {
-	seq    uint64
-	more   map[core.NodeID]uint64
-	origin core.NodeID
-	used   bool
-}
-
-func (w *watermarks) get(origin core.NodeID) uint64 {
-	if w.used && w.origin == origin {
-		return w.seq
-	}
-	return w.more[origin]
-}
-
-func (w *watermarks) set(origin core.NodeID, seq uint64) {
-	if !w.used || w.origin == origin {
-		w.origin, w.seq, w.used = origin, seq, true
-		return
-	}
-	if w.more == nil {
-		w.more = make(map[core.NodeID]uint64)
-	}
-	w.more[origin] = seq
-}
-
 // DB is one node's view of the network topology: the newest Record per node,
-// behind an amortized routing plane. Control software computes routes from
-// its map far more often than the map changes (the paper's §2–3 division of
-// labor: software plans, hardware executes), so everything derived from the
-// records — the materialized view graph, per-source BFS and min-load trees,
-// and finished ANR headers — is cached and invalidated by a monotonic
-// version counter that only routing-relevant changes bump. Re-installing a
-// record whose links are unchanged (the per-round refresh of a quiet node)
-// advances the sequence number without invalidating anything.
+// behind an amortized routing plane. Every NCU of a network keeps one, so a
+// database costs what it holds: its store and node index grow with the
+// records, never with the largest node ID a record names, and the rest is
+// made by the first query that needs it. Control software computes routes
+// from its map far more often than the map changes (the paper's §2–3
+// division of labor: software plans, hardware executes), so everything
+// derived from the records — the materialized view graph, per-source BFS and
+// min-load trees, and finished ANR headers — is cached and invalidated by a
+// monotonic version counter that only routing-relevant changes bump.
+// Re-installing a record whose links are unchanged (the per-round refresh of
+// a quiet node) advances the sequence number without invalidating anything.
 //
 // All cached results — View, BFSTree, Route and RouteMinLoad headers — are
 // shared with the caller and must be treated as immutable.
@@ -151,15 +125,13 @@ type DB struct {
 	// equal versions guarantee equal views, trees and routes.
 	version uint64
 
-	// Packed record store: one entry per known node (memory stays
-	// O(records) even though every node of a big network keeps its own DB).
-	// Lookup is a linear scan while the store is small — the common case
-	// for the per-node databases built during convergence — and switches to
-	// the direct-index slot table once the store outgrows slotThreshold.
-	// Node IDs are dense small integers, so the table is a slice, not a map:
-	// convergence workloads probe it on every record of every broadcast.
+	// Packed record store: one entry per known node. Lookup is a linear scan
+	// while the store is small — the common case for the per-node databases
+	// built during convergence, and allocation-free — and then goes through
+	// table: entry indices (-1: empty), open-addressed by the entry's node,
+	// at least twice the record count (indexSlot). Records are never removed.
 	ents  []entry
-	slot  []int32 // slot[u] = entry index of node u, -1 if unknown; nil until len(ents) > slotThreshold
+	table []int32
 	order []int32 // entry indices by ascending node; records re-sorts it only after a node was added
 
 	// The batch screen: seen[u] = 1 + the stored sequence number of node u, 0
@@ -168,9 +140,9 @@ type DB struct {
 	// repeats its sender's whole database and all but a record or two of it
 	// is already held here, so updateAll turns those away on this one dense
 	// load per record. It is nil until the first multi-record message arrives
-	// at a database that has its slot table, then as long as slot and kept
-	// exact by update: databases that hear one record at a time (flooding, a
-	// single broadcast) never pay for it.
+	// at a database that has its table; from then on it covers the IDs below
+	// len(seen) (cover) and update keeps it exact. Databases that hear one
+	// record at a time (flooding, a single broadcast) never pay for it.
 	seen []uint64
 
 	// The materialized believed-topology graph. While it is current, Update
@@ -225,17 +197,23 @@ func pair(src, dst core.NodeID) pairKey {
 // entry is one stored record plus its adjacency index: indices into
 // rec.Links sorted by (Neighbor, index), built by the first lookup (index)
 // and only for high-degree records, making link lookups O(log d) while
-// leaving the wire-visible Record untouched.
+// leaving the wire-visible Record untouched. fwd is the newest sequence
+// number of the node's own broadcasts this node has forwarded (forward).
 type entry struct {
 	rec Record
 	idx []int32
+	fwd uint64
 }
 
 // slotThreshold is the store size above which node lookups go through the
-// slot map. Below it a linear scan over the packed entries is faster than a
-// map probe — and skipping the map entirely keeps small databases (each node
-// of an n-node network holds one) free of map-bucket allocations.
+// table. Below it a linear scan over the packed entries is faster than a
+// probe — and skipping the table keeps small databases (each node of an
+// n-node network holds one) free of it.
 const slotThreshold = 16
+
+// screenSpan is how many node IDs the screen may cover per stored record: it
+// is dense only where the database holds a fixed share of the IDs it covers.
+const screenSpan = 4
 
 // NewDB returns an empty database.
 func NewDB() *DB {
@@ -244,48 +222,73 @@ func NewDB() *DB {
 
 // slotOf returns the store slot holding u's record.
 func (db *DB) slotOf(u core.NodeID) (int32, bool) {
-	if db.slot != nil {
-		if uint(u) >= uint(len(db.slot)) { // beyond the table, or negative
-			return 0, false
+	if db.table == nil {
+		for s := range db.ents {
+			if db.ents[s].rec.Node == u {
+				return int32(s), true
+			}
 		}
-		s := db.slot[u]
-		return s, s >= 0
+		return 0, false
 	}
-	for s := range db.ents {
-		if db.ents[s].rec.Node == u {
-			return int32(s), true
+	mask := uint32(len(db.table) - 1)
+	for i := home(u, mask); ; i = (i + 1) & mask {
+		if s := db.table[i]; s < 0 || db.ents[s].rec.Node == u {
+			return s, s >= 0
 		}
 	}
-	return 0, false
 }
 
-// setSlot records u's entry index in the slot table, growing it as needed.
-func (db *DB) setSlot(u core.NodeID, s int32) {
-	if int(u) >= len(db.slot) {
-		grown := make([]int32, int(u)+1+len(db.slot)/2)
-		copy(grown, db.slot)
-		for i := len(db.slot); i < len(grown); i++ {
-			grown[i] = -1
-		}
-		db.slot = grown
-		if db.seen != nil {
-			db.seen = append(db.seen, make([]uint64, len(grown)-len(db.seen))...)
-		}
-	}
-	db.slot[u] = s
+// home is u's first probe: Fibonacci hashing, whose top bits spread IDs in
+// any stride over the table.
+func home(u core.NodeID, mask uint32) uint32 {
+	return uint32(u) * 0x9E3779B1 >> bits.LeadingZeros32(mask)
 }
 
-// linksEqual reports whether two link lists are identical, element for
-// element (LinkInfo is comparable).
-func linksEqual(a, b []LinkInfo) bool {
-	if len(a) != len(b) {
+// indexSlot enters slot s, the store's newest entry, into the table, first
+// building or doubling it — and re-entering every entry — when the records
+// would fill more than half of it.
+func (db *DB) indexSlot(s int32) {
+	if 2*len(db.ents) > len(db.table) {
+		db.table = make([]int32, max(2*len(db.table), 4*slotThreshold))
+		for i := range db.table {
+			db.table[i] = -1
+		}
+		s = 0 // re-enter every entry from the first
+	}
+	mask := uint32(len(db.table) - 1)
+	for ; int(s) < len(db.ents); s++ {
+		i := home(db.ents[s].rec.Node, mask)
+		for db.table[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		db.table[i] = s
+	}
+}
+
+// cover widens the screen over the node IDs below hi as far as screenSpan
+// allows; a record beyond it is screened by update's lookup.
+func (db *DB) cover(hi int) {
+	for u := len(db.seen); u < min(hi, screenSpan*len(db.ents)); u++ {
+		var seen uint64
+		if s, ok := db.slotOf(core.NodeID(u)); ok {
+			seen = db.ents[s].rec.Seq + 1
+		}
+		db.seen = append(db.seen, seen)
+	}
+}
+
+// forward reports whether origin's broadcast seq is newer than any this node
+// has forwarded, and if so marks it forwarded. The watermark lives in
+// origin's entry, so callers install a message's records first; a message
+// whose origin has no record is not forwarded. It is not the record's
+// sequence number: another message may bring origin's record ahead of
+// origin's own broadcast, which must still be forwarded.
+func (db *DB) forward(origin core.NodeID, seq uint64) bool {
+	s, ok := db.slotOf(origin)
+	if !ok || db.ents[s].fwd >= seq {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
+	db.ents[s].fwd = seq
 	return true
 }
 
@@ -348,7 +351,7 @@ func (db *DB) install(rec Record) bool { return db.update(rec, true) }
 
 func (db *DB) update(rec Record, adopt bool) bool {
 	if rec.Node < 0 {
-		return false // no node has a negative ID; the slot table is indexed by it
+		return false // no node has a negative ID; the screen is indexed by it
 	}
 	s, known := db.slotOf(rec.Node)
 	var old []LinkInfo
@@ -357,7 +360,7 @@ func (db *DB) update(rec Record, adopt bool) bool {
 		if e.rec.Seq >= rec.Seq {
 			return false
 		}
-		if linksEqual(e.rec.Links, rec.Links) {
+		if slices.Equal(e.rec.Links, rec.Links) {
 			// A pure sequence-number refresh leaves every derived structure
 			// valid: keep the version, and with it every cache.
 			db.setSeq(s, rec.Seq)
@@ -373,12 +376,11 @@ func (db *DB) update(rec Record, adopt bool) bool {
 	if !known {
 		s = int32(len(db.ents))
 		db.ents = append(db.ents, entry{rec: Record{Node: rec.Node}})
-		if db.slot != nil {
-			db.setSlot(rec.Node, s)
-		} else if len(db.ents) > slotThreshold {
-			for i := range db.ents {
-				db.setSlot(db.ents[i].rec.Node, int32(i))
-			}
+		if len(db.ents) > slotThreshold {
+			db.indexSlot(s)
+		}
+		if db.seen != nil {
+			db.cover(int(rec.Node) + 1)
 		}
 	}
 	// A fresh list, never an overwrite of the stored array: records handed
@@ -411,36 +413,33 @@ func (db *DB) setSeq(s int32, seq uint64) {
 // under install's ownership rule: the records of a received message, or of a
 // warm start.
 func (db *DB) installAll(recs []Record) {
-	if db.seen == nil && db.slot != nil && len(recs) > 1 {
-		db.seen = make([]uint64, len(db.slot))
+	if db.seen == nil && db.table != nil && len(recs) > 1 {
+		top := 0
 		for i := range db.ents {
-			db.seen[db.ents[i].rec.Node] = db.ents[i].rec.Seq + 1
+			top = max(top, int(db.ents[i].rec.Node)+1)
 		}
+		db.cover(top)
 	}
 	db.updateAll(recs)
 }
 
 // updateAll applies a batch under install's ownership rule and pays for what
-// it brings that is new: a record no newer than the stored one is turned away
-// before the update call — on the screen where there is one, else against the
-// slot table — and a newer one whose Links is the stored array itself
-// (SameLinks) is a sequence refresh with nothing to compare; a list that is
-// merely equal takes update's comparison as before.
+// it brings that is new: a record the screen covers is turned away before the
+// update call when it is no newer than the stored one, and a newer one whose
+// Links is the stored array itself (SameLinks) is a sequence refresh with
+// nothing to compare; a list that is merely equal, and every record beyond
+// the screen, takes update's lookup and comparison as before.
 func (db *DB) updateAll(recs []Record) {
 	for i := range recs {
 		r := &recs[i]
-		u := uint(r.Node) // a negative ID lands past every table, and update rejects it
-		if u < uint(len(db.seen)) {
+		if u := uint(r.Node); u < uint(len(db.seen)) { // a negative ID lands past it; update rejects it
 			seen := db.seen[u]
 			if seen > r.Seq {
 				continue
 			}
-			if s := db.slot[u]; seen != 0 && SameLinks(db.ents[s].rec.Links, r.Links) {
+			// seen != 0: a record, whose number the screen holds exactly.
+			if s, _ := db.slotOf(r.Node); seen != 0 && SameLinks(db.ents[s].rec.Links, r.Links) {
 				db.setSeq(s, r.Seq)
-				continue
-			}
-		} else if u < uint(len(db.slot)) {
-			if s := db.slot[u]; s >= 0 && db.ents[s].rec.Seq >= r.Seq {
 				continue
 			}
 		}

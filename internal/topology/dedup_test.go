@@ -3,6 +3,7 @@ package topology
 import (
 	"testing"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/sim"
@@ -88,5 +89,53 @@ func TestBroadcastDedupAllowsNewRounds(t *testing.T) {
 	}
 	if s3 != 0 {
 		t.Fatalf("fault-free rounds suppressed %d forwards, want 0", s3)
+	}
+}
+
+// relayEnv is the part of core.Env a flood relay touches: its ports, and a
+// count of the multicasts it makes. Any other call panics on the nil Env.
+type relayEnv struct {
+	core.Env
+	ports []core.Port
+	sent  int
+}
+
+func (e *relayEnv) Ports() []core.Port                    { return e.ports }
+func (e *relayEnv) Multicast(_ []anr.Header, _ any) error { e.sent++; return nil }
+
+// TestFullFloodForwardsEachOriginOnce: in full-knowledge flooding, another
+// origin's message brings origin X's record before X's own flood arrives.
+// X's flood must still be forwarded, once: the watermark is stored in X's
+// entry, not read off the sequence number of X's record.
+func TestFullFloodForwardsEachOriginOnce(t *testing.T) {
+	const x, y = 5, 7
+	env := &relayEnv{ports: []core.Port{
+		{Local: 1, Remote: x, RemoteID: 1, Up: true},
+		{Local: 2, Remote: y, RemoteID: 1, Up: true},
+		{Local: 3, Remote: 9, RemoteID: 1, Up: true},
+	}}
+	f := NewMaintainer(ModeFlood, true, nil)(0).(*flood)
+	f.Init(env)
+	recX := Record{Node: x, Seq: 1, Links: []LinkInfo{{Local: 1, Remote: 1, Neighbor: 0, Up: true}}}
+	recY := Record{Node: y, Seq: 1, Links: []LinkInfo{{Local: 1, Remote: 2, Neighbor: 0, Up: true}}}
+	fromY := &floodMsg{Origin: y, Seq: 1, Recs: []Record{recX, recY}}
+	fromX := &floodMsg{Origin: x, Seq: 1, Recs: []Record{recX, recY}}
+	for i, step := range []struct {
+		msg  *floodMsg
+		port anr.ID
+		sent int
+	}{
+		{fromY, 2, 1}, // Y's flood brings X's record: forwarded
+		{fromX, 1, 2}, // X's own flood, X's record already held: forwarded
+		{fromX, 3, 2}, // X's flood again, by another link: not
+		{fromY, 3, 2}, // Y's flood again: not
+	} {
+		f.Deliver(env, core.Packet{Payload: step.msg, ArrivedOn: step.port})
+		if env.sent != step.sent {
+			t.Fatalf("after delivery %d: %d multicasts, want %d", i, env.sent, step.sent)
+		}
+	}
+	if f.Forwards != 2 {
+		t.Fatalf("%d forwards, want 2", f.Forwards)
 	}
 }

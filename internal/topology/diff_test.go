@@ -166,7 +166,7 @@ func (m *diffModel) step(op, a, b, c byte) {
 				m.seq[x]++
 			}
 			rec := Record{Node: core.NodeID(x), Seq: m.seq[x], Links: slices.Clone(m.links[x])}
-			if stored, ok := m.cached.Record(rec.Node); ok && a%2 == 0 && linksEqual(stored.Links, rec.Links) {
+			if stored, ok := m.cached.Record(rec.Node); ok && a%2 == 0 && slices.Equal(stored.Links, rec.Links) {
 				rec.Links = stored.Links
 			}
 			batch = append(batch, rec)
@@ -249,7 +249,7 @@ func (m *diffModel) check(t *testing.T) {
 // sameRecords reports whether two record lists are equal, links included.
 func sameRecords(a, b []Record) bool {
 	return slices.EqualFunc(a, b, func(x, y Record) bool {
-		return x.Node == y.Node && x.Seq == y.Seq && linksEqual(x.Links, y.Links)
+		return x.Node == y.Node && x.Seq == y.Seq && slices.Equal(x.Links, y.Links)
 	})
 }
 
@@ -332,9 +332,9 @@ func TestRoutingPlaneDifferential(t *testing.T) {
 		x ^= x << 17
 		binary.LittleEndian.PutUint64(data[i:], x)
 	}
-	// 9 nodes stay on the linear-scan store; 24 cross slotThreshold, so
-	// updateAll's early-out against the slot table and, from the second
-	// multi-record message on, the screen run too.
+	// 9 nodes stay on the linear-scan store; 24 cross slotThreshold, so the
+	// node table and, from the second multi-record message on, the screen
+	// run too.
 	for _, n := range []int{9, 24} {
 		for _, k := range []int{1, 2, 3, 7} {
 			runDiff(t, data, n, k)
@@ -350,7 +350,7 @@ func FuzzRoutingPlane(f *testing.F) {
 	// Hostile records: node -1 and a neighbour -2 between good ones.
 	f.Add([]byte{0, 0, 1, 0, 8, 0, 1, 0, 8, 1, 0, 1, 0, 1, 2, 0})
 	// Batches on the 18-node model (bit 2 of the first byte): a bring-up that
-	// builds the slot table, a change, the batch that builds the screen, a
+	// builds the node table, a change, the batch that builds the screen, a
 	// hostile record, then batches of stored arrays and of copies.
 	f.Add([]byte{29, 0, 0xff, 0xff, 0, 0, 1, 0, 9, 1, 0x0f, 0, 8, 0, 1, 0, 9, 0, 0xf0, 0x0f, 1, 0, 0, 0, 9, 2, 0, 0, 9, 3, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {

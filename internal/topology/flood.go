@@ -22,14 +22,8 @@ type flood struct {
 
 	full bool
 
-	// best tracks the newest sequence number forwarded per origin, so each
-	// broadcast is flooded once per node.
-	best watermarks
-
-	// hop[i] is the one-hop route over port i+1, built on the first relay and
-	// never written afterwards (Send and Multicast only read a header);
-	// routes is the list relay hands to Multicast, reused across relays.
-	hop    []anr.Header
+	// routes is the list of one-hop headers relay hands to Multicast, reused
+	// across relays (Multicast only reads it).
 	routes []anr.Header
 
 	Broadcasts int
@@ -61,14 +55,15 @@ func (f *flood) Deliver(env core.Env, pkt core.Packet) {
 			rec, _ := f.db.Record(f.id)
 			msg.Recs = []Record{rec}
 		}
-		f.best.set(f.id, f.seq)
+		f.db.forward(f.id, f.seq)
 		f.relay(env, msg, anr.NCU)
 	case *floodMsg:
+		// The records go in first, so the origin has an entry to hold the
+		// watermark that floods each broadcast once per node.
 		f.db.installAll(m.Recs)
-		if f.best.get(m.Origin) >= m.Seq {
+		if !f.db.forward(m.Origin, m.Seq) {
 			return // already forwarded this broadcast
 		}
-		f.best.set(m.Origin, m.Seq)
 		f.Forwards++
 		f.relay(env, m, pkt.ArrivedOn)
 	}
@@ -77,19 +72,15 @@ func (f *flood) Deliver(env core.Env, pkt core.Packet) {
 // relay sends the message one hop over every up link except the arrival one.
 func (f *flood) relay(env core.Env, m *floodMsg, arrived anr.ID) {
 	ports := env.Ports()
-	if f.hop == nil {
-		f.hop = make([]anr.Header, len(ports))
-		for i, p := range ports {
-			f.hop[i] = anr.Direct([]anr.ID{p.Local})
-		}
+	if f.routes == nil {
 		f.routes = make([]anr.Header, 0, len(ports))
 	}
 	hs := f.routes[:0]
-	for i, p := range ports {
+	for _, p := range ports {
 		if p.Local == arrived || !p.Up {
 			continue
 		}
-		hs = append(hs, f.hop[i])
+		hs = append(hs, anr.OneHop(p.Local))
 	}
 	if len(hs) == 0 {
 		return

@@ -158,7 +158,7 @@ func (w *WalkBroadcast) Init(env core.Env) {
 func (w *WalkBroadcast) LinkEvent(env core.Env, port core.Port) {
 	w.refresh(env)
 	if port.Up {
-		_ = env.Send(anr.Direct([]anr.ID{port.Local}), &walkMsg{Origin: w.id, Seq: w.seq, Recs: w.db.records()})
+		_ = env.Send(anr.OneHop(port.Local), &walkMsg{Origin: w.id, Seq: w.seq, Recs: w.db.records()})
 	}
 }
 
