@@ -1,16 +1,20 @@
 package graph_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"fastnet/internal/graph"
+	"fastnet/internal/sim"
+	"fastnet/internal/topology"
 )
-
-func unitDelay(u, v graph.NodeID) int64 { return 1 }
 
 func TestPartitionKBasic(t *testing.T) {
 	g := graph.Grid(8, 8)
-	p := graph.PartitionK(g, graph.PartitionOptions{K: 4, Seed: 1, EdgeDelay: unitDelay})
+	p := graph.PartitionK(g, 4, 1)
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +25,6 @@ func TestPartitionKBasic(t *testing.T) {
 		if s < 8 || s > 24 {
 			t.Errorf("part %d badly balanced: %d nodes of 64", c, s)
 		}
-	}
-	if p.MinCrossDelay != 1 {
-		t.Fatalf("MinCrossDelay = %d, want 1", p.MinCrossDelay)
 	}
 	if p.CutEdges == 0 {
 		t.Fatal("connected graph split into 4 parts must cut edges")
@@ -37,7 +38,7 @@ func TestPartitionKBasic(t *testing.T) {
 func TestPartitionKCutQuality(t *testing.T) {
 	const r = 16
 	g := graph.Grid(r, r)
-	p := graph.PartitionK(g, graph.PartitionOptions{K: 2, Seed: 3, EdgeDelay: unitDelay})
+	p := graph.PartitionK(g, 2, 3)
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -61,53 +62,47 @@ func TestPartitionKCutQuality(t *testing.T) {
 	}
 }
 
+// shardInfo builds a shard-mode flood network over g and reports the
+// partition it runs on.
+func shardInfo(g *graph.Graph, opts ...sim.Option) sim.ShardInfo {
+	return sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil), opts...).ShardInfo()
+}
+
+// A model whose hardware delay is 0 has no lookahead, so the simulator never
+// partitions it (and the partitioner needs no zero-delay contraction): any
+// shard request runs on one serial shard, exact or randomized.
 func TestPartitionKZeroDelayContraction(t *testing.T) {
-	// Path 0-1-2-3-4-5 where edges {1,2} and {3,4} have delay 0: nodes 1,2
-	// and 3,4 must land in the same part, and no cut edge may have delay 0.
-	g := graph.New(6)
-	for u := 0; u < 5; u++ {
-		g.AddEdge(graph.NodeID(u), graph.NodeID(u+1))
-	}
-	delay := func(u, v graph.NodeID) int64 {
-		if v < u {
-			u, v = v, u
+	g := graph.Path(6)
+	for _, random := range []bool{false, true} {
+		opts := []sim.Option{sim.WithDelays(0, 5), sim.WithSeed(7), sim.WithShards(3)}
+		if random {
+			opts = append(opts, sim.WithRandomDelays())
 		}
-		if (u == 1 && v == 2) || (u == 3 && v == 4) {
-			return 0
+		if info := shardInfo(g, opts...); info != (sim.ShardInfo{Shards: 1}) {
+			t.Errorf("randomized=%v: zero-delay path runs on %+v, want one serial shard", random, info)
 		}
-		return 5
-	}
-	p := graph.PartitionK(g, graph.PartitionOptions{K: 3, Seed: 7, EdgeDelay: delay})
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if p.Assign[1] != p.Assign[2] {
-		t.Fatalf("zero-delay edge {1,2} cut: parts %d, %d", p.Assign[1], p.Assign[2])
-	}
-	if p.Assign[3] != p.Assign[4] {
-		t.Fatalf("zero-delay edge {3,4} cut: parts %d, %d", p.Assign[3], p.Assign[4])
-	}
-	if p.K > 1 && p.MinCrossDelay < 1 {
-		t.Fatalf("MinCrossDelay = %d with %d parts, want >= 1", p.MinCrossDelay, p.K)
 	}
 }
 
 func TestPartitionKAllZeroDelayFallsBackToOnePart(t *testing.T) {
 	g := graph.GNP(32, 0.2, 5)
-	zero := func(u, v graph.NodeID) int64 { return 0 }
-	p := graph.PartitionK(g, graph.PartitionOptions{K: 4, Seed: 1, EdgeDelay: zero})
-	if p.K != 1 {
-		t.Fatalf("all-zero-delay graph: K = %d, want 1", p.K)
-	}
-	if p.CutEdges != 0 || p.MinCrossDelay != 0 {
-		t.Fatalf("one part but cut=%d minDelay=%d", p.CutEdges, p.MinCrossDelay)
+	for _, random := range []bool{false, true} {
+		for _, k := range []int{2, 4, 8} {
+			opts := []sim.Option{sim.WithDelays(0, 1), sim.WithShards(k)}
+			if random {
+				opts = append(opts, sim.WithRandomDelays())
+			}
+			if info := shardInfo(g, opts...); info.Shards != 1 {
+				t.Errorf("randomized=%v k=%d: zero-delay graph runs on %d shards, want 1", random, k, info.Shards)
+			}
+		}
 	}
 }
 
 func TestPartitionKDeterministic(t *testing.T) {
 	g := graph.GNP(100, 0.08, 11)
-	a := graph.PartitionK(g, graph.PartitionOptions{K: 4, Seed: 9, EdgeDelay: unitDelay})
-	b := graph.PartitionK(g, graph.PartitionOptions{K: 4, Seed: 9, EdgeDelay: unitDelay})
+	a := graph.PartitionK(g, 4, 9)
+	b := graph.PartitionK(g, 4, 9)
 	if len(a.Assign) != len(b.Assign) {
 		t.Fatal("assign length mismatch")
 	}
@@ -124,46 +119,145 @@ func TestPartitionKSmallGraphs(t *testing.T) {
 		for u := 1; u < n; u++ {
 			g.AddEdge(0, graph.NodeID(u))
 		}
-		p := graph.PartitionK(g, graph.PartitionOptions{K: 8, Seed: 2, EdgeDelay: unitDelay})
+		p := graph.PartitionK(g, 8, 2)
 		if n > 0 {
 			if err := p.Validate(g); err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 		}
-		if p.K > n && n > 0 {
-			t.Fatalf("n=%d: K = %d exceeds node count", n, p.K)
+		if want := max(min(n, 8), 1); p.K != want {
+			t.Fatalf("n=%d: K = %d, want %d (the request capped at the node count)", n, p.K, want)
 		}
 	}
 }
 
+// The shard window is the model's minimum hop delay whatever the partition
+// cuts: C under exact delays, 1 under randomized ones, both for two cliques
+// split at their bridge and for a partition that cuts no edge at all.
 func TestPartitionKMinCrossDelayReflectsEdges(t *testing.T) {
-	// Two cliques joined by a single delay-7 bridge: with K=2 the bridge is
-	// the only sensible cut, so MinCrossDelay should be 7.
-	g := graph.New(12)
+	cliques := graph.New(12)
 	for u := 0; u < 6; u++ {
 		for v := u + 1; v < 6; v++ {
-			g.AddEdge(graph.NodeID(u), graph.NodeID(v))
-			g.AddEdge(graph.NodeID(u+6), graph.NodeID(v+6))
+			cliques.MustAddEdge(graph.NodeID(u), graph.NodeID(v))
+			cliques.MustAddEdge(graph.NodeID(u+6), graph.NodeID(v+6))
 		}
 	}
-	g.AddEdge(2, 8)
-	delay := func(u, v graph.NodeID) int64 {
-		if v < u {
-			u, v = v, u
+	cliques.MustAddEdge(2, 8)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		seed int64
+		cut  int
+	}{
+		{"bridged cliques", cliques, 4, 1},
+		{"cycle beside isolated node", cycleAndIsolated(), 1, 0},
+	} {
+		for _, random := range []bool{false, true} {
+			opts := []sim.Option{sim.WithDelays(7, 3), sim.WithSeed(c.seed), sim.WithShards(2)}
+			want := sim.ShardInfo{Shards: 2, CutEdges: c.cut, Lookahead: 7}
+			if random {
+				opts = append(opts, sim.WithRandomDelays())
+				want.Lookahead = 1
+			}
+			if info := shardInfo(c.g, opts...); info != want {
+				t.Errorf("%s, randomized=%v: %+v, want %+v", c.name, random, info, want)
+			}
 		}
-		if u == 2 && v == 8 {
-			return 7
+	}
+}
+
+// fabricLike is the benchmark harness's random fabric (bench/adapter.go): a
+// random spanning tree, then uniform random edges up to the target degree.
+func fabricLike(n int, degree float64, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[rng.Intn(i)]))
+	}
+	for m := int(float64(n) * degree / 2); g.M() < m; {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if u != v && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
 		}
-		return 3
 	}
-	p := graph.PartitionK(g, graph.PartitionOptions{K: 2, Seed: 4, EdgeDelay: delay})
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
+	return g
+}
+
+// disjoint returns the disjoint union of a and b, b's nodes renumbered after
+// a's.
+func disjoint(a, b *graph.Graph) *graph.Graph {
+	g := graph.New(a.N() + b.N())
+	for _, e := range a.Edges() {
+		g.MustAddEdge(e.U, e.V)
 	}
-	if p.CutEdges != 1 {
-		t.Fatalf("cut = %d edges, want the single bridge", p.CutEdges)
+	for _, e := range b.Edges() {
+		g.MustAddEdge(e.U+graph.NodeID(a.N()), e.V+graph.NodeID(a.N()))
 	}
-	if p.MinCrossDelay != 7 {
-		t.Fatalf("MinCrossDelay = %d, want 7", p.MinCrossDelay)
+	return g
+}
+
+// isolated returns g with every edge at the nodes u with u%every == 0 removed.
+func isolated(g *graph.Graph, every int) *graph.Graph {
+	h := graph.New(g.N())
+	for _, e := range g.Edges() {
+		if int(e.U)%every != 0 && int(e.V)%every != 0 {
+			h.MustAddEdge(e.U, e.V)
+		}
+	}
+	return h
+}
+
+// cycleAndIsolated is the 4-cycle 0-1-3-4 beside the isolated node 2: at
+// seed 1 the partitioner seeds on node 2, so a 2-way split cuts no edge.
+func cycleAndIsolated() *graph.Graph {
+	g := graph.New(5)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 3}, {3, 4}, {4, 0}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	return g
+}
+
+// TestPartitionPinned hashes the partitions of grids, rings, stars, the
+// benchmark-scale fabrics and disconnected graphs at k = 2, 4, 8 and three
+// seeds. The pins were taken from the partitioner that contracted zero-delay
+// edges; they show that every node being its own unit changed no partition
+// the simulator can ask for.
+func TestPartitionPinned(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"grid8x8", graph.Grid(8, 8), "0022ba499a05eeb9"},
+		{"grid16x16", graph.Grid(16, 16), "bdc4d97b4641377f"},
+		{"grid5x13", graph.Grid(5, 13), "33b1a8f860974121"},
+		{"ring7", graph.Ring(7), "181e45203ac5d0a0"},
+		{"ring50", graph.Ring(50), "ab680de40fbb5b1e"},
+		{"star33", graph.Star(33), "024d49e8acb63303"},
+		{"gnp208", graph.GNP(208, 14.0/207, 1), "7c8b3a8889f7bee6"},
+		{"fabric208-1", fabricLike(208, 14, 1), "0f99ae45d03bcc5d"},
+		{"fabric208-2", fabricLike(208, 14, 2), "3a93326850e242b0"},
+		{"fabric208-7", fabricLike(208, 14, 7), "48c61fe6004be16c"},
+		{"two-grids", disjoint(graph.Grid(6, 6), graph.Grid(4, 5)), "be59d7cde72e0682"},
+		{"ring-and-star", disjoint(graph.Ring(9), graph.Star(12)), "c32d8ee9b0ff23bb"},
+		{"gnp-every5th-isolated", isolated(graph.GNP(60, 0.08, 3), 5), "f2c93531e2d3cee3"},
+		{"edgeless9", graph.New(9), "f12f614c8123362a"},
+		{"cycle-and-isolated", cycleAndIsolated(), "3f99d7e248e78e46"},
+	}
+	for _, c := range graphs {
+		h := sha256.New()
+		for _, k := range []int{2, 4, 8} {
+			for _, seed := range []int64{1, 7, 42} {
+				p := graph.PartitionK(c.g, k, seed)
+				if err := p.Validate(c.g); err != nil {
+					t.Fatalf("%s k=%d seed=%d: %v", c.name, k, seed, err)
+				}
+				fmt.Fprintln(h, p.K, p.Assign, p.Sizes, p.CutEdges)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != c.want {
+			t.Errorf("%s: partitions hash %s, pinned %s", c.name, got, c.want)
+		}
 	}
 }

@@ -1,14 +1,13 @@
 // Sharded space-parallel execution: the graph is partitioned across worker
 // shards (internal/graph.PartitionK) and each shard runs its own event core
-// inside conservative synchronous windows. The minimum possible cross-shard
-// link delay is the lookahead: a packet sent at time t needs at least that
-// long to reach another shard, so inside the window [W, W+lookahead-1] the
-// shards cannot influence each other and run in parallel; boundary packets
-// are exchanged at the barrier and always land in a later window. Zero-delay
-// edges are contracted before partitioning, so the lookahead is >= 1 whenever
-// more than one shard exists; an all-zero-delay model collapses to one shard
-// and runs serially. See docs/PERF.md ("Sharded space-parallel execution")
-// for the design, the determinism contract, and the proof sketch.
+// inside conservative synchronous windows. The lookahead is the model's
+// minimum hop delay: every hop, cross-shard or not, takes at least that long,
+// so inside the window [W, W+lookahead-1] the shards cannot influence each
+// other and run in parallel; boundary packets are exchanged at the barrier
+// and always land in a later window. The width does not depend on what the
+// partition cuts. A model whose minimum hop delay is 0 has no lookahead and
+// runs on one serial shard. See docs/PERF.md ("Sharded space-parallel
+// execution") for the design, the determinism contract, and the proof sketch.
 
 package sim
 
@@ -22,16 +21,17 @@ import (
 	"fastnet/internal/trace"
 )
 
-// WithShards selects the shard-mode engine with p workers (p is a cap: the
-// partitioner may produce fewer parts). Shard mode is a different stream
-// contract than the classic serial scheduler — delay and fault draws, and
-// activation/message labels, come from per-node streams instead of network-
-// global ones, and same-instant dispatch follows a canonical (time, origin)
-// order — precisely so that every observable (traces, metrics, ledgers,
-// per-node vectors) is byte-identical for every p >= 1 on the same scenario.
-// WithShards(1) is the serial reference execution of that contract; shard
-// differential tests compare it against p > 1. WithShards(0) (or omitting
-// the option) keeps the classic scheduler and its pinned golden streams.
+// WithShards selects the shard-mode engine with p workers (p is a cap: a
+// graph with fewer nodes gets fewer parts, and a model with hardware delay 0
+// runs on one). Shard mode is a different stream contract than the classic
+// serial scheduler — delay and fault draws, and activation/message labels,
+// come from per-node streams instead of network-global ones, and
+// same-instant dispatch follows a canonical (time, origin) order — precisely
+// so that every observable (traces, metrics, ledgers, per-node vectors) is
+// byte-identical for every p >= 1 on the same scenario. WithShards(1) is the
+// serial reference execution of that contract; shard differential tests
+// compare it against p > 1. WithShards(0) (or omitting the option) keeps the
+// classic scheduler and its pinned golden streams.
 func WithShards(p int) Option {
 	return func(cf *config) {
 		if p < 0 {
@@ -44,8 +44,7 @@ func WithShards(p int) Option {
 // minHwDelay is the smallest hardware delay any live hop can take under the
 // configuration: exact delays always pay C; randomized delays draw from
 // [1, C]. Fault-injected extra delays (jitter, reorder, slowdown) only add,
-// so this bound — and therefore the shard lookahead — survives every fault
-// profile.
+// so this bound survives every fault profile. It is the shard lookahead.
 func (cf *config) minHwDelay() core.Time {
 	if cf.hwDelay <= 0 {
 		return 0
@@ -73,8 +72,8 @@ type ShardInfo struct {
 	Shards int
 	// CutEdges is the number of edges crossing shard boundaries.
 	CutEdges int
-	// Lookahead is the synchronous-window width: the minimum possible
-	// cross-shard link delay (0 when there is a single shard).
+	// Lookahead is the synchronous-window width: the model's minimum hop
+	// delay, whatever the partition cuts (0 when there is a single shard).
 	Lookahead core.Time
 }
 
@@ -93,8 +92,9 @@ func (net *Network) ShardInfo() ShardInfo {
 // buildShards finishes construction of a shard-mode network: it partitions
 // the graph, creates the child event cores, and repoints every node's env at
 // its owning child. Called by New after the facade's nodes exist but before
-// protocol Init. With one effective part (tiny graph, all-zero-delay model,
-// or WithShards(1)) the facade itself becomes the single serial shard.
+// protocol Init. The window width is the model's minimum hop delay. With no
+// lookahead (hardware delay 0), one node, or WithShards(1), the facade itself
+// becomes the single serial shard.
 func (net *Network) buildShards() {
 	net.shardMode, net.sp.keyed = true, true
 	net.curOrigin = -1
@@ -109,18 +109,11 @@ func (net *Network) buildShards() {
 	if d <= 0 || net.cfg.shards <= 1 || net.g.N() < 2 {
 		return // serial shard-mode reference: the facade is the one shard
 	}
-	part := graph.PartitionK(net.g, graph.PartitionOptions{
-		K:         net.cfg.shards,
-		Seed:      net.cfg.seed,
-		EdgeDelay: func(u, v graph.NodeID) int64 { return int64(d) },
-	})
-	if part.K <= 1 {
-		return
-	}
+	part := graph.PartitionK(net.g, net.cfg.shards, net.cfg.seed)
 	grp := &shardGroup{
 		fac:       net,
 		assign:    part.Assign,
-		lookahead: core.Time(part.MinCrossDelay),
+		lookahead: d,
 		cutEdges:  part.CutEdges,
 	}
 	for s := 0; s < part.K; s++ {

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
@@ -137,18 +139,61 @@ func TestShardEngagement(t *testing.T) {
 	requireEqualRuns(t, serial, sharded)
 }
 
-// TestShardSerialFallback: an all-zero-delay model contracts the whole graph
-// into one supernode, so any shard request collapses to the serial reference.
+// TestShardSerialFallback: an all-zero-delay model has no lookahead, so any
+// shard request collapses to the serial reference.
 func TestShardSerialFallback(t *testing.T) {
 	g := graph.GNP(64, 0.1, 3)
 	net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
 		sim.WithDelays(0, 1), sim.WithShards(8))
 	if got := net.Shards(); got != 1 {
-		t.Fatalf("zero-delay network partitioned into %d shards; zero-delay edges must never be cut", got)
+		t.Fatalf("zero-delay network partitioned into %d shards; with no lookahead it must run serially", got)
 	}
 	if info := net.ShardInfo(); info.Lookahead != 0 || info.CutEdges != 0 {
 		t.Fatalf("fallback ShardInfo = %+v, want zero cut stats", info)
 	}
+}
+
+// TestShardPartitionWithoutCutEdge: a partition whose parts are exactly the
+// graph's components cuts no edge, and the window is still the model's
+// minimum hop delay. Node 2 sits isolated beside the 4-cycle 0-1-3-4; at
+// seed 1 the partitioner seeds on node 2, so two shards share no edge. The
+// run must end and match the serial reference. It runs under a watchdog, so
+// a zero-width window fails the test instead of spinning forever.
+func TestShardPartitionWithoutCutEdge(t *testing.T) {
+	g := graph.New(5)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 3}, {3, 4}, {4, 0}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	run := func(shards int) (lossyRun, sim.ShardInfo) {
+		buf := trace.NewSerial(0)
+		net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
+			sim.WithDelays(1, 1), sim.WithSeed(1), sim.WithDmax(g.N()), sim.WithTrace(buf), sim.WithShards(shards))
+		for u := 0; u < g.N(); u++ {
+			net.Inject(0, core.NodeID(u), topology.Trigger{})
+		}
+		var finish core.Time
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			finish, err = net.Run()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d-shard run on %+v had not returned after 10 s", shards, net.ShardInfo())
+		}
+		return observed(buf, net, finish), net.ShardInfo()
+	}
+	serial, _ := run(1)
+	sharded, info := run(2)
+	if want := (sim.ShardInfo{Shards: 2, CutEdges: 0, Lookahead: 1}); info != want {
+		t.Errorf("ShardInfo = %+v, want %+v", info, want)
+	}
+	requireEqualRuns(t, serial, sharded)
 }
 
 // TestShardEpochsAndDriverAPI drives the full mid-run driver surface the way
@@ -253,14 +298,19 @@ func TestSetDefaultShards(t *testing.T) {
 
 // FuzzShardCount searches for a shard-count dependence over random graphs,
 // seeds, delay configs, shard counts, and fault profiles (including link
-// flips that cut shard boundaries). Run as a CI fuzz smoke like
+// flips that cut shard boundaries). isolate strips every edge of node u < 8
+// when its bit u is set, so graphs with several components — and partitions
+// that cut no edge — are reachable. Run as a CI fuzz smoke like
 // FuzzCutThrough.
 func FuzzShardCount(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(10), uint8(2), uint8(2), uint8(1), false, uint8(0), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(64), uint8(8), uint8(4), uint8(1), uint8(2), true, uint8(10), uint8(10), uint8(15))
-	f.Add(int64(42), uint8(24), uint8(30), uint8(7), uint8(3), uint8(1), false, uint8(25), uint8(0), uint8(25))
-	f.Fuzz(func(t *testing.T, seed int64, n, pPct, shards, c, sw uint8, randomize bool, drop, dup, jitter uint8) {
-		nodes := 8 + int(n)%120
+	f.Add(int64(1), uint8(40), uint8(10), uint8(2), uint8(2), uint8(1), false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(64), uint8(8), uint8(4), uint8(1), uint8(2), true, uint8(10), uint8(10), uint8(15), uint8(0))
+	f.Add(int64(42), uint8(24), uint8(30), uint8(7), uint8(3), uint8(1), false, uint8(25), uint8(0), uint8(25), uint8(0x91))
+	// TestShardPartitionWithoutCutEdge's graph: GNP(5, 0.29, 126) with node 2
+	// isolated is the 4-cycle 0-1-3-4, and at seed 126 two shards cut no edge.
+	f.Add(int64(126), uint8(3), uint8(25), uint8(0), uint8(1), uint8(0), false, uint8(0), uint8(0), uint8(0), uint8(1<<2))
+	f.Fuzz(func(t *testing.T, seed int64, n, pPct, shards, c, sw uint8, randomize bool, drop, dup, jitter, isolate uint8) {
+		nodes := 2 + int(n)%126
 		p := 0.04 + float64(pPct%100)/100
 		hw := core.Time(c % 4)     // 0 covers the serial fallback
 		swd := core.Time(1 + sw%3) // software delay >= 1
@@ -273,6 +323,13 @@ func FuzzShardCount(f *testing.F) {
 			Reorder:   float64(jitter%20) / 200,
 		}
 		g := graph.GNP(nodes, p, seed)
+		for u := 0; u < min(nodes, 8); u++ {
+			if isolate&(1<<u) != 0 {
+				for _, v := range slices.Clone(g.Neighbors(graph.NodeID(u))) {
+					g.RemoveEdge(graph.NodeID(u), v)
+				}
+			}
+		}
 		edges := g.Edges()
 		run := func(shardCount int) string {
 			buf := trace.NewSerial(0)
@@ -282,8 +339,10 @@ func FuzzShardCount(f *testing.F) {
 				opts = append(opts, sim.WithRandomDelays())
 			}
 			net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, true, nil), opts...)
-			net.SetLink(2, edges[0].U, edges[0].V, false)
-			net.SetLink(9, edges[0].U, edges[0].V, true)
+			if len(edges) > 0 {
+				net.SetLink(2, edges[0].U, edges[0].V, false)
+				net.SetLink(9, edges[0].U, edges[0].V, true)
+			}
 			for u := 0; u < nodes; u += 3 {
 				net.Inject(core.Time(u%4), core.NodeID(u), topology.Trigger{})
 			}
