@@ -6,6 +6,7 @@
 package fastnet_test
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -337,6 +338,30 @@ func BenchmarkOpenLoopZipf(b *testing.B) {
 		Capacity: core.Capacity{NCUQueue: 64, LinkRate: 2, LinkBurst: 8},
 	})
 }
+
+// benchRoutePairs routes the pair table's batch shape — 4,096 random ordered
+// pairs — on a degree-6 random fabric of n nodes, where each pair's search
+// is the cost that grows with n.
+func benchRoutePairs(b *testing.B, n int) {
+	g := graph.GNP(n, 6.0/float64(n), 1)
+	pm := core.NewPortMap(g)
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]core.NodeID, 4096)
+	for i := range pairs {
+		pairs[i] = [2]core.NodeID{core.NodeID(rng.Intn(n)), core.NodeID(rng.Intn(n))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pm.RoutePairs(g, pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRoutePairs1024(b *testing.B)  { benchRoutePairs(b, 1024) }
+func BenchmarkRoutePairs4096(b *testing.B)  { benchRoutePairs(b, 4096) }
+func BenchmarkRoutePairs16384(b *testing.B) { benchRoutePairs(b, 16384) }
 
 // BenchmarkElection1024 is the other half of ctl-c0: one §4 token election,
 // every node starting. It pins the handler cost per capture — domain

@@ -54,7 +54,12 @@ var (
 // Direct builds the header for a plain point-to-point route: every hop uses
 // the normal link ID and only the final NCU receives the packet.
 func Direct(links []ID) Header {
-	h := make(Header, 0, len(links)+1)
+	return AppendDirect(make(Header, 0, len(links)+1), links)
+}
+
+// AppendDirect appends Direct(links)'s hops to h, so many headers can share
+// one backing array.
+func AppendDirect(h Header, links []ID) Header {
 	for _, l := range links {
 		h = append(h, Hop{Link: l})
 	}

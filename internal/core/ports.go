@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"fastnet/internal/anr"
@@ -174,7 +172,11 @@ func (pm *PortMap) RouteLinks(path []NodeID) ([]anr.ID, error) {
 	if len(path) == 0 {
 		return nil, fmt.Errorf("core: empty path")
 	}
-	links := make([]anr.ID, 0, len(path)-1)
+	return pm.appendLinks(make([]anr.ID, 0, len(path)-1), path)
+}
+
+// appendLinks appends the link IDs of a non-empty node path to links.
+func (pm *PortMap) appendLinks(links []anr.ID, path []NodeID) ([]anr.ID, error) {
 	for i := 0; i+1 < len(path); i++ {
 		id, ok := pm.Toward(path[i], path[i+1])
 		if !ok {
@@ -185,37 +187,35 @@ func (pm *PortMap) RouteLinks(path []NodeID) ([]anr.ID, error) {
 	return links, nil
 }
 
+// routeChunk is how many link IDs RoutePairs carves routes from per array.
+const routeChunk = 1024
+
 // RoutePairs computes the min-hop link route (RouteLinks of the BFS tree
 // path) for every ordered (src, dst) pair: routes[i] belongs to pairs[i] and
 // is nil when dst is unreachable from src or either endpoint is outside g.
-// Pairs are grouped by source and routed through one graph.Search, which
-// expands each source's BFS only as far as its destinations lie and restarts
-// at the next source in O(1). Routes are exactly those of a per-pair
-// g.BFSTree(src).PathFromRoot(dst).
+// Each pair is searched from both ends by one reused graph.Search, in input
+// order, and its route is exactly that of g.BFSTree(src).PathFromRoot(dst).
+// Routes are capped windows (cap == len) of shared arrays, so appending to
+// one copies it rather than overwriting the next.
 func (pm *PortMap) RoutePairs(g *graph.Graph, pairs [][2]NodeID) ([][]anr.ID, error) {
-	order := make([]int32, len(pairs))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(pairs[a][0], pairs[b][0]) })
 	routes := make([][]anr.ID, len(pairs))
 	search := graph.NewSearch(g)
-	root := graph.None
 	var path []NodeID
-	for _, i := range order {
-		src, dst := pairs[i][0], pairs[i][1]
-		if src != root { // src == None is out of range: the rootless search answers nil
-			search.Restart(src)
-			root = src
-		}
-		if path = search.PathTo(path[:0], dst); path == nil {
+	var chunk []anr.ID
+	for i, p := range pairs {
+		if path = search.Path(path[:0], p[0], p[1]); path == nil {
 			continue
 		}
-		links, err := pm.RouteLinks(path)
-		if err != nil {
+		// A nil chunk would make src == dst's empty route nil, i.e. unreachable.
+		if hops := len(path) - 1; chunk == nil || cap(chunk)-len(chunk) < hops {
+			chunk = make([]anr.ID, 0, max(routeChunk, hops))
+		}
+		start := len(chunk)
+		var err error
+		if chunk, err = pm.appendLinks(chunk, path); err != nil {
 			return nil, err
 		}
-		routes[i] = links
+		routes[i] = chunk[start:len(chunk):len(chunk)]
 	}
 	return routes, nil
 }

@@ -1,41 +1,55 @@
 package graph
 
-// Search is a resumable breadth-first search for callers that want paths
-// from one root to a few destinations, not the whole tree. PathTo expands
-// the frontier only until the destination asked of it is discovered — a node
-// is discovered while its parent is scanned, a full layer before it would be
-// dequeued — and the next PathTo of the same root resumes where that one
-// stopped. Restart moves to a new root in O(1): a node's state counts only
-// when its stamp equals the current epoch, so nothing is re-initialized.
+// Search finds min-hop paths between pairs of nodes by growing breadth-first
+// layers from both ends until they meet, for callers that want a few routes,
+// not a whole tree. Each step expands the smaller of the two frontiers by one
+// whole layer, so when a layer first reaches a node the other end has seen,
+// both distances are exact and the path length D is the sum of the two radii.
+// On a random fabric that touches a small fraction of the nodes a one-sided
+// search discovers before reaching dst.
 //
-// Discovery order is BFSTreeInto's (sorted adjacency, FIFO frontier, first
-// discoverer becomes the parent), so every path is exactly
-// g.BFSTree(root).PathFromRoot(dst). The graph must not change between a
-// Restart and the PathTo calls that follow it.
+// The path returned is exactly g.BFSTree(src).PathFromRoot(dst). That tree
+// (sorted adjacency, FIFO frontier, first discoverer as parent) gives every
+// node the shortest path whose sequence of adjacency indices from src is
+// lexicographically least: by induction, a layer is dequeued in the order of
+// those sequences, so a node's first discoverer is the neighbour with the
+// least one. Path builds the same path from the two half-searches: it labels
+// the src-side nodes that lie on a shortest path with their distance to dst,
+// walking back from the meeting layer, and then steps from src to the first
+// neighbour in adjacency order one hop closer to dst.
+//
+// Node state is stamped with an epoch, so nothing is cleared between pairs.
+// The graph must not change during a Path call.
 type Search struct {
 	g     *Graph
 	epoch uint32
 	nodes []searchNode
-	queue []NodeID // discovered nodes in discovery order; queue[head:] is the frontier
-	head  int
+	queue [2][]NodeID // each end's discovered nodes in discovery order
+	meet  []NodeID    // the meeting layer, then the labelled layers behind it
 }
 
-// searchNode is one node's state; it is valid when epoch matches Search.epoch.
+// searchNode is one node's state as seen from each end (0: src, 1: dst); an
+// end's depth is valid when its seen stamp equals Search.epoch.
 type searchNode struct {
-	epoch  uint32
-	depth  int32
-	parent NodeID
+	seen  [2]uint32
+	depth [2]int32
 }
 
-// NewSearch returns a search over g with no root: every PathTo gives nil
-// until the first Restart.
+// NewSearch returns a search over g.
 func NewSearch(g *Graph) *Search {
 	return &Search{g: g}
 }
 
-// Restart abandons the current search and roots a new one at root. An
-// out-of-range root leaves the search empty, so every path from it is nil.
-func (s *Search) Restart(root NodeID) {
+// Path returns the node sequence src..dst of g.BFSTree(src).PathFromRoot(dst),
+// or nil if dst is unreachable from src or either endpoint is out of range.
+// The path is written into buf's backing array when it is large enough.
+func (s *Search) Path(buf []NodeID, src, dst NodeID) []NodeID {
+	if !s.g.valid(src) || !s.g.valid(dst) {
+		return nil
+	}
+	if src == dst {
+		return append(buf[:0], src)
+	}
 	if len(s.nodes) != s.g.n {
 		s.nodes = make([]searchNode, s.g.n)
 		s.epoch = 0
@@ -45,43 +59,66 @@ func (s *Search) Restart(root NodeID) {
 		clear(s.nodes)
 		s.epoch = 1
 	}
-	s.queue = s.queue[:0]
-	s.head = 0
-	if !s.g.valid(root) {
-		return
+	nodes, epoch := s.nodes, s.epoch
+	s.meet = s.meet[:0]
+	var lo [2]int // start of each end's frontier in its queue
+	var radius [2]int32
+	for end, u := range [2]NodeID{src, dst} {
+		nodes[u].seen[end], nodes[u].depth[end] = epoch, 0
+		s.queue[end] = append(s.queue[end][:0], u)
 	}
-	s.nodes[root] = searchNode{epoch: s.epoch, parent: None}
-	s.queue = append(s.queue, root)
-}
-
-// PathTo returns the node sequence root..dst, or nil if dst is unreachable
-// from the root or out of range. The path is written into buf's backing array
-// when it is large enough.
-func (s *Search) PathTo(buf []NodeID, dst NodeID) []NodeID {
-	if !s.g.valid(dst) || len(s.nodes) != s.g.n { // the latter: no Restart yet
-		return nil
-	}
-	nodes, epoch, queue := s.nodes, s.epoch, s.queue
-	for nodes[dst].epoch != epoch && s.head < len(queue) {
-		u := queue[s.head]
-		s.head++
-		d := nodes[u].depth + 1
-		for _, v := range s.g.adj[u] {
-			if nodes[v].epoch != epoch {
-				nodes[v] = searchNode{epoch: epoch, depth: d, parent: u}
-				queue = append(queue, v)
+	for len(s.meet) == 0 {
+		end := 0
+		if len(s.queue[1])-lo[1] < len(s.queue[0])-lo[0] {
+			end = 1
+		}
+		q, hi := s.queue[end], len(s.queue[end])
+		if lo[end] == hi {
+			return nil // this end's component is exhausted without meeting the other
+		}
+		radius[end]++
+		for _, u := range q[lo[end]:hi] {
+			for _, v := range s.g.adj[u] {
+				n := &nodes[v]
+				if n.seen[end] == epoch {
+					continue
+				}
+				n.seen[end], n.depth[end] = epoch, radius[end]
+				q = append(q, v)
+				if n.seen[1-end] == epoch {
+					s.meet = append(s.meet, v)
+				}
 			}
 		}
+		s.queue[end], lo[end] = q, hi
 	}
-	s.queue = queue
-	if nodes[dst].epoch != epoch {
-		return nil
+	// Every meeting node sits radius[0] hops from src and radius[1] from dst.
+	// Label the src-side nodes on a shortest path with their distance to dst,
+	// one layer at a time back to src: a node k-1 hops out is on one when a
+	// labelled node k hops out is its neighbour. No node short of the meeting
+	// layer was reached from dst, so every label is exact.
+	d := radius[0] + radius[1]
+	for k, a := radius[0], 0; k > 0; k-- {
+		b := len(s.meet)
+		for _, w := range s.meet[a:b] {
+			for _, v := range s.g.adj[w] {
+				if n := &nodes[v]; n.seen[0] == epoch && n.depth[0] == k-1 && n.seen[1] != epoch {
+					n.seen[1], n.depth[1] = epoch, d-k+1
+					s.meet = append(s.meet, v)
+				}
+			}
+		}
+		a = b
 	}
-	d := int(nodes[dst].depth)
-	path := resizeNodes(buf, d+1)
-	for v := dst; v != None; v = nodes[v].parent {
-		path[d] = v
-		d--
+	path := resizeNodes(buf, int(d)+1)
+	path[0] = src
+	for k := 1; k < len(path); k++ {
+		for _, v := range s.g.adj[path[k-1]] {
+			if n := &nodes[v]; n.seen[1] == epoch && n.depth[1] == d-int32(k) {
+				path[k] = v
+				break
+			}
+		}
 	}
 	return path
 }

@@ -24,7 +24,8 @@ type pairEntry struct {
 // PairTable is the Zipf-skewed endpoint popularity table: a fixed set of
 // distinct (src,dst) pairs, pair i carrying weight 1/(i+1)^skew (uniform at
 // skew 0), sampled in O(1) with the alias method. Routes are shortest paths
-// precomputed at build time by core.PortMap.RoutePairs.
+// precomputed at build time by core.PortMap.RoutePairs; the headers share one
+// hop array.
 type PairTable struct {
 	entries []pairEntry
 	alias   aliasTable
@@ -50,7 +51,7 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 	}
 	// Draw the pairs first — reachability, which decides how many draws the
 	// rng sequence takes, is a component-label comparison — and route the
-	// whole batch afterwards, one BFS per distinct source.
+	// whole batch afterwards, each pair searched from both ends.
 	comp := make([]int32, n)
 	for c, nodes := range g.Components() {
 		for _, u := range nodes {
@@ -102,9 +103,17 @@ func NewPairTable(g *graph.Graph, pm *core.PortMap, count int, skew float64, see
 	if err != nil {
 		return nil, err
 	}
+	// Every header is a capped window of one hop array.
+	total := 0
+	for _, r := range routes {
+		total += len(r) + 1
+	}
+	hops := make(anr.Header, 0, total)
 	t := &PairTable{entries: make([]pairEntry, len(chosen))}
 	for i, p := range chosen {
-		t.entries[i] = pairEntry{src: p[0], dst: p[1], hdr: anr.Direct(routes[i])}
+		start := len(hops)
+		hops = anr.AppendDirect(hops, routes[i])
+		t.entries[i] = pairEntry{src: p[0], dst: p[1], hdr: hops[start:len(hops):len(hops)]}
 		t.maxHops = max(t.maxHops, len(routes[i]))
 	}
 	if len(t.entries) == 0 {

@@ -77,7 +77,7 @@ func referencePairs(t *testing.T, g *graph.Graph, pm *core.PortMap, count int, s
 }
 
 // TestPairTableMatchesPerSourceTrees: drawing the pairs first (reachability
-// by component label) and batch-routing them through one reused tree must
+// by component label) and batch-routing them through RoutePairs must
 // reproduce the original table entry for entry — same pairs in the same
 // popularity order, headers equal hop for hop — on both the dense and the
 // sparse branch, and on a disconnected graph where unreachable draws are

@@ -26,7 +26,8 @@ smokes=(
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
 	"./internal/sim/|-run TestStageLoadAllocs -count=1 -v|shard-mode stage: 0 allocs to promote a slot of 1 to 20,000 entries once its buffer has grown"
 	"./internal/load/|-run TestOpenLoopAllocsPerCall -count=1 -v|open loop: <= 0.1 allocs/call"
-	"./internal/load/|-run TestOpenLoopAllocsPerRun -count=1 -v|open loop: <= 12,500 allocs per whole run on both benchmark shapes"
+	"./internal/load/|-run TestOpenLoopAllocsPerRun -count=1 -v|open loop: <= 3,500 allocs per whole run on both benchmark shapes (pair-table routes and headers in shared arrays)"
+	"./internal/core/|-run TestRoutePairsAllocs -count=1 -v|batch routing: <= 64 objects and <= 215 KB for 4,096 pairs on a 1024-node fabric (routes are windows of shared arrays)"
 	"./internal/topology/|-run TestQuietRoundAllocs -count=1 -v|quiet round: <= 20 allocs/broadcast, full knowledge included (plan and records shared)"
 	"./internal/topology/|-run TestQuietFloodAllocs -count=1 -v|quiet flood: <= 0.1 allocs/delivery, nothing per forwarded copy"
 	"./internal/traffic/|-run TestRelayAllocsPerPacket -count=1 -v|relay: <= 0.1 allocs/packet, both disciplines"
