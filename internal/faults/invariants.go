@@ -87,7 +87,6 @@ func (r *soakRun) setupCalls(epoch int) ([]callInfo, error) {
 		return nil, nil
 	}
 	live := r.st.liveGraph()
-	trees := newTreeMemo(live)
 	var callers []core.NodeID
 	for v := 0; v < live.N(); v++ {
 		if live.Degree(core.NodeID(v)) > 0 {
@@ -97,7 +96,8 @@ func (r *soakRun) setupCalls(epoch int) ([]callInfo, error) {
 	pm := r.h.PortMap()
 	for i := 0; i < r.cfg.Calls && len(callers) > 0; i++ {
 		caller := callers[r.rng.Intn(len(callers))]
-		dist := trees.tree(caller).Depth
+		tree := live.BFSTree(caller)
+		dist := tree.Depth
 		var far, near []core.NodeID
 		for v := 0; v < live.N(); v++ {
 			switch {
@@ -115,7 +115,7 @@ func (r *soakRun) setupCalls(epoch int) ([]callInfo, error) {
 			continue
 		}
 		callee := pool[r.rng.Intn(len(pool))]
-		path := trees.tree(caller).PathFromRoot(callee)
+		path := tree.PathFromRoot(callee)
 		links, err := pm.RouteLinks(path)
 		if err != nil {
 			return nil, fmt.Errorf("faults: routing call path: %w", err)
@@ -151,30 +151,25 @@ func (r *soakRun) checkReliable(epoch int, profile core.MsgFaults) error {
 	if len(comp) < 2 {
 		return nil
 	}
-	trees := newTreeMemo(live)
-	pm := r.h.PortMap()
-	type ledgerEntry struct {
-		token    uint64
-		src, dst core.NodeID
-	}
-	var batch []ledgerEntry
-	senders := make(map[core.NodeID]bool)
-	for i := 0; i < r.cfg.Reliable; i++ {
+	pairs := make([][2]core.NodeID, r.cfg.Reliable)
+	for i := range pairs {
 		si := r.rng.Intn(len(comp))
 		di := r.rng.Intn(len(comp) - 1)
 		if di >= si {
 			di++
 		}
-		src, dst := comp[si], comp[di]
-		path := trees.tree(src).PathFromRoot(dst)
-		links, err := pm.RouteLinks(path)
-		if err != nil {
-			return fmt.Errorf("faults: routing ledger token: %w", err)
-		}
+		pairs[i] = [2]core.NodeID{comp[si], comp[di]}
+	}
+	routes, err := r.h.PortMap().RoutePairs(live, pairs)
+	if err != nil {
+		return fmt.Errorf("faults: routing ledger tokens: %w", err)
+	}
+	first := r.relSeq + 1 // pairs[i] carries token first+i
+	senders := make(map[core.NodeID]bool)
+	for i, p := range pairs {
 		r.relSeq++
-		batch = append(batch, ledgerEntry{token: r.relSeq, src: src, dst: dst})
-		senders[src] = true
-		r.h.Inject(src, relSend{Dst: dst, Route: anr.Direct(links), Token: r.relSeq})
+		senders[p[0]] = true
+		r.h.Inject(p[0], relSend{Dst: p[1], Route: anr.Direct(routes[i]), Token: r.relSeq})
 	}
 	if err := r.h.Quiesce(); err != nil {
 		return err
@@ -215,15 +210,16 @@ func (r *soakRun) checkReliable(epoch int, profile core.MsgFaults) error {
 	if n := backlog(); n > 0 {
 		return violated(epoch, 6, "%d reliable frames still pending after the fabric healed", n)
 	}
-	for _, s := range batch {
-		got := r.rel.deliveries(s.token)
+	for i, p := range pairs {
+		token := first + uint64(i)
+		got := r.rel.deliveries(token)
 		switch {
 		case len(got) == 0:
-			return violated(epoch, 6, "ledger token %d (%d->%d) was never applied", s.token, s.src, s.dst)
+			return violated(epoch, 6, "ledger token %d (%d->%d) was never applied", token, p[0], p[1])
 		case len(got) > 1:
-			return violated(epoch, 6, "ledger token %d (%d->%d) applied %d times at %v", s.token, s.src, s.dst, len(got), got)
-		case got[0] != s.dst:
-			return violated(epoch, 6, "ledger token %d (%d->%d) applied at wrong node %d", s.token, s.src, s.dst, got[0])
+			return violated(epoch, 6, "ledger token %d (%d->%d) applied %d times at %v", token, p[0], p[1], len(got), got)
+		case got[0] != p[1]:
+			return violated(epoch, 6, "ledger token %d (%d->%d) applied at wrong node %d", token, p[0], p[1], got[0])
 		}
 	}
 	// Phantom sweep: the ledger may hold exactly the tokens ever sent. A
@@ -655,26 +651,4 @@ func (r *soakRun) checkProbes(epoch int, profile core.MsgFaults) error {
 		}
 	}
 	return nil
-}
-
-// treeMemo caches BFS trees per source over one fixed live-graph snapshot,
-// so a soak phase that routes many calls or ledger tokens from the same
-// node runs one traversal instead of one per route. The memo must not
-// outlive the snapshot it was built from.
-type treeMemo struct {
-	g     *graph.Graph
-	trees map[core.NodeID]*graph.Tree
-}
-
-func newTreeMemo(g *graph.Graph) *treeMemo {
-	return &treeMemo{g: g, trees: make(map[core.NodeID]*graph.Tree)}
-}
-
-func (m *treeMemo) tree(src core.NodeID) *graph.Tree {
-	if t, ok := m.trees[src]; ok {
-		return t
-	}
-	t := m.g.BFSTree(src)
-	m.trees[src] = t
-	return t
 }

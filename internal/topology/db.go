@@ -105,20 +105,21 @@ func (l *localTopo) snapshot(env core.Env) {
 }
 
 // DB is one node's view of the network topology: the newest Record per node,
-// behind an amortized routing plane. Every NCU of a network keeps one, so a
-// database costs what it holds: its store and node index grow with the
-// records, never with the largest node ID a record names, and the rest is
-// made by the first query that needs it. Control software computes routes
-// from its map far more often than the map changes (the paper's §2–3
-// division of labor: software plans, hardware executes), so everything
-// derived from the records — the materialized view graph, per-source BFS and
-// min-load trees, and finished ANR headers — is cached and invalidated by a
-// monotonic version counter that only routing-relevant changes bump.
-// Re-installing a record whose links are unchanged (the per-round refresh of
-// a quiet node) advances the sequence number without invalidating anything.
+// behind a routing plane. Every NCU of a network keeps one, so a database
+// costs what it holds: its store and node index grow with the records, never
+// with the largest node ID a record names, and the rest is made by the first
+// query that needs it. Control software computes routes from its own map (the
+// paper's §2–3 division of labor: software plans, hardware executes), so a
+// database keeps what is derived from the records — the materialized view
+// graph, one min-hop tree and one load-weighted tree — and a monotonic
+// version counter that only routing-relevant changes bump tells when that is
+// stale. Each tree is kept for one source: the node's own, which is all the
+// product ever routes from. Re-installing a record whose links are unchanged
+// (the per-round refresh of a quiet node) advances the sequence number
+// without invalidating anything.
 //
-// All cached results — View, BFSTree, Route and RouteMinLoad headers — are
-// shared with the caller and must be treated as immutable.
+// View and BFSTree results are shared with the caller and must be treated as
+// immutable; Route and RouteMinLoad build a fresh header per call.
 type DB struct {
 	// version advances exactly when a routing-relevant change lands (a record
 	// with different links, or a node heard from for the first time), so
@@ -152,46 +153,22 @@ type DB struct {
 	view   *graph.Graph // nil until the first View call
 	viewAt uint64
 
-	// Per-source route caches, made by the first tree or route query: most
-	// databases of a large network only ever store and relay.
-	caches *routeCaches
+	// The routing trees, made by the first tree or route query: most
+	// databases of a large network only ever store and relay. A pointer, so a
+	// database that never routes pays one word for them.
+	trees *treeSlots
 
 	nodeBuf []core.NodeID // scratch: route paths, patchView's neighbor list
 }
 
-// routeCaches holds everything computed per source, all valid for at ==
-// version only: min-hop trees, load-weighted trees with their distance
-// arrays, and finished headers (including negative results) per (src, dst)
-// pair.
-type routeCaches struct {
-	at        uint64
-	trees     map[core.NodeID]*graph.Tree
-	loadTrees map[core.NodeID]*loadTree
-	routes    map[pairKey]routeResult
-	loadRts   map[pairKey]routeResult
-
-	// Scratch recycled across invalidations.
-	treePool  []*graph.Tree
-	ltreePool []*loadTree
-}
-
-// loadTree is one cached load-weighted shortest-path tree.
-type loadTree struct {
-	tree *graph.Tree
-	dist []int64
-}
-
-// routeResult memoizes one Route/RouteMinLoad outcome, error included.
-type routeResult struct {
-	h   anr.Header
-	err error
-}
-
-// pairKey packs a (src, dst) pair for the header caches.
-type pairKey uint64
-
-func pair(src, dst core.NodeID) pairKey {
-	return pairKey(uint64(uint32(src))<<32 | uint64(uint32(dst)))
+// treeSlots holds one min-hop tree and one load-weighted tree with its
+// distance array, each built for the source and version beside it; a query
+// for another source, or after a version bump, refills it in place.
+type treeSlots struct {
+	hop, load       *graph.Tree // nil until first built
+	hopSrc, loadSrc core.NodeID
+	hopAt, loadAt   uint64
+	dist            []int64 // the load tree's, reused by each refill
 }
 
 // entry is one stored record plus its adjacency index: indices into
@@ -362,7 +339,7 @@ func (db *DB) update(rec Record, adopt bool) bool {
 		}
 		if slices.Equal(e.rec.Links, rec.Links) {
 			// A pure sequence-number refresh leaves every derived structure
-			// valid: keep the version, and with it every cache.
+			// valid: keep the version, and with it the view and the trees.
 			db.setSeq(s, rec.Seq)
 			return true
 		}
@@ -612,29 +589,22 @@ func (db *DB) LinkID(u, v core.NodeID) (anr.ID, bool) {
 
 // Route builds an ANR source route from src to dst over a minimum-hop path
 // of the believed topology. This is the model's division of labor: control
-// software computes routes from its map, the hardware executes them. The
-// returned header is cached and shared: callers must not modify it.
+// software computes routes from its map, the hardware executes them.
 func (db *DB) Route(src, dst core.NodeID) (anr.Header, error) {
+	return db.route(src, dst, db.BFSTree)
+}
+
+// route is the body Route and RouteMinLoad share: the path from src to dst in
+// tree(src), as a header built from the stored records' link IDs.
+func (db *DB) route(src, dst core.NodeID, tree func(core.NodeID) *graph.Tree) (anr.Header, error) {
 	if src == dst {
 		return anr.Local(), nil
 	}
-	c := db.ensureCaches()
-	key := pair(src, dst)
-	if r, ok := c.routes[key]; ok {
-		return r.h, r.err
-	}
-	h, err := db.routeMinHop(src, dst)
-	c.routes[key] = routeResult{h: h, err: err}
-	return h, err
-}
-
-// routeMinHop is the uncached Route body, run once per (version, src, dst).
-func (db *DB) routeMinHop(src, dst core.NodeID) (anr.Header, error) {
 	view := db.View()
 	if int(src) >= view.N() || int(dst) >= view.N() {
 		return nil, fmt.Errorf("topology: no route %d->%d: unknown node", src, dst)
 	}
-	path := db.BFSTree(src).PathFromRootInto(db.nodeBuf, dst)
+	path := tree(src).PathFromRootInto(db.nodeBuf, dst)
 	if path == nil {
 		return nil, fmt.Errorf("topology: no route %d->%d in the believed topology", src, dst)
 	}
@@ -696,105 +666,42 @@ func (db *DB) loadOf(u, v core.NodeID) uint32 {
 // RouteMinLoad builds an ANR route from src to dst minimizing the summed
 // link costs (each hop costs 1 + load) — the routing use the paper gives
 // for the disseminated load condition (§3: broadcasts carry "the adjacent
-// links' states and loads"). The returned header is cached and shared:
-// callers must not modify it.
+// links' states and loads").
 func (db *DB) RouteMinLoad(src, dst core.NodeID) (anr.Header, error) {
-	if src == dst {
-		return anr.Local(), nil
-	}
-	c := db.ensureCaches()
-	key := pair(src, dst)
-	if r, ok := c.loadRts[key]; ok {
-		return r.h, r.err
-	}
-	h, err := db.routeMinLoad(src, dst)
-	c.loadRts[key] = routeResult{h: h, err: err}
-	return h, err
+	return db.route(src, dst, db.minLoadTree)
 }
 
-// routeMinLoad is the uncached RouteMinLoad body.
-func (db *DB) routeMinLoad(src, dst core.NodeID) (anr.Header, error) {
-	view := db.View()
-	if int(src) >= view.N() || int(dst) >= view.N() {
-		return nil, fmt.Errorf("topology: no route %d->%d: unknown node", src, dst)
+// slots returns the routing trees, making them on the first query.
+func (db *DB) slots() *treeSlots {
+	if db.trees == nil {
+		db.trees = &treeSlots{}
 	}
-	lt := db.minLoadTree(src)
-	if lt.dist[dst] < 0 {
-		return nil, fmt.Errorf("topology: no route %d->%d in the believed topology", src, dst)
-	}
-	path := lt.tree.PathFromRootInto(db.nodeBuf, dst)
-	db.nodeBuf = path[:0]
-	return db.headerFor(path)
-}
-
-// ensureCaches returns the per-source caches, valid for the current version,
-// recycling the previous generation's trees as scratch.
-func (db *DB) ensureCaches() *routeCaches {
-	c := db.caches
-	switch {
-	case c == nil:
-		c = &routeCaches{
-			trees:     make(map[core.NodeID]*graph.Tree),
-			loadTrees: make(map[core.NodeID]*loadTree),
-			routes:    make(map[pairKey]routeResult),
-			loadRts:   make(map[pairKey]routeResult),
-		}
-		db.caches = c
-	case c.at == db.version:
-		return c
-	default:
-		for _, t := range c.trees {
-			c.treePool = append(c.treePool, t)
-		}
-		for _, lt := range c.loadTrees {
-			c.ltreePool = append(c.ltreePool, lt)
-		}
-		clear(c.trees)
-		clear(c.loadTrees)
-		clear(c.routes)
-		clear(c.loadRts)
-	}
-	c.at = db.version
-	return c
+	return db.trees
 }
 
 // BFSTree returns the minimum-hop spanning tree of the believed topology
-// rooted at src, cached per (version, source). The tree is shared: callers
-// must not modify it.
+// rooted at src. The tree is shared: callers must not modify it, and the
+// next query for another source, or the first after an Update that bumps
+// the version, refills it in place.
 func (db *DB) BFSTree(src core.NodeID) *graph.Tree {
-	c := db.ensureCaches()
-	if t, ok := c.trees[src]; ok {
-		return t
+	t := db.slots()
+	if t.hop == nil || t.hopSrc != src || t.hopAt != db.version {
+		t.hop = db.View().BFSTreeInto(t.hop, src)
+		t.hopSrc, t.hopAt = src, db.version
 	}
-	var t *graph.Tree
-	if n := len(c.treePool); n > 0 {
-		t = c.treePool[n-1]
-		c.treePool = c.treePool[:n-1]
-	}
-	t = db.View().BFSTreeInto(t, src)
-	c.trees[src] = t
-	return t
+	return t.hop
 }
 
-// minLoadTree returns the load-weighted shortest-path tree rooted at src,
-// cached per (version, source).
-func (db *DB) minLoadTree(src core.NodeID) *loadTree {
-	c := db.ensureCaches()
-	if lt, ok := c.loadTrees[src]; ok {
-		return lt
+// minLoadTree is BFSTree for the load-weighted shortest-path tree.
+func (db *DB) minLoadTree(src core.NodeID) *graph.Tree {
+	t := db.slots()
+	if t.load == nil || t.loadSrc != src || t.loadAt != db.version {
+		t.load, t.dist = db.View().ShortestTreeInto(t.load, t.dist, src, func(u, v core.NodeID) int64 {
+			return 1 + int64(db.loadOf(u, v))
+		})
+		t.loadSrc, t.loadAt = src, db.version
 	}
-	var lt *loadTree
-	if n := len(c.ltreePool); n > 0 {
-		lt = c.ltreePool[n-1]
-		c.ltreePool = c.ltreePool[:n-1]
-	} else {
-		lt = &loadTree{}
-	}
-	lt.tree, lt.dist = db.View().ShortestTreeInto(lt.tree, lt.dist, src, func(u, v core.NodeID) int64 {
-		return 1 + int64(db.loadOf(u, v))
-	})
-	c.loadTrees[src] = lt
-	return lt
+	return t.load
 }
 
 // View materializes the believed topology as a graph: the edge {u, v} is

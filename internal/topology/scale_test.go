@@ -77,6 +77,49 @@ func TestDBBytesIndependentOfIDRange(t *testing.T) {
 	}
 }
 
+// liveHeap returns the bytes the heap holds live after a full collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestDBRoutingRetainsOneTree: a database that has answered Route and
+// RouteMinLoad for every ordered pair of a 256-node graph holds no more than
+// after one query of each — one min-hop tree and one load-weighted tree, not
+// a tree per source and a header per pair. Per-source trees and per-pair
+// headers kept 20.6 MB alive here.
+func TestDBRoutingRetainsOneTree(t *testing.T) {
+	g := graph.GNP(256, 8.0/256, 17)
+	db := NewDB()
+	for _, r := range RecordsForGraph(g, core.NewPortMap(g), nil) {
+		db.Update(r)
+	}
+	route := func(src, dst core.NodeID) {
+		if _, err := db.Route(src, dst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RouteMinLoad(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route(0, 255)
+	before := liveHeap()
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			route(core.NodeID(u), core.NodeID(v))
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(db)
+	grew := int64(after) - int64(before)
+	t.Logf("live heap grew by %d bytes over %d ordered pairs", grew, g.N()*g.N())
+	if grew > 64<<10 {
+		t.Errorf("live heap grew by %d bytes, want <= 64 KB", grew)
+	}
+}
+
 // TestFloodBytesPerNodeFlat runs the benchmark's flood — C = 8, every hop
 // jittered, a degree-14 fabric, 26 warm-started origins — at 1,024 and 4,096
 // nodes: what it allocates per node per origin must not grow with n.
