@@ -10,9 +10,12 @@
 // under real asynchrony). Protocol code is written once against this package
 // and runs unchanged on both; so does the hardware model both call (link
 // state, send admission, the fault ledger — docs/MODEL.md maps its clauses).
+// A handler that cannot continue calls Env.Fail: the run, not the process,
+// fails, with a *HandlerError naming the node, the time and the cause.
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"fastnet/internal/anr"
@@ -99,7 +102,26 @@ type Env interface {
 	Now() Time
 	// Rand returns this node's deterministic random source.
 	Rand() *rand.Rand
+	// Fail ends the run: this handler cannot continue. sim's Run/RunUntil
+	// or gosim's AwaitQuiescence return the run's first failure as a
+	// *HandlerError. The caller returns after Fail; Metrics are unspecified.
+	Fail(err error)
 }
+
+// HandlerError is a run's first Env.Fail: the node, the time (on gosim, the
+// activation ordinal) and why.
+type HandlerError struct {
+	Node  NodeID
+	Time  Time
+	Cause error
+}
+
+func (e *HandlerError) Error() string {
+	return fmt.Sprintf("node %d at t=%d: %v", e.Node, e.Time, e.Cause)
+}
+
+// Unwrap returns the cause, so errors.Is sees the refusal behind a failure.
+func (e *HandlerError) Unwrap() error { return e.Cause }
 
 // Protocol is the software running on an NCU. Implementations must be
 // deterministic functions of (state, callback arguments, Env.Rand()) so that

@@ -661,3 +661,17 @@ func TestSlab(t *testing.T) {
 		t.Errorf("%v allocations for %d values, want <= 25", allocs, n)
 	}
 }
+
+// TestHandlerErrorNamesNodeTimeCause pins the failure line a run a handler
+// failed returns (Env.Fail): the node, the time, then the cause, which
+// errors.Is reaches through Unwrap.
+func TestHandlerErrorNamesNodeTimeCause(t *testing.T) {
+	cause := fmt.Errorf("election: tour send: %w", anr.ErrPathTooLong)
+	err := error(&HandlerError{Node: 3, Time: 17, Cause: cause})
+	if got, want := err.Error(), "node 3 at t=17: "+cause.Error(); got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+	if !errors.Is(err, anr.ErrPathTooLong) {
+		t.Errorf("errors.Is(%v, anr.ErrPathTooLong) = false", err)
+	}
+}

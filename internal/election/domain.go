@@ -3,6 +3,10 @@
 // system calls and O(n) time, plus two classical baselines (Hirschberg–
 // Sinclair rings and a naive complete-graph exchange) whose system-call
 // complexity is Θ(n log n) and Θ(n²) under the new measures.
+//
+// §4 assumes exactly-once links: under a core.MsgFaults.Dup profile a
+// candidate can come home twice, and Run and RunAsync return the
+// *core.HandlerError of the node that met it ("unexpected comeback").
 package election
 
 import (
@@ -276,20 +280,26 @@ func (d *domain) minOut() (core.NodeID, bool) {
 // either tree, because v was itself captured through o before its own merge
 // of the sub-domain containing o arrived (possible only under non-FIFO
 // delivery). The sets are folded regardless; members the tree does not reach
-// are served by the flood transport.
-func (d *domain) merge(v *domain, o core.NodeID) bool {
+// are served by the flood transport. An error (a parent the tree lacks) is
+// ruled out by merge's parent-before-child order.
+func (d *domain) merge(v *domain, o core.NodeID) (bool, error) {
 	d.ents = slices.Grow(d.ents, len(v.ents))
 	opos, ok := v.find(o)
 	graft := ok && v.ents[opos].flags&inTree != 0 && d.has(o)
 	if graft {
 		for p := opos; p != 0; p = v.ents[p].ppos {
 			e := v.ents[p].treeEntry
-			d.graft(treeEntry{Node: e.Parent, Parent: e.Node, Down: e.Up, Up: e.Down}, false)
+			if _, err := d.graft(treeEntry{Node: e.Parent, Parent: e.Node, Down: e.Up, Up: e.Down}, false); err != nil {
+				return graft, err
+			}
 		}
 	}
 	for i := range v.ents {
 		if m := &v.ents[i]; m.Node != core.None { // else vacated by link
-			pos := d.graft(m.treeEntry, !graft || i == 0 || m.flags&inTree == 0)
+			pos, err := d.graft(m.treeEntry, !graft || i == 0 || m.flags&inTree == 0)
+			if err != nil {
+				return graft, err
+			}
 			switch {
 			case m.flags&inIN != 0:
 				d.addIn(pos)
@@ -298,7 +308,7 @@ func (d *domain) merge(v *domain, o core.NodeID) bool {
 			}
 		}
 	}
-	return graft
+	return graft, nil
 }
 
 // graft makes e.Node a member and returns its position: a node the tree
@@ -306,19 +316,15 @@ func (d *domain) merge(v *domain, o core.NodeID) bool {
 // or, with setOnly, kept or added off the tree. The parent of an attached
 // entry is always present: merge emits entries parent-before-child from a
 // node d holds.
-func (d *domain) graft(e treeEntry, setOnly bool) int32 {
+func (d *domain) graft(e treeEntry, setOnly bool) (int32, error) {
 	pos, known := d.find(e.Node)
 	switch {
 	case known && (setOnly || d.ents[pos].flags&inTree != 0):
-		return pos
+		return pos, nil
 	case setOnly:
-		return d.add(member{treeEntry: treeEntry{Node: e.Node, Parent: core.None}, ppos: -1})
+		return d.add(member{treeEntry: treeEntry{Node: e.Node, Parent: core.None}, ppos: -1}), nil
 	}
-	pos, err := d.link(e, pos, known)
-	if err != nil {
-		panic(fmt.Sprintf("election: merge graft at %d: %v", d.root(), err))
-	}
-	return pos
+	return d.link(e, pos, known)
 }
 
 // orphans lists the IN members the tree does not reach, ascending. Empty

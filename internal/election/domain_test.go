@@ -166,7 +166,11 @@ func (s *domainScript) merge() {
 		}
 	}
 	b.shipped = slices.Clone(b.d.ents)
-	got, want := a.d.merge(b.d, o), a.m.merge(b.m, o)
+	got, err := a.d.merge(b.d, o)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	want := a.m.merge(b.m, o)
 	if got != want {
 		s.t.Fatalf("merge of %d into %d at %d: grafted = %v, model %v", b.d.root(), a.d.root(), o, got, want)
 	}

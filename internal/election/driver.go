@@ -109,6 +109,7 @@ func factory(a Algorithm, stats *Stats) core.Factory {
 			return p
 		}
 	}
+	// precondition: a is one of the Algorithm constants.
 	panic(fmt.Sprintf("election: unknown algorithm %d", int(a)))
 }
 

@@ -1,6 +1,7 @@
 package election
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -219,7 +220,8 @@ func (p *Protocol) Deliver(env core.Env, pkt core.Packet) {
 			// Entry hop: capture the hardware reverse route as ANR(o, i).
 			tok.RetO = pkt.Reverse
 			if tok.O != p.id {
-				panic(fmt.Sprintf("election: entry hop reached %d, expected %d", p.id, tok.O))
+				env.Fail(fmt.Errorf("election: entry hop expected at %d", tok.O))
+				return
 			}
 		}
 		p.stats.TourMsgs.Add(1)
@@ -283,7 +285,7 @@ func (p *Protocol) relayFlood(env core.Env, m *floodMsg, arrivedOn anr.ID) {
 		return
 	}
 	if err := env.Multicast(hs, m); err != nil {
-		panic(fmt.Sprintf("election: flood relay: %v", err))
+		env.Fail(fmt.Errorf("election: flood relay: %w", err))
 	}
 }
 
@@ -322,7 +324,7 @@ func (p *Protocol) consumeFlood(env core.Env, m *floodMsg, back anr.Header) {
 // input (TestAnnounceRelayRefused reaches it with exactly that).
 func (p *Protocol) relayAnnounce(env core.Env, m *announceMsg) {
 	if _, err := m.Plan.Relay(env, p.id, m); err != nil {
-		panic(fmt.Sprintf("election: announce: %v", err))
+		env.Fail(fmt.Errorf("election: announce: %w", err))
 	}
 }
 
@@ -338,7 +340,8 @@ func (p *Protocol) ensureStarted(env core.Env) {
 	p.isOrigin = true
 	p.active = true
 	if err := p.dom.start(p.id, env.Ports()); err != nil {
-		panic(fmt.Sprintf("election: node %d start: %v", p.id, err))
+		env.Fail(fmt.Errorf("election: start: %w", err))
+		return
 	}
 	p.tour(env)
 }
@@ -367,7 +370,7 @@ func (p *Protocol) tour(env core.Env) {
 		return
 	}
 	if err := env.Send(route, &tourMsg{Tok: tok}); err != nil {
-		panic(fmt.Sprintf("election: tour send: %v", err))
+		env.Fail(fmt.Errorf("election: tour send: %w", err))
 	}
 }
 
@@ -388,7 +391,7 @@ func (p *Protocol) onTokenArrival(env core.Env, tok tourToken) {
 			return
 		}
 		if err := env.Send(p.fRoute, &tourMsg{Tok: tok}); err != nil {
-			panic(fmt.Sprintf("election: chase send: %v", err))
+			env.Fail(fmt.Errorf("election: chase send: %w", err))
 		}
 		return
 	}
@@ -417,7 +420,7 @@ func (p *Protocol) onTokenArrival(env core.Env, tok tourToken) {
 	default:
 		// Origin, active, at home: impossible — an active home candidate
 		// launches a tour within the activation that made it so.
-		panic(fmt.Sprintf("election: node %d active at home met a token", p.id))
+		env.Fail(errors.New("election: active at home, met a token"))
 	}
 }
 
@@ -437,7 +440,7 @@ func (p *Protocol) captureMe(env core.Env, tok tourToken) {
 		return
 	}
 	if err := env.Send(home, m); err != nil {
-		panic(fmt.Sprintf("election: capture send: %v", err))
+		env.Fail(fmt.Errorf("election: capture send: %w", err))
 	}
 }
 
@@ -451,7 +454,7 @@ func (p *Protocol) sendHome(env core.Env, tok tourToken, m *returnMsg) {
 		return
 	}
 	if err := env.Send(route, m); err != nil {
-		panic(fmt.Sprintf("election: return send: %v", err))
+		env.Fail(fmt.Errorf("election: return send: %w", err))
 	}
 }
 
@@ -481,14 +484,20 @@ func (p *Protocol) routeHome(env core.Env, tok tourToken) (anr.Header, bool) {
 // completion), then continues touring if still active.
 func (p *Protocol) onComeback(env core.Env, m *returnMsg) {
 	if !p.isOrigin || !p.onTour {
-		panic(fmt.Sprintf("election: unexpected comeback at %d", p.id))
+		env.Fail(errors.New("election: unexpected comeback"))
+		return
 	}
 	p.onTour = false
 	switch {
 	case m.Retire:
 		p.active = false
 	case m.Capture.Dom != nil:
-		if !p.dom.merge(m.Capture.Dom, m.Capture.O) {
+		grafted, err := p.dom.merge(m.Capture.Dom, m.Capture.O)
+		if err != nil {
+			env.Fail(fmt.Errorf("election: merge graft: %w", err))
+			return
+		}
+		if !grafted {
 			// Stale tree on either side (non-FIFO only): sets folded, graft
 			// skipped; the flood transport serves the unreachable members.
 			p.stats.Recoveries.Add(1)

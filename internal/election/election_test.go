@@ -1,6 +1,8 @@
 package election
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -387,4 +389,15 @@ func TestInOutTreeWireRoundTrip(t *testing.T) {
 	if rt.size() != tr.size() {
 		t.Fatalf("size = %d, want %d", rt.size(), tr.size())
 	}
+}
+
+// TestUnknownAlgorithmPanics reaches the driver's precondition: an Algorithm
+// that is none of the constants.
+func TestUnknownAlgorithmPanics(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "election: unknown algorithm 99") {
+			t.Errorf("panic %q, want one naming the algorithm", msg)
+		}
+	}()
+	_, _ = Run(graph.Ring(4), Algorithm(99), []core.NodeID{0})
 }

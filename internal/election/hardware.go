@@ -2,6 +2,7 @@ package election
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"fastnet/internal/anr"
@@ -83,17 +84,18 @@ func (p *hwRing) Deliver(env core.Env, pkt core.Packet) {
 		}
 		p.started = true
 		if err := env.Send(p.circle, &hwToken{Key: int64(p.id)}); err != nil {
-			panic(fmt.Sprintf("election/hw: launch: %v", err))
+			env.Fail(fmt.Errorf("election/hw: launch: %w", err))
 		}
 	case *hwToken:
 		// Only the maximal key survives its own circle.
 		if m.Key != int64(p.id) {
-			panic(fmt.Sprintf("election/hw: node %d got foreign token %d", p.id, m.Key))
+			env.Fail(fmt.Errorf("election/hw: foreign token %d", m.Key))
+			return
 		}
 		p.stats.TourMsgs.Add(1)
 		p.state = StateLeader
 		if err := env.Send(p.announce, &hwAnnounce{Leader: p.id}); err != nil {
-			panic(fmt.Sprintf("election/hw: announce: %v", err))
+			env.Fail(fmt.Errorf("election/hw: announce: %w", err))
 		}
 	case *hwAnnounce:
 		p.stats.Announces.Add(1)
@@ -110,19 +112,9 @@ func RunHWRing(n int, starters []core.NodeID, opts ...sim.Option) (Result, error
 	}
 	g := graph.Ring(n)
 	pm := core.NewPortMap(g)
-	circleLinks := func(from core.NodeID) []anr.ID {
-		links := make([]anr.ID, 0, n)
-		cur := from
-		for i := 0; i < n; i++ {
-			next := core.NodeID((int(cur) + 1) % n)
-			lid, ok := pm.Toward(cur, next)
-			if !ok {
-				panic("election/hw: broken ring")
-			}
-			links = append(links, lid)
-			cur = next
-		}
-		return links
+	clockwise := make([]anr.ID, n) // node u's link toward u+1, which a ring has
+	for u := range clockwise {
+		clockwise[u], _ = pm.Toward(core.NodeID(u), core.NodeID((u+1)%n))
 	}
 	stats := &Stats{}
 	base := []sim.Option{
@@ -131,7 +123,7 @@ func RunHWRing(n int, starters []core.NodeID, opts ...sim.Option) (Result, error
 		sim.WithHopFilter(newMaxKeyFilter(n)),
 	}
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
-		full := circleLinks(id)
+		full := slices.Concat(clockwise[id:], clockwise[:id])
 		return &hwRing{
 			id:       id,
 			circle:   anr.Direct(full),

@@ -88,7 +88,7 @@ func (p *hsRing) probeBoth(env core.Env) {
 		hs = append(hs, anr.OneHop(port.Local))
 	}
 	if err := env.Multicast(hs, probe); err != nil {
-		panic(fmt.Sprintf("election/hs: probe: %v", err))
+		env.Fail(fmt.Errorf("election/hs: probe: %w", err))
 	}
 }
 
@@ -134,7 +134,7 @@ func (p *hsRing) forward(env core.Env, arrived anr.ID, payload any) {
 			continue
 		}
 		if err := env.Send(anr.OneHop(port.Local), payload); err != nil {
-			panic(fmt.Sprintf("election/hs: forward: %v", err))
+			env.Fail(fmt.Errorf("election/hs: forward: %w", err))
 		}
 		return
 	}
@@ -143,6 +143,6 @@ func (p *hsRing) forward(env core.Env, arrived anr.ID, payload any) {
 // reply sends the payload back out of the arrival port.
 func (p *hsRing) reply(env core.Env, arrived anr.ID, payload any) {
 	if err := env.Send(anr.OneHop(arrived), payload); err != nil {
-		panic(fmt.Sprintf("election/hs: reply: %v", err))
+		env.Fail(fmt.Errorf("election/hs: reply: %w", err))
 	}
 }

@@ -48,7 +48,8 @@ func (p *naive) Deliver(env core.Env, pkt core.Packet) {
 			hs = append(hs, anr.OneHop(port.Local))
 		}
 		if err := env.Multicast(hs, &naiveID{ID: p.id}); err != nil {
-			panic(fmt.Sprintf("election/naive: send: %v", err))
+			env.Fail(fmt.Errorf("election/naive: send: %w", err))
+			return
 		}
 		p.maybeDecide(env)
 	case *naiveID:

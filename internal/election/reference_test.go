@@ -298,7 +298,7 @@ func (d *domain) size() int { return len(d.wire()) + 1 }
 // into a domain that holds nothing but newRoot.
 func (d *domain) reroot(newRoot core.NodeID) (*domain, error) {
 	re := newInOutTree(newRoot)
-	if !re.merge(d, newRoot) {
+	if ok, err := re.merge(d, newRoot); !ok || err != nil {
 		return nil, fmt.Errorf("election: reroot target %d not in tree", newRoot)
 	}
 	return re, nil

@@ -2,6 +2,7 @@ package election
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
+	"fastnet/internal/gosim"
 	"fastnet/internal/graph"
 	"fastnet/internal/paths"
 	"fastnet/internal/sim"
@@ -137,10 +139,11 @@ func TestVirtualTreeDepthBound(t *testing.T) {
 	}
 }
 
-// TestAnnounceRelayRefused reaches relayAnnounce's panic the only way there
-// is: an announcement whose plan was made for another network. The leader's
-// own plan names handshake link IDs of a topology that is static for the
-// election, so the runtime never refuses it.
+// TestAnnounceRelayRefused reaches relayAnnounce's Env.Fail the only way
+// there is: an announcement whose plan was made for another network. The
+// leader's own plan names handshake link IDs of a topology that is static for
+// the election, so the runtime never refuses it. The run, not the process,
+// fails, with a core.HandlerError at node 0.
 func TestAnnounceRelayRefused(t *testing.T) {
 	star := graph.Star(5).BFSTree(0)
 	plan, err := paths.NewFanout(star, func(_, to core.NodeID) (anr.ID, bool) { return anr.ID(to), true })
@@ -149,14 +152,51 @@ func TestAnnounceRelayRefused(t *testing.T) {
 	}
 	net := sim.New(graph.Path(3), factory(AlgoToken, &Stats{}), sim.WithDelays(0, 1)) // node 0 has one port
 	net.Inject(0, 0, &announceMsg{Leader: 0, Plan: plan})
-	defer func() {
-		msg, _ := recover().(string)
-		for _, want := range []string{"election: announce: node 0: ", "first links [1 2 3 4]", "no link 2"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic %q does not name %q", msg, want)
-			}
+	_, err = net.Run()
+	var he *core.HandlerError
+	if !errors.As(err, &he) || he.Node != 0 {
+		t.Fatalf("a plan for a five-node star was relayed on a three-node path: %v", err)
+	}
+	for _, want := range []string{"election: announce: node 0: ", "first links [1 2 3 4]", "no link 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("failure %q does not name %q", err, want)
 		}
-	}()
-	_, _ = net.Run()
-	t.Fatal("a plan for a five-node star was relayed on a three-node path")
+	}
+}
+
+// TestDuplicationFailsTheRun holds the election to its stated scope: §4
+// assumes exactly-once links, so under a Dup profile a node can meet its own
+// token twice. Then the run, on either runtime, either still elects exactly
+// one leader or fails with a core.HandlerError at the node that met the
+// second comeback — never a panic that takes the process down.
+func TestDuplicationFailsTheRun(t *testing.T) {
+	dup := core.MsgFaults{Dup: 0.2}
+	starters := []core.NodeID{0, 5, 9}
+	runs := map[string]func(g *graph.Graph, seed int64) (Result, error){
+		"sim": func(g *graph.Graph, _ int64) (Result, error) {
+			return Run(g, AlgoToken, starters, sim.WithMsgFaults(dup))
+		},
+		"gosim": func(g *graph.Graph, seed int64) (Result, error) {
+			return RunAsync(g, AlgoToken, starters, seed, 10*time.Second, gosim.WithMsgFaults(dup))
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			failed := 0
+			for seed := int64(1); seed <= 30; seed++ {
+				g := graph.GNP(40, 0.15, seed)
+				res, err := run(g, seed)
+				var he *core.HandlerError
+				switch {
+				case err == nil && res.Leader != core.None:
+				case errors.As(err, &he) && he.Node >= 0 && int(he.Node) < g.N() &&
+					strings.Contains(err.Error(), fmt.Sprintf("node %d", he.Node)) && strings.Contains(err.Error(), "unexpected comeback"):
+					failed++
+				default:
+					t.Errorf("seed %d: %v, err %v; want one leader or a HandlerError naming the node and an unexpected comeback", seed, res.Leader, err)
+				}
+			}
+			t.Logf("%d of 30 runs failed with a HandlerError", failed)
+		})
+	}
 }

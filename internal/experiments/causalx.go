@@ -30,7 +30,7 @@ func (f *wasteful) Deliver(env core.Env, pkt core.Packet) {
 			hs = append(hs, anr.OneHop(port.Local))
 		}
 		if err := env.Multicast(hs, int(f.id)); err != nil {
-			panic(err)
+			env.Fail(err)
 		}
 		return
 	}

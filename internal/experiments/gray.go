@@ -28,7 +28,7 @@ func (p *e23Node) Deliver(env core.Env, pkt core.Packet) {
 			return
 		}
 		if err := p.E.SendRoute(env, p.dst, anr.OneHop(pt.Local), e23Send{}); err != nil {
-			panic(err)
+			env.Fail(err)
 		}
 		return
 	}

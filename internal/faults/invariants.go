@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -330,9 +331,12 @@ func (r *soakRun) runElection(sub *graph.Graph, e componentElection) (election.R
 // component ids: the run completed, the §4 algorithm elected exactly one
 // leader (election.Run validates that much) whose domain covers the whole
 // component, and the tour cost respects Theorem 5's bound of 6n algorithm
-// messages.
+// messages. A handler's failure names its node by soak ID, its time and cause.
 func electionVerdict(epoch, inv int, res election.Result, err error, ids []core.NodeID) error {
 	name, n := electionNames[inv], len(ids)
+	if he := (*core.HandlerError)(nil); errors.As(err, &he) {
+		err = &core.HandlerError{Node: ids[he.Node], Time: he.Time, Cause: he.Cause}
+	}
 	switch bound := int64(6 * n); {
 	case err != nil:
 		return violated(epoch, inv, "%sre-election on the largest component (%d nodes): %v", name, n, err)

@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -183,6 +184,22 @@ func TestDefaultsResolvedOnce(t *testing.T) {
 		if a, b := pair[0].Repro("gnp", 12), pair[1].Repro("gnp", 12); a != b {
 			t.Errorf("a zero knob and its explicit default print different repro lines\n zero     %s\n explicit %s", a, b)
 		}
+	}
+}
+
+// TestElectionVerdictNamesFailingHandler: an election a handler failed
+// (core.Env.Fail) prints a violation line naming the node by its soak ID, the
+// time and the cause. The error is made up: no soak's election fails so.
+func TestElectionVerdictNamesFailingHandler(t *testing.T) {
+	ids := []core.NodeID{4, 9, 2, 7, 5}
+	failed := fmt.Errorf("run: %w", &core.HandlerError{Node: 1, Time: 12, Cause: errors.New("election: unexpected comeback")})
+	var res Result
+	if err := res.settle(electionVerdict(3, 2, election.Result{}, failed, ids)); err != nil {
+		t.Fatal(err)
+	}
+	want := "epoch 3: invariant I2 violated: re-election on the largest component (5 nodes): node 9 at t=12: election: unexpected comeback"
+	if len(res.Violations) != 1 || res.Violations[0] != want {
+		t.Errorf("verdict\n got %q\nwant %q", res.Violations, want)
 	}
 }
 

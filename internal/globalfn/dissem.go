@@ -53,7 +53,8 @@ func (p *dproto) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case *dValue:
 		if p.got {
-			panic(fmt.Sprintf("globalfn: node %d received the value twice", p.id))
+			env.Fail(errors.New("globalfn: received the value twice"))
+			return
 		}
 		p.got = true
 		p.value = m.Value
@@ -81,14 +82,16 @@ func (p *dproto) sendNext(env core.Env) {
 	p.pending = p.pending[1:]
 	port, ok := env.PortToward(core.NodeID(child))
 	if !ok {
-		panic(fmt.Sprintf("globalfn: node %d not adjacent to child %d", p.id, child))
+		env.Fail(fmt.Errorf("globalfn: not adjacent to child %d", child))
+		return
 	}
 	if err := env.Send(anr.OneHop(port.Local), &dValue{Value: p.value}); err != nil {
-		panic(fmt.Sprintf("globalfn: disseminate: %v", err))
+		env.Fail(fmt.Errorf("globalfn: disseminate: %w", err))
+		return
 	}
 	if len(p.pending) > 0 {
 		if err := env.Send(anr.Local(), &dTick{}); err != nil {
-			panic(fmt.Sprintf("globalfn: self tick: %v", err))
+			env.Fail(fmt.Errorf("globalfn: self tick: %w", err))
 		}
 	}
 }

@@ -76,7 +76,8 @@ func (p *proto) Deliver(env core.Env, pkt core.Packet) {
 		}
 	case *partial:
 		if p.pending == 0 {
-			panic(fmt.Sprintf("globalfn: node %d got an unexpected partial", p.id))
+			env.Fail(errors.New("globalfn: unexpected partial"))
+			return
 		}
 		p.acc = p.cfg.combine(p.acc, m.Value)
 		p.pending--
@@ -95,10 +96,11 @@ func (p *proto) finish(env core.Env) {
 	parent := core.NodeID(p.cfg.tree.Parent[p.id])
 	port, ok := env.PortToward(parent)
 	if !ok {
-		panic(fmt.Sprintf("globalfn: node %d not adjacent to parent %d", p.id, parent))
+		env.Fail(fmt.Errorf("globalfn: not adjacent to parent %d", parent))
+		return
 	}
 	if err := env.Send(anr.OneHop(port.Local), &partial{Value: p.acc}); err != nil {
-		panic(fmt.Sprintf("globalfn: send to parent: %v", err))
+		env.Fail(fmt.Errorf("globalfn: send to parent: %w", err))
 	}
 }
 

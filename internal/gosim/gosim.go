@@ -82,6 +82,7 @@ type Network struct {
 	actSeq  atomic.Int64
 	msgSeq  atomic.Int64
 	stopped atomic.Bool
+	failed  atomic.Pointer[core.HandlerError] // the first Env.Fail; later deliveries are discarded
 }
 
 type item struct {
@@ -188,6 +189,7 @@ func (net *Network) Inject(v core.NodeID, payload any) {
 // through one interface).
 func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 	if !net.g.HasEdge(u, v) {
+		// precondition: a driver scripts only edges of its own graph.
 		panic(fmt.Sprintf("gosim: InjectLink on non-edge %d-%d", u, v))
 	}
 	net.mu.Lock()
@@ -246,7 +248,7 @@ func (net *Network) RestoreNode(v core.NodeID) {
 }
 
 // AwaitQuiescence blocks until no deliveries are pending or the timeout
-// elapses.
+// elapses. After a handler's Env.Fail it returns that *core.HandlerError.
 func (net *Network) AwaitQuiescence(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	net.quiesceMu.Lock()
@@ -266,6 +268,9 @@ func (net *Network) AwaitQuiescence(timeout time.Duration) error {
 		})
 		net.quiesceC.Wait()
 		waker.Stop()
+	}
+	if f := net.failed.Load(); f != nil {
+		return f
 	}
 	return nil
 }
@@ -335,6 +340,7 @@ func (net *Network) loop(nd *gnode) {
 		act := net.actSeq.Add(1)
 		nd.env.act = act
 		switch {
+		case net.failed.Load() != nil: // a failed run discards, and so quiesces
 		case it.linkEvent:
 			nd.metrics.LinkEvents++
 			net.cfg.sink.Record(trace.Event{Kind: trace.KindLinkEvent, Time: act, Node: nd.id, Act: act})
@@ -453,3 +459,7 @@ func (e *genv) Multicast(hs []anr.Header, payload any) error {
 func (e *genv) Now() core.Time { return core.Time(e.net.actSeq.Load()) }
 
 func (e *genv) Rand() *rand.Rand { return e.nd.rng }
+
+func (e *genv) Fail(err error) {
+	e.net.failed.CompareAndSwap(nil, &core.HandlerError{Node: e.nd.id, Time: core.Time(e.act), Cause: err})
+}

@@ -2,6 +2,8 @@ package gosim
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -335,4 +337,17 @@ func (net *Network) DeliveriesPerNode() []int64 {
 		out[i] = nd.metrics.Deliveries
 	}
 	return out
+}
+
+// TestInjectLinkOnNonEdgePanics reaches InjectLink's precondition: a driver
+// scripting an edge its graph lacks.
+func TestInjectLinkOnNonEdgePanics(t *testing.T) {
+	net := New(graph.Path(3), func(core.NodeID) core.Protocol { return &pinger{} })
+	defer net.Shutdown()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "gosim: InjectLink on non-edge 0-2") {
+			t.Errorf("panic %q, want one naming the non-edge", msg)
+		}
+	}()
+	net.InjectLink(0, 2, false)
 }

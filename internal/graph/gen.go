@@ -49,6 +49,7 @@ func Complete(n int) *Graph {
 // and 2i+2. The tree has 2^(depth+1)-1 nodes.
 func CompleteBinaryTree(depth int) *Graph {
 	if depth < 0 {
+		// precondition: a depth is never negative.
 		panic(fmt.Sprintf("graph: negative tree depth %d", depth))
 	}
 	n := (1 << (depth + 1)) - 1

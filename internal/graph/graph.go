@@ -50,6 +50,7 @@ const window = 4
 // New returns an empty graph on n nodes.
 func New(n int) *Graph {
 	if n < 0 {
+		// precondition: a node count is never negative.
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
 	return &Graph{
@@ -66,6 +67,7 @@ func (g *Graph) N() int { return g.n }
 // indistinguishable from New(n).
 func (g *Graph) Reset(n int) {
 	if n < 0 {
+		// precondition: as in New.
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
 	if cap(g.adj) >= n {
@@ -124,6 +126,7 @@ func (g *Graph) room(u NodeID) []NodeID {
 // tests where the edge is statically known to be valid.
 func (g *Graph) MustAddEdge(u, v NodeID) {
 	if err := g.AddEdge(u, v); err != nil {
+		// precondition: the caller knows the edge is valid (AddEdge returns the error).
 		panic(err)
 	}
 }

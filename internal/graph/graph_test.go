@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -478,4 +479,25 @@ func (p Partition) Validate(g *Graph) error {
 		}
 	}
 	return nil
+}
+
+// TestPreconditionsPanic reaches graph's precondition panics: a negative node
+// count (New, Reset), a negative tree depth, and MustAddEdge on an edge
+// AddEdge refuses.
+func TestPreconditionsPanic(t *testing.T) {
+	for want, f := range map[string]func(){
+		"negative node count -1": func() { New(-1) },
+		"negative node count -2": func() { New(2).Reset(-2) },
+		"negative tree depth -1": func() { CompleteBinaryTree(-1) },
+		"self-loop at 0":         func() { New(2).MustAddEdge(0, 0) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+					t.Errorf("panic %q, want one naming %q", msg, want)
+				}
+			}()
+			f()
+		}()
+	}
 }

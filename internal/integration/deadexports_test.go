@@ -58,6 +58,7 @@ var keptExports = map[string]string{
 	"(*topology.DB).RouteMinLoad": "§3's use of the link loads the records carry: the load-weighted route; BenchmarkDBRouteMinLoad{Warm,Cold} time it",
 
 	// Reached through values rather than by name.
+	"(*core.HandlerError).Unwrap":        "errors.Is and errors.As call it through an interface the standard library never names: what lets a caller test a failed run for the refusal behind it",
 	"core.Corruptible":                   "the interface reliable's frame and ack satisfy so that a corruption fault leaves something a checksum can reject; core asserts it on payloads",
 	"calls.StatusPending":                "enumerator of calls.Status, which callers receive from Manager.Status",
 	"calls.StatusClosed":                 "enumerator of calls.Status, which callers receive from Manager.Status",
@@ -218,6 +219,63 @@ func TestNoDeadExports(t *testing.T) {
 		t.Errorf("keptExports lists %s, which is gone or is used outside its package now: drop the line", name)
 	}
 	t.Logf("%d exported names in internal/*, %d unused outside their package, %d kept by the list", total, unused, len(keptExports))
+}
+
+// maxPanics is how many panic calls non-test code outside bench/ may hold.
+// A handler that cannot continue calls core.Env.Fail, which fails the run;
+// what remains is a caller breaking a documented precondition, or a state
+// the code rules out.
+const maxPanics = 11
+
+// TestPanicSitesRatchet holds the panic calls of non-test code outside bench/
+// to maxPanics, and requires each to have, on the line directly above it, a
+// comment starting "precondition:" (the caller broke a documented rule; a
+// test reaches it) or "unreachable:" (the code rules the state out, and says
+// why).
+func TestPanicSitesRatchet(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var sites []string
+	for _, dir := range newModule(root).goDirs(t) {
+		if rel, _ := filepath.Rel(root, dir); rel == "bench" || strings.HasPrefix(rel, "bench"+string(filepath.Separator)) {
+			continue
+		}
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				above := map[int]string{} // the line a comment group ends on -> its text
+				for _, cg := range f.Comments {
+					above[fset.Position(cg.End()).Line] = cg.Text()
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "panic" {
+						return true
+					}
+					pos := fset.Position(call.Pos())
+					sites = append(sites, pos.String())
+					if c := above[pos.Line-1]; !strings.HasPrefix(c, "precondition:") && !strings.HasPrefix(c, "unreachable:") {
+						t.Errorf("%s: panic without a \"// precondition:\" or \"// unreachable:\" comment directly above it", pos)
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(sites) > maxPanics {
+		t.Errorf("%d panic calls in non-test code outside bench/, want <= %d: a handler that cannot continue calls core.Env.Fail\n%s",
+			len(sites), maxPanics, strings.Join(sites, "\n"))
+	}
+	t.Logf("%d panic calls, at most %d allowed", len(sites), maxPanics)
 }
 
 // namedType is the non-generic named type obj declares, or nil.

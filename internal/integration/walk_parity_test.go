@@ -228,6 +228,71 @@ func TestHostileRouteRefusedOnBothRuntimes(t *testing.T) {
 	}
 }
 
+var errCannotContinue = errors.New("contract: handler cannot continue")
+
+// failAtTwo relays an injected probe from node 0 to node 2, whose handler
+// cannot continue: it fails the run, then sends one more packet on to node 3.
+// Every other delivery is noted.
+type failAtTwo struct {
+	mu  sync.Mutex
+	got []string
+}
+
+func (p *failAtTwo) Init(core.Env)                 {}
+func (p *failAtTwo) LinkEvent(core.Env, core.Port) {}
+func (p *failAtTwo) Deliver(env core.Env, pkt core.Packet) {
+	switch {
+	case pkt.Injected:
+		_ = env.Send(anr.Direct([]anr.ID{1, 2}), "probe")
+	case env.ID() == 2:
+		env.Fail(fmt.Errorf("%w: handed %v", errCannotContinue, pkt.Payload))
+		_ = env.Send(anr.OneHop(2), "after the failure")
+	default:
+		p.mu.Lock()
+		p.got = append(p.got, fmt.Sprintf("node %d got %v", env.ID(), pkt.Payload))
+		p.mu.Unlock()
+	}
+}
+
+// TestHandlerFailureOnBothRuntimes is the contract row of a handler that
+// cannot continue (core.Env.Fail, docs/MODEL.md): on both runtimes the run
+// ends with a core.HandlerError naming the same node and cause, the cause
+// stays reachable through errors.Is, and what the failing handler sent after
+// Fail is never delivered — sim dispatches nothing more, gosim discards
+// deliveries until it quiesces. A second run of the failed sim network
+// returns the same error.
+func TestHandlerFailureOnBothRuntimes(t *testing.T) {
+	onSim := &failAtTwo{}
+	net := sim.New(graph.Path(4), func(core.NodeID) core.Protocol { return onSim }, sim.WithDelays(1, 1))
+	net.Inject(0, 0, "start")
+	_, simErr := net.Run()
+	if _, again := net.Run(); !errors.Is(again, simErr) {
+		t.Fatalf("sim: the failed network ran again: %v, then %v", simErr, again)
+	}
+
+	onGosim := &failAtTwo{}
+	gnet := gosim.New(graph.Path(4), func(core.NodeID) core.Protocol { return onGosim })
+	defer gnet.Shutdown()
+	gnet.Inject(0, "start")
+	gosimErr := gnet.AwaitQuiescence(10 * time.Second)
+
+	var s, g *core.HandlerError
+	if !errors.As(simErr, &s) || !errors.As(gosimErr, &g) {
+		t.Fatalf("sim %v, gosim %v: want a core.HandlerError from both", simErr, gosimErr)
+	}
+	if s.Node != 2 || g.Node != s.Node || g.Cause.Error() != s.Cause.Error() {
+		t.Fatalf("sim %v, gosim %v: want the same node 2 and cause", s, g)
+	}
+	if !errors.Is(simErr, errCannotContinue) || !errors.Is(gosimErr, errCannotContinue) {
+		t.Fatalf("sim %v, gosim %v: the cause is not reachable through errors.Is", simErr, gosimErr)
+	}
+	for name, p := range map[string]*failAtTwo{"sim": onSim, "gosim": onGosim} {
+		if len(p.got) != 0 {
+			t.Fatalf("%s: deliveries %q after the failure", name, p.got)
+		}
+	}
+}
+
 // initNote is a protocol that notes its Init.
 type initNote struct {
 	id   core.NodeID

@@ -242,8 +242,7 @@ type engine struct {
 	holdRng *rand.Rand
 	active  []int32 // per-node concurrent calls, nil unless NCUCap > 0
 	timeout core.Time
-	reuse   bool  // free records on completion (unsafe under dup faults)
-	sendErr error // the first send the runtime refused
+	reuse   bool // free records on completion (unsafe under dup faults)
 	stats   Stats
 }
 
@@ -267,8 +266,8 @@ func (p *olProto) Deliver(env core.Env, pkt core.Packet) {
 		// accounted Dropped at drain. A send the runtime refuses (a caller's
 		// sim.WithDmax shorter than the route) fails the run instead.
 		pe := &p.e.pairs.entries[rec.pair]
-		if err := env.Send(pe.hdr, rec); err != nil && p.e.sendErr == nil {
-			p.e.sendErr = fmt.Errorf("load: call %d->%d: %w", pe.src, pe.dst, err)
+		if err := env.Send(pe.hdr, rec); err != nil {
+			env.Fail(fmt.Errorf("load: call %d->%d: %w", pe.src, pe.dst, err))
 		}
 		return
 	}
@@ -394,7 +393,7 @@ func (e *engine) run() error {
 					}
 				}
 			}
-			return e.sendErr
+			return nil
 		}
 	}
 }

@@ -277,11 +277,13 @@ func TestEngineLongestHolding(t *testing.T) {
 
 // TestEngineRefusedSendFailsRun: a caller's sim.WithDmax shorter than the
 // routes makes the runtime refuse the setup sends. That is an error of the
-// run, naming the pair, not calls Dropped on a fault-free, uncapped fabric.
+// run (the handler's core.HandlerError), naming the pair, not calls Dropped
+// on a fault-free, uncapped fabric.
 func TestEngineRefusedSendFailsRun(t *testing.T) {
 	_, err := Run(graph.Path(16), Config{Seed: 1, Calls: 1000, Rate: 1}, sim.WithDmax(2))
-	if !errors.Is(err, anr.ErrPathTooLong) || !strings.Contains(err.Error(), "call ") {
-		t.Fatalf("routes past dmax: err %v; want anr.ErrPathTooLong naming the call's pair", err)
+	var he *core.HandlerError
+	if !errors.As(err, &he) || !errors.Is(err, anr.ErrPathTooLong) || !strings.Contains(err.Error(), "call ") {
+		t.Fatalf("routes past dmax: err %v; want a core.HandlerError wrapping anr.ErrPathTooLong, naming the call's pair", err)
 	}
 }
 

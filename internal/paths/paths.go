@@ -291,7 +291,8 @@ func (d *Decomposition) Rounds(root graph.NodeID) ([]int, int) {
 		}
 		parent, ok := receivedIn[start]
 		if !ok {
-			// Unreachable for a valid decomposition.
+			// unreachable: in a valid decomposition every path starts on a
+			// node an earlier path covers.
 			panic(fmt.Sprintf("paths: start node %d not covered by any chain", start))
 		}
 		rounds[i] = solve(parent) + 1

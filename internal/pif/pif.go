@@ -121,7 +121,14 @@ func (p *proto) Deliver(env core.Env, pkt core.Packet) {
 		if now := env.Now(); now > p.done.lastBcast {
 			p.done.lastBcast = now
 		}
-		p.relay(env, m)
+		// Relay over the branching paths starting here. Run builds the plan
+		// from the port map of the very network it then runs, so a refusal
+		// means the plan belongs to another network: a bug, not an input
+		// (TestRelayRefused reaches it with exactly that).
+		if _, err := m.Plan.Relay(env, p.id, m); err != nil {
+			env.Fail(fmt.Errorf("pif: broadcast: %w", err))
+			return
+		}
 		p.joinEcho(env, m)
 	case *ack:
 		p.done.acks++
@@ -138,16 +145,6 @@ func (p *proto) Deliver(env core.Env, pkt core.Packet) {
 	}
 }
 
-// relay forwards the broadcast over the branching paths starting here. Run
-// builds the plan from the port map of the very network it then runs, so a
-// refusal means the plan belongs to another network: a bug, not an input
-// (TestRelayRefused reaches it with exactly that).
-func (p *proto) relay(env core.Env, m *bcast) {
-	if _, err := m.Plan.Relay(env, p.id, m); err != nil {
-		panic(fmt.Sprintf("pif: broadcast: %v", err))
-	}
-}
-
 // joinEcho computes this node's echo parent and children count from the
 // shared description, then acknowledges if it is an echo leaf.
 func (p *proto) joinEcho(env core.Env, m *bcast) {
@@ -158,7 +155,8 @@ func (p *proto) joinEcho(env core.Env, m *bcast) {
 	if !p.isRoot {
 		route, err := treeRouteIdx(m.Edges, m.ParentAt, p.id, parent)
 		if err != nil {
-			panic(fmt.Sprintf("pif: echo route: %v", err))
+			env.Fail(fmt.Errorf("pif: echo route: %w", err))
+			return
 		}
 		p.ackRoute = route
 	}
@@ -178,7 +176,7 @@ func (p *proto) finish(env core.Env) {
 		return
 	}
 	if err := env.Send(p.ackRoute, &ack{From: p.id}); err != nil {
-		panic(fmt.Sprintf("pif: ack: %v", err))
+		env.Fail(fmt.Errorf("pif: ack: %w", err))
 	}
 }
 

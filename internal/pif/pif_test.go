@@ -1,6 +1,7 @@
 package pif
 
 import (
+	"errors"
 	"math/bits"
 	"strings"
 	"testing"
@@ -176,9 +177,10 @@ func TestTreeRouteQuick(t *testing.T) {
 	}
 }
 
-// TestRelayRefused reaches relay's panic the only way there is: a broadcast
-// whose plan was made for another network. Run builds the plan from the port
-// map of the network it runs, so the runtime never refuses it.
+// TestRelayRefused reaches relay's Env.Fail the only way there is: a
+// broadcast whose plan was made for another network. Run builds the plan from
+// the port map of the network it runs, so the runtime never refuses it. The
+// run, not the process, fails, with a core.HandlerError at node 0.
 func TestRelayRefused(t *testing.T) {
 	star := graph.Star(5).BFSTree(0)
 	plan, err := paths.NewFanout(star, func(_, to core.NodeID) (anr.ID, bool) { return anr.ID(to), true })
@@ -189,14 +191,14 @@ func TestRelayRefused(t *testing.T) {
 		return &proto{id: id, done: &doneProbe{}}
 	}, sim.WithDelays(0, 1))
 	net.Inject(0, 0, &bcast{Root: 0, Plan: plan, Mode: EchoDirect, Order: []core.NodeID{0}})
-	defer func() {
-		msg, _ := recover().(string)
-		for _, want := range []string{"pif: broadcast: node 0: ", "first links [1 2 3 4]", "no link 2"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic %q does not name %q", msg, want)
-			}
+	_, err = net.Run()
+	var he *core.HandlerError
+	if !errors.As(err, &he) || he.Node != 0 {
+		t.Fatalf("a plan for a five-node star was relayed on a three-node path: %v", err)
+	}
+	for _, want := range []string{"pif: broadcast: node 0: ", "first links [1 2 3 4]", "no link 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("failure %q does not name %q", err, want)
 		}
-	}()
-	_, _ = net.Run()
-	t.Fatal("a plan for a five-node star was relayed on a three-node path")
+	}
 }

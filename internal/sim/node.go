@@ -276,3 +276,9 @@ func (e *env) Multicast(hs []anr.Header, payload any) error {
 func (e *env) Now() core.Time { return e.net.sp.now }
 
 func (e *env) Rand() *rand.Rand { return e.nd.random(e.net) }
+
+func (e *env) Fail(err error) {
+	if e.net.failed == nil {
+		e.net.failed = &core.HandlerError{Node: e.nd.id, Time: e.net.sp.now, Cause: err}
+	}
+}

@@ -30,6 +30,7 @@ type Reference struct {
 	busy          []core.Time
 	acts, msgs    int64 // labels handed out
 	pops, inline  int64 // heap pops; zero-delay hops walked without one
+	failed        *core.HandlerError
 }
 
 type refEvent struct {
@@ -127,7 +128,9 @@ func (r *Reference) Run() (core.Time, error) {
 		if r.pops++; r.pops > r.cfg.eventBudget {
 			return r.m.FinishTime, ErrEventBudget
 		}
-		e.run()
+		if e.run(); r.failed != nil {
+			return r.m.FinishTime, r.failed
+		}
 	}
 	return r.m.FinishTime, nil
 }
@@ -253,6 +256,12 @@ func (nd *refNode) ID() core.NodeID    { return nd.id }
 func (nd *refNode) Ports() []core.Port { return nd.ports }
 func (nd *refNode) Now() core.Time     { return nd.r.now }
 func (nd *refNode) Rand() *rand.Rand   { return nd.rng }
+
+func (nd *refNode) Fail(err error) {
+	if nd.r.failed == nil {
+		nd.r.failed = &core.HandlerError{Node: nd.id, Time: nd.r.now, Cause: err}
+	}
+}
 
 func (nd *refNode) PortToward(nb core.NodeID) (core.Port, bool) {
 	if lid, ok := nd.r.pm.Toward(nd.id, nb); ok {

@@ -171,6 +171,9 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 // still pending, else at its last dispatched instant, and every child aligns.
 func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	fac := grp.fac
+	if f := grp.failure(); f != nil { // a failed run stays stopped
+		return grp.metrics().FinishTime, f
+	}
 	if deadline >= 0 && deadline < fac.sp.now {
 		for _, ch := range grp.children {
 			ch.sp.rewind(deadline)
@@ -253,7 +256,22 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	if fac.userSink != nil {
 		flushShardTrace(grp.children, fac.userSink)
 	}
+	if f := grp.failure(); f != nil {
+		return grp.metrics().FinishTime, f
+	}
 	return grp.metrics().FinishTime, errors.Join(errs...)
+}
+
+// failure is the run's Env.Fail: each shard stops at its own first, and the
+// earliest, ties to the lower node, is the run's.
+func (grp *shardGroup) failure() *core.HandlerError {
+	var first *core.HandlerError
+	for _, ch := range grp.children {
+		if f := ch.failed; f != nil && (first == nil || f.Time < first.Time || f.Time == first.Time && f.Node < first.Node) {
+			first = f
+		}
+	}
+	return first
 }
 
 // metrics aggregates the children's cost measures (sums, with max for

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/graph"
 	"fastnet/internal/sim"
@@ -357,4 +359,84 @@ func FuzzShardCount(f *testing.F) {
 				serial, P, sharded, nodes, p, hw, swd, randomize, faults)
 		}
 	})
+}
+
+// floodFail floods a token over every port; a node with ticks > 0 then
+// spends that many self-addressed activations and fails the run.
+type floodFail struct {
+	ticks int
+	seen  bool
+}
+
+type failTick struct{}
+
+var errCannotContinue = errors.New("flood: cannot continue")
+
+func (p *floodFail) Init(core.Env)                 {}
+func (p *floodFail) LinkEvent(core.Env, core.Port) {}
+func (p *floodFail) Deliver(env core.Env, pkt core.Packet) {
+	if _, ok := pkt.Payload.(failTick); ok {
+		if p.ticks--; p.ticks == 0 {
+			env.Fail(errCannotContinue)
+			return
+		}
+	} else if p.seen {
+		return
+	} else {
+		p.seen = true
+		var hs []anr.Header
+		for _, port := range env.Ports() {
+			hs = append(hs, anr.OneHop(port.Local))
+		}
+		if err := env.Multicast(hs, "flood"); err != nil {
+			env.Fail(err)
+			return
+		}
+	}
+	if p.ticks > 0 {
+		_ = env.Send(anr.Local(), failTick{})
+	}
+}
+
+// TestFailureAgreesAcrossShardCounts: a run a handler fails returns the same
+// core.HandlerError under the classic scheduler and every shard count. On an
+// 8x8 grid flooded from corner 0, the opposite corners 7 and 56 both fail,
+// 56 one activation sooner, inside one synchronous window (C = 4): each shard
+// stops at its own failure, and the run reports the earlier one, not the
+// lower node. Running the failed network again, backward or forward,
+// dispatches nothing and returns the same error.
+func TestFailureAgreesAcrossShardCounts(t *testing.T) {
+	g := graph.Grid(8, 8)
+	build := func(opts ...sim.Option) *sim.Network {
+		return sim.New(g, func(id core.NodeID) core.Protocol {
+			return &floodFail{ticks: map[core.NodeID]int{7: 2, 56: 1}[id]}
+		}, append([]sim.Option{sim.WithDelays(4, 1)}, opts...)...)
+	}
+	var want *core.HandlerError
+	for _, shards := range []int{0, 1, 2, 8} {
+		var net *sim.Network
+		if shards == 0 {
+			net = build()
+		} else if net = build(sim.WithShards(shards)); shards > 1 && net.ShardInfo().Shards < 2 {
+			t.Fatalf("WithShards(%d) did not partition: %+v", shards, net.ShardInfo())
+		}
+		net.Inject(0, 0, "start")
+		_, err := net.Run()
+		var he *core.HandlerError
+		if !errors.As(err, &he) {
+			t.Fatalf("shards %d: err %v, want a core.HandlerError", shards, err)
+		}
+		if want == nil {
+			want = he
+		}
+		if he.Node != 56 || *he != *want {
+			t.Fatalf("shards %d: %v, want %v at node 56", shards, he, want)
+		}
+		events := net.SchedStats().Events
+		_, back := net.RunUntil(0)
+		_, again := net.Run()
+		if !errors.Is(back, he) || !errors.Is(again, he) || net.SchedStats().Events != events {
+			t.Fatalf("shards %d: a failed network ran again: RunUntil(0) %v, Run %v", shards, back, again)
+		}
+	}
 }

@@ -145,6 +145,7 @@ type Network struct {
 	linkTok [][]linkBucket // per-node, per-port token buckets; nil unless Capacity.LinkRate > 0
 	actSeq  int64
 	msgSeq  int64
+	failed  *core.HandlerError // the first Env.Fail of a handler on this core
 
 	// Shard-mode state (see shard.go and docs/PERF.md). In shard mode event
 	// keys, delay draws, fault rolls, and activation/message labels come from
@@ -310,6 +311,7 @@ func (net *Network) Inject(t core.Time, v core.NodeID, payload any) {
 // every shard.
 func (net *Network) SetLink(t core.Time, u, v core.NodeID, up bool) {
 	if !net.g.HasEdge(u, v) {
+		// precondition: a driver scripts only edges of its own graph.
 		panic(fmt.Sprintf("sim: SetLink on non-edge %d-%d", u, v))
 	}
 	ou, ov := net.ownerOf(u), net.ownerOf(v)
@@ -404,7 +406,7 @@ func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
 }
 
 // Run drains the event queue and returns the finish time (the time of the
-// last NCU activation).
+// last NCU activation), or the *core.HandlerError of a handler's Env.Fail.
 func (net *Network) Run() (core.Time, error) {
 	defer net.publishStats()
 	return net.runTop(-1)
@@ -432,16 +434,17 @@ func (net *Network) runTop(deadline core.Time) (core.Time, error) {
 	return t, err
 }
 
-// runCore is the event loop of one core: next, budget, dispatch, done. The
-// spine decides what is next (see queue.go for the order argument).
+// runCore is the event loop of one core: next, budget, dispatch, done, until
+// an Env.Fail. The spine decides what is next (see queue.go for the order
+// argument).
 func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 	defer func() { net.curOrigin = -1 }()
 	sp := &net.sp
-	if deadline >= 0 && deadline < sp.now {
+	if deadline >= 0 && deadline < sp.now && net.failed == nil {
 		sp.rewind(deadline)
 		return net.metrics.FinishTime, nil
 	}
-	for {
+	for net.failed == nil {
 		ev := sp.next(deadline)
 		if ev == nil {
 			return net.metrics.FinishTime, nil
@@ -454,4 +457,5 @@ func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 		net.dispatch(ev)
 		sp.done()
 	}
+	return net.metrics.FinishTime, net.failed
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"fastnet/internal/anr"
@@ -478,5 +480,24 @@ func TestDeliveriesPerNode(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("DeliveriesPerNode = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestSetLinkOnNonEdgePanics reaches SetLink's precondition: a driver
+// scripting an edge its graph lacks, directly or through InjectLink.
+func TestSetLinkOnNonEdgePanics(t *testing.T) {
+	net := New(graph.Path(3), func(core.NodeID) core.Protocol { return &forwarder{} })
+	for _, script := range []func(){
+		func() { net.SetLink(1, 0, 2, false) },
+		func() { net.InjectLink(2, 0, true) },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "non-edge") {
+					t.Errorf("panic %q, want one naming the non-edge", msg)
+				}
+			}()
+			script()
+		}()
 	}
 }

@@ -75,6 +75,7 @@ func NewMaintainer(mode Mode, full bool, order ChildOrder) core.Factory {
 			return w
 		}
 	}
+	// precondition: mode is one of the Mode constants.
 	panic(fmt.Sprintf("topology: unknown mode %d", mode))
 }
 

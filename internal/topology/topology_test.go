@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"fastnet/internal/core"
@@ -500,4 +502,15 @@ func (db *DB) KnowsExactly(g *graph.Graph, down map[graph.Edge]bool) bool {
 		all[i] = core.NodeID(i)
 	}
 	return db.KnowsNodes(all, g, down)
+}
+
+// TestUnknownModePanics reaches NewMaintainer's precondition: a Mode that is
+// none of the constants.
+func TestUnknownModePanics(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "topology: unknown mode 99") {
+			t.Errorf("panic %q, want one naming the mode", msg)
+		}
+	}()
+	NewMaintainer(Mode(99), false, nil)
 }

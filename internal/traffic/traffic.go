@@ -107,21 +107,8 @@ type sendCmd struct {
 
 // node is the per-node traffic protocol.
 type node struct {
-	run      *flowRun
+	slot     []int // each flow's counter slot at its destination, shared by every node of a Run
 	received []int // packet counts of the flows ending here, by dataMsg.Flow slot
-}
-
-// flowRun is what the nodes of one Run share: each flow's counter slot at its
-// destination, and the first send the runtime refused.
-type flowRun struct {
-	slot []int
-	err  error
-}
-
-func (r *flowRun) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
 }
 
 var _ core.Protocol = (*node)(nil)
@@ -133,10 +120,10 @@ func (p *node) LinkEvent(core.Env, core.Port) {}
 func (p *node) Deliver(env core.Env, pkt core.Packet) {
 	switch m := pkt.Payload.(type) {
 	case *sendCmd:
-		first := m.first(p.run.slot[m.Flow])
+		first := m.first(p.slot[m.Flow])
 		for i := 0; i < m.Packets; i++ {
 			if err := env.Send(first.Hop, first.Next); err != nil {
-				p.run.fail(fmt.Errorf("traffic: flow %d: send: %w", m.Flow, err))
+				env.Fail(fmt.Errorf("traffic: flow %d: send: %w", m.Flow, err))
 				return
 			}
 		}
@@ -148,7 +135,7 @@ func (p *node) Deliver(env core.Env, pkt core.Packet) {
 		}
 		// Store-and-forward relay: one software activation per hop.
 		if err := env.Send(m.Hop, m.Next); err != nil {
-			p.run.fail(fmt.Errorf("traffic: relay at node %d: %w", env.ID(), err))
+			env.Fail(fmt.Errorf("traffic: relay: %w", err))
 		}
 	}
 }
@@ -214,10 +201,10 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 	if err := validateFlows(g, flows); err != nil {
 		return Result{}, err
 	}
-	run := &flowRun{slot: make([]int, len(flows))} // flow -> its counter at the destination
+	slot := make([]int, len(flows)) // flow -> its counter at the destination
 	nodes := make([]node, g.N())
 	net := sim.New(g, func(id core.NodeID) core.Protocol {
-		nodes[id].run = run
+		nodes[id].slot = slot
 		return &nodes[id]
 	}, append([]sim.Option{sim.WithDelays(c, p), sim.WithDmax(g.N())}, extra...)...)
 	pairs := make([][2]core.NodeID, len(flows))
@@ -228,7 +215,6 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 	if err != nil {
 		return Result{}, err
 	}
-	slot := run.slot
 	ending := make(map[core.NodeID]int, len(flows))
 	for i, f := range flows {
 		if routes[i] == nil {
@@ -244,19 +230,12 @@ func Run(g *graph.Graph, flows []Flow, d Discipline, c, p core.Time, extra ...si
 		})
 	}
 	finish, err := net.Run()
-	if err == nil {
-		err = run.err
-	}
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Discipline: d, Metrics: net.Metrics(), Sched: net.SchedStats()}
 	for i, f := range flows {
-		nd, ok := net.Protocol(f.Dst).(*node)
-		if !ok {
-			return Result{}, fmt.Errorf("traffic: bad protocol at %d", f.Dst)
-		}
-		if slot[i] < len(nd.received) {
+		if nd := &nodes[f.Dst]; slot[i] < len(nd.received) {
 			res.Delivered += nd.received[slot[i]]
 		}
 	}

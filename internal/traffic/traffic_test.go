@@ -129,15 +129,16 @@ func TestNoPathError(t *testing.T) {
 }
 
 // TestRefusedSendFailsRun: a caller's WithDmax shorter than a hardware route
-// makes the runtime refuse the source's send; Run returns that error, naming
-// the flow, instead of panicking inside the handler. Store-and-forward sends
+// makes the runtime refuse the source's send; the handler's Env.Fail ends the
+// run, and Run returns the core.HandlerError, naming the flow. Store-and-forward sends
 // one-hop headers only, so the same dmax serves it.
 func TestRefusedSendFailsRun(t *testing.T) {
 	g := graph.Path(8)
 	flows := []Flow{{Src: 1, Dst: 2, Packets: 3}, {Src: 0, Dst: 7, Packets: 3}}
 	_, err := Run(g, flows, Hardware, 1, 1, sim.WithDmax(2))
-	if !errors.Is(err, anr.ErrPathTooLong) || !strings.Contains(err.Error(), "flow 1") {
-		t.Fatalf("hardware route past dmax: err %v, want anr.ErrPathTooLong naming flow 1", err)
+	var he *core.HandlerError
+	if !errors.As(err, &he) || !errors.Is(err, anr.ErrPathTooLong) || !strings.Contains(err.Error(), "flow 1") {
+		t.Fatalf("hardware route past dmax: err %v, want a core.HandlerError wrapping anr.ErrPathTooLong, naming flow 1", err)
 	}
 	res, err := Run(g, flows, StoreAndForward, 1, 1, sim.WithDmax(2))
 	if err != nil || res.Delivered != 6 {
