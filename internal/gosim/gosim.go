@@ -175,6 +175,7 @@ func (net *Network) Protocol(u core.NodeID) core.Protocol { return net.nodes[u].
 
 // Inject delivers an external packet to node v (counts as an injection).
 func (net *Network) Inject(v core.NodeID, payload any) {
+	net.checkNode("Inject", v)
 	net.addInflight(1)
 	net.nodes[v].enqueue(item{pkt: core.Packet{
 		Payload:   payload,
@@ -182,6 +183,15 @@ func (net *Network) Inject(v core.NodeID, payload any) {
 		ArrivedOn: anr.NCU,
 		Injected:  true,
 	}})
+}
+
+// checkNode refuses a node outside the graph before the driver call op
+// changes anything.
+func (net *Network) checkNode(op string, v core.NodeID) {
+	if v < 0 || int(v) >= net.g.N() {
+		// precondition: a driver names only nodes of its own graph.
+		panic(fmt.Sprintf("gosim: %s at node %d, outside the graph's %d nodes", op, v, net.g.N()))
+	}
 }
 
 // InjectLink flips the hardware state of edge {u, v} and notifies both NCUs,
@@ -221,6 +231,7 @@ func (net *Network) SetMsgFaults(f core.MsgFaults) {
 // the node is slow relative to its peers, not dead. Yields are accounted in
 // Metrics.StallTicks.
 func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
+	net.checkNode("StallNode", v)
 	if extra <= 0 {
 		extra = 1
 	}

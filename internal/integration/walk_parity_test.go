@@ -350,3 +350,59 @@ func TestFactoryCalledInNodeOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestInjectOutsideGraphOnBothRuntimes: Inject and StallNode name a node, and
+// one outside [0, n) is refused on both runtimes, classic and sharded sim
+// alike, by a precondition panic that names it. The check runs before the
+// call changes anything, so the network then runs as if it was never made:
+// one valid injection is delivered once and the run ends.
+func TestInjectOutsideGraphOnBothRuntimes(t *testing.T) {
+	g := graph.Path(3)
+	refused := func(t *testing.T, prefix string, v core.NodeID, call func()) {
+		t.Helper()
+		defer func() {
+			want := fmt.Sprintf("at node %d, outside the graph's %d nodes", v, g.N())
+			if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, want) {
+				t.Errorf("panic %q, want a %q precondition naming node %d", msg, prefix, v)
+			}
+		}()
+		call()
+	}
+	delivered := func(t *testing.T, m core.Metrics, p *sendOnce) {
+		t.Helper()
+		if m.Injections != 1 || len(p.got) != 1 {
+			t.Errorf("%d injections and deliveries %q after the refused calls, want the one valid injection", m.Injections, p.got)
+		}
+	}
+	for _, v := range []core.NodeID{7, 3, -1} {
+		for name, opts := range map[string][]sim.Option{"classic": nil, "shards-2": {sim.WithShards(2)}} {
+			t.Run(fmt.Sprintf("sim-%s/node-%d", name, v), func(t *testing.T) {
+				p := &sendOnce{}
+				net := sim.New(g, func(core.NodeID) core.Protocol { return p },
+					append([]sim.Option{sim.WithDelays(1, 1)}, opts...)...)
+				if len(opts) > 0 && net.ShardInfo().Shards < 2 {
+					t.Fatalf("WithShards(2) did not partition: %+v", net.ShardInfo())
+				}
+				refused(t, "sim: Inject", v, func() { net.Inject(0, v, "outside") })
+				refused(t, "sim: StallNode", v, func() { net.StallNode(v, 4, 1) })
+				net.Inject(0, 1, "inside")
+				if _, err := net.Run(); err != nil {
+					t.Fatal(err)
+				}
+				delivered(t, net.Metrics(), p)
+			})
+		}
+		t.Run(fmt.Sprintf("gosim/node-%d", v), func(t *testing.T) {
+			p := &sendOnce{}
+			net := gosim.New(g, func(core.NodeID) core.Protocol { return p })
+			defer net.Shutdown()
+			refused(t, "gosim: Inject", v, func() { net.Inject(v, "outside") })
+			refused(t, "gosim: StallNode", v, func() { net.StallNode(v, 4, 1) })
+			net.Inject(1, "inside")
+			if err := net.AwaitQuiescence(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			delivered(t, net.Metrics(), p)
+		})
+	}
+}

@@ -4,30 +4,9 @@ package sim
 // of two in [64, 8192]) in place of the auto-sized span; neither SetMsgFaults
 // nor an NCU backlog then grows it. The span is pure mechanism — any size yields the same
 // observables — so production code has no such knob: tests use this one to
-// force the overflow heap and the spill paths.
+// force the overflow heap.
 func WithFixedRing(n int) Option {
 	return func(cf *config) { cf.ringWindow = n }
-}
-
-// SpineShape reports the length of the same-time lane and of the longest
-// calendar-ring slot (maxima over the shards), for tests that must know what
-// a spill is about to move.
-func (net *Network) SpineShape() (lane, longestSlot int) {
-	if net.group == nil {
-		return net.sp.shape()
-	}
-	for _, ch := range net.group.children {
-		l, s := ch.sp.shape()
-		lane, longestSlot = max(lane, l), max(longestSlot, s)
-	}
-	return lane, longestSlot
-}
-
-func (s *spine) shape() (lane, longestSlot int) {
-	for i := range s.ring {
-		longestSlot = max(longestSlot, s.ring[i].n)
-	}
-	return s.lane.n, longestSlot
 }
 
 // Shards returns the number of event cores executing this network's runs.

@@ -141,8 +141,8 @@ const originShift = 40 // a shard-mode key's origin field lies above bit 40 (nex
 // stage relies on: local pushes follow the origin's dispatch order; a boundary
 // event draws its key here and waits in its shard's outbox in push order, the
 // barrier drains each outbox in order, and an origin lives in one shard;
-// script keys follow the driver's call order. rewind spills to the heap and
-// grow moves slots whole, so neither breaks it.
+// script keys follow the driver's call order. grow moves slots whole, so it
+// does not break it.
 func (net *Network) nextKey() uint64 {
 	if !net.shardMode {
 		net.seq++

@@ -252,7 +252,7 @@ func (s *eventStage) drop(p *chunkPool) {
 
 // eventHeap is a 4-ary min-heap of events ordered by (t, seq), holding what
 // lies beyond the calendar ring's window. Compared with the binary
-// container/heap it halves the sift-down depth, and its typed push/pop avoid
+// container/heap it halves the sift-down depth, and its typed alloc/pop avoid
 // the interface boxing that made every schedule/dispatch allocate. Any
 // min-heap pops the same strict (t, seq) order, so the arity is invisible to
 // simulation results.
@@ -278,9 +278,6 @@ func (q *eventHeap) alloc(t core.Time, seq uint64) *eventRec {
 	q.evs[i] = eventRec{}
 	return &q.evs[i]
 }
-
-// push adds a copy of the keyed event *e.
-func (q *eventHeap) push(e *eventRec) { *q.alloc(e.t, e.seq) = *e }
 
 // pop moves the minimum into *into.
 func (q *eventHeap) pop(into *eventRec) {
@@ -357,30 +354,29 @@ const (
 // the calendar ring's FIFO slot for its instant (slot t & mask), which is
 // promoted wholesale when the clock reaches t. A push just past the span
 // (less than two spans out) doubles an auto-sized ring instead, up to
-// maxRingWindow, so NCU backlogs follow the ring out; anything farther out, or
-// spilled by rewind, goes to the overflow heap.
+// maxRingWindow, so NCU backlogs follow the ring out; anything farther out
+// goes to the overflow heap.
 //
 // Why that is (t, key) order when keys are handed out in increasing order
 // (the classic contract): at instant t the heap's residue dispatches first,
 // then the promoted slot, then the lane. A heap entry for t was scheduled
-// while now <= t - span, or before a rewind; a ring entry for t while
-// t - span < now < t and after any rewind; a lane entry while now == t. The
-// clock only moves forward between rewinds, the span only grows, and a rewind
-// empties lane and ring into the heap, so every heap entry for t predates
-// every ring entry for t, which predates every lane entry — and earlier means
-// a smaller key. Each tier is FIFO (the heap by key), so the concatenation is
-// key order. Under the shard contract (keyed), where keys are canonical rather
-// than increasing, the promoted slot is instead partitioned by origin into key
-// order (the stage: each origin's entries already sit in counter order) and
-// merged with the heap's residue key by key; the lane still drains last, in
-// creation order — "what was scheduled before t in key order, then what t
-// itself creates in creation order". TestSpineMatchesHeapModel checks both
-// against a single binary heap.
+// while now <= t - span; a ring entry for t while t - span < now < t; a lane
+// entry while now == t. The clock only moves forward (RunUntil refuses a
+// deadline behind it) and the span only grows, so every heap entry for t
+// predates every ring entry for t, which predates every lane entry — and
+// earlier means a smaller key. Each tier is FIFO (the heap by key), so the
+// concatenation is key order. Under the shard contract (keyed), where keys
+// are canonical rather than increasing, the promoted slot is instead
+// partitioned by origin into key order (the stage: each origin's entries
+// already sit in counter order) and merged with the heap's residue key by
+// key; the lane still drains last, in creation order — "what was scheduled
+// before t in key order, then what t itself creates in creation order".
+// TestSpineMatchesHeapModel checks both against a single binary heap.
 type spine struct {
 	now   core.Time
 	lane  eventLane  // events for now, in push order
 	stage eventStage // keyed only: the promoted slot, in key order
-	heap  eventHeap  // beyond the ring, and whatever rewind spilled
+	heap  eventHeap  // beyond the ring: two or more spans out, or past a ring that cannot grow
 	pool  chunkPool  // the chunks behind lane, stage and every ring slot
 
 	popped eventRec  // the heap's minimum while it dispatches
@@ -455,12 +451,12 @@ func (s *spine) place(t core.Time, key uint64) *eventRec {
 }
 
 // next advances the clock to the earliest pending event with t <= deadline
-// (any, when deadline < 0) and returns it, counted, to be dispatched where it
-// waits — entries never move, and whatever the dispatch schedules lands
-// behind it — and then retired with done. It returns nil when nothing is
-// pending, leaving the clock alone, or when the earliest event lies past the
-// deadline, with the clock stopped at the deadline; pending ring entries stay
-// put then, since their instants only get closer.
+// and returns it, counted, to be dispatched where it waits — entries never
+// move, and whatever the dispatch schedules lands behind it — and then
+// retired with done. It returns nil when nothing is pending, leaving the
+// clock alone, or when the earliest event lies past the deadline, with the
+// clock stopped at the deadline; pending ring entries stay put then, since
+// their instants only get closer.
 func (s *spine) next(deadline core.Time) *eventRec {
 	for {
 		switch {
@@ -488,7 +484,7 @@ func (s *spine) next(deadline core.Time) *eventRec {
 		if t < 0 {
 			return nil
 		}
-		if deadline >= 0 && t > deadline {
+		if t > deadline {
 			s.now = deadline
 			return nil
 		}
@@ -547,31 +543,6 @@ func (s *spine) nextRingInstant() core.Time {
 		dt += 64 - (idx & 63)
 	}
 	return -1
-}
-
-// rewind moves the clock back to deadline (a backward RunUntil), first
-// spilling lane, stage and ring into the heap, whose (t, key) order keeps the
-// entries correct for whenever the clock catches up. The spill is what keeps
-// one instant per ring slot: an entry retained across a backward move could
-// share its slot with a later push for an instant span earlier.
-func (s *spine) rewind(deadline core.Time) {
-	for s.stage.len() > 0 {
-		s.heap.push(s.stage.front())
-		s.stage.drop(&s.pool)
-	}
-	spill := func(l *eventLane) {
-		for l.n > 0 {
-			s.heap.push(l.front())
-			l.drop(&s.pool)
-		}
-	}
-	spill(&s.lane)
-	for i := range s.ring {
-		spill(&s.ring[i])
-	}
-	s.pending = 0
-	clear(s.bits)
-	s.now = deadline
 }
 
 // grow widens the ring to span w, re-bucketing the pending slots. Every

@@ -308,8 +308,7 @@ func TestGrowRingMovesSlotsWhole(t *testing.T) {
 // dispatch order is (t, key), nothing else. Under the shard contract keys are
 // canonical, not increasing, and the order at one instant is "what was
 // scheduled before the clock got there, by key; then what the instant itself
-// creates, in creation order" — late marks the second group, ord its order. A
-// rewind makes everything pending "scheduled before" again.
+// creates, in creation order" — late marks the second group, ord its order.
 type spineModel struct {
 	keyed bool
 	now   core.Time
@@ -351,28 +350,19 @@ func (m *spineModel) schedule(t core.Time, key uint64) {
 	heap.Push(m, modelEv{t: max(t, m.now), key: key, late: t <= m.now, ord: m.ord})
 }
 
-// next pops the minimum if it is due by the deadline (any, when negative).
-// With nothing pending the clock stays; with nothing due it stops at the
-// deadline.
+// next pops the minimum if it is due by the deadline. With nothing pending
+// the clock stays; with nothing due it stops at the deadline.
 func (m *spineModel) next(deadline core.Time) (modelEv, bool) {
 	if len(m.evs) == 0 {
 		return modelEv{}, false
 	}
-	if deadline >= 0 && m.evs[0].t > deadline {
+	if m.evs[0].t > deadline {
 		m.now = deadline
 		return modelEv{}, false
 	}
 	e := heap.Pop(m).(modelEv)
 	m.now = e.t
 	return e, true
-}
-
-func (m *spineModel) rewind(deadline core.Time) {
-	m.now = deadline
-	for i := range m.evs {
-		m.evs[i].late = false
-	}
-	heap.Init(m)
 }
 
 // spineDriver runs one operation string against a bare spine and the model.
@@ -384,7 +374,7 @@ type spineDriver struct {
 	ctr    [len(spineOrigins)]uint64
 	popped int64
 	// What the string happened to exercise.
-	cuts, spills, overflows, growths, atCap int
+	cuts, overflows, growths, atCap int
 }
 
 func newSpineDriver(t *testing.T, keyed bool) *spineDriver {
@@ -481,7 +471,7 @@ func (d *spineDriver) run(ops []byte) {
 				d.schedule(1+arg%7, (o+n)%len(spineOrigins), false)
 			}
 		case 6: // dispatch a few events, whatever their time
-			for n := 1 + arg%8; n > 0 && d.next(-1, byte(arg)); n-- {
+			for n := 1 + arg%8; n > 0 && d.next(noDeadline, byte(arg)); n-- {
 			}
 		case 7: // run to a deadline that may cut the ring mid-span
 			deadline := sp.now + arg%sp.span
@@ -490,13 +480,11 @@ func (d *spineDriver) run(ops []byte) {
 			if sp.pending > 0 {
 				d.cuts++
 			}
-		case 8: // backward RunUntil
-			if deadline := sp.now - 1 - arg%50; deadline >= 0 {
-				if lane, slot := sp.shape(); lane > 0 && slot > 2*laneChunk {
-					d.spills++
-				}
-				sp.rewind(deadline)
-				d.m.rewind(deadline)
+		case 8: // run to the clock itself, the earliest deadline RunUntil takes: the lane alone
+			for spawn := byte(arg); d.next(sp.now, spawn); spawn = 0 {
+			}
+			if sp.pending > 0 {
+				d.cuts++
 			}
 		case 9: // a wider delay envelope
 			sp.grow(roundRingWindow(2 * len(sp.ring)))
@@ -513,7 +501,7 @@ func (d *spineDriver) run(ops []byte) {
 			}
 		}
 	}
-	for d.next(-1, 0) {
+	for d.next(noDeadline, 0) {
 	}
 	d.overflows = int(sp.stats.RingOverflows)
 	// Drained: every count back to zero, every chunk back in the pool, and
@@ -541,31 +529,32 @@ func (d *spineDriver) run(ops []byte) {
 }
 
 // spinePreamble walks the clock off zero, fills one slot with three chunks
-// and the lane with two events, rewinds over both, and grows the ring — so
-// every operation string starts from a wrapped, once-spilled, regrown spine.
+// and the lane with two events, runs to a deadline on the clock (the lane
+// drains, the slot stays) and grows the ring — so every operation string
+// starts from a wrapped, regrown spine.
 var spinePreamble = []byte{1, 60, 6, 0, 5, 3, 0, 0, 0, 0, 8, 4, 9, 0, 3, 9, 7, 30}
 
 // TestSpineMatchesHeapModel is the proof of the spine's order argument (see
 // the spine type): random operation strings — schedules at every distance
-// from now, bursts, partial drains, forward deadlines that cut the ring
-// mid-span, backward rewinds, on-demand doubling for a push just past the
-// span, envelope growth from 64 to the 8192 cap — must dispatch in exactly the
+// from now, bursts, partial drains, deadlines that cut the ring mid-span or
+// sit on the clock itself, on-demand doubling for a push just past the span,
+// envelope growth from 64 to the 8192 cap — must dispatch in exactly the
 // order one binary heap does, under both contracts, and leave nothing behind.
 func TestSpineMatchesHeapModel(t *testing.T) {
 	for _, keyed := range []bool{false, true} {
-		var cuts, spills, overflows, growths, atCap int
+		var cuts, overflows, growths, atCap int
 		for seed := int64(1); seed <= 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			ops := make([]byte, 1200)
 			rng.Read(ops)
 			d := newSpineDriver(t, keyed)
 			d.run(append(append([]byte(nil), spinePreamble...), ops...))
-			cuts, spills, overflows = cuts+d.cuts, spills+d.spills, overflows+d.overflows
+			cuts, overflows = cuts+d.cuts, overflows+d.overflows
 			growths, atCap = growths+d.growths, atCap+d.atCap
 		}
-		if cuts == 0 || spills == 0 || overflows == 0 || growths == 0 || atCap == 0 {
-			t.Errorf("keyed=%v: the strings covered %d forward cuts over a pending ring, %d rewinds over a lane and a multi-chunk slot, %d heap overflows, %d on-demand growths, %d growths to the cap; want all > 0",
-				keyed, cuts, spills, overflows, growths, atCap)
+		if cuts == 0 || overflows == 0 || growths == 0 || atCap == 0 {
+			t.Errorf("keyed=%v: the strings covered %d forward cuts over a pending ring, %d heap overflows, %d on-demand growths, %d growths to the cap; want all > 0",
+				keyed, cuts, overflows, growths, atCap)
 		}
 	}
 }
@@ -579,7 +568,7 @@ func FuzzSpine(f *testing.F) {
 	f.Add(true, spinePreamble)
 	f.Add(true, []byte{5, 2, 1, 3, 7, 9, 6, 255, 8, 0, 3, 200, 9, 0, 9, 0, 7, 63, 4, 4, 6, 77})
 	f.Fuzz(func(t *testing.T, keyed bool, ops []byte) {
-		if len(ops) > 1024 { // a rewind costs what is pending: keep strings quick
+		if len(ops) > 1024 { // a burst leaves up to 48 events pending: keep strings small
 			ops = ops[:1024]
 		}
 		newSpineDriver(t, keyed).run(ops)

@@ -166,21 +166,12 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 // then exchange boundary packets at the barrier. Cross-shard packets always
 // land strictly after the window (send time >= W, delay >= lookahead), so no
 // shard can ever see an event for an instant it has already passed. The
-// facade's clock reads what one core's would (runCore): a backward deadline
-// rewinds every child; otherwise a run ends at the deadline if anything is
-// still pending, else at its last dispatched instant, and every child aligns.
+// facade's clock reads what one core's would (runCore): a run ends at the
+// deadline if anything is still pending, else at its last dispatched instant,
+// and every child aligns. runTop has already refused a failed network and a
+// deadline behind the clock.
 func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	fac := grp.fac
-	if f := grp.failure(); f != nil { // a failed run stays stopped
-		return grp.metrics().FinishTime, f
-	}
-	if deadline >= 0 && deadline < fac.sp.now {
-		for _, ch := range grp.children {
-			ch.sp.rewind(deadline)
-		}
-		fac.sp.now = deadline
-		return grp.metrics().FinishTime, nil
-	}
 	var errs []error
 	clock := fac.sp.now
 	for {
@@ -190,16 +181,13 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 				w = t
 			}
 		}
-		if w < 0 || (deadline >= 0 && w > deadline) || len(errs) > 0 {
-			if w >= 0 && deadline >= 0 {
+		if w < 0 || w > deadline || len(errs) > 0 {
+			if w >= 0 && deadline != noDeadline {
 				clock = deadline
 			}
 			break
 		}
-		end := w + grp.lookahead - 1
-		if deadline >= 0 && end > deadline {
-			end = deadline
-		}
+		end := min(w+grp.lookahead-1, deadline)
 		grp.active = grp.active[:0]
 		for _, ch := range grp.children {
 			if t := ch.sp.nextTime(); t >= 0 && t <= end {

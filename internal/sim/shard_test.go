@@ -202,8 +202,9 @@ func TestShardPartitionWithoutCutEdge(t *testing.T) {
 // soak campaigns do — RunUntil epochs with link flips, fault-profile swaps,
 // and NCU stalls scripted in between — then the clock's edge cases: an
 // injection at Now() after Run, a RunUntil past the last event, and a
-// backward RunUntil followed by injections in the past. The sharded run must
-// match the serial reference field by field, Now() after every call included.
+// backward RunUntil (refused with ErrBackward at every shard count) followed
+// by injections in the past. The sharded run must match the serial reference
+// field by field, Now() after every call included.
 func TestShardEpochsAndDriverAPI(t *testing.T) {
 	run := func(t *testing.T, shards int) lossyRun {
 		t.Helper()
@@ -239,7 +240,10 @@ func TestShardEpochsAndDriverAPI(t *testing.T) {
 		step(net.Run())
 		step(net.RunUntil(net.Now() + 150))
 		back := net.Now() - 20
-		step(net.RunUntil(back))
+		if _, err := net.RunUntil(back); !errors.Is(err, sim.ErrBackward) {
+			t.Fatalf("RunUntil(%d) with the clock at %d: err %v, want sim.ErrBackward", back, net.Now(), err)
+		}
+		clocks = append(clocks, net.Now())
 		net.Inject(back-5, 9, topology.Trigger{})
 		net.Inject(back-1, 40, topology.Trigger{})
 		step(net.Run())

@@ -26,10 +26,12 @@
 // (hardware C, software P, MsgFaults.DelayBound; regrown if SetMsgFaults
 // widens it, and doubled when an NCU backlog pushes an event just past it)
 // and an overflow heap for what lies farther out, dispatched in strict
-// (t, seq) order — see docs/PERF.md. queue_test.go proves the spine against
-// a single binary heap; reference_test.go is a naive engine of the same
-// stream contract that cutthrough_test.go and batch_test.go hold production
-// to trace for trace, and golden_test.go pins the event stream byte for byte.
+// (t, seq) order — see docs/PERF.md. The clock only moves forward: RunUntil
+// refuses a deadline behind it with ErrBackward. queue_test.go proves the
+// spine against a single binary heap; reference_test.go is a naive engine of
+// the same stream contract that cutthrough_test.go and batch_test.go hold
+// production to trace for trace, and golden_test.go pins the event stream
+// byte for byte.
 //
 // The package is four files along those seams: queue.go the spine, hop.go
 // the timed hop loop, node.go nodes and NCU activations, sim.go options,
@@ -40,6 +42,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fastnet/internal/core"
@@ -50,6 +53,13 @@ import (
 // ErrEventBudget is returned by Run when the event budget is exhausted,
 // which almost always means a protocol is looping.
 var ErrEventBudget = errors.New("sim: event budget exhausted")
+
+// ErrBackward is returned by RunUntil for a deadline behind the clock: the
+// simulated clock only moves forward.
+var ErrBackward = errors.New("sim: deadline behind the clock")
+
+// noDeadline is Run's deadline: no event lies past it.
+const noDeadline = core.Time(math.MaxInt64)
 
 type config struct {
 	hwDelay     core.Time // C
@@ -296,10 +306,20 @@ func (net *Network) Protocol(u core.NodeID) core.Protocol { return net.nodes[u].
 // network the event goes to v's owning shard, keyed by the shared driver
 // ordinal so scripted events keep one global order regardless of shard count.
 func (net *Network) Inject(t core.Time, v core.NodeID, payload any) {
+	net.checkNode("Inject", v)
 	owner := net.ownerOf(v)
 	e := owner.sp.schedule(t, owner.nextKey())
 	e.set(evInject, v, 0, 0, 0, 0, 0)
 	e.payload = payload
+}
+
+// checkNode refuses a node outside the graph before the driver call op
+// changes anything.
+func (net *Network) checkNode(op string, v core.NodeID) {
+	if v < 0 || int(v) >= net.g.N() {
+		// precondition: a driver names only nodes of its own graph.
+		panic(fmt.Sprintf("sim: %s at node %d, outside the graph's %d nodes", op, v, net.g.N()))
+	}
 }
 
 // SetLink schedules a link state change at time t. The hardware state flips
@@ -397,6 +417,7 @@ func (cf *config) ringSize() int {
 // surcharge is accounted in Metrics.StallTicks. A second call replaces any
 // open window.
 func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
+	net.checkNode("StallNode", v)
 	if extra <= 0 {
 		extra = 1
 	}
@@ -409,21 +430,35 @@ func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
 // last NCU activation), or the *core.HandlerError of a handler's Env.Fail.
 func (net *Network) Run() (core.Time, error) {
 	defer net.publishStats()
-	return net.runTop(-1)
+	return net.runTop(noDeadline)
 }
 
 // RunUntil processes events with time <= deadline, leaving later events
 // queued. The clock then reads the deadline if events remain queued, else the
-// last event's instant, as after Run; a deadline behind it moves it back.
+// last event's instant, as after Run. A deadline behind the clock (any
+// negative one included) is refused with ErrBackward: nothing is dispatched
+// and nothing changes.
 func (net *Network) RunUntil(deadline core.Time) (core.Time, error) {
 	return net.runTop(deadline)
 }
 
 // runTop routes a run to the right engine: the synchronous-window
 // coordinator for a multi-shard network, the plain event loop otherwise. A
-// shard-mode serial network additionally flushes its buffered trace through
-// the canonical merge so its stream is byte-identical to a multi-shard run's.
+// failed network stays stopped, and a deadline behind the clock is refused,
+// before either engine is entered. A shard-mode serial network additionally
+// flushes its buffered trace through the canonical merge so its stream is
+// byte-identical to a multi-shard run's.
 func (net *Network) runTop(deadline core.Time) (core.Time, error) {
+	f := net.failed
+	if net.group != nil {
+		f = net.group.failure()
+	}
+	if f != nil {
+		return net.Metrics().FinishTime, f
+	}
+	if deadline < net.sp.now {
+		return net.Metrics().FinishTime, fmt.Errorf("%w: RunUntil(%d) with the clock at %d", ErrBackward, deadline, net.sp.now)
+	}
 	if net.group != nil {
 		return net.group.run(deadline)
 	}
@@ -440,10 +475,6 @@ func (net *Network) runTop(deadline core.Time) (core.Time, error) {
 func (net *Network) runCore(deadline core.Time) (core.Time, error) {
 	defer func() { net.curOrigin = -1 }()
 	sp := &net.sp
-	if deadline >= 0 && deadline < sp.now && net.failed == nil {
-		sp.rewind(deadline)
-		return net.metrics.FinishTime, nil
-	}
 	for net.failed == nil {
 		ev := sp.next(deadline)
 		if ev == nil {

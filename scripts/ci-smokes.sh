@@ -37,7 +37,7 @@ smokes=(
 	"./internal/topology/|-run TestDBBytesIndependentOfIDRange|TestDBHostileIDCostsRecords|TestDBRoutingRetainsOneTree -count=1 -v|database: 26 records cost the same bytes at any ID range; node 1<<28 beside 17 records <= 64 KB; routing every ordered pair of 256 nodes keeps <= 64 KB more live (one tree of each kind)"
 	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 400 allocs for RandomTree(4096), <= 4 for its Clone"
 	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.8 allocs/model op on the soak-churn shape"
-	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestHandlerFailureOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the two runtimes' contract table (a handler's Env.Fail included), factory contract and determinism goldens, repeated under race"
+	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestHandlerFailureOnBothRuntimes|TestInjectOutsideGraphOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the two runtimes' contract table (a handler's Env.Fail and a node outside the graph included), factory contract and determinism goldens, repeated under race"
 )
 
 for row in "${smokes[@]}"; do
