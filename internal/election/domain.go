@@ -64,7 +64,7 @@ type member struct {
 // for return routes. Every cost of a merge is O(captured domain).
 type domain struct {
 	ents []member
-	idx  posTable // node → position in ents, once len(ents) > scanMax
+	idx  core.NodeIndex // node → position in ents, once len(ents) > core.ScanMax
 	nIn  int
 	nOut int
 	// outs is a min-heap of every node that ever entered OUT. A node enters
@@ -72,11 +72,6 @@ type domain struct {
 	// nodes that have since moved to IN are dropped when they surface.
 	outs []core.NodeID
 }
-
-// scanMax is the member count up to which find scans ents directly. The
-// initial domain of a node of degree < scanMax never builds the table, and
-// most origins are captured with little more than that.
-const scanMax = 12
 
 // start makes root a fresh origin: IN = {root}, OUT = its up neighbors, the
 // tree a star over both.
@@ -99,10 +94,14 @@ func (d *domain) start(root core.NodeID, ports []core.Port) error {
 
 func (d *domain) root() core.NodeID { return d.ents[0].Node }
 
-// find returns x's position in ents.
+// find returns x's position in ents. The initial domain of a node of degree
+// < core.ScanMax never builds the index, and most origins are captured with
+// little more than that.
 func (d *domain) find(x core.NodeID) (int32, bool) {
-	if len(d.ents) > scanMax {
-		return d.idx.get(x)
+	if len(d.ents) > core.ScanMax {
+		// A literal key inlines into Find; a method value would stay an
+		// indirect call on every probe.
+		return d.idx.Find(x, func(p int32) core.NodeID { return d.ents[p].Node })
 	}
 	for i := range d.ents {
 		if d.ents[i].Node == x {
@@ -112,19 +111,16 @@ func (d *domain) find(x core.NodeID) (int32, bool) {
 	return 0, false
 }
 
-// add appends m and indexes it.
-func (d *domain) add(m member) int32 {
+// add appends m and indexes it; from is the position m.Node vacated to be
+// re-appended, or -1.
+func (d *domain) add(m member, from int32) int32 {
 	pos := int32(len(d.ents))
 	d.ents = append(d.ents, m)
-	switch {
-	case len(d.ents) == scanMax+1:
-		for i := range d.ents {
-			if d.ents[i].Node != core.None {
-				d.idx.put(d.ents[i].Node, int32(i))
-			}
-		}
-	case len(d.ents) > scanMax:
-		d.idx.put(m.Node, pos)
+	key := func(p int32) core.NodeID { return d.ents[p].Node }
+	if from >= 0 {
+		d.idx.Move(m.Node, from, pos, key)
+	} else {
+		d.idx.Add(pos, key)
 	}
 	return pos
 }
@@ -151,6 +147,7 @@ func (d *domain) link(e treeEntry, pos int32, known bool) (int32, error) {
 		return 0, fmt.Errorf("election: parent %d of %d not in tree", e.Parent, e.Node)
 	}
 	m := member{treeEntry: e, ppos: ppos, flags: inTree}
+	from := int32(-1)
 	if known {
 		// A set-only member joins the tree: re-append it behind its parent
 		// so ents stays parent-before-child, and leave a vacant slot (Node
@@ -158,8 +155,9 @@ func (d *domain) link(e treeEntry, pos int32, known bool) (int32, error) {
 		// position goes stale.
 		m.flags |= d.ents[pos].flags
 		d.ents[pos] = member{treeEntry: treeEntry{Node: core.None}, ppos: -1}
+		from = pos
 	}
-	return d.add(m), nil
+	return d.add(m, from), nil
 }
 
 // has reports whether x is in the tree (the root counts).
@@ -322,7 +320,7 @@ func (d *domain) graft(e treeEntry, setOnly bool) (int32, error) {
 	case known && (setOnly || d.ents[pos].flags&inTree != 0):
 		return pos, nil
 	case setOnly:
-		return d.add(member{treeEntry: treeEntry{Node: e.Node, Parent: core.None}, ppos: -1}), nil
+		return d.add(member{treeEntry: treeEntry{Node: e.Node, Parent: core.None}, ppos: -1}, -1), nil
 	}
 	return d.link(e, pos, known)
 }
@@ -371,79 +369,4 @@ func (d *domain) announcePlan() *paths.Fanout {
 		return d.ents[pos].Down, true
 	})
 	return plan
-}
-
-// posTable is an open-addressed node → position map: linear probing over a
-// power-of-two slot array kept at load ≤ ½, no deletion, so memory stays
-// proportional to the domain. A slot packs (node+1)<<32 | position; zero is
-// empty.
-type posTable struct {
-	slots []uint64
-	n     int
-	shift uint8 // 32 − log2(len(slots))
-}
-
-// home is x's preferred slot (Fibonacci hashing: dense node IDs spread over
-// the table whatever subset a domain holds).
-func (t *posTable) home(x core.NodeID) uint32 {
-	return uint32(x) * 0x9E3779B1 >> t.shift
-}
-
-func (t *posTable) get(x core.NodeID) (int32, bool) {
-	if x < 0 {
-		return 0, false
-	}
-	mask := uint32(len(t.slots) - 1)
-	for i := t.home(x); ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			return 0, false
-		}
-		if uint32(s>>32) == uint32(x)+1 {
-			return int32(uint32(s)), true
-		}
-	}
-}
-
-// put maps x to pos, replacing an earlier mapping.
-func (t *posTable) put(x core.NodeID, pos int32) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	mask := uint32(len(t.slots) - 1)
-	i := t.home(x)
-	for ; t.slots[i] != 0; i = (i + 1) & mask {
-		if uint32(t.slots[i]>>32) == uint32(x)+1 {
-			t.n--
-			break
-		}
-	}
-	t.slots[i] = uint64(uint32(x)+1)<<32 | uint64(uint32(pos))
-	t.n++
-}
-
-// grow doubles the table (the first table holds 4·scanMax slots rounded up
-// to a power of two) and re-inserts every mapping.
-func (t *posTable) grow() {
-	old := t.slots
-	size := 2 * len(old)
-	if size == 0 {
-		size = 64
-	}
-	t.slots = make([]uint64, size)
-	t.shift = 32
-	for s := size; s > 1; s >>= 1 {
-		t.shift--
-	}
-	mask := uint32(size - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		i := t.home(core.NodeID(uint32(s>>32) - 1))
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-	}
 }

@@ -193,10 +193,10 @@ func (s *domainScript) check() {
 	for _, p := range s.touched {
 		d, m := p.d, p.m
 		root := d.root()
-		if len(d.ents) > scanMax {
+		if len(d.ents) > core.ScanMax {
 			s.cov.table = true
 		}
-		if len(d.idx.slots) > 64 {
+		if d.idx.Slots() > 4*core.ScanMax {
 			s.cov.regrow = true
 		}
 		if d.nIn != len(m.in) || d.nOut != len(m.out) {
@@ -283,24 +283,29 @@ func FuzzDomain(f *testing.F) {
 	})
 }
 
-// TestPosTable checks the open-addressed index against a map across several
-// regrows, including overwrites and misses.
+// TestPosTable checks a domain's node index against a map across several
+// regrows, with members re-appended (their old position vacated) and misses.
 func TestPosTable(t *testing.T) {
-	var tab posTable
+	var d domain
 	want := map[core.NodeID]int32{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		x := core.NodeID(rng.Intn(4096))
-		tab.put(x, int32(i))
-		want[x] = int32(i)
-		if tab.n != len(want) || 2*tab.n > len(tab.slots) {
-			t.Fatalf("after %d puts: n = %d over %d slots, want %d at load <= 1/2", i+1, tab.n, len(tab.slots), len(want))
+		from, known := d.find(x)
+		if known {
+			d.ents[from] = member{treeEntry: treeEntry{Node: core.None}, ppos: -1}
+		} else {
+			from = -1
+		}
+		want[x] = d.add(member{treeEntry: treeEntry{Node: x}}, from)
+		if len(d.ents) > core.ScanMax && 2*len(want) > d.idx.Slots() {
+			t.Fatalf("after %d adds: %d nodes over %d slots, want load <= 1/2", i+1, len(want), d.idx.Slots())
 		}
 	}
 	for x := core.NodeID(-2); x < 4100; x++ {
-		got, ok := tab.get(x)
-		if w, wok := want[x]; ok != wok || got != w {
-			t.Fatalf("get(%d) = %d, %v; want %d, %v", x, got, ok, w, wok)
+		got, ok := d.find(x)
+		if w, wok := want[x]; ok != wok || ok && got != w {
+			t.Fatalf("find(%d) = %d, %v; want %d, %v", x, got, ok, w, wok)
 		}
 	}
 }

@@ -245,14 +245,16 @@ func (net *Network) StallNode(v core.NodeID, window, extra core.Time) {
 // CrashNode fails every link incident to v (the model's node failure: an
 // inactive node is one all of whose links are inactive).
 func (net *Network) CrashNode(v core.NodeID) {
+	net.checkNode("CrashNode", v)
 	for _, nb := range net.g.Neighbors(v) {
 		net.InjectLink(v, nb, false)
 	}
 }
 
-// RestoreNode schedules the reverse of CrashNode: every incident link comes
-// back up and both endpoints are notified.
+// RestoreNode is the reverse of CrashNode: every incident link comes back up
+// at once and both endpoints are notified.
 func (net *Network) RestoreNode(v core.NodeID) {
+	net.checkNode("RestoreNode", v)
 	for _, nb := range net.g.Neighbors(v) {
 		net.InjectLink(v, nb, true)
 	}

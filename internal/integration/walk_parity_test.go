@@ -351,8 +351,8 @@ func TestFactoryCalledInNodeOrder(t *testing.T) {
 	}
 }
 
-// TestInjectOutsideGraphOnBothRuntimes: Inject and StallNode name a node, and
-// one outside [0, n) is refused on both runtimes, classic and sharded sim
+// TestInjectOutsideGraphOnBothRuntimes: Inject, StallNode, CrashNode and
+// RestoreNode name a node, and one outside [0, n) is refused on both runtimes, classic and sharded sim
 // alike, by a precondition panic that names it. The check runs before the
 // call changes anything, so the network then runs as if it was never made:
 // one valid injection is delivered once and the run ends.
@@ -385,6 +385,8 @@ func TestInjectOutsideGraphOnBothRuntimes(t *testing.T) {
 				}
 				refused(t, "sim: Inject", v, func() { net.Inject(0, v, "outside") })
 				refused(t, "sim: StallNode", v, func() { net.StallNode(v, 4, 1) })
+				refused(t, "sim: CrashNode", v, func() { net.CrashNode(0, v) })
+				refused(t, "sim: RestoreNode", v, func() { net.RestoreNode(0, v) })
 				net.Inject(0, 1, "inside")
 				if _, err := net.Run(); err != nil {
 					t.Fatal(err)
@@ -398,6 +400,8 @@ func TestInjectOutsideGraphOnBothRuntimes(t *testing.T) {
 			defer net.Shutdown()
 			refused(t, "gosim: Inject", v, func() { net.Inject(v, "outside") })
 			refused(t, "gosim: StallNode", v, func() { net.StallNode(v, 4, 1) })
+			refused(t, "gosim: CrashNode", v, func() { net.CrashNode(v) })
+			refused(t, "gosim: RestoreNode", v, func() { net.RestoreNode(v) })
 			net.Inject(1, "inside")
 			if err := net.AwaitQuiescence(10 * time.Second); err != nil {
 				t.Fatal(err)

@@ -356,6 +356,7 @@ func (net *Network) LinkUp(u, v core.NodeID) bool { return net.links.Up(u, v) }
 // is one all of whose links are inactive (§2), so every incident link goes
 // down and all neighbors get data-link notifications.
 func (net *Network) CrashNode(t core.Time, v core.NodeID) {
+	net.checkNode("CrashNode", v)
 	for _, nb := range net.g.Neighbors(v) {
 		net.SetLink(t, v, nb, false)
 	}
@@ -363,6 +364,7 @@ func (net *Network) CrashNode(t core.Time, v core.NodeID) {
 
 // RestoreNode schedules the reverse of CrashNode.
 func (net *Network) RestoreNode(t core.Time, v core.NodeID) {
+	net.checkNode("RestoreNode", v)
 	for _, nb := range net.g.Neighbors(v) {
 		net.SetLink(t, v, nb, true)
 	}

@@ -207,7 +207,7 @@ func (m *batchModel) compare(when string) {
 
 func TestBatchInstallMatchesUpdate(t *testing.T) {
 	// 10 nodes stay on the scanned store until enough strays have joined them;
-	// 24 and 96 cross slotThreshold at once, so the screen is built and every
+	// 24 and 96 cross core.ScanMax at once, so the screen is built and every
 	// later batch runs on it, or past it.
 	for _, n := range []int{10, 24, 96} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -222,7 +222,7 @@ func TestBatchInstallMatchesUpdate(t *testing.T) {
 			for len(m.pending) > 0 {
 				m.deliver()
 			}
-			if n > slotThreshold && m.got.seen == nil {
+			if n > core.ScanMax && m.got.seen == nil {
 				t.Fatalf("n=%d seed %d: the screen was never built", n, seed)
 			}
 			if m.want.seen != nil {
@@ -235,7 +235,7 @@ func TestBatchInstallMatchesUpdate(t *testing.T) {
 // The four ways one list can come back under a higher number, and the late
 // batch that tells a stale screen from a current one.
 func TestBatchInstallListIdentity(t *testing.T) {
-	const n = slotThreshold + 4
+	const n = core.ScanMax + 4
 	bringUp := func(seq uint64) []Record {
 		recs := make([]Record, n)
 		for u := range recs {
@@ -312,7 +312,7 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		{Node: 1 << 20, Seq: 1, Links: []LinkInfo{{Local: 1, Neighbor: core.None}}},
 	}
 	// The scanned store, the node table, and the node table with its screen.
-	for _, n := range []int{3, slotThreshold + 8, slotThreshold + 9} {
+	for _, n := range []int{3, core.ScanMax + 8, core.ScanMax + 9} {
 		db := NewDB()
 		recs := make([]Record, n)
 		for u := range recs {
@@ -322,8 +322,8 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		if n%2 == 1 {
 			db.installAll(recs)
 		}
-		if (db.table != nil) != (n > slotThreshold) || (db.seen != nil) != (n > slotThreshold && n%2 == 1) {
-			t.Fatalf("n=%d: node table %v, screen %v", n, db.table != nil, db.seen != nil)
+		if (db.byNode.Slots() != 0) != (n > core.ScanMax) || (db.seen != nil) != (n > core.ScanMax && n%2 == 1) {
+			t.Fatalf("n=%d: node index %v, screen %v", n, db.byNode.Slots() != 0, db.seen != nil)
 		}
 		version, nodes, edges := db.version, db.View().N(), db.View().M()
 		for _, r := range hostile {
@@ -333,17 +333,17 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		}
 		db.updateAll(hostile)
 		db.installAll(hostile)
-		// Enough good records behind them to cross slotThreshold: at the
+		// Enough good records behind them to cross core.ScanMax: at the
 		// parent commit the slot table's first build indexed it by -1.
-		for u := n; u < n+slotThreshold; u++ {
+		for u := n; u < n+core.ScanMax; u++ {
 			if !db.Update(Record{Node: core.NodeID(u), Seq: 1}) {
 				t.Fatalf("n=%d: good record %d refused", n, u)
 			}
 		}
-		if len(db.ents) != n+slotThreshold || db.version != version+slotThreshold {
+		if len(db.ents) != n+core.ScanMax || db.version != version+core.ScanMax {
 			t.Errorf("n=%d: %d records, version %d -> %d", n, len(db.ents), version, db.version)
 		}
-		if g := db.View(); g.N() != n+slotThreshold || g.M() != edges || nodes != n {
+		if g := db.View(); g.N() != n+core.ScanMax || g.M() != edges || nodes != n {
 			t.Errorf("n=%d: view %d nodes, %d edges; before %d, %d", n, g.N(), g.M(), nodes, edges)
 		}
 		if _, ok := db.Record(-1); ok {

@@ -8,7 +8,6 @@ package topology
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -127,13 +126,12 @@ type DB struct {
 	version uint64
 
 	// Packed record store: one entry per known node. Lookup is a linear scan
-	// while the store is small — the common case for the per-node databases
-	// built during convergence, and allocation-free — and then goes through
-	// table: entry indices (-1: empty), open-addressed by the entry's node,
-	// at least twice the record count (indexSlot). Records are never removed.
-	ents  []entry
-	table []int32
-	order []int32 // entry indices by ascending node; records re-sorts it only after a node was added
+	// while the store holds up to core.ScanMax entries — the common case for
+	// the per-node databases built during convergence, and allocation-free —
+	// and then goes through byNode. Records are never removed.
+	ents   []entry
+	byNode core.NodeIndex
+	order  []int32 // entry indices by ascending node; records re-sorts it only after a node was added
 
 	// The batch screen: seen[u] = 1 + the stored sequence number of node u, 0
 	// for a node with no record (or one whose number leaves no room for the
@@ -141,9 +139,9 @@ type DB struct {
 	// repeats its sender's whole database and all but a record or two of it
 	// is already held here, so updateAll turns those away on this one dense
 	// load per record. It is nil until the first multi-record message arrives
-	// at a database that has its table; from then on it covers the IDs below
-	// len(seen) (cover) and update keeps it exact. Databases that hear one
-	// record at a time (flooding, a single broadcast) never pay for it.
+	// at a database that has its node index; from then on it covers the IDs
+	// below len(seen) (cover) and update keeps it exact. Databases that hear
+	// one record at a time (flooding, a single broadcast) never pay for it.
 	seen []uint64
 
 	// The materialized believed-topology graph. While it is current, Update
@@ -182,12 +180,6 @@ type entry struct {
 	fwd uint64
 }
 
-// slotThreshold is the store size above which node lookups go through the
-// table. Below it a linear scan over the packed entries is faster than a
-// probe — and skipping the table keeps small databases (each node of an
-// n-node network holds one) free of it.
-const slotThreshold = 16
-
 // screenSpan is how many node IDs the screen may cover per stored record: it
 // is dense only where the database holds a fixed share of the IDs it covers.
 const screenSpan = 4
@@ -199,7 +191,7 @@ func NewDB() *DB {
 
 // slotOf returns the store slot holding u's record.
 func (db *DB) slotOf(u core.NodeID) (int32, bool) {
-	if db.table == nil {
+	if len(db.ents) <= core.ScanMax {
 		for s := range db.ents {
 			if db.ents[s].rec.Node == u {
 				return int32(s), true
@@ -207,39 +199,7 @@ func (db *DB) slotOf(u core.NodeID) (int32, bool) {
 		}
 		return 0, false
 	}
-	mask := uint32(len(db.table) - 1)
-	for i := home(u, mask); ; i = (i + 1) & mask {
-		if s := db.table[i]; s < 0 || db.ents[s].rec.Node == u {
-			return s, s >= 0
-		}
-	}
-}
-
-// home is u's first probe: Fibonacci hashing, whose top bits spread IDs in
-// any stride over the table.
-func home(u core.NodeID, mask uint32) uint32 {
-	return uint32(u) * 0x9E3779B1 >> bits.LeadingZeros32(mask)
-}
-
-// indexSlot enters slot s, the store's newest entry, into the table, first
-// building or doubling it — and re-entering every entry — when the records
-// would fill more than half of it.
-func (db *DB) indexSlot(s int32) {
-	if 2*len(db.ents) > len(db.table) {
-		db.table = make([]int32, max(2*len(db.table), 4*slotThreshold))
-		for i := range db.table {
-			db.table[i] = -1
-		}
-		s = 0 // re-enter every entry from the first
-	}
-	mask := uint32(len(db.table) - 1)
-	for ; int(s) < len(db.ents); s++ {
-		i := home(db.ents[s].rec.Node, mask)
-		for db.table[i] >= 0 {
-			i = (i + 1) & mask
-		}
-		db.table[i] = s
-	}
+	return db.byNode.Find(u, func(s int32) core.NodeID { return db.ents[s].rec.Node })
 }
 
 // cover widens the screen over the node IDs below hi as far as screenSpan
@@ -353,9 +313,7 @@ func (db *DB) update(rec Record, adopt bool) bool {
 	if !known {
 		s = int32(len(db.ents))
 		db.ents = append(db.ents, entry{rec: Record{Node: rec.Node}})
-		if len(db.ents) > slotThreshold {
-			db.indexSlot(s)
-		}
+		db.byNode.Add(s, func(s int32) core.NodeID { return db.ents[s].rec.Node })
 		if db.seen != nil {
 			db.cover(int(rec.Node) + 1)
 		}
@@ -390,7 +348,7 @@ func (db *DB) setSeq(s int32, seq uint64) {
 // under install's ownership rule: the records of a received message, or of a
 // warm start.
 func (db *DB) installAll(recs []Record) {
-	if db.seen == nil && db.table != nil && len(recs) > 1 {
+	if db.seen == nil && db.byNode.Slots() != 0 && len(recs) > 1 {
 		top := 0
 		for i := range db.ents {
 			top = max(top, int(db.ents[i].rec.Node)+1)

@@ -337,8 +337,8 @@ func TestRoutingPlaneDifferential(t *testing.T) {
 		x ^= x << 17
 		binary.LittleEndian.PutUint64(data[i:], x)
 	}
-	// 9 nodes stay on the linear-scan store; 24 cross slotThreshold, so the
-	// node table and, from the second multi-record message on, the screen
+	// 9 nodes stay on the linear-scan store; 24 cross core.ScanMax, so the
+	// node index and, from the second multi-record message on, the screen
 	// run too.
 	for _, n := range []int{9, 24} {
 		for _, k := range []int{1, 2, 3, 7} {
@@ -355,7 +355,7 @@ func FuzzRoutingPlane(f *testing.F) {
 	// Hostile records: node -1 and a neighbour -2 between good ones.
 	f.Add([]byte{0, 0, 1, 0, 8, 0, 1, 0, 8, 1, 0, 1, 0, 1, 2, 0})
 	// Batches on the 18-node model (bit 2 of the first byte): a bring-up that
-	// builds the node table, a change, the batch that builds the screen, a
+	// builds the node index, a change, the batch that builds the screen, a
 	// hostile record, then batches of stored arrays and of copies.
 	f.Add([]byte{29, 0, 0xff, 0xff, 0, 0, 1, 0, 9, 1, 0x0f, 0, 8, 0, 1, 0, 9, 0, 0xf0, 0x0f, 1, 0, 0, 0, 9, 2, 0, 0, 9, 3, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -366,10 +366,10 @@ func FuzzRoutingPlane(f *testing.F) {
 			return
 		}
 		// Most scripts run on 7 nodes, where a check is cheap; the others on
-		// 18, which a single batch takes past slotThreshold.
+		// 18, which a single batch takes past core.ScanMax.
 		n := 7
 		if data[0]&4 != 0 {
-			n = slotThreshold + 2
+			n = core.ScanMax + 2
 		}
 		runDiff(t, data, n, 1+int(data[0])%4)
 	})

@@ -23,7 +23,7 @@ func allocBytes(f func()) uint64 {
 // full-knowledge batch carrying it, cost a database what they bring — not a
 // table reaching up to that ID.
 func TestDBHostileIDCostsRecords(t *testing.T) {
-	const n = slotThreshold + 1 // past the scanned store
+	const n = core.ScanMax + 1 // past the scanned store
 	db := NewDB()
 	batch := make([]Record, 0, n+1)
 	for u := 0; u < n; u++ {

@@ -15,10 +15,10 @@ cd "$(dirname "$0")/.."
 smokes=(
 	"./internal/topology/|-run FuzzFaultSchedule -count=1|fuzz seeds: the committed fault-schedule corpus, uncached"
 	"./internal/reliable/|-run ^\$ -fuzz FuzzReliableDelivery -fuzztime 30s|reliable delivery under loss"
-	"./internal/topology/|-run ^\$ -fuzz FuzzRoutingPlane -fuzztime 30s|routing-plane cache differential"
+	"./internal/topology/|-run ^\$ -fuzz FuzzRoutingPlane -fuzztime 30s|database differential: store, node index and batch screen against the cold model"
 	"./internal/sim/|-run ^\$ -fuzz FuzzCutThrough -fuzztime 30s|production engine vs reference engine, C = 0 walks under faults"
 	"./internal/sim/|-run ^\$ -fuzz FuzzSpine -fuzztime 30s -fuzzminimizetime 1s|spine vs container/heap model over fuzzer-written operation strings"
-	"./internal/election/|-run ^\$ -fuzz FuzzDomain -fuzztime 30s -fuzzminimizetime 1s|election domain vs the map model it replaced"
+	"./internal/election/|-run ^\$ -fuzz FuzzDomain -fuzztime 30s -fuzzminimizetime 1s|election domain vs the map model it replaced, the shared core.NodeIndex included"
 	"./internal/reseq/|-run ^\$ -fuzz FuzzReorder -fuzztime 30s|reordering: election recovery, both runtimes"
 	"./internal/faults/|-run ^\$ -fuzz FuzzGrayFailure -fuzztime 30s|gray failures: slowdown/stall envelope, invariant I8"
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|sharded vs serial scheduler differential"
@@ -31,7 +31,7 @@ smokes=(
 	"./internal/topology/|-run TestQuietRoundAllocs -count=1 -v|quiet round: <= 20 allocs/broadcast, full knowledge included (plan and records shared)"
 	"./internal/topology/|-run TestQuietFloodAllocs -count=1 -v|quiet flood: <= 0.1 allocs/delivery, nothing per forwarded copy"
 	"./internal/traffic/|-run TestRelayAllocsPerPacket -count=1 -v|relay: <= 0.1 allocs/packet, both disciplines"
-	"./internal/election/|-run TestElectionAllocsPerNode -count=1 -v|election: <= 13 allocs/node, 1024 nodes all starting (protocol structs in slabs)"
+	"./internal/election/|-run TestElectionAllocsPerNode|TestDomainIndexBytes -count=1 -v|election: <= 13 allocs/node, 1024 nodes all starting (protocol structs in slabs); domain indexes <= 64 B/node at 4096 (4-byte slots)"
 	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node, build + one 4096-node broadcast (slabs, adopted warm start)"
 	"./internal/topology/|-run TestFloodBytesPerNodeFlat -count=1 -v|flood at scale: bytes per node per origin at 4,096 nodes within 1.3x of 1,024 (a database costs what it holds)"
 	"./internal/topology/|-run TestDBBytesIndependentOfIDRange|TestDBHostileIDCostsRecords|TestDBRoutingRetainsOneTree -count=1 -v|database: 26 records cost the same bytes at any ID range; node 1<<28 beside 17 records <= 64 KB; routing every ordered pair of 256 nodes keeps <= 64 KB more live (one tree of each kind)"
