@@ -182,6 +182,30 @@ func BenchmarkTreeLabelDecompose(b *testing.B) {
 	}
 }
 
+// BenchmarkFanoutRebuild96 and its siblings time paths.NewFanout, the plan a
+// branching-paths origin rebuilds whenever its believed topology changes,
+// over random trees of the soak-churn fabric's 96 nodes, 1,024 and 4,096
+// nodes. The decomposition is built in pooled scratch, so allocs/op counts
+// what the plan keeps.
+func BenchmarkFanoutRebuild96(b *testing.B)   { benchFanoutRebuild(b, 96) }
+func BenchmarkFanoutRebuild1024(b *testing.B) { benchFanoutRebuild(b, 1024) }
+func BenchmarkFanoutRebuild4096(b *testing.B) { benchFanoutRebuild(b, 4096) }
+
+func benchFanoutRebuild(b *testing.B, n int) {
+	trees := make([]*graph.Tree, 8)
+	for i := range trees {
+		trees[i] = graph.RandomTree(n, int64(i+1)).BFSTree(graph.NodeID(i))
+	}
+	link := func(_, to graph.NodeID) (anr.ID, bool) { return anr.ID(1 + int(to)%250), true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := paths.NewFanout(trees[i%len(trees)], link); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // reportControlPlane adds the two numbers the repository benchmark's ctl-c0
 // row gates on to a C = 0 control-plane benchmark: heap objects per node
 // (the budget the package's alloc test pins) and model operations — hops

@@ -110,8 +110,8 @@ func (g *Graph) BFSTreeInto(t *Tree, root NodeID) *Tree {
 		t = &Tree{}
 	}
 	t.Root = root
-	t.Parent = resizeNodes(t.Parent, g.n)
-	t.Depth = resizeInts(t.Depth, g.n)
+	t.Parent = resize(t.Parent, g.n)
+	t.Depth = resize(t.Depth, g.n)
 	for i := range t.Parent {
 		t.Parent[i] = None
 		t.Depth[i] = -1
@@ -139,21 +139,13 @@ func (g *Graph) BFSTreeInto(t *Tree, root NodeID) *Tree {
 	return t
 }
 
-// resizeNodes returns s with length n, reusing its backing array when large
+// resize returns s with length n, reusing its backing array when large
 // enough.
-func resizeNodes(s []NodeID, n int) []NodeID {
+func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]NodeID, n)
-}
-
-// resizeInts is resizeNodes for int slices.
-func resizeInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // Distances returns hop distances from root (-1 for unreachable nodes).

@@ -23,8 +23,8 @@ func (g *Graph) ShortestTreeInto(t *Tree, dist []int64, root NodeID, weight Weig
 		t = &Tree{}
 	}
 	t.Root = root
-	t.Parent = resizeNodes(t.Parent, g.n)
-	t.Depth = resizeInts(t.Depth, g.n)
+	t.Parent = resize(t.Parent, g.n)
+	t.Depth = resize(t.Depth, g.n)
 	if cap(dist) >= g.n {
 		dist = dist[:g.n]
 	} else {

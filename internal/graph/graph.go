@@ -10,7 +10,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node. IDs are dense: a graph with N nodes uses 0..N-1.
@@ -36,12 +36,14 @@ func (e Edge) Canon() Edge {
 // neighbor lists are the only edge storage: membership is a binary search,
 // so building a graph allocates nothing beyond the adjacency arrays. A list
 // with no array starts in a window of the spare array, which holds one per
-// node, so a graph is built with a few allocations, not one per node.
+// node, and a full one moves to a window of a second spare kept for growth,
+// so a graph is built with a few allocations, not one per node.
 type Graph struct {
 	n     int
 	adj   [][]NodeID // sorted neighbor lists
 	m     int        // edge count
-	spare []NodeID   // unused windows
+	spare []NodeID   // unused first windows
+	grown []NodeID   // unused windows for lists that outgrew theirs
 }
 
 // window is the capacity a neighbor list starts with.
@@ -99,26 +101,40 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
 	}
-	if contains(g.adj[u], v) {
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
 		return nil
 	}
-	g.adj[u] = insertSorted(g.room(u), v)
-	g.adj[v] = insertSorted(g.room(v), u)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[u] = slices.Insert(g.room(u), i, v)
+	g.adj[v] = slices.Insert(g.room(v), j, u)
 	g.m++
 	return nil
 }
 
-// room returns u's neighbor list, in a window of the spare array if it has no
-// array yet. Capped at the window, the list moves out when it outgrows it.
+// room returns u's neighbor list with space for one more: in a window of the
+// spare array if it has no array yet, and when it is full, moved into a
+// window twice its capacity carved from the growth spare. Each list is capped
+// at its window.
 func (g *Graph) room(u NodeID) []NodeID {
-	if cap(g.adj[u]) > 0 {
-		return g.adj[u]
+	a := g.adj[u]
+	switch {
+	case cap(a) == 0:
+		return carve(&g.spare, window, window*g.n)
+	case len(a) == cap(a):
+		return append(carve(&g.grown, 2*cap(a), window*g.n), a...)
 	}
-	if len(g.spare) < window {
-		g.spare = make([]NodeID, window*g.n)
+	return a
+}
+
+// carve cuts an empty window of capacity c from the front of *spare, first
+// replacing it with a fresh array of max(c, chunk) when it is too short.
+func carve(spare *[]NodeID, c, chunk int) []NodeID {
+	if len(*spare) < c {
+		*spare = make([]NodeID, max(c, chunk))
 	}
-	s := g.spare[:0:window]
-	g.spare = g.spare[window:]
+	s := (*spare)[:0:c]
+	*spare = (*spare)[c:]
 	return s
 }
 
@@ -134,11 +150,13 @@ func (g *Graph) MustAddEdge(u, v NodeID) {
 // RemoveEdge deletes the undirected edge {u, v} if present and reports
 // whether it was present.
 func (g *Graph) RemoveEdge(u, v NodeID) bool {
-	if !g.valid(u) || !g.valid(v) || !contains(g.adj[u], v) {
+	if !g.HasEdge(u, v) {
 		return false
 	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
+	i, _ := slices.BinarySearch(g.adj[u], v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	return true
 }
@@ -148,7 +166,8 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if !g.valid(u) || !g.valid(v) {
 		return false
 	}
-	return contains(g.adj[u], v)
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Neighbors returns the sorted neighbor list of u. The returned slice is
@@ -213,42 +232,9 @@ func (g *Graph) Equal(h *Graph) bool {
 		return false
 	}
 	for u := range g.adj {
-		ga, ha := g.adj[u], h.adj[u]
-		if len(ga) != len(ha) {
+		if !slices.Equal(g.adj[u], h.adj[u]) {
 			return false
-		}
-		for i := range ga {
-			if ga[i] != ha[i] {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// contains reports whether the sorted slice s holds v.
-func contains(s []NodeID, v NodeID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-// insertSorted inserts v into the sorted slice s if absent.
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// removeSorted removes v from the sorted slice s if present.
-func removeSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
-	return s
 }

@@ -110,7 +110,7 @@ func (s *Search) Path(buf []NodeID, src, dst NodeID) []NodeID {
 		}
 		a = b
 	}
-	path := resizeNodes(buf, int(d)+1)
+	path := resize(buf, int(d)+1)
 	path[0] = src
 	for k := 1; k < len(path); k++ {
 		for _, v := range s.g.adj[path[k-1]] {

@@ -225,7 +225,7 @@ func TestNoDeadExports(t *testing.T) {
 // A handler that cannot continue calls core.Env.Fail, which fails the run;
 // what remains is a caller breaking a documented precondition, or a state
 // the code rules out.
-const maxPanics = 11
+const maxPanics = 10
 
 // TestPanicSitesRatchet holds the panic calls of non-test code outside bench/
 // to maxPanics, and requires each to have, on the line directly above it, a

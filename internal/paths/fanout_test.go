@@ -3,8 +3,10 @@ package paths_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +55,11 @@ func relayLoop(specs []routeSpec, id graph.NodeID) []anr.Header {
 // does not.
 func fanoutDiff(tree *graph.Tree, link linkFunc) string {
 	plan, err := paths.NewFanout(tree, link)
+	return planDiff(plan, err, tree, link)
+}
+
+// planDiff is fanoutDiff for a plan already built.
+func planDiff(plan *paths.Fanout, err error, tree *graph.Tree, link linkFunc) string {
 	specs, werr := routeSpecs(tree, link)
 	if err != nil || werr != nil {
 		if err == nil || werr == nil || err.Error() != werr.Error() || plan != nil {
@@ -123,6 +130,100 @@ func TestFanoutMatchesRelayLoop(t *testing.T) {
 	if hs := none.For(0); hs != nil {
 		t.Errorf("nil plan: For(0) = %v", hs)
 	}
+}
+
+// scratchTrees is a sequence of trees that grows from 1 to 300 nodes and
+// shrinks back, mixing shapes, so that each NewFanout call meets a pooled
+// scratch sized by a different tree: too small, too large, or filled by a
+// tree whose stale contents must not leak into the next plan.
+func scratchTrees(seed int64) []*graph.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	sizes := []int{1, 2, 5, 9, 17, 40, 80, 150, 300, 300, 120, 60, 25, 7, 3, 1}
+	var trees []*graph.Tree
+	for i, n := range sizes {
+		root := graph.NodeID(rng.Intn(n))
+		switch i % 5 {
+		case 0:
+			trees = append(trees, graph.Path(n).BFSTree(root))
+		case 1:
+			trees = append(trees, graph.Star(n).BFSTree(root))
+		case 2:
+			trees = append(trees, graph.Complete(n).BFSTree(root))
+		default:
+			trees = append(trees, graph.RandomTree(n, seed+int64(i)).BFSTree(root))
+		}
+		if i%4 == 3 {
+			// A forest the root does not span, and a root outside the ID range.
+			g := graph.RandomTree(n, seed-int64(i))
+			for _, e := range g.Edges()[:len(g.Edges())/3] {
+				g.RemoveEdge(e.U, e.V)
+			}
+			trees = append(trees, g.BFSTree(root), g.BFSTree(graph.NodeID(n+rng.Intn(3))))
+		}
+	}
+	return trees
+}
+
+// planHeaders copies out every header plan holds for the IDs of tree's
+// range: a deep snapshot to compare the plan against after later builds.
+func planHeaders(plan *paths.Fanout, tree *graph.Tree) [][]anr.Hop {
+	var hs [][]anr.Hop
+	for id := graph.NodeID(0); int(id) < len(tree.Parent); id++ {
+		for _, h := range plan.For(id) {
+			hs = append(hs, slices.Clone(h))
+		}
+	}
+	return hs
+}
+
+// TestNewFanoutPooledScratch builds plans of trees that grow and shrink
+// through NewFanout's pooled scratch: every plan must match the oracle, and
+// every earlier plan must still hold what it held when built — nothing a
+// plan keeps may be scratch a later build overwrites. Concurrent builders
+// each take their own scratch (run under -race).
+func TestNewFanoutPooledScratch(t *testing.T) {
+	type built struct {
+		tree *graph.Tree
+		plan *paths.Fanout
+		hdrs [][]anr.Hop
+	}
+	check := func(seed int64) error {
+		link := syntheticLink(seed%2 == 0)
+		var plans []built
+		for i, tree := range scratchTrees(seed) {
+			plan, err := paths.NewFanout(tree, link)
+			if diff := planDiff(plan, err, tree, link); diff != "" {
+				return fmt.Errorf("seed %d tree %d (%d nodes, root %d): %s", seed, i, len(tree.Parent), tree.Root, diff)
+			}
+			if plan != nil {
+				plans = append(plans, built{tree, plan, planHeaders(plan, tree)})
+			}
+			for j, p := range plans {
+				if got := planHeaders(p.plan, p.tree); !slices.EqualFunc(got, p.hdrs, slices.Equal) {
+					return fmt.Errorf("seed %d: after building tree %d, plan %d reads %v, built as %v", seed, i, j, got, p.hdrs)
+				}
+			}
+		}
+		return nil
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		if err := check(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for w := int64(0); w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := check(10 + w); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // split is two components; a tree rooted in one leaves the other unreached.

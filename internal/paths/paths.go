@@ -16,42 +16,98 @@ package paths
 
 import (
 	"fmt"
+	"sync"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/graph"
 )
 
+// scratch is the working storage of one decomposition: the tree's child
+// lists, its labels and the order they are computed in, and the chains with
+// their node slab. NewFanout takes one from scratchPool, and its plan keeps
+// none of it; Labels and Decompose start from an empty one, so what they
+// return is the caller's alone. A buffer too small for the tree is made at
+// the exact size needed, never grown by append.
+type scratch struct {
+	first  []int32 // u's children are kids[first[u]:first[u+1]], ascending
+	kids   []graph.NodeID
+	labels []int
+	queue  []graph.NodeID // the labelling's breadth-first order
+	nodes  []graph.NodeID // the chains' slab
+	d      Decomposition  // Paths and order reused; off made afresh each time
+}
+
+// scratchPool recycles NewFanout's scratch, as graph's BFS recycles its
+// frontier: every buffer is overwritten before it is read, so reuse is
+// invisible in the plans, and each concurrent caller takes its own.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// fit returns s with length n, reusing its array when large enough.
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// children lays out t's child lists (what Tree.Children returns) as runs of
+// one array, by counting sort.
+func (s *scratch) children(t *graph.Tree) {
+	n := len(t.Parent)
+	s.first = fit(s.first, n+1)
+	clear(s.first)
+	for _, p := range t.Parent {
+		if p != graph.None {
+			s.first[p+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		s.first[u+1] += s.first[u]
+	}
+	s.kids = fit(s.kids, int(s.first[n]))
+	for u, p := range t.Parent { // ascending child ID
+		if p != graph.None {
+			s.kids[s.first[p]] = graph.NodeID(u)
+			s.first[p]++
+		}
+	}
+	copy(s.first[1:], s.first) // filling advanced first[u] to first[u+1]
+	s.first[0] = 0
+}
+
+// kidsOf returns u's children, laid out by children.
+func (s *scratch) kidsOf(u graph.NodeID) []graph.NodeID { return s.kids[s.first[u]:s.first[u+1]] }
+
 // Labels computes the Strahler labels of all nodes in t. Nodes outside the
 // tree get label -1.
-func Labels(t *graph.Tree) []int { return label(t, t.Children()) }
+func Labels(t *graph.Tree) []int {
+	var s scratch
+	s.children(t)
+	return s.label(t)
+}
 
-// label is Labels over t's child lists, which every caller has at hand.
-func label(t *graph.Tree, children [][]graph.NodeID) []int {
-	labels := make([]int, len(t.Parent))
+// label is Labels over the child lists children laid out.
+func (s *scratch) label(t *graph.Tree) []int {
+	s.labels = fit(s.labels, len(t.Parent))
+	labels := s.labels
 	for i := range labels {
 		labels[i] = -1
-	}
-	// Post-order via explicit stack (trees can be deep paths).
-	type frame struct {
-		node graph.NodeID
-		next int
 	}
 	if !t.Reached(t.Root) {
 		return labels
 	}
-	stack := []frame{{node: t.Root}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		ch := children[f.node]
-		if f.next < len(ch) {
-			c := ch[f.next]
-			f.next++
-			stack = append(stack, frame{node: c})
-			continue
-		}
-		// All children labelled; label f.node.
+	// Breadth-first over the child lists, every node comes after its parent,
+	// so the reverse order labels each node after its children with no stack
+	// however deep the tree.
+	s.queue = fit(s.queue, len(t.Parent))
+	queue := append(s.queue[:0], t.Root)
+	for head := 0; head < len(queue); head++ {
+		queue = append(queue, s.kidsOf(queue[head])...)
+	}
+	for i := len(queue) - 1; i >= 0; i-- {
+		u := queue[i]
 		best, count := -1, 0
-		for _, c := range ch {
+		for _, c := range s.kidsOf(u) {
 			switch {
 			case labels[c] > best:
 				best, count = labels[c], 1
@@ -61,13 +117,12 @@ func label(t *graph.Tree, children [][]graph.NodeID) []int {
 		}
 		switch {
 		case best < 0:
-			labels[f.node] = 0 // leaf
+			labels[u] = 0 // leaf
 		case count >= 2:
-			labels[f.node] = best + 1
+			labels[u] = best + 1
 		default:
-			labels[f.node] = best
+			labels[u] = best
 		}
-		stack = stack[:len(stack)-1]
 	}
 	return labels
 }
@@ -102,18 +157,22 @@ type Decomposition struct {
 // Decompose computes the branching-path decomposition of t using the given
 // labels (from Labels).
 func Decompose(t *graph.Tree, labels []int) *Decomposition {
-	return decompose(t, labels, t.Children())
+	var s scratch
+	s.children(t)
+	s.decompose(t, labels)
+	return &s.d
 }
 
-// decompose is Decompose over t's child lists. All chains are carved from one
-// node slab, each with cap == len.
-func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decomposition {
+// decompose is Decompose over the child lists children laid out, into s.d.
+// All chains are carved from one node slab, each with cap == len.
+func (s *scratch) decompose(t *graph.Tree, labels []int) {
 	// A child c is a chain top iff its parent is the root (the root has no
 	// chain of its own) or its label differs from its parent's.
 	top := func(c, p graph.NodeID) bool {
 		return p != graph.None && c != t.Root && (p == t.Root || labels[c] != labels[p])
 	}
-	d := &Decomposition{Labels: labels, off: make([]int32, len(t.Parent)+1)}
+	d := &s.d
+	d.Labels, d.off = labels, make([]int32, len(t.Parent)+1)
 	tops, nodes := 0, 0
 	for u, p := range t.Parent {
 		if p != graph.None {
@@ -129,9 +188,10 @@ func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decompos
 	}
 	// off[u] is now where u's run of order begins; filling the run advances it
 	// to where the next one begins, and one shift afterwards restores it.
-	d.Paths = make([]Path, 0, tops)
-	d.order = make([]int32, tops)
-	slab := make([]graph.NodeID, 0, nodes+tops)
+	d.Paths = fit(d.Paths, tops)[:0]
+	d.order = fit(d.order, tops)
+	s.nodes = fit(s.nodes, nodes+tops)
+	slab := s.nodes[:0]
 	for u, p := range t.Parent { // ascending top ID
 		c := graph.NodeID(u)
 		if !top(c, p) {
@@ -143,7 +203,7 @@ func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decompos
 		slab = append(slab, p, c)
 		for l, cur := labels[c], c; ; {
 			next := graph.None
-			for _, k := range children[cur] {
+			for _, k := range s.kidsOf(cur) {
 				if labels[k] == l {
 					next = k
 					break // Lemma 1: at most one equal-label child
@@ -159,7 +219,6 @@ func decompose(t *graph.Tree, labels []int, children [][]graph.NodeID) *Decompos
 	}
 	copy(d.off[1:], d.off)
 	d.off[0] = 0
-	return d
 }
 
 // Routes lays the decomposition out as wire routes. It calls emit once per
@@ -215,11 +274,16 @@ type Fanout struct {
 
 // NewFanout decomposes t into branching paths and lays them out as headers,
 // taking the link ID at from toward to from link. A hop that link does not
-// know is an error.
+// know is an error. The decomposition is built in pooled scratch; the plan
+// holds only storage made for it.
 func NewFanout(t *graph.Tree, link func(from, to graph.NodeID) (anr.ID, bool)) (*Fanout, error) {
-	children := t.Children()
-	d := decompose(t, label(t, children), children)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.children(t)
+	s.decompose(t, s.label(t))
+	d := &s.d
 	f := &Fanout{off: d.off, hdrs: make([]anr.Header, 0, len(d.Paths))}
+	d.off = nil // the plan's, not the scratch's
 	err := layout(d, 1, func(from, to graph.NodeID) (anr.Hop, bool) {
 		id, ok := link(from, to)
 		return anr.Hop{Link: id, Copy: true}, ok
@@ -271,38 +335,19 @@ func (f *Fanout) Relay(env interface {
 // than the round of the path that delivers to the start node. The maximum
 // over all paths is the broadcast's time complexity in the C=0, P=1 model.
 func (d *Decomposition) Rounds(root graph.NodeID) ([]int, int) {
-	// receivedIn[v] = index of the path that contains v in its chain.
-	receivedIn := make(map[graph.NodeID]int, len(d.Paths)*2)
-	for i, p := range d.Paths {
-		for _, v := range p.chain() {
-			receivedIn[v] = i
+	rounds, most := make([]int, len(d.Paths)), 0
+	var send func(u graph.NodeID, r int) // u sends its paths in round r
+	send = func(u graph.NodeID, r int) {
+		if u < 0 || int(u)+1 >= len(d.off) {
+			return
+		}
+		for _, i := range d.order[d.off[u]:d.off[u+1]] {
+			rounds[i], most = r, max(most, r)
+			for _, v := range d.Paths[i].chain() {
+				send(v, r+1)
+			}
 		}
 	}
-	rounds := make([]int, len(d.Paths))
-	var solve func(i int) int
-	solve = func(i int) int {
-		if rounds[i] != 0 {
-			return rounds[i]
-		}
-		start := d.Paths[i].Start()
-		if start == root {
-			rounds[i] = 1
-			return 1
-		}
-		parent, ok := receivedIn[start]
-		if !ok {
-			// unreachable: in a valid decomposition every path starts on a
-			// node an earlier path covers.
-			panic(fmt.Sprintf("paths: start node %d not covered by any chain", start))
-		}
-		rounds[i] = solve(parent) + 1
-		return rounds[i]
-	}
-	max := 0
-	for i := range d.Paths {
-		if r := solve(i); r > max {
-			max = r
-		}
-	}
-	return rounds, max
+	send(root, 1)
+	return rounds, most
 }

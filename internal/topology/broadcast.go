@@ -129,15 +129,18 @@ func (b *broadcast) startBroadcast(env core.Env) {
 
 // cachedPlan returns the branching-path plan for the current database
 // version, recomputing the tree and decomposition only when the believed
-// topology actually changed.
+// topology actually changed. The origin's one planCache is updated in place.
 func (b *broadcast) cachedPlan() *paths.Fanout {
 	c := b.plan
-	if v := b.db.version; c == nil || c.at != v {
-		c = &planCache{at: v}
-		if int(b.id) < b.db.View().N() {
-			c.plan, _ = paths.NewFanout(b.db.BFSTree(b.id), b.db.LinkID) // nil with the error
-		}
+	if c == nil {
+		c = new(planCache)
 		b.plan = c
+	} else if c.at == b.db.version {
+		return c.plan
+	}
+	c.at, c.plan = b.db.version, nil
+	if int(b.id) < b.db.View().N() {
+		c.plan, _ = paths.NewFanout(b.db.BFSTree(b.id), b.db.LinkID) // nil with the error
 	}
 	return c.plan
 }

@@ -373,9 +373,11 @@ func (db *DB) updateAll(recs []Record) {
 				continue
 			}
 			// seen != 0: a record, whose number the screen holds exactly.
-			if s, _ := db.slotOf(r.Node); seen != 0 && SameLinks(db.ents[s].rec.Links, r.Links) {
-				db.setSeq(s, r.Seq)
-				continue
+			if seen != 0 {
+				if s, _ := db.slotOf(r.Node); SameLinks(db.ents[s].rec.Links, r.Links) {
+					db.setSeq(s, r.Seq)
+					continue
+				}
 			}
 		}
 		db.update(*r, true)

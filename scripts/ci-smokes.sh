@@ -35,8 +35,9 @@ smokes=(
 	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node, build + one 4096-node broadcast (slabs, adopted warm start)"
 	"./internal/topology/|-run TestFloodBytesPerNodeFlat -count=1 -v|flood at scale: bytes per node per origin at 4,096 nodes within 1.3x of 1,024 (a database costs what it holds)"
 	"./internal/topology/|-run TestDBBytesIndependentOfIDRange|TestDBHostileIDCostsRecords|TestDBRoutingRetainsOneTree -count=1 -v|database: 26 records cost the same bytes at any ID range; node 1<<28 beside 17 records <= 64 KB; routing every ordered pair of 256 nodes keeps <= 64 KB more live (one tree of each kind)"
-	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 400 allocs for RandomTree(4096), <= 4 for its Clone"
-	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.8 allocs/model op on the soak-churn shape"
+	"./internal/topology/|-run TestPlanRebuildAllocs -count=1 -v|plan rebuild: <= 6 allocs for a full-knowledge origin's plan after a version bump (the plan's own storage; the decomposition in pooled scratch)"
+	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 16 allocs for RandomTree(4096) (grown lists carved from a growth spare), <= 4 for its Clone"
+	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.30 allocs/model op and <= 21 MB per rep on the soak-churn shape"
 	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestHandlerFailureOnBothRuntimes|TestInjectOutsideGraphOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the two runtimes' contract table (a handler's Env.Fail and a node outside the graph included), factory contract and determinism goldens, repeated under race"
 )
 
