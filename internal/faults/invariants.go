@@ -244,8 +244,11 @@ func (r *soakRun) checkReliable(epoch int, profile core.MsgFaults) error {
 // checkCalls verifies invariant I3: every call whose path was touched by a
 // failure is fully torn down with the caller notified; every untouched call
 // is fully intact. Survivors are then torn down and the epoch must end with
-// zero residual per-hop state anywhere.
+// zero residual per-hop state anywhere. Every check reads the managers before
+// the first teardown is injected: on the goroutine runtime a node handles an
+// injection at once, writing the state a later check would read.
 func (r *soakRun) checkCalls(epoch int, infos []callInfo) error {
+	var survivors []callInfo
 	for _, ci := range infos {
 		touched := false
 		for k := 0; k+1 < len(ci.path); k++ {
@@ -275,6 +278,9 @@ func (r *soakRun) checkCalls(epoch int, infos []callInfo) error {
 				return violated(epoch, 3, "untouched call %d lost its state at node %d", ci.id, v)
 			}
 		}
+		survivors = append(survivors, ci)
+	}
+	for _, ci := range survivors {
 		r.h.Inject(ci.caller, &calls.TeardownCmd{Call: ci.id})
 		r.res.CallsTorn++
 	}

@@ -15,7 +15,6 @@ package pif
 
 import (
 	"fmt"
-	"sort"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
@@ -363,12 +362,10 @@ func Run(g *graph.Graph, root core.NodeID, mode EchoMode, c, p core.Time, opts .
 	}, nil
 }
 
-// bfsOrder lists tree nodes in breadth-first order starting at root.
+// bfsOrder lists tree nodes in breadth-first order starting at root, each
+// node's children in ascending ID order (as Tree.Children lists them).
 func bfsOrder(t *graph.Tree, root core.NodeID) []core.NodeID {
 	children := t.Children()
-	for u := range children {
-		sort.Slice(children[u], func(i, j int) bool { return children[u][i] < children[u][j] })
-	}
 	order := []core.NodeID{root}
 	for i := 0; i < len(order); i++ {
 		order = append(order, children[order[i]]...)

@@ -85,6 +85,49 @@ func TestReverseArenaTails(t *testing.T) {
 	}
 }
 
+// TestReverseCapEqualsLen: fault-injected duplicates in shard mode carry a
+// clone of the reverse route, and every Reverse a protocol is handed still
+// has cap == len — at the destination and at each selective-copy stop, on one
+// shard and on two — so no append through one writes into spare capacity
+// another delivery of the same packet shares.
+func TestReverseCapEqualsLen(t *testing.T) {
+	const n = 7 // a 6-hop route: tails of 4 hops and more at nodes 4..6
+	links := make([]anr.ID, n-1)
+	links[0] = 1
+	for i := 1; i < n-1; i++ {
+		links[i] = 2
+	}
+	for _, shards := range []int{1, 2} {
+		protos := make([]*reverseKeeper, n)
+		net := New(graph.Path(n), func(id core.NodeID) core.Protocol {
+			protos[id] = &reverseKeeper{}
+			return protos[id]
+		}, WithDelays(1, 1), WithDmax(n), WithShards(shards), WithSeed(3),
+			WithMsgFaults(core.MsgFaults{Dup: 0.3}))
+		protos[0].route, protos[0].train = anr.CopyPath(links), 20
+		net.Inject(0, 0, "go")
+		if _, err := net.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if dups := net.Metrics().FaultDups; dups == 0 {
+			t.Fatalf("shards=%d: no traversal was duplicated", shards)
+		}
+		checked := 0
+		for u := 4; u < n; u++ {
+			if len(protos[u].kept) <= protos[0].train {
+				t.Fatalf("shards=%d node %d: %d deliveries, want duplicates beyond the train of %d", shards, u, len(protos[u].kept), protos[0].train)
+			}
+			for i, rev := range protos[u].kept {
+				if len(rev) != u+1 || protos[u].caps[i] != len(rev) {
+					t.Errorf("shards=%d node %d delivery %d: Reverse has len %d cap %d, want both %d", shards, u, i, len(rev), protos[u].caps[i], u+1)
+				}
+				checked++
+			}
+		}
+		t.Logf("shards=%d: %d deliveries of routes of 4 to %d hops checked", shards, checked, n-1)
+	}
+}
+
 // TestGlobalSchedStatsRunUntilOnly: a driver that only ever calls RunUntil
 // (the open-loop engine, epoch scripts) adds nothing to its SchedTotals sink
 // per call; reading SchedStats must, exactly once — classic and sharded

@@ -36,14 +36,14 @@ func (net *Network) faultSrc(v core.NodeID) *rand.Rand {
 
 // dupRev returns the reverse-path buffer a fault-injected duplicate should
 // carry. Classic mode shares the original (idempotent rewrites); shard mode
-// clones it — the duplicate and the original may cross shard boundaries at
-// different times, and sharing would make one shard re-write positions
-// another is reading.
+// clones it into the hop arena at its exact length — the duplicate and the
+// original may cross shard boundaries at different times, and sharing would
+// make one shard re-write positions another is reading.
 func (net *Network) dupRev(rev anr.Header) anr.Header {
 	if !net.shardMode {
 		return rev
 	}
-	return append(anr.Header(nil), rev...)
+	return append(net.hops.carve(len(rev))[:0], rev...)
 }
 
 // hwDelayOnce draws one hardware delay for a hop leaving node from.
@@ -120,7 +120,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 		switch hop.Kind {
 		case core.HopTerminal:
 			if e := net.enqueueActivation(cur, msg, arrivedOn, anr.NCU, 0); e != nil {
-				e.payload, e.rev = payload, rev
+				e.carry(payload, nil, rev)
 			}
 			return
 		case core.HopFiltered:
@@ -131,7 +131,7 @@ func (net *Network) stepHop(cur core.NodeID, h anr.Header, i int, revBuf anr.Hea
 		port := hop.Port
 		if hop.Copy {
 			if e := net.enqueueActivation(cur, msg, arrivedOn, port.Local, flagCopy); e != nil {
-				e.payload, e.h, e.rev = payload, h[i+1:].Clone(), rev
+				e.carry(payload, h[i+1:].Clone(), rev)
 			}
 		}
 		if !port.Up {
@@ -205,11 +205,11 @@ func (net *Network) pushHop(at core.Time, node core.NodeID, h anr.Header, i int,
 		// arrival time is at least now + lookahead, so it lands strictly
 		// after the current window.
 		box := &net.outbox[net.assign[node]]
-		*box = append(*box, eventRec{t: at, seq: net.nextKey()})
-		e = &(*box)[len(*box)-1]
+		*box = append(*box, timedEvent{t: at, ev: eventRec{seq: net.nextKey()}})
+		e = &(*box)[len(*box)-1].ev
 	} else {
 		e = net.sp.schedule(at, net.nextKey())
 	}
 	e.set(evHop, node, msg, int32(i), arrivedOn, 0, 0)
-	e.payload, e.h, e.rev = payload, h, revBuf
+	e.carry(payload, h, revBuf)
 }

@@ -61,7 +61,7 @@ func (net *Network) dispatch(ev *eventRec) {
 	switch ev.kind {
 	case evHop:
 		net.curOrigin = int32(ev.node)
-		net.stepHop(ev.node, ev.h, int(ev.hopIdx), ev.rev, ev.arrivedOn, ev.payload, ev.msg)
+		net.stepHop(ev.node, ev.header(), int(ev.hopIdx), ev.reverse(), ev.arrivedOn, ev.payload, ev.msg)
 	case evActivation:
 		nodeID, msg := ev.node, ev.msg
 		net.curOrigin = int32(nodeID)
@@ -88,8 +88,8 @@ func (net *Network) dispatch(ev *eventRec) {
 		}
 		nd.proto.Deliver(&nd.env, core.Packet{
 			Payload:     ev.payload,
-			Remaining:   ev.h,
-			Reverse:     ev.rev,
+			Remaining:   ev.header(),
+			Reverse:     ev.reverse(),
 			ArrivedOn:   ev.arrivedOn,
 			ForwardedOn: ev.forwardedOn,
 			Injected:    injected,
@@ -111,7 +111,7 @@ func (net *Network) dispatch(ev *eventRec) {
 	case evInject:
 		net.curOrigin = int32(ev.node)
 		if e := net.enqueueActivation(ev.node, 0, anr.NCU, anr.NCU, flagInjected); e != nil {
-			e.payload, e.rev = ev.payload, localRev
+			e.carry(ev.payload, nil, localRev)
 		}
 	case evLinkFlip:
 		u, v, up := ev.node, core.NodeID(ev.hopIdx), ev.flags&flagUp != 0
@@ -189,8 +189,7 @@ func (net *Network) nextMsg(src core.NodeID) int64 {
 // notifications, not queued user work.
 //
 // It returns the activation's event for the caller to attach the packet's
-// references to (payload, h as Remaining, rev as Reverse), or nil when the
-// packet was dropped.
+// references to through carry, or nil when the packet was dropped.
 func (net *Network) enqueueActivation(v core.NodeID, msg int64, arrivedOn, forwardedOn anr.ID, flags uint8) *eventRec {
 	nd := &net.nodes[v]
 	start := net.sp.now

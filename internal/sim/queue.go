@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
@@ -25,26 +26,24 @@ const (
 	flagUp                         // evLinkEvent, evLinkFlip: the link's new state
 )
 
-// eventRec is the one element type of the scheduler: the key (t, seq) — a
-// strict total order, since seq is unique — and the event itself, stored by
-// value wherever it waits (lane, ring slot, heap, shard outbox). It is
-// written once, in place, by the code that schedules it (spine.schedule
-// hands out the entry) and read in place at dispatch. An entry nothing waits
-// in holds no references — payload, h and rev are nil — but its scalars are
-// whatever the last event left, so a producer writes all of them at once
-// through set and then only the references its event carries.
+// eventRec is the one element type of the scheduler: the key seq and the
+// event itself, stored by value wherever it waits. The instant is not in it: a
+// lane or stage entry is due now, a ring entry at the instant its slot stands
+// for, and the heap and the shard outboxes keep it beside the record
+// (timedEvent). It is written once, in place, by the code that schedules it
+// (spine.schedule hands out the entry) and read in place at dispatch. An entry
+// nothing waits in holds no references — its refs are zero — but its scalars
+// are whatever the last event left, so a producer writes all of them at once
+// through set and then the references its event carries through carry.
 //
 // A hop reads the fields by their names. An activation's core.Packet is
-// assembled from them at dispatch: h is Remaining, rev is Reverse. A link
+// assembled from them at dispatch: the refs give Remaining and Reverse. A link
 // event keeps its port in (arrivedOn, hopIdx, forwardedOn, flagUp) = (Local,
 // Remote, RemoteID, Up); a link flip keeps its edge in (node, hopIdx) and the
 // new state in flagUp.
 type eventRec struct {
-	t           core.Time
-	seq         uint64
-	payload     any
-	h           anr.Header
-	rev         anr.Header
+	seq uint64
+	refs
 	msg         int64
 	node        core.NodeID
 	hopIdx      int32
@@ -54,20 +53,41 @@ type eventRec struct {
 	flags       uint8
 }
 
+// refs are what an event pins: its payload, header and reverse route, each
+// route kept as its first hop and an int32 length — 24 bytes where two slices
+// take 48 — and given back with cap == len, as core.Packet's Reverse contract
+// asks. The package's only unsafe is here.
+type refs struct {
+	payload      any
+	h, rev       *anr.Hop
+	hLen, revLen int32
+}
+
+func (r *refs) carry(payload any, h, rev anr.Header) {
+	*r = refs{payload, unsafe.SliceData(h), unsafe.SliceData(rev), int32(len(h)), int32(len(rev))}
+}
+func (r *refs) release()            { *r = refs{} }
+func (r *refs) header() anr.Header  { return unsafe.Slice(r.h, r.hLen) }
+func (r *refs) reverse() anr.Header { return unsafe.Slice(r.rev, r.revLen) }
+
 // set writes every scalar of the event but its key.
 func (e *eventRec) set(kind uint8, node core.NodeID, msg int64, hopIdx int32, arrivedOn, forwardedOn anr.ID, flags uint8) {
 	e.kind, e.node, e.msg, e.hopIdx = kind, node, msg, hopIdx
 	e.arrivedOn, e.forwardedOn, e.flags = arrivedOn, forwardedOn, flags
 }
 
-// release drops the references the event pinned.
-func (e *eventRec) release() { e.payload, e.h, e.rev = nil, nil, nil }
+// timedEvent is an event with its instant, where nothing else gives it: the
+// heap and the shard outboxes.
+type timedEvent struct {
+	t  core.Time
+	ev eventRec
+}
 
-func (a *eventRec) before(b *eventRec) bool {
+func (a *timedEvent) before(b *timedEvent) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	return a.seq < b.seq
+	return a.ev.seq < b.ev.seq
 }
 
 // port unpacks a link event's port.
@@ -75,9 +95,10 @@ func (e *eventRec) port() core.Port {
 	return core.Port{Local: e.arrivedOn, Remote: core.NodeID(e.hopIdx), RemoteID: e.forwardedOn, Up: e.flags&flagUp != 0}
 }
 
-// laneChunk is the number of events in one chunk. A constant, not an option:
-// 8, 16 and 32 measured within 5% of each other on the C >= 1 benchmark rows.
-const laneChunk = 16
+// laneChunk is the number of events in one chunk, the most that fit the
+// chunk's size class: 17 80-byte records and a word are 1,368 bytes of a
+// 1,408-byte class, 83 per event in flight (TestEventRecordFitsItsClass).
+const laneChunk = 17
 
 // chunk is the unit of event storage: a fixed run of events and the link to
 // the next chunk of the same lane.
@@ -257,7 +278,7 @@ func (s *eventStage) drop(p *chunkPool) {
 // min-heap pops the same strict (t, seq) order, so the arity is invisible to
 // simulation results.
 type eventHeap struct {
-	evs []eventRec
+	evs []timedEvent
 }
 
 func (q *eventHeap) len() int { return len(q.evs) }
@@ -265,27 +286,27 @@ func (q *eventHeap) len() int { return len(q.evs) }
 // alloc makes room for an event keyed (t, seq) and returns its entry for the
 // caller to fill, key included, before the heap is touched again.
 func (q *eventHeap) alloc(t core.Time, seq uint64) *eventRec {
-	q.evs = append(q.evs, eventRec{})
+	q.evs = append(q.evs, timedEvent{})
 	i := len(q.evs) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if p := &q.evs[parent]; t > p.t || (t == p.t && seq > p.seq) {
+		if p := &q.evs[parent]; t > p.t || (t == p.t && seq > p.ev.seq) {
 			break
 		}
 		q.evs[i] = q.evs[parent]
 		i = parent
 	}
-	q.evs[i] = eventRec{}
-	return &q.evs[i]
+	q.evs[i] = timedEvent{t: t}
+	return &q.evs[i].ev
 }
 
-// pop moves the minimum into *into.
+// pop moves the minimum's event into *into.
 func (q *eventHeap) pop(into *eventRec) {
 	evs := q.evs
-	*into = evs[0]
+	*into = evs[0].ev
 	n := len(evs) - 1
 	last := evs[n]
-	evs[n] = eventRec{} // the vacated slot must not pin a payload
+	evs[n] = timedEvent{} // the vacated slot must not pin a payload
 	evs = evs[:n]
 	q.evs = evs
 	if n == 0 {
@@ -414,7 +435,7 @@ func (s *spine) schedule(t core.Time, key uint64) *eventRec {
 	} else {
 		e = s.place(t, key)
 	}
-	e.t, e.seq = t, key
+	e.seq = key
 	return e
 }
 
@@ -461,7 +482,7 @@ func (s *spine) next(deadline core.Time) *eventRec {
 	for {
 		switch {
 		case s.heap.len() > 0 && s.heap.evs[0].t == s.now &&
-			(s.stage.len() == 0 || s.heap.evs[0].seq < s.stage.front().seq):
+			(s.stage.len() == 0 || s.heap.evs[0].ev.seq < s.stage.front().seq):
 			s.heap.pop(&s.popped)
 			s.stats.Events++
 			s.from = tierHeap
@@ -555,11 +576,11 @@ func (s *spine) grow(w int) {
 	if w <= len(s.ring) {
 		return
 	}
-	old := s.ring
+	old, oldMask := s.ring, s.mask
 	s.initRing(w)
 	for i := range old {
 		if old[i].n > 0 {
-			idx := old[i].front().t & s.mask
+			idx := (s.now + (core.Time(i)-s.now)&oldMask) & s.mask // its instant lies in (now, now+span)
 			s.ring[idx] = old[i]
 			s.bits[idx>>6] |= 1 << (idx & 63)
 		}

@@ -3,6 +3,8 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -14,9 +16,9 @@ import (
 
 // fill makes e a hop that pins one reference of every kind, keyed seq.
 func fill(e *eventRec, seq uint64) {
-	e.t, e.seq = 1, seq
+	e.seq = seq
 	e.set(evHop, 1, int64(seq), 0, 1, 0, 0)
-	e.payload, e.h, e.rev = seq, anr.Local(), anr.Local()
+	e.carry(seq, anr.Local(), anr.Local())
 }
 
 // pooled walks the free list, checking that no entry of a pooled chunk pins
@@ -27,7 +29,7 @@ func pooled(t *testing.T, p *chunkPool) int {
 	for c := p.free; c != nil; c = c.next {
 		n++
 		for i := range c.evs {
-			if e := &c.evs[i]; e.payload != nil || e.h != nil || e.rev != nil {
+			if e := &c.evs[i]; e.refs != (refs{}) {
 				t.Fatalf("pooled chunk %d entry %d still pins a reference: %+v", n, i, *e)
 			}
 		}
@@ -86,7 +88,7 @@ func TestLaneMatchesSliceModel(t *testing.T) {
 }
 
 // TestPoolHighWaterTracksInFlight: the pool grows to what the lanes hold at
-// their fullest — peak entries / 16, plus one partial chunk per occupied
+// their fullest — peak entries / laneChunk, plus one partial chunk per occupied
 // lane — however many events pass through.
 func TestPoolHighWaterTracksInFlight(t *testing.T) {
 	const lanes, perLane, rounds = 8, 2*laneChunk + 8, 50
@@ -116,6 +118,35 @@ func TestPoolHighWaterTracksInFlight(t *testing.T) {
 	}
 	if got := pooled(t, &pool); got != pool.made {
 		t.Errorf("%d chunks on the free list after the drain, %d ever made", got, pool.made)
+	}
+}
+
+// chunkSink keeps TestEventRecordFitsItsClass's chunks on the heap.
+var chunkSink [100]*chunk
+
+// TestEventRecordFitsItsClass pins what one event in flight costs: the record
+// is at most 80 bytes, and the allocator's size class for a chunk — measured
+// as the bytes 100 allocations add to TotalAlloc — leaves less than one
+// record unused, so laneChunk is as large as its class allows.
+func TestEventRecordFitsItsClass(t *testing.T) {
+	rec, size := reflect.TypeOf(eventRec{}).Size(), reflect.TypeOf(chunk{}).Size()
+	if rec > 80 {
+		t.Errorf("eventRec is %d bytes, want <= 80", rec)
+	}
+	class := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range chunkSink {
+			chunkSink[i] = new(chunk)
+		}
+		runtime.ReadMemStats(&after)
+		class = min(class, (after.TotalAlloc-before.TotalAlloc)/uint64(len(chunkSink)))
+	}
+	chunkSink = [len(chunkSink)]*chunk{}
+	t.Logf("record %d B, chunk %d B of %d events in a %d-B class: %.1f B per event", rec, size, laneChunk, class, float64(class)/laneChunk)
+	if slack := int64(class) - int64(size); slack < 0 || slack >= int64(rec) {
+		t.Errorf("a %d-B chunk of %d records takes a %d-B class: %d B unused, want less than one %d-B record", size, laneChunk, class, slack, rec)
 	}
 }
 
@@ -410,7 +441,7 @@ func (d *spineDriver) schedule(dt core.Time, o int, barrier bool) {
 	var e *eventRec
 	if barrier && dt > 0 {
 		e = d.sp.place(t, key)
-		e.t, e.seq = t, key
+		e.seq = key
 	} else {
 		e = d.sp.schedule(t, key)
 	}
@@ -418,7 +449,7 @@ func (d *spineDriver) schedule(dt core.Time, o int, barrier bool) {
 		d.growths++
 	}
 	e.set(evHop, 1, int64(d.seq), 0, 1, 0, 0)
-	e.payload, e.h, e.rev = key, anr.Local(), anr.Local()
+	e.carry(key, anr.Local(), anr.Local())
 	d.m.schedule(t, key)
 }
 
@@ -433,9 +464,9 @@ func (d *spineDriver) next(deadline core.Time, spawn byte) bool {
 	if !ok {
 		return false
 	}
-	if ev.t != want.t || ev.seq != want.key || ev.payload != want.key {
-		d.t.Fatalf("pop %d at clock %d: spine dispatched (t=%d key=%d payload=%v), model (t=%d key=%d)",
-			d.popped, d.sp.now, ev.t, ev.seq, ev.payload, want.t, want.key)
+	if d.sp.now != want.t || ev.seq != want.key || ev.payload != want.key {
+		d.t.Fatalf("pop %d: spine dispatched (t=%d key=%d payload=%v), model (t=%d key=%d)",
+			d.popped, d.sp.now, ev.seq, ev.payload, want.t, want.key)
 	}
 	d.popped++
 	for o := int(ev.seq) % len(spineOrigins); spawn&3 != 0; spawn >>= 2 {
@@ -515,14 +546,16 @@ func (d *spineDriver) run(ops []byte) {
 		d.t.Fatalf("%d chunks on the free list after the drain, %d ever made", got, sp.pool.made)
 	}
 	pinned := []eventRec{sp.popped}
-	pinned = append(pinned, sp.heap.evs[:cap(sp.heap.evs)]...)
+	for _, e := range sp.heap.evs[:cap(sp.heap.evs)] {
+		pinned = append(pinned, e.ev)
+	}
 	for _, r := range sp.stage.buf {
 		if r.ev != nil {
 			pinned = append(pinned, *r.ev)
 		}
 	}
 	for _, e := range pinned {
-		if e.payload != nil || e.h != nil || e.rev != nil {
+		if e.refs != (refs{}) {
 			d.t.Fatalf("drained spine still pins %+v", e)
 		}
 	}

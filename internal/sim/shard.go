@@ -128,7 +128,7 @@ func (net *Network) buildShards() {
 			shardMode: true,
 			shardID:   int32(s),
 			assign:    part.Assign,
-			outbox:    make([][]eventRec, part.K),
+			outbox:    make([][]timedEvent, part.K),
 			scriptCtr: net.scriptCtr,
 			curOrigin: -1,
 		}
@@ -227,7 +227,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 			for dst, box := range src.outbox {
 				for i := range box {
 					e := &box[i]
-					*grp.children[dst].sp.place(e.t, e.seq) = *e
+					*grp.children[dst].sp.place(e.t, e.ev.seq) = e.ev
 				}
 				clear(box) // the events now live in dst; drop the references
 				src.outbox[dst] = box[:0]

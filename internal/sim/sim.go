@@ -164,13 +164,13 @@ type Network struct {
 	// shardMode is false.
 	shardMode bool
 	shardID   int32
-	assign    []int32      // node -> shard; nil unless a multi-shard child
-	outbox    [][]eventRec // per-target-shard boundary packets awaiting the barrier
-	scriptCtr *uint64      // shared driver-event ordinal (sorts before all node keys)
-	curOrigin int32        // node whose dispatch is executing; -1 in driver context
-	group     *shardGroup  // non-nil on the facade of a multi-shard network
-	tb        *traceBuf    // this core's private trace buffer (shard mode)
-	userSink  trace.Sink   // the caller's sink, fed by the merged flush
+	assign    []int32        // node -> shard; nil unless a multi-shard child
+	outbox    [][]timedEvent // per-target-shard boundary packets awaiting the barrier
+	scriptCtr *uint64        // shared driver-event ordinal (sorts before all node keys)
+	curOrigin int32          // node whose dispatch is executing; -1 in driver context
+	group     *shardGroup    // non-nil on the facade of a multi-shard network
+	tb        *traceBuf      // this core's private trace buffer (shard mode)
+	userSink  trace.Sink     // the caller's sink, fed by the merged flush
 }
 
 // New builds a network over g, instantiating one protocol per node via f and

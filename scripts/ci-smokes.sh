@@ -24,6 +24,7 @@ smokes=(
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|sharded vs serial scheduler differential"
 	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|C >= 1 spine: auto-sized ring vs 64-slot ring vs reference engine"
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
+	"./internal/sim/|-run TestEventRecordFitsItsClass -count=1 -v|event storage: a record <= 80 B, and a chunk's size class leaves less than one record unused (about 83 B per event in flight)"
 	"./internal/sim/|-run TestStageLoadAllocs -count=1 -v|shard-mode stage: 0 allocs to promote a slot of 1 to 20,000 entries once its buffer has grown"
 	"./internal/load/|-run TestOpenLoopAllocsPerCall -count=1 -v|open loop: <= 0.1 allocs/call"
 	"./internal/load/|-run TestOpenLoopAllocsPerRun -count=1 -v|open loop: <= 3,500 allocs per whole run on both benchmark shapes (pair-table routes and headers in shared arrays)"
@@ -33,7 +34,7 @@ smokes=(
 	"./internal/traffic/|-run TestRelayAllocsPerPacket -count=1 -v|relay: <= 0.1 allocs/packet, both disciplines"
 	"./internal/election/|-run TestElectionAllocsPerNode|TestDomainIndexBytes -count=1 -v|election: <= 13 allocs/node, 1024 nodes all starting (protocol structs in slabs); domain indexes <= 64 B/node at 4096 (4-byte slots)"
 	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node, build + one 4096-node broadcast (slabs, adopted warm start)"
-	"./internal/topology/|-run TestFloodBytesPerNodeFlat -count=1 -v|flood at scale: bytes per node per origin at 4,096 nodes within 1.3x of 1,024 (a database costs what it holds)"
+	"./internal/topology/|-run TestFloodBytesPerNodeFlat -count=1 -v|flood at scale: bytes per node per origin at 4,096 nodes within 1.3x of 1,024 (a database costs what it holds) and <= 1,450 (80-byte event records in chunks that fill their size class)"
 	"./internal/topology/|-run TestDBBytesIndependentOfIDRange|TestDBHostileIDCostsRecords|TestDBRoutingRetainsOneTree -count=1 -v|database: 26 records cost the same bytes at any ID range; node 1<<28 beside 17 records <= 64 KB; routing every ordered pair of 256 nodes keeps <= 64 KB more live (one tree of each kind)"
 	"./internal/topology/|-run TestPlanRebuildAllocs -count=1 -v|plan rebuild: <= 6 allocs for a full-knowledge origin's plan after a version bump (the plan's own storage; the decomposition in pooled scratch)"
 	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 16 allocs for RandomTree(4096) (grown lists carved from a growth spare), <= 4 for its Clone"
