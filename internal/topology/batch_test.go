@@ -179,7 +179,7 @@ func (m *batchModel) compare(when string) {
 	if g, w := m.got.View(), m.want.View(); !g.Equal(w) {
 		t.Fatalf("%s: view has %d nodes, %d edges; want %d, %d", when, g.N(), g.M(), w.N(), w.M())
 	}
-	if seen := m.got.seen; seen != nil {
+	if seen := m.got.screen(); seen != nil {
 		if len(seen) > screenSpan*len(m.got.ents) {
 			t.Fatalf("%s: screen spans %d IDs for %d records", when, len(seen), len(m.got.ents))
 		}
@@ -222,10 +222,10 @@ func TestBatchInstallMatchesUpdate(t *testing.T) {
 			for len(m.pending) > 0 {
 				m.deliver()
 			}
-			if n > core.ScanMax && m.got.seen == nil {
+			if n > core.ScanMax && m.got.screen() == nil {
 				t.Fatalf("n=%d seed %d: the screen was never built", n, seed)
 			}
-			if m.want.seen != nil {
+			if m.want.screen() != nil {
 				t.Fatalf("n=%d seed %d: a screen on a database that never saw a batch", n, seed)
 			}
 		}
@@ -250,7 +250,7 @@ func TestBatchInstallListIdentity(t *testing.T) {
 	base := bringUp(1)
 	db.installAll(base) // builds the node table
 	db.installAll(base) // all stale: builds the screen
-	if db.seen == nil {
+	if db.screen() == nil {
 		t.Fatal("no screen after two multi-record batches")
 	}
 	v := db.version
@@ -322,8 +322,8 @@ func TestDBRejectsNegativeIDs(t *testing.T) {
 		if n%2 == 1 {
 			db.installAll(recs)
 		}
-		if (db.byNode.Slots() != 0) != (n > core.ScanMax) || (db.seen != nil) != (n > core.ScanMax && n%2 == 1) {
-			t.Fatalf("n=%d: node index %v, screen %v", n, db.byNode.Slots() != 0, db.seen != nil)
+		if (db.byNode.Slots() != 0) != (n > core.ScanMax) || (db.screen() != nil) != (n > core.ScanMax && n%2 == 1) {
+			t.Fatalf("n=%d: node index %v, screen %v", n, db.byNode.Slots() != 0, db.screen() != nil)
 		}
 		version, nodes, edges := db.version, db.View().N(), db.View().M()
 		for _, r := range hostile {

@@ -45,15 +45,14 @@ type Record struct {
 func recordFromPorts(id core.NodeID, seq uint64, ports []core.Port, loads map[anr.ID]uint32) Record {
 	rec := Record{Node: id, Seq: seq, Links: make([]LinkInfo, 0, len(ports))}
 	for _, p := range ports {
-		rec.Links = append(rec.Links, LinkInfo{
-			Local:    p.Local,
-			Remote:   p.RemoteID,
-			Neighbor: p.Remote,
-			Up:       p.Up,
-			Load:     loads[p.Local],
-		})
+		rec.Links = append(rec.Links, linkOf(p, loads))
 	}
 	return rec
+}
+
+// linkOf is the link a node reports for port p.
+func linkOf(p core.Port, loads map[anr.ID]uint32) LinkInfo {
+	return LinkInfo{Local: p.Local, Remote: p.RemoteID, Neighbor: p.Remote, Up: p.Up, Load: loads[p.Local]}
 }
 
 // localTopo is the per-node state shared by all maintenance protocols: the
@@ -88,10 +87,32 @@ func (l *localTopo) SetLoad(link anr.ID, load uint32) {
 	l.loads[link] = load
 }
 
-// refresh bumps the sequence number and re-snapshots the local record.
+// refresh bumps the sequence number and re-snapshots the local record. A
+// quiet node — ports and loads as its stored record reports them — re-installs
+// the stored array under the new number: update recognises it by identity
+// (SameLinks), and receivers that adopted the array do too.
 func (l *localTopo) refresh(env core.Env) {
 	l.seq++
-	l.db.install(recordFromPorts(l.id, l.seq, env.Ports(), l.loads))
+	ports := env.Ports()
+	if rec, ok := l.db.Record(l.id); ok && portsMatch(rec.Links, ports, l.loads) {
+		l.db.install(Record{Node: l.id, Seq: l.seq, Links: rec.Links})
+		return
+	}
+	l.db.install(recordFromPorts(l.id, l.seq, ports, l.loads))
+}
+
+// portsMatch reports whether links is the list recordFromPorts would build
+// from ports and loads.
+func portsMatch(links []LinkInfo, ports []core.Port, loads map[anr.ID]uint32) bool {
+	if len(links) != len(ports) {
+		return false
+	}
+	for i, p := range ports {
+		if links[i] != linkOf(p, loads) {
+			return false
+		}
+	}
+	return true
 }
 
 // snapshot stores the current local record without bumping the sequence
@@ -106,16 +127,18 @@ func (l *localTopo) snapshot(env core.Env) {
 // DB is one node's view of the network topology: the newest Record per node,
 // behind a routing plane. Every NCU of a network keeps one, so a database
 // costs what it holds: its store and node index grow with the records, never
-// with the largest node ID a record names, and the rest is made by the first
-// query that needs it. Control software computes routes from its own map (the
-// paper's §2–3 division of labor: software plans, hardware executes), so a
-// database keeps what is derived from the records — the materialized view
-// graph, one min-hop tree and one load-weighted tree — and a monotonic
-// version counter that only routing-relevant changes bump tells when that is
-// stale. Each tree is kept for one source: the node's own, which is all the
-// product ever routes from. Re-installing a record whose links are unchanged
-// (the per-round refresh of a quiet node) advances the sequence number
-// without invalidating anything.
+// with the largest node ID a record names. In a branching-paths broadcast
+// most databases only store the origin's record and forward it, so the DB
+// itself is the store alone — version, entries, node index — and everything
+// derived from the records sits in a plane behind one pointer, made by the
+// first query that needs a part of it. Control software computes routes from
+// its own map (the paper's §2–3 division of labor: software plans, hardware
+// executes), so the plane keeps the materialized view graph, one min-hop
+// tree and one load-weighted tree, and a monotonic version counter that only
+// routing-relevant changes bump tells when those are stale. Each tree is kept
+// for one source: the node's own, which is all the product ever routes from.
+// Re-installing a record whose links are unchanged (the per-round refresh of
+// a quiet node) advances the sequence number without invalidating anything.
 //
 // View and BFSTree results are shared with the caller and must be treated as
 // immutable; Route and RouteMinLoad build a fresh header per call.
@@ -131,8 +154,14 @@ type DB struct {
 	// and then goes through byNode. Records are never removed.
 	ents   []entry
 	byNode core.NodeIndex
-	order  []int32 // entry indices by ascending node; records re-sorts it only after a node was added
 
+	plane *plane // nil until the first query that needs it
+}
+
+// plane is what a database derives from its records: the screen, the record
+// order, the adjacency indexes, the view and the routing trees. A database
+// that only stores and relays never makes it.
+type plane struct {
 	// The batch screen: seen[u] = 1 + the stored sequence number of node u, 0
 	// for a node with no record (or one whose number leaves no room for the
 	// +1; such a record is merely not screened). A full-knowledge message
@@ -144,6 +173,14 @@ type DB struct {
 	// one record at a time (flooding, a single broadcast) never pay for it.
 	seen []uint64
 
+	order []int32 // entry indices by ascending node; records re-sorts it only after a node was added
+
+	// idx[s] is slot s's adjacency index: indices into its Links sorted by
+	// (Neighbor, index), built by the first lookup (index) and only for
+	// high-degree records, making link lookups O(log d) while leaving the
+	// wire-visible Record untouched. It covers the slots below len(idx).
+	idx [][]int32
+
 	// The materialized believed-topology graph. While it is current, Update
 	// patches the edges at the changed record's node (patchView); View
 	// rebuilds it in place (Reset + refill) only from cold or when the node
@@ -151,32 +188,23 @@ type DB struct {
 	view   *graph.Graph // nil until the first View call
 	viewAt uint64
 
-	// The routing trees, made by the first tree or route query: most
-	// databases of a large network only ever store and relay. A pointer, so a
-	// database that never routes pays one word for them.
-	trees *treeSlots
-
-	nodeBuf []core.NodeID // scratch: route paths, patchView's neighbor list
-}
-
-// treeSlots holds one min-hop tree and one load-weighted tree with its
-// distance array, each built for the source and version beside it; a query
-// for another source, or after a version bump, refills it in place.
-type treeSlots struct {
+	// One min-hop tree and one load-weighted tree with its distance array,
+	// each built for the source and version beside it; a query for another
+	// source, or after a version bump, refills it in place.
 	hop, load       *graph.Tree // nil until first built
 	hopSrc, loadSrc core.NodeID
 	hopAt, loadAt   uint64
 	dist            []int64 // the load tree's, reused by each refill
+
+	nodeBuf []core.NodeID // scratch: route paths, patchView's neighbor list
 }
 
-// entry is one stored record plus its adjacency index: indices into
-// rec.Links sorted by (Neighbor, index), built by the first lookup (index)
-// and only for high-degree records, making link lookups O(log d) while
-// leaving the wire-visible Record untouched. fwd is the newest sequence
-// number of the node's own broadcasts this node has forwarded (forward).
+// entry is one stored record and its forwarding watermark: fwd is the newest
+// sequence number of the node's own broadcasts this node has forwarded
+// (forward). Everything a delivery reads — node, sequence number, link list,
+// watermark — is in these 48 bytes.
 type entry struct {
 	rec Record
-	idx []int32
 	fwd uint64
 }
 
@@ -187,6 +215,22 @@ const screenSpan = 4
 // NewDB returns an empty database.
 func NewDB() *DB {
 	return &DB{}
+}
+
+// derived returns the plane, making it on the first call.
+func (db *DB) derived() *plane {
+	if db.plane == nil {
+		db.plane = new(plane)
+	}
+	return db.plane
+}
+
+// screen returns the batch screen, nil where there is none.
+func (db *DB) screen() []uint64 {
+	if db.plane == nil {
+		return nil
+	}
+	return db.plane.seen
 }
 
 // slotOf returns the store slot holding u's record.
@@ -205,12 +249,13 @@ func (db *DB) slotOf(u core.NodeID) (int32, bool) {
 // cover widens the screen over the node IDs below hi as far as screenSpan
 // allows; a record beyond it is screened by update's lookup.
 func (db *DB) cover(hi int) {
-	for u := len(db.seen); u < min(hi, screenSpan*len(db.ents)); u++ {
+	p := db.derived()
+	for u := len(p.seen); u < min(hi, screenSpan*len(db.ents)); u++ {
 		var seen uint64
 		if s, ok := db.slotOf(core.NodeID(u)); ok {
 			seen = db.ents[s].rec.Seq + 1
 		}
-		db.seen = append(db.seen, seen)
+		p.seen = append(p.seen, seen)
 	}
 }
 
@@ -252,12 +297,22 @@ const indexThreshold = 8
 // lookup after, so a node that stores a high-degree record to relay it and
 // never routes over it does not pay for the sort.
 func (db *DB) index(s int32) []int32 {
-	e := &db.ents[s]
-	links := e.rec.Links
-	if len(e.idx) == len(links) || len(links) < indexThreshold {
-		return e.idx
+	links := db.ents[s].rec.Links
+	if len(links) < indexThreshold {
+		return nil
 	}
-	idx := e.idx[:0]
+	p := db.derived()
+	if n := len(db.ents); len(p.idx) < n {
+		// Sized to the store's capacity: the table grows when the store does.
+		if cap(p.idx) < n {
+			p.idx = append(make([][]int32, 0, cap(db.ents)), p.idx...)
+		}
+		p.idx = p.idx[:n]
+	}
+	idx := p.idx[s]
+	if len(idx) == len(links) {
+		return idx
+	}
 	if cap(idx) < len(links) {
 		idx = make([]int32, 0, len(links))
 	}
@@ -271,7 +326,7 @@ func (db *DB) index(s int32) []int32 {
 		}
 		return int(a) - int(b) // ties keep record order: first match = lowest index
 	})
-	e.idx = idx
+	p.idx[s] = idx
 	return idx
 }
 
@@ -297,7 +352,8 @@ func (db *DB) update(rec Record, adopt bool) bool {
 		if e.rec.Seq >= rec.Seq {
 			return false
 		}
-		if slices.Equal(e.rec.Links, rec.Links) {
+		// The stored array itself comes back from every quiet node.
+		if SameLinks(e.rec.Links, rec.Links) || slices.Equal(e.rec.Links, rec.Links) {
 			// A pure sequence-number refresh leaves every derived structure
 			// valid: keep the version, and with it the view and the trees.
 			db.setSeq(s, rec.Seq)
@@ -310,11 +366,12 @@ func (db *DB) update(rec Record, adopt bool) bool {
 			return false // View sizes the graph by the IDs the records name
 		}
 	}
+	p := db.plane
 	if !known {
 		s = int32(len(db.ents))
 		db.ents = append(db.ents, entry{rec: Record{Node: rec.Node}})
 		db.byNode.Add(s, func(s int32) core.NodeID { return db.ents[s].rec.Node })
-		if db.seen != nil {
+		if p != nil && p.seen != nil {
 			db.cover(int(rec.Node) + 1)
 		}
 	}
@@ -324,12 +381,15 @@ func (db *DB) update(rec Record, adopt bool) bool {
 		rec.Links = slices.Clone(rec.Links)
 	}
 	db.ents[s].rec.Links = rec.Links
-	db.ents[s].idx = db.ents[s].idx[:0]
 	db.setSeq(s, rec.Seq)
-	viewCurrent := db.view != nil && db.viewAt == db.version
 	db.version++
-	if viewCurrent {
-		db.patchView(s, old, !known)
+	if p != nil {
+		if int(s) < len(p.idx) {
+			p.idx[s] = p.idx[s][:0]
+		}
+		if p.view != nil && p.viewAt == db.version-1 { // current until this bump
+			db.patchView(s, old, !known)
+		}
 	}
 	return true
 }
@@ -339,8 +399,8 @@ func (db *DB) update(rec Record, adopt bool) bool {
 func (db *DB) setSeq(s int32, seq uint64) {
 	r := &db.ents[s].rec
 	r.Seq = seq
-	if int(r.Node) < len(db.seen) {
-		db.seen[r.Node] = seq + 1
+	if seen := db.screen(); int(r.Node) < len(seen) {
+		seen[r.Node] = seq + 1
 	}
 }
 
@@ -348,7 +408,7 @@ func (db *DB) setSeq(s int32, seq uint64) {
 // under install's ownership rule: the records of a received message, or of a
 // warm start.
 func (db *DB) installAll(recs []Record) {
-	if db.seen == nil && db.byNode.Slots() != 0 && len(recs) > 1 {
+	if db.screen() == nil && db.byNode.Slots() != 0 && len(recs) > 1 {
 		top := 0
 		for i := range db.ents {
 			top = max(top, int(db.ents[i].rec.Node)+1)
@@ -360,27 +420,20 @@ func (db *DB) installAll(recs []Record) {
 
 // updateAll applies a batch under install's ownership rule and pays for what
 // it brings that is new: a record the screen covers is turned away before the
-// update call when it is no newer than the stored one, and a newer one whose
-// Links is the stored array itself (SameLinks) is a sequence refresh with
-// nothing to compare; a list that is merely equal, and every record beyond
-// the screen, takes update's lookup and comparison as before.
+// update call when it is no newer than the stored one. Every other record
+// takes update, which recognises a newer one whose Links is the stored array
+// itself (SameLinks) as a sequence refresh with nothing to compare.
 func (db *DB) updateAll(recs []Record) {
+	screen := db.screen()
 	for i := range recs {
 		r := &recs[i]
-		if u := uint(r.Node); u < uint(len(db.seen)) { // a negative ID lands past it; update rejects it
-			seen := db.seen[u]
-			if seen > r.Seq {
-				continue
-			}
-			// seen != 0: a record, whose number the screen holds exactly.
-			if seen != 0 {
-				if s, _ := db.slotOf(r.Node); SameLinks(db.ents[s].rec.Links, r.Links) {
-					db.setSeq(s, r.Seq)
-					continue
-				}
-			}
+		// The screen holds 0 for a node with no record, and a negative ID
+		// lands past it: update rejects it.
+		if u := uint(r.Node); u < uint(len(screen)) && screen[u] > r.Seq {
+			continue
 		}
 		db.update(*r, true)
+		screen = db.screen() // a new node may have widened it
 	}
 }
 
@@ -394,8 +447,9 @@ func (db *DB) updateAll(recs []Record) {
 // the one a rebuild would produce. When the rebuild would size the graph
 // differently the view is left stale for View to rebuild.
 func (db *DB) patchView(s int32, old []LinkInfo, first bool) {
+	p := db.plane
 	u, links := db.ents[s].rec.Node, db.ents[s].rec.Links
-	top := core.NodeID(db.view.N() - 1) // largest ID any record names
+	top := core.NodeID(p.view.N() - 1) // largest ID any record names
 	oldTop, newTop := false, u >= top
 	for _, l := range old {
 		oldTop = oldTop || l.Neighbor == top
@@ -409,9 +463,9 @@ func (db *DB) patchView(s int32, old []LinkInfo, first bool) {
 	if u > top || oldTop && !newTop {
 		return // must grow, or may shrink
 	}
-	nbrs := db.nodeBuf[:0]
+	nbrs := p.nodeBuf[:0]
 	if first {
-		nbrs = append(nbrs, db.view.Neighbors(u)...)
+		nbrs = append(nbrs, p.view.Neighbors(u)...)
 	}
 	// Where a position holds the same neighbor in the same state as before,
 	// nothing changed toward that neighbor unless another position names it.
@@ -427,13 +481,13 @@ func (db *DB) patchView(s int32, old []LinkInfo, first bool) {
 	}
 	for _, v := range nbrs {
 		if db.believes(u, v) {
-			db.view.MustAddEdge(u, v)
+			p.view.MustAddEdge(u, v)
 		} else {
-			db.view.RemoveEdge(u, v)
+			p.view.RemoveEdge(u, v)
 		}
 	}
-	db.nodeBuf = nbrs[:0]
-	db.viewAt = db.version
+	p.nodeBuf = nbrs[:0]
+	p.viewAt = db.version
 }
 
 // believes is View's edge predicate for one node pair: with both records
@@ -516,17 +570,18 @@ func (db *DB) Record(u core.NodeID) (Record, bool) {
 // The slice is the caller's; the records' Links are shared with the database
 // and immutable, so later Updates leave the result as it was.
 func (db *DB) records() []Record {
-	if len(db.order) != len(db.ents) {
-		db.order = db.order[:0]
+	p := db.derived()
+	if len(p.order) != len(db.ents) {
+		p.order = p.order[:0]
 		for s := range db.ents {
-			db.order = append(db.order, int32(s))
+			p.order = append(p.order, int32(s))
 		}
-		slices.SortFunc(db.order, func(a, b int32) int {
+		slices.SortFunc(p.order, func(a, b int32) int {
 			return int(db.ents[a].rec.Node) - int(db.ents[b].rec.Node)
 		})
 	}
-	out := make([]Record, len(db.order))
-	for i, s := range db.order {
+	out := make([]Record, len(p.order))
+	for i, s := range p.order {
 		out[i] = db.ents[s].rec
 	}
 	return out
@@ -564,11 +619,12 @@ func (db *DB) route(src, dst core.NodeID, tree func(core.NodeID) *graph.Tree) (a
 	if int(src) >= view.N() || int(dst) >= view.N() {
 		return nil, fmt.Errorf("topology: no route %d->%d: unknown node", src, dst)
 	}
-	path := tree(src).PathFromRootInto(db.nodeBuf, dst)
+	p := db.plane // made by View
+	path := tree(src).PathFromRootInto(p.nodeBuf, dst)
 	if path == nil {
 		return nil, fmt.Errorf("topology: no route %d->%d in the believed topology", src, dst)
 	}
-	db.nodeBuf = path[:0]
+	p.nodeBuf = path[:0]
 	return db.headerFor(path)
 }
 
@@ -631,20 +687,12 @@ func (db *DB) RouteMinLoad(src, dst core.NodeID) (anr.Header, error) {
 	return db.route(src, dst, db.minLoadTree)
 }
 
-// slots returns the routing trees, making them on the first query.
-func (db *DB) slots() *treeSlots {
-	if db.trees == nil {
-		db.trees = &treeSlots{}
-	}
-	return db.trees
-}
-
 // BFSTree returns the minimum-hop spanning tree of the believed topology
 // rooted at src. The tree is shared: callers must not modify it, and the
 // next query for another source, or the first after an Update that bumps
 // the version, refills it in place.
 func (db *DB) BFSTree(src core.NodeID) *graph.Tree {
-	t := db.slots()
+	t := db.derived()
 	if t.hop == nil || t.hopSrc != src || t.hopAt != db.version {
 		t.hop = db.View().BFSTreeInto(t.hop, src)
 		t.hopSrc, t.hopAt = src, db.version
@@ -654,7 +702,7 @@ func (db *DB) BFSTree(src core.NodeID) *graph.Tree {
 
 // minLoadTree is BFSTree for the load-weighted shortest-path tree.
 func (db *DB) minLoadTree(src core.NodeID) *graph.Tree {
-	t := db.slots()
+	t := db.derived()
 	if t.load == nil || t.loadSrc != src || t.loadAt != db.version {
 		t.load, t.dist = db.View().ShortestTreeInto(t.load, t.dist, src, func(u, v core.NodeID) int64 {
 			return 1 + int64(db.loadOf(u, v))
@@ -672,8 +720,9 @@ func (db *DB) minLoadTree(src core.NodeID) *graph.Tree {
 // calls and patched in place: callers must not modify or retain it across
 // Updates.
 func (db *DB) View() *graph.Graph {
-	if db.view != nil && db.viewAt == db.version {
-		return db.view
+	p := db.derived()
+	if p.view != nil && p.viewAt == db.version {
+		return p.view
 	}
 	max := core.NodeID(-1)
 	for s := range db.ents {
@@ -687,10 +736,10 @@ func (db *DB) View() *graph.Graph {
 			}
 		}
 	}
-	if db.view == nil {
-		db.view = graph.New(int(max) + 1)
+	if p.view == nil {
+		p.view = graph.New(int(max) + 1)
 	} else {
-		db.view.Reset(int(max) + 1)
+		p.view.Reset(int(max) + 1)
 	}
 	for s := range db.ents {
 		r := &db.ents[s].rec
@@ -704,12 +753,12 @@ func (db *DB) View() *graph.Graph {
 			// point; only the lower-ID endpoint inserts, so each edge is
 			// added exactly once.
 			if !revKnown || (vUp && r.Node < l.Neighbor) {
-				db.view.MustAddEdge(r.Node, l.Neighbor)
+				p.view.MustAddEdge(r.Node, l.Neighbor)
 			}
 		}
 	}
-	db.viewAt = db.version
-	return db.view
+	p.viewAt = db.version
+	return p.view
 }
 
 // KnowsNodes reports whether, for every listed node, the database holds a

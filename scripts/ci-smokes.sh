@@ -33,7 +33,7 @@ smokes=(
 	"./internal/topology/|-run TestQuietFloodAllocs -count=1 -v|quiet flood: <= 0.1 allocs/delivery, nothing per forwarded copy"
 	"./internal/traffic/|-run TestRelayAllocsPerPacket -count=1 -v|relay: <= 0.1 allocs/packet, both disciplines"
 	"./internal/election/|-run TestElectionAllocsPerNode|TestDomainIndexBytes -count=1 -v|election: <= 13 allocs/node, 1024 nodes all starting (protocol structs in slabs); domain indexes <= 64 B/node at 4096 (4-byte slots)"
-	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node, build + one 4096-node broadcast (slabs, adopted warm start)"
+	"./internal/topology/|-run TestSingleBroadcastAllocsPerNode -count=1 -v|broadcast network: <= 2 allocs/node and <= 1,024 B/node, build + one 4096-node broadcast (slabs, adopted warm start; a relay's routing plane behind a pointer it never makes)"
 	"./internal/topology/|-run TestFloodBytesPerNodeFlat -count=1 -v|flood at scale: bytes per node per origin at 4,096 nodes within 1.3x of 1,024 (a database costs what it holds) and <= 1,450 (80-byte event records in chunks that fill their size class)"
 	"./internal/topology/|-run TestDBBytesIndependentOfIDRange|TestDBHostileIDCostsRecords|TestDBRoutingRetainsOneTree -count=1 -v|database: 26 records cost the same bytes at any ID range; node 1<<28 beside 17 records <= 64 KB; routing every ordered pair of 256 nodes keeps <= 64 KB more live (one tree of each kind)"
 	"./internal/topology/|-run TestPlanRebuildAllocs -count=1 -v|plan rebuild: <= 6 allocs for a full-knowledge origin's plan after a version bump (the plan's own storage; the decomposition in pooled scratch)"
