@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -417,11 +418,18 @@ func runSoak(args []string) error {
 	return nil
 }
 
+// maxNodes is the most nodes a core.NodeID, an int32, can name. A larger
+// graph would wrap its IDs; one below the bound may still not fit in memory.
+const maxNodes = math.MaxInt32
+
 // buildTopo checks -n and -gnp-p first, for every command that takes them: the
 // generators panic on a negative size and take any p (NaN fails the test too).
 func buildTopo(name string, n int, gnpP float64, seed int64) (*graph.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("-n %d: must be >= 1", n)
+	}
+	if n > maxNodes {
+		return nil, fmt.Errorf("-n %d: a node ID (int32) names at most %d nodes", n, maxNodes)
 	}
 	if !(gnpP >= 0 && gnpP <= 1) {
 		return nil, fmt.Errorf("-gnp-p %g: must be in (0, 1] (0 = the default 4/n)", gnpP)
@@ -437,6 +445,9 @@ func buildTopo(name string, n int, gnpP float64, seed int64) (*graph.Graph, erro
 		side := 1
 		for side*side < n {
 			side++
+		}
+		if side*side > maxNodes {
+			return nil, fmt.Errorf("-n %d: the %d×%d grid exceeds the %d nodes a node ID (int32) names", n, side, side, maxNodes)
 		}
 		return graph.Grid(side, side), nil
 	case "complete":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -317,6 +318,16 @@ func TestBuildTopo(t *testing.T) {
 	}
 	if _, err := buildTopo("nosuch", 10, 0, 1); err == nil {
 		t.Fatal("unknown topology accepted")
+	}
+	// Sizes a node ID cannot name are refused before anything is built: -n
+	// past the int32 bound, and a grid whose side, rounded up, squares past it.
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"ring", math.MaxInt32 + 1}, {"grid", 3_000_000_000}, {"grid", 46340*46340 + 1}, {"arpanet", 1 << 40}} {
+		if _, err := buildTopo(c.name, c.n, 0, 1); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("%s -n %d: %v, want a refusal naming the bound 2147483647", c.name, c.n, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package gosim
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,123 +10,6 @@ import (
 	"fastnet/internal/graph"
 	"fastnet/internal/reliable"
 )
-
-// sinkProto records every payload it receives, concurrency-safe.
-type sinkProto struct {
-	mu  sync.Mutex
-	got []any
-}
-
-func (p *sinkProto) Init(core.Env) {}
-
-func (p *sinkProto) Deliver(_ core.Env, pkt core.Packet) {
-	p.mu.Lock()
-	p.got = append(p.got, pkt.Payload)
-	p.mu.Unlock()
-}
-
-func (p *sinkProto) LinkEvent(core.Env, core.Port) {}
-
-func (p *sinkProto) snapshot() []any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]any(nil), p.got...)
-}
-
-// senderProto sends a fixed payload over a fixed route when poked.
-type senderProto struct {
-	sinkProto
-	route anr.Header
-}
-
-func (p *senderProto) Deliver(env core.Env, pkt core.Packet) {
-	if pkt.Injected {
-		if err := env.Send(p.route, pkt.Payload); err != nil {
-			panic(err)
-		}
-		return
-	}
-	p.sinkProto.Deliver(env, pkt)
-}
-
-func TestGosimMsgFaultsDrop(t *testing.T) {
-	g := graph.Path(2)
-	var snd *senderProto
-	var rcv *sinkProto
-	net := New(g, func(id core.NodeID) core.Protocol {
-		if id == 0 {
-			snd = &senderProto{}
-			return snd
-		}
-		rcv = &sinkProto{}
-		return rcv
-	}, WithMsgFaults(core.MsgFaults{Drop: 1}))
-	defer net.Shutdown()
-	links, err := net.PortMap().RouteLinks([]core.NodeID{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd.route = anr.Direct(links)
-	net.Inject(0, "hello")
-	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := rcv.snapshot(); len(got) != 0 {
-		t.Fatalf("delivered %v despite Drop=1", got)
-	}
-	m := net.Metrics()
-	if m.FaultDrops != 1 || m.Drops != 0 {
-		t.Fatalf("FaultDrops=%d Drops=%d, want 1/0", m.FaultDrops, m.Drops)
-	}
-}
-
-func TestGosimMsgFaultsDupAndCorrupt(t *testing.T) {
-	g := graph.Path(2)
-	var snd *senderProto
-	var rcv *sinkProto
-	net := New(g, func(id core.NodeID) core.Protocol {
-		if id == 0 {
-			snd = &senderProto{}
-			return snd
-		}
-		rcv = &sinkProto{}
-		return rcv
-	}, WithMsgFaults(core.MsgFaults{Dup: 1}))
-	defer net.Shutdown()
-	links, err := net.PortMap().RouteLinks([]core.NodeID{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd.route = anr.Direct(links)
-	net.Inject(0, "x")
-	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := rcv.snapshot(); len(got) != 2 {
-		t.Fatalf("got %d deliveries, want 2 (original + duplicate)", len(got))
-	}
-	if m := net.Metrics(); m.FaultDups != 1 || m.Hops != 2 {
-		t.Fatalf("FaultDups=%d Hops=%d, want 1/2", m.FaultDups, m.Hops)
-	}
-
-	// Flip the live profile to pure corruption: the next packet arrives
-	// garbled exactly once.
-	net.SetMsgFaults(core.MsgFaults{Corrupt: 1})
-	net.Inject(0, "y")
-	if err := net.AwaitQuiescence(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := rcv.snapshot()
-	if len(got) != 3 {
-		t.Fatalf("got %d total deliveries, want 3", len(got))
-	}
-	if _, ok := got[2].(core.Garbled); !ok {
-		t.Fatalf("corrupted payload = %#v, want core.Garbled", got[2])
-	}
-	if m := net.Metrics(); m.FaultCorrupts != 1 {
-		t.Fatalf("FaultCorrupts = %d, want 1", m.FaultCorrupts)
-	}
-}
 
 // reliableSender turns an injected int into a reliable send to dst.
 type reliableSender struct {

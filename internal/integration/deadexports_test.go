@@ -27,9 +27,6 @@ var keptExports = map[string]string{
 	"paths.Path":                    "with paths.Routes: the path it emits",
 	"(paths.Path).Start":            "with paths.Routes: the node a path is relayed from",
 	"(*paths.Fanout).For":           "with paths.Routes: the headers a plan holds for one node, read to compare the two",
-	"trace.NewBuffer":               "the locked in-memory sink the tests of both runtimes record into; the product's sinks are Serial and the soak's witness",
-	"trace.Buffer":                  "with trace.NewBuffer: its result",
-	"(*trace.Buffer).Events":        "with trace.NewBuffer: how a test reads what was recorded",
 	"trace.PerNode":                 "oracle: the per-node projection the sharded and serial engines must agree on",
 	"(*graph.Graph).Equal":          "oracle: a database's view against the ground-truth graph, and cached against cold views",
 	"(*topology.DB).View":           "with Graph.Equal: the graph a node believes in",
@@ -47,12 +44,13 @@ var keptExports = map[string]string{
 	"(core.MsgFaults).SlowdownDelay": "oracle: the reference engine's slowdown draw",
 	"core.CorruptPayload":            "oracle: the reference engine's corruption draw",
 
+	// The runtime contract (docs/MODEL.md §9), which only tests run.
+	"runtimetest.*": "conformance rows both runtimes' tests run; the fstest pattern",
+
 	// Driver hooks: the soak scripts node failures link by link through
 	// core.Runtime's InjectLink; tests script them by name.
-	"(*sim.Network).CrashNode":     "driver hook: every link of a node down at once, scripted by the detector and robustness tests",
-	"(*sim.Network).RestoreNode":   "driver hook: the reverse of CrashNode",
-	"(*gosim.Network).CrashNode":   "driver hook: the same on the goroutine runtime (crash_test.go, reconverge_test.go)",
-	"(*gosim.Network).RestoreNode": "driver hook: the reverse of CrashNode",
+	"(*sim.Network).CrashNode":   "driver hook: every link of a node down at once, scripted by the detector and robustness tests",
+	"(*sim.Network).RestoreNode": "driver hook: the reverse of CrashNode",
 
 	// The paper's use of what the records carry, waiting for its consumer.
 	"(*topology.DB).RouteMinLoad": "§3's use of the link loads the records carry: the load-weighted route; BenchmarkDBRouteMinLoad{Warm,Cold} time it",

@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"fastnet/internal/runtimetest"
 )
 
 // docFiles are the documents that describe the code as it is. CHANGES.md,
@@ -24,10 +26,13 @@ var (
 	// backticks: (*pkg.T).M, pkg.Name or pkg.Name.Member.
 	bareName  = regexp.MustCompile(`\(\*?[a-z]\w*\.[A-Z]\w*\)\.\w+|\b[a-z]\w*\.[A-Z]\w*(?:\.\w+)?`)
 	callArgs  = regexp.MustCompile(`\([^()]*\)$`)
+	indexArgs = regexp.MustCompile(`\[[^\[\]]*\]$`)
 	methodRef = regexp.MustCompile(`^\(\*?([a-z]\w*)\.([A-Z]\w*)\)\.(\w+)$`)
 	pkgRef    = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?$`)
 	typeRef   = regexp.MustCompile(`^([A-Z]\w*)\.(\w+)$`)
 	testFunc  = regexp.MustCompile(`^(Test|Benchmark|Fuzz|Example)`)
+	// rowRef names a row of the runtime contract, as docs/MODEL.md §9 does.
+	rowRef = regexp.MustCompile(`^runtimetest\.Rows\["([^"]+)"\]$`)
 )
 
 // TestDocsNameRealCode keeps the documents from naming code that does not
@@ -37,17 +42,28 @@ var (
 //	pkg.Name   pkg.Name.Member   (*pkg.T).M   T.M
 //
 // must resolve against the non-test declarations of internal/<pkg> (a
-// trailing argument list is ignored; T.M is checked when T is an exported
-// type of exactly one package of internal/). pkg.TestX, pkg.BenchmarkX and
-// pkg.FuzzX resolve against the package's _test.go files instead. The
-// comments of non-test Go files outside bench/ are held to the same rule, for
-// backticked names and for bare package-qualified ones.
+// trailing index and a trailing argument list are ignored; T.M is checked
+// when T is an exported type of exactly one package of internal/).
+// pkg.TestX, pkg.BenchmarkX and pkg.FuzzX resolve against the package's
+// _test.go files instead. The comments of non-test Go files outside bench/
+// are held to the same rule, for backticked names and for bare
+// package-qualified ones. Every row of the two tables in docs/MODEL.md §9
+// names a row of the runtime contract, runtimetest.Rows["name"], which that
+// map must hold.
 func TestDocsNameRealCode(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := newDocIndex(t, root)
+	for ref, named := range map[string]bool{
+		"DB.seen[u]": false, "DB.ents[i]": true, "(*topology.DB).View()": true,
+		`runtimetest.Rows["no-such-row"]`: false, `runtimetest.Rows["env"]`: true,
+	} {
+		if why := ix.check(ref); (why == "") != named {
+			t.Errorf("the checker finds `%s` naming code %v (%s), want %v", ref, why == "", why, named)
+		}
+	}
 	bad := 0
 	report := func(where, ref string) {
 		if why := ix.check(ref); why != "" {
@@ -60,9 +76,19 @@ func TestDocsNameRealCode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		clauses := false // in docs/MODEL.md's "Where each clause lives"
 		for i, line := range strings.Split(string(b), "\n") {
+			clauses = clauses && !strings.HasPrefix(line, "## ") || line == "### Where each clause lives"
+			rows := 0
 			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
 				report(fmt.Sprintf("%s:%d", doc, i+1), m[1])
+				if rowRef.MatchString(m[1]) {
+					rows++
+				}
+			}
+			if clauses && rows == 0 && strings.HasPrefix(line, "| ") && !strings.HasPrefix(line, "| Clause") && !strings.HasPrefix(line, "| ---") {
+				bad++
+				t.Errorf("%s:%d: a clause that names no runtimetest.Rows row", doc, i+1)
 			}
 		}
 	}
@@ -144,8 +170,13 @@ func newDocIndex(t *testing.T, root string) *docIndex {
 // check returns why ref names nothing, or "" when it resolves or is not a Go
 // name of this module's packages (metric names, file names, other packages).
 func (ix *docIndex) check(ref string) string {
-	if loc := callArgs.FindStringIndex(ref); loc != nil {
-		ref = ref[:loc[0]]
+	if m := rowRef.FindStringSubmatch(ref); m != nil && runtimetest.Rows[m[1]] == nil {
+		return fmt.Sprintf("runtimetest.Rows holds no row %q", m[1])
+	}
+	for _, suffix := range []*regexp.Regexp{indexArgs, callArgs} {
+		if loc := suffix.FindStringIndex(ref); loc != nil {
+			ref = ref[:loc[0]]
+		}
 	}
 	if m := methodRef.FindStringSubmatch(ref); m != nil {
 		return ix.member(m[1], m[2], m[3])

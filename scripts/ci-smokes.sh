@@ -39,7 +39,8 @@ smokes=(
 	"./internal/topology/|-run TestPlanRebuildAllocs -count=1 -v|plan rebuild: <= 6 allocs for a full-knowledge origin's plan after a version bump (the plan's own storage; the decomposition in pooled scratch)"
 	"./internal/graph/|-run TestBuildAllocs -count=1 -v|graph build: <= 16 allocs for RandomTree(4096) (grown lists carved from a growth spare), <= 4 for its Clone"
 	"./internal/faults/|-run TestSoakChurnAllocsPerOp -count=1 -v|churn soak: <= 0.30 allocs/model op and <= 21 MB per rep on the soak-churn shape"
-	"./internal/integration/|-race -count=3 -run TestHostileRouteRefusedOnBothRuntimes|TestHandlerFailureOnBothRuntimes|TestInjectOutsideGraphOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the two runtimes' contract table (a handler's Env.Fail and a node outside the graph included), factory contract and determinism goldens, repeated under race"
+	"./internal/integration/|-race -count=3 -run TestRuntimeContract|TestHostileRouteRefusedOnBothRuntimes|TestHandlerFailureOnBothRuntimes|TestInjectOutsideGraphOnBothRuntimes|TestFactoryCalledInNodeOrder|TestCrossRuntimeDeterminism|the runtime contract's integration half: every runtimetest row on sim classic, at 1, 2 and 8 shards and on gosim against classic's outcome (the send-side table, Env.Fail, a node outside the graph), the factory contract and the determinism goldens, repeated under race"
+	"./internal/gosim/|-race -count=3 -run ^Test(GenvSurface|CrashNodeIsolates|CrashAndRestoreNode|RapidFlapLinkEventAccounting|LinkFailureDropAndNotify|GosimMsgFaults.*|GosimHopFilter|GosimHeaderBits|DmaxRejected|CopyPathDeliveries|ReverseRouteReply|InjectLinkOnNonEdgePanics)\$|the runtime contract on gosim alone, the hop filter included (its option is test-only), repeated under race"
 )
 
 for row in "${smokes[@]}"; do
