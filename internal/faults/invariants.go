@@ -16,41 +16,18 @@ import (
 	"fastnet/internal/topology"
 )
 
-// converged checks invariant I1: within every live component of 2+ nodes,
-// every database matches the ground-truth topology (Theorem 1). On failure
-// it names one witness: a node and the component member it is stale about.
-//
-// Each distinct stored link list is checked against the truth once: after
-// convergence all databases of a component hold one array per member
-// (topology.SameLinks), so the array last verified for w is that list again.
-// Any other array — a node's own rebuild of an equal list, a stale private
-// copy — takes the full check and becomes the remembered one.
+// converged checks invariant I1 (topology.Converged: within every live
+// component of 2+ nodes, every database matches the ground-truth topology,
+// Theorem 1). On failure it names one witness: a node and the component
+// member it is stale about.
 func (r *soakRun) converged() (string, bool) {
-	live := r.st.liveGraph()
-	down := r.st.downSet()
-	good := make([][]topology.LinkInfo, r.g.N()) // good[w]: the last list verified for w (never empty: w has a neighbor)
-	one := make([]core.NodeID, 1)
-	for _, comp := range live.Components() {
-		if len(comp) == 1 {
-			continue
-		}
-		for _, u := range comp {
-			db := r.node(u).topo.DB()
-			for _, w := range comp {
-				rec, ok := db.Record(w)
-				if ok && len(good[w]) > 0 && topology.SameLinks(good[w], rec.Links) {
-					continue
-				}
-				one[0] = w
-				if !db.KnowsNodes(one, r.g, down) {
-					return fmt.Sprintf("node %d is stale about %d (record %v, have=%v; truth degree %d, down %v)",
-						u, w, rec, ok, r.g.Degree(w), r.st.downEdges()), false
-				}
-				good[w] = rec.Links
-			}
-		}
+	u, w, ok := topology.Converged(r.g, r.st.downSet(), func(u core.NodeID) *topology.DB { return r.node(u).topo.DB() })
+	if ok {
+		return "", true
 	}
-	return "", true
+	rec, have := r.node(u).topo.DB().Record(w)
+	return fmt.Sprintf("node %d is stale about %d (record %v, have=%v; truth degree %d, down %v)",
+		u, w, rec, have, r.g.Degree(w), r.st.downEdges()), false
 }
 
 // convergeRounds triggers full broadcast rounds until the databases match

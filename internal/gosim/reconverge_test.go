@@ -42,20 +42,9 @@ func TestCrashRestoreReconverge(t *testing.T) {
 		down[graph.Edge{U: victim, V: nb}.Canon()] = true
 	}
 	rounds(4)
-	live := g.Clone()
-	for _, nb := range g.Neighbors(victim) {
-		live.RemoveEdge(victim, nb)
-	}
-	for _, comp := range live.Components() {
-		if len(comp) == 1 {
-			continue
-		}
-		for _, u := range comp {
-			db := net.Protocol(u).(topology.Maintainer).DB()
-			if !db.KnowsNodes(comp, g, down) {
-				t.Fatalf("node %d has a stale view after the crash", u)
-			}
-		}
+	dbOf := func(u core.NodeID) *topology.DB { return net.Protocol(u).(topology.Maintainer).DB() }
+	if u, w, ok := topology.Converged(g, down, dbOf); !ok {
+		t.Fatalf("node %d has a stale view of node %d after the crash", u, w)
 	}
 
 	// Restore and re-converge on the full topology.
@@ -64,16 +53,9 @@ func TestCrashRestoreReconverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds(g.N())
-	for u := 0; u < g.N(); u++ {
-		db := net.Protocol(core.NodeID(u)).(topology.Maintainer).DB()
-		// Theorem 1's condition on a connected network: the database
-		// matches the whole actual topology.
-		all := make([]core.NodeID, g.N())
-		for i := range all {
-			all[i] = core.NodeID(i)
-		}
-		if !db.KnowsNodes(all, g, nil) {
-			t.Fatalf("node %d did not re-converge after the restore", u)
-		}
+	// Theorem 1's condition on the repaired, connected network: every
+	// database matches the whole actual topology.
+	if u, w, ok := topology.Converged(g, nil, dbOf); !ok {
+		t.Fatalf("node %d did not re-converge after the restore: stale about %d", u, w)
 	}
 }

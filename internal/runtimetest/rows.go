@@ -130,8 +130,9 @@ var Rows = map[string]Row{
 			r.refused(func() { s.SetLink(1, 0, 2, false) }, "on non-edge 0-2")
 		}
 	}),
-	// Env.Fail: the run returns node 2's core.HandlerError, and so does a
-	// second run; nothing sent after it is delivered.
+	// Env.Fail: the run returns node 2's core.HandlerError, and so do a
+	// second and a third run, which trace nothing; nothing sent after it is
+	// delivered.
 	"fail": func(e Engine) (Outcome, error) {
 		_, err := exec(e, graph.Path(4), base, func(r *run) {
 			r.Inject(0, send(act(func(env core.Env, _ core.Packet) error {
@@ -141,6 +142,9 @@ var Rows = map[string]Row{
 			var he *core.HandlerError
 			first, again := r.Quiesce(), r.Quiesce()
 			r.that(errors.As(first, &he) && he.Node == 2 && errors.Is(first, errCannotContinue) && errors.Is(again, first), "runs %v, then %v: want node 2's failure twice", first, again)
+			traced := len(r.trace.Events())
+			third := r.Quiesce()
+			r.that(errors.Is(third, first) && len(r.trace.Events()) == traced, "a third run returned %v and grew the trace from %d to %d events", third, traced, len(r.trace.Events()))
 			r.that(len(r.at(3)) == 0, "node 3 was handed %v after the failure", r.at(3))
 		})
 		return nil, err // what the network counted after a failure is unspecified

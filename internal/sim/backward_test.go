@@ -1,120 +1,68 @@
 package sim_test
 
 import (
-	"errors"
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"fastnet/internal/core"
-	"fastnet/internal/graph"
 	"fastnet/internal/sim"
 	"fastnet/internal/topology"
 	"fastnet/internal/trace"
 )
 
-// Backward-RunUntil coverage: the simulated clock only moves forward, so a
-// RunUntil whose deadline is behind the clock (any negative deadline
-// included) is refused with sim.ErrBackward before either engine is entered.
-// A refused call must change nothing a driver can see — clock, metrics,
-// scheduler counters, trace — and the run that follows must be
-// observable-identical to one made without it. (TestBackwardRunUntilSpill is
-// named for the spill of lane and ring into the heap that such a deadline
-// used to cause.)
+// RunUntil coverage: the simulated clock only moves forward, so a RunUntil
+// whose deadline is behind the clock (any negative deadline included) is
+// refused with sim.ErrBackward before either engine is entered. play checks
+// that a refused call names the deadline and the clock and changes nothing a
+// driver can see — clock, metrics, events, trace; the tests here hold the run
+// that follows to one made without it, and a run chopped into epochs to one
+// Run. (TestBackwardRunUntilSpill is named for the spill of lane and ring into
+// the heap that such a deadline used to cause.)
 
-// spillScenario builds the pipelined broadcast the backward tests drive:
-// C = 3 with jitter keeps hop events parked in the ring across epoch
-// boundaries.
-func spillScenario(t *testing.T, extra ...sim.Option) (*sim.Network, *trace.Serial) {
-	t.Helper()
-	g := graph.GNP(72, 0.07, 11)
-	buf := trace.NewSerial(0)
-	net := sim.New(g, topology.NewMaintainer(topology.ModeBranching, false, nil),
-		append([]sim.Option{sim.WithDelays(3, 1), sim.WithSeed(5), sim.WithTrace(buf),
-			sim.WithMsgFaults(core.MsgFaults{Jitter: 0.2, JitterMax: 10})}, extra...)...)
-	recs := topology.RecordsForGraph(g, net.PortMap(), nil)
-	for u := 0; u < g.N(); u += 6 {
-		net.Protocol(core.NodeID(u)).(topology.Maintainer).Preload(recs)
-		net.Inject(core.Time(u%7), core.NodeID(u), topology.Trigger{})
-	}
-	return net, buf
+// spill is the pipelined broadcast the backward tests drive: C = 3 with
+// jitter keeps hop events parked in the ring across epoch boundaries. The
+// steps follow the preamble.
+func spill(steps ...any) scenario {
+	return scenario{name: "spill", graph: graphSpec{n: 72, p: 0.07, seed: 11}, mode: topology.ModeBranching, preload: 6,
+		c: 3, p: 1, seed: 5, faults: core.MsgFaults{Jitter: 0.2, JitterMax: 10}, steps: script(injectEvery(72, 6, 7), script(steps...))}
 }
 
-// refuseBackward asks net to run to each deadline, every one behind its
-// clock, and fails t unless each call returns ErrBackward naming the
-// deadline and the clock, with nothing the driver can observe changed.
-func refuseBackward(t *testing.T, net *sim.Network, buf *trace.Serial, deadlines ...core.Time) {
+// sameRun holds b to a, all but the clock after each run step: the two
+// scripts make different calls.
+func sameRun(t *testing.T, a, b obs) {
 	t.Helper()
-	now, metrics, sched, events := net.Now(), net.Metrics(), net.SchedStats(), len(buf.Events())
-	for _, d := range deadlines {
-		_, err := net.RunUntil(d)
-		if !errors.Is(err, sim.ErrBackward) {
-			t.Fatalf("RunUntil(%d) with the clock at %d: err %v, want sim.ErrBackward", d, now, err)
-		}
-		if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(d)) || !strings.Contains(msg, fmt.Sprint(now)) {
-			t.Errorf("error %q names neither the deadline %d nor the clock %d", msg, d, now)
-		}
-	}
-	if net.Now() != now || net.Metrics() != metrics || net.SchedStats() != sched || len(buf.Events()) != events {
-		t.Fatalf("a refused RunUntil changed the network: clock %d -> %d, metrics %+v -> %+v, sched %v -> %v, trace %d -> %d events",
-			now, net.Now(), metrics, net.Metrics(), sched, net.SchedStats(), events, len(buf.Events()))
+	a.steps, b.steps = a.steps[len(a.steps)-1:], b.steps[len(b.steps)-1:]
+	if d := diverge(a, b, false); d != "" {
+		t.Errorf("diverged at %s", d)
 	}
 }
 
-// runWithBackwardCall runs into the thick of the broadcast — a non-empty
-// same-time lane and a ring with several slots pending — then, with back
-// set, asks for deadlines behind the clock before it drains; with back unset
-// it drains from the same point directly, the reference the refused calls
-// must not differ from.
-func runWithBackwardCall(t *testing.T, back bool, extra ...sim.Option) lossyRun {
-	t.Helper()
-	net, buf := spillScenario(t, extra...)
-	if _, err := net.RunUntil(9); err != nil {
-		t.Fatal(err)
-	}
-	net.Inject(net.Now(), 3, topology.Trigger{})
-	if back {
-		refuseBackward(t, net, buf, net.Now()-1, 2, 0, -1, -3)
-	}
-	finish, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return observed(buf, net, finish)
-}
-
-func runStraight(t *testing.T, extra ...sim.Option) lossyRun {
-	t.Helper()
-	net, buf := spillScenario(t, extra...)
-	finish, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return observed(buf, net, finish)
-}
-
-// TestBackwardRunUntilSpill refuses backward deadlines mid-run under the
-// classic scheduler, the shard-mode serial reference, two and eight shards,
-// and non-default ring windows — tiny (4 slots, rounded up to the 64-slot
-// minimum) and fixed historical 64.
+// TestBackwardRunUntilSpill runs into the thick of the broadcast — a
+// non-empty same-time lane and a ring with several slots pending — then asks
+// for deadlines behind the clock (one tick, down to 2, 0, -1 and -3) before
+// it drains, under the classic scheduler, the shard-mode serial reference,
+// two and eight shards, and non-default ring windows — tiny (4 slots, rounded
+// up to the 64-slot minimum) and fixed historical 64 — against the same run
+// with none.
 func TestBackwardRunUntilSpill(t *testing.T) {
-	cases := map[string][]sim.Option{
-		"classic":        nil,
-		"classic-ring4":  {sim.WithFixedRing(4)},
-		"classic-ring64": {sim.WithFixedRing(64)},
-		"shard-serial":   {sim.WithShards(1)},
-		"shard-ring4":    {sim.WithShards(1), sim.WithFixedRing(4)},
-		"shard-2":        {sim.WithShards(2)},
-		"shard-8":        {sim.WithShards(8)},
-	}
-	for name, opts := range cases {
+	refused := spill(runTo(9), step{op: inject, rel: true, node: 3}, step{op: runUntil, rel: true, at: -1, want: sim.ErrBackward},
+		step{op: runUntil, at: 2, want: sim.ErrBackward}, step{op: runUntil, at: 0, want: sim.ErrBackward},
+		step{op: runUntil, at: -1, want: sim.ErrBackward}, step{op: runUntil, at: -3, want: sim.ErrBackward}, runAll())
+	straight := spill(runTo(9), step{op: inject, rel: true, node: 3}, runAll())
+	for name, e := range map[string]engine{
+		"classic":        classicSide[0],
+		"classic-ring4":  {name: "ring-4", ring: 4},
+		"classic-ring64": classicSide[1],
+		"shard-serial":   shardSide[0],
+		"shard-ring4":    {name: "shards-1-ring-4", p: 1, ring: 4},
+		"shard-2":        shardSide[1],
+		"shard-8":        shardSide[4],
+	} {
 		t.Run(name, func(t *testing.T) {
-			refused := runWithBackwardCall(t, true, opts...)
-			straight := runWithBackwardCall(t, false, opts...)
-			requireEqualRuns(t, refused, straight)
+			sameRun(t, play(t, refused, e), play(t, straight, e))
 		})
 	}
+	both(t, refused)
 }
 
 // TestRunUntilNegativeDeadlineRefused: a negative deadline is a deadline
@@ -122,67 +70,53 @@ func TestBackwardRunUntilSpill(t *testing.T) {
 // RunUntil(-3) delivers none of them and leaves the clock at 0, and the Run
 // after it delivers all ten.
 func TestRunUntilNegativeDeadlineRefused(t *testing.T) {
-	for name, opts := range map[string][]sim.Option{
-		"classic":  nil,
-		"shards-1": {sim.WithShards(1)},
-		"shards-2": {sim.WithShards(2)},
-	} {
+	s := scenario{name: "negative-deadline", graph: graphSpec{family: ring, n: 8}, proto: backlog, c: 1, p: 1, seed: 1}
+	for i := range 10 {
+		s.steps = append(s.steps, injectAt(core.Time(5+i), core.NodeID(i%8)))
+	}
+	s.steps = script(s.steps, step{op: runUntil, at: -3, want: sim.ErrBackward}, runAll())
+	got := table(t, s, classicSide...)
+	for name, o := range table(t, s, shardSide...) {
+		got[name] = o
+	}
+	for _, name := range []string{"classic", "shards-1", "shards-2"} {
 		t.Run(name, func(t *testing.T) {
-			buf := trace.NewSerial(0)
-			net := sim.New(graph.Ring(8), func(core.NodeID) core.Protocol { return &sink{} },
-				append([]sim.Option{sim.WithDelays(1, 1), sim.WithTrace(buf)}, opts...)...)
-			for i := 0; i < 10; i++ {
-				net.Inject(core.Time(5+i), core.NodeID(i%8), i)
-			}
-			refuseBackward(t, net, buf, -3)
-			if net.Now() != 0 || net.Metrics().Injections != 0 {
-				t.Fatalf("after RunUntil(-3): clock %d, %d injections delivered; want 0 and 0", net.Now(), net.Metrics().Injections)
-			}
-			if _, err := net.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if got := net.Metrics().Injections; got != 10 || net.Now() != 15 {
-				t.Fatalf("Run after the refused call: %d injections, clock %d; want 10 at 15", got, net.Now())
+			if o := got[name]; o.steps[0].now != 0 || o.metrics.Injections != 10 || o.steps[1].now != 15 {
+				t.Fatalf("clock %d after RunUntil(-3), %d injections at %d after Run; want 0, then 10 at 15", o.steps[0].now, o.metrics.Injections, o.steps[1].now)
 			}
 		})
 	}
 }
 
-// sink is a protocol that takes what it is given and sends nothing.
-type sink struct{}
-
-func (*sink) Init(core.Env)                 {}
-func (*sink) Deliver(core.Env, core.Packet) {}
-func (*sink) LinkEvent(core.Env, core.Port) {}
+// TestRunUntil: an event past the deadline waits; the clock stops at the
+// deadline, and the next Run dispatches it.
+func TestRunUntil(t *testing.T) {
+	for _, o := range both(t, scenario{name: "run-until", graph: graphSpec{family: path, n: 2}, proto: backlog, c: 1, p: 1, seed: 1,
+		steps: script(injectAt(10, 0), runTo(5), runAll())}) {
+		if o.steps[0].now != 5 || o.steps[0].events != 0 || o.steps[1].now != 11 || o.metrics.Injections != 1 {
+			t.Fatalf("run steps %+v, %d injections: want the clock at 5 with nothing run, then the injection done at 11", o.steps, o.metrics.Injections)
+		}
+	}
+}
 
 // TestForwardCutKeepsRing pins the forward-RunUntil contract: stopping the
 // clock at a deadline before pending ring instants must not disturb them (the
-// next run promotes them from the ring), and chopping a run into epochs
-// must be observable-identical to one Run.
+// next run promotes them from the ring), and chopping a run into 2-tick
+// epochs, every one cut with hop events still parked in the ring (C = 3 >
+// epoch width), must be observable-identical to one Run.
 func TestForwardCutKeepsRing(t *testing.T) {
-	for _, opts := range [][]sim.Option{nil, {sim.WithShards(1)}} {
-		name := "classic"
-		if len(opts) > 0 {
-			name = "shard-serial"
-		}
+	straight := spill(runAll())
+	var cuts []any
+	for d := core.Time(0); d <= play(t, straight, classicSide[0]).finish(); d += 2 {
+		cuts = append(cuts, runTo(d))
+	}
+	chopped := spill(append(cuts, runAll())...)
+	for name, e := range map[string]engine{"classic": classicSide[0], "shard-serial": shardSide[0]} {
 		t.Run(name, func(t *testing.T) {
-			straight := runStraight(t, opts...)
-			net, buf := spillScenario(t, opts...)
-			// Chop the run into 2-tick epochs: every RunUntil cuts forward
-			// with hop events still parked in the ring (C = 3 > epoch width).
-			for d := core.Time(0); d <= straight.finish; d += 2 {
-				if _, err := net.RunUntil(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			finish, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			epoched := observed(buf, net, finish)
-			requireEqualRuns(t, epoched, straight)
+			sameRun(t, play(t, chopped, e), play(t, straight, e))
 		})
 	}
+	both(t, chopped)
 }
 
 // TestBackwardRunUntilHeapResidue: a far injection past the ring's window
@@ -190,39 +124,18 @@ func TestForwardCutKeepsRing(t *testing.T) {
 // dispatches at the instant it would have without the call.
 func TestBackwardRunUntilHeapResidue(t *testing.T) {
 	const far = 500
-	build := func() (*sim.Network, *trace.Serial) {
-		g := graph.RandomTree(16, 3)
-		buf := trace.NewSerial(0)
-		net := sim.New(g, topology.NewMaintainer(topology.ModeFlood, false, nil),
-			sim.WithDelays(1, 1), sim.WithFixedRing(64), sim.WithTrace(buf))
-		for u := 0; u < g.N(); u++ {
-			net.Inject(core.Time(u), core.NodeID(u), topology.Trigger{})
-		}
-		net.Inject(far, 5, topology.Trigger{})
-		return net, buf
+	residue := func(steps ...any) scenario {
+		return scenario{name: "heap-residue", graph: graphSpec{family: tree, n: 16, seed: 3}, mode: topology.ModeFlood, c: 1, p: 1, seed: 1,
+			steps: script(injectEvery(16, 1, 16), injectAt(far, 5), script(steps...))}
 	}
-	refused, buf := build()
-	if _, err := refused.RunUntil(6); err != nil {
-		t.Fatal(err)
+	ring64 := classicSide[1]
+	refused := play(t, residue(runTo(6), step{op: runUntil, at: 0, want: sim.ErrBackward}, runAll()), ring64)
+	if refused.sched.HeapPushes != 1 {
+		t.Fatalf("%d heap pushes, want 1: the far injection alone", refused.sched.HeapPushes)
 	}
-	if s := refused.SchedStats(); s.HeapPushes != 1 {
-		t.Fatalf("%d heap pushes before the refused call, want 1: the far injection alone", s.HeapPushes)
-	}
-	refuseBackward(t, refused, buf, 0)
-	finish, err := refused.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	straight, straightBuf := build()
-	straightFinish, err := straight.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualRuns(t, observed(buf, refused, finish), observed(straightBuf, straight, straightFinish))
+	sameRun(t, refused, play(t, residue(runAll()), ring64))
 	// The injection arrives at far and its activation ends one P later.
-	if !slices.ContainsFunc(buf.Events(), func(e trace.Event) bool {
-		return e.Kind == trace.KindInject && e.Node == 5 && e.Time == far+1
-	}) {
+	if !slices.ContainsFunc(refused.events, func(e trace.Event) bool { return e.Kind == trace.KindInject && e.Node == 5 && e.Time == far+1 }) {
 		t.Errorf("no injection activation at node 5 at t = %d", far+1)
 	}
 }

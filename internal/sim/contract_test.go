@@ -15,7 +15,7 @@ import (
 var engines = []runtimetest.Engine{
 	simEngine("classic", 0), simEngine("shards-1", 1), simEngine("shards-2", 2), simEngine("shards-8", 8),
 	{Name: "reference", New: func(g *graph.Graph, f core.Factory, c runtimetest.Config) (runtimetest.Net, error) {
-		return refNet{NewReference(g, f, options(c)...), g}, nil
+		return refNet{NewReference(g, f, options(c)...)}, nil
 	}},
 }
 
@@ -47,32 +47,15 @@ func (n simNet) RestoreNode(v core.NodeID)         { n.Network.RestoreNode(n.Now
 func (n simNet) Quiesce() error                    { _, err := n.Run(); return err }
 func (simNet) Shutdown()                           {}
 
-// refNet drives the reference engine the same way: a crash is every incident
-// link going down. It checks no driver precondition and has no StallNode.
-type refNet struct {
-	*Reference
-	g *graph.Graph
-}
+// refNet drives the reference engine the same way. It checks no driver
+// precondition.
+type refNet struct{ *Reference }
 
-func (n refNet) Graph() *graph.Graph                  { return n.g }
-func (n refNet) Now() core.Time                       { return n.now }
-func (n refNet) LinkUp(u, v core.NodeID) bool         { return !n.down[graph.Edge{U: u, V: v}.Canon()] }
-func (n refNet) InjectLink(u, v core.NodeID, up bool) { n.SetLink(n.now, u, v, up) }
-func (n refNet) SetMsgFaults(f core.MsgFaults)        { n.cfg.faults = f }
-func (n refNet) StallNode(core.NodeID, core.Time, core.Time) {
-	panic("the reference engine has no StallNode")
-}
 func (n refNet) Inject(v core.NodeID, payload any) { n.Reference.Inject(n.now, v, payload) }
-func (n refNet) CrashNode(v core.NodeID)           { n.flipAll(v, false) }
-func (n refNet) RestoreNode(v core.NodeID)         { n.flipAll(v, true) }
+func (n refNet) CrashNode(v core.NodeID)           { n.Reference.CrashNode(n.now, v) }
+func (n refNet) RestoreNode(v core.NodeID)         { n.Reference.RestoreNode(n.now, v) }
 func (n refNet) Quiesce() error                    { _, err := n.Run(); return err }
 func (refNet) Shutdown()                           {}
-
-func (n refNet) flipAll(v core.NodeID, up bool) {
-	for _, nb := range n.g.Neighbors(v) {
-		n.InjectLink(v, nb, up)
-	}
-}
 
 // contract runs rows of the runtime contract on every engine.
 func contract(t *testing.T, rows ...string) {
@@ -96,9 +79,10 @@ func TestHopFilterDropsInTransit(t *testing.T)        { contract(t, "filter") }
 func TestHopFilterSkipsSenderAndTerminal(t *testing.T) {
 	contract(t, "filter")
 }
-func TestHeaderBitsAccounting(t *testing.T)    { contract(t, "routes/faults-off") }
-func TestDmaxEnforced(t *testing.T)            { contract(t, "routes/faults-off") }
-func TestCopyPathBroadcastTiming(t *testing.T) { contract(t, "routes/faults-off") }
-func TestDeliveriesPerNode(t *testing.T)       { contract(t, "routes/faults-off") }
-func TestPingPongTiming(t *testing.T)          { contract(t, "reverse") }
-func TestSetLinkOnNonEdgePanics(t *testing.T)  { contract(t, "non-edge") }
+func TestHeaderBitsAccounting(t *testing.T)      { contract(t, "routes/faults-off") }
+func TestDmaxEnforced(t *testing.T)              { contract(t, "routes/faults-off") }
+func TestCopyPathBroadcastTiming(t *testing.T)   { contract(t, "routes/faults-off") }
+func TestDeliveriesPerNode(t *testing.T)         { contract(t, "routes/faults-off") }
+func TestPingPongTiming(t *testing.T)            { contract(t, "reverse") }
+func TestSetLinkOnNonEdgePanics(t *testing.T)    { contract(t, "non-edge") }
+func TestHandlerFailureStopsTheRun(t *testing.T) { contract(t, "fail") }

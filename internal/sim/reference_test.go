@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 
 	"fastnet/internal/anr"
@@ -16,7 +17,10 @@ import (
 // from the same rng streams at the same points and labels activations and
 // messages the same way, so its trace, metrics and per-node vectors must equal
 // production's. Zero-delay hops recurse inline: the model's semantics at C = 0.
+// It runs the whole driver surface a scenario scripts (RunUntil, StallNode,
+// SetMsgFaults, crashes) and refuses WithShards and WithCapacity.
 type Reference struct {
+	g             *graph.Graph
 	pm            *core.PortMap
 	cfg           config
 	q             refQueue
@@ -62,6 +66,8 @@ type refNode struct {
 	ports     []core.Port
 	busyUntil core.Time
 	act       int64
+	stallEnd  core.Time // StallNode's window: an activation before stallEnd
+	stall     core.Time // pays stall more
 }
 
 // NewReference takes a Network's options and refuses what it does not implement.
@@ -74,7 +80,7 @@ func NewReference(g *graph.Graph, f core.Factory, opts ...Option) *Reference {
 		panic("sim: the reference engine implements neither WithShards nor WithCapacity")
 	}
 	r := &Reference{
-		pm: core.NewPortMap(g), cfg: cfg, down: map[graph.Edge]bool{},
+		g: g, pm: core.NewPortMap(g), cfg: cfg, down: map[graph.Edge]bool{},
 		rng:      rand.New(rand.NewSource(cfg.seed)),
 		faultRng: rand.New(rand.NewSource(cfg.seed ^ 0x10551e5)),
 		perNode:  make([]int64, g.N()), busy: make([]core.Time, g.N()),
@@ -91,7 +97,9 @@ func NewReference(g *graph.Graph, f core.Factory, opts ...Option) *Reference {
 	return r
 }
 
+func (r *Reference) Graph() *graph.Graph                  { return r.g }
 func (r *Reference) PortMap() *core.PortMap               { return r.pm }
+func (r *Reference) Now() core.Time                       { return r.now }
 func (r *Reference) Protocol(u core.NodeID) core.Protocol { return r.nodes[u].proto }
 func (r *Reference) Metrics() core.Metrics                { return r.m }
 func (r *Reference) DeliveriesPerNode() []int64           { return r.perNode }
@@ -102,8 +110,29 @@ func (r *Reference) Inject(t core.Time, v core.NodeID, p any) {
 	r.at(t, func() { r.activate(v, trace.KindInject, 0, pkt) })
 }
 
-// SchedStats counts every heap pop and every zero-delay hop as one event.
-func (r *Reference) SchedStats() SchedStats { return SchedStats{Events: r.pops + r.inline} }
+// SchedStats counts each heap pop as an event and each zero-delay hop as a
+// fused one: production's events and cut-through hops, one for one.
+func (r *Reference) SchedStats() SchedStats { return SchedStats{Events: r.pops, FusedHops: r.inline} }
+
+func (r *Reference) LinkUp(u, v core.NodeID) bool         { return !r.down[graph.Edge{U: u, V: v}.Canon()] }
+func (r *Reference) InjectLink(u, v core.NodeID, up bool) { r.SetLink(r.now, u, v, up) }
+func (r *Reference) SetMsgFaults(f core.MsgFaults)        { r.cfg.faults = f }
+
+// CrashNode and RestoreNode flip every link of v at t, in neighbor order.
+func (r *Reference) CrashNode(t core.Time, v core.NodeID)   { r.flipAll(t, v, false) }
+func (r *Reference) RestoreNode(t core.Time, v core.NodeID) { r.flipAll(t, v, true) }
+
+func (r *Reference) flipAll(t core.Time, v core.NodeID, up bool) {
+	for _, nb := range r.g.Neighbors(v) {
+		r.SetLink(t, v, nb, up)
+	}
+}
+
+// StallNode makes every activation at v in the next window instants pay
+// extra (at least 1) more software delay.
+func (r *Reference) StallNode(v core.NodeID, window, extra core.Time) {
+	r.nodes[v].stallEnd, r.nodes[v].stall = r.now+window, max(extra, 1)
+}
 
 func (r *Reference) SetLink(t core.Time, u, v core.NodeID, up bool) {
 	r.at(t, func() {
@@ -121,12 +150,27 @@ func (r *Reference) SetLink(t core.Time, u, v core.NodeID, up bool) {
 	})
 }
 
-func (r *Reference) Run() (core.Time, error) {
+func (r *Reference) Run() (core.Time, error) { return r.RunUntil(noDeadline) }
+
+// RunUntil dispatches the events at or before deadline; the clock then reads
+// the deadline if any remain. A failed network dispatches nothing more, and a
+// deadline behind the clock is refused with ErrBackward.
+func (r *Reference) RunUntil(deadline core.Time) (core.Time, error) {
+	if r.failed != nil {
+		return r.m.FinishTime, r.failed
+	}
+	if deadline < r.now {
+		return r.m.FinishTime, fmt.Errorf("%w: RunUntil(%d) with the clock at %d", ErrBackward, deadline, r.now)
+	}
 	for r.q.Len() > 0 {
+		if r.q[0].t > deadline {
+			r.now = deadline
+			break
+		}
 		e := heap.Pop(&r.q).(refEvent)
 		r.now = e.t
 		if r.pops++; r.pops > r.cfg.eventBudget {
-			return r.m.FinishTime, ErrEventBudget
+			return r.m.FinishTime, fmt.Errorf("%w (%d events)", ErrEventBudget, r.pops)
 		}
 		if e.run(); r.failed != nil {
 			return r.m.FinishTime, r.failed
@@ -148,6 +192,10 @@ func (r *Reference) rec(kind trace.Kind, node core.NodeID, act, msg int64, cause
 // has passed, call runs as one activation: labelled, traced, timed.
 func (r *Reference) ncu(nd *refNode, kind trace.Kind, msg int64, call func()) {
 	p := r.delay(r.cfg.swDelay, nd.rng)
+	if r.now < nd.stallEnd {
+		p += nd.stall
+		r.m.StallTicks += int64(nd.stall)
+	}
 	nd.busyUntil = max(r.now, nd.busyUntil) + p
 	r.busy[nd.id] += p
 	r.at(nd.busyUntil, func() {

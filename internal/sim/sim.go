@@ -29,9 +29,10 @@
 // (t, seq) order — see docs/PERF.md. The clock only moves forward: RunUntil
 // refuses a deadline behind it with ErrBackward. queue_test.go proves the
 // spine against a single binary heap; reference_test.go is a naive engine of
-// the same stream contract that cutthrough_test.go and batch_test.go hold
-// production to trace for trace, and golden_test.go pins the event stream
-// byte for byte.
+// the classic stream contract, and scenario_test.go's contract table holds
+// production to it trace for trace (and shard mode at every p to one shard),
+// on scenarios written once and played on every engine; golden_test.go pins
+// both event streams byte for byte.
 //
 // The package is four files along those seams: queue.go the spine, hop.go
 // the timed hop loop, node.go nodes and NCU activations, sim.go options,

@@ -90,7 +90,7 @@ func (l *localTopo) SetLoad(link anr.ID, load uint32) {
 // refresh bumps the sequence number and re-snapshots the local record. A
 // quiet node — ports and loads as its stored record reports them — re-installs
 // the stored array under the new number: update recognises it by identity
-// (SameLinks), and receivers that adopted the array do too.
+// (sameLinks), and receivers that adopted the array do too.
 func (l *localTopo) refresh(env core.Env) {
 	l.seq++
 	ports := env.Ports()
@@ -274,7 +274,7 @@ func (db *DB) forward(origin core.NodeID, seq uint64) bool {
 	return true
 }
 
-// SameLinks reports whether a and b are one list in the strict sense: the
+// sameLinks reports whether a and b are one list in the strict sense: the
 // same array, not merely equal contents. Link lists are immutable once stored
 // or sent and a database adopts the lists it receives, so in a converged
 // network every database holds the same array for a node and identity is the
@@ -282,7 +282,7 @@ func (db *DB) forward(origin core.NodeID, seq uint64) bool {
 // with equal contents can still sit in different arrays: a node that restarts
 // rebuilds its own, Update copies what it is given, and a record that came by
 // another route may carry an older array.
-func SameLinks(a, b []LinkInfo) bool {
+func sameLinks(a, b []LinkInfo) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
@@ -353,7 +353,7 @@ func (db *DB) update(rec Record, adopt bool) bool {
 			return false
 		}
 		// The stored array itself comes back from every quiet node.
-		if SameLinks(e.rec.Links, rec.Links) || slices.Equal(e.rec.Links, rec.Links) {
+		if sameLinks(e.rec.Links, rec.Links) || slices.Equal(e.rec.Links, rec.Links) {
 			// A pure sequence-number refresh leaves every derived structure
 			// valid: keep the version, and with it the view and the trees.
 			db.setSeq(s, rec.Seq)
@@ -422,7 +422,7 @@ func (db *DB) installAll(recs []Record) {
 // it brings that is new: a record the screen covers is turned away before the
 // update call when it is no newer than the stored one. Every other record
 // takes update, which recognises a newer one whose Links is the stored array
-// itself (SameLinks) as a sequence refresh with nothing to compare.
+// itself (sameLinks) as a sequence refresh with nothing to compare.
 func (db *DB) updateAll(recs []Record) {
 	screen := db.screen()
 	for i := range recs {
@@ -761,10 +761,10 @@ func (db *DB) View() *graph.Graph {
 	return p.view
 }
 
-// KnowsNodes reports whether, for every listed node, the database holds a
+// knowsNodes reports whether, for every listed node, the database holds a
 // record matching that node's actual local topology in g with the given set
 // of failed edges (canonical form).
-func (db *DB) KnowsNodes(nodes []core.NodeID, g *graph.Graph, down map[graph.Edge]bool) bool {
+func (db *DB) knowsNodes(nodes []core.NodeID, g *graph.Graph, down map[graph.Edge]bool) bool {
 	for _, u := range nodes {
 		rec, ok := db.Record(u)
 		if !ok {

@@ -211,23 +211,50 @@ func RunConvergence(g *graph.Graph, o ConvOptions, changes []Change) (Convergenc
 	return res, nil
 }
 
-// converged checks Theorem 1's condition: within every connected component
-// of the live topology, every node's database matches the actual local
-// topologies of all component members.
+// converged is Converged on net's databases, with the links in down dead.
 func converged(net *sim.Network, g *graph.Graph, down map[graph.Edge]bool) bool {
+	_, _, ok := Converged(g, down, func(u core.NodeID) *DB { return net.Protocol(u).(Maintainer).DB() })
+	return ok
+}
+
+// Converged checks Theorem 1's condition on the live topology, g less the
+// links in down (canonical edges): within every live component of two or
+// more nodes, every member's database (dbOf) matches the actual local
+// topologies of all members. On failure it names a witness: node stale is
+// stale about about.
+//
+// Each distinct stored link list is checked against the truth once: after
+// convergence all databases of a component hold one array per member
+// (sameLinks), so the array last verified for w is that list again. Any
+// other array — a node's own rebuild of an equal list, a stale private copy —
+// takes the full check and becomes the remembered one.
+func Converged(g *graph.Graph, down map[graph.Edge]bool, dbOf func(core.NodeID) *DB) (stale, about core.NodeID, ok bool) {
 	live := g.Clone()
 	for e, d := range down {
 		if d {
 			live.RemoveEdge(e.U, e.V)
 		}
 	}
+	good := make([][]LinkInfo, g.N()) // good[w]: the last list verified for w (never empty: w has a neighbor)
+	one := make([]core.NodeID, 1)
 	for _, comp := range live.Components() {
+		if len(comp) == 1 {
+			continue
+		}
 		for _, u := range comp {
-			db := net.Protocol(u).(Maintainer).DB()
-			if !db.KnowsNodes(comp, g, down) {
-				return false
+			db := dbOf(u)
+			for _, w := range comp {
+				rec, ok := db.Record(w)
+				if ok && len(good[w]) > 0 && sameLinks(good[w], rec.Links) {
+					continue
+				}
+				one[0] = w
+				if !db.knowsNodes(one, g, down) {
+					return u, w, false
+				}
+				good[w] = rec.Links
 			}
 		}
 	}
-	return true
+	return 0, 0, true
 }

@@ -35,7 +35,7 @@ func TestKnowledgeRadiusGrowsPerRound(t *testing.T) {
 					within = append(within, core.NodeID(w))
 				}
 			}
-			if !db.KnowsNodes(within, g, nil) {
+			if !db.knowsNodes(within, g, nil) {
 				t.Fatalf("round %d: node %d does not know its %d-hop ball", round, u, round)
 			}
 		}

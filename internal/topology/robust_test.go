@@ -100,20 +100,8 @@ func TestNodeCrashConvergence(t *testing.T) {
 	}
 	// Every survivor must know the victim is unreachable (all its links
 	// reported down by the neighbors' records).
-	live := g.Clone()
-	for _, nb := range g.Neighbors(victim) {
-		live.RemoveEdge(victim, nb)
-	}
-	for _, comp := range live.Components() {
-		if len(comp) == 1 {
-			continue
-		}
-		for _, u := range comp {
-			db := net.Protocol(u).(Maintainer).DB()
-			if !db.KnowsNodes(comp, g, down) {
-				t.Fatalf("node %d has a stale view after the crash", u)
-			}
-		}
+	if u, w, ok := Converged(g, down, func(u core.NodeID) *DB { return net.Protocol(u).(Maintainer).DB() }); !ok {
+		t.Fatalf("node %d has a stale view of node %d after the crash", u, w)
 	}
 }
 

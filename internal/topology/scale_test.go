@@ -133,34 +133,8 @@ func TestFloodBytesPerNodeFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("floods a 4,096-node network")
 	}
-	const origins = 26
-	perNodeOrigin := func(n int) float64 {
-		g := fabric(n, 14, int64(n))
-		bytes := allocBytes(func() {
-			net := sim.New(g, NewMaintainer(ModeFlood, false, nil),
-				sim.WithDelays(8, 1), sim.WithSeed(int64(n)),
-				sim.WithMsgFaults(core.MsgFaults{Jitter: 1, JitterMax: 384, Slowdown: 0.1, SlowFactor: 2, SlowMax: 512}))
-			recs := RecordsForGraph(g, net.PortMap(), nil)
-			for k := 0; k < origins; k++ {
-				u := core.NodeID(k * n / origins)
-				net.Protocol(u).(Maintainer).Preload(recs)
-				net.Inject(0, u, Trigger{})
-			}
-			if _, err := net.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for u := 0; u < n; u++ {
-				db := net.Protocol(core.NodeID(u)).(Maintainer).DB()
-				for k := 0; k < origins; k++ {
-					if _, ok := db.Record(core.NodeID(k * n / origins)); !ok {
-						t.Fatalf("n=%d: node %d never heard origin %d", n, u, k*n/origins)
-					}
-				}
-			}
-		})
-		return float64(bytes) / float64(n*origins)
-	}
-	small, large := perNodeOrigin(1024), perNodeOrigin(4096)
+	small, _ := floodCost(t, 1024)
+	large, _ := floodCost(t, 4096)
 	t.Logf("bytes per node per origin: %.0f at 1,024 nodes, %.0f at 4,096 (%.2fx)", small, large, large/small)
 	if large > 1.3*small {
 		t.Errorf("%.0f bytes per node per origin at 4,096 nodes, %.0f at 1,024: want within 1.3x", large, small)
@@ -168,6 +142,67 @@ func TestFloodBytesPerNodeFlat(t *testing.T) {
 	if large > 1450 {
 		t.Errorf("%.0f bytes per node per origin at 4,096 nodes, want <= 1,450", large)
 	}
+}
+
+// BenchmarkFloodShardCost is the gauge of what the shard-mode contract costs
+// at p = 1 (ROADMAP direction 5(a)): TestFloodBytesPerNodeFlat's 4,096-node
+// flood on the classic scheduler, WithShards(1) and WithShards(2). It reports
+// the bytes allocated per node per origin for each and the deliveries, which
+// must be equal; p = 1 must stay within 1,600 B and p = 2 within 1,720 B
+// (classic reads about 1,230 B).
+func BenchmarkFloodShardCost(b *testing.B) {
+	if testing.Short() {
+		b.Skip("floods a 4,096-node network three times")
+	}
+	for i := 0; i < b.N; i++ {
+		classic, want := floodCost(b, 4096)
+		b.ReportMetric(classic, "classic-B/node/origin")
+		b.ReportMetric(float64(want), "deliveries")
+		for _, c := range []struct {
+			name   string
+			shards int
+			bound  float64
+		}{{"p1", 1, 1600}, {"p2", 2, 1720}} {
+			perNode, got := floodCost(b, 4096, sim.WithShards(c.shards))
+			b.ReportMetric(perNode, c.name+"-B/node/origin")
+			if got != want || perNode > c.bound {
+				b.Fatalf("%s: %d deliveries (classic %d), %.0f B per node per origin (bound %.0f)", c.name, got, want, perNode, c.bound)
+			}
+		}
+	}
+}
+
+// floodCost runs the benchmark's flood on an n-node fabric — C = 8, every hop
+// jittered up to 384 ticks and a tenth slowed, 26 warm-started origins — with
+// opts added, checks that every node heard every origin, and returns the
+// bytes allocated per node per origin and the deliveries.
+func floodCost(tb testing.TB, n int, opts ...sim.Option) (perNodeOrigin float64, deliveries int64) {
+	const origins = 26
+	g := fabric(n, 14, int64(n))
+	bytes := allocBytes(func() {
+		net := sim.New(g, NewMaintainer(ModeFlood, false, nil), append([]sim.Option{
+			sim.WithDelays(8, 1), sim.WithSeed(int64(n)),
+			sim.WithMsgFaults(core.MsgFaults{Jitter: 1, JitterMax: 384, Slowdown: 0.1, SlowFactor: 2, SlowMax: 512})}, opts...)...)
+		recs := RecordsForGraph(g, net.PortMap(), nil)
+		for k := 0; k < origins; k++ {
+			u := core.NodeID(k * n / origins)
+			net.Protocol(u).(Maintainer).Preload(recs)
+			net.Inject(0, u, Trigger{})
+		}
+		if _, err := net.Run(); err != nil {
+			tb.Fatal(err)
+		}
+		for u := 0; u < n; u++ {
+			db := net.Protocol(core.NodeID(u)).(Maintainer).DB()
+			for k := 0; k < origins; k++ {
+				if _, ok := db.Record(core.NodeID(k * n / origins)); !ok {
+					tb.Fatalf("n=%d: node %d never heard origin %d", n, u, k*n/origins)
+				}
+			}
+		}
+		deliveries = net.Metrics().Deliveries
+	})
+	return float64(bytes) / float64(n*origins), deliveries
 }
 
 // fabric is the benchmark's random fabric: a random spanning tree plus

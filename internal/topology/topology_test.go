@@ -53,8 +53,8 @@ func TestPreloadAdopts(t *testing.T) {
 	db := net.Protocol(root).(Maintainer).DB()
 	for _, want := range recs {
 		got, ok := db.Record(want.Node)
-		if !ok || SameLinks(got.Links, want.Links) != (want.Node != root) {
-			t.Fatalf("node %d: stored %v, list shared %v", want.Node, ok, SameLinks(got.Links, want.Links))
+		if !ok || sameLinks(got.Links, want.Links) != (want.Node != root) {
+			t.Fatalf("node %d: stored %v, list shared %v", want.Node, ok, sameLinks(got.Links, want.Links))
 		}
 	}
 }
@@ -501,7 +501,7 @@ func (db *DB) KnowsExactly(g *graph.Graph, down map[graph.Edge]bool) bool {
 	for i := range all {
 		all[i] = core.NodeID(i)
 	}
-	return db.KnowsNodes(all, g, down)
+	return db.knowsNodes(all, g, down)
 }
 
 // TestUnknownModePanics reaches NewMaintainer's precondition: a Mode that is

@@ -16,14 +16,15 @@ smokes=(
 	"./internal/topology/|-run FuzzFaultSchedule -count=1|fuzz seeds: the committed fault-schedule corpus, uncached"
 	"./internal/reliable/|-run ^\$ -fuzz FuzzReliableDelivery -fuzztime 30s|reliable delivery under loss"
 	"./internal/topology/|-run ^\$ -fuzz FuzzRoutingPlane -fuzztime 30s|database differential: store, node index and batch screen against the cold model"
-	"./internal/sim/|-run ^\$ -fuzz FuzzCutThrough -fuzztime 30s|production engine vs reference engine, C = 0 walks under faults"
+	"./internal/sim/|-run ^\$ -fuzz FuzzCutThrough -fuzztime 30s|the contract table on C = 0 walks under faults: classic, fixed rings and the reference engine; one shard vs 2 to 8 (their serial fallback) and a 64-slot ring"
 	"./internal/sim/|-run ^\$ -fuzz FuzzSpine -fuzztime 30s -fuzzminimizetime 1s|spine vs container/heap model over fuzzer-written operation strings"
 	"./internal/election/|-run ^\$ -fuzz FuzzDomain -fuzztime 30s -fuzzminimizetime 1s|election domain vs the map model it replaced, the shared core.NodeIndex included"
 	"./internal/reseq/|-run ^\$ -fuzz FuzzReorder -fuzztime 30s|reordering: election recovery, both runtimes"
 	"./internal/faults/|-run ^\$ -fuzz FuzzGrayFailure -fuzztime 30s|gray failures: slowdown/stall envelope, invariant I8"
-	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|sharded vs serial scheduler differential"
-	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|C >= 1 spine: auto-sized ring vs 64-slot ring vs reference engine"
+	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|the contract table on floods with link flips over split graphs: WithShards(1) vs 2, 3, 4 and 8 shards and a 64-slot ring; classic vs fixed rings and the reference engine"
+	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|the contract table on pipelined broadcasts at C >= 0: auto-sized ring vs 64- and 8192-slot rings vs the reference engine; one shard vs 2 to 8"
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
+	"./internal/topology/|-run ^\$ -bench FloodShardCost -benchtime 1x|what p = 1 costs: bytes per node per origin of the 4,096-node flood on classic, WithShards(1) <= 1,600 and WithShards(2) <= 1,720, equal deliveries"
 	"./internal/sim/|-run TestEventRecordFitsItsClass -count=1 -v|event storage: a record <= 80 B, and a chunk's size class leaves less than one record unused (about 83 B per event in flight)"
 	"./internal/sim/|-run TestStageLoadAllocs -count=1 -v|shard-mode stage: 0 allocs to promote a slot of 1 to 20,000 entries once its buffer has grown"
 	"./internal/load/|-run TestOpenLoopAllocsPerCall -count=1 -v|open loop: <= 0.1 allocs/call"
