@@ -273,9 +273,8 @@ func (cfg Config) Repro(topo string, n int) string {
 }
 
 // normalize resolves every default, once, at entry to Soak and to Repro: what
-// a zero or negative knob means is decided here and the run reads the fields
-// as they stand. The generators (flaps, partitions, churn, stalls) defend
-// their own fields as well: their tests plan with zero values.
+// a zero or negative knob means is decided here, and the run and its
+// generators (flaps, partitions, churn, stalls) read the fields as they stand.
 func (cfg *Config) normalize() {
 	orDefault(&cfg.Runtime, "des")
 	orDefault(&cfg.Mode, topology.ModeBranching)
@@ -326,10 +325,12 @@ func (cfg Config) lossy() bool { return cfg.msgFaults().Enabled() || cfg.Reliabl
 // gray reports whether any gray-failure dimension is configured (arms I8).
 func (cfg Config) gray() bool { return cfg.Slow > 0 || cfg.Stall > 0 }
 
-// schedule builds the per-epoch profile schedule from the config.
-func (cfg Config) schedule() msgFaultSchedule {
-	if cfg.BurstEvery > 0 {
-		return burstyFaults{Base: cfg.msgFaults(), Every: cfg.BurstEvery, Scale: cfg.BurstScale}
+// profile is epoch's lossy-link profile: the configured one, scaled by
+// BurstScale every BurstEvery-th epoch (loss comes in storms, not as a
+// stationary rate).
+func (cfg Config) profile(epoch int) core.MsgFaults {
+	if cfg.BurstEvery > 0 && epoch%cfg.BurstEvery == cfg.BurstEvery-1 {
+		return cfg.msgFaults().Scale(cfg.BurstScale)
 	}
-	return constantFaults{P: cfg.msgFaults()}
+	return cfg.msgFaults()
 }

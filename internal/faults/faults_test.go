@@ -3,6 +3,7 @@ package faults
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastnet/internal/core"
@@ -71,41 +72,33 @@ func TestStateLiveGraph(t *testing.T) {
 	}
 }
 
+// planEpochs plans and applies epochs of gens on g from seed as the soak does,
+// stalls included, and returns each epoch's sorted events.
+func planEpochs(g *graph.Graph, seed int64, epochs int, gens ...generator) [][]event {
+	rng, st := rand.New(rand.NewSource(seed)), newState(g)
+	var out [][]event
+	for e := 0; e < epochs; e++ {
+		st.beginEpoch()
+		var evs []event
+		for _, gen := range gens {
+			evs = append(evs, gen.Plan(e, st, rng)...)
+		}
+		sortEvents(evs)
+		for _, ev := range evs {
+			st.apply(ev)
+		}
+		stalled(2, st, rng)
+		out = append(out, evs)
+	}
+	return out
+}
+
 func TestGeneratorsDeterministic(t *testing.T) {
-	g := graph.GNP(12, 0.4, 7)
 	plan := func() [][]event {
-		rng := rand.New(rand.NewSource(42))
-		st := newState(g)
-		gens := []generator{
-			flaps{PerEpoch: 2, Len: 1, Steps: 2},
-			&partitions{Every: 2, Heal: 1},
-			&churn{PerEpoch: 1, Downtime: 1},
-		}
-		var epochs [][]event
-		for e := 0; e < 4; e++ {
-			st.beginEpoch()
-			var evs []event
-			for _, gen := range gens {
-				evs = append(evs, gen.Plan(e, st, rng)...)
-			}
-			sortEvents(evs)
-			for _, ev := range evs {
-				st.apply(ev)
-			}
-			epochs = append(epochs, evs)
-		}
-		return epochs
+		return planEpochs(graph.GNP(12, 0.4, 7), 42, 4, flaps{PerEpoch: 2, Len: 1}, &partitions{Every: 2, Heal: 1}, &churn{PerEpoch: 1, Downtime: 1})
 	}
-	a, b := plan(), plan()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different schedules:\n%v\n%v", a, b)
-	}
-	total := 0
-	for _, evs := range a {
-		total += len(evs)
-	}
-	if total == 0 {
-		t.Fatal("generators planned nothing")
+	if a, b := plan(), plan(); !reflect.DeepEqual(a, b) || len(slices.Concat(a...)) == 0 {
+		t.Fatalf("one seed planned two schedules, or nothing:\n%v\n%v", a, b)
 	}
 }
 
@@ -115,31 +108,12 @@ func TestGeneratorsDeterministic(t *testing.T) {
 // partitions drew rng.Intn(n-1) for its subset size, which panics at n <= 1.
 func TestGeneratorsOnDegenerateGraphs(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.New(0), graph.New(1), graph.Path(2)} {
-		st := newState(g)
-		rng := rand.New(rand.NewSource(1))
-		gens := []generator{
-			flaps{PerEpoch: 2},
-			&partitions{},
-			&churn{PerEpoch: 2},
-			&adversary{Witness: &witness{}},
-		}
-		for e := 0; e < 3; e++ {
-			st.beginEpoch()
-			for _, gen := range gens {
-				for _, ev := range gen.Plan(e, st, rng) {
-					st.apply(ev)
-				}
-			}
-			stalls{PerEpoch: 2}.plan(e, st, rng)
-		}
+		planEpochs(g, 1, 3, flaps{PerEpoch: 2, Len: 1}, &partitions{Every: 1, Heal: 1}, &churn{PerEpoch: 2, Downtime: 1}, &adversary{Witness: &witness{}})
 	}
 }
 
 func TestFlapsPairDownWithUp(t *testing.T) {
-	g := graph.Ring(6)
-	st := newState(g)
-	rng := rand.New(rand.NewSource(1))
-	evs := flaps{PerEpoch: 3, Len: 2, Steps: 1}.Plan(0, st, rng)
+	evs := planEpochs(graph.Ring(6), 1, 1, flaps{PerEpoch: 3, Len: 2})[0]
 	if len(evs) != 6 {
 		t.Fatalf("planned %d events, want 6 (3 down + 3 up)", len(evs))
 	}
@@ -150,7 +124,7 @@ func TestFlapsPairDownWithUp(t *testing.T) {
 		case linkDown:
 			downs[e] = ev.Step
 		case linkUp:
-			if up, ok := downs[e]; !ok || ev.Step != up+2 {
+			if down, ok := downs[e]; !ok || ev.Step != down+2 {
 				t.Fatalf("up event %v does not pair with its down", ev)
 			}
 		}
@@ -158,72 +132,42 @@ func TestFlapsPairDownWithUp(t *testing.T) {
 }
 
 func TestPartitionsCutsAndHeals(t *testing.T) {
-	g := graph.Complete(6)
-	st := newState(g)
+	st := newState(graph.Complete(6))
 	rng := rand.New(rand.NewSource(3))
 	p := &partitions{Every: 10, Heal: 2}
-
-	cut := p.Plan(0, st, rng)
-	if len(cut) == 0 {
-		t.Fatal("epoch 0 must plan a cut")
-	}
-	for _, ev := range cut {
-		if ev.Kind != linkDown || ev.Step != 0 {
-			t.Fatalf("cut event %v, want step-0 link-down", ev)
+	apply := func(evs []event, k kind) {
+		for _, ev := range evs {
+			if ev.Kind != k || ev.Step != 0 {
+				t.Fatalf("event %v, want a step-0 %s", ev, k)
+			}
+			st.apply(ev)
 		}
-		st.apply(ev)
 	}
-	// The cut must disconnect the graph.
-	if st.liveGraph().Connected() {
-		t.Fatal("correlated cut left the graph connected")
+	cut := p.Plan(0, st, rng)
+	if apply(cut, linkDown); len(cut) == 0 || st.liveGraph().Connected() {
+		t.Fatalf("epoch 0 planned %v: want a cut that disconnects the graph", cut)
 	}
 	if evs := p.Plan(1, st, rng); len(evs) != 0 {
 		t.Fatalf("epoch 1 planned %v, want nothing", evs)
 	}
 	heal := p.Plan(2, st, rng)
-	if len(heal) != len(cut) {
-		t.Fatalf("heal planned %d events, want %d", len(heal), len(cut))
-	}
-	for _, ev := range heal {
-		if ev.Kind != linkUp {
-			t.Fatalf("heal event %v, want link-up", ev)
-		}
-		st.apply(ev)
-	}
-	if !st.liveGraph().Connected() {
-		t.Fatal("graph must be whole after the heal")
+	if apply(heal, linkUp); len(heal) != len(cut) || !st.liveGraph().Connected() {
+		t.Fatalf("epoch 2 planned %v: want the whole cut healed", heal)
 	}
 }
 
 func TestChurnRestoresAfterDowntime(t *testing.T) {
-	g := graph.Ring(8)
-	st := newState(g)
-	rng := rand.New(rand.NewSource(5))
-	c := &churn{PerEpoch: 2, Downtime: 2}
-
-	ev0 := c.Plan(0, st, rng)
-	crashed := 0
-	for _, ev := range ev0 {
-		if ev.Kind == crash {
-			crashed++
+	epochs := planEpochs(graph.Ring(8), 5, 3, &churn{PerEpoch: 2, Downtime: 2})
+	nodes := func(evs []event, k kind) (out []core.NodeID) {
+		for _, ev := range evs {
+			if ev.Kind == k {
+				out = append(out, ev.U)
+			}
 		}
-		st.apply(ev)
+		return out
 	}
-	if crashed != 2 {
-		t.Fatalf("crashed %d nodes, want 2", crashed)
-	}
-	for _, ev := range c.Plan(1, st, rng) {
-		st.apply(ev)
-	}
-	restores := 0
-	for _, ev := range c.Plan(2, st, rng) {
-		if ev.Kind == restore {
-			restores++
-		}
-		st.apply(ev)
-	}
-	if restores != 2 {
-		t.Fatalf("epoch 2 restored %d nodes, want the 2 crashed in epoch 0", restores)
+	if crashed, restored := nodes(epochs[0], crash), nodes(epochs[2], restore); len(crashed) != 2 || !slices.Equal(crashed, restored) {
+		t.Fatalf("epoch 0 crashed %v, epoch 2 restored %v: want the same two nodes", crashed, restored)
 	}
 }
 
@@ -301,5 +245,20 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
 		t.Fatal("induced edges wrong")
+	}
+}
+
+// TestMsgFaultSchedules: an epoch's lossy-link profile is the configured one,
+// scaled by BurstScale every BurstEvery-th epoch, saturating at probability 1.
+func TestMsgFaultSchedules(t *testing.T) {
+	cfg := Config{Loss: 0.1, Dup: 0.05}
+	bursty := Config{Loss: 0.1, Dup: 0.05, BurstEvery: 3, BurstScale: 2}
+	for e, drop := range []float64{0.1, 0.1, 0.2, 0.1, 0.1, 0.2, 0.1} {
+		if got := bursty.profile(e); got.Drop != drop || got.Dup != drop/2 || cfg.profile(e) != cfg.msgFaults() {
+			t.Fatalf("epoch %d: profile %+v, want drop %g; unbursted %+v", e, got, drop, cfg.profile(e))
+		}
+	}
+	if sat := (Config{Loss: 0.6, BurstEvery: 1, BurstScale: 5}).profile(0); sat.Drop > 1 {
+		t.Fatalf("burst scaled past probability 1: %+v", sat)
 	}
 }

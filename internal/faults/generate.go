@@ -18,35 +18,24 @@ type generator interface {
 }
 
 // flaps downs PerEpoch random live links and brings each back up Len steps
-// later in the same epoch, with down-steps spread over Steps instants.
+// later in the same epoch, with down-steps spread over two instants.
 type flaps struct {
 	PerEpoch int
 	Len      int // steps a flapped link stays down (>= 1)
-	Steps    int // spread of down instants (>= 1)
 }
 
 // Plan implements generator.
 func (f flaps) Plan(epoch int, st *state, rng *rand.Rand) []event {
-	if f.PerEpoch <= 0 {
-		return nil
-	}
-	length, steps := f.Len, f.Steps
-	if length < 1 {
-		length = 1
-	}
-	if steps < 1 {
-		steps = 1
-	}
 	up := st.upEdges()
 	var evs []event
 	for i := 0; i < f.PerEpoch && len(up) > 0; i++ {
 		j := rng.Intn(len(up))
 		e := up[j]
 		up = append(up[:j], up[j+1:]...)
-		at := rng.Intn(steps)
+		at := rng.Intn(2)
 		evs = append(evs,
 			event{Step: at, Kind: linkDown, U: e.U, V: e.V},
-			event{Step: at + length, Kind: linkUp, U: e.U, V: e.V},
+			event{Step: at + f.Len, Kind: linkUp, U: e.U, V: e.V},
 		)
 	}
 	return evs
@@ -57,7 +46,7 @@ func (f flaps) Plan(epoch int, st *state, rng *rand.Rand) []event {
 // then the whole cut heals together Heal epochs later (Heal < Every keeps
 // at most one partition outstanding).
 type partitions struct {
-	Every int // plan a new cut when epoch%Every == 0 (default 1)
+	Every int // plan a new cut when epoch%Every == 0 (>= 1)
 	Heal  int // epochs until the cut heals (>= 1)
 
 	pending map[int][]graph.Edge // heal epoch -> cut edges
@@ -65,14 +54,6 @@ type partitions struct {
 
 // Plan implements generator.
 func (p *partitions) Plan(epoch int, st *state, rng *rand.Rand) []event {
-	every := p.Every
-	if every < 1 {
-		every = 1
-	}
-	heal := p.Heal
-	if heal < 1 {
-		heal = 1
-	}
 	if p.pending == nil {
 		p.pending = make(map[int][]graph.Edge)
 	}
@@ -83,7 +64,7 @@ func (p *partitions) Plan(epoch int, st *state, rng *rand.Rand) []event {
 	}
 	delete(p.pending, epoch)
 	// A graph of fewer than two nodes has no proper subset to cut off.
-	if g := st.g; epoch%every == 0 && g.N() >= 2 {
+	if g := st.g; epoch%p.Every == 0 && g.N() >= 2 {
 		// Random proper subset: size in [1, n-1].
 		size := 1 + rng.Intn(g.N()-1)
 		perm := rng.Perm(g.N())
@@ -99,7 +80,7 @@ func (p *partitions) Plan(epoch int, st *state, rng *rand.Rand) []event {
 			}
 		}
 		if len(cut) > 0 {
-			p.pending[epoch+heal] = cut
+			p.pending[epoch+p.Heal] = cut
 		}
 	}
 	return evs
@@ -119,29 +100,23 @@ func (c *churn) Plan(epoch int, st *state, rng *rand.Rand) []event {
 	if c.pending == nil {
 		c.pending = make(map[int][]core.NodeID)
 	}
-	downtime := c.Downtime
-	if downtime < 1 {
-		downtime = 1
-	}
 	var evs []event
 	for _, v := range c.pending[epoch] {
 		evs = append(evs, event{Step: 0, Kind: restore, U: v})
 	}
 	delete(c.pending, epoch)
-	if c.PerEpoch > 0 {
-		var alive []core.NodeID
-		for v := 0; v < st.g.N(); v++ {
-			if !st.isCrashed(core.NodeID(v)) {
-				alive = append(alive, core.NodeID(v))
-			}
+	var alive []core.NodeID
+	for v := 0; v < st.g.N(); v++ {
+		if !st.isCrashed(core.NodeID(v)) {
+			alive = append(alive, core.NodeID(v))
 		}
-		for i := 0; i < c.PerEpoch && len(alive) > 1; i++ {
-			j := rng.Intn(len(alive))
-			v := alive[j]
-			alive = append(alive[:j], alive[j+1:]...)
-			evs = append(evs, event{Step: 0, Kind: crash, U: v})
-			c.pending[epoch+downtime] = append(c.pending[epoch+downtime], v)
-		}
+	}
+	for i := 0; i < c.PerEpoch && len(alive) > 1; i++ {
+		j := rng.Intn(len(alive))
+		v := alive[j]
+		alive = append(alive[:j], alive[j+1:]...)
+		evs = append(evs, event{Step: 0, Kind: crash, U: v})
+		c.pending[epoch+c.Downtime] = append(c.pending[epoch+c.Downtime], v)
 	}
 	return evs
 }

@@ -27,7 +27,7 @@ import (
 func runOpenLoop(g *graph.Graph, cfg Config, opts []sim.Option) (*Result, error) {
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		profile := cfg.schedule().Profile(epoch)
+		profile := cfg.profile(epoch)
 		lc := load.Config{
 			Seed:    cfg.Seed*1000003 + int64(epoch)*65599 + 17,
 			Calls:   cfg.Calls,

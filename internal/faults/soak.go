@@ -47,21 +47,19 @@ func (r *Result) settle(err error) error {
 
 // soakRun is the per-run state of the driver.
 type soakRun struct {
-	cfg   Config // normalized
-	g     *graph.Graph
-	h     harness
-	st    *state
-	rng   *rand.Rand
-	gens  []generator
-	sched msgFaultSchedule
-	wit   *witness
-	book  *probeBook
-	rel   *relBook
-	res   *Result
-	opts  []sim.Option // the caller's, appended to every DES network the run builds
+	cfg  Config // normalized
+	g    *graph.Graph
+	h    harness
+	st   *state
+	rng  *rand.Rand
+	gens []generator
+	wit  *witness
+	book *probeBook
+	rel  *relBook
+	res  *Result
+	opts []sim.Option // the caller's, appended to every DES network the run builds
 
 	pend    map[int][]event // soak-scheduled events (leader crashes)
-	stalls  stalls          // zero-valued unless cfg.Stall > 0
 	callSeq calls.CallID
 	probeID int64
 	relSeq  uint64
@@ -88,19 +86,18 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 		return runOpenLoop(g, cfg, opts)
 	}
 	r := &soakRun{
-		cfg:   cfg,
-		g:     g,
-		st:    newState(g),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		sched: cfg.schedule(),
-		book:  &probeBook{echo: make(map[int64]bool)},
-		rel:   &relBook{got: make(map[uint64][]core.NodeID)},
-		res:   &Result{},
-		opts:  opts,
-		pend:  make(map[int][]event),
+		cfg:  cfg,
+		g:    g,
+		st:   newState(g),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		book: &probeBook{echo: make(map[int64]bool)},
+		rel:  &relBook{got: make(map[uint64][]core.NodeID)},
+		res:  &Result{},
+		opts: opts,
+		pend: make(map[int][]event),
 	}
 	if cfg.Flaps > 0 {
-		r.gens = append(r.gens, flaps{PerEpoch: cfg.Flaps, Len: cfg.FlapLen, Steps: 2})
+		r.gens = append(r.gens, flaps{PerEpoch: cfg.Flaps, Len: cfg.FlapLen})
 	}
 	if cfg.PartitionEvery > 0 {
 		r.gens = append(r.gens, &partitions{Every: cfg.PartitionEvery, Heal: cfg.PartitionHeal})
@@ -111,9 +108,6 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 	if cfg.Adversary {
 		r.wit = &witness{}
 		r.gens = append(r.gens, &adversary{Witness: r.wit})
-	}
-	if cfg.Stall > 0 {
-		r.stalls = stalls{PerEpoch: cfg.Stall, Window: core.Time(cfg.StallTicks)}
 	}
 
 	// View-routed modes run the full-knowledge variant: the incremental one
@@ -220,7 +214,7 @@ func (r *soakRun) epoch(epoch int) error {
 	if r.wit != nil {
 		r.wit.reset()
 	}
-	profile := r.sched.Profile(epoch)
+	profile := r.cfg.profile(epoch)
 
 	// Set up calls at quiescence so the failure-driven teardown invariant
 	// is exercised from a clean state.
@@ -244,14 +238,13 @@ func (r *soakRun) epoch(epoch int) error {
 	}
 
 	// Gray stalls: inflate this epoch's chosen NCUs through the convergence
-	// and ledger phases. A stalled node is slow, not down — every invariant
-	// below must hold unchanged. The rng is only consulted when stalls are
+	// and ledger phases, by StallTicks per activation for a window of
+	// StallTicks. A stalled node is slow, not down — every invariant below
+	// must hold unchanged. The rng is only consulted when stalls are
 	// configured, so gray-free runs draw bit-identically to before.
-	if r.cfg.Stall > 0 {
-		for _, s := range r.stalls.plan(epoch, r.st, r.rng) {
-			r.h.StallNode(s.Node, s.Window, s.Extra)
-			r.res.GrayStalls++
-		}
+	for _, v := range stalled(r.cfg.Stall, r.st, r.rng) {
+		r.h.StallNode(v, core.Time(r.cfg.StallTicks), core.Time(r.cfg.StallTicks))
+		r.res.GrayStalls++
 	}
 
 	// I1: topology databases re-converge to the ground truth — through the

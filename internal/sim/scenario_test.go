@@ -438,13 +438,14 @@ func diverge(a, b obs, parallel bool) string {
 	return ""
 }
 
-// forShards is what the shard-mode contract fixes at p >= 2.
+// forShards is what the shard-mode contract fixes at p >= 2: after a
+// handler's failure, only each run step's error and clock.
 func (o obs) forShards() obs {
 	steps := make([]stepObs, len(o.steps))
 	for i, st := range o.steps {
-		steps[i] = stepObs{err: st.err}
+		steps[i] = stepObs{now: st.now, err: st.err}
 		if !o.failed {
-			steps[i].now, steps[i].finish, steps[i].metrics = st.now, st.finish, st.metrics
+			steps[i].finish, steps[i].metrics = st.finish, st.metrics
 		}
 	}
 	if o.failed {

@@ -167,8 +167,8 @@ func (net *Network) ownsNode(v core.NodeID) bool {
 // land strictly after the window (send time >= W, delay >= lookahead), so no
 // shard can ever see an event for an instant it has already passed. The
 // facade's clock reads what one core's would (runCore): a run ends at the
-// deadline if anything is still pending, else at its last dispatched instant,
-// and every child aligns. runTop has already refused a failed network and a
+// deadline if anything is still pending, else at its last dispatched instant
+// (at a failure, the failure's), and every child aligns. runTop has already refused a failed network and a
 // deadline behind the clock.
 func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	fac := grp.fac
@@ -234,9 +234,14 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 			}
 		}
 	}
-	// With anything pending the clock is the deadline (unless a child failed),
-	// which no child passed; else every spine is empty and a child may move
-	// back over nothing.
+	// With anything pending the clock is the deadline, which no child passed;
+	// else every spine is empty and a child may move back over nothing. A
+	// failed run stops at the failure's instant, as one core does, though the
+	// other children ran on to the end of its window.
+	f := grp.failure()
+	if f != nil {
+		clock = f.Time
+	}
 	for _, ch := range grp.children {
 		ch.sp.now = clock
 	}
@@ -244,7 +249,7 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 	if fac.userSink != nil {
 		flushShardTrace(grp.children, fac.userSink)
 	}
-	if f := grp.failure(); f != nil {
+	if f != nil {
 		return grp.metrics().FinishTime, f
 	}
 	return grp.metrics().FinishTime, errors.Join(errs...)

@@ -153,9 +153,9 @@ func TestSetDefaultShards(t *testing.T) {
 // core.HandlerError on every engine of both contracts. On an 8x8 grid flooded
 // from corner 0, the opposite corners 7 and 56 both fail, 56 one activation
 // sooner, inside one synchronous window (C = 4): each shard stops at its own
-// failure, and the run reports the earlier one, not the lower node. Running
-// the failed network again, backward or forward, dispatches nothing and
-// returns the same error (play checks both).
+// failure, and the run reports the earlier one, not the lower node, with the
+// clock at its instant at every p. Running the failed network again, backward
+// or forward, dispatches nothing and returns the same error (play checks both).
 func TestFailureAgreesAcrossShardCounts(t *testing.T) {
 	got := both(t, scenario{name: "flood-fail", graph: graphSpec{family: grid, n: 8}, proto: floodFail, c: 4, p: 1, seed: 1,
 		steps: script(injectAt(0, 0), step{op: run, want: errHandler}, step{op: runUntil, want: errHandler}, step{op: run, want: errHandler})})

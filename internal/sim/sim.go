@@ -112,6 +112,9 @@ func WithTrace(s trace.Sink) Option {
 }
 
 // WithEventBudget overrides the runaway-protocol guard (default 50M events).
+// The budget is per event core: under WithShards each shard counts its own
+// events against it, so where a sharded run trips it depends on the shard
+// count.
 func WithEventBudget(n int64) Option {
 	return func(cf *config) { cf.eventBudget = n }
 }

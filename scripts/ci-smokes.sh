@@ -20,7 +20,7 @@ smokes=(
 	"./internal/sim/|-run ^\$ -fuzz FuzzSpine -fuzztime 30s -fuzzminimizetime 1s|spine vs container/heap model over fuzzer-written operation strings"
 	"./internal/election/|-run ^\$ -fuzz FuzzDomain -fuzztime 30s -fuzzminimizetime 1s|election domain vs the map model it replaced, the shared core.NodeIndex included"
 	"./internal/reseq/|-run ^\$ -fuzz FuzzReorder -fuzztime 30s|reordering: election recovery, both runtimes"
-	"./internal/faults/|-run ^\$ -fuzz FuzzGrayFailure -fuzztime 30s|gray failures: slowdown/stall envelope, invariant I8"
+	"./internal/faults/|-run ^\$ -fuzz FuzzGrayFailure -fuzztime 30s|gray failures: a soak-table row decoded from (seed, slowdown, stall, loss), held to the table's check (invariant I8 and every dimension it arms)"
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|the contract table on floods with link flips over split graphs: WithShards(1) vs 2, 3, 4 and 8 shards and a 64-slot ring; classic vs fixed rings and the reference engine"
 	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|the contract table on pipelined broadcasts at C >= 0: auto-sized ring vs 64- and 8192-slot rings vs the reference engine; one shard vs 2 to 8"
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
