@@ -164,7 +164,7 @@ func (k MsgFault) Count(m *Metrics, sink trace.Sink, now int64, at NodeID, msg i
 // applies per traversal and the rng consumption per hop is constant (one
 // extra draw for jitter length or corruption shape happens only when that
 // fault fires).
-func (f MsgFaults) Roll(r *rand.Rand) MsgFault {
+func (f *MsgFaults) Roll(r *rand.Rand) MsgFault {
 	if !f.Enabled() {
 		return faultNone
 	}
@@ -196,7 +196,7 @@ func (f MsgFaults) Roll(r *rand.Rand) MsgFault {
 // reaches the far end and the extra delay (0 for the other faults). A drop or
 // a duplicate is the caller's to carry out; a duplicate re-crosses after a
 // JitterDelay drawn from r after this call.
-func (f MsgFaults) Cross(r *rand.Rand, c Time, payload any) (MsgFault, any, Time) {
+func (f *MsgFaults) Cross(r *rand.Rand, c Time, payload any) (MsgFault, any, Time) {
 	k := f.Roll(r)
 	var extra Time
 	switch k {
@@ -237,7 +237,7 @@ func (f MsgFaults) DelayBound(c Time) Time {
 }
 
 // JitterDelay draws the extra hardware delay of one jitter fault.
-func (f MsgFaults) JitterDelay(r *rand.Rand) Time {
+func (f *MsgFaults) JitterDelay(r *rand.Rand) Time {
 	if f.JitterMax <= 1 {
 		return 1
 	}
@@ -245,7 +245,7 @@ func (f MsgFaults) JitterDelay(r *rand.Rand) Time {
 }
 
 // ReorderDelay draws the extra hold-back delay of one reorder fault.
-func (f MsgFaults) ReorderDelay(r *rand.Rand) Time {
+func (f *MsgFaults) ReorderDelay(r *rand.Rand) Time {
 	if f.ReorderWindow <= 1 {
 		return 1
 	}
@@ -257,7 +257,7 @@ func (f MsgFaults) ReorderDelay(r *rand.Rand) Time {
 // degraded transmission rate, the additive draw from [1, SlowMax] models
 // queueing inside the gray switch. Always at least 1 so a slowdown is never
 // invisible (and breaks out of fused zero-delay chains).
-func (f MsgFaults) SlowdownDelay(r *rand.Rand, c Time) Time {
+func (f *MsgFaults) SlowdownDelay(r *rand.Rand, c Time) Time {
 	extra := Time(1)
 	if f.SlowFactor > 1 {
 		extra += Time(float64(c) * (f.SlowFactor - 1))

@@ -97,10 +97,11 @@ type Config struct {
 	// needs a nonzero lookahead, the fabric's hardware delay becomes 1 instead
 	// of the classic soak's 0 — a sharded soak is therefore a different (but
 	// per-shard-count deterministic) schedule than the Shards == 0 soak, not a
-	// reparallelization of it. DES runtime only; ignored under gosim.
+	// reparallelization of it. DES churn loop only: ignored under gosim,
+	// refused in the open-loop mode.
 	Shards int
 
-	MaxRounds int           // convergence-round cap (default n+8)
+	MaxRounds int           // convergence-round cap (default n+8); refused in the open-loop mode
 	Timeout   time.Duration // per-quiescence bound, goroutine runtime only (default 30s)
 	Verbose   io.Writer     // optional per-epoch progress lines
 }

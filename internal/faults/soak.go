@@ -80,8 +80,15 @@ func Soak(g *graph.Graph, cfg Config, opts ...sim.Option) (*Result, error) {
 		return nil, fmt.Errorf("faults: Epochs must be positive")
 	}
 	if cfg.Rate > 0 {
-		if cfg.Runtime != "des" {
+		// The open loop runs the load engine on the classic scheduler, with
+		// no convergence rounds: a knob it would ignore is refused instead.
+		switch {
+		case cfg.Runtime != "des":
 			return nil, fmt.Errorf("faults: the open-loop mode needs the discrete-event runtime, not %q", cfg.Runtime)
+		case cfg.Shards > 0:
+			return nil, fmt.Errorf("faults: the open-loop mode runs on the classic scheduler: -shards %d would do nothing", cfg.Shards)
+		case cfg.MaxRounds > 0:
+			return nil, fmt.Errorf("faults: the open-loop mode has no convergence rounds: -max-rounds %d would do nothing", cfg.MaxRounds)
 		}
 		return runOpenLoop(g, cfg, opts)
 	}

@@ -33,6 +33,8 @@ import (
 //   - beside: the line again while the sharded-flood row runs beside it;
 //   - shards: the line at -shards 1, 2 and 8, one line for all three;
 //   - goroutines: the line on gosim, which refuses the open loop;
+//   - refused: an open-loop line at -shards 2 and at -max-rounds 5, knobs
+//     the open loop would ignore, which it refuses by name;
 //   - repro (every row): see row.repro.
 //
 // The golden rows are those SoakCutThroughDifferential plays.
@@ -44,6 +46,7 @@ const (
 	beside
 	shards
 	goroutines
+	refused
 	repro
 )
 
@@ -86,14 +89,14 @@ var rows = func() []row {
 		// Gray NCUs without gray links (I8's detector half alone).
 		{name: "stall-only", gseed: 7, tests: "GrayStallOnlySoak", line: "-topo gnp -n 12 -gnp-p 0.35 -seed 7 -epochs 3 -flaps 1 -crashes 0 " + quiet + " -reliable 3 -stall 2"},
 		// The open loop (I9) on a clean fabric.
-		{name: "openloop-clean", tests: "SoakOpenLoopCleanFabric SoakOpenLoopGosimRejected ReproOpenLoop", line: "-topo gnp -n 24 -seed 5 -epochs 2 -calls 3000 -rate 0.5 -holding 100"},
+		{name: "openloop-clean", tests: "SoakOpenLoopCleanFabric SoakOpenLoopGosimRejected SoakOpenLoopIgnoredKnobsRejected ReproOpenLoop", line: "-topo gnp -n 24 -seed 5 -epochs 2 -calls 3000 -rate 0.5 -holding 100"},
 		// The neighbour of the beside column: a flood soak on two event cores.
 		{name: "sharded-flood", gseed: 5, tests: "SoakSchedStats SoakLossyDESDeterministic ReproRoundTrips", line: "-topo gnp -n 24 -gnp-p 0.25 -seed 11 -epochs 2 -mode flooding -flaps 1 " + quiet + " -no-election -shards 2 -loss 0.05 -jitter 0.1"},
 		// The command lines CI ran as steps of their own, and two more whose
 		// repro lines were already round-tripped: each row is named by its line.
 		{tests: "ReorderSoakMultiSeed ReproRoundTrips", line: "-topo gnp -n 20 -seed 2 -epochs 3 -reorder 0.2 -reorder-window 12"},
 		{tests: "GraySoakMultiSeed ReproRoundTrips", line: "-topo gnp -n 16 -seed 2 -epochs 3 -reliable 4 -slow 0.2 -stall 1"},
-		{tests: "SoakOpenLoopSweep SoakOpenLoopGosimRejected ReproRoundTrips", line: "-topo gnp -n 32 -seed 3 -epochs 3 -calls 4000 -rate 0.2 -holding 200 -zipf 1.1 -ncu-cap 64 -link-cap 0.5 -loss 0.02"},
+		{tests: "SoakOpenLoopSweep SoakOpenLoopGosimRejected ReproRoundTrips", line: "-topo gnp -n 32 -seed 3 -epochs 3 -calls 4000 -rate 0.2 -holding 200 -zipf 1.1 -ncu-cap 2 -link-cap 0.5 -loss 0.02"},
 		{tests: "SoakGosim ReproRoundTrips", line: "-runtime gosim -topo gnp -n 24 -epochs 3 -seed 1"},
 		{tests: "SoakGosim ReproRoundTrips", line: "-runtime gosim -topo gnp -n 24 -epochs 3 -seed 4"},
 		{tests: "SoakLossyDES ReproRoundTrips", line: "-topo gnp -n 64 -seed 5 -epochs 4 -shards 4 -loss 0.02 -reliable 2"},
@@ -183,6 +186,18 @@ func (r row) play(t *testing.T, cols column) {
 			t.Errorf("%s: %v", cfg.Repro(r.topo, r.n), err)
 		} else if err == nil {
 			r.check(t, cfg, res)
+		}
+	}
+	if cols&refused != 0 {
+		for _, knob := range []struct {
+			flag string
+			set  func(*Config)
+		}{{"-shards", func(c *Config) { c.Shards = 2 }}, {"-max-rounds", func(c *Config) { c.MaxRounds = 5 }}} {
+			cfg := r.cfg
+			knob.set(&cfg)
+			if _, err := Soak(r.g, cfg); err == nil || !strings.Contains(err.Error(), knob.flag) {
+				t.Errorf("%s: %v, want a refusal naming %s", cfg.Repro(r.topo, r.n), err, knob.flag)
+			}
 		}
 	}
 }
@@ -297,9 +312,7 @@ func (r row) check(t *testing.T, cfg Config, res *Result) {
 		fired(cfg.NCUCap > 0 || cfg.LinkCap > 0 || cfg.msgFaults().Enabled(), "refused calls", res.OL.Blocked+res.OL.Dropped)
 	}
 	fired(ol && cfg.LinkCap > 0, "link-bucket drops", m.CapLinkDrops)
-	if !ol || cfg.NCUCap == 0 {
-		fired(false, "NCU-queue drops", m.CapQueueDrops)
-	}
+	fired(ol && cfg.NCUCap > 0, "NCU-queue drops", m.CapQueueDrops)
 
 	// The scheduler: a classic fabric at C = 0 cuts through and uses both
 	// fast queues; a sharded one counts its events; gosim has none.
@@ -506,30 +519,31 @@ func TestSoakSeedsParallelMatchesSerial(t *testing.T) {
 }
 
 // The tests each row names, by the names of the hand-built tests they replaced.
-func TestSoakCutThroughDifferential(t *testing.T) { table(t, beside) }
-func TestSoakSchedStats(t *testing.T)             { table(t, des) }
-func TestSoakDESAllFaultKinds(t *testing.T)       { table(t, des) }
-func TestSoakFaultFreeLineUnchanged(t *testing.T) { table(t, des) }
-func TestSoakDESDeterministic(t *testing.T)       { table(t, shards) }
-func TestSoakGosim(t *testing.T)                  { table(t, goroutines) }
-func TestConfigRepro(t *testing.T)                { table(t, repro) }
-func TestSoakAdversary(t *testing.T)              { table(t, des|shards|goroutines|repro) }
-func TestSoakLossyDES(t *testing.T)               { table(t, des) }
-func TestSoakLossyDESDeterministic(t *testing.T)  { table(t, shards) }
-func TestSoakLossyGosim(t *testing.T)             { table(t, goroutines) }
-func TestReorderSoakMultiSeed(t *testing.T)       { table(t, des|shards) }
-func TestReorderSoakGosim(t *testing.T)           { table(t, goroutines) }
-func TestReorderRepro(t *testing.T)               { table(t, repro) }
-func TestGraySoakMultiSeed(t *testing.T)          { table(t, des) }
-func TestGraySoakDeterministic(t *testing.T)      { table(t, shards) }
-func TestGraySoakGosim(t *testing.T)              { table(t, goroutines) }
-func TestGrayRepro(t *testing.T)                  { table(t, repro) }
-func TestGrayOffDifferential(t *testing.T)        { table(t, des) }
-func TestGrayStallOnlySoak(t *testing.T)          { table(t, des|shards|goroutines|repro) }
-func TestSoakOpenLoopSweep(t *testing.T)          { table(t, des) }
-func TestSoakOpenLoopCleanFabric(t *testing.T)    { table(t, des) }
-func TestSoakOpenLoopGosimRejected(t *testing.T)  { table(t, goroutines) }
-func TestReproOpenLoop(t *testing.T)              { table(t, repro) }
+func TestSoakCutThroughDifferential(t *testing.T)       { table(t, beside) }
+func TestSoakSchedStats(t *testing.T)                   { table(t, des) }
+func TestSoakDESAllFaultKinds(t *testing.T)             { table(t, des) }
+func TestSoakFaultFreeLineUnchanged(t *testing.T)       { table(t, des) }
+func TestSoakDESDeterministic(t *testing.T)             { table(t, shards) }
+func TestSoakGosim(t *testing.T)                        { table(t, goroutines) }
+func TestConfigRepro(t *testing.T)                      { table(t, repro) }
+func TestSoakAdversary(t *testing.T)                    { table(t, des|shards|goroutines|repro) }
+func TestSoakLossyDES(t *testing.T)                     { table(t, des) }
+func TestSoakLossyDESDeterministic(t *testing.T)        { table(t, shards) }
+func TestSoakLossyGosim(t *testing.T)                   { table(t, goroutines) }
+func TestReorderSoakMultiSeed(t *testing.T)             { table(t, des|shards) }
+func TestReorderSoakGosim(t *testing.T)                 { table(t, goroutines) }
+func TestReorderRepro(t *testing.T)                     { table(t, repro) }
+func TestGraySoakMultiSeed(t *testing.T)                { table(t, des) }
+func TestGraySoakDeterministic(t *testing.T)            { table(t, shards) }
+func TestGraySoakGosim(t *testing.T)                    { table(t, goroutines) }
+func TestGrayRepro(t *testing.T)                        { table(t, repro) }
+func TestGrayOffDifferential(t *testing.T)              { table(t, des) }
+func TestGrayStallOnlySoak(t *testing.T)                { table(t, des|shards|goroutines|repro) }
+func TestSoakOpenLoopSweep(t *testing.T)                { table(t, des) }
+func TestSoakOpenLoopCleanFabric(t *testing.T)          { table(t, des) }
+func TestSoakOpenLoopGosimRejected(t *testing.T)        { table(t, goroutines) }
+func TestSoakOpenLoopIgnoredKnobsRejected(t *testing.T) { table(t, refused) }
+func TestReproOpenLoop(t *testing.T)                    { table(t, repro) }
 
 // FuzzGrayFailure decodes one row and plays it through check: any (seed,
 // slowdown, stall, loss) mix in the soak's supported envelope holds every

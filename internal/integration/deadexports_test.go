@@ -35,14 +35,14 @@ var keptExports = map[string]string{
 	"(*paths.Decomposition).Rounds": "Theorem 2's measure (rounds <= log2 n), asserted by the paths tests and reported by BenchmarkTreeLabelDecompose",
 	// The draws MsgFaults.Cross makes, which sim's reference engine makes
 	// one by one so that it stays independent of the function it checks.
-	"core.FaultCorrupt":              "oracle: the reference engine's own switch over what a fault does",
-	"core.FaultJitter":               "oracle: as FaultCorrupt",
-	"core.FaultReorder":              "oracle: as FaultCorrupt",
-	"core.FaultSlowdown":             "oracle: as FaultCorrupt",
-	"(core.MsgFaults).Roll":          "oracle: the reference engine's roll, drawn apart from the fault's own draw",
-	"(core.MsgFaults).ReorderDelay":  "oracle: the reference engine's reorder draw",
-	"(core.MsgFaults).SlowdownDelay": "oracle: the reference engine's slowdown draw",
-	"core.CorruptPayload":            "oracle: the reference engine's corruption draw",
+	"core.FaultCorrupt":               "oracle: the reference engine's own switch over what a fault does",
+	"core.FaultJitter":                "oracle: as FaultCorrupt",
+	"core.FaultReorder":               "oracle: as FaultCorrupt",
+	"core.FaultSlowdown":              "oracle: as FaultCorrupt",
+	"(*core.MsgFaults).Roll":          "oracle: the reference engine's roll, drawn apart from the fault's own draw",
+	"(*core.MsgFaults).ReorderDelay":  "oracle: the reference engine's reorder draw",
+	"(*core.MsgFaults).SlowdownDelay": "oracle: the reference engine's slowdown draw",
+	"core.CorruptPayload":             "oracle: the reference engine's corruption draw",
 
 	// The runtime contract (docs/MODEL.md §9), which only tests run.
 	"runtimetest.*": "conformance rows both runtimes' tests run; the fstest pattern",

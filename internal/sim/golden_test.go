@@ -54,7 +54,10 @@ func TestGoldenHashes(t *testing.T) {
 // like TestGoldenHashes does for the classic scheduler. Every row is hashed
 // at one and at four shards and both must match the committed value — so a
 // regression in either the serial reference or the parallel engine (or a
-// drift between them) fails against a fixed point, not just pairwise.
+// drift between them) fails against a fixed point, not just pairwise. The
+// three rows that draw were re-pinned once, when the per-node streams became
+// 16-byte PCGs (docs/PERF.md, "The shard-mode stream contract");
+// broadcast-tree-exact, which draws nothing, kept its hash.
 func TestShardGoldenHashes(t *testing.T) {
 	goldenFile(t, "shard_golden_hashes.json", shardSide[0], shardSide[3])
 }

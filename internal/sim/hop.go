@@ -2,37 +2,39 @@ package sim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
 	"fastnet/internal/trace"
 )
 
-// hwSrc is the hardware-delay stream for hops leaving node v: per-node in
+// hwSrc is the hardware-delay stream for hops leaving node v: v's own PCG in
 // shard mode, the network-global source otherwise.
 func (net *Network) hwSrc(v core.NodeID) *rand.Rand {
-	if !net.shardMode {
-		return net.rng
+	if net.shardMode {
+		net.pcg.PCG = &net.streams[v].hw
 	}
-	nd := &net.nodes[v]
-	if nd.hwRng == nil {
-		nd.hwRng = rand.New(rand.NewSource(net.cfg.seed ^ (-0x61C8864680B583EB * (int64(v) + 1))))
-	}
-	return nd.hwRng
+	return net.rng
 }
 
-// faultSrc is the lossy-link roll stream for traversals leaving node v;
-// per-node in shard mode so fault draws stay on the owning shard.
+// faultSrc is the lossy-link roll stream for traversals leaving node v; v's
+// own PCG in shard mode so fault draws stay on the owning shard.
 func (net *Network) faultSrc(v core.NodeID) *rand.Rand {
 	if !net.shardMode {
 		return net.faultRng
 	}
-	nd := &net.nodes[v]
-	if nd.fltRng == nil {
-		nd.fltRng = rand.New(rand.NewSource((net.cfg.seed ^ 0x10551e5) + -0x61C8864680B583EB*(int64(v)+1)))
-	}
-	return nd.fltRng
+	net.pcg.PCG = &net.streams[v].flt
+	return net.rng
 }
+
+// pcgSource is a shard-mode core's math/rand source: hwSrc and faultSrc point
+// it at one node's 16-byte stream per draw. rand.Rand keeps no state between
+// draws but Read's, which no caller uses, so repointing it is safe.
+type pcgSource struct{ *randv2.PCG }
+
+func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *pcgSource) Seed(int64)   {}
 
 // dupRev returns the reverse-path buffer a fault-injected duplicate should
 // carry. Classic mode shares the original (idempotent rewrites); shard mode

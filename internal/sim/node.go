@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"fastnet/internal/anr"
 	"fastnet/internal/core"
@@ -18,17 +19,17 @@ type node struct {
 	stallUntil core.Time
 	stallExtra core.Time
 	env        env
+}
 
-	// Shard-mode per-node streams: hardware-delay draws, fault rolls, and
-	// the canonical event-key / activation / message counters all live on
-	// the node so a run's draw sequences are a pure function of (seed, node)
-	// — independent of how nodes interleave across shards. Touched only by
-	// the owning shard.
-	hwRng  *rand.Rand
-	fltRng *rand.Rand
-	keyCtr uint64
-	actCtr int64
-	msgCtr int64
+// nodeStreams is a node's shard-mode state: its hardware-delay and fault-roll
+// streams and its canonical event-key / activation / message counters, so a
+// run's draws and labels are a pure function of (seed, node), independent of
+// how nodes interleave across shards. One slice, made by buildShards and
+// shared by the child shards like nodes; a row is touched only by its owner.
+type nodeStreams struct {
+	hw, flt        randv2.PCG
+	keyCtr         uint64
+	actCtr, msgCtr int64
 }
 
 // random returns the node's deterministic source, creating it on first use:
@@ -152,9 +153,9 @@ func (net *Network) nextKey() uint64 {
 		*net.scriptCtr = *net.scriptCtr + 1
 		return *net.scriptCtr
 	}
-	nd := &net.nodes[net.curOrigin]
-	nd.keyCtr++
-	return (uint64(net.curOrigin)+1)<<originShift | nd.keyCtr
+	st := &net.streams[net.curOrigin]
+	st.keyCtr++
+	return (uint64(net.curOrigin)+1)<<originShift | st.keyCtr
 }
 
 // nextAct assigns an activation label. Classic mode: the global activation
@@ -162,8 +163,9 @@ func (net *Network) nextKey() uint64 {
 // shard-count-invariant (trace projections compare them).
 func (net *Network) nextAct(nd *node) int64 {
 	if net.shardMode {
-		nd.actCtr++
-		return (int64(nd.id)+1)<<36 | nd.actCtr
+		st := &net.streams[nd.id]
+		st.actCtr++
+		return (int64(nd.id)+1)<<36 | st.actCtr
 	}
 	net.actSeq++
 	return net.actSeq
@@ -173,9 +175,9 @@ func (net *Network) nextAct(nd *node) int64 {
 // nextAct.
 func (net *Network) nextMsg(src core.NodeID) int64 {
 	if net.shardMode {
-		nd := &net.nodes[src]
-		nd.msgCtr++
-		return (int64(src)+1)<<36 | nd.msgCtr
+		st := &net.streams[src]
+		st.msgCtr++
+		return (int64(src)+1)<<36 | st.msgCtr
 	}
 	net.msgSeq++
 	return net.msgSeq

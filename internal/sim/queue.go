@@ -498,10 +498,7 @@ func (s *spine) next(deadline core.Time) *eventRec {
 		}
 		// Nothing left at this instant: advance to the earliest pending one
 		// across ring and heap.
-		t := s.nextRingInstant()
-		if s.heap.len() > 0 && (t < 0 || s.heap.evs[0].t < t) {
-			t = s.heap.evs[0].t
-		}
+		t := s.nextTime()
 		if t < 0 {
 			return nil
 		}

@@ -13,6 +13,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -99,6 +100,14 @@ func (net *Network) buildShards() {
 	net.shardMode, net.sp.keyed = true, true
 	net.curOrigin = -1
 	net.scriptCtr = new(uint64)
+	net.rng = rand.New(&net.pcg)
+	// Stream (seed, v, hw|flt) starts at PCG state (seed, odd × stream
+	// index): distinct for every stream, as an odd multiplier is a bijection.
+	net.streams = make([]nodeStreams, net.g.N())
+	for v := range net.streams {
+		net.streams[v].hw.Seed(uint64(net.cfg.seed), 0x9E3779B97F4A7C15*uint64(2*v+1))
+		net.streams[v].flt.Seed(uint64(net.cfg.seed), 0x9E3779B97F4A7C15*uint64(2*v+2))
+	}
 	if _, discard := net.cfg.sink.(trace.Discard); !discard {
 		net.userSink = net.cfg.sink
 		net.tb = &traceBuf{}
@@ -123,6 +132,7 @@ func (net *Network) buildShards() {
 			cfg:       net.cfg,
 			links:     net.links,
 			nodes:     net.nodes, // shared; each shard touches only owned rows
+			streams:   net.streams,
 			perNode:   net.perNode,
 			busy:      net.busy,
 			shardMode: true,
@@ -132,7 +142,7 @@ func (net *Network) buildShards() {
 			scriptCtr: net.scriptCtr,
 			curOrigin: -1,
 		}
-		ch.sp.keyed = true
+		ch.sp.keyed, ch.rng = true, rand.New(&ch.pcg)
 		ch.sp.initRing(ch.cfg.ringSize())
 		ch.sp.fixed = ch.cfg.ringWindow > 0
 		if net.tb != nil {
@@ -250,9 +260,9 @@ func (grp *shardGroup) run(deadline core.Time) (core.Time, error) {
 		flushShardTrace(grp.children, fac.userSink)
 	}
 	if f != nil {
-		return grp.metrics().FinishTime, f
+		return fac.Metrics().FinishTime, f
 	}
-	return grp.metrics().FinishTime, errors.Join(errs...)
+	return fac.Metrics().FinishTime, errors.Join(errs...)
 }
 
 // failure is the run's Env.Fail: each shard stops at its own first, and the
@@ -265,16 +275,6 @@ func (grp *shardGroup) failure() *core.HandlerError {
 		}
 	}
 	return first
-}
-
-// metrics aggregates the children's cost measures (sums, with max for
-// MaxHeaderHops and FinishTime — exactly core.Metrics.Add semantics).
-func (grp *shardGroup) metrics() core.Metrics {
-	m := grp.fac.metrics
-	for _, ch := range grp.children {
-		m.Add(ch.metrics)
-	}
-	return m
 }
 
 // traceBuf is the private, lock-free sink each shard records into; the

@@ -149,8 +149,8 @@ type Network struct {
 	seq      uint64
 	nodes    []node
 	links    core.Links // live link state; a shard child shares the table and writes the rows it owns
-	rng      *rand.Rand // network-level source (hardware delays)
-	faultRng *rand.Rand // lossy-link rolls (separate stream: enabling faults must not perturb delay draws)
+	rng      *rand.Rand // hardware delays; in shard mode, draws from whichever stream pcg points at
+	faultRng *rand.Rand // classic lossy-link rolls (separate stream: enabling faults must not perturb delay draws)
 
 	metrics core.Metrics
 	perNode []int64        // deliveries per node
@@ -161,13 +161,13 @@ type Network struct {
 	msgSeq  int64
 	failed  *core.HandlerError // the first Env.Fail of a handler on this core
 
-	// Shard-mode state (see shard.go and docs/PERF.md). In shard mode event
-	// keys, delay draws, fault rolls, and activation/message labels come from
-	// per-node streams so that every observable is invariant under the shard
-	// count; the classic fields above keep their exact behavior when
-	// shardMode is false.
+	// Shard-mode state (see shard.go and docs/PERF.md): event keys, draws and
+	// labels come from per-node streams, so every observable is invariant
+	// under the shard count. Classic mode leaves it unused.
 	shardMode bool
 	shardID   int32
+	streams   []nodeStreams  // per-node draw streams and counters, shared by the child shards
+	pcg       pcgSource      // rng's source (hop.go)
 	assign    []int32        // node -> shard; nil unless a multi-shard child
 	outbox    [][]timedEvent // per-target-shard boundary packets awaiting the barrier
 	scriptCtr *uint64        // shared driver-event ordinal (sorts before all node keys)
@@ -192,15 +192,13 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 	}
 	pm := core.NewPortMap(g)
 	net := &Network{
-		g:        g,
-		pm:       pm,
-		cfg:      cfg,
-		links:    core.NewLinks(pm),
-		rng:      rand.New(rand.NewSource(cfg.seed)),
-		faultRng: rand.New(rand.NewSource(cfg.seed ^ 0x10551e5)),
-		nodes:    make([]node, g.N()),
-		perNode:  make([]int64, g.N()),
-		busy:     make([]core.Time, g.N()),
+		g:       g,
+		pm:      pm,
+		cfg:     cfg,
+		links:   core.NewLinks(pm),
+		nodes:   make([]node, g.N()),
+		perNode: make([]int64, g.N()),
+		busy:    make([]core.Time, g.N()),
 	}
 	for i := range net.nodes {
 		nd := &net.nodes[i]
@@ -210,6 +208,8 @@ func New(g *graph.Graph, f core.Factory, opts ...Option) *Network {
 	}
 	if cfg.shards >= 1 {
 		net.buildShards()
+	} else {
+		net.rng, net.faultRng = rand.New(rand.NewSource(cfg.seed)), rand.New(rand.NewSource(cfg.seed^0x10551e5))
 	}
 	if net.group == nil { // a multi-shard facade schedules nothing itself
 		net.sp.initRing(cfg.ringSize())
@@ -243,10 +243,13 @@ func (net *Network) Now() core.Time { return net.sp.now }
 // Metrics returns the accumulated cost measures (aggregated across shards:
 // sums, with max for MaxHeaderHops and FinishTime).
 func (net *Network) Metrics() core.Metrics {
+	m := net.metrics
 	if net.group != nil {
-		return net.group.metrics()
+		for _, ch := range net.group.children {
+			m.Add(ch.metrics)
+		}
 	}
-	return net.metrics
+	return m
 }
 
 // Events returns the number of scheduler events processed so far; wall-clock
@@ -264,13 +267,9 @@ func (net *Network) SchedStats() SchedStats {
 	return net.schedStats()
 }
 
-func (net *Network) schedStats() SchedStats {
-	if net.group == nil {
-		return net.sp.stats
-	}
-	var s SchedStats
-	for _, ch := range net.group.children {
-		s.add(ch.sp.stats)
+func (net *Network) schedStats() (s SchedStats) {
+	for _, c := range net.cores() {
+		s.add(c.sp.stats)
 	}
 	return s
 }
@@ -278,16 +277,20 @@ func (net *Network) schedStats() SchedStats {
 // publishStats adds what this network (every shard, on a facade) has counted
 // since the last call to the configured totals sink.
 func (net *Network) publishStats() {
-	if net.cfg.totals == nil {
-		return
+	for _, c := range net.cores() {
+		if net.cfg.totals != nil {
+			c.sp.publish(net.cfg.totals)
+		}
 	}
-	if net.group == nil {
-		net.sp.publish(net.cfg.totals)
-		return
+}
+
+// cores returns the event cores that run this network: its child shards on a
+// multi-shard facade, else the network itself.
+func (net *Network) cores() []*Network {
+	if net.group != nil {
+		return net.group.children
 	}
-	for _, ch := range net.group.children {
-		ch.sp.publish(net.cfg.totals)
-	}
+	return []*Network{net}
 }
 
 // DeliveriesPerNode returns a copy of the per-node delivery counts.
@@ -389,13 +392,9 @@ func (net *Network) InjectLink(u, v core.NodeID, up bool) {
 // pure function of the seed.
 func (net *Network) SetMsgFaults(f core.MsgFaults) {
 	net.cfg.faults = f
-	if net.group == nil {
-		net.sp.grow(net.cfg.ringSize())
-		return
-	}
-	for _, ch := range net.group.children {
-		ch.cfg.faults = f
-		ch.sp.grow(ch.cfg.ringSize())
+	for _, c := range net.cores() {
+		c.cfg.faults = f
+		c.sp.grow(c.cfg.ringSize())
 	}
 }
 

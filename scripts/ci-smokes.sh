@@ -24,8 +24,9 @@ smokes=(
 	"./internal/sim/|-run ^\$ -fuzz FuzzShardCount -fuzztime 30s|the contract table on floods with link flips over split graphs: WithShards(1) vs 2, 3, 4 and 8 shards and a 64-slot ring; classic vs fixed rings and the reference engine"
 	"./internal/sim/|-run ^\$ -fuzz FuzzHopBatch -fuzztime 30s|the contract table on pipelined broadcasts at C >= 0: auto-sized ring vs 64- and 8192-slot rings vs the reference engine; one shard vs 2 to 8"
 	"./internal/sim/|-run TestHeapBypassC1Regime -count=1 -v|heap bypass: the C >= 1 regime stays on the ring (LaneHitRate >= 0.95)"
-	"./internal/topology/|-run ^\$ -bench FloodShardCost -benchtime 1x|what p = 1 costs: bytes per node per origin of the 4,096-node flood on classic, WithShards(1) <= 1,600 and WithShards(2) <= 1,720, equal deliveries"
+	"./internal/topology/|-run ^\$ -bench FloodShardCost -benchtime 1x|what p = 1 costs: bytes per node per origin of the 4,096-node flood on classic, WithShards(1) <= 1,300 and WithShards(2) <= 1,420, equal deliveries"
 	"./internal/sim/|-run TestEventRecordFitsItsClass -count=1 -v|event storage: a record <= 80 B, and a chunk's size class leaves less than one record unused (about 83 B per event in flight)"
+	"./internal/sim/|-run TestNodeStateSize -count=1 -v|node state: a node <= 80 B in every mode; shard mode's two 16-byte PCG streams and its counters in a side record <= 56 B"
 	"./internal/sim/|-run TestStageLoadAllocs -count=1 -v|shard-mode stage: 0 allocs to promote a slot of 1 to 20,000 entries once its buffer has grown"
 	"./internal/load/|-run TestOpenLoopAllocsPerCall -count=1 -v|open loop: <= 0.1 allocs/call"
 	"./internal/load/|-run TestOpenLoopAllocsPerRun -count=1 -v|open loop: <= 3,500 allocs per whole run on both benchmark shapes (pair-table routes and headers in shared arrays)"
