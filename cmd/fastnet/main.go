@@ -4,7 +4,7 @@
 // Usage:
 //
 //	fastnet list                     list all experiments
-//	fastnet exp [-csv] <id>...       run experiments (IDs or 'all')
+//	fastnet exp [-csv] <id>...       run experiments (IDs or 'all'); exits 1 if a claim fails
 //	fastnet sim [flags]              run one scenario (see 'fastnet sim -h')
 //	fastnet soak [flags]             run the invariant-checked churn soak
 package main
@@ -152,6 +152,7 @@ func runExp(args []string) error {
 			ids = append(ids, s.ID)
 		}
 	}
+	failed := 0
 	for _, id := range ids {
 		spec, ok := experiments.Lookup(id)
 		if !ok {
@@ -179,8 +180,18 @@ func runExp(args []string) error {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "%s sched: %s\n", spec.ID, totals.Stats())
 		}
+		// The verdict goes to stderr, so that -csv output stays CSV.
+		if err := spec.Claim(tbl); err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "%s claim fails: %v\n", spec.ID, err)
+		} else {
+			fmt.Fprintf(os.Stderr, "%s claim holds\n", spec.ID)
+		}
 	}
-	return stopProf()
+	if err := stopProf(); err != nil || failed == 0 {
+		return err
+	}
+	return fmt.Errorf("%d of %d experiment claims fail", failed, len(ids))
 }
 
 func runSim(args []string) error {
@@ -475,7 +486,7 @@ func buildTopo(name string, n int, gnpP float64, seed int64) (*graph.Graph, erro
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   fastnet list                 list all experiments
-  fastnet exp [-csv] <id>...   run experiments by ID ('all' for everything)
+  fastnet exp [-csv] <id>...   run experiments by ID ('all' for everything); exit 1 if a claim fails
   fastnet sim [flags]          run one ad-hoc scenario (see 'fastnet sim -h')
   fastnet soak [flags]         run the invariant-checked churn soak (see 'fastnet soak -h')`)
 }

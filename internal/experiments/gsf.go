@@ -34,6 +34,17 @@ func e8Binomial(env Env) (*Table, error) {
 	})
 }
 
+// closedForm is the claim of E8 and E9: S(k) = f(k), and OT(k), simulated
+// up to 4096 nodes, finishes at t* = min{j : f(j) >= f(k)}.
+func closedForm(f func(k float64) float64) func(*Table) error {
+	return each(func(r *cells) {
+		k, tstar := r.num("k"), 1.0
+		for ; f(tstar) < f(k); tstar++ {
+		}
+		r.eq("S(k)", f(k)).want("sim.finish", f(k) > 4096 || r.num("sim.finish") == tstar, "want t* = %g", tstar)
+	})
+}
+
 // otFinish is the sim.finish cell of E8 and E9: OT(k)'s simulated finish
 // time, or "-" when its s nodes are too many to simulate.
 func otFinish(env Env, p globalfn.Params, k globalfn.Time, s int64) (string, error) {

@@ -1,36 +1,14 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
-
-// slowIDs are the multi-second sweeps -short leaves out.
-var slowIDs = map[string]bool{"E20": true, "E21": true, "E23": true, "E24": true}
+import "testing"
 
 // TestParallelTablesMatchSerial is the acceptance gate for sweep's worker
-// pool: rendering any experiment with any worker count must produce exactly
-// the bytes of the serial reference run.
+// pool: every table built on 3 workers must render to its pins, the bytes of
+// the serial run (TestTablesGolden checks one worker per CPU).
 func TestParallelTablesMatchSerial(t *testing.T) {
-	render := func(s Spec, workers int) string {
-		tbl, err := s.Run(Env{Workers: workers})
-		if err != nil {
-			t.Fatalf("%s with %d workers: %v", s.ID, workers, err)
+	eachSpec(t, func(t *testing.T, spec Spec) {
+		if d := pinDiff(build(t, spec, 3)); d != "" {
+			t.Errorf("with 3 workers: %s", d)
 		}
-		var b strings.Builder
-		tbl.Render(&b)
-		return b.String()
-	}
-	for _, s := range All() {
-		if testing.Short() && slowIDs[s.ID] {
-			continue
-		}
-		serial := render(s, 1)
-		for _, workers := range []int{3, 0} {
-			if got := render(s, workers); got != serial {
-				t.Errorf("%s: table with %d workers diverges from serial run\nserial:\n%s\nparallel:\n%s",
-					s.ID, workers, serial, got)
-			}
-		}
-	}
+	})
 }

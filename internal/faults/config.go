@@ -131,6 +131,7 @@ func ifSlow(cfg Config) bool      { return cfg.Slow > 0 }
 func ifBurst(cfg Config) bool     { return cfg.lossy() && cfg.BurstEvery > 0 }
 func ifStall(cfg Config) bool     { return cfg.Stall > 0 }
 func ifOpenLoop(cfg Config) bool  { return cfg.Rate > 0 }
+func ifChurn(cfg Config) bool     { return cfg.Rate == 0 } // the open loop reads no churn knob
 func ifMaxRounds(cfg Config) bool { return cfg.MaxRounds > 0 }
 func ifShards(cfg Config) bool    { return cfg.Shards > 0 }
 func never(Config) bool           { return false }
@@ -142,16 +143,16 @@ func (cfg *Config) knobs() []knob {
 		{"runtime", &cfg.Runtime, "des", "runtime: des|gosim", nil},
 		{"seed", &cfg.Seed, int64(1), "seed for schedules, calls and elections", nil},
 		{"epochs", &cfg.Epochs, 50, "churn epochs to run", nil},
-		{"mode", &cfg.Mode, "branching-paths", "maintenance protocol: branching-paths|flooding", nil},
+		{"mode", &cfg.Mode, "branching-paths", "maintenance protocol: branching-paths|flooding", ifChurn},
 
-		{"flaps", &cfg.Flaps, 2, "link flaps per epoch", nil},
-		{"flaplen", &cfg.FlapLen, 1, "steps a flapped link stays down", nil},
-		{"partition-every", &cfg.PartitionEvery, 5, "epochs between correlated cuts (0 = off)", nil},
-		{"partition-heal", &cfg.PartitionHeal, 1, "epochs until a cut heals", nil},
-		{"crashes", &cfg.Crashes, 1, "node crashes per epoch", nil},
-		{"downtime", &cfg.Downtime, 1, "epochs a crashed node stays down", nil},
+		{"flaps", &cfg.Flaps, 2, "link flaps per epoch", ifChurn},
+		{"flaplen", &cfg.FlapLen, 1, "steps a flapped link stays down", ifChurn},
+		{"partition-every", &cfg.PartitionEvery, 5, "epochs between correlated cuts (0 = off)", ifChurn},
+		{"partition-heal", &cfg.PartitionHeal, 1, "epochs until a cut heals", ifChurn},
+		{"crashes", &cfg.Crashes, 1, "node crashes per epoch", ifChurn},
+		{"downtime", &cfg.Downtime, 1, "epochs a crashed node stays down", ifChurn},
 		{"calls", &cfg.Calls, 2, "calls set up and failure-checked per epoch", nil},
-		{"leader-crash", &cfg.LeaderCrash, 0.25, "per-epoch probability of crashing the leader", nil},
+		{"leader-crash", &cfg.LeaderCrash, 0.25, "per-epoch probability of crashing the leader", ifChurn},
 
 		{"loss", &cfg.Loss, 0.0, "per-traversal drop probability (lossy-link model)", Config.lossy},
 		{"dup", &cfg.Dup, 0.0, "per-traversal duplication probability", Config.lossy},

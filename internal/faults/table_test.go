@@ -333,7 +333,8 @@ func (r row) check(t *testing.T, cfg Config, res *Result) {
 
 // repro is the repro column: the row's repro line reads back as its config,
 // and carries every flag the row's line sets, as set, and the flags of the
-// dimensions its config arms, but of no other.
+// dimensions its config arms, but of no other (an open loop's line, none of
+// the churn loop's); an open-loop line, played back, prints the row's line.
 func (r row) repro(t *testing.T) {
 	line := r.cfg.Repro(r.topo, r.n) + " "
 	cfg, same := r.replayed(t)
@@ -352,13 +353,19 @@ func (r row) repro(t *testing.T) {
 		"-slow -slow-factor -slow-max":                     cfg.Slow > 0,
 		"-stall -stall-ticks":                              cfg.Stall > 0,
 		"-rate -holding -zipf -ncu-cap -link-cap":          cfg.Rate > 0,
-		"-max-rounds":                                      cfg.MaxRounds > 0,
-		"-shards":                                          cfg.Shards > 0,
+		"-mode -flaps -flaplen -partition-every -partition-heal -crashes -downtime -leader-crash": cfg.Rate == 0,
+		"-max-rounds": cfg.MaxRounds > 0,
+		"-shards":     cfg.Shards > 0,
 	} {
 		for _, f := range strings.Fields(flags) {
 			if strings.Contains(line, " "+f+" ") != on {
 				t.Errorf("repro %q: %s shown with the dimension armed=%v", line, f, on)
 			}
+		}
+	}
+	if cfg.Rate > 0 { // an open loop is cheap to play back
+		if a, b := r.soak(t, nil).Line(), r.soak(t, func(c *Config) { *c = cfg }).Line(); a != b {
+			t.Errorf("the repro line %q plays\n%s\nwhere the row plays\n%s", line, b, a)
 		}
 	}
 }
@@ -399,7 +406,8 @@ func (r row) replayed(t *testing.T) (Config, bool) {
 
 // canonicalConfig draws a config whose inert knobs are zero: a knob Repro
 // leaves out because the dimension it tunes is off (a reorder window without
-// reordering) cannot survive a round trip and does not need to.
+// reordering) cannot survive a round trip and does not need to. An open
+// loop's churn knobs, which Repro leaves out too, hold their defaults.
 func canonicalConfig(r *rand.Rand) Config {
 	small := func() int { return max(0, r.Intn(12)-2) } // zero, "default", a quarter of the time
 	cfg := Config{
@@ -430,6 +438,8 @@ func canonicalConfig(r *rand.Rand) Config {
 	if r.Intn(3) == 0 {
 		cfg.Rate, cfg.Holding, cfg.ZipfS = 0.01+r.Float64(), r.Intn(3)*100, r.Float64()*2
 		cfg.NCUCap, cfg.LinkCap = r.Intn(3)*16, float64(r.Intn(3))/2
+		cfg.Mode, cfg.Flaps, cfg.FlapLen, cfg.PartitionEvery = 0, 2, 0, 5
+		cfg.PartitionHeal, cfg.Crashes, cfg.Downtime, cfg.LeaderCrash = 0, 1, 0, 0.25
 	}
 	return cfg
 }

@@ -114,6 +114,53 @@ func TestDocsNameRealCode(t *testing.T) {
 	t.Logf("%d names that resolve to nothing", bad)
 }
 
+// TestExperimentsDocFollowsPins holds EXPERIMENTS.md to the pinned tables,
+// internal/experiments/testdata/E<n>.txt, and runs no experiment: every
+// fenced block that opens with a table's title line is that table's pin, but
+// for trailing spaces; and every decimal number and percentage in the Verdict
+// column of the summary appears in the text of the table its row names.
+func TestExperimentsDocFollowsPins(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", filepath.FromSlash(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	pin := func(id string) string { return read("internal/experiments/testdata/" + id + ".txt") }
+	trailing := regexp.MustCompile(` +\n`)
+	trim := func(s string) string { return strings.TrimSpace(trailing.ReplaceAllString(s, "\n")) }
+	title, figure := regexp.MustCompile(`^(E\d+) — `), regexp.MustCompile(`\d+(?:\.\d+)?%?`)
+	verdict := regexp.MustCompile(`^\| (E\d+) \| [^|]* \| (.*) \|$`) // | ID | artefact | verdict |
+	var block []string
+	fenced, summary := false, false
+	for i, line := range strings.Split(read("EXPERIMENTS.md"), "\n") {
+		where := fmt.Sprintf("EXPERIMENTS.md:%d", i+1)
+		switch m := verdict.FindStringSubmatch(line); {
+		case line == "```":
+			text := strings.Join(block, "\n")
+			if id := title.FindStringSubmatch(text); fenced && id != nil && trim(text) != trim(pin(id[1])) {
+				t.Errorf("%s: the %s block is not its pin, testdata/%s.txt:\n%s", where, id[1], id[1], pin(id[1]))
+			}
+			fenced, block = !fenced, nil
+		case fenced:
+			block = append(block, line)
+		case strings.HasPrefix(line, "## "):
+			summary = line == "## Summary"
+		case summary && m != nil:
+			have := map[string]bool{}
+			for _, f := range figure.FindAllString(pin(m[1]), -1) {
+				have[f] = true
+			}
+			for _, f := range figure.FindAllString(m[2], -1) {
+				if (strings.Contains(f, ".") || strings.HasSuffix(f, "%")) && !have[f] {
+					t.Errorf("%s: the %s verdict quotes %s, which its table does not print", where, m[1], f)
+				}
+			}
+		}
+	}
+}
+
 // docIndex is what a documented name is resolved against.
 type docIndex struct {
 	m      *module
